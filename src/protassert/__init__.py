@@ -76,7 +76,7 @@ from .syntax import (
 )
 from .terms import App, Basic, Enc, Pair, Term, Var, sk, vk
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AnonymityReport", "SwapSpec", "build_swapped", "check_anonymity",

@@ -34,7 +34,7 @@ from .assertions import (
     normalize,
     substitute,
 )
-from .engine import DEFAULT_BUDGET, DeriveContext, SearchBudget
+from .engine import DEFAULT_BUDGET, BudgetExhausted, DeriveContext, SearchBudget
 from .protocol import Action, Protocol
 from .builtins import Setup
 from .runtime import Run, Step, WorldState, simulate, validate_run
@@ -228,9 +228,11 @@ def check_safety(ctx: DeriveContext, spec: SwapSpec) -> tuple[bool, list[str]]:
     keys must sit in singleton equality classes and be non-derivable, and
     nothing with concrete content may be provably equal to a commitment."""
     reasons: list[str] = []
-    if ctx.build_failed:
+    try:
+        leaves = ctx.leaves()
+    except BudgetExhausted:
         return False, ["knowledge closure exceeded the budget"]
-    for leaf in ctx.tree.leaves():
+    for leaf in leaves:
         cc = leaf.cc.clone()
         for d in spec.commits:
             cc.add_term(d)

@@ -5,7 +5,11 @@ Search strategy is fixed:
      instance over a globally fresh witness variable;
   2. hypothesis flattening: conjunctions split, says bodies stripped
      (originals kept for membership);
-  3. case split: every reachable disjunction forks the branch;
+  3. case split on demand: steps 1 and 2 run in queue order up to the first
+     reachable disjunction.  A query tries the goal on that branch first and
+     splits the disjunction only when that fails, then solves both sides
+     and joins them by or-elimination (splitting on demand, as in DPLL(T)).
+     A split is made once per context and kept for later queries;
   4. congruence closure per branch over the term universe, seeded by equality
      hypotheses, closed under pair/enc/constructor congruence, pair
      projection, and enc projection guarded by derivability of both inverse
@@ -21,7 +25,8 @@ verdicts say whether a search budget was hit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .assertions import (
     And,
@@ -145,7 +150,7 @@ class EqClasses:
         self.forest: dict[Term, tuple[Term, _Edge]] = {}
         self.stamp = 0
         self.merges = 0
-        self._pending: list[tuple[Term, Term, str, tuple]] = []
+        self._pending: deque[tuple[Term, Term, str, tuple]] = deque()
 
     # -- basic structure
 
@@ -178,7 +183,7 @@ class EqClasses:
         c.forest = dict(self.forest)
         c.stamp = self.stamp
         c.merges = self.merges
-        c._pending = list(self._pending)
+        c._pending = deque(self._pending)
         return c
 
     def _children(self, t: Term) -> tuple[Term, ...]:
@@ -277,7 +282,7 @@ class EqClasses:
 
     def process(self) -> None:
         while self._pending:
-            a, b, kind, data = self._pending.pop(0)
+            a, b, kind, data = self._pending.popleft()
             self._union(a, b, kind, data)
 
     def _union(self, a: Term, b: Term, kind: str, data: tuple) -> None:
@@ -378,32 +383,53 @@ class _WitnessAllocator:
         return self.ledger[psi]
 
 
-@dataclass
-class _Leaf:
-    hyps: frozenset[Assertion]
-    origin: dict[Assertion, tuple]
-    cc: EqClasses | None = None
-    bottom: tuple[Term, Term] | None = None
+class _Node:
+    """One node of the case-split tree: the hypotheses reached from its
+    parent's choice of disjunct by non-branching expansion (conjunctions
+    split, says bodies stripped, existentials opened over witnesses), up to
+    the first disjunction, which is left in ``split`` for a later query to
+    split on.  Children are made once, on demand, and kept."""
 
-
-@dataclass
-class _ExpNode:
-    wits: list[tuple[Assertion, Assertion, str]] = field(default_factory=list)
-    split: tuple[Assertion, "_ExpNode", "_ExpNode"] | None = None
-    leaf: _Leaf | None = None
-
-    def leaves(self) -> list[_Leaf]:
-        if self.leaf is not None:
-            return [self.leaf]
-        _, l, r = self.split
-        return l.leaves() + r.leaves()
+    def __init__(self, hyps: set[Assertion], origin: dict[Assertion, tuple],
+                 queue: deque[Assertion], alloc: _WitnessAllocator, safe: bool):
+        self.wits: list[tuple[Assertion, Assertion, str]] = []
+        self.split: Or | None = None
+        while queue:
+            psi = queue.popleft()
+            if isinstance(psi, And):
+                for idx, child in ((0, psi.left), (1, psi.right)):
+                    if child not in hyps:
+                        hyps.add(child)
+                        origin[child] = ("and_e", psi, idx)
+                        queue.append(child)
+            elif isinstance(psi, Says):
+                if psi.body not in hyps:
+                    hyps.add(psi.body)
+                    origin[psi.body] = ("strip", psi)
+                    queue.append(psi.body)
+            elif isinstance(psi, Exists) and not safe:
+                var = alloc.get(psi)
+                inst = substitute(psi.body, {psi.var: Var(var)})
+                if inst not in hyps:
+                    hyps.add(inst)
+                    origin[inst] = ("assume",)
+                    queue.append(inst)
+                    self.wits.append((psi, inst, var))
+            elif isinstance(psi, Or) and not safe:
+                self.split = psi
+                break
+        self.hyps = frozenset(hyps)
+        self.origin = origin
+        self.queue = queue  # what the children go on expanding
+        self.children: tuple[_Node, _Node] | None = None
+        self.cc: EqClasses | None = None
+        self.bottom: tuple[Term, Term] | None = None
 
 
 class _Counters:
     def __init__(self, budget: SearchBudget):
         self.budget = budget
         self.nodes = 0
-        self.branches = 1
         self.truncated = False
 
     def tick(self) -> None:
@@ -411,64 +437,15 @@ class _Counters:
         if self.nodes > self.budget.node_cap:
             raise BudgetExhausted()
 
-    def fork(self) -> None:
-        self.branches += 1
-        if self.branches > self.budget.branch_cap:
-            raise BudgetExhausted()
-
-
-def _expand(hyps: set[Assertion], origin: dict, queue: list[Assertion],
-            alloc: _WitnessAllocator, counters: _Counters, safe: bool) -> _ExpNode:
-    node = _ExpNode()
-    while queue:
-        psi = queue.pop(0)
-        if isinstance(psi, And):
-            for idx, child in ((0, psi.left), (1, psi.right)):
-                if child not in hyps:
-                    hyps.add(child)
-                    origin[child] = ("and_e", psi, idx)
-                    queue.append(child)
-        elif isinstance(psi, Says):
-            if psi.body not in hyps:
-                hyps.add(psi.body)
-                origin[psi.body] = ("strip", psi)
-                queue.append(psi.body)
-        elif isinstance(psi, Exists) and not safe:
-            var = alloc.get(psi)
-            inst = substitute(psi.body, {psi.var: Var(var)})
-            if inst not in hyps:
-                hyps.add(inst)
-                origin[inst] = ("assume",)
-                queue.append(inst)
-                node.wits.append((psi, inst, var))
-        elif isinstance(psi, Or) and not safe:
-            counters.fork()
-            lh, lo, lq = set(hyps), dict(origin), list(queue)
-            rh, ro, rq = set(hyps), dict(origin), list(queue)
-            if psi.left not in lh:
-                lh.add(psi.left)
-                lo[psi.left] = ("assume",)
-                lq.append(psi.left)
-            if psi.right not in rh:
-                rh.add(psi.right)
-                ro[psi.right] = ("assume",)
-                rq.append(psi.right)
-            left = _expand(lh, lo, lq, alloc, counters, safe)
-            right = _expand(rh, ro, rq, alloc, counters, safe)
-            node.split = (psi, left, right)
-            return node
-    node.leaf = _Leaf(frozenset(hyps), origin)
-    return node
-
 
 def witness_close(Phi) -> tuple[frozenset[Assertion], dict[Assertion, str]]:
     """Smallest superset of Phi containing an instance over a fresh witness
     variable for each existential element."""
     alloc = _WitnessAllocator()
     out: set[Assertion] = set(normalize(a) for a in Phi)
-    queue = sorted_assertions(out)
+    queue = deque(sorted_assertions(out))
     while queue:
-        psi = queue.pop(0)
+        psi = queue.popleft()
         if isinstance(psi, Exists):
             inst = substitute(psi.body, {psi.var: Var(alloc.get(psi))})
             if inst not in out:
@@ -480,24 +457,8 @@ def witness_close(Phi) -> tuple[frozenset[Assertion], dict[Assertion, str]]:
 def case_split(Pi, budget: SearchBudget = DEFAULT_BUDGET) -> list[frozenset[Assertion]]:
     """Branches obtained by replacing each reachable disjunction (under
     conjunction flattening and says stripping) with each disjunct."""
-    hyps = set(normalize(a) for a in Pi)
-    origin = {a: ("ax",) for a in hyps}
-    counters = _Counters(budget)
-    alloc = _WitnessAllocator()
-    tree = _expand(hyps, origin, sorted_assertions(hyps), alloc, counters, safe=False)
-    out = []
-    for leaf in tree.leaves():
-        cleaned = {a for a in leaf.hyps
-                   if not isinstance(a, (And, Or))}
-        out.append(frozenset(cleaned))
-    return out
-
-
-def congruence_close(X, branch, budget: SearchBudget = DEFAULT_BUDGET) -> EqClasses:
-    dyctx = DYContext(X)
-    cc = EqClasses(dyctx, budget.merge_cap)
-    _build_classes(cc, X, branch)
-    return cc
+    return [frozenset(a for a in leaf.hyps if not isinstance(a, (And, Or)))
+            for leaf in DeriveContext((), Pi, budget).leaves()]
 
 
 def _register_assertion_terms(cc: EqClasses, a: Assertion) -> None:
@@ -520,22 +481,22 @@ def _build_classes(cc: EqClasses, X, branch) -> None:
 # the prover proper
 
 class _BranchProver:
-    def __init__(self, ctx: "DeriveContext", leaf: _Leaf, cc: EqClasses,
+    def __init__(self, ctx: "DeriveContext", node: _Node, cc: EqClasses,
                  counters: _Counters):
         self.ctx = ctx
-        self.leaf = leaf
+        self.node = node
         self.cc = cc
         self.counters = counters
         self.memo: dict[Assertion, ProofNode | None] = {}
         self._access: dict[Assertion, ProofNode] = {}
-        self.bottom = leaf.bottom
+        self.bottom = node.bottom
 
     # -- access derivations for hypotheses
 
     def resolve(self, psi: Assertion) -> ProofNode:
         if psi in self._access:
             return self._access[psi]
-        how = self.leaf.origin[psi]
+        how = self.node.origin[psi]
         if how[0] in ("ax", "assume"):
             node = ProofNode("ax", psi)
         elif how[0] == "and_e":
@@ -741,7 +702,7 @@ class _BranchProver:
         return proof
 
     def _prove(self, goal: Assertion) -> ProofNode | None:
-        if goal in self.leaf.hyps:
+        if goal in self.node.hyps:
             return self.resolve(goal)
         if self.bottom is not None:
             m, n = self.bottom
@@ -798,7 +759,7 @@ class _BranchProver:
         return None
 
     def _prove_by_matching(self, goal, cls, pre) -> ProofNode | None:
-        for hyp in sorted_assertions(self.leaf.hyps):
+        for hyp in sorted_assertions(self.node.hyps):
             if not isinstance(hyp, cls) or not pre(hyp):
                 continue
             pairs = self.match_assertions(hyp, goal)
@@ -888,7 +849,7 @@ class _BranchProver:
                     for b in _ematch_term(self, pat, tgt, holes, {}):
                         if var in b:
                             results.append(b[var])
-        for hyp in sorted_assertions(self.leaf.hyps):
+        for hyp in sorted_assertions(self.node.hyps):
             for b in _ematch_assertion(self, pattern, hyp, holes):
                 if var in b:
                     results.append(b[var])
@@ -1120,8 +1081,9 @@ def _replace_at(a: Assertion, path: tuple, new: Term) -> Assertion:
 # context and public entry points
 
 class DeriveContext:
-    """Expansion and per-branch congruence closure for one (X, Phi) context,
-    reusable across many goals."""
+    """The case-split tree and per-node congruence closure for one (X, Phi)
+    context, reusable across many goals.  Building it expands the root
+    only; queries split further where they need to."""
 
     def __init__(self, X, Phi, budget: SearchBudget = DEFAULT_BUDGET,
                  safe: bool = False):
@@ -1132,80 +1094,100 @@ class DeriveContext:
         self.dyctx = DYContext(self.X)
         self.alloc = _WitnessAllocator()
         self.build_failed = False
-        counters = _Counters(budget)
-        hyps = set(self.Phi)
-        origin = {a: ("ax",) for a in hyps}
+        self.branch_count = 0  # branches of the tree expanded so far
         try:
-            self.tree = _expand(hyps, origin, sorted_assertions(hyps),
-                                self.alloc, counters, safe)
-            for leaf in self.tree.leaves():
-                cc = EqClasses(self.dyctx, budget.merge_cap)
-                _build_classes(cc, self.X, leaf.hyps)
-                leaf.cc = cc
-                leaf.bottom = check_bottom(cc)
+            self.root = self._node(set(self.Phi), {a: ("ax",) for a in self.Phi},
+                                   deque(sorted_assertions(self.Phi)))
+            self.branch_count = 1
         except BudgetExhausted:
             self.build_failed = True
-        self.branch_count = len(self.tree.leaves()) if not self.build_failed else 0
+
+    def _node(self, hyps, origin, queue, parent: _Node | None = None) -> _Node:
+        """A node's classes extend its parent's with its own hypotheses."""
+        node = _Node(hyps, origin, queue, self.alloc, self.safe)
+        if parent is None:
+            cc = EqClasses(self.dyctx, self.budget.merge_cap)
+            _build_classes(cc, self.X, node.hyps)
+        else:
+            cc = parent.cc.clone()
+            _build_classes(cc, (), node.hyps - parent.hyps)
+        node.cc = cc
+        node.bottom = check_bottom(cc)
+        return node
+
+    def _children(self, node: _Node) -> tuple[_Node, _Node]:
+        """Split node on its disjunction; each split adds one branch."""
+        if node.children is None:
+            if self.branch_count >= self.budget.branch_cap:
+                raise BudgetExhausted()
+            kids = []
+            for side in (node.split.left, node.split.right):
+                hyps, origin, queue = set(node.hyps), dict(node.origin), deque(node.queue)
+                if side not in hyps:
+                    hyps.add(side)
+                    origin[side] = ("assume",)
+                    queue.append(side)
+                kids.append(self._node(hyps, origin, queue, node))
+            node.children = (kids[0], kids[1])
+            node.queue = None
+            self.branch_count += 1
+        return node.children
+
+    def leaves(self) -> list[_Node]:
+        """Every leaf of the fully split tree, left to right.  Raises
+        BudgetExhausted when the build or a split goes over budget."""
+        if self.build_failed:
+            raise BudgetExhausted()
+        out, stack = [], [self.root]
+        while stack:
+            node = stack.pop()
+            if node.split is None:
+                out.append(node)
+            else:
+                stack.extend(reversed(self._children(node)))
+        return out
 
     def query(self, goal: Assertion) -> Verdict:
         goal = normalize(goal)
         if self.build_failed:
-            return Verdict(False, budget_exhausted=True,
-                           witness_depth=self.budget.witness_depth,
-                           branches=self.branch_count)
+            return self._negative(budget_exhausted=True)
         counters = _Counters(self.budget)
-        counters.branches = self.branch_count
-        proofs: dict[int, ProofNode] = {}
-        provers: dict[int, _BranchProver] = {}
         try:
-            for leaf in self.tree.leaves():
-                cc = leaf.cc.clone()
-                prover = _BranchProver(self, leaf, cc, counters)
-                _register_assertion_terms(cc, goal)
-                p = prover.prove(goal)
-                if p is None:
-                    return Verdict(False, budget_exhausted=counters.truncated,
-                                   witness_depth=self.budget.witness_depth,
-                                   branches=self.branch_count)
-                proofs[id(leaf)] = p
-                provers[id(leaf)] = prover
+            proof = self._solve(self.root, goal, counters)
         except BudgetExhausted:
-            return Verdict(False, budget_exhausted=True,
-                           witness_depth=self.budget.witness_depth,
-                           branches=self.branch_count)
-        proof = self._assemble(self.tree, goal, proofs, provers)
+            return self._negative(budget_exhausted=True)
+        if proof is None:
+            return self._negative(budget_exhausted=counters.truncated)
         return Verdict(True, proof, branches=self.branch_count)
 
-    def _assemble(self, node: _ExpNode, goal: Assertion, proofs, provers) -> ProofNode:
-        leftmost = node.leaves()[0]
-        prover = provers[id(leftmost)]
-        if node.split is not None:
-            or_elem, lt, rt = node.split
-            inner = ProofNode(
-                "or_e", goal,
-                (prover.resolve(or_elem),
-                 self._assemble(lt, goal, proofs, provers),
-                 self._assemble(rt, goal, proofs, provers)))
-        else:
-            inner = proofs[id(node.leaf)]
+    def _negative(self, budget_exhausted: bool) -> Verdict:
+        return Verdict(False, budget_exhausted=budget_exhausted,
+                       witness_depth=self.budget.witness_depth,
+                       branches=self.branch_count)
+
+    def _solve(self, node: _Node, goal: Assertion, counters: _Counters) -> ProofNode | None:
+        """Try the goal on node; if that fails, split node's disjunction and
+        solve both children.  On None, counters.truncated says whether the
+        failing attempt, on a node with no split left, was cut short."""
+        counters.truncated = False
+        cc = node.cc.clone()
+        prover = _BranchProver(self, node, cc, counters)
+        _register_assertion_terms(cc, goal)
+        inner = prover.prove(goal)
+        if inner is None:
+            if node.split is None:
+                return None
+            left, right = self._children(node)
+            lp = self._solve(left, goal, counters)
+            if lp is None:
+                return None
+            rp = self._solve(right, goal, counters)
+            if rp is None:
+                return None
+            inner = ProofNode("or_e", goal, (prover.resolve(node.split), lp, rp))
         for psi, inst, var in reversed(node.wits):
-            inner = ProofNode("exists_e", goal, (prover.resolve(psi), inner),
-                              fresh=var)
+            inner = ProofNode("exists_e", goal, (prover.resolve(psi), inner), fresh=var)
         return inner
-
-
-def prove_goal(X, branch, classes: EqClasses | None, goal: Assertion,
-               budget: SearchBudget = DEFAULT_BUDGET) -> ProofNode | None:
-    """Goal decomposition against one already-expanded branch."""
-    leaf = _Leaf(frozenset(normalize(a) for a in branch),
-                 {normalize(a): ("ax",) for a in branch})
-    cc = classes.clone() if classes is not None else congruence_close(X, leaf.hyps, budget)
-    ctx = DeriveContext(X, frozenset(), budget)
-    leaf.bottom = check_bottom(cc)
-    prover = _BranchProver(ctx, leaf, cc, _Counters(budget))
-    goal = normalize(goal)
-    _register_assertion_terms(cc, goal)
-    return prover.prove(goal)
 
 
 def derive(X, Phi, goal: Assertion, budget: SearchBudget = DEFAULT_BUDGET) -> Verdict:

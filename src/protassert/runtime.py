@@ -34,7 +34,14 @@ from .assertions import (
     substitute,
 )
 from .dy import DYContext
-from .engine import DEFAULT_BUDGET, DeriveContext, SearchBudget, derive, derive_safe
+from .engine import (
+    DEFAULT_BUDGET,
+    BudgetExhausted,
+    DeriveContext,
+    SearchBudget,
+    derive,
+    derive_safe,
+)
 from .protocol import Action, Protocol
 from .builtins import Setup
 from .syntax import (
@@ -423,7 +430,11 @@ def apply_candidate(state: WorldState, cand: Candidate) -> Step:
     elif act.kind == "insert":
         know.assertions.add(act.assertion)
         ctx = DeriveContext(frozenset(know.terms), frozenset(know.assertions))
-        if not ctx.build_failed and any(l.bottom for l in ctx.tree.leaves()):
+        try:
+            inconsistent = any(l.bottom for l in ctx.leaves())
+        except BudgetExhausted:
+            inconsistent = False
+        if inconsistent:
             state.warnings.append(
                 f"session {cand.session}: insert made {agent}'s theory inconsistent")
     # confirm and deny leave knowledge unchanged

@@ -130,7 +130,7 @@ def random_instance(rng: random.Random) -> tuple[frozenset[Term], Term]:
 
 
 # ---------------------------------------------------------------------------
-# assertion oracle (no disjunction, no quantifier)
+# assertion oracle (no quantifier; disjunctions by case analysis)
 
 
 class Classes:
@@ -270,6 +270,9 @@ class AssertionOracle:
         if isinstance(goal, Or):
             return self.prove(goal.left) or self.prove(goal.right)
         if isinstance(goal, Eq):
+            if goal.lhs == goal.rhs:
+                # t = t needs a provable reflexivity, as in the congruence step
+                return self.cc.refl_ok(goal.lhs)
             return self.cc.same(goal.lhs, goal.rhs)
         if isinstance(goal, (Pred, SentT, SentA)):
             return any(self.match(h, goal) for h in self.hyps)
@@ -302,6 +305,25 @@ class AssertionOracle:
             return (self.match(hyp.left, goal.left)
                     and self.match(hyp.right, goal.right))
         return False
+
+
+def holds_in_every_case(X, Phi, goal: Assertion) -> bool:
+    """Case analysis by brute force: the goal holds iff AssertionOracle
+    holds it for every way of replacing each reachable disjunction by one of
+    its sides.  Disjunctions are decided in a fixed order, each once."""
+    hyps = {h for a in Phi for h in flatten(normalize(a))}
+    return _holds_in_cases(X, hyps, frozenset(), goal)
+
+
+def _holds_in_cases(X, hyps: set[Assertion], decided: frozenset[Assertion],
+                    goal: Assertion) -> bool:
+    undecided = sorted((h for h in hyps if isinstance(h, Or) and h not in decided),
+                       key=repr)
+    if not undecided:
+        return AssertionOracle(X, hyps).holds(goal)
+    first = undecided[0]
+    return all(_holds_in_cases(X, hyps | set(flatten(side)), decided | {first}, goal)
+               for side in (first.left, first.right))
 
 
 def atom_terms(a: Assertion) -> list[Term]:

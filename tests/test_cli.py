@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import protassert
 from protassert.cli import main
 from protassert.syntax import parse_protocol
 
@@ -41,6 +47,24 @@ def test_derive_proof_flag_prints_the_tree(tmp_path, capsys):
     assert "[exists_e]" in out
     assert "[or_e]" in out
     assert "[exists_i]" in out
+
+
+def test_derive_proof_does_not_depend_on_the_hash_seed(tmp_path):
+    # split order and witness names come from sorted hypotheses, never from
+    # set iteration order; the two certificates iterate in different orders
+    # under these two hash seeds
+    path = _write(tmp_path, "leak.seq", LEAK)
+    src = str(Path(protassert.__file__).resolve().parent.parent)
+    outs = []
+    for seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "protassert.cli", "derive", path, "--proof"],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert b"[or_e]" in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_derive_safe_mode_blocks_the_leak(tmp_path, capsys):

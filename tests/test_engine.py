@@ -23,9 +23,10 @@ from protassert import (
     sk,
     vk,
 )
+from protassert.checker import replay_assertion_proof
 from protassert.engine import case_split, witness_close
 
-from oracles import AssertionOracle
+from oracles import AssertionOracle, holds_in_every_case
 
 A = Basic("A", "agent")
 B = Basic("B", "agent")
@@ -276,6 +277,98 @@ def test_context_reuse_matches_one_shot():
         assert ctx.query(g).derivable == derive(X, phi, g).derivable
     # queries must not contaminate one another
     assert ctx.query(goals[0]).derivable == derive(X, phi, goals[0]).derivable
+
+
+# ---------------------------------------------------------------------------
+# case splitting on demand
+
+
+def test_hypothesis_goal_closes_without_splitting():
+    # twenty disjunctions beside the goal are never split, so a budget of
+    # one branch is enough
+    goal = Pred("p", (n,))
+    phi = [goal] + [Or(Pred("q", (Basic(f"c{i}", "nonce"),)),
+                       Pred("r", (Basic(f"c{i}", "nonce"),)))
+                    for i in range(20)]
+    verdict = derive((), phi, goal, budget=SearchBudget(branch_cap=1))
+    assert verdict.derivable and not verdict.budget_exhausted
+    assert replay_assertion_proof(verdict.proof, (), phi, goal) == (True, None)
+
+
+def test_split_context_answers_queries_in_any_order():
+    X, phi = leak_context()
+    goals = [Exists("y", Eq(Enc(v, k), Enc(zero, x("y")))),
+             Eq(v, zero),
+             Or(Eq(v, zero), Eq(v, one)),
+             Exists("u", Eq(Enc(v, k), Enc(x("u"), k))),
+             Exists("y", Eq(Enc(v, k), Enc(one, x("y"))))]
+    want = [derive(X, phi, g).derivable for g in goals]
+    assert True in want and False in want
+    for order in (goals, goals[::-1]):
+        ctx = DeriveContext(X, phi)
+        first = {g: ctx.query(g).derivable for g in order}
+        again = {g: ctx.query(g).derivable for g in order}
+        assert [first[g] for g in goals] == want
+        assert [again[g] for g in goals] == want
+        assert len(ctx.leaves()) == len(case_split(phi)) == 4
+
+
+def test_truncation_on_a_proved_branch_leaves_a_definite_negative():
+    # the left case proves the goal after a truncated witness search; the
+    # right case fails without one, so the goal is definitely underivable
+    p = lambda t: Pred("p", (t,))
+    a, b, c = (Basic(s, "nonce") for s in "abc")
+    phi = [p(a), Or(And(p(b), And(p(c), Pred("s", (n,)))), Pred("t", (n,)))]
+    goal = Or(Exists("u", And(p(x("u")), Pred("q", (x("u"),)))), Pred("s", (n,)))
+    for budget in (SearchBudget(candidate_cap=2), SearchBudget()):
+        verdict = derive((), phi, goal, budget=budget)
+        assert not verdict.derivable and not verdict.budget_exhausted
+
+
+def _rand_flat_atom(rng):
+    t = lambda: _rand_ground_term(rng, 1)
+    r = rng.random()
+    if r < 0.45:
+        return Eq(t(), t())
+    if r < 0.8:
+        return Pred(rng.choice("pq"), (t(),))
+    return SentT(rng.choice([A, B]), t())
+
+
+def test_case_splitting_matches_brute_force_cases():
+    # engine against the oracle run on every combination of disjuncts
+    rng = random.Random(4242)
+    mismatches, positive = [], 0
+    for i in range(200):
+        X = frozenset(_rand_ground_term(rng, 1) for _ in range(rng.randint(0, 2)))
+        ors = [Or(_rand_flat_atom(rng), _rand_flat_atom(rng))
+               for _ in range(rng.randint(1, 4))]
+        phi = ors + [_rand_flat_atom(rng) for _ in range(rng.randint(0, 2))]
+        sides = [s for o in ors for s in (o.left, o.right)]
+        roll = rng.random()
+        if roll < 0.4:
+            goal = rng.choice(sides)
+        elif roll < 0.6:
+            goal = Or(rng.choice(sides), rng.choice(sides))
+        else:
+            goal = _rand_flat_atom(rng)
+        got = derive(X, phi, goal)
+        want = holds_in_every_case(X, phi, goal)
+        positive += want
+        if bool(got) != want or got.budget_exhausted:
+            mismatches.append((i, X, phi, goal, bool(got), want))
+    assert not mismatches, mismatches[:2]
+    assert 20 <= positive <= 180
+
+
+def test_reflexivity_needs_a_provable_term():
+    # n is neither known nor equal to anything else, so n = n has no proof
+    phi = [Pred("p", (n,))]
+    goal = Eq(n, n)
+    assert not AssertionOracle((), phi).holds(goal)
+    assert not derive((), phi, goal)
+    assert AssertionOracle({n}, phi).holds(goal)
+    assert derive({n}, phi, goal)
 
 
 # ---------------------------------------------------------------------------
