@@ -32,7 +32,6 @@ from .assertions import (
 )
 from .builtins import (
     BUILTINS,
-    Setup,
     anonymity_foo_setup,
     builtin_foo,
     builtin_foo_linked,
@@ -55,6 +54,7 @@ from .engine import (
 from .protocol import Action, Protocol, Role, validate_protocol
 from .runtime import (
     Run,
+    Setup,
     Step,
     WorldState,
     initial_state,

@@ -36,8 +36,7 @@ from .assertions import (
 )
 from .engine import DEFAULT_BUDGET, BudgetExhausted, DeriveContext, SearchBudget
 from .protocol import Action, Protocol
-from .builtins import Setup
-from .runtime import Run, Step, WorldState, simulate, validate_run
+from .runtime import Run, Setup, Step, WorldState, simulate, validate_run
 from .syntax import print_assertion, print_term
 from .terms import (
     AGENT,
@@ -328,11 +327,12 @@ class _TemplateGen:
         self.agents = [Basic(a, AGENT) for a in sorted(proto.decls.agents)]
         if intruder not in proto.decls.agents:
             self.agents.append(Basic(intruder, AGENT))
-        self.consts: list[Term] = list(self.agents)
-        self.consts += [Basic(n, "nonce") for n in sorted(proto.decls.nonces)]
-        self.consts += [Basic(k, "key") for k in sorted(proto.decls.keys)]
-        self.keys: list[Term] = [Basic(k, "key") for k in sorted(proto.decls.keys)]
-        self.keys += [sk(a) for a in self.agents] + [vk(a) for a in self.agents]
+        # agents and nonces: the constants of the deterministic block too
+        self.names: list[Basic] = self.agents + [
+            Basic(n, "nonce") for n in sorted(proto.decls.nonces)]
+        basic_keys = [Basic(k, "key") for k in sorted(proto.decls.keys)]
+        self.consts = self.names + basic_keys
+        self.keys = basic_keys + [sk(a) for a in self.agents] + [vk(a) for a in self.agents]
         self.ctors = [(c, n) for c, n in sorted(proto.decls.constructors.items())
                       if c not in ("sk", "vk")]
         self.preds = sorted(proto.decls.predicates.items())
@@ -401,11 +401,8 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
                             str(len(right.traffic))), 0, 0, 0)
     map_l = {f"_h{i}": tr.term for i, tr in enumerate(left.traffic, 1)}
     map_r = {f"_h{i}": tr.term for i, tr in enumerate(right.traffic, 1)}
-    agents = [Basic(a, AGENT) for a in sorted(proto.decls.agents)]
-    if intruder not in proto.decls.agents:
-        agents.append(Basic(intruder, AGENT))
-    consts: list[Basic] = list(agents)
-    consts += [Basic(x, "nonce") for x in sorted(proto.decls.nonces)]
+    # building the generator draws nothing from its random stream
+    gen = _TemplateGen(random.Random(seed ^ 0x5EED), proto, intruder, n, depth)
     slots = [i for i, tr in enumerate(left.traffic, 1) if tr.assertion is not None]
 
     total = inconclusive = 0
@@ -423,7 +420,7 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
             return TestOutcome(desc, tl, tr)
         return None
 
-    det = deterministic_tests(n, agents, consts, slots)
+    det = deterministic_tests(n, gen.agents, gen.names, slots)
     for desc, template, slot, agent in det:
         if template is not None:
             bad = judge(desc, substitute(template, map_l), substitute(template, map_r))
@@ -435,7 +432,6 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
         if bad is not None:
             return bad, total, len(det), inconclusive
 
-    gen = _TemplateGen(random.Random(seed ^ 0x5EED), proto, intruder, n, depth)
     made = 0
     while made < tests:
         template = gen.next()

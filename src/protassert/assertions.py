@@ -93,13 +93,27 @@ def map_terms(a: Assertion, f) -> Assertion:
 def assertion_terms(a: Assertion) -> list[Term]:
     """All top term positions, in traversal order (agents included)."""
     out: list[Term] = []
-
-    def grab(t: Term) -> Term:
-        out.append(t)
-        return t
-
-    _map_terms(a, grab)
+    _collect_terms(a, out)
     return out
+
+
+def _collect_terms(a: Assertion, out: list[Term]) -> None:
+    if isinstance(a, (And, Or)):
+        _collect_terms(a.left, out)
+        _collect_terms(a.right, out)
+    elif isinstance(a, Exists):
+        _collect_terms(a.body, out)
+    elif isinstance(a, (Says, SentA)):
+        out.append(a.agent)
+        _collect_terms(a.body, out)
+    elif isinstance(a, SentT):
+        out += (a.agent, a.term)
+    elif isinstance(a, Eq):
+        out += (a.lhs, a.rhs)
+    elif isinstance(a, Pred):
+        out += a.args
+    else:
+        raise TypeError(f"not an assertion: {a!r}")
 
 
 def assertion_vars(a: Assertion) -> frozenset[str]:

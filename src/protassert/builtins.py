@@ -9,10 +9,9 @@ valid, and the registrar holds the eligibility roll.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .assertions import Assertion, Pred
+from .assertions import Pred
 from .protocol import Protocol
+from .runtime import Setup
 from .syntax import parse_protocol, parse_sessions
 from .terms import AGENT, Basic, NONCE, Term, sk
 
@@ -81,18 +80,6 @@ role admin:
   send id : ballot(w2), id says (Scr says (ex u: (ballot(w2) = ballot(u) /\\ W2 says valid(u))))
   @tally send id : ballot(sum(w1, w2)), id says (ex u1, u2: (ballot(sum(w1, w2)) = ballot(sum(u1, u2)) /\\ (valid(u1) /\\ valid(u2))))
 """
-
-
-@dataclass
-class Setup:
-    """Session layout and initial knowledge for a batch of runs."""
-
-    sessions: list[tuple[str, dict[str, Term]]]
-    agent_terms: dict[str, set[Term]] = field(default_factory=dict)
-    agent_assertions: dict[str, set[Assertion]] = field(default_factory=dict)
-    intruder_terms: set[Term] = field(default_factory=set)
-    intruder_assertions: set[Assertion] = field(default_factory=set)
-    intruder: str = "I"
 
 
 def builtin_foo() -> Protocol:

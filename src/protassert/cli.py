@@ -14,7 +14,7 @@ from .builtins import BUILTINS, builtin_setup
 from .engine import DEFAULT_BUDGET, ProofNode, SearchBudget, derive, derive_safe
 from .dy import TermProof
 from .protocol import Protocol, validate_protocol
-from .runtime import parse_trace, simulate, validate_run, write_trace
+from .runtime import Setup, parse_trace, simulate, validate_run, write_trace
 from .syntax import (
     ParseError,
     parse_protocol,
@@ -23,7 +23,6 @@ from .syntax import (
     print_assertion,
     print_term,
 )
-from .builtins import Setup
 
 EX_OK = 0
 EX_NEGATIVE = 1

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .terms import (
     App,
-    Basic,
     Enc,
     KEY_CONSTRUCTORS,
     KEYS,
@@ -75,15 +74,19 @@ def dy_saturate(X) -> tuple[frozenset[Term], Provenance]:
     return frozenset(S), prov
 
 
-def _synth_ok(S: frozenset[Term], t: Term) -> bool:
-    if t in S or isinstance(t, Var):
+def _synth_ok(S: frozenset[Term], t: Term, vars_axiomatic: bool = True) -> bool:
+    """Composition check against an analyzed set.  With vars_axiomatic a
+    variable is derivable outright; without it, it must be in S."""
+    if t in S or (vars_axiomatic and isinstance(t, Var)):
         return True
     if isinstance(t, Pair):
-        return _synth_ok(S, t.left) and _synth_ok(S, t.right)
+        return (_synth_ok(S, t.left, vars_axiomatic)
+                and _synth_ok(S, t.right, vars_axiomatic))
     if isinstance(t, Enc):
-        return _synth_ok(S, t.body) and _synth_ok(S, t.key)
+        return (_synth_ok(S, t.body, vars_axiomatic)
+                and _synth_ok(S, t.key, vars_axiomatic))
     if isinstance(t, App) and t.ctor not in KEY_CONSTRUCTORS:
-        return all(_synth_ok(S, a) for a in t.args)
+        return all(_synth_ok(S, a, vars_axiomatic) for a in t.args)
     return False  # basics and key-constructor applications are atomic
 
 

@@ -38,6 +38,8 @@ from .assertions import (
     Says,
     SentA,
     SentT,
+    assertion_terms,
+    assertion_vars,
     normalize,
     sorted_assertions,
     substitute,
@@ -50,6 +52,7 @@ from .terms import (
     Pair,
     Term,
     Var,
+    has_bound_name,
     iter_subterms,
     sorted_terms,
     term_key,
@@ -96,27 +99,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.derivable
-
-
-def _is_open(t: Term) -> bool:
-    """Contains a reserved bound name, so it lives under a quantifier."""
-    return any(isinstance(s, Var) and s.name.startswith("%") for s in iter_subterms(t))
-
-
-def _position_terms(a: Assertion) -> list[Term]:
-    if isinstance(a, (And, Or)):
-        return _position_terms(a.left) + _position_terms(a.right)
-    if isinstance(a, Exists):
-        return _position_terms(a.body)
-    if isinstance(a, (Says, SentA)):
-        return [a.agent] + _position_terms(a.body)
-    if isinstance(a, SentT):
-        return [a.agent, a.term]
-    if isinstance(a, Eq):
-        return [a.lhs, a.rhs]
-    if isinstance(a, Pred):
-        return list(a.args)
-    raise TypeError(f"not an assertion: {a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +444,8 @@ def case_split(Pi, budget: SearchBudget = DEFAULT_BUDGET) -> list[frozenset[Asse
 
 
 def _register_assertion_terms(cc: EqClasses, a: Assertion) -> None:
-    for t in _position_terms(a):
-        if not _is_open(t):
+    for t in assertion_terms(a):
+        if not has_bound_name(t):
             cc.add_term(t)
 
 
@@ -473,7 +455,7 @@ def _build_classes(cc: EqClasses, X, branch) -> None:
     for a in sorted_assertions(branch):
         _register_assertion_terms(cc, a)
     for a in sorted_assertions(branch):
-        if isinstance(a, Eq) and not _is_open(a.lhs) and not _is_open(a.rhs):
+        if isinstance(a, Eq) and not has_bound_name(a.lhs) and not has_bound_name(a.rhs):
             cc.merge(a.lhs, a.rhs, "hyp", (a,))
 
 
@@ -605,7 +587,7 @@ class _BranchProver:
     def _class_eq(self, a: Term, b: Term) -> bool:
         if a == b:
             return True
-        if _is_open(a) or _is_open(b):
+        if has_bound_name(a) or has_bound_name(b):
             return False
         self.cc.add_term(a)
         self.cc.add_term(b)
@@ -772,7 +754,7 @@ class _BranchProver:
 
     def _prove_eq(self, goal: Eq) -> ProofNode | None:
         s, t = goal.lhs, goal.rhs
-        if _is_open(s) or _is_open(t):
+        if has_bound_name(s) or has_bound_name(t):
             return None
         self.cc.add_term(s)
         self.cc.add_term(t)
@@ -799,7 +781,7 @@ class _BranchProver:
         seen: set[Term] = set()
 
         def emit(t: Term) -> bool:
-            if t in seen or _is_open(t):
+            if t in seen or has_bound_name(t):
                 return False
             seen.add(t)
             out.append(t)
@@ -807,7 +789,7 @@ class _BranchProver:
 
         anchored = False
         for sub in _subassertions(body):
-            if var not in _assertion_var_names(sub):
+            if var not in assertion_vars(sub):
                 continue
             anchored = True
             for binding in self._ematch_sub(sub, var):
@@ -816,13 +798,13 @@ class _BranchProver:
                     return out
         if not anchored:
             universe = [t for t in sorted(self.cc.parent, key=term_key)
-                        if not _is_open(t)]
+                        if not has_bound_name(t)]
             for t in universe[:1]:
                 emit(t)
             return out
         # pattern-guided synthesis for equation atoms, then universe fallback
         for sub in _subassertions(body):
-            if isinstance(sub, Eq) and var in _assertion_var_names(sub):
+            if isinstance(sub, Eq) and var in assertion_vars(sub):
                 for pat, other in ((sub.lhs, sub.rhs), (sub.rhs, sub.lhs)):
                     if isinstance(pat, Var) and pat.name == var:
                         for cand in self._synth_from_pattern(other):
@@ -834,7 +816,7 @@ class _BranchProver:
     def _ematch_sub(self, pattern: Assertion, var: str):
         """Bind var by matching a goal subassertion against hypotheses (and,
         for equations, against congruence classes)."""
-        holes = {var} | {n for n in _assertion_var_names(pattern) if n.startswith("%")}
+        holes = {var} | {n for n in assertion_vars(pattern) if n.startswith("%")}
         results: list[Term] = []
         if isinstance(pattern, Eq):
             for pat, other in ((pattern.lhs, pattern.rhs), (pattern.rhs, pattern.lhs)):
@@ -842,7 +824,7 @@ class _BranchProver:
                 if var not in pvars:
                     continue
                 targets: list[Term] = []
-                if not _is_open(other):
+                if not has_bound_name(other):
                     self.cc.add_term(other)
                     targets = self.cc.class_members(other)
                 for tgt in targets:
@@ -857,10 +839,10 @@ class _BranchProver:
 
     def _synth_from_pattern(self, pat: Term) -> list[Term]:
         depth = self.counters.budget.witness_depth
-        univ = [t for t in sorted(self.cc.parent, key=term_key) if not _is_open(t)]
+        univ = [t for t in sorted(self.cc.parent, key=term_key) if not has_bound_name(t)]
 
         def synth(p: Term, d: int) -> list[Term]:
-            if not _is_open(p):
+            if not has_bound_name(p):
                 return [p]
             if isinstance(p, Var):
                 return univ[: self.counters.budget.candidate_cap]
@@ -903,30 +885,22 @@ def _subassertions(a: Assertion):
         yield from _subassertions(a.body)
 
 
-def _assertion_var_names(a: Assertion) -> frozenset[str]:
-    out: set[str] = set()
-    for t in _position_terms(a):
-        for s in iter_subterms(t):
-            if isinstance(s, Var):
-                out.add(s.name)
-    return frozenset(out)
-
-
 def _ematch_term(pr: _BranchProver, pat: Term, tgt: Term, holes: set[str],
                  binding: dict) -> list[dict]:
     if isinstance(pat, Var) and pat.name in holes:
         bound = binding.get(pat.name)
         if bound is not None:
             return [binding] if pr._class_eq(bound, tgt) else []
-        if _is_open(tgt):
+        if has_bound_name(tgt):
             return []
         return [{**binding, pat.name: tgt}]
     if pat == tgt:
         return [binding]
-    if not _is_open(pat) and pr._class_eq(pat, tgt):
+    if not has_bound_name(pat) and pr._class_eq(pat, tgt):
         return [binding]
     results: list[dict] = []
-    members = pr.cc.class_members(tgt) if (tgt in pr.cc and not _is_open(tgt)) else [tgt]
+    members = pr.cc.class_members(tgt) \
+        if (tgt in pr.cc and not has_bound_name(tgt)) else [tgt]
     for m in members:
         if type(m) is not type(pat):
             continue
@@ -1018,7 +992,7 @@ def _ematch_agent(pr: _BranchProver, pat: Term, tgt: Term, holes: set[str],
         bound = binding.get(pat.name)
         if bound is not None:
             return [binding] if bound == tgt else []
-        if _is_open(tgt):
+        if has_bound_name(tgt):
             return []
         return [{**binding, pat.name: tgt}]
     return [binding] if pat == tgt else []

@@ -11,21 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assertions import Assertion, free_vars, substitute
-from .dy import dy_saturate
+from .dy import _synth_ok, dy_saturate
 from .syntax import Declarations
 from .terms import (
     AGENT,
-    App,
     Basic,
-    Enc,
     KEY,
-    KEY_CONSTRUCTORS,
     NONCE,
-    Pair,
     Term,
     Var,
+    has_bound_name,
     is_ground,
-    iter_subterms,
     subst_term,
     term_vars,
 )
@@ -110,26 +106,6 @@ class Diagnostic:
         return f"{self.role}[{self.index}]: {self.code}: {self.detail}"
 
 
-def _assertion_top_reveal_skip(t: Term) -> bool:
-    """Revealed terms mentioning assertion-bound variables (reserved %names)
-    are hidden by their quantifier and not checkable."""
-    return any(isinstance(s, Var) and s.name.startswith("%") for s in iter_subterms(t))
-
-
-def _strict_synth(S: frozenset[Term], t: Term) -> bool:
-    # like message derivation, but variables are NOT axiomatic: they must be
-    # in the seed set themselves
-    if t in S:
-        return True
-    if isinstance(t, Pair):
-        return _strict_synth(S, t.left) and _strict_synth(S, t.right)
-    if isinstance(t, Enc):
-        return _strict_synth(S, t.body) and _strict_synth(S, t.key)
-    if isinstance(t, App) and t.ctor not in KEY_CONSTRUCTORS:
-        return all(_strict_synth(S, a) for a in t.args)
-    return False
-
-
 def validate_role(role: Role, proto: Protocol) -> list[Diagnostic]:
     """Static discipline checks.  Empty list means the role is well-formed."""
     diags: list[Diagnostic] = []
@@ -176,13 +152,14 @@ def validate_role(role: Role, proto: Protocol) -> list[Diagnostic]:
             seed.update(Basic(n, NONCE) for n in d.nonces)
             analyzed, _ = dy_saturate(seed)
             for t in sorted(reveals(act.assertion), key=lambda s: str(s)):
-                if _assertion_top_reveal_skip(t):
+                # terms under a quantifier are hidden by it, not checkable
+                if has_bound_name(t):
                     continue
                 if isinstance(t, Var):
                     continue
                 if isinstance(t, Basic) and t.sort in (AGENT, NONCE) and t.name in (d.agents | d.nonces):
                     continue
-                if not _strict_synth(analyzed, t):
+                if not _synth_ok(analyzed, t, vars_axiomatic=False):
                     diags.append(Diagnostic("reveal-violation", role.name, i,
                                             f"revealed term never communicated: {t!r}"))
     return diags

@@ -1,14 +1,17 @@
-"""Run semantics: per-agent knowledge states, action enabling, a seeded
-scheduler, trace serialization, and run validation.
+"""Run semantics: session setups, per-agent knowledge states, action
+enabling, a seeded scheduler, trace serialization, and run validation.
 
 Knowledge is tracked per agent name (all sessions of one agent share state),
-plus a distinguished network observer who sees every message.  Send actions
+plus a distinguished network observer who sees every message.  One rule,
+`check_step`, decides whether an instantiated action may fire: send actions
 require the payload to be derivable and the attached assertion to be
 derivable without the composition-unsound rules; receives bind variables by
 matching patterns against prior traffic and are enabled only if the observer
 could produce the message; confirm needs a full derivation, deny a definite
 refusal (a budget-capped refusal blocks and is reported); insert always
-fires but warns when it makes the agent's own theory inconsistent.
+fires but warns when it makes the agent's own theory inconsistent.  The
+scheduler asks it which steps are enabled, and `validate_run` asks it of
+every recorded step.
 
 Actions are scheduled lowest-phase-first among enabled candidates, with a
 seeded random choice among ties, so runs are reproducible from their seed.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .assertions import (
     And,
@@ -29,8 +33,9 @@ from .assertions import (
     Says,
     SentA,
     SentT,
-    free_vars,
+    assertion_terms,
     normalize,
+    sorted_assertions,
     substitute,
 )
 from .dy import DYContext
@@ -43,15 +48,7 @@ from .engine import (
     derive_safe,
 )
 from .protocol import Action, Protocol
-from .builtins import Setup
-from .syntax import (
-    Declarations,
-    ParseError,
-    parse_assertion,
-    parse_term,
-    print_action,
-    print_term,
-)
+from .syntax import Declarations, ParseError, parse_term, print_term
 from .terms import (
     AGENT,
     App,
@@ -62,10 +59,22 @@ from .terms import (
     Pair,
     Term,
     Var,
-    is_ground,
+    has_bound_name,
     iter_subterms,
     subst_term,
 )
+
+
+@dataclass
+class Setup:
+    """Session layout and initial knowledge for a batch of runs."""
+
+    sessions: list[tuple[str, dict[str, Term]]]
+    agent_terms: dict[str, set[Term]] = field(default_factory=dict)
+    agent_assertions: dict[str, set[Assertion]] = field(default_factory=dict)
+    intruder_terms: set[Term] = field(default_factory=set)
+    intruder_assertions: set[Assertion] = field(default_factory=set)
+    intruder: str = "I"
 
 
 @dataclass
@@ -163,7 +172,7 @@ def match_term(pat: Term, tgt: Term, binding: dict[str, Term]) -> dict[str, Term
         bound = binding.get(pat.name)
         if bound is not None:
             return binding if bound == tgt else None
-        if any(isinstance(s, Var) and s.name.startswith("%") for s in iter_subterms(tgt)):
+        if has_bound_name(tgt):
             return None
         return {**binding, pat.name: tgt}
     if isinstance(pat, Basic):
@@ -231,14 +240,21 @@ def _apply(action: Action, sigma: dict[str, Term]) -> Action:
     return Action(action.kind, agent, action.fresh, term, assertion, action.phase)
 
 
+def _instantiate(action: Action, sigma: dict[str, Term],
+                 fresh: tuple[tuple[str, Basic], ...],
+                 binds: tuple[tuple[str, Term], ...]) -> Action | None:
+    """The action under a session's sigma extended by its fresh values and
+    then its bindings, or None when that leaves a variable free."""
+    inst = _apply(action, {**sigma, **dict(fresh), **dict(binds)})
+    return inst if inst.is_ground() else None
+
+
 def fresh_sort(action: Action, name: str) -> str:
     """A fresh value used in key position anywhere in the action is a key."""
     terms: list[Term] = []
     if action.term is not None:
         terms.append(action.term)
     if action.assertion is not None:
-        from .assertions import assertion_terms
-
         terms.extend(assertion_terms(action.assertion))
     for t in terms:
         for s in iter_subterms(t):
@@ -261,25 +277,89 @@ def _allocate_fresh(state: WorldState, session_index: int,
     return tuple(out)
 
 
+def _traffic_binds(state: WorldState, action: Action, sigma: dict[str, Term],
+                   synth: bool) -> list[tuple[tuple[str, Term], ...]]:
+    """Distinct bindings under which a receive pattern matches a message on
+    the network, in traffic order.  With synth, each message may also come
+    with any assertion the observer holds."""
+    pat = _apply(action, sigma)
+    pairs: list[tuple[Term, Assertion | None]] = [
+        (tr.term, tr.assertion) for tr in state.traffic]
+    if synth and action.assertion is not None:
+        intr = state.knowledge[state.setup.intruder]
+        pairs += [(tr.term, a) for tr in state.traffic
+                  for a in sorted_assertions(intr.assertions)]
+    out: dict[tuple[tuple[str, Term], ...], None] = {}
+    for term, assertion in pairs:
+        b = match_term(pat.term, term, {})
+        if b is None:
+            continue
+        if pat.assertion is not None:
+            if assertion is None:
+                continue
+            b = match_assertion(substitute(pat.assertion, b), assertion, b)
+            if b is None:
+                continue
+        out[tuple(sorted(b.items()))] = None
+    return list(out)
+
+
 # ---------------------------------------------------------------------------
 # enabling
 
-@dataclass(frozen=True)
-class Candidate:
-    session: int  # 1-based
-    action: Action  # instantiated
-    phase: int
-    fresh: tuple[tuple[str, Basic], ...] = ()
-    binds: tuple[tuple[str, Term], ...] = ()
+_DENY_DERIVABLE = "deny of a derivable assertion"
 
 
-def _ground_or_none(action: Action) -> Action | None:
-    return action if action.is_ground() else None
+def check_step(state: WorldState, step: Step,
+               budget: SearchBudget = DEFAULT_BUDGET) -> Iterator[tuple[str, str | None]]:
+    """The enabling rule: yields, in order, each condition that keeps the
+    instantiated step from firing in this state, as (problem, warning).  The
+    warning is set when a capped search caused the failure.  A caller that
+    stops at the first failure skips the later derivability checks."""
+    act = step.action
+
+    def failed(problem: str, v, warning: str) -> tuple[str, str | None]:
+        return problem, (f"session {step.session}: {warning}"
+                         if v.budget_exhausted else None)
+
+    if act.kind == "recv":
+        intr = state.knowledge[state.setup.intruder]
+        if not DYContext(frozenset(intr.terms)).derivable(act.term):
+            yield "message not derivable on the network", None
+        if act.assertion is not None:
+            v = derive_safe(frozenset(intr.terms), frozenset(intr.assertions),
+                            act.assertion, budget)
+            if not v.derivable:
+                yield failed("network cannot justify the assertion", v,
+                             "receive check hit the search budget")
+        return
+    agent = state.agent_of(state.sessions[step.session - 1])
+    know = state.knowledge[agent]
+    if act.kind in ("send", "send*"):
+        base = frozenset(know.terms) | {b for _, b in step.fresh}
+        if not DYContext(base).derivable(act.term):
+            yield f"payload not derivable by {agent}", None
+        if act.assertion is not None:
+            v = derive_safe(base, frozenset(know.assertions), act.assertion, budget)
+            if not v.derivable:
+                yield failed("send assertion not derivable", v,
+                             "send assertion hit the search budget")
+    elif act.kind in ("confirm", "deny"):
+        v = derive(frozenset(know.terms), frozenset(know.assertions),
+                   act.assertion, budget)
+        if act.kind == "confirm":
+            if not v.derivable:
+                yield failed("confirm not derivable", v, "confirm hit the search budget")
+        elif v.derivable:
+            yield _DENY_DERIVABLE, None
+        elif v.budget_exhausted:
+            yield failed("deny not definite under the budget", v,
+                         "deny blocked, refusal not definite under the search budget")
 
 
 def candidates_for(state: WorldState, idx: int,
                    budget: SearchBudget = DEFAULT_BUDGET,
-                   synth: bool = False) -> tuple[list[Candidate], bool]:
+                   synth: bool = False) -> tuple[list[Step], bool]:
     """Enabled instantiations of session idx's next action, plus a flag set
     when the session is permanently stuck.  Knowledge only ever grows, so a
     deny whose assertion is already derivable can never fire later."""
@@ -288,107 +368,31 @@ def candidates_for(state: WorldState, idx: int,
     if sess.pc >= len(role.actions):
         return [], False
     action = role.actions[sess.pc]
-    agent = state.agent_of(sess)
-    know = state.knowledge[agent]
-    intr = state.knowledge[state.setup.intruder]
-
-    if action.kind in ("send", "send*"):
-        fresh = _allocate_fresh(state, idx + 1, action)
-        sigma = dict(sess.sigma)
-        for name, value in fresh:
-            sigma[name] = value
-        inst = _ground_or_none(_apply(action, sigma))
-        if inst is None:
-            return [], False
-        base = frozenset(know.terms) | {b for _, b in fresh}
-        if not DYContext(base).derivable(inst.term):
-            return [], False
-        if inst.assertion is not None:
-            v = derive_safe(base, frozenset(know.assertions), inst.assertion, budget)
-            if not v.derivable:
-                if v.budget_exhausted:
-                    state.warnings.append(
-                        f"session {idx + 1}: send assertion hit the search budget")
-                return [], False
-        return [Candidate(idx + 1, inst, action.phase, fresh=fresh)], False
-
     if action.kind == "recv":
-        pat = _apply(action, sess.sigma)
-        found: list[Candidate] = []
-        seen_binds: set[tuple] = set()
-        pairs: list[tuple[Term, Assertion | None]] = [
-            (tr.term, tr.assertion) for tr in state.traffic]
-        if synth and action.assertion is not None:
-            from .assertions import sorted_assertions
-
-            pairs += [(tr.term, a) for tr in state.traffic
-                      for a in sorted_assertions(intr.assertions)]
-        for term, assertion in pairs:
-            b = match_term(pat.term, term, {})
-            if b is None:
-                continue
-            if pat.assertion is not None:
-                if assertion is None:
-                    continue
-                b = match_assertion(substitute(pat.assertion, b), assertion, b)
-                if b is None:
-                    continue
-            binds = tuple(sorted(b.items()))
-            if binds in seen_binds:
-                continue
-            seen_binds.add(binds)
-            sigma = dict(sess.sigma)
-            sigma.update(b)
-            inst = _ground_or_none(_apply(action, sigma))
-            if inst is None:
-                continue
-            if not DYContext(frozenset(intr.terms)).derivable(inst.term):
-                continue
-            if inst.assertion is not None:
-                v = derive_safe(frozenset(intr.terms), frozenset(intr.assertions),
-                                inst.assertion, budget)
-                if not v.derivable:
-                    if v.budget_exhausted:
-                        state.warnings.append(
-                            f"session {idx + 1}: receive check hit the search budget")
-                    continue
-            found.append(Candidate(idx + 1, inst, action.phase, binds=binds))
-        return found, False
-
-    # local actions
-    sigma = dict(sess.sigma)
-    inst = _ground_or_none(_apply(action, sigma))
-    if inst is None:
-        return [], False
-    if action.kind == "confirm":
-        v = derive(frozenset(know.terms), frozenset(know.assertions),
-                   inst.assertion, budget)
-        if v.derivable:
-            return [Candidate(idx + 1, inst, action.phase)], False
-        if v.budget_exhausted:
-            state.warnings.append(
-                f"session {idx + 1}: confirm hit the search budget")
-        return [], False
-    if action.kind == "deny":
-        v = derive(frozenset(know.terms), frozenset(know.assertions),
-                   inst.assertion, budget)
-        if v.derivable:
+        offers = [((), b) for b in _traffic_binds(state, action, sess.sigma, synth)]
+    else:
+        offers = [(_allocate_fresh(state, idx + 1, action), ())]
+    found: list[Step] = []
+    for fresh, binds in offers:
+        inst = _instantiate(action, sess.sigma, fresh, binds)
+        if inst is None:
+            continue
+        step = Step(idx + 1, inst, fresh, binds)
+        problem, warning = next(check_step(state, step, budget), (None, None))
+        if problem is None:
+            found.append(step)
+        elif warning is not None:
+            state.warnings.append(warning)
+        elif problem == _DENY_DERIVABLE:
             return [], True
-        if v.budget_exhausted:
-            state.warnings.append(
-                f"session {idx + 1}: deny blocked, refusal not definite "
-                f"under the search budget")
-            return [], False
-        return [Candidate(idx + 1, inst, action.phase)], False
-    # insert
-    return [Candidate(idx + 1, inst, action.phase)], False
+    return found, False
 
 
 def enabled_actions(state: WorldState, budget: SearchBudget = DEFAULT_BUDGET,
-                    synth: bool = False) -> tuple[list[Candidate], bool]:
-    """All enabled candidates at the lowest enabled phase, plus whether some
+                    synth: bool = False) -> tuple[list[Step], bool]:
+    """All enabled steps at the lowest enabled phase, plus whether some
     incomplete session can never move again."""
-    out: list[Candidate] = []
+    out: list[Step] = []
     wedged = False
     for i in range(len(state.sessions)):
         cands, w = candidates_for(state, i, budget, synth)
@@ -396,19 +400,19 @@ def enabled_actions(state: WorldState, budget: SearchBudget = DEFAULT_BUDGET,
         wedged = wedged or w
     if not out:
         return [], wedged
-    low = min(c.phase for c in out)
-    return [c for c in out if c.phase == low], wedged
+    low = min(c.action.phase for c in out)
+    return [c for c in out if c.action.phase == low], wedged
 
 
-def apply_candidate(state: WorldState, cand: Candidate) -> Step:
-    sess = state.sessions[cand.session - 1]
+def apply_candidate(state: WorldState, step: Step) -> Step:
+    sess = state.sessions[step.session - 1]
     agent = state.agent_of(sess)
     know = state.knowledge[agent]
     intr = state.knowledge[state.setup.intruder]
-    act = cand.action
+    act = step.action
 
     if act.kind in ("send", "send*"):
-        for name, value in cand.fresh:
+        for name, value in step.fresh:
             know.terms.add(value)
             state.used_basics.add(value.name)
             sess.sigma[name] = value
@@ -426,7 +430,7 @@ def apply_candidate(state: WorldState, cand: Candidate) -> Step:
         know.terms.add(act.term)
         if act.assertion is not None:
             know.assertions.add(act.assertion)
-        sess.sigma.update(dict(cand.binds))
+        sess.sigma.update(dict(step.binds))
     elif act.kind == "insert":
         know.assertions.add(act.assertion)
         ctx = DeriveContext(frozenset(know.terms), frozenset(know.assertions))
@@ -436,10 +440,10 @@ def apply_candidate(state: WorldState, cand: Candidate) -> Step:
             inconsistent = False
         if inconsistent:
             state.warnings.append(
-                f"session {cand.session}: insert made {agent}'s theory inconsistent")
+                f"session {step.session}: insert made {agent}'s theory inconsistent")
     # confirm and deny leave knowledge unchanged
     sess.pc += 1
-    return Step(cand.session, act, cand.fresh, cand.binds)
+    return step
 
 
 def _copy_state(s: WorldState) -> WorldState:
@@ -507,7 +511,7 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
         # other sessions' candidates, in case this session's good option has
         # not been sent yet; the memo keeps the fallback from re-walking
         # states the first pass already settled.
-        by_sess: dict[int, list[Candidate]] = {}
+        by_sess: dict[int, list[Step]] = {}
         for c in cands:
             by_sess.setdefault(c.session, []).append(c)
         picked = min(by_sess.values(), key=lambda cs: (len(cs), cs[0].session))
@@ -541,6 +545,9 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
 # validation
 
 def validate_run(run: Run, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[bool, list[str], WorldState]:
+    """Replay a recorded run: each step must be the pending action of its
+    session, instantiated with genuinely fresh values, and pass the same
+    enabling rule as the scheduler's (`check_step`)."""
     state = initial_state(run.proto, run.setup)
     problems: list[str] = []
     for n, step in enumerate(run.steps, 1):
@@ -553,64 +560,29 @@ def validate_run(run: Run, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[bool,
             problems.append(f"step {n}: session {step.session} already finished")
             break
         action = role.actions[sess.pc]
-        agent = state.agent_of(sess)
-        know = state.knowledge[agent]
-        intr = state.knowledge[state.setup.intruder]
 
-        sigma = dict(sess.sigma)
         for name, value in step.fresh:
             if name not in action.fresh:
                 problems.append(f"step {n}: unexpected fresh variable {name}")
             if value.name in state.used_basics:
                 problems.append(f"step {n}: fresh value {value.name} is not fresh")
-            sigma[name] = value
         if set(n0 for n0, _ in step.fresh) != set(action.fresh):
             problems.append(f"step {n}: fresh variables do not match the action")
-        sigma.update(dict(step.binds))
-        inst = _apply(action, sigma)
-        if not inst.is_ground():
+        inst = _instantiate(action, sess.sigma, step.fresh, step.binds)
+        if inst is None:
             problems.append(f"step {n}: action not ground after instantiation")
             break
         if inst != step.action:
             problems.append(f"step {n}: recorded action does not match the role")
             break
-
-        if action.kind in ("send", "send*"):
-            base = frozenset(know.terms) | {b for _, b in step.fresh}
-            if not DYContext(base).derivable(inst.term):
-                problems.append(f"step {n}: payload not derivable by {agent}")
-            if inst.assertion is not None:
-                v = derive_safe(base, frozenset(know.assertions), inst.assertion, budget)
-                if not v.derivable:
-                    problems.append(f"step {n}: send assertion not derivable")
-        elif action.kind == "recv":
-            ok = any(tr.term == inst.term
-                     and (inst.assertion is None or tr.assertion == inst.assertion)
-                     for tr in state.traffic)
-            if not ok:
-                problems.append(f"step {n}: received message never offered")
-            if not DYContext(frozenset(intr.terms)).derivable(inst.term):
-                problems.append(f"step {n}: message not derivable on the network")
-            if inst.assertion is not None:
-                v = derive_safe(frozenset(intr.terms), frozenset(intr.assertions),
-                                inst.assertion, budget)
-                if not v.derivable:
-                    problems.append(f"step {n}: network cannot justify the assertion")
-        elif action.kind == "confirm":
-            v = derive(frozenset(know.terms), frozenset(know.assertions),
-                       inst.assertion, budget)
-            if not v.derivable:
-                problems.append(f"step {n}: confirm not derivable")
-        elif action.kind == "deny":
-            v = derive(frozenset(know.terms), frozenset(know.assertions),
-                       inst.assertion, budget)
-            if v.derivable:
-                problems.append(f"step {n}: deny of a derivable assertion")
-            elif v.budget_exhausted:
-                problems.append(f"step {n}: deny not definite under the budget")
-
-        cand = Candidate(step.session, inst, action.phase, step.fresh, step.binds)
-        apply_candidate(state, cand)
+        if action.kind == "recv" and not any(
+                tr.term == inst.term
+                and (inst.assertion is None or tr.assertion == inst.assertion)
+                for tr in state.traffic):
+            problems.append(f"step {n}: received message never offered")
+        problems.extend(f"step {n}: {problem}"
+                        for problem, _ in check_step(state, step, budget))
+        apply_candidate(state, step)
     return (not problems, problems, state)
 
 
@@ -741,15 +713,12 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
         if st.pc >= len(role.actions):
             raise ParseError(f"session {snum} has no pending action", loc)
         action = role.actions[st.pc]
-        sigma = dict(st.sigma)
-        for nm, b in fresh:
-            sigma[nm] = b
-        sigma.update(dict(binds))
-        inst = _apply(action, sigma)
-        if not inst.is_ground():
+        inst = _instantiate(action, st.sigma, tuple(fresh), tuple(binds))
+        if inst is None:
             raise ParseError(f"step {len(steps) + 1} leaves variables unbound", loc)
         steps.append(Step(snum, inst, tuple(fresh), tuple(binds)))
-        st.sigma = sigma
+        st.sigma.update(fresh)
+        st.sigma.update(binds)
         st.pc += 1
 
     return Run(proto, setup, seed, steps)

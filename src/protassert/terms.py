@@ -131,6 +131,11 @@ def is_ground(t: Term) -> bool:
     return not any(isinstance(s, Var) for s in iter_subterms(t))
 
 
+def has_bound_name(t: Term) -> bool:
+    """Mentions a reserved bound name (%n), so t lives under a quantifier."""
+    return any(isinstance(s, Var) and s.name.startswith("%") for s in iter_subterms(t))
+
+
 def term_depth(t: Term) -> int:
     if isinstance(t, Pair):
         return 1 + max(term_depth(t.left), term_depth(t.right))

@@ -44,7 +44,6 @@ from protassert.builtins import (
 )
 from protassert.checker import replay_assertion_proof, replay_term_proof
 from protassert.runtime import (
-    Candidate,
     Run,
     SessionState,
     Step,
@@ -440,8 +439,7 @@ def test_criterion_6_replay_and_double_vote_prevention():
     j = len(st.sessions) - 1
     sigma = {"id": Auth, "W": I, "env": d}
     recv = _apply(auth.actions[0], sigma)
-    apply_candidate(st, Candidate(j + 1, recv, auth.actions[0].phase,
-                                  binds=(("W", I), ("env", d))))
+    apply_candidate(st, Step(j + 1, recv, binds=(("W", I), ("env", d))))
     for _ in range(2):  # deny passes (no prior vote), insert records it
         cs, wedged = candidates_for(st, j)
         if wedged or not cs:
@@ -592,11 +590,8 @@ def test_criterion_7_property_batteries():
         snap = {a: (set(kn.terms), set(kn.assertions))
                 for a, kn in state.knowledge.items()}
         for step in run.steps:
-            role = run.proto.roles[state.sessions[step.session - 1].role]
-            action = role.actions[state.sessions[step.session - 1].pc]
-            apply_candidate(state, Candidate(step.session, step.action,
-                                             action.phase, step.fresh,
-                                             step.binds))
+            apply_candidate(state, Step(step.session, step.action,
+                                        step.fresh, step.binds))
             cases += 1
             for agent, kn in state.knowledge.items():
                 terms0, asserts0 = snap[agent]

@@ -7,6 +7,8 @@ from protassert import (
     Basic,
     Enc,
     Pair,
+    Run,
+    SearchBudget,
     Var,
     initial_state,
     parse_trace,
@@ -20,10 +22,17 @@ from protassert.builtins import (
     builtin_helios,
     builtin_setup,
     default_foo_setup,
+    default_helios_setup,
 )
 from protassert.runtime import (
+    Step,
+    _allocate_fresh,
+    _copy_state,
+    _instantiate,
+    _traffic_binds,
     apply_candidate,
     candidates_for,
+    check_step,
     enabled_actions,
     match_assertion,
     match_term,
@@ -227,3 +236,86 @@ def test_trace_parse_rejects_garbage():
     proto = foo()
     with pytest.raises(ParseError):
         parse_trace("run foo seed=0\nwat 1\n", proto)
+
+
+def test_simulate_warns_when_a_search_hits_the_budget():
+    proto = foo()
+    run, _ = simulate(proto, default_foo_setup(proto), seed=0,
+                      budget=SearchBudget(node_cap=1))
+    assert not run.complete
+    assert any("search budget" in w for w in run.warnings), run.warnings
+
+
+def _pending_steps(state, idx):
+    """Every instantiation of session idx's pending action the scheduler
+    considers: its fresh values for a send or local action, each matching
+    message for a receive."""
+    sess = state.sessions[idx]
+    action = state.proto.roles[sess.role].actions[sess.pc]
+    if action.kind == "recv":
+        offers = [((), b) for b in _traffic_binds(state, action, sess.sigma, False)]
+    else:
+        offers = [(_allocate_fresh(state, idx + 1, action), ())]
+    for fresh, binds in offers:
+        inst = _instantiate(action, sess.sigma, fresh, binds)
+        if inst is not None:
+            yield Step(idx + 1, inst, fresh, binds)
+
+
+def _agreement(proto, setup, prefix, state, replay_offered):
+    """Check the scheduler against replay at one state reached by prefix.
+    Each step the scheduler offers (if replay_offered) must replay after
+    the prefix; each one it refuses for a reason other than the search
+    budget must be rejected by replay for exactly the reasons the enabling
+    rule gives.  Returns the offered steps and the number refused."""
+    n = len(prefix)
+    offered, refused = [], 0
+    for idx, sess in enumerate(state.sessions):
+        if sess.pc >= len(proto.roles[sess.role].actions):
+            continue
+        cands, _ = candidates_for(_copy_state(state), idx)
+        offered += cands
+        if replay_offered:
+            for step in cands:
+                ok, problems, _ = validate_run(
+                    Run(proto, setup, None, prefix + [step], complete=False))
+                assert ok, (n, step, problems)
+        for step in _pending_steps(state, idx):
+            if step in cands:
+                continue
+            failures = list(check_step(state, step))
+            assert failures, (n, step)
+            if failures[0][1] is not None:
+                continue  # refused by the search budget
+            ok, problems, _ = validate_run(
+                Run(proto, setup, None, prefix + [step], complete=False))
+            assert problems == [f"step {n + 1}: {why}" for why, _ in failures], \
+                (n, step, problems)
+            refused += 1
+    return offered, refused
+
+
+def test_scheduler_and_replay_agree_on_every_prefix():
+    # every prefix of a simulated run, plus every state one offered step
+    # past it (where a second registrar can meet a recorded credential)
+    jobs = [(foo(), lambda p: default_foo_setup(p, 2), range(5)),
+            (builtin_helios(), default_helios_setup, range(3))]
+    offered = refused = 0
+    for proto, mk, seeds in jobs:
+        setup = mk(proto)
+        for seed in seeds:
+            run, _ = simulate(proto, setup, seed=seed)
+            assert run.complete
+            state = initial_state(proto, setup)
+            for n in range(len(run.steps) + 1):
+                prefix = run.steps[:n]
+                cands, r = _agreement(proto, setup, prefix, state, True)
+                offered += len(cands)
+                refused += r
+                for step in cands:
+                    child = _copy_state(state)
+                    apply_candidate(child, step)
+                    refused += _agreement(proto, setup, prefix + [step], child, False)[1]
+                if n < len(run.steps):
+                    apply_candidate(state, run.steps[n])
+    assert offered > 0 and refused > 0, (offered, refused)
