@@ -2,7 +2,10 @@
 
 Exit codes: 0 for a positive outcome (derivable, valid, complete,
 indistinguishable), 1 for a definite negative one, 2 for usage or parse
-errors, 3 when the search budget left the question open.
+errors, 3 when the search budget left the question open.  An unexpected
+error (RecursionError and MemoryError included) is reported on one
+`internal error: ...` line, without a traceback, and also exits 3: it
+leaves the question open and is never taken for a definite negative.
 """
 from __future__ import annotations
 
@@ -279,7 +282,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EX_USAGE if e.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as e:
+        detail = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"internal error: {detail}", file=sys.stderr)
+        return EX_INCONCLUSIVE
 
 
 if __name__ == "__main__":

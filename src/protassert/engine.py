@@ -58,8 +58,9 @@ from .terms import (
     term_key,
 )
 
-# When set, every positive verdict produced by derive()/derive_safe() is
-# replayed through the independent checker before being returned.
+# When set, every positive verdict produced by derive(), derive_safe() or
+# DeriveContext.answer() is replayed through the independent checker before
+# being returned.
 REPLAY_CHECK = False
 
 
@@ -401,6 +402,7 @@ class _Node:
                 self.split = psi
                 break
         self.hyps = frozenset(hyps)
+        self.sorted_hyps = sorted_assertions(self.hyps)  # matching order
         self.origin = origin
         self.queue = queue  # what the children go on expanding
         self.children: tuple[_Node, _Node] | None = None
@@ -449,12 +451,14 @@ def _register_assertion_terms(cc: EqClasses, a: Assertion) -> None:
             cc.add_term(t)
 
 
-def _build_classes(cc: EqClasses, X, branch) -> None:
+def _build_classes(cc: EqClasses, X, branch: list[Assertion]) -> None:
+    """Add X and the terms of the sorted hypotheses branch to cc, then
+    merge along the equations among them."""
     for t in sorted_terms(X):
         cc.add_term(t)
-    for a in sorted_assertions(branch):
+    for a in branch:
         _register_assertion_terms(cc, a)
-    for a in sorted_assertions(branch):
+    for a in branch:
         if isinstance(a, Eq) and not has_bound_name(a.lhs) and not has_bound_name(a.rhs):
             cc.merge(a.lhs, a.rhs, "hyp", (a,))
 
@@ -741,7 +745,7 @@ class _BranchProver:
         return None
 
     def _prove_by_matching(self, goal, cls, pre) -> ProofNode | None:
-        for hyp in sorted_assertions(self.node.hyps):
+        for hyp in self.node.sorted_hyps:
             if not isinstance(hyp, cls) or not pre(hyp):
                 continue
             pairs = self.match_assertions(hyp, goal)
@@ -831,7 +835,7 @@ class _BranchProver:
                     for b in _ematch_term(self, pat, tgt, holes, {}):
                         if var in b:
                             results.append(b[var])
-        for hyp in sorted_assertions(self.node.hyps):
+        for hyp in self.node.sorted_hyps:
             for b in _ematch_assertion(self, pattern, hyp, holes):
                 if var in b:
                     results.append(b[var])
@@ -1060,12 +1064,16 @@ class DeriveContext:
     only; queries split further where they need to."""
 
     def __init__(self, X, Phi, budget: SearchBudget = DEFAULT_BUDGET,
-                 safe: bool = False):
+                 safe: bool = False, dyctx: DYContext | None = None):
+        """dyctx, when given, must be a DYContext over exactly X; it is
+        used instead of saturating X again."""
         self.X = frozenset(X)
         self.Phi = frozenset(normalize(a) for a in Phi)
         self.budget = budget
         self.safe = safe
-        self.dyctx = DYContext(self.X)
+        if dyctx is not None and dyctx.X != self.X:
+            raise ValueError("dyctx is not over X")
+        self.dyctx = dyctx if dyctx is not None else DYContext(self.X)
         self.alloc = _WitnessAllocator()
         self.build_failed = False
         self.branch_count = 0  # branches of the tree expanded so far
@@ -1081,10 +1089,11 @@ class DeriveContext:
         node = _Node(hyps, origin, queue, self.alloc, self.safe)
         if parent is None:
             cc = EqClasses(self.dyctx, self.budget.merge_cap)
-            _build_classes(cc, self.X, node.hyps)
+            _build_classes(cc, self.X, node.sorted_hyps)
         else:
             cc = parent.cc.clone()
-            _build_classes(cc, (), node.hyps - parent.hyps)
+            _build_classes(cc, (), [a for a in node.sorted_hyps
+                                    if a not in parent.hyps])
         node.cc = cc
         node.bottom = check_bottom(cc)
         return node
@@ -1134,6 +1143,18 @@ class DeriveContext:
             return self._negative(budget_exhausted=counters.truncated)
         return Verdict(True, proof, branches=self.branch_count)
 
+    def answer(self, goal: Assertion) -> Verdict:
+        """query, and with REPLAY_CHECK set replay a positive verdict
+        through the independent checker before returning it."""
+        v = self.query(goal)
+        if REPLAY_CHECK and v.derivable:
+            from .checker import replay_assertion_proof
+
+            ok, err = replay_assertion_proof(v.proof, self.X, self.Phi, normalize(goal))
+            if not ok:
+                raise AssertionError(f"proof replay failed: {err}")
+        return v
+
     def _negative(self, budget_exhausted: bool) -> Verdict:
         return Verdict(False, budget_exhausted=budget_exhausted,
                        witness_depth=self.budget.witness_depth,
@@ -1165,24 +1186,8 @@ class DeriveContext:
 
 
 def derive(X, Phi, goal: Assertion, budget: SearchBudget = DEFAULT_BUDGET) -> Verdict:
-    ctx = DeriveContext(X, Phi, budget, safe=False)
-    v = ctx.query(goal)
-    _maybe_replay(ctx, goal, v)
-    return v
+    return DeriveContext(X, Phi, budget, safe=False).answer(goal)
 
 
 def derive_safe(X, Phi, goal: Assertion, budget: SearchBudget = DEFAULT_BUDGET) -> Verdict:
-    ctx = DeriveContext(X, Phi, budget, safe=True)
-    v = ctx.query(goal)
-    _maybe_replay(ctx, goal, v)
-    return v
-
-
-def _maybe_replay(ctx: DeriveContext, goal: Assertion, v: Verdict) -> None:
-    if not (REPLAY_CHECK and v.derivable):
-        return
-    from .checker import replay_assertion_proof
-
-    ok, err = replay_assertion_proof(v.proof, ctx.X, ctx.Phi, normalize(goal))
-    if not ok:
-        raise AssertionError(f"proof replay failed: {err}")
+    return DeriveContext(X, Phi, budget, safe=True).answer(goal)

@@ -13,6 +13,18 @@ fires but warns when it makes the agent's own theory inconsistent.  The
 scheduler asks it which steps are enabled, and `validate_run` asks it of
 every recorded step.
 
+Knowledge is immutable: applying a step swaps in an extended `Knowledge` for
+the agents it changes, and a copied state shares the rest.  The contexts
+that answer `check_step` and the insert check live in one `ContextTable`
+per run, made by `initial_state` and shared by every state copied from it,
+keyed by the exact knowledge sets.  A set is saturated into a `DYContext`
+once, and the derive contexts over it reuse that one.  A safe-mode context
+never splits and each query starts from a clone of its root closure, so one
+context answers every goal alike.  A full-mode context does not: splits
+made and witnesses numbered by one query carry over to the next and count
+against `branch_cap`, so full-mode answers are kept per goal, each from a
+fresh context, as a single `derive` would give them.
+
 Actions are scheduled lowest-phase-first among enabled candidates, with a
 seeded random choice among ties, so runs are reproducible from their seed.
 """
@@ -44,8 +56,7 @@ from .engine import (
     BudgetExhausted,
     DeriveContext,
     SearchBudget,
-    derive,
-    derive_safe,
+    Verdict,
 )
 from .protocol import Action, Protocol
 from .syntax import Declarations, ParseError, parse_term, print_term
@@ -77,10 +88,62 @@ class Setup:
     intruder: str = "I"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Knowledge:
-    terms: set[Term] = field(default_factory=set)
-    assertions: set[Assertion] = field(default_factory=set)
+    terms: frozenset[Term] = frozenset()
+    assertions: frozenset[Assertion] = frozenset()
+
+    def extend(self, terms=(), assertions=()) -> "Knowledge":
+        return Knowledge(self.terms.union(terms), self.assertions.union(assertions))
+
+
+class ContextTable:
+    """The knowledge contexts of one run, keyed by the exact term and
+    assertion sets they are built over (see the module docstring)."""
+
+    def __init__(self) -> None:
+        self._dy: dict[frozenset[Term], DYContext] = {}
+        self._safe: dict[tuple, DeriveContext] = {}
+        self._answers: dict[tuple, Verdict] = {}
+        self._inconsistent: dict[tuple, bool] = {}
+
+    def dy(self, terms: frozenset[Term]) -> DYContext:
+        ctx = self._dy.get(terms)
+        if ctx is None:
+            ctx = self._dy[terms] = DYContext(terms)
+        return ctx
+
+    def derive(self, terms: frozenset[Term], assertions: frozenset[Assertion],
+               goal: Assertion, budget: SearchBudget, safe: bool = False) -> Verdict:
+        """What `derive` (or with safe, `derive_safe`) answers for goal."""
+        key = (terms, assertions, goal, budget, safe)
+        v = self._answers.get(key)
+        if v is None:
+            if safe:
+                ctx = self._safe.get((terms, assertions, budget))
+                if ctx is None:
+                    ctx = self._safe[terms, assertions, budget] = DeriveContext(
+                        terms, assertions, budget, safe=True, dyctx=self.dy(terms))
+            else:
+                ctx = DeriveContext(terms, assertions, budget, dyctx=self.dy(terms))
+            v = self._answers[key] = ctx.answer(goal)
+        return v
+
+    def inconsistent(self, terms: frozenset[Term],
+                     assertions: frozenset[Assertion]) -> bool:
+        """Whether some leaf of the fully split theory holds two distinct
+        basics in one class, under the default budget; an expansion that
+        goes over it counts as consistent."""
+        key = (terms, assertions)
+        bad = self._inconsistent.get(key)
+        if bad is None:
+            ctx = DeriveContext(terms, assertions, dyctx=self.dy(terms))
+            try:
+                bad = any(l.bottom for l in ctx.leaves())
+            except BudgetExhausted:
+                bad = False
+            self._inconsistent[key] = bad
+        return bad
 
 
 @dataclass(frozen=True)
@@ -106,6 +169,7 @@ class WorldState:
     traffic: list[Traffic] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     used_basics: set[str] = field(default_factory=set)
+    contexts: ContextTable = field(default_factory=ContextTable)
 
     def agent_of(self, s: SessionState) -> str:
         ag = s.sigma["id"]
@@ -143,14 +207,11 @@ def initial_state(proto: Protocol, setup: Setup) -> WorldState:
     public |= {Basic(n, NONCE) for n in proto.decls.nonces}
     knowledge: dict[str, Knowledge] = {}
     for n in sorted(names):
-        k = Knowledge(set(public), set())
-        k.terms.add(App("sk", (Basic(n, AGENT),)))
-        k.terms |= setup.agent_terms.get(n, set())
-        k.assertions |= {normalize(a) for a in setup.agent_assertions.get(n, set())}
-        knowledge[n] = k
-    intr = knowledge[setup.intruder]
-    intr.terms |= setup.intruder_terms
-    intr.assertions |= {normalize(a) for a in setup.intruder_assertions}
+        knowledge[n] = Knowledge(frozenset(public)).extend(
+            {App("sk", (Basic(n, AGENT),))} | setup.agent_terms.get(n, set()),
+            {normalize(a) for a in setup.agent_assertions.get(n, set())})
+    knowledge[setup.intruder] = knowledge[setup.intruder].extend(
+        setup.intruder_terms, {normalize(a) for a in setup.intruder_assertions})
     sessions = [SessionState(role, dict(sigma)) for role, sigma in setup.sessions]
     state = WorldState(proto, setup, knowledge, sessions)
     for k in knowledge.values():
@@ -317,6 +378,7 @@ def check_step(state: WorldState, step: Step,
     warning is set when a capped search caused the failure.  A caller that
     stops at the first failure skips the later derivability checks."""
     act = step.action
+    table = state.contexts
 
     def failed(problem: str, v, warning: str) -> tuple[str, str | None]:
         return problem, (f"session {step.session}: {warning}"
@@ -324,11 +386,10 @@ def check_step(state: WorldState, step: Step,
 
     if act.kind == "recv":
         intr = state.knowledge[state.setup.intruder]
-        if not DYContext(frozenset(intr.terms)).derivable(act.term):
+        if not table.dy(intr.terms).derivable(act.term):
             yield "message not derivable on the network", None
         if act.assertion is not None:
-            v = derive_safe(frozenset(intr.terms), frozenset(intr.assertions),
-                            act.assertion, budget)
+            v = table.derive(intr.terms, intr.assertions, act.assertion, budget, safe=True)
             if not v.derivable:
                 yield failed("network cannot justify the assertion", v,
                              "receive check hit the search budget")
@@ -336,17 +397,16 @@ def check_step(state: WorldState, step: Step,
     agent = state.agent_of(state.sessions[step.session - 1])
     know = state.knowledge[agent]
     if act.kind in ("send", "send*"):
-        base = frozenset(know.terms) | {b for _, b in step.fresh}
-        if not DYContext(base).derivable(act.term):
+        base = know.terms.union(b for _, b in step.fresh)
+        if not table.dy(base).derivable(act.term):
             yield f"payload not derivable by {agent}", None
         if act.assertion is not None:
-            v = derive_safe(base, frozenset(know.assertions), act.assertion, budget)
+            v = table.derive(base, know.assertions, act.assertion, budget, safe=True)
             if not v.derivable:
                 yield failed("send assertion not derivable", v,
                              "send assertion hit the search budget")
     elif act.kind in ("confirm", "deny"):
-        v = derive(frozenset(know.terms), frozenset(know.assertions),
-                   act.assertion, budget)
+        v = table.derive(know.terms, know.assertions, act.assertion, budget)
         if act.kind == "confirm":
             if not v.derivable:
                 yield failed("confirm not derivable", v, "confirm hit the search budget")
@@ -404,41 +464,34 @@ def enabled_actions(state: WorldState, budget: SearchBudget = DEFAULT_BUDGET,
     return [c for c in out if c.action.phase == low], wedged
 
 
+def _learn(state: WorldState, agent: str, terms=(), assertions=()) -> Knowledge:
+    know = state.knowledge[agent] = state.knowledge[agent].extend(terms, assertions)
+    return know
+
+
 def apply_candidate(state: WorldState, step: Step) -> Step:
     sess = state.sessions[step.session - 1]
     agent = state.agent_of(sess)
-    know = state.knowledge[agent]
-    intr = state.knowledge[state.setup.intruder]
     act = step.action
+    said = () if act.assertion is None else (act.assertion,)
 
     if act.kind in ("send", "send*"):
+        _learn(state, agent, [value for _, value in step.fresh])
         for name, value in step.fresh:
-            know.terms.add(value)
             state.used_basics.add(value.name)
             sess.sigma[name] = value
-        intr.terms.add(act.term)
-        if act.assertion is not None:
-            intr.assertions.add(act.assertion)
+        heard = said
         if act.kind == "send":
-            intr.assertions.add(SentT(act.agent, act.term))
-            if act.assertion is not None:
-                intr.assertions.add(SentA(act.agent, act.assertion))
-            state.traffic.append(Traffic(act.term, act.assertion, agent))
-        else:
-            state.traffic.append(Traffic(act.term, act.assertion, None))
+            heard += (SentT(act.agent, act.term), *(SentA(act.agent, a) for a in said))
+        _learn(state, state.setup.intruder, (act.term,), heard)
+        state.traffic.append(Traffic(act.term, act.assertion,
+                                     agent if act.kind == "send" else None))
     elif act.kind == "recv":
-        know.terms.add(act.term)
-        if act.assertion is not None:
-            know.assertions.add(act.assertion)
+        _learn(state, agent, (act.term,), said)
         sess.sigma.update(dict(step.binds))
     elif act.kind == "insert":
-        know.assertions.add(act.assertion)
-        ctx = DeriveContext(frozenset(know.terms), frozenset(know.assertions))
-        try:
-            inconsistent = any(l.bottom for l in ctx.leaves())
-        except BudgetExhausted:
-            inconsistent = False
-        if inconsistent:
+        know = _learn(state, agent, (), said)
+        if state.contexts.inconsistent(know.terms, know.assertions):
             state.warnings.append(
                 f"session {step.session}: insert made {agent}'s theory inconsistent")
     # confirm and deny leave knowledge unchanged
@@ -449,9 +502,9 @@ def apply_candidate(state: WorldState, step: Step) -> Step:
 def _copy_state(s: WorldState) -> WorldState:
     return WorldState(
         s.proto, s.setup,
-        {n: Knowledge(set(k.terms), set(k.assertions)) for n, k in s.knowledge.items()},
+        dict(s.knowledge),
         [SessionState(x.role, dict(x.sigma), x.pc) for x in s.sessions],
-        list(s.traffic), list(s.warnings), set(s.used_basics))
+        list(s.traffic), list(s.warnings), set(s.used_basics), s.contexts)
 
 
 def _all_done(state: WorldState) -> bool:

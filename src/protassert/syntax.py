@@ -12,9 +12,14 @@ starts a comment.
 
 Identifier classification needs declarations: declared names parse to basics
 of the declared sort, anything else to a variable.
+
+Input nested more than MAX_NESTING levels deep (brackets, prefixes such as
+'says' and 'ex', parenthesized assertions) is refused with a ParseError, so
+deep input never reaches Python's recursion limit here or downstream.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -53,6 +58,7 @@ class ParseError(Exception):
 
 
 RESERVED = {"ex", "says", "sent"}
+MAX_NESTING = 100
 
 
 @dataclass
@@ -125,6 +131,7 @@ class _Cursor:
         self.toks = toks
         self.i = 0
         self.decls = decls
+        self.depth = 0  # calls of _nested parsers now open
 
     def peek(self, ahead: int = 0) -> Tok:
         j = min(self.i + ahead, len(self.toks) - 1)
@@ -159,6 +166,21 @@ class _Cursor:
 
     def done(self) -> bool:
         return self.peek().kind == "end"
+
+
+def _nested(parse):
+    """Count the recursion of a parser that every nesting cycle of the
+    grammar passes through, and refuse input past MAX_NESTING levels."""
+    @functools.wraps(parse)
+    def wrapper(p: _Cursor):
+        if p.depth >= MAX_NESTING:
+            raise ParseError(f"nested more than {MAX_NESTING} levels deep", p.peek().pos)
+        p.depth += 1
+        try:
+            return parse(p)
+        finally:
+            p.depth -= 1
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +233,7 @@ def _parse_simple_term(p: _Cursor) -> Term:
     return p.decls.classify(t.val)
 
 
+@_nested
 def _parse_term(p: _Cursor) -> Term:
     tok = p.peek()
     if tok.val == "(":
@@ -275,6 +298,7 @@ def _parse_atom_or_paren(p: _Cursor) -> Assertion:
         raise
 
 
+@_nested
 def _parse_unit(p: _Cursor) -> Assertion:
     tok = p.peek()
     if tok.kind == "ident" and tok.val == "ex":

@@ -85,6 +85,38 @@ def test_derive_parse_error_exits_two(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_deeply_nested_sequent_exits_two_without_a_traceback(tmp_path):
+    # a 3000-deep pair used to end in a RecursionError traceback and exit 1,
+    # the code of a definite negative
+    deep = "(" * 3000 + "n" + ", n)" * 3000
+    path = _write(tmp_path, "deep.seq", f"nonces: n\nterms: {deep}\ngoal: n = n\n")
+    src = str(Path(protassert.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "protassert.cli", "derive", path],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "parse error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_error_is_an_internal_error_on_exit_three(tmp_path, capsys,
+                                                             monkeypatch):
+    # a crash must never read as a definite negative (exit 1)
+    import protassert.cli as cli
+
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded\nin comparison")
+
+    monkeypatch.setattr(cli, "derive", crash)
+    path = _write(tmp_path, "bad.seq", UNDERIVABLE)
+    assert main(["derive", path]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("internal error: RecursionError: "
+                       "maximum recursion depth exceeded in comparison\n")
+
+
 def test_derive_missing_file_exits_two(tmp_path, capsys):
     assert main(["derive", str(tmp_path / "nope.seq")]) == 2
     assert "error" in capsys.readouterr().err

@@ -38,6 +38,7 @@ from protassert.runtime import (
     match_term,
 )
 from protassert.assertions import Eq, Exists, Pred
+from protassert import dy, engine
 
 
 def foo():
@@ -319,3 +320,39 @@ def test_scheduler_and_replay_agree_on_every_prefix():
                 if n < len(run.steps):
                     apply_candidate(state, run.steps[n])
     assert offered > 0 and refused > 0, (offered, refused)
+
+
+def test_each_context_is_built_once_per_call(monkeypatch):
+    # simulate and validate_run each keep one table of contexts: a term set
+    # is saturated once, and a safe-mode context is built once per knowledge
+    # pair and then answers every goal asked of that pair
+    saturated: list = []
+    safe: list = []
+    real_dy, real_derive = dy.DYContext.__init__, engine.DeriveContext.__init__
+
+    def dy_init(self, X):
+        saturated.append(frozenset(X))
+        real_dy(self, X)
+
+    def derive_init(self, X, Phi, *args, **kwargs):
+        real_derive(self, X, Phi, *args, **kwargs)
+        if self.safe:
+            safe.append((frozenset(X), frozenset(Phi)))
+
+    monkeypatch.setattr(dy.DYContext, "__init__", dy_init)
+    monkeypatch.setattr(engine.DeriveContext, "__init__", derive_init)
+
+    def built_once(call: str) -> None:
+        assert saturated and safe, call
+        assert len(saturated) == len(set(saturated)), (call, len(saturated))
+        assert len(safe) == len(set(safe)), (call, len(safe))
+        saturated.clear()
+        safe.clear()
+
+    proto = foo()
+    run, _ = simulate(proto, default_foo_setup(proto, 3), seed=0)
+    assert run.complete
+    built_once("simulate")
+    ok, problems, _ = validate_run(run)
+    assert ok, problems
+    built_once("validate_run")

@@ -23,7 +23,7 @@ from protassert import (
     print_term,
 )
 from protassert.builtins import FOO_SOURCE, HELIOS_SOURCE
-from protassert.syntax import Declarations
+from protassert.syntax import MAX_NESTING, Declarations
 
 
 def decls() -> Declarations:
@@ -119,6 +119,30 @@ def test_sequent_with_sections_and_inline_lists():
 def test_sequent_numeral_constants_must_be_declared():
     with pytest.raises(ParseError):
         parse_sequent("nonces: v\nkeys: k\nterms: {v}k\ngoal: v = 0\n")
+
+
+def test_nesting_past_the_limit_is_a_parse_error():
+    # deep input is refused before it can reach the recursion limit, for
+    # bracketed terms as for prefix chains and parenthesized assertions
+    d = decls()
+    n = MAX_NESTING
+    ok_term = "(" * (n - 1) + "n" + ", n)" * (n - 1)
+    assert parse_term(ok_term, d) is not None
+    deep = [
+        ("term", "(" * 3000 + "n" + ", n)" * 3000),
+        ("term", "{" * n + "n" + "}k" * n),
+        ("assertion", "A says " * n + "n = n"),
+        ("assertion", "ex x: " * n + "x = n"),
+        ("assertion", "(" * n + "n = n" + ")" * n),
+    ]
+    for kind, text in deep:
+        with pytest.raises(ParseError, match="nested more than"):
+            (parse_term if kind == "term" else parse_assertion)(text, d)
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_sequent(f"nonces: n\nterms: {deep[0][1]}\ngoal: n = n\n")
+    src = FOO_SOURCE.replace("send id : ", "send id : " + "h(" * n, 1)
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_protocol(src)
 
 
 def test_protocol_round_trip_builtins():
