@@ -168,7 +168,6 @@ def build_swapped(run: Run, spec: SwapSpec) -> Run:
     i, j = spec.sessions
     ai, aj = spec.agents
     ki, kj = spec.cast_steps
-    m = spec.swap_map()
 
     sessions = [(r, dict(s)) for r, s in run.setup.sessions]
     si, sj = sessions[i - 1][1], sessions[j - 1][1]
@@ -192,9 +191,8 @@ def build_swapped(run: Run, spec: SwapSpec) -> Run:
     steps: list[Step] = []
     for n, step in enumerate(run.steps, 1):
         act = step.action
-        term = replace_term(act.term, m) if act.term is not None else None
-        assertion = (normalize(map_terms(act.assertion, lambda t: replace_term(t, m)))
-                     if act.assertion is not None else None)
+        term = swp_term(spec, act.term) if act.term is not None else None
+        assertion = swp_assertion(spec, act.assertion) if act.assertion is not None else None
         agent = act.agent
         session = step.session
         if n in (ki, kj):
@@ -202,10 +200,10 @@ def build_swapped(run: Run, spec: SwapSpec) -> Run:
                 session, agent = j, aj
             elif session == j:
                 session, agent = i, ai
-        fresh = tuple((nm, replace_term(b, m)) for nm, b in step.fresh)
+        fresh = tuple((nm, swp_term(spec, b)) for nm, b in step.fresh)
         for _, b in fresh:
             assert isinstance(b, Basic)
-        binds = tuple((k, replace_term(v, m)) for k, v in step.binds)
+        binds = tuple((k, swp_term(spec, v)) for k, v in step.binds)
         steps.append(Step(
             session,
             Action(act.kind, agent, act.fresh, term, assertion, act.phase),
@@ -453,11 +451,6 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
 # ---------------------------------------------------------------------------
 # the full check
 
-def _intruder_knowledge(state: WorldState) -> tuple[frozenset, frozenset]:
-    k = state.knowledge[state.setup.intruder]
-    return frozenset(k.terms), frozenset(k.assertions)
-
-
 def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
                     tests: int = 500, depth: int = 3,
                     budget: SearchBudget = DEFAULT_BUDGET,
@@ -485,18 +478,17 @@ def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
         report.notes.extend(problems[:5])
         return report
 
-    xl, pl = _intruder_knowledge(state_l)
-    xr, pr = _intruder_knowledge(state_r)
+    left = state_l.knowledge[setup.intruder]
+    right = state_r.knowledge[setup.intruder]
     mismatches: list[str] = []
-    m = spec.swap_map()
-    if {replace_term(t, m) for t in xl} != set(xr):
+    if {swp_term(spec, t) for t in left.terms} != right.terms:
         mismatches.append("observer term knowledge differs beyond the swap")
-    if {normalize(map_terms(a, lambda t: replace_term(t, m))) for a in pl} != set(pr):
+    if {swp_assertion(spec, a) for a in left.assertions} != right.assertions:
         mismatches.append("observer assertion knowledge differs beyond the swap")
     report.notes.extend(mismatches)
 
-    ctx_l = DeriveContext(xl, pl, budget)
-    ctx_r = DeriveContext(xr, pr, budget)
+    ctx_l = DeriveContext(left.terms, left.assertions, budget)
+    ctx_r = DeriveContext(right.terms, right.assertions, budget)
     safety_l, reasons_l = check_safety(ctx_l, spec)
     safety_r, reasons_r = check_safety(ctx_r, spec)
     report.safety_ok = safety_l and safety_r

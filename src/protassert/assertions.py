@@ -5,12 +5,27 @@ Internally every stored assertion is alpha-normalized: bound variables are
 renamed to reserved names %1, %2, ... in preorder.  Those names cannot be
 produced by the parser, so substitution for free variables can never capture
 and structural equality coincides with alpha-equivalence.
+
+The one pattern matcher, `match_term`/`match_assertion`, lives here too.  It
+binds a pattern's holes so that the pattern equals a target modulo an
+equality: the runtime binds receive patterns under `SYNTACTIC`, and the
+engine binds witness candidates modulo a branch's congruence classes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Term, Var, iter_subterms, subst_term, term_key
+from .terms import (
+    App,
+    Enc,
+    Pair,
+    Term,
+    Var,
+    has_bound_name,
+    iter_subterms,
+    subst_term,
+    term_key,
+)
 
 
 class Assertion:
@@ -241,3 +256,98 @@ def assertion_key(a: Assertion):
 
 def sorted_assertions(assertions) -> list[Assertion]:
     return sorted(assertions, key=assertion_key)
+
+
+# ---------------------------------------------------------------------------
+# matching modulo an equality (E-matching, as in de Moura & Bjorner, CADE
+# 2007).  `eq` offers same(a, b) and members(t), the terms known equal to t.
+
+
+class _Syntactic:
+    """Plain structural equality: every term is alone in its class."""
+
+    @staticmethod
+    def same(a: Term, b: Term) -> bool:
+        return a == b
+
+    @staticmethod
+    def members(t: Term) -> tuple[Term, ...]:
+        return (t,)
+
+
+SYNTACTIC = _Syntactic()
+
+
+def match_term(pat: Term, tgt: Term, holes, binding: dict[str, Term],
+               eq) -> list[dict[str, Term]]:
+    """Every extension of binding over the variables in holes under which
+    pat equals tgt modulo eq.  A hole never takes a term that mentions a
+    bound name."""
+    if isinstance(pat, Var) and pat.name in holes:
+        bound = binding.get(pat.name)
+        if bound is not None:
+            return [binding] if eq.same(bound, tgt) else []
+        if has_bound_name(tgt):
+            return []
+        return [{**binding, pat.name: tgt}]
+    if pat == tgt or (not has_bound_name(pat) and eq.same(pat, tgt)):
+        return [binding]
+    out: list[dict[str, Term]] = []
+    for m in eq.members(tgt):
+        if isinstance(pat, Pair) and isinstance(m, Pair):
+            out += _match_all(((pat.left, m.left), (pat.right, m.right)), holes, binding, eq)
+        elif isinstance(pat, Enc) and isinstance(m, Enc):
+            out += _match_all(((pat.body, m.body), (pat.key, m.key)), holes, binding, eq)
+        elif (isinstance(pat, App) and isinstance(m, App) and pat.ctor == m.ctor
+              and len(pat.args) == len(m.args)):
+            out += _match_all(zip(pat.args, m.args), holes, binding, eq)
+    return out
+
+
+def _match_all(pairs, holes, binding: dict[str, Term], eq) -> list[dict[str, Term]]:
+    """match_term over each (pattern, target) pair in turn."""
+    found = [binding]
+    for pat, tgt in pairs:
+        found = [b for prev in found for b in match_term(pat, tgt, holes, prev, eq)]
+    return found
+
+
+def match_assertion(pat: Assertion, tgt: Assertion, holes,
+                    binding: dict[str, Term], eq) -> list[dict[str, Term]]:
+    """Every extension of binding under which pat equals tgt: terms modulo
+    eq, agents syntactically.  Bound variables on both sides are renamed to
+    shared tokens %b0, %b1, ... by depth, so binder structure must align and
+    never leaks into a binding."""
+    return _match_assertion(pat, tgt, holes, binding, eq, {}, {})
+
+
+def _renamed(t: Term, env: dict[str, Term]) -> Term:
+    return subst_term(t, env) if env else t
+
+
+def _match_assertion(pat: Assertion, tgt: Assertion, holes, binding: dict[str, Term],
+                     eq, env_p: dict[str, Term], env_t: dict[str, Term]) -> list[dict[str, Term]]:
+    if isinstance(pat, Exists):
+        if not isinstance(tgt, Exists):
+            return []
+        token = Var(f"%b{len(env_p)}")
+        return _match_assertion(pat.body, tgt.body, holes, binding, eq,
+                                {**env_p, pat.var: token}, {**env_t, tgt.var: token})
+    if type(pat) is not type(tgt):
+        return []
+    if isinstance(pat, (And, Or)):
+        return [b for prev in _match_assertion(pat.left, tgt.left, holes, binding, eq, env_p, env_t)
+                for b in _match_assertion(pat.right, tgt.right, holes, prev, eq, env_p, env_t)]
+    if isinstance(pat, (Says, SentA, SentT)):
+        found = match_term(_renamed(pat.agent, env_p), _renamed(tgt.agent, env_t),
+                           holes, binding, SYNTACTIC)
+        if isinstance(pat, SentT):
+            return [b for prev in found for b in match_term(
+                _renamed(pat.term, env_p), _renamed(tgt.term, env_t), holes, prev, eq)]
+        return [b for prev in found
+                for b in _match_assertion(pat.body, tgt.body, holes, prev, eq, env_p, env_t)]
+    if isinstance(pat, Pred) and (pat.name != tgt.name or len(pat.args) != len(tgt.args)):
+        return []
+    return _match_all(((_renamed(p, env_p), _renamed(t, env_t))
+                       for p, t in zip(assertion_terms(pat), assertion_terms(tgt))),
+                      holes, binding, eq)

@@ -42,11 +42,6 @@ class CheckError(Exception):
 STATS = {"term": 0, "assertion": 0}
 
 
-def reset_stats() -> None:
-    STATS["term"] = 0
-    STATS["assertion"] = 0
-
-
 # ---------------------------------------------------------------------------
 # term proofs
 

@@ -14,7 +14,10 @@ Search strategy is fixed:
      hypotheses, closed under pair/enc/constructor congruence, pair
      projection, and enc projection guarded by derivability of both inverse
      keys; every merge is justified by a proof-forest edge;
-  5. goal decomposition modulo the classes.
+  5. goal decomposition modulo the classes; an existential goal takes its
+     witness candidates from E-matching its subassertions against the
+     hypotheses and classes (`assertions.match_assertion` with the branch
+     as the equality).
 
 A branch holding two distinct basics in one class is inconsistent and proves
 anything.  The safe mode disables steps 1 and 3 (the rules unsound for
@@ -40,6 +43,8 @@ from .assertions import (
     SentT,
     assertion_terms,
     assertion_vars,
+    match_assertion,
+    match_term,
     normalize,
     sorted_assertions,
     substitute,
@@ -588,7 +593,7 @@ class _BranchProver:
 
     # -- matching modulo classes
 
-    def _class_eq(self, a: Term, b: Term) -> bool:
+    def same(self, a: Term, b: Term) -> bool:
         if a == b:
             return True
         if has_bound_name(a) or has_bound_name(b):
@@ -596,6 +601,13 @@ class _BranchProver:
         self.cc.add_term(a)
         self.cc.add_term(b)
         return self.cc.same(a, b)
+
+    def members(self, t: Term) -> list[Term]:
+        """The terms of t's class, or t alone when the classes hold no such
+        term; with `same`, the equality `match_term` works modulo."""
+        if t in self.cc and not has_bound_name(t):
+            return self.cc.class_members(t)
+        return [t]
 
     def match_terms(self, h: Term, g: Term, path: tuple, binders: frozenset[str]):
         """Rewrite pairs turning h into g, or None.  Prefers descending into
@@ -624,7 +636,7 @@ class _BranchProver:
             return descend
         blocked = binders & ({v.name for v in iter_subterms(h) if isinstance(v, Var)}
                              | {v.name for v in iter_subterms(g) if isinstance(v, Var)})
-        if not blocked and self._class_eq(h, g):
+        if not blocked and self.same(h, g):
             return [(path, h, g)]
         return None
 
@@ -819,7 +831,8 @@ class _BranchProver:
 
     def _ematch_sub(self, pattern: Assertion, var: str):
         """Bind var by matching a goal subassertion against hypotheses (and,
-        for equations, against congruence classes)."""
+        for equations, against congruence classes), with the shared matcher
+        of `assertions` working modulo this branch (`same`, `members`)."""
         holes = {var} | {n for n in assertion_vars(pattern) if n.startswith("%")}
         results: list[Term] = []
         if isinstance(pattern, Eq):
@@ -832,11 +845,11 @@ class _BranchProver:
                     self.cc.add_term(other)
                     targets = self.cc.class_members(other)
                 for tgt in targets:
-                    for b in _ematch_term(self, pat, tgt, holes, {}):
+                    for b in match_term(pat, tgt, holes, {}, self):
                         if var in b:
                             results.append(b[var])
         for hyp in self.node.sorted_hyps:
-            for b in _ematch_assertion(self, pattern, hyp, holes):
+            for b in match_assertion(pattern, hyp, holes, {}, self):
                 if var in b:
                     results.append(b[var])
         return results
@@ -887,125 +900,6 @@ def _subassertions(a: Assertion):
         yield from _subassertions(a.body)
     elif isinstance(a, (Says, SentA)):
         yield from _subassertions(a.body)
-
-
-def _ematch_term(pr: _BranchProver, pat: Term, tgt: Term, holes: set[str],
-                 binding: dict) -> list[dict]:
-    if isinstance(pat, Var) and pat.name in holes:
-        bound = binding.get(pat.name)
-        if bound is not None:
-            return [binding] if pr._class_eq(bound, tgt) else []
-        if has_bound_name(tgt):
-            return []
-        return [{**binding, pat.name: tgt}]
-    if pat == tgt:
-        return [binding]
-    if not has_bound_name(pat) and pr._class_eq(pat, tgt):
-        return [binding]
-    results: list[dict] = []
-    members = pr.cc.class_members(tgt) \
-        if (tgt in pr.cc and not has_bound_name(tgt)) else [tgt]
-    for m in members:
-        if type(m) is not type(pat):
-            continue
-        if isinstance(pat, Pair):
-            for b1 in _ematch_term(pr, pat.left, m.left, holes, binding):
-                results.extend(_ematch_term(pr, pat.right, m.right, holes, b1))
-        elif isinstance(pat, Enc):
-            for b1 in _ematch_term(pr, pat.body, m.body, holes, binding):
-                results.extend(_ematch_term(pr, pat.key, m.key, holes, b1))
-        elif isinstance(pat, App):
-            if pat.ctor != m.ctor or len(pat.args) != len(m.args):
-                continue
-            partial = [binding]
-            for pa, ma in zip(pat.args, m.args):
-                nxt = []
-                for b in partial:
-                    nxt.extend(_ematch_term(pr, pa, ma, holes, b))
-                partial = nxt
-            results.extend(partial)
-    return results
-
-
-def _ematch_assertion(pr: _BranchProver, pat: Assertion, hyp: Assertion,
-                      holes: set[str], env_p: dict | None = None,
-                      env_h: dict | None = None,
-                      binding: dict | None = None) -> list[dict]:
-    # bound variables on both sides are renamed to shared rigid tokens, so
-    # binder structure must align and never leaks into hole bindings
-    env_p = env_p or {}
-    env_h = env_h or {}
-    binding = binding or {}
-    if isinstance(pat, Exists):
-        if not isinstance(hyp, Exists):
-            return []
-        token = f"%b{len(env_p)}"
-        return _ematch_assertion(pr, pat.body, hyp.body, holes,
-                                 {**env_p, pat.var: token},
-                                 {**env_h, hyp.var: token}, binding)
-    if type(pat) is not type(hyp):
-        return []
-    if isinstance(pat, (And, Or)):
-        out = []
-        for b1 in _ematch_assertion(pr, pat.left, hyp.left, holes, env_p, env_h, binding):
-            out.extend(_ematch_assertion(pr, pat.right, hyp.right, holes,
-                                         env_p, env_h, b1))
-        return out
-    if isinstance(pat, (Says, SentA)):
-        out = []
-        for b1 in _ematch_agent(pr, pat.agent, hyp.agent, holes, env_p, env_h, binding):
-            out.extend(_ematch_assertion(pr, pat.body, hyp.body, holes,
-                                         env_p, env_h, b1))
-        return out
-    if isinstance(pat, SentT):
-        out = []
-        for b1 in _ematch_agent(pr, pat.agent, hyp.agent, holes, env_p, env_h, binding):
-            out.extend(_ematch_env_term(pr, pat.term, hyp.term, holes, env_p, env_h, b1))
-        return out
-    if isinstance(pat, Eq):
-        out = []
-        for b1 in _ematch_env_term(pr, pat.lhs, hyp.lhs, holes, env_p, env_h, binding):
-            out.extend(_ematch_env_term(pr, pat.rhs, hyp.rhs, holes, env_p, env_h, b1))
-        return out
-    if isinstance(pat, Pred):
-        if pat.name != hyp.name or len(pat.args) != len(hyp.args):
-            return []
-        partial = [binding]
-        for pa, ha in zip(pat.args, hyp.args):
-            nxt = []
-            for b in partial:
-                nxt.extend(_ematch_env_term(pr, pa, ha, holes, env_p, env_h, b))
-            partial = nxt
-        return partial
-    return []
-
-
-def _rename(t: Term, env: dict) -> Term:
-    from .terms import subst_term
-
-    if not env:
-        return t
-    return subst_term(t, {k: Var(v) for k, v in env.items()})
-
-
-def _ematch_agent(pr: _BranchProver, pat: Term, tgt: Term, holes: set[str],
-                  env_p: dict, env_h: dict, binding: dict) -> list[dict]:
-    pat = _rename(pat, env_p)
-    tgt = _rename(tgt, env_h)
-    if isinstance(pat, Var) and pat.name in holes:
-        bound = binding.get(pat.name)
-        if bound is not None:
-            return [binding] if bound == tgt else []
-        if has_bound_name(tgt):
-            return []
-        return [{**binding, pat.name: tgt}]
-    return [binding] if pat == tgt else []
-
-
-def _ematch_env_term(pr: _BranchProver, pat: Term, tgt: Term, holes: set[str],
-                     env_p: dict, env_h: dict, binding: dict) -> list[dict]:
-    return _ematch_term(pr, _rename(pat, env_p), _rename(tgt, env_h), binding=binding,
-                        holes=holes)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .syntax import Declarations
 from .terms import (
     AGENT,
     Basic,
-    KEY,
     NONCE,
     Term,
     Var,
@@ -83,16 +82,6 @@ class Protocol:
     decls: Declarations
     roles: dict[str, Role]
     phases: tuple[str, ...] = ()
-
-    def agent_names(self) -> list[str]:
-        return sorted(self.decls.agents)
-
-    def constants(self) -> list[Basic]:
-        d = self.decls
-        out = [Basic(n, AGENT) for n in sorted(d.agents)]
-        out += [Basic(n, NONCE) for n in sorted(d.nonces)]
-        out += [Basic(n, KEY) for n in sorted(d.keys)]
-        return out
 
 
 @dataclass(frozen=True)
@@ -173,7 +162,6 @@ def validate_protocol(proto: Protocol) -> list[Diagnostic]:
 
 
 def action_subst(act: Action, sigma: dict[str, Term]) -> Action:
-    sigma = {k: v for k, v in sigma.items() if k not in act.fresh}
     return Action(
         act.kind,
         subst_term(act.agent, sigma),
@@ -204,4 +192,7 @@ def suitable(sigma: dict[str, Term], role: Role, proto: Protocol) -> bool:
 
 
 def instantiate(role: Role, sigma: dict[str, Term]) -> tuple[Action, ...]:
-    return tuple(action_subst(a, sigma) for a in role.actions)
+    """The role's actions under sigma; each action's fresh variables stay
+    free, whatever sigma says of them."""
+    return tuple(action_subst(a, {k: v for k, v in sigma.items() if k not in a.fresh})
+                 for a in role.actions)

@@ -6,12 +6,13 @@ plus a distinguished network observer who sees every message.  One rule,
 `check_step`, decides whether an instantiated action may fire: send actions
 require the payload to be derivable and the attached assertion to be
 derivable without the composition-unsound rules; receives bind variables by
-matching patterns against prior traffic and are enabled only if the observer
-could produce the message; confirm needs a full derivation, deny a definite
-refusal (a budget-capped refusal blocks and is reported); insert always
-fires but warns when it makes the agent's own theory inconsistent.  The
-scheduler asks it which steps are enabled, and `validate_run` asks it of
-every recorded step.
+matching patterns against prior traffic (the shared matcher of `assertions`,
+under `SYNTACTIC`) and are enabled only if the observer could produce the
+message; confirm needs a full derivation, deny a definite refusal (a
+budget-capped refusal blocks and is reported); insert always fires but
+warns when it makes the agent's own theory inconsistent.  The scheduler asks
+it which steps are enabled, and `validate_run` asks it of every recorded
+step.
 
 Knowledge is immutable: applying a step swaps in an extended `Knowledge` for
 the agents it changes, and a copied state shares the rest.  The contexts
@@ -36,19 +37,15 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .assertions import (
-    And,
+    SYNTACTIC,
     Assertion,
-    Eq,
-    Exists,
-    Or,
-    Pred,
-    Says,
     SentA,
     SentT,
     assertion_terms,
+    match_assertion,
+    match_term,
     normalize,
     sorted_assertions,
-    substitute,
 )
 from .dy import DYContext
 from .engine import (
@@ -58,7 +55,7 @@ from .engine import (
     SearchBudget,
     Verdict,
 )
-from .protocol import Action, Protocol
+from .protocol import Action, Protocol, action_subst
 from .syntax import Declarations, ParseError, parse_term, print_term
 from .terms import (
     AGENT,
@@ -67,12 +64,9 @@ from .terms import (
     Enc,
     KEY,
     NONCE,
-    Pair,
     Term,
     Var,
-    has_bound_name,
     iter_subterms,
-    subst_term,
 )
 
 
@@ -224,89 +218,14 @@ def initial_state(proto: Protocol, setup: Setup) -> WorldState:
 
 
 # ---------------------------------------------------------------------------
-# syntactic pattern matching (binds free variables, rigid elsewhere)
-
-def match_term(pat: Term, tgt: Term, binding: dict[str, Term]) -> dict[str, Term] | None:
-    if isinstance(pat, Var):
-        if pat.name.startswith("%"):
-            return binding if pat == tgt else None
-        bound = binding.get(pat.name)
-        if bound is not None:
-            return binding if bound == tgt else None
-        if has_bound_name(tgt):
-            return None
-        return {**binding, pat.name: tgt}
-    if isinstance(pat, Basic):
-        return binding if pat == tgt else None
-    if type(pat) is not type(tgt):
-        return None
-    if isinstance(pat, Pair):
-        b = match_term(pat.left, tgt.left, binding)
-        return match_term(pat.right, tgt.right, b) if b is not None else None
-    if isinstance(pat, Enc):
-        b = match_term(pat.body, tgt.body, binding)
-        return match_term(pat.key, tgt.key, b) if b is not None else None
-    if isinstance(pat, App):
-        if pat.ctor != tgt.ctor or len(pat.args) != len(tgt.args):
-            return None
-        b: dict[str, Term] | None = binding
-        for x, y in zip(pat.args, tgt.args):
-            b = match_term(x, y, b)
-            if b is None:
-                return None
-        return b
-    return None
-
-
-def match_assertion(pat: Assertion, tgt: Assertion,
-                    binding: dict[str, Term]) -> dict[str, Term] | None:
-    if type(pat) is not type(tgt):
-        return None
-    if isinstance(pat, (And, Or)):
-        b = match_assertion(pat.left, tgt.left, binding)
-        return match_assertion(pat.right, tgt.right, b) if b is not None else None
-    if isinstance(pat, Exists):
-        if pat.var != tgt.var:
-            return None
-        return match_assertion(pat.body, tgt.body, binding)
-    if isinstance(pat, (Says, SentA)):
-        b = match_term(pat.agent, tgt.agent, binding)
-        return match_assertion(pat.body, tgt.body, b) if b is not None else None
-    if isinstance(pat, SentT):
-        b = match_term(pat.agent, tgt.agent, binding)
-        return match_term(pat.term, tgt.term, b) if b is not None else None
-    if isinstance(pat, Eq):
-        b = match_term(pat.lhs, tgt.lhs, binding)
-        return match_term(pat.rhs, tgt.rhs, b) if b is not None else None
-    if isinstance(pat, Pred):
-        if pat.name != tgt.name or len(pat.args) != len(tgt.args):
-            return None
-        b: dict[str, Term] | None = binding
-        for x, y in zip(pat.args, tgt.args):
-            b = match_term(x, y, b)
-            if b is None:
-                return None
-        return b
-    return None
-
-
-# ---------------------------------------------------------------------------
 # instantiation helpers
-
-def _apply(action: Action, sigma: dict[str, Term]) -> Action:
-    agent = sigma.get(action.agent.name, action.agent) if isinstance(action.agent, Var) \
-        else action.agent
-    term = subst_term(action.term, sigma) if action.term is not None else None
-    assertion = substitute(action.assertion, sigma) if action.assertion is not None else None
-    return Action(action.kind, agent, action.fresh, term, assertion, action.phase)
-
 
 def _instantiate(action: Action, sigma: dict[str, Term],
                  fresh: tuple[tuple[str, Basic], ...],
                  binds: tuple[tuple[str, Term], ...]) -> Action | None:
     """The action under a session's sigma extended by its fresh values and
     then its bindings, or None when that leaves a variable free."""
-    inst = _apply(action, {**sigma, **dict(fresh), **dict(binds)})
+    inst = action_subst(action, {**sigma, **dict(fresh), **dict(binds)})
     return inst if inst.is_ground() else None
 
 
@@ -343,25 +262,21 @@ def _traffic_binds(state: WorldState, action: Action, sigma: dict[str, Term],
     """Distinct bindings under which a receive pattern matches a message on
     the network, in traffic order.  With synth, each message may also come
     with any assertion the observer holds."""
-    pat = _apply(action, sigma)
+    pat = action_subst(action, sigma)
+    holes = pat.used_vars()
     pairs: list[tuple[Term, Assertion | None]] = [
         (tr.term, tr.assertion) for tr in state.traffic]
     if synth and action.assertion is not None:
-        intr = state.knowledge[state.setup.intruder]
-        pairs += [(tr.term, a) for tr in state.traffic
-                  for a in sorted_assertions(intr.assertions)]
+        said = sorted_assertions(state.knowledge[state.setup.intruder].assertions)
+        pairs += [(tr.term, a) for tr in state.traffic for a in said]
     out: dict[tuple[tuple[str, Term], ...], None] = {}
     for term, assertion in pairs:
-        b = match_term(pat.term, term, {})
-        if b is None:
-            continue
-        if pat.assertion is not None:
-            if assertion is None:
-                continue
-            b = match_assertion(substitute(pat.assertion, b), assertion, b)
-            if b is None:
-                continue
-        out[tuple(sorted(b.items()))] = None
+        found = match_term(pat.term, term, holes, {}, SYNTACTIC)
+        if found and pat.assertion is not None:
+            found = [] if assertion is None else match_assertion(
+                pat.assertion, assertion, holes, found[0], SYNTACTIC)
+        if found:
+            out[tuple(sorted(found[0].items()))] = None
     return list(out)
 
 

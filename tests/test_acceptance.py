@@ -43,11 +43,11 @@ from protassert.builtins import (
     default_helios_setup,
 )
 from protassert.checker import replay_assertion_proof, replay_term_proof
+from protassert.protocol import action_subst
 from protassert.runtime import (
     Run,
     SessionState,
     Step,
-    _apply,
     _copy_state,
     apply_candidate,
     candidates_for,
@@ -358,7 +358,7 @@ def test_criterion_6_replay_and_double_vote_prevention():
     # missing certificate
     admin = hp.roles["admin"]
     sigma = {"id": Basic("Adm", "agent"), "W1": I, "w1": v0}
-    forced = _apply(admin.actions[0], sigma)
+    forced = action_subst(admin.actions[0], sigma)
     hs2 = Setup(sessions=[*hs.sessions, ("admin", {"id": Basic("Adm", "agent")})],
                 agent_terms=hs.agent_terms,
                 agent_assertions=hs.agent_assertions,
@@ -414,9 +414,9 @@ def test_criterion_6_replay_and_double_vote_prevention():
                 intruder=fs.intruder)
     extra = len(fs2.sessions)
     fsteps = list(frun.steps) + [
-        Step(extra, _apply(auth.actions[0], sigma),
+        Step(extra, action_subst(auth.actions[0], sigma),
              binds=(("W", Basic("V0", "agent")), ("env", d))),
-        Step(extra, _apply(auth.actions[1], sigma)),
+        Step(extra, action_subst(auth.actions[1], sigma)),
     ]
     ok, why, _ = validate_run(Run(fp, fs2, None, fsteps, complete=False))
     if ok:
@@ -438,7 +438,7 @@ def test_criterion_6_replay_and_double_vote_prevention():
     st.sessions.append(SessionState("authority", {"id": Auth}))
     j = len(st.sessions) - 1
     sigma = {"id": Auth, "W": I, "env": d}
-    recv = _apply(auth.actions[0], sigma)
+    recv = action_subst(auth.actions[0], sigma)
     apply_candidate(st, Step(j + 1, recv, binds=(("W", I), ("env", d))))
     for _ in range(2):  # deny passes (no prior vote), insert records it
         cs, wedged = candidates_for(st, j)

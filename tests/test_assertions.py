@@ -20,13 +20,20 @@ from protassert import (
     normalize,
     substitute,
 )
+from protassert.anonymity import _TemplateGen
 from protassert.assertions import (
+    SYNTACTIC,
     assertion_terms,
     map_terms,
+    match_assertion,
+    match_term,
     reveals,
     sorted_assertions,
     substitute_raw,
 )
+from protassert.builtins import builtin_foo, builtin_helios
+from protassert.engine import DeriveContext, _BranchProver, _Counters
+from protassert.terms import App, iter_subterms, subst_term
 
 A = Basic("A", "agent")
 B = Basic("B", "agent")
@@ -129,3 +136,89 @@ def test_substitute_ground_closes_property():
         a = _rand_assertion(rng, 3)
         sigma = {v: n for v in free_vars(a)}
         assert is_closed(substitute(a, sigma))
+
+
+HANDLES = ("_h1", "_h2", "_h3")
+
+
+def _generators(seed: int):
+    """Per builtin protocol, an observer test generator over the handles
+    and one that draws closed terms and assertions."""
+    for i, proto in enumerate((builtin_foo(), builtin_helios())):
+        yield (_TemplateGen(random.Random(seed + i), proto, "I", len(HANDLES), 3),
+               _TemplateGen(random.Random(seed + 100 + i), proto, "I", 0, 2))
+
+
+def test_syntactic_match_recovers_the_substituted_values():
+    checked = 0
+    for templates, closed in _generators(41):
+        for _ in range(300):
+            pat = templates.next()
+            values = {h: closed.term(2, []) for h in HANDLES}
+            try:
+                tgt = substitute(pat, values)
+            except ValueError:  # a value that is no key landed in key position
+                continue
+            found = match_assertion(pat, tgt, HANDLES, {}, SYNTACTIC)
+            assert found == [{h: values[h] for h in HANDLES if h in free_vars(pat)}]
+            checked += 1
+    assert checked >= 300
+
+
+def _fill(t, rng: random.Random, pool: list):
+    """t with each occurrence of a handle replaced by its own draw from pool."""
+    if isinstance(t, Var) and t.name in HANDLES:
+        return rng.choice(pool)
+    if isinstance(t, Pair):
+        return Pair(_fill(t.left, rng, pool), _fill(t.right, rng, pool))
+    if isinstance(t, Enc):
+        return Enc(_fill(t.body, rng, pool), _fill(t.key, rng, pool))
+    if isinstance(t, App):
+        return App(t.ctor, tuple(_fill(x, rng, pool) for x in t.args))
+    return t
+
+
+def test_every_syntactic_match_instantiates_the_pattern_to_the_target():
+    """Targets are unrelated closed assertions, or the pattern with every
+    handle occurrence filled independently, so repeated handles may clash."""
+    rng = random.Random(44)
+    matched = missed = 0
+    for templates, closed in _generators(43):
+        for _ in range(500):
+            pat = templates.next()
+            pool = [closed.term(1, []), rng.choice(closed.keys)]
+            try:
+                filled = normalize(map_terms(pat, lambda t: _fill(t, rng, pool)))
+            except ValueError:  # a value that is no key landed in key position
+                filled = closed.next()
+            for tgt in (closed.next(), filled):
+                found = match_assertion(pat, tgt, HANDLES, {}, SYNTACTIC)
+                for b in found:
+                    assert substitute(pat, b) == tgt
+                matched += len(found)
+                missed += not found
+    assert matched > 100 and missed > 100
+
+
+def test_matching_modulo_classes_lands_in_the_target_class():
+    a, c = Basic("a", "nonce"), Basic("c", "nonce")
+    ctx = DeriveContext((), [Eq(a, Pair(n, k))])
+    prover = _BranchProver(ctx, ctx.root, ctx.root.cc.clone(), _Counters(ctx.budget))
+    pat = Pair(Var("_h1"), Var("_h2"))
+    assert match_term(pat, a, HANDLES, {}, prover) == [{"_h1": n, "_h2": k}]
+    assert match_term(pat, a, HANDLES, {}, SYNTACTIC) == []
+    matched = syntactic = 0
+    for templates, closed in _generators(47):
+        hyps = [Eq(a, closed.term(2, [])), Eq(c, closed.term(2, []))]
+        ctx = DeriveContext((), hyps)
+        prover = _BranchProver(ctx, ctx.root, ctx.root.cc.clone(), _Counters(ctx.budget))
+        targets = sorted({s for t in assertion_terms(And(*hyps)) for s in iter_subterms(t)},
+                         key=repr)
+        for _ in range(200):
+            pat = templates.term(2, [])
+            for tgt in targets:
+                for b in match_term(pat, tgt, HANDLES, {}, prover):
+                    assert prover.same(subst_term(pat, b), tgt)
+                    matched += 1
+                syntactic += len(match_term(pat, tgt, HANDLES, {}, SYNTACTIC))
+    assert matched > syntactic

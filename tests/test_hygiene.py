@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports from a sibling module is used.
+"""Source hygiene: every name a module imports from a sibling module is
+used, and every function or method the package defines is referenced.
 
 The package re-exports its public names from ``__init__.py``, so that file
 is the one module allowed to import names it does not use itself.
@@ -8,7 +9,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "protassert"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "protassert"
 
 
 def _unused_sibling_imports(source: str) -> list[str]:
@@ -33,3 +35,46 @@ def test_no_module_imports_a_sibling_name_it_never_uses():
     assert modules
     unused = {p.name: _unused_sibling_imports(p.read_text()) for p in modules}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def _defined_functions(source: str) -> dict[str, int]:
+    """Non-dunder functions and methods, by name, with a defining line."""
+    tree = ast.parse(source)
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _referenced_names(source: str) -> set[str]:
+    """Names read, attributes taken and names imported."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def _unreferenced_functions(defining: dict[str, str], referencing: list[str]) -> list[str]:
+    used: set[str] = set()
+    for source in referencing:
+        used |= _referenced_names(source)
+    return [f"{label}:{line}: {name}" for label, source in sorted(defining.items())
+            for name, line in sorted(_defined_functions(source).items())
+            if name not in used]
+
+
+def test_the_scan_flags_an_unreferenced_function():
+    module = "def kept():\n    pass\n\n\nclass C:\n    def dead(self):\n        pass\n\n" \
+             "    def __repr__(self):\n        return ''\n"
+    caller = "from m import kept\n"
+    assert _unreferenced_functions({"m.py": module}, [module, caller]) == ["m.py:6: dead"]
+
+
+def test_every_function_and_method_is_referenced():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert _unreferenced_functions(package, [*package.values(), *tests]) == []

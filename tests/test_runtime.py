@@ -34,10 +34,8 @@ from protassert.runtime import (
     candidates_for,
     check_step,
     enabled_actions,
-    match_assertion,
-    match_term,
 )
-from protassert.assertions import Eq, Exists, Pred
+from protassert.assertions import SYNTACTIC, Eq, Exists, Pred, match_assertion, match_term
 from protassert import dy, engine
 
 
@@ -48,21 +46,23 @@ def foo():
 def test_match_term_binds_free_variables():
     n = Basic("n", "nonce")
     k = Basic("k", "key")
-    b = match_term(Pair(Var("x"), Var("y")), Pair(n, k), {})
-    assert b == {"x": n, "y": k}
-    assert match_term(Var("x"), n, {"x": k}) is None
-    assert match_term(Enc(Var("x"), k), Enc(n, k), {}) == {"x": n}
+    holes = {"x", "y"}
+    b = match_term(Pair(Var("x"), Var("y")), Pair(n, k), holes, {}, SYNTACTIC)
+    assert b == [{"x": n, "y": k}]
+    assert match_term(Var("x"), n, holes, {"x": k}, SYNTACTIC) == []
+    assert match_term(Enc(Var("x"), k), Enc(n, k), holes, {}, SYNTACTIC) == [{"x": n}]
 
 
 def test_match_assertion_requires_same_shape():
     n = Basic("n", "nonce")
     m = Basic("m", "nonce")
-    got = match_assertion(Pred("p", (Var("x"),)), Pred("p", (n,)), {})
-    assert got == {"x": n}
-    assert match_assertion(Pred("p", (Var("x"),)), Pred("q", (n,)), {}) is None
+    got = match_assertion(Pred("p", (Var("x"),)), Pred("p", (n,)), {"x"}, {}, SYNTACTIC)
+    assert got == [{"x": n}]
+    assert match_assertion(Pred("p", (Var("x"),)), Pred("q", (n,)), {"x"}, {},
+                           SYNTACTIC) == []
     pat = Exists("%1", Eq(Var("%1"), Var("w")))
     tgt = Exists("%1", Eq(Var("%1"), m))
-    assert match_assertion(pat, tgt, {}) == {"w": m}
+    assert match_assertion(pat, tgt, {"w"}, {}, SYNTACTIC) == [{"w": m}]
 
 
 def test_initial_knowledge_is_public_plus_own_secrets():
