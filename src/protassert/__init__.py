@@ -41,7 +41,7 @@ from .builtins import (
     default_helios_setup,
 )
 from .checker import replay_assertion_proof, replay_term_proof
-from .dy import DYContext, TermProof, derivable_from, dy_derive
+from .dy import DYContext, TermProof, dy_derive
 from .engine import (
     DEFAULT_BUDGET,
     DeriveContext,
@@ -87,7 +87,7 @@ __all__ = [
     "builtin_foo_linked", "builtin_helios", "builtin_setup",
     "default_foo_setup", "default_helios_setup",
     "replay_assertion_proof", "replay_term_proof",
-    "DYContext", "TermProof", "derivable_from", "dy_derive",
+    "DYContext", "TermProof", "dy_derive",
     "DEFAULT_BUDGET", "DeriveContext", "ProofNode", "SearchBudget",
     "Verdict", "derive", "derive_safe",
     "Action", "Protocol", "Role", "validate_protocol",

@@ -1,10 +1,14 @@
 """Assertion language: equalities, predicates, conjunction, disjunction,
 existentials, says, and sent facts over terms.
 
-Internally every stored assertion is alpha-normalized: bound variables are
-renamed to reserved names %1, %2, ... in preorder.  Those names cannot be
-produced by the parser, so substitution for free variables can never capture
-and structural equality coincides with alpha-equivalence.
+Every rebuild that touches binders is one walk, `rebind`, which replaces
+free variables and renames each binder in the same pass: a binder of the
+input cannot capture an image by construction, whatever its name.
+Normalization, substitution and the printer's readable names are `rebind`
+under different renamings.  Stored assertions are alpha-normal: bound
+variables are the reserved names %1, %2, ... in preorder, which the parser
+cannot produce and no substituted image mentions, so structural equality
+coincides with alpha-equivalence.
 
 The one pattern matcher, `match_term`/`match_assertion`, lives here too.  It
 binds a pattern's holes so that the pattern equals a target modulo an
@@ -13,6 +17,7 @@ engine binds witness candidates modulo a branch's congruence classes.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .terms import (
@@ -80,29 +85,25 @@ class SentA(Assertion):
     body: Assertion
 
 
-def _map_terms(a: Assertion, f) -> Assertion:
+def map_terms(a: Assertion, f) -> Assertion:
+    """Apply f to every term position (agents included); binders untouched."""
     if isinstance(a, Eq):
         return Eq(f(a.lhs), f(a.rhs))
     if isinstance(a, Pred):
         return Pred(a.name, tuple(f(t) for t in a.args))
     if isinstance(a, And):
-        return And(_map_terms(a.left, f), _map_terms(a.right, f))
+        return And(map_terms(a.left, f), map_terms(a.right, f))
     if isinstance(a, Or):
-        return Or(_map_terms(a.left, f), _map_terms(a.right, f))
+        return Or(map_terms(a.left, f), map_terms(a.right, f))
     if isinstance(a, Exists):
-        return Exists(a.var, _map_terms(a.body, f))
+        return Exists(a.var, map_terms(a.body, f))
     if isinstance(a, Says):
-        return Says(f(a.agent), _map_terms(a.body, f))
+        return Says(f(a.agent), map_terms(a.body, f))
     if isinstance(a, SentT):
         return SentT(f(a.agent), f(a.term))
     if isinstance(a, SentA):
-        return SentA(f(a.agent), _map_terms(a.body, f))
+        return SentA(f(a.agent), map_terms(a.body, f))
     raise TypeError(f"not an assertion: {a!r}")
-
-
-def map_terms(a: Assertion, f) -> Assertion:
-    """Apply f to every term position (agents included); binders untouched."""
-    return _map_terms(a, f)
 
 
 def assertion_terms(a: Assertion) -> list[Term]:
@@ -162,49 +163,34 @@ def is_closed(a: Assertion) -> bool:
     return not free_vars(a)
 
 
+def rebind(a: Assertion, env: dict[str, Term], rename) -> Assertion:
+    """Rebuild a in one pass: each free variable named in env becomes its
+    image, and each binder x becomes rename(x), called in preorder.  Under
+    a binder, its own name hides whatever image env gives that name."""
+    if isinstance(a, Exists):
+        fresh = rename(a.var)
+        return Exists(fresh, rebind(a.body, {**env, a.var: Var(fresh)}, rename))
+    if isinstance(a, (And, Or)):
+        return type(a)(rebind(a.left, env, rename), rebind(a.right, env, rename))
+    if isinstance(a, (Says, SentA)):
+        return type(a)(subst_term(a.agent, env), rebind(a.body, env, rename))
+    return map_terms(a, lambda t: subst_term(t, env))
+
+
+def numbered():
+    """A binder renaming that yields the reserved names %1, %2, ... in turn."""
+    count = itertools.count(1)
+    return lambda _old: f"%{next(count)}"
+
+
 def normalize(a: Assertion) -> Assertion:
     """Alpha-normal form: bound variables become %1, %2, ... in preorder."""
-    counter = [0]
-
-    def walk(a: Assertion, env: dict[str, Term]) -> Assertion:
-        if isinstance(a, Exists):
-            counter[0] += 1
-            fresh = f"%{counter[0]}"
-            return Exists(fresh, walk(a.body, {**env, a.var: Var(fresh)}))
-        if isinstance(a, And):
-            return And(walk(a.left, env), walk(a.right, env))
-        if isinstance(a, Or):
-            return Or(walk(a.left, env), walk(a.right, env))
-        if isinstance(a, Says):
-            return Says(subst_term(a.agent, env), walk(a.body, env))
-        if isinstance(a, SentA):
-            return SentA(subst_term(a.agent, env), walk(a.body, env))
-        return _map_terms(a, lambda t: subst_term(t, env))
-
-    return walk(a, {})
+    return rebind(a, {}, numbered())
 
 
 def substitute(a: Assertion, sigma: dict[str, Term]) -> Assertion:
-    """Capture-avoiding substitution; the result is re-normalized.
-
-    Safe because bound names are reserved (%n) and substitution images never
-    contain them, so naive replacement cannot capture."""
-    return normalize(substitute_raw(a, sigma))
-
-
-def substitute_raw(a: Assertion, sigma: dict[str, Term]) -> Assertion:
-    if isinstance(a, Exists):
-        inner = {k: v for k, v in sigma.items() if k != a.var}
-        return Exists(a.var, substitute_raw(a.body, inner))
-    if isinstance(a, And):
-        return And(substitute_raw(a.left, sigma), substitute_raw(a.right, sigma))
-    if isinstance(a, Or):
-        return Or(substitute_raw(a.left, sigma), substitute_raw(a.right, sigma))
-    if isinstance(a, Says):
-        return Says(subst_term(a.agent, sigma), substitute_raw(a.body, sigma))
-    if isinstance(a, SentA):
-        return SentA(subst_term(a.agent, sigma), substitute_raw(a.body, sigma))
-    return _map_terms(a, lambda t: subst_term(t, sigma))
+    """Capture-avoiding substitution, with the result in alpha-normal form."""
+    return rebind(a, sigma, numbered())
 
 
 def reveals(a: Assertion) -> frozenset[Term]:

@@ -97,7 +97,6 @@ def builtin_helios() -> Protocol:
 BUILTINS = {
     "foo": builtin_foo,
     "foo-linked": builtin_foo_linked,
-    "foo_linked": builtin_foo_linked,
     "helios": builtin_helios,
 }
 

@@ -173,7 +173,7 @@ def cmd_anonymity(args) -> int:
     try:
         name, proto = _load_protocol(args.protocol)
         setup = _setup_for(args, name, proto, anonymity=True)
-    except (OSError, KeyError) as e:
+    except (OSError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EX_USAGE
     except ParseError as e:

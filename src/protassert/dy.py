@@ -90,11 +90,6 @@ def _synth_ok(S: frozenset[Term], t: Term, vars_axiomatic: bool = True) -> bool:
     return False  # basics and key-constructor applications are atomic
 
 
-def derivable_from(S: frozenset[Term], t: Term) -> bool:
-    """Composition check against an already-analyzed set."""
-    return _synth_ok(S, t)
-
-
 def _analysis_proof(t: Term, prov: Provenance, memo: dict) -> TermProof:
     if t in memo:
         return memo[t]

@@ -45,7 +45,6 @@ from .assertions import (
     match_assertion,
     match_term,
     normalize,
-    sorted_assertions,
 )
 from .dy import DYContext
 from .engine import (
@@ -56,7 +55,7 @@ from .engine import (
     Verdict,
 )
 from .protocol import Action, Protocol, action_subst
-from .syntax import Declarations, ParseError, parse_term, print_term
+from .syntax import Declarations, ParseError, _split_commas, parse_term, print_term
 from .terms import (
     AGENT,
     App,
@@ -257,24 +256,18 @@ def _allocate_fresh(state: WorldState, session_index: int,
     return tuple(out)
 
 
-def _traffic_binds(state: WorldState, action: Action, sigma: dict[str, Term],
-                   synth: bool) -> list[tuple[tuple[str, Term], ...]]:
+def _traffic_binds(state: WorldState, action: Action,
+                   sigma: dict[str, Term]) -> list[tuple[tuple[str, Term], ...]]:
     """Distinct bindings under which a receive pattern matches a message on
-    the network, in traffic order.  With synth, each message may also come
-    with any assertion the observer holds."""
+    the network, in traffic order."""
     pat = action_subst(action, sigma)
     holes = pat.used_vars()
-    pairs: list[tuple[Term, Assertion | None]] = [
-        (tr.term, tr.assertion) for tr in state.traffic]
-    if synth and action.assertion is not None:
-        said = sorted_assertions(state.knowledge[state.setup.intruder].assertions)
-        pairs += [(tr.term, a) for tr in state.traffic for a in said]
     out: dict[tuple[tuple[str, Term], ...], None] = {}
-    for term, assertion in pairs:
-        found = match_term(pat.term, term, holes, {}, SYNTACTIC)
+    for tr in state.traffic:
+        found = match_term(pat.term, tr.term, holes, {}, SYNTACTIC)
         if found and pat.assertion is not None:
-            found = [] if assertion is None else match_assertion(
-                pat.assertion, assertion, holes, found[0], SYNTACTIC)
+            found = [] if tr.assertion is None else match_assertion(
+                pat.assertion, tr.assertion, holes, found[0], SYNTACTIC)
         if found:
             out[tuple(sorted(found[0].items()))] = None
     return list(out)
@@ -333,8 +326,7 @@ def check_step(state: WorldState, step: Step,
 
 
 def candidates_for(state: WorldState, idx: int,
-                   budget: SearchBudget = DEFAULT_BUDGET,
-                   synth: bool = False) -> tuple[list[Step], bool]:
+                   budget: SearchBudget = DEFAULT_BUDGET) -> tuple[list[Step], bool]:
     """Enabled instantiations of session idx's next action, plus a flag set
     when the session is permanently stuck.  Knowledge only ever grows, so a
     deny whose assertion is already derivable can never fire later."""
@@ -344,7 +336,7 @@ def candidates_for(state: WorldState, idx: int,
         return [], False
     action = role.actions[sess.pc]
     if action.kind == "recv":
-        offers = [((), b) for b in _traffic_binds(state, action, sess.sigma, synth)]
+        offers = [((), b) for b in _traffic_binds(state, action, sess.sigma)]
     else:
         offers = [(_allocate_fresh(state, idx + 1, action), ())]
     found: list[Step] = []
@@ -363,14 +355,14 @@ def candidates_for(state: WorldState, idx: int,
     return found, False
 
 
-def enabled_actions(state: WorldState, budget: SearchBudget = DEFAULT_BUDGET,
-                    synth: bool = False) -> tuple[list[Step], bool]:
+def enabled_actions(state: WorldState,
+                    budget: SearchBudget = DEFAULT_BUDGET) -> tuple[list[Step], bool]:
     """All enabled steps at the lowest enabled phase, plus whether some
     incomplete session can never move again."""
     out: list[Step] = []
     wedged = False
     for i in range(len(state.sessions)):
-        cands, w = candidates_for(state, i, budget, synth)
+        cands, w = candidates_for(state, i, budget)
         out.extend(cands)
         wedged = wedged or w
     if not out:
@@ -439,7 +431,7 @@ def _fingerprint(state: WorldState):
 
 def simulate(proto: Protocol, setup: Setup, seed: int = 0,
              budget: SearchBudget = DEFAULT_BUDGET,
-             synth: bool = False, max_states: int = 20_000) -> tuple[Run, WorldState]:
+             max_states: int = 20_000) -> tuple[Run, WorldState]:
     """Search for a run that completes every session, exploring candidate
     choices depth first in a seeded random order.  Branches where a session
     is permanently stuck are cut early.  Returns the first completing run,
@@ -460,7 +452,7 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
         visited += 1
         if visited > max_states:
             return None
-        cands, wedged = enabled_actions(state, budget, synth)
+        cands, wedged = enabled_actions(state, budget)
         if wedged or not cands:
             if best is None or len(steps) > len(best[0]):
                 best = (steps, state)
@@ -612,7 +604,7 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
         sigma: dict[str, Term] = {}
         rest = m.group(3).strip()
         if rest:
-            for part in rest.split(","):
+            for part in _split_commas(rest):
                 k, _, vtxt = part.partition("=")
                 sigma[k.strip()] = parse_term(vtxt.strip(), decls, f"trace:{i + 1}")
         sessions.append((role, sigma))
@@ -656,22 +648,8 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
                     getattr(decls, "keys" if bsort == KEY else "nonces").add(bname)
                 rest = ("bind " + bind_part) if bind_part else ""
             if rest.startswith("bind"):
-                body = rest[len("bind"):].strip()
-                depth = 0
-                chunks, cur = [], []
-                for ch in body:
-                    if ch in "({":
-                        depth += 1
-                    elif ch in ")}":
-                        depth -= 1
-                    if ch == "," and depth == 0:
-                        chunks.append("".join(cur))
-                        cur = []
-                    else:
-                        cur.append(ch)
-                chunks.append("".join(cur))
-                for chunk in chunks:
-                    k, _, vtxt = chunk.strip().partition("=")
+                for chunk in _split_commas(rest[len("bind"):]):
+                    k, _, vtxt = chunk.partition("=")
                     binds.append((k.strip(), parse_term(vtxt.strip(), decls, loc)))
             elif rest and not rest.startswith("fresh"):
                 raise ParseError(f"bad step suffix {rest!r}", loc)

@@ -20,6 +20,7 @@ deep input never reaches Python's recursion limit here or downstream.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -33,7 +34,9 @@ from .assertions import (
     Says,
     SentA,
     SentT,
+    assertion_vars,
     normalize,
+    rebind,
 )
 from .terms import (
     AGENT,
@@ -46,7 +49,6 @@ from .terms import (
     Pair,
     Term,
     Var,
-    iter_subterms,
 )
 
 
@@ -369,75 +371,19 @@ def print_term(t: Term) -> str:
 _DISPLAY_POOL = ["x", "y", "z", "u", "w", "r", "s", "t", "m", "n"]
 
 
-def _display_names(a: Assertion):
+def _display_names(a: Assertion) -> Assertion:
     """Rename reserved bound names (%n) to readable identifiers."""
-    taken = {v.name for t in _assertion_all_terms(a) for v in iter_subterms(t)
-             if isinstance(v, Var) and not v.name.startswith("%")}
-
-    pool = iter([n for n in _DISPLAY_POOL if n not in taken]
-                + [f"x{i}" for i in range(1, 1000)])
-
-    mapping: dict[str, str] = {}
+    taken = assertion_vars(a)
+    pool = (n for n in itertools.chain(_DISPLAY_POOL, (f"x{i}" for i in range(1, 1000)))
+            if n not in taken)
+    shown: dict[str, str] = {}
 
     def pick(old: str) -> str:
-        if old not in mapping:
-            if old.startswith("%"):
-                nxt = next(pool)
-                while nxt in taken:
-                    nxt = next(pool)
-                taken.add(nxt)
-                mapping[old] = nxt
-            else:
-                mapping[old] = old
-        return mapping[old]
+        if old.startswith("%") and old not in shown:
+            shown[old] = next(pool)
+        return shown.get(old, old)
 
-    def term(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(pick(t.name))
-        if isinstance(t, Pair):
-            return Pair(term(t.left), term(t.right))
-        if isinstance(t, Enc):
-            return Enc(term(t.body), term(t.key))
-        if isinstance(t, App):
-            return App(t.ctor, tuple(term(x) for x in t.args))
-        return t
-
-    def walk(a: Assertion) -> Assertion:
-        if isinstance(a, Exists):
-            return Exists(pick(a.var), walk(a.body))
-        if isinstance(a, And):
-            return And(walk(a.left), walk(a.right))
-        if isinstance(a, Or):
-            return Or(walk(a.left), walk(a.right))
-        if isinstance(a, Says):
-            return Says(term(a.agent), walk(a.body))
-        if isinstance(a, SentA):
-            return SentA(term(a.agent), walk(a.body))
-        if isinstance(a, SentT):
-            return SentT(term(a.agent), term(a.term))
-        if isinstance(a, Eq):
-            return Eq(term(a.lhs), term(a.rhs))
-        if isinstance(a, Pred):
-            return Pred(a.name, tuple(term(x) for x in a.args))
-        raise TypeError(f"not an assertion: {a!r}")
-
-    return walk(a)
-
-
-def _assertion_all_terms(a: Assertion) -> list[Term]:
-    if isinstance(a, (And, Or)):
-        return _assertion_all_terms(a.left) + _assertion_all_terms(a.right)
-    if isinstance(a, Exists):
-        return _assertion_all_terms(a.body)
-    if isinstance(a, (Says, SentA)):
-        return [a.agent] + _assertion_all_terms(a.body)
-    if isinstance(a, SentT):
-        return [a.agent, a.term]
-    if isinstance(a, Eq):
-        return [a.lhs, a.rhs]
-    if isinstance(a, Pred):
-        return list(a.args)
-    raise TypeError(f"not an assertion: {a!r}")
+    return rebind(a, {}, pick)
 
 
 _LVL_OR, _LVL_AND, _LVL_UNIT = 0, 1, 2

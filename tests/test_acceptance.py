@@ -347,7 +347,7 @@ def test_criterion_6_replay_and_double_vote_prevention():
     ht = _copy_state(hstate)
     ht.sessions.append(SessionState("admin", {"id": Basic("Adm", "agent")}))
     hidx = len(ht.sessions) - 1
-    cands, _ = candidates_for(ht, hidx, synth=True)
+    cands, _ = candidates_for(ht, hidx)
     ws = {print_term(dict(c.binds)["W1"]) for c in cands}
     if "I" in ws:
         problems.append("helios: the gate admits a ballot in the observer's name")
@@ -377,7 +377,7 @@ def test_criterion_6_replay_and_double_vote_prevention():
     # double voting: replaying a recorded ballot wedges the admin at deny
     replays = [c for c in cands if print_term(dict(c.binds)["W1"]) == "V0"]
     apply_candidate(ht, replays[0])
-    after, wedged = candidates_for(ht, hidx, synth=True)
+    after, wedged = candidates_for(ht, hidx)
     if after or not wedged:
         problems.append("helios: double vote not refused at deny")
 

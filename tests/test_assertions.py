@@ -29,10 +29,10 @@ from protassert.assertions import (
     match_term,
     reveals,
     sorted_assertions,
-    substitute_raw,
 )
 from protassert.builtins import builtin_foo, builtin_helios
 from protassert.engine import DeriveContext, _BranchProver, _Counters
+from protassert.syntax import Declarations, parse_assertion, print_assertion
 from protassert.terms import App, iter_subterms, subst_term
 
 A = Basic("A", "agent")
@@ -72,8 +72,15 @@ def test_substitute_respects_binding():
     a = Exists("x", Eq(Var("x"), Var("y")))
     s = substitute(a, {"y": n, "x": k})
     assert s == normalize(Exists("x", Eq(Var("x"), n)))
-    raw = substitute_raw(a, {"x": k})
-    assert raw == a  # the bound x is out of reach
+    # the bound x is out of reach
+    assert substitute(a, {"x": k}) == normalize(a)
+
+
+def test_substitute_does_not_capture_an_image_named_like_a_binder():
+    a = Exists("y", Eq(Var("x"), Var("y")))
+    s = substitute(a, {"x": Var("y")})
+    assert s == Exists("%1", Eq(Var("y"), Var("%1")))
+    assert free_vars(s) == frozenset({"y"})
 
 
 def test_substitute_normalizes():
@@ -139,6 +146,32 @@ def test_substitute_ground_closes_property():
 
 
 HANDLES = ("_h1", "_h2", "_h3")
+
+
+def test_substitute_normalize_and_printing_agree_on_raw_templates():
+    """Raw observer tests keep their qvN binders; substituting closed
+    values commutes with normalizing, and the result prints and reparses
+    to itself."""
+    raw = substituted = 0
+    for i, proto in enumerate((builtin_foo(), builtin_helios())):
+        d = proto.decls
+        decls = Declarations(agents=d.agents | {"I"}, nonces=set(d.nonces),
+                             keys=set(d.keys), predicates=dict(d.predicates),
+                             constructors=dict(d.constructors))
+        templates = _TemplateGen(random.Random(61 + i), proto, "I", len(HANDLES), 3)
+        closed = _TemplateGen(random.Random(161 + i), proto, "I", 0, 2)
+        for _ in range(500):
+            a = templates.assertion(3, [])
+            raw += normalize(a) != a
+            sigma = {h: closed.term(2, []) for h in HANDLES}
+            try:
+                s = substitute(a, sigma)
+            except ValueError:  # a value that is no key landed in key position
+                continue
+            assert s == substitute(normalize(a), sigma) == normalize(s)
+            assert parse_assertion(print_assertion(s), decls) == s
+            substituted += 1
+    assert raw > 200 and substituted > 500
 
 
 def _generators(seed: int):

@@ -194,6 +194,14 @@ def test_anonymity_three_voters(capsys):
     assert rc == 0, out
 
 
+def test_anonymity_too_many_voters_is_a_usage_error(capsys):
+    rc = main(["anonymity", "foo", "--voters", "5", "--seeds", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and "voters" in err
+    assert "internal error" not in err
+
+
 def test_examples_listing_and_source(capsys):
     assert main(["examples"]) == 0
     names = capsys.readouterr().out.split()

@@ -9,8 +9,10 @@ from protassert import (
     Pair,
     Run,
     SearchBudget,
+    Setup,
     Var,
     initial_state,
+    parse_sessions,
     parse_trace,
     simulate,
     validate_run,
@@ -111,6 +113,19 @@ def test_trace_round_trip_is_byte_exact():
     assert write_trace(again) == text
     ok, problems, _ = validate_run(again)
     assert ok, problems
+
+
+def test_trace_round_trip_with_compound_session_parameters():
+    proto = builtin_helios()
+    setup = Setup(sessions=parse_sessions(
+        "voter(id=V0, v=(v0, v1)); voter(id=V1, v=v1); "
+        "script(id=Scr); script(id=Scr); admin(id=Adm)", proto))
+    run, _ = simulate(proto, setup, seed=0)
+    text = write_trace(run)
+    assert "v=(v0, v1)" in text
+    again = parse_trace(text, proto)
+    assert write_trace(again) == text
+    assert again.setup.sessions == setup.sessions
 
 
 def test_helios_completes_for_many_seeds():
@@ -254,7 +269,7 @@ def _pending_steps(state, idx):
     sess = state.sessions[idx]
     action = state.proto.roles[sess.role].actions[sess.pc]
     if action.kind == "recv":
-        offers = [((), b) for b in _traffic_binds(state, action, sess.sigma, False)]
+        offers = [((), b) for b in _traffic_binds(state, action, sess.sigma)]
     else:
         offers = [(_allocate_fresh(state, idx + 1, action), ())]
     for fresh, binds in offers:
