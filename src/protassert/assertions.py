@@ -21,13 +21,12 @@ import itertools
 from dataclasses import dataclass
 
 from .terms import (
-    App,
-    Enc,
-    Pair,
     Term,
     Var,
+    children,
     has_bound_name,
     iter_subterms,
+    same_head,
     subst_term,
     term_key,
 )
@@ -85,6 +84,35 @@ class SentA(Assertion):
     body: Assertion
 
 
+def parts(a: Assertion) -> tuple[tuple[Term, ...], tuple[Assertion, ...]]:
+    """The term positions of a, agents included, and its direct
+    subassertions, each left to right."""
+    if isinstance(a, Eq):
+        return (a.lhs, a.rhs), ()
+    if isinstance(a, Pred):
+        return a.args, ()
+    if isinstance(a, SentT):
+        return (a.agent, a.term), ()
+    if isinstance(a, (Says, SentA)):
+        return (a.agent,), (a.body,)
+    if isinstance(a, (And, Or)):
+        return (), (a.left, a.right)
+    if isinstance(a, Exists):
+        return (), (a.body,)
+    raise TypeError(f"not an assertion: {a!r}")
+
+
+def rebuilt(a: Assertion, terms, subs) -> Assertion:
+    """a with its term positions and direct subassertions replaced, in the
+    order of parts(a); predicate names and binders stay."""
+    if isinstance(a, Pred):
+        return Pred(a.name, tuple(terms))
+    if isinstance(a, Exists):
+        return Exists(a.var, *subs)
+    return type(a)(*terms, *subs)
+
+
+# Inline switch, not parts()/rebuilt(): runs on every query's substitutions.
 def map_terms(a: Assertion, f) -> Assertion:
     """Apply f to every term position (agents included); binders untouched."""
     if isinstance(a, Eq):
@@ -113,6 +141,7 @@ def assertion_terms(a: Assertion) -> list[Term]:
     return out
 
 
+# Inline switch, not parts(): runs on every goal and hypothesis registered.
 def _collect_terms(a: Assertion, out: list[Term]) -> None:
     if isinstance(a, (And, Or)):
         _collect_terms(a.left, out)
@@ -141,6 +170,7 @@ def assertion_vars(a: Assertion) -> frozenset[str]:
     return frozenset(names)
 
 
+# Inline switch, not parts(): runs on every battery test and protocol step.
 def free_vars(a: Assertion, bound: frozenset[str] = frozenset()) -> frozenset[str]:
     if isinstance(a, Exists):
         return free_vars(a.body, bound | {a.var})
@@ -163,6 +193,7 @@ def is_closed(a: Assertion) -> bool:
     return not free_vars(a)
 
 
+# Inline switch, not parts()/rebuilt(): every normalize and substitute runs it.
 def rebind(a: Assertion, env: dict[str, Term], rename) -> Assertion:
     """Rebuild a in one pass: each free variable named in env becomes its
     image, and each binder x becomes rename(x), called in preorder.  Under
@@ -199,27 +230,14 @@ def reveals(a: Assertion) -> frozenset[Term]:
     bodies.  Occurrence inside a collected encryption does not reveal the
     plaintext; sent-term facts reveal nothing (the term was communicated
     anyway)."""
-    out: set[Term] = set()
-
-    def walk(a: Assertion) -> None:
-        if isinstance(a, Eq):
-            out.add(a.lhs)
-            out.add(a.rhs)
-        elif isinstance(a, Pred):
-            out.update(a.args)
-        elif isinstance(a, (And, Or)):
-            walk(a.left)
-            walk(a.right)
-        elif isinstance(a, Exists):
-            walk(a.body)
-        elif isinstance(a, (Says, SentA)):
-            walk(a.body)
-        # SentT: nothing
-
-    walk(a)
+    terms, subs = parts(a)
+    out = set(terms) if isinstance(a, (Eq, Pred)) else set()
+    for sub in subs:
+        out |= reveals(sub)
     return frozenset(out)
 
 
+# Inline switch, not parts(): every sort of assertions, on every query, calls it.
 def assertion_key(a: Assertion):
     if isinstance(a, Eq):
         return (0, term_key(a.lhs), term_key(a.rhs))
@@ -280,13 +298,8 @@ def match_term(pat: Term, tgt: Term, holes, binding: dict[str, Term],
         return [binding]
     out: list[dict[str, Term]] = []
     for m in eq.members(tgt):
-        if isinstance(pat, Pair) and isinstance(m, Pair):
-            out += _match_all(((pat.left, m.left), (pat.right, m.right)), holes, binding, eq)
-        elif isinstance(pat, Enc) and isinstance(m, Enc):
-            out += _match_all(((pat.body, m.body), (pat.key, m.key)), holes, binding, eq)
-        elif (isinstance(pat, App) and isinstance(m, App) and pat.ctor == m.ctor
-              and len(pat.args) == len(m.args)):
-            out += _match_all(zip(pat.args, m.args), holes, binding, eq)
+        if same_head(pat, m):
+            out += _match_all(zip(children(pat), children(m)), holes, binding, eq)
     return out
 
 

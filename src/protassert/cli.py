@@ -71,15 +71,8 @@ def _render_proof(node: ProofNode, indent: str, out: list[str]) -> None:
 
 
 def cmd_derive(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            seq = parse_sequent(fh.read(), args.file)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EX_USAGE
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EX_USAGE
+    with open(args.file, encoding="utf-8") as fh:
+        seq = parse_sequent(fh.read(), args.file)
     fn = derive_safe if args.safe else derive
     verdict = fn(seq.terms, seq.assertions, seq.goal, _budget(args))
     if verdict.derivable:
@@ -97,14 +90,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        _, proto = _load_protocol(args.protocol)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EX_USAGE
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EX_USAGE
+    _, proto = _load_protocol(args.protocol)
     diags = validate_protocol(proto)
     for d in diags:
         where = f"{d.role}[{d.index + 1}]" if d.role is not None else proto.name
@@ -122,20 +108,13 @@ def _setup_for(args, name: str | None, proto: Protocol,
         return Setup(sessions=parse_sessions(args.sessions, proto))
     if name is None:
         raise ParseError("a protocol file needs --sessions", "cli")
-    voters = getattr(args, "voters", None) or 2
-    return builtin_setup(name, proto, anonymity=anonymity, voters=voters)
+    return builtin_setup(name, proto, anonymity=anonymity,
+                         voters=getattr(args, "voters", 2))
 
 
 def cmd_simulate(args) -> int:
-    try:
-        name, proto = _load_protocol(args.protocol)
-        setup = _setup_for(args, name, proto)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EX_USAGE
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EX_USAGE
+    name, proto = _load_protocol(args.protocol)
+    setup = _setup_for(args, name, proto)
     run, state = simulate(proto, setup, seed=args.seed, budget=_budget(args))
     sys.stdout.write(write_trace(run))
     for w in run.warnings:
@@ -144,22 +123,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        name, proto = _load_protocol(args.protocol)
-        with open(args.trace, encoding="utf-8") as fh:
-            text = fh.read()
-        setup = None
-        if getattr(args, "sessions", None):
-            setup = Setup(sessions=parse_sessions(args.sessions, proto))
-        elif name is not None:
-            setup = builtin_setup(name, proto)
-        run = parse_trace(text, proto, setup)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EX_USAGE
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EX_USAGE
+    name, proto = _load_protocol(args.protocol)
+    with open(args.trace, encoding="utf-8") as fh:
+        text = fh.read()
+    setup = None
+    if getattr(args, "sessions", None):
+        setup = Setup(sessions=parse_sessions(args.sessions, proto))
+    elif name is not None:
+        setup = builtin_setup(name, proto)
+    run = parse_trace(text, proto, setup)
     ok, problems, _ = validate_run(run, _budget(args))
     for p in problems:
         print(p)
@@ -170,14 +142,14 @@ def cmd_replay(args) -> int:
 
 
 def cmd_anonymity(args) -> int:
-    try:
-        name, proto = _load_protocol(args.protocol)
-        setup = _setup_for(args, name, proto, anonymity=True)
-    except (OSError, KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    if args.seeds < 1:
+        print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
         return EX_USAGE
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
+    name, proto = _load_protocol(args.protocol)
+    try:
+        setup = _setup_for(args, name, proto, anonymity=True)
+    except (KeyError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return EX_USAGE
     verdicts: list[str] = []
     for seed in range(args.seeds):
@@ -284,6 +256,12 @@ def main(argv: list[str] | None = None) -> int:
         return EX_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EX_USAGE
+    except ParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        return EX_USAGE
     except Exception as e:
         detail = " ".join(f"{type(e).__name__}: {e}".split())
         print(f"internal error: {detail}", file=sys.stderr)

@@ -21,11 +21,13 @@ from .terms import (
     Pair,
     Term,
     Var,
+    children,
     is_key_position,
     sorted_terms,
 )
 
 # rules: ax (member), var (variable convention), pair, split, enc, dec, app
+_COMPOSE = {Pair: "pair", Enc: "enc", App: "app"}
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,7 @@ def dy_saturate(X) -> tuple[frozenset[Term], Provenance]:
     return frozenset(S), prov
 
 
+# Inline switch, not children(): every derivability question runs it.
 def _synth_ok(S: frozenset[Term], t: Term, vars_axiomatic: bool = True) -> bool:
     """Composition check against an analyzed set.  With vars_axiomatic a
     variable is derivable outright; without it, it must be in S."""
@@ -115,19 +118,10 @@ def _synth_proof(S: frozenset[Term], t: Term, prov: Provenance, memo: dict) -> T
         return _analysis_proof(t, prov, memo)
     if isinstance(t, Var):
         return TermProof("var", t)
-    if isinstance(t, Pair):
-        return TermProof(
-            "pair", t,
-            (_synth_proof(S, t.left, prov, memo), _synth_proof(S, t.right, prov, memo)),
-        )
-    if isinstance(t, Enc):
-        return TermProof(
-            "enc", t,
-            (_synth_proof(S, t.body, prov, memo), _synth_proof(S, t.key, prov, memo)),
-        )
-    if isinstance(t, App) and t.ctor not in KEY_CONSTRUCTORS:
-        return TermProof("app", t, tuple(_synth_proof(S, a, prov, memo) for a in t.args))
-    raise ValueError(f"not derivable: {t!r}")
+    rule = _COMPOSE.get(type(t))
+    if rule is None or (rule == "app" and t.ctor in KEY_CONSTRUCTORS):
+        raise ValueError(f"not derivable: {t!r}")
+    return TermProof(rule, t, tuple(_synth_proof(S, c, prov, memo) for c in children(t)))
 
 
 def dy_derive(X, t: Term) -> DYVerdict:

@@ -17,7 +17,10 @@ Search strategy is fixed:
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
      hypotheses and classes (`assertions.match_assertion` with the branch
-     as the equality).
+     as the equality).  A goal that differs from a hypothesis only by terms
+     equal in the classes is proved by a chain of subst steps, whose
+     positions the rewrite matcher finds with the shared shape walk
+     (`assertions.parts`, `terms.children`).
 
 A branch holding two distinct basics in one class is inconsistent and proves
 anything.  The safe mode disables steps 1 and 3 (the rules unsound for
@@ -46,6 +49,8 @@ from .assertions import (
     match_assertion,
     match_term,
     normalize,
+    parts,
+    rebuilt,
     sorted_assertions,
     substitute,
 )
@@ -57,8 +62,11 @@ from .terms import (
     Pair,
     Term,
     Var,
+    children,
     has_bound_name,
     iter_subterms,
+    rebuild,
+    same_head,
     sorted_terms,
     term_key,
 )
@@ -85,6 +93,9 @@ class BudgetExhausted(Exception):
     pass
 
 
+_CONG = {Pair: "cong_pair", Enc: "cong_enc", App: "cong_app"}
+
+
 @dataclass(frozen=True)
 class ProofNode:
     rule: str
@@ -100,8 +111,6 @@ class Verdict:
     derivable: bool
     proof: ProofNode | None = None
     budget_exhausted: bool = False
-    witness_depth: int = 0
-    branches: int = 1
 
     def __bool__(self) -> bool:
         return self.derivable
@@ -137,7 +146,6 @@ class EqClasses:
         self.sig_table: dict[tuple, Term] = {}
         self.forest: dict[Term, tuple[Term, _Edge]] = {}
         self.stamp = 0
-        self.merges = 0
         self._pending: deque[tuple[Term, Term, str, tuple]] = deque()
 
     # -- basic structure
@@ -170,19 +178,10 @@ class EqClasses:
         c.sig_table = dict(self.sig_table)
         c.forest = dict(self.forest)
         c.stamp = self.stamp
-        c.merges = self.merges
         c._pending = deque(self._pending)
         return c
 
-    def _children(self, t: Term) -> tuple[Term, ...]:
-        if isinstance(t, Pair):
-            return (t.left, t.right)
-        if isinstance(t, Enc):
-            return (t.body, t.key)
-        if isinstance(t, App):
-            return t.args
-        return ()
-
+    # Inline switch, not children(): every add_term and union runs it.
     def _signature(self, t: Term):
         if isinstance(t, Pair):
             return ("p", self.find(t.left), self.find(t.right))
@@ -195,7 +194,7 @@ class EqClasses:
     def add_term(self, t: Term) -> None:
         if t in self.parent:
             return
-        for c in self._children(t):
+        for c in children(t):
             self.add_term(c)
         self.parent[t] = t
         self.size[t] = 1
@@ -203,7 +202,7 @@ class EqClasses:
         self.pairs[t] = [t] if isinstance(t, Pair) else []
         self.gencs[t] = [t] if isinstance(t, Enc) and self._guarded(t) else []
         self.parents_of[t] = set()
-        for c in self._children(t):
+        for c in children(t):
             self.parents_of[self.find(c)].add(t)
         sig = self._signature(t)
         if sig is not None:
@@ -277,8 +276,7 @@ class EqClasses:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
-        self.merges += 1
-        if self.merges > self.merge_cap:
+        if self.stamp >= self.merge_cap:
             raise BudgetExhausted()
         self.stamp += 1
         edge = _Edge(self.stamp, kind, a, b, data)
@@ -328,7 +326,7 @@ class EqClasses:
         """A congruence union is only sound if every syntactically shared
         child admits a reflexivity proof (derivable basics or a non-trivial
         class)."""
-        for cp, cq in zip(self._children(p), self._children(q)):
+        for cp, cq in zip(children(p), children(q)):
             if cp == cq and not self._refl_possible(cp):
                 return False
         return True
@@ -427,29 +425,6 @@ class _Counters:
             raise BudgetExhausted()
 
 
-def witness_close(Phi) -> tuple[frozenset[Assertion], dict[Assertion, str]]:
-    """Smallest superset of Phi containing an instance over a fresh witness
-    variable for each existential element."""
-    alloc = _WitnessAllocator()
-    out: set[Assertion] = set(normalize(a) for a in Phi)
-    queue = deque(sorted_assertions(out))
-    while queue:
-        psi = queue.popleft()
-        if isinstance(psi, Exists):
-            inst = substitute(psi.body, {psi.var: Var(alloc.get(psi))})
-            if inst not in out:
-                out.add(inst)
-                queue.append(inst)
-    return frozenset(out), dict(alloc.ledger)
-
-
-def case_split(Pi, budget: SearchBudget = DEFAULT_BUDGET) -> list[frozenset[Assertion]]:
-    """Branches obtained by replacing each reachable disjunction (under
-    conjunction flattening and says stripping) with each disjunct."""
-    return [frozenset(a for a in leaf.hyps if not isinstance(a, (And, Or)))
-            for leaf in DeriveContext((), Pi, budget).leaves()]
-
-
 def _register_assertion_terms(cc: EqClasses, a: Assertion) -> None:
     for t in assertion_terms(a):
         if not has_bound_name(t):
@@ -518,17 +493,9 @@ class _BranchProver:
         raise AssertionError(edge.kind)
 
     def _cong_proof(self, a: Term, b: Term, before: int) -> ProofNode:
-        if isinstance(a, Pair):
-            prems = (self.eq_proof(a.left, b.left, before),
-                     self.eq_proof(a.right, b.right, before))
-        elif isinstance(a, Enc):
-            prems = (self.eq_proof(a.body, b.body, before),
-                     self.eq_proof(a.key, b.key, before))
-        else:
-            prems = tuple(self.eq_proof(x, y, before) for x, y in zip(a.args, b.args))
+        prems = tuple(self.eq_proof(x, y, before) for x, y in zip(children(a), children(b)))
         assert all(p is not None for p in prems)
-        rule = {"Pair": "cong_pair", "Enc": "cong_enc", "App": "cong_app"}[type(a).__name__]
-        return ProofNode(rule, Eq(a, b), prems)
+        return ProofNode(_CONG[type(a)], Eq(a, b), prems)
 
     def refl_proof(self, t: Term, before: int | None = None) -> ProofNode | None:
         """Prove t = t: structurally when every basic leaf is derivable,
@@ -551,27 +518,13 @@ class _BranchProver:
             if not self.ctx.dyctx.derivable(t):
                 return None
             return ProofNode("refl", Eq(t, t), term_proofs=(self.ctx.dyctx.proof(t),))
-        if isinstance(t, Pair):
-            l = self._refl_structural(t.left)
-            r = self._refl_structural(t.right)
-            if l and r:
-                return ProofNode("cong_pair", Eq(t, t), (l, r))
-            return None
-        if isinstance(t, Enc):
-            b = self._refl_structural(t.body)
-            k = self._refl_structural(t.key)
-            if b and k:
-                return ProofNode("cong_enc", Eq(t, t), (b, k))
-            return None
-        if isinstance(t, App):
-            prems = []
-            for a in t.args:
-                p = self._refl_structural(a)
-                if p is None:
-                    return None
-                prems.append(p)
-            return ProofNode("cong_app", Eq(t, t), tuple(prems))
-        return None
+        prems = []
+        for c in children(t):
+            p = self._refl_structural(c)
+            if p is None:
+                return None
+            prems.append(p)
+        return ProofNode(_CONG[type(t)], Eq(t, t), tuple(prems))
 
     def eq_proof(self, s: Term, t: Term, before: int | None = None) -> ProofNode | None:
         if s == t:
@@ -609,72 +562,39 @@ class _BranchProver:
             return self.cc.class_members(t)
         return [t]
 
-    def match_terms(self, h: Term, g: Term, path: tuple, binders: frozenset[str]):
+    # No binder set: hypotheses and goals are alpha-normal, so a binder in
+    # scope only shows up as a %n name, which `same` refuses to rewrite.
+
+    def match_terms(self, h: Term, g: Term, path: tuple):
         """Rewrite pairs turning h into g, or None.  Prefers descending into
         equal constructors so rewrite premises stay small and provable."""
         if h == g:
             return []
-        descend = None
-        if type(h) is type(g):
-            if isinstance(h, Pair):
-                l = self.match_terms(h.left, g.left, path + (0,), binders)
-                r = self.match_terms(h.right, g.right, path + (1,), binders)
-                descend = l + r if l is not None and r is not None else None
-            elif isinstance(h, Enc):
-                b = self.match_terms(h.body, g.body, path + (0,), binders)
-                k = self.match_terms(h.key, g.key, path + (1,), binders)
-                descend = b + k if b is not None and k is not None else None
-            elif isinstance(h, App) and h.ctor == g.ctor and len(h.args) == len(g.args):
-                descend = []
-                for i, (x, y) in enumerate(zip(h.args, g.args)):
-                    m = self.match_terms(x, y, path + (i,), binders)
-                    if m is None:
-                        descend = None
-                        break
-                    descend.extend(m)
-        if descend is not None:
-            return descend
-        blocked = binders & ({v.name for v in iter_subterms(h) if isinstance(v, Var)}
-                             | {v.name for v in iter_subterms(g) if isinstance(v, Var)})
-        if not blocked and self.same(h, g):
-            return [(path, h, g)]
-        return None
+        if same_head(h, g):
+            kids = children(h)
+            out = self._zip_rewrites(kids, children(g), path, len(kids))
+            if out is not None:
+                return out
+        return [(path, h, g)] if self.same(h, g) else None
 
-    def match_assertions(self, h: Assertion, g: Assertion, path: tuple = (),
-                         binders: frozenset[str] = frozenset()):
-        if type(h) is not type(g):
+    def match_assertions(self, h: Assertion, g: Assertion, path: tuple = ()):
+        """Rewrite pairs turning h into g, or None; their heads must agree."""
+        if type(h) is not type(g) or _head(h) != _head(g):
             return None
-        if isinstance(h, (And, Or)):
-            l = self.match_assertions(h.left, g.left, path + (0,), binders)
-            r = self.match_assertions(h.right, g.right, path + (1,), binders)
-            return l + r if l is not None and r is not None else None
-        if isinstance(h, Exists):
-            if h.var != g.var:
+        (ht, hs), (gt, gs) = parts(h), parts(g)
+        return self._zip_rewrites(ht + hs, gt + gs, path, len(ht))
+
+    def _zip_rewrites(self, hs, gs, path: tuple, n_terms: int):
+        """Rewrite pairs for every aligned (h, g), the first n_terms of them
+        terms and the rest assertions, or None when one has none."""
+        out = []
+        for i, (h, g) in enumerate(zip(hs, gs)):
+            match = self.match_terms if i < n_terms else self.match_assertions
+            m = match(h, g, path + (i,))
+            if m is None:
                 return None
-            return self.match_assertions(h.body, g.body, path + (0,), binders | {h.var})
-        if isinstance(h, (Says, SentA)):
-            if h.agent != g.agent:
-                return None
-            return self.match_assertions(h.body, g.body, path + (0,), binders)
-        if isinstance(h, SentT):
-            if h.agent != g.agent:
-                return None
-            return self.match_terms(h.term, g.term, path + (0,), binders)
-        if isinstance(h, Eq):
-            l = self.match_terms(h.lhs, g.lhs, path + (0,), binders)
-            r = self.match_terms(h.rhs, g.rhs, path + (1,), binders)
-            return l + r if l is not None and r is not None else None
-        if isinstance(h, Pred):
-            if h.name != g.name or len(h.args) != len(g.args):
-                return None
-            out = []
-            for i, (x, y) in enumerate(zip(h.args, g.args)):
-                m = self.match_terms(x, y, path + (i,), binders)
-                if m is None:
-                    return None
-                out.extend(m)
-            return out
-        return None
+            out += m
+        return out
 
     def _subst_chain(self, hyp: Assertion, pairs, goal: Assertion) -> ProofNode | None:
         proof = self.resolve(hyp)
@@ -731,20 +651,11 @@ class _BranchProver:
         if isinstance(goal, Eq):
             return self._prove_eq(goal)
 
-        if isinstance(goal, Pred):
-            return self._prove_by_matching(goal, Pred,
-                                           lambda h: h.name == goal.name)
-
-        if isinstance(goal, SentT):
-            return self._prove_by_matching(goal, SentT,
-                                           lambda h: h.agent == goal.agent)
-
-        if isinstance(goal, SentA):
-            return self._prove_by_matching(goal, SentA,
-                                           lambda h: h.agent == goal.agent)
+        if isinstance(goal, (Pred, SentT, SentA)):
+            return self._prove_by_matching(goal)
 
         if isinstance(goal, Says):
-            p = self._prove_by_matching(goal, Says, lambda h: h.agent == goal.agent)
+            p = self._prove_by_matching(goal)
             if p is not None:
                 return p
             skey = App("sk", (goal.agent,))
@@ -756,10 +667,8 @@ class _BranchProver:
             return None
         return None
 
-    def _prove_by_matching(self, goal, cls, pre) -> ProofNode | None:
+    def _prove_by_matching(self, goal: Assertion) -> ProofNode | None:
         for hyp in self.node.sorted_hyps:
-            if not isinstance(hyp, cls) or not pre(hyp):
-                continue
             pairs = self.match_assertions(hyp, goal)
             if pairs is None:
                 continue
@@ -779,7 +688,7 @@ class _BranchProver:
         return self.eq_proof(s, t)
 
     def _prove_exists(self, goal: Exists) -> ProofNode | None:
-        p = self._prove_by_matching(goal, Exists, lambda h: True)
+        p = self._prove_by_matching(goal)
         if p is not None:
             return p
         for u in self._candidates(goal.var, goal.body):
@@ -865,88 +774,56 @@ class _BranchProver:
                 return univ[: self.counters.budget.candidate_cap]
             if d <= 0:
                 return []
-            if isinstance(p, Pair):
-                return [Pair(l, r) for l in synth(p.left, d - 1)[:8]
-                        for r in synth(p.right, d - 1)[:8]]
-            if isinstance(p, Enc):
-                out = []
-                for b in synth(p.body, d - 1)[:8]:
-                    for k in synth(p.key, d - 1)[:8]:
-                        try:
-                            out.append(Enc(b, k))
-                        except ValueError:
-                            pass
-                return out
-            if isinstance(p, App):
-                outs = [[]]
-                for a in p.args:
-                    nxt = []
-                    for pre in outs:
-                        for c in synth(a, d - 1)[:8]:
-                            nxt.append(pre + [c])
-                    outs = nxt[:64]
-                return [App(p.ctor, tuple(x)) for x in outs]
-            return []
+            outs = [[]]
+            for c in children(p):
+                cands = synth(c, d - 1)[:8]
+                outs = [pre + [x] for pre in outs for x in cands][:64]
+            out = []
+            for kids in outs:
+                try:
+                    out.append(rebuild(p, kids))
+                except ValueError:  # a non-key in an encryption's key slot
+                    pass
+            return out
 
         return synth(pat, depth)
 
 
 def _subassertions(a: Assertion):
     yield a
-    if isinstance(a, (And, Or)):
-        yield from _subassertions(a.left)
-        yield from _subassertions(a.right)
-    elif isinstance(a, Exists):
-        yield from _subassertions(a.body)
-    elif isinstance(a, (Says, SentA)):
-        yield from _subassertions(a.body)
+    for sub in parts(a)[1]:
+        yield from _subassertions(sub)
 
 
 # ---------------------------------------------------------------------------
-# positional replacement (for substitution chains)
+# rewrite positions (for substitution chains)
 
-def _replace_at(a: Assertion, path: tuple, new: Term) -> Assertion:
-    def in_term(t: Term, p: tuple) -> Term:
-        if not p:
-            return new
-        i, rest = p[0], p[1:]
-        if isinstance(t, Pair):
-            return Pair(in_term(t.left, rest) if i == 0 else t.left,
-                        t.right if i == 0 else in_term(t.right, rest))
-        if isinstance(t, Enc):
-            return Enc(in_term(t.body, rest) if i == 0 else t.body,
-                       t.key if i == 0 else in_term(t.key, rest))
-        if isinstance(t, App):
-            args = list(t.args)
-            args[i] = in_term(args[i], rest)
-            return App(t.ctor, tuple(args))
-        raise AssertionError("bad term path")
+def _head(a: Assertion):
+    """What two assertions of one class must share, besides the shape of
+    their parts, to match: agent, binder, or predicate name and arity."""
+    if isinstance(a, Pred):
+        return a.name, len(a.args)
+    if isinstance(a, Exists):
+        return a.var
+    if isinstance(a, (Says, SentA, SentT)):
+        return a.agent
+    return None
 
-    def walk(a: Assertion, p: tuple) -> Assertion:
-        i, rest = p[0], p[1:]
-        if isinstance(a, (And, Or)):
-            cls = type(a)
-            if i == 0:
-                return cls(walk(a.left, rest), a.right)
-            return cls(a.left, walk(a.right, rest))
-        if isinstance(a, Exists):
-            return Exists(a.var, walk(a.body, rest))
-        if isinstance(a, (Says, SentA)):
-            cls = type(a)
-            return cls(a.agent, walk(a.body, rest))
-        if isinstance(a, SentT):
-            return SentT(a.agent, in_term(a.term, rest))
-        if isinstance(a, Eq):
-            if i == 0:
-                return Eq(in_term(a.lhs, rest), a.rhs)
-            return Eq(a.lhs, in_term(a.rhs, rest))
-        if isinstance(a, Pred):
-            args = list(a.args)
-            args[i] = in_term(args[i], rest)
-            return Pred(a.name, tuple(args))
-        raise AssertionError("bad assertion path")
 
-    return walk(a, path)
+def _replace_at(a, path: tuple, new: Term):
+    """a with the term at path replaced by new.  A path indexes an
+    assertion's parts (terms first), then the children of terms."""
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    if isinstance(a, Term):
+        kids = list(children(a))
+        kids[i] = _replace_at(kids[i], rest, new)
+        return rebuild(a, kids)
+    terms, subs = parts(a)
+    items = list(terms + subs)
+    items[i] = _replace_at(items[i], rest, new)
+    return rebuilt(a, items[:len(terms)], items[len(terms):])
 
 
 # ---------------------------------------------------------------------------
@@ -1027,15 +904,15 @@ class DeriveContext:
     def query(self, goal: Assertion) -> Verdict:
         goal = normalize(goal)
         if self.build_failed:
-            return self._negative(budget_exhausted=True)
+            return Verdict(False, budget_exhausted=True)
         counters = _Counters(self.budget)
         try:
             proof = self._solve(self.root, goal, counters)
         except BudgetExhausted:
-            return self._negative(budget_exhausted=True)
+            return Verdict(False, budget_exhausted=True)
         if proof is None:
-            return self._negative(budget_exhausted=counters.truncated)
-        return Verdict(True, proof, branches=self.branch_count)
+            return Verdict(False, budget_exhausted=counters.truncated)
+        return Verdict(True, proof)
 
     def answer(self, goal: Assertion) -> Verdict:
         """query, and with REPLAY_CHECK set replay a positive verdict
@@ -1048,11 +925,6 @@ class DeriveContext:
             if not ok:
                 raise AssertionError(f"proof replay failed: {err}")
         return v
-
-    def _negative(self, budget_exhausted: bool) -> Verdict:
-        return Verdict(False, budget_exhausted=budget_exhausted,
-                       witness_depth=self.budget.witness_depth,
-                       branches=self.branch_count)
 
     def _solve(self, node: _Node, goal: Assertion, counters: _Counters) -> ProofNode | None:
         """Try the goal on node; if that fails, split node's disjunction and

@@ -99,6 +99,37 @@ class KeyStructure:
 KEYS = KeyStructure()
 
 
+def children(t: Term) -> tuple[Term, ...]:
+    """The direct subterms of t, left to right: a pair's sides, an
+    encryption's body then key, a constructor's arguments."""
+    if isinstance(t, Pair):
+        return (t.left, t.right)
+    if isinstance(t, Enc):
+        return (t.body, t.key)
+    if isinstance(t, App):
+        return t.args
+    return ()
+
+
+def rebuild(t: Term, kids) -> Term:
+    """t with its children replaced by kids, in the order of children(t).
+    Raises ValueError when an encryption would get a non-key key."""
+    if isinstance(t, (Pair, Enc)):
+        return type(t)(*kids)
+    if isinstance(t, App):
+        return App(t.ctor, tuple(kids))
+    return t
+
+
+def same_head(a: Term, b: Term) -> bool:
+    """a and b are compounds of one constructor and arity, so their
+    children line up."""
+    if isinstance(a, App):
+        return isinstance(b, App) and a.ctor == b.ctor and len(a.args) == len(b.args)
+    return isinstance(a, (Pair, Enc)) and type(a) is type(b)
+
+
+# Inline switch, not children(): runs on every query, where a call per node shows.
 def iter_subterms(t: Term) -> Iterator[Term]:
     yield t
     if isinstance(t, Pair):
@@ -137,18 +168,15 @@ def has_bound_name(t: Term) -> bool:
 
 
 def term_depth(t: Term) -> int:
-    if isinstance(t, Pair):
-        return 1 + max(term_depth(t.left), term_depth(t.right))
-    if isinstance(t, Enc):
-        return 1 + max(term_depth(t.body), term_depth(t.key))
-    if isinstance(t, App):
-        return 1 + max((term_depth(a) for a in t.args), default=0)
-    return 0
+    if isinstance(t, (Basic, Var)):
+        return 0
+    return 1 + max(map(term_depth, children(t)), default=0)
 
 
 _SORT_RANK = {AGENT: 0, NONCE: 1, KEY: 2}
 
 
+# Inline switch, not children(): every sort of terms, on every query, calls it.
 def term_key(t: Term):
     """Total ordering key: basics by sort then name, then variables, then
     structure for compound terms."""
@@ -169,6 +197,7 @@ def sorted_terms(terms) -> list[Term]:
     return sorted(terms, key=term_key)
 
 
+# Inline switch, not children()/rebuild(): runs on every query's substitutions.
 def subst_term(t: Term, sigma: dict[str, Term]) -> Term:
     if isinstance(t, Var):
         return sigma.get(t.name, t)
@@ -186,10 +215,4 @@ def replace_term(t: Term, mapping: dict[Term, Term]) -> Term:
     subterm, outermost first) by its image."""
     if t in mapping:
         return mapping[t]
-    if isinstance(t, Pair):
-        return Pair(replace_term(t.left, mapping), replace_term(t.right, mapping))
-    if isinstance(t, Enc):
-        return Enc(replace_term(t.body, mapping), replace_term(t.key, mapping))
-    if isinstance(t, App):
-        return App(t.ctor, tuple(replace_term(a, mapping) for a in t.args))
-    return t
+    return rebuild(t, [replace_term(c, mapping) for c in children(t)])

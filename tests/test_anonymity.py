@@ -194,6 +194,17 @@ def test_multi_voter_check_passes():
         assert rep.inconclusive == 0
 
 
+def test_verdict_does_not_depend_on_the_swapped_pair():
+    # metamorphic: the three voters of foo are symmetric, so whichever pair
+    # is swapped the verdict is the same; foo-linked is caught for each pair
+    foo, linked = builtin_foo(), builtin_foo_linked()
+    for proto, want in ((foo, "indistinguishable"), (linked, "distinguished")):
+        setup = anonymity_foo_setup(proto, 3)
+        for pair in ((4, 5), (4, 6), (5, 6)):
+            rep = check_anonymity(proto, setup, seed=0, tests=100, swap_sessions=pair)
+            assert rep.verdict == want, (proto.name, pair, rep.notes)
+
+
 def test_report_rendering_mentions_everything():
     proto = builtin_foo()
     setup = anonymity_foo_setup(proto)

@@ -202,6 +202,24 @@ def test_anonymity_too_many_voters_is_a_usage_error(capsys):
     assert "internal error" not in err
 
 
+def test_anonymity_zero_voters_is_a_usage_error(capsys):
+    rc = main(["anonymity", "foo", "--voters", "0", "--seeds", "1", "--tests", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2, captured.out
+    assert captured.err.startswith("error: ") and "voters" in captured.err
+    assert "indistinguishable" not in captured.out
+
+
+def test_anonymity_without_seeds_is_a_usage_error(capsys):
+    # no run at all must never read as "all 0 seeds indistinguishable"
+    for seeds in ("0", "-3"):
+        rc = main(["anonymity", "foo", "--seeds", seeds, "--tests", "5"])
+        captured = capsys.readouterr()
+        assert rc == 2, captured.out
+        assert captured.err.startswith("error: ") and "--seeds" in captured.err
+        assert captured.out == ""
+
+
 def test_examples_listing_and_source(capsys):
     assert main(["examples"]) == 0
     names = capsys.readouterr().out.split()

@@ -24,7 +24,7 @@ from protassert import (
     vk,
 )
 from protassert.checker import replay_assertion_proof
-from protassert.engine import case_split, witness_close
+from protassert.engine import BudgetExhausted
 
 from oracles import AssertionOracle, holds_in_every_case
 
@@ -50,8 +50,8 @@ def x(name: str) -> Var:
 
 def test_witness_close_opens_existentials():
     phi = {Exists("q", Eq(x("q"), n))}
-    closed, wits = witness_close(phi)
-    opened = [a for a in closed if isinstance(a, Eq)]
+    root = DeriveContext((), phi).root
+    opened = [a for a in root.hyps if isinstance(a, Eq)]
     assert len(opened) == 1
     lhs = opened[0].lhs
     assert isinstance(lhs, Var) and lhs.name.startswith("_w")
@@ -61,27 +61,28 @@ def test_witness_close_shares_witnesses_per_assertion():
     # the same hypothesis opens to the same witness, a different one does not
     a1 = Exists("q", Pred("p", (x("q"),)))
     a2 = Exists("q", Pred("r", (x("q"),)))
-    closed, _ = witness_close({a1, a2})
-    names = {h.args[0].name for h in closed if isinstance(h, Pred)}
-    assert len(names) == 2
+    root = DeriveContext((), [a1, a2, a1]).root
+    names = {h.args[0].name for h in root.hyps if isinstance(h, Pred)}
+    assert len(names) == 2 and all(name.startswith("_w") for name in names)
 
 
 def test_case_split_multiplies_branches():
-    phi = {Or(Eq(n, n), Eq(m, m)), Or(Eq(k, k), Eq(k2, k2))}
-    branches = case_split(frozenset(phi))
-    assert len(branches) == 4
-    for b in branches:
-        assert not any(isinstance(h, Or) for h in b)
+    sides = [(Eq(n, n), Eq(m, m)), (Eq(k, k), Eq(k2, k2))]
+    leaves = DeriveContext((), {Or(*s) for s in sides}).leaves()
+    assert len(leaves) == 4
+    picked = {tuple(side for pair in sides for side in pair if side in leaf.hyps)
+              for leaf in leaves}
+    assert picked == {(a, b) for a in sides[0] for b in sides[1]}
 
 
 def test_case_split_raises_past_branch_cap():
     import pytest
-    from protassert.engine import BudgetExhausted
     phi = frozenset(Or(Pred("p", (Basic(f"c{i}", "nonce"),)),
                        Pred("q", (Basic(f"c{i}", "nonce"),)))
                     for i in range(6))
+    ctx = DeriveContext((), phi, SearchBudget(branch_cap=8))
     with pytest.raises(BudgetExhausted):
-        case_split(phi, SearchBudget(branch_cap=8))
+        ctx.leaves()
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ def test_split_context_answers_queries_in_any_order():
         again = {g: ctx.query(g).derivable for g in order}
         assert [first[g] for g in goals] == want
         assert [again[g] for g in goals] == want
-        assert len(ctx.leaves()) == len(case_split(phi)) == 4
+        assert len(ctx.leaves()) == 4
 
 
 def test_truncation_on_a_proved_branch_leaves_a_definite_negative():
