@@ -254,6 +254,40 @@ def test_trace_parse_rejects_garbage():
         parse_trace("run foo seed=0\nwat 1\n", proto)
 
 
+# (what is wrong, line of the foo seed-0 trace, its malformed replacement)
+_MALFORMED_TRACES = [
+    ("steps out of order", "step 2 session 4 fresh", "step 3 session 4 fresh"),
+    ("sessions out of order", "session 2 authority", "session 3 authority"),
+    ("unknown role", "session 5 counter", "session 5 mayor"),
+    ("bad fresh sort", "k=k_3:key", "k=k_3:salt"),
+    ("step naming no session", "step 4 session 1", "step 4 session 9"),
+    ("trailing junk after a binding", "env={v0}k_3", "env={v0}k_3 junk"),
+]
+
+
+def test_malformed_traces_are_parse_errors():
+    import pytest
+    from protassert import ParseError
+    proto = foo()
+    text = write_trace(simulate(proto, default_foo_setup(proto), seed=0)[0])
+    for what, good, bad in _MALFORMED_TRACES:
+        assert text.count(good) == 1, what
+        with pytest.raises(ParseError):
+            parse_trace(text.replace(good, bad), proto)
+
+
+def test_trace_round_trip_without_a_seed():
+    proto = foo()
+    setup = default_foo_setup(proto)
+    run = replace(simulate(proto, setup, seed=1)[0], seed=None)
+    text = write_trace(run)
+    assert text.startswith("run foo seed=-\n")
+    again = parse_trace(text, proto, setup)
+    assert again.seed is None
+    assert again.steps == run.steps
+    assert write_trace(again) == text
+
+
 def test_simulate_warns_when_a_search_hits_the_budget():
     proto = foo()
     run, _ = simulate(proto, default_foo_setup(proto), seed=0,
