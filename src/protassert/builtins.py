@@ -9,6 +9,8 @@ valid, and the registrar holds the eligibility roll.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 from .assertions import Pred
 from .protocol import Protocol
 from .runtime import Setup
@@ -82,23 +84,18 @@ role admin:
 """
 
 
-def builtin_foo() -> Protocol:
-    return parse_protocol(FOO_SOURCE, "foo")
+SOURCES = {"foo": FOO_SOURCE, "foo-linked": FOO_LINKED_SOURCE, "helios": HELIOS_SOURCE}
 
 
-def builtin_foo_linked() -> Protocol:
-    return parse_protocol(FOO_LINKED_SOURCE, "foo_linked")
+def _parser(name: str) -> Callable[[], Protocol]:
+    """A function that parses the named builtin afresh."""
+    return lambda: parse_protocol(SOURCES[name], name)
 
 
-def builtin_helios() -> Protocol:
-    return parse_protocol(HELIOS_SOURCE, "helios")
-
-
-BUILTINS = {
-    "foo": builtin_foo,
-    "foo-linked": builtin_foo_linked,
-    "helios": builtin_helios,
-}
+BUILTINS = {name: _parser(name) for name in SOURCES}
+builtin_foo = BUILTINS["foo"]
+builtin_foo_linked = BUILTINS["foo-linked"]
+builtin_helios = BUILTINS["helios"]
 
 
 def _vote_values(proto: Protocol) -> list[Basic]:

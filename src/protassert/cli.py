@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .anonymity import check_anonymity, render_report
-from .builtins import BUILTINS, builtin_setup
+from .builtins import BUILTINS, SOURCES, builtin_setup
 from .engine import DEFAULT_BUDGET, ProofNode, SearchBudget, derive, derive_safe
 from .dy import TermProof
 from .protocol import Protocol, validate_protocol
@@ -34,13 +34,7 @@ EX_INCONCLUSIVE = 3
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        witness_depth=args.depth,
-        branch_cap=args.branches,
-        merge_cap=DEFAULT_BUDGET.merge_cap,
-        node_cap=DEFAULT_BUDGET.node_cap,
-        candidate_cap=DEFAULT_BUDGET.candidate_cap,
-    )
+    return SearchBudget(witness_depth=args.depth, branch_cap=args.branches)
 
 
 def _load_protocol(name_or_path: str):
@@ -167,21 +161,14 @@ def cmd_anonymity(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    from .builtins import FOO_LINKED_SOURCE, FOO_SOURCE, HELIOS_SOURCE
-
-    sources = {
-        "foo": FOO_SOURCE,
-        "foo-linked": FOO_LINKED_SOURCE,
-        "helios": HELIOS_SOURCE,
-    }
     if args.name:
-        if args.name not in sources:
+        if args.name not in SOURCES:
             print(f"error: unknown example {args.name!r}; "
-                  f"pick from {', '.join(sorted(sources))}", file=sys.stderr)
+                  f"pick from {', '.join(sorted(SOURCES))}", file=sys.stderr)
             return EX_USAGE
-        sys.stdout.write(sources[args.name])
+        sys.stdout.write(SOURCES[args.name])
         return EX_OK
-    for name in sorted(sources):
+    for name in sorted(SOURCES):
         print(name)
     return EX_OK
 
@@ -195,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--depth", type=int, default=2,
-                       help="witness instantiation depth (default 2)")
-        p.add_argument("--branches", type=int, default=4096,
-                       help="case split limit (default 4096)")
+        p.add_argument("--depth", type=int, default=DEFAULT_BUDGET.witness_depth,
+                       help="witness instantiation depth (default %(default)s)")
+        p.add_argument("--branches", type=int, default=DEFAULT_BUDGET.branch_cap,
+                       help="case split limit (default %(default)s)")
 
     p = sub.add_parser("derive", help="decide a sequent from a file")
     p.add_argument("file", help="sequent file: terms/assertions/goal sections")

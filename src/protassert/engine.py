@@ -137,10 +137,9 @@ class EqClasses:
         self.dyctx = dyctx
         self.merge_cap = merge_cap
         self.parent: dict[Term, Term] = {}
-        self.size: dict[Term, int] = {}
         self.members: dict[Term, list[Term]] = {}
-        self.pairs: dict[Term, list[Term]] = {}  # Pair members per root
-        self.gencs: dict[Term, list[Term]] = {}  # guarded Enc members per root
+        self.pair: dict[Term, Pair] = {}  # a Pair member, for roots with one
+        self.genc: dict[Term, Enc] = {}  # a guarded Enc member, for roots with one
         self.parents_of: dict[Term, set[Term]] = {}  # composites with a child in root
         self.sig_of: dict[Term, tuple] = {}
         self.sig_table: dict[tuple, Term] = {}
@@ -169,10 +168,9 @@ class EqClasses:
         c.dyctx = self.dyctx
         c.merge_cap = self.merge_cap
         c.parent = dict(self.parent)
-        c.size = dict(self.size)
         c.members = {k: list(v) for k, v in self.members.items()}
-        c.pairs = {k: list(v) for k, v in self.pairs.items()}
-        c.gencs = {k: list(v) for k, v in self.gencs.items()}
+        c.pair = dict(self.pair)
+        c.genc = dict(self.genc)
         c.parents_of = {k: set(v) for k, v in self.parents_of.items()}
         c.sig_of = dict(self.sig_of)
         c.sig_table = dict(self.sig_table)
@@ -197,10 +195,11 @@ class EqClasses:
         for c in children(t):
             self.add_term(c)
         self.parent[t] = t
-        self.size[t] = 1
         self.members[t] = [t]
-        self.pairs[t] = [t] if isinstance(t, Pair) else []
-        self.gencs[t] = [t] if isinstance(t, Enc) and self._guarded(t) else []
+        if isinstance(t, Pair):
+            self.pair[t] = t
+        elif isinstance(t, Enc) and self._guarded(t):
+            self.genc[t] = t
         self.parents_of[t] = set()
         for c in children(t):
             self.parents_of[self.find(c)].add(t)
@@ -283,28 +282,25 @@ class EqClasses:
         self._reroot(a)
         self.forest[a] = (b, edge)
 
-        if self.size[ra] < self.size[rb]:
+        if len(self.members[ra]) < len(self.members[rb]):
             small, big = ra, rb
         else:
             small, big = rb, ra
 
-        # one cross projection links everything transitively
-        if self.pairs[small] and self.pairs[big]:
-            pa, pb = self.pairs[small][0], self.pairs[big][0]
-            self._pending.append((pa.left, pb.left, "proj_pair", (pa, pb, 0)))
-            self._pending.append((pa.right, pb.right, "proj_pair", (pa, pb, 1)))
-        if self.gencs[small] and self.gencs[big]:
-            ea, eb = self.gencs[small][0], self.gencs[big][0]
-            self._pending.append((ea.body, eb.body, "proj_enc", (ea, eb, 0)))
-            self._pending.append((ea.key, eb.key, "proj_enc", (ea, eb, 1)))
+        # one cross projection links everything transitively; the merged
+        # class keeps big's representative
+        for reps, rule in ((self.pair, "proj_pair"), (self.genc, "proj_enc")):
+            a, b = reps.pop(small, None), reps.get(big)
+            if a is not None and b is not None:
+                for i, (x, y) in enumerate(zip(children(a), children(b))):
+                    self._pending.append((x, y, rule, (a, b, i)))
+            elif a is not None:
+                reps[big] = a
 
         for m in self.members[small]:
             self.parent[m] = big
         self.parent[small] = big
-        self.size[big] += self.size[small]
         self.members[big].extend(self.members.pop(small))
-        self.pairs[big].extend(self.pairs.pop(small))
-        self.gencs[big].extend(self.gencs.pop(small))
 
         touched = self.parents_of.pop(small) | self.parents_of[big]
         self.parents_of[big] = touched
@@ -332,7 +328,7 @@ class EqClasses:
         return True
 
     def _refl_possible(self, t: Term) -> bool:
-        if self.size.get(self.find(t), 1) > 1:
+        if len(self.members[self.find(t)]) > 1:
             return True
         return all(self.dyctx.derivable(s) for s in iter_subterms(t)
                    if isinstance(s, Basic))
@@ -357,18 +353,6 @@ def check_bottom(classes: EqClasses) -> tuple[Term, Term] | None:
 # ---------------------------------------------------------------------------
 # hypothesis expansion
 
-class _WitnessAllocator:
-    def __init__(self):
-        self.ledger: dict[Assertion, str] = {}
-        self.n = 0
-
-    def get(self, psi: Exists) -> str:
-        if psi not in self.ledger:
-            self.n += 1
-            self.ledger[psi] = f"_w{self.n}"
-        return self.ledger[psi]
-
-
 class _Node:
     """One node of the case-split tree: the hypotheses reached from its
     parent's choice of disjunct by non-branching expansion (conjunctions
@@ -377,7 +361,7 @@ class _Node:
     split on.  Children are made once, on demand, and kept."""
 
     def __init__(self, hyps: set[Assertion], origin: dict[Assertion, tuple],
-                 queue: deque[Assertion], alloc: _WitnessAllocator, safe: bool):
+                 queue: deque[Assertion], wit_names: dict[Assertion, str], safe: bool):
         self.wits: list[tuple[Assertion, Assertion, str]] = []
         self.split: Or | None = None
         while queue:
@@ -394,7 +378,8 @@ class _Node:
                     origin[psi.body] = ("strip", psi)
                     queue.append(psi.body)
             elif isinstance(psi, Exists) and not safe:
-                var = alloc.get(psi)
+                # each existential is opened once per context, on _w1, _w2, ...
+                var = wit_names.setdefault(psi, f"_w{len(wit_names) + 1}")
                 inst = substitute(psi.body, {psi.var: Var(var)})
                 if inst not in hyps:
                     hyps.add(inst)
@@ -692,7 +677,10 @@ class _BranchProver:
         if p is not None:
             return p
         for u in self._candidates(goal.var, goal.body):
-            inst = substitute(goal.body, {goal.var: u})
+            try:
+                inst = substitute(goal.body, {goal.var: u})
+            except ValueError:  # a non-key in an encryption's key slot
+                continue
             p = self.prove(inst)
             if p is not None:
                 return ProofNode("exists_i", goal, (p,), witness=u)
@@ -845,7 +833,7 @@ class DeriveContext:
         if dyctx is not None and dyctx.X != self.X:
             raise ValueError("dyctx is not over X")
         self.dyctx = dyctx if dyctx is not None else DYContext(self.X)
-        self.alloc = _WitnessAllocator()
+        self.wit_names: dict[Assertion, str] = {}
         self.build_failed = False
         self.branch_count = 0  # branches of the tree expanded so far
         try:
@@ -857,7 +845,7 @@ class DeriveContext:
 
     def _node(self, hyps, origin, queue, parent: _Node | None = None) -> _Node:
         """A node's classes extend its parent's with its own hypotheses."""
-        node = _Node(hyps, origin, queue, self.alloc, self.safe)
+        node = _Node(hyps, origin, queue, self.wit_names, self.safe)
         if parent is None:
             cc = EqClasses(self.dyctx, self.budget.merge_cap)
             _build_classes(cc, self.X, node.sorted_hyps)

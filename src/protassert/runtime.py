@@ -32,8 +32,7 @@ seeded random choice among ties, so runs are reproducible from their seed.
 from __future__ import annotations
 
 import random
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .assertions import (
@@ -55,7 +54,7 @@ from .engine import (
     Verdict,
 )
 from .protocol import Action, Protocol, action_subst
-from .syntax import Declarations, ParseError, _split_commas, parse_term, print_term
+from .syntax import Cursor, ParseError, parse_session, print_term, tokenize
 from .terms import (
     AGENT,
     App,
@@ -566,105 +565,68 @@ def write_trace(run: Run) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RUN_RE = re.compile(r"^run\s+(\S+)\s+seed=(\S+)$")
-_SESSION_RE = re.compile(r"^session\s+(\d+)\s+(\w+)\s*(.*)$")
-_STEP_RE = re.compile(r"^step\s+(\d+)\s+session\s+(\d+)\s*(.*)$")
+def _fresh_value(p: Cursor) -> tuple[str, Basic]:
+    """name '=' value ':' sort, declaring value for the rest of the trace."""
+    name = p.ident()
+    p.expect("=")
+    value = p.ident()
+    p.expect(":")
+    sort = p.expect_ident()
+    if sort.val not in (NONCE, KEY):
+        raise ParseError(f"bad fresh sort {sort.val!r}", sort.pos)
+    (p.decls.keys if sort.val == KEY else p.decls.nonces).add(value)
+    return name, Basic(value, sort.val)
 
 
 def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
-    """Rebuild a run from its trace.  The protocol must be the one the trace
-    was produced from; the setup (initial knowledge) defaults to bare
-    sessions as listed in the trace."""
-    decls = Declarations(
-        agents=set(proto.decls.agents),
-        nonces=set(proto.decls.nonces),
-        keys=set(proto.decls.keys),
-        predicates=dict(proto.decls.predicates),
-        constructors=dict(proto.decls.constructors),
-    )
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
-    if not lines:
-        raise ParseError("empty trace", "trace")
-    m = _RUN_RE.match(lines[0])
-    if not m or m.group(1) != proto.name:
-        raise ParseError(f"trace is not for protocol {proto.name}", "trace:1")
-    seed = None if m.group(2) == "-" else int(m.group(2))
+    """Rebuild a run from its trace (grammar in the `syntax` docstring).
+    The protocol must be the one the trace was produced from; the setup
+    (initial knowledge) defaults to bare sessions as listed in the trace."""
+    d = proto.decls
+    p = Cursor(tokenize(text, "trace"),
+               replace(d, nonces=set(d.nonces), keys=set(d.keys), strict=False))
+    p.expect("run")
+    tok = p.expect_ident()
+    if tok.val != proto.name:
+        raise ParseError(f"trace is not for protocol {proto.name}", tok.pos)
+    p.expect("seed")
+    p.expect("=")
+    seed = None if p.eat("-") else p.number()
 
     sessions: list[tuple[str, dict[str, Term]]] = []
-    i = 1
-    while i < len(lines) and lines[i].startswith("session"):
-        m = _SESSION_RE.match(lines[i])
-        if not m:
-            raise ParseError(f"bad session line: {lines[i]!r}", f"trace:{i + 1}")
-        if int(m.group(1)) != len(sessions) + 1:
-            raise ParseError("sessions out of order", f"trace:{i + 1}")
-        role = m.group(2)
-        if role not in proto.roles:
-            raise ParseError(f"unknown role {role!r}", f"trace:{i + 1}")
-        sigma: dict[str, Term] = {}
-        rest = m.group(3).strip()
-        if rest:
-            for part in _split_commas(rest):
-                k, _, vtxt = part.partition("=")
-                sigma[k.strip()] = parse_term(vtxt.strip(), decls, f"trace:{i + 1}")
-        sessions.append((role, sigma))
-        i += 1
-
+    while p.eat("session"):
+        tok = p.peek()
+        if p.number() != len(sessions) + 1:
+            raise ParseError("sessions out of order", tok.pos)
+        sessions.append(parse_session(p, proto))
     if setup is None:
         setup = Setup(sessions=sessions)
-    else:
-        if [(r, dict(s)) for r, s in setup.sessions] != sessions:
-            raise ParseError("trace sessions do not match the given setup", "trace")
+    elif [(r, dict(s)) for r, s in setup.sessions] != sessions:
+        raise ParseError("trace sessions do not match the given setup", "trace")
 
-    sess_states = [SessionState(r, dict(s)) for r, s in sessions]
+    states = [SessionState(r, dict(s)) for r, s in sessions]
     steps: list[Step] = []
-    for j in range(i, len(lines)):
-        line = lines[j]
-        loc = f"trace:{j + 1}"
-        m = _STEP_RE.match(line)
-        if not m:
-            raise ParseError(f"bad step line: {line!r}", loc)
-        if int(m.group(1)) != len(steps) + 1:
-            raise ParseError("steps out of order", loc)
-        snum = int(m.group(2))
-        if not 1 <= snum <= len(sessions):
-            raise ParseError(f"no session {snum}", loc)
-        rest = m.group(3).strip()
-        fresh: list[tuple[str, Basic]] = []
-        binds: list[tuple[str, Term]] = []
-        if rest:
-            if rest.startswith("fresh"):
-                body = rest[len("fresh"):].strip()
-                bind_part = None
-                if " bind " in body:
-                    body, bind_part = body.split(" bind ", 1)
-                for chunk in body.split(","):
-                    nm, _, bs = chunk.strip().partition("=")
-                    bname, _, bsort = bs.partition(":")
-                    if bsort not in (NONCE, KEY):
-                        raise ParseError(f"bad fresh sort {bsort!r}", loc)
-                    b = Basic(bname, bsort)
-                    fresh.append((nm.strip(), b))
-                    getattr(decls, "keys" if bsort == KEY else "nonces").add(bname)
-                rest = ("bind " + bind_part) if bind_part else ""
-            if rest.startswith("bind"):
-                for chunk in _split_commas(rest[len("bind"):]):
-                    k, _, vtxt = chunk.partition("=")
-                    binds.append((k.strip(), parse_term(vtxt.strip(), decls, loc)))
-            elif rest and not rest.startswith("fresh"):
-                raise ParseError(f"bad step suffix {rest!r}", loc)
-
-        st = sess_states[snum - 1]
+    while p.eat("step"):
+        tok = p.peek()
+        if p.number() != len(steps) + 1:
+            raise ParseError("steps out of order", tok.pos)
+        p.expect("session")
+        tok = p.peek()
+        snum = p.number()
+        if not 1 <= snum <= len(states):
+            raise ParseError(f"no session {snum}", tok.pos)
+        fresh = tuple(p.items(lambda: _fresh_value(p))) if p.eat("fresh") else ()
+        binds = tuple(p.items(p.binding)) if p.eat("bind") else ()
+        st = states[snum - 1]
         role = proto.roles[st.role]
         if st.pc >= len(role.actions):
-            raise ParseError(f"session {snum} has no pending action", loc)
-        action = role.actions[st.pc]
-        inst = _instantiate(action, st.sigma, tuple(fresh), tuple(binds))
+            raise ParseError(f"session {snum} has no pending action", tok.pos)
+        inst = _instantiate(role.actions[st.pc], st.sigma, fresh, binds)
         if inst is None:
-            raise ParseError(f"step {len(steps) + 1} leaves variables unbound", loc)
-        steps.append(Step(snum, inst, tuple(fresh), tuple(binds)))
+            raise ParseError(f"step {len(steps) + 1} leaves variables unbound", tok.pos)
+        steps.append(Step(snum, inst, fresh, binds))
         st.sigma.update(fresh)
         st.sigma.update(binds)
         st.pc += 1
-
+    p.end()
     return Run(proto, setup, seed, steps)

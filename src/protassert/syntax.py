@@ -1,14 +1,43 @@
 """Concrete syntax: parsing and printing for terms, assertions, sequent
-files, and the protocol description language.
+files, the protocol description language and session lists, and the cursor
+that the trace reader (`runtime.parse_trace`) shares.
 
 Term grammar:      t ::= IDENT | '(' t ',' t ')' | '{' t '}' k | IDENT '(' t, ... ')'
 Assertion grammar: a ::= t '=' t | IDENT '(' t, ... ')' | a '/\\' a | a '\\/' a
-                       | 'ex' IDENT+ ':' a | IDENT 'says' a | IDENT 'sent' t
+                       | 'ex' IDENT, ... ':' a | IDENT 'says' a | IDENT 'sent' t
                        | IDENT 'sent' '<' a '>'
 '/\\' binds tighter than '\\/'; 'ex' extends maximally to the right; says
 takes the tightest following unit.  Identifiers are [A-Za-z][A-Za-z0-9_]*;
 'ex', 'says' and 'sent' are reserved.  Whitespace is insignificant; '#'
 starts a comment.
+
+Every `x, ...` list in these grammars is read by one helper, `Cursor.items`:
+item (',' item)*, then the closing bracket if there is one.
+
+Sequent file, one line per item:
+    ('agents' | 'nonces' | 'keys') ':' NAME, ...
+    'predicates' ':' IDENT '/' INT, ...
+    'constructors' ':' IDENT '/' (INT | '*'), ...
+    'terms' ':' t, ...      'assertions' ':' a      'goal' ':' a
+  Declarations come first.  A section header may carry its first line, and
+  the lines after it belong to it until the next header.
+Protocol file, one line per item:
+    'protocol' IDENT      'phases' IDENT, ...
+    declaration lines as above, the ':' optional
+    'role' IDENT ['(' IDENT, ... ')'] ':'
+    ['@' PHASE] KIND ['*'] IDENT ['fresh' '(' IDENT, ... ')'] ':' [t ','] a
+  where KIND is send, recv, confirm, deny or insert; send and recv carry a
+  term and an optional assertion, the others an assertion.
+Session:    IDENT '(' IDENT '=' t, ... ')'   or   IDENT IDENT '=' t, ...
+  a role and the bindings that ground it (`parse_session`); `--sessions`
+  lists them separated by ';'.
+Trace, one token stream (read by `runtime.parse_trace`, written by
+`runtime.write_trace`, one record per line):
+    'run' IDENT 'seed' '=' (INT | '-')
+    ('session' INT session)*
+    ('step' INT 'session' INT ['fresh' (IDENT '=' IDENT ':' SORT), ...]
+                              ['bind' (IDENT '=' t), ...])*
+  where SORT is nonce or key.  Integers may carry a '-' sign.
 
 Identifier classification needs declarations: declared names parse to basics
 of the declared sort, anything else to a variable.
@@ -23,6 +52,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, TypeVar
 
 from .assertions import (
     And,
@@ -59,6 +89,7 @@ class ParseError(Exception):
         self.pos = pos
 
 
+T = TypeVar("T")
 RESERVED = {"ex", "says", "sent"}
 MAX_NESTING = 100
 
@@ -92,15 +123,15 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<int>\d+)
-      | (?P<punct>/\\|\\/|[(){}<>,:=/*@;])
+      | (?P<int>-?\d+)
+      | (?P<punct>/\\|\\/|[(){}<>,:=/*@;-])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     kind: str  # ident | int | punct | end
     val: str
     pos: str
@@ -108,27 +139,32 @@ class Tok:
 
 def tokenize(text: str, where: str = "input") -> list[Tok]:
     toks: list[Tok] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", f"{where}:{line}:{col}")
-        lexeme = m.group(0)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            toks.append(Tok(kind, lexeme, f"{where}:{line}:{col}"))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        i = m.end()
-    toks.append(Tok("end", "", f"{where}:{line}:{col}"))
+        if kind == "ws":
+            nl = m.group().count("\n")
+            if nl:
+                line += nl
+                line_start = m.start() + m.group().rfind("\n") + 1
+        elif kind != "comment":
+            pos = f"{where}:{line}:{m.start() - line_start + 1}"
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", pos)
+            toks.append(Tok(kind, m.group(), pos))
+    toks.append(Tok("end", "", f"{where}:{line}:{len(text) - line_start + 1}"))
     return toks
 
 
-class _Cursor:
+def _expected(what: str, t: Tok) -> ParseError:
+    return ParseError(f"expected {what}, found {t.val or 'end of input'!r}", t.pos)
+
+
+class Cursor:
+    """A position in a token list, with the pieces every format is made of:
+    identifiers, numbers, terms, `name = term` bindings, comma lists and
+    the end of input."""
+
     def __init__(self, toks: list[Tok], decls: Declarations):
         self.toks = toks
         self.i = 0
@@ -157,24 +193,54 @@ class _Cursor:
     def expect(self, val: str) -> Tok:
         t = self.next()
         if t.val != val:
-            raise ParseError(f"expected {val!r}, found {t.val or 'end of input'!r}", t.pos)
+            raise _expected(repr(val), t)
         return t
 
     def expect_ident(self) -> Tok:
         t = self.next()
         if t.kind != "ident":
-            raise ParseError(f"expected identifier, found {t.val or 'end of input'!r}", t.pos)
+            raise _expected("identifier", t)
         return t
 
     def done(self) -> bool:
         return self.peek().kind == "end"
+
+    def end(self) -> None:
+        if not self.done():
+            raise ParseError(f"trailing input {self.peek().val!r}", self.peek().pos)
+
+    def items(self, item: Callable[[], T], close: str | None = None) -> list[T]:
+        """item (',' item)*, then the closing bracket when one is given."""
+        out = [item()]
+        while self.eat(","):
+            out.append(item())
+        if close is not None:
+            self.expect(close)
+        return out
+
+    def ident(self) -> str:
+        return self.expect_ident().val
+
+    def number(self) -> int:
+        t = self.next()
+        if t.kind != "int":
+            raise _expected("a number", t)
+        return int(t.val)
+
+    def term(self) -> Term:
+        return _parse_term(self)
+
+    def binding(self) -> tuple[str, Term]:
+        name = self.ident()
+        self.expect("=")
+        return name, _parse_term(self)
 
 
 def _nested(parse):
     """Count the recursion of a parser that every nesting cycle of the
     grammar passes through, and refuse input past MAX_NESTING levels."""
     @functools.wraps(parse)
-    def wrapper(p: _Cursor):
+    def wrapper(p: Cursor):
         if p.depth >= MAX_NESTING:
             raise ParseError(f"nested more than {MAX_NESTING} levels deep", p.peek().pos)
         p.depth += 1
@@ -188,16 +254,12 @@ def _nested(parse):
 # ---------------------------------------------------------------------------
 # terms
 
-def _parse_app_args(p: _Cursor) -> tuple[Term, ...]:
+def _parse_app_args(p: Cursor) -> tuple[Term, ...]:
     p.expect("(")
-    args = [_parse_term(p)]
-    while p.eat(","):
-        args.append(_parse_term(p))
-    p.expect(")")
-    return tuple(args)
+    return tuple(p.items(p.term, ")"))
 
 
-def _check_applied(p: _Cursor, name: str, arity: int, pos: str, as_pred: bool) -> None:
+def _check_applied(p: Cursor, name: str, arity: int, pos: str, as_pred: bool) -> None:
     d = p.decls
     if as_pred:
         if name in d.predicates:
@@ -218,7 +280,7 @@ def _check_applied(p: _Cursor, name: str, arity: int, pos: str, as_pred: bool) -
         raise ParseError(f"undeclared constructor {name}", pos)
 
 
-def _parse_simple_term(p: _Cursor) -> Term:
+def _parse_simple_term(p: Cursor) -> Term:
     """IDENT or IDENT(...): the only shapes allowed in a key position."""
     if p.peek().kind == "int":
         t = p.next()
@@ -236,7 +298,7 @@ def _parse_simple_term(p: _Cursor) -> Term:
 
 
 @_nested
-def _parse_term(p: _Cursor) -> Term:
+def _parse_term(p: Cursor) -> Term:
     tok = p.peek()
     if tok.val == "(":
         p.next()
@@ -256,21 +318,20 @@ def _parse_term(p: _Cursor) -> Term:
             raise ParseError(str(e), tok.pos) from None
     if tok.kind in ("ident", "int"):
         return _parse_simple_term(p)
-    raise ParseError(f"expected a term, found {tok.val or 'end of input'!r}", tok.pos)
+    raise _expected("a term", tok)
 
 
 def parse_term(text: str, decls: Declarations | None = None, where: str = "term") -> Term:
-    p = _Cursor(tokenize(text, where), decls or Declarations())
+    p = Cursor(tokenize(text, where), decls or Declarations())
     t = _parse_term(p)
-    if not p.done():
-        raise ParseError(f"trailing input {p.peek().val!r}", p.peek().pos)
+    p.end()
     return t
 
 
 # ---------------------------------------------------------------------------
 # assertions
 
-def _parse_atom_or_paren(p: _Cursor) -> Assertion:
+def _parse_atom_or_paren(p: Cursor) -> Assertion:
     start = p.i
     tok = p.peek()
     if tok.kind == "ident" and tok.val in p.decls.predicates and p.peek(1).val == "(":
@@ -301,13 +362,11 @@ def _parse_atom_or_paren(p: _Cursor) -> Assertion:
 
 
 @_nested
-def _parse_unit(p: _Cursor) -> Assertion:
+def _parse_unit(p: Cursor) -> Assertion:
     tok = p.peek()
     if tok.kind == "ident" and tok.val == "ex":
         p.next()
-        names = [p.expect_ident().val]
-        while p.eat(","):
-            names.append(p.expect_ident().val)
+        names = p.items(p.ident)
         p.expect(":")
         body = _parse_assertion(p)
         for n in reversed(names):
@@ -328,7 +387,7 @@ def _parse_unit(p: _Cursor) -> Assertion:
     return _parse_atom_or_paren(p)
 
 
-def _parse_and(p: _Cursor) -> Assertion:
+def _parse_and(p: Cursor) -> Assertion:
     a = _parse_unit(p)
     while p.at("/\\"):
         p.next()
@@ -336,7 +395,7 @@ def _parse_and(p: _Cursor) -> Assertion:
     return a
 
 
-def _parse_assertion(p: _Cursor) -> Assertion:
+def _parse_assertion(p: Cursor) -> Assertion:
     a = _parse_and(p)
     while p.at("\\/"):
         p.next()
@@ -346,10 +405,9 @@ def _parse_assertion(p: _Cursor) -> Assertion:
 
 def parse_assertion(text: str, decls: Declarations | None = None,
                     where: str = "assertion") -> Assertion:
-    p = _Cursor(tokenize(text, where), decls or Declarations())
+    p = Cursor(tokenize(text, where), decls or Declarations())
     a = _parse_assertion(p)
-    if not p.done():
-        raise ParseError(f"trailing input {p.peek().val!r}", p.peek().pos)
+    p.end()
     return normalize(a)
 
 
@@ -432,35 +490,31 @@ def print_assertion(a: Assertion) -> str:
 # declaration lines and sequent files
 
 _DECL_HEADS = ("agents", "nonces", "keys", "predicates", "constructors")
+_SECTIONS = ("terms", "assertions", "goal")
 
 
-def _parse_decl_items(head: str, rest: str, decls: Declarations, where: str) -> None:
-    p = _Cursor(tokenize(rest, where), decls)
-    first = True
-    while not p.done():
-        if not first:
-            p.expect(",")
-        first = False
+def _parse_decl_items(head: str, p: Cursor) -> None:
+    """The rest of a declaration line: names, or symbols with arities."""
+    d = p.decls
+
+    def item() -> None:
         t = p.next()
         if t.kind not in ("ident", "int"):
-            raise ParseError(f"expected a name, found {t.val or 'end of input'!r}", t.pos)
-        if t.kind == "int" and head in ("predicates", "constructors"):
+            raise _expected("a name", t)
+        if head in ("agents", "nonces", "keys"):
+            getattr(d, head).add(t.val)
+            return
+        if t.kind == "int":
             raise ParseError(f"{head} need named symbols", t.pos)
-        name = t.val
-        if head in ("predicates", "constructors"):
-            p.expect("/")
-            if head == "constructors" and p.eat("*"):
-                decls.constructors[name] = None
-                continue
-            n = p.next()
-            if n.kind != "int":
-                raise ParseError("expected an arity", n.pos)
-            if head == "predicates":
-                decls.predicates[name] = int(n.val)
-            else:
-                decls.constructors[name] = int(n.val)
+        p.expect("/")
+        if head == "constructors" and p.eat("*"):
+            d.constructors[t.val] = None
         else:
-            getattr(decls, head).add(name)
+            getattr(d, head)[t.val] = p.number()
+
+    if not p.done():
+        p.items(item)
+    p.end()
 
 
 @dataclass(frozen=True)
@@ -471,152 +525,91 @@ class Sequent:
     decls: Declarations
 
 
-def _split_commas(text: str) -> list[str]:
-    """Split on commas that sit outside every bracket pair."""
-    out: list[str] = []
-    depth = 0
-    cur: list[str] = []
-    for ch in text:
-        if ch in "({<":
-            depth += 1
-        elif ch in ")}>":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        out.append(tail)
-    return out
-
-
 def parse_sequent(text: str, where: str = "sequent") -> Sequent:
     decls = Declarations()
     terms: list[Term] = []
     assertions: list[Assertion] = []
-    goal: Assertion | None = None
+    goals: list[Assertion] = []
     section = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), 1):
         loc = f"{where}:{lineno}"
-        head, colon, rest = line.partition(":")
-        head = head.strip()
-        if colon == ":" and head in _DECL_HEADS and section is None:
-            _parse_decl_items(head, rest, decls, loc)
-            continue
-        if colon == ":" and head in ("terms", "assertions", "goal"):
+        p = Cursor(tokenize(line, loc), decls)
+        head = p.peek().val
+        if p.peek(1).val == ":" and (
+                head in _SECTIONS or head in _DECL_HEADS and section is None):
+            p.next()
+            p.next()
+            if head in _DECL_HEADS:
+                _parse_decl_items(head, p)
+                continue
             section = head
-            rest = rest.strip()
-            if not rest:
-                continue
-            if section == "terms":
-                for item in _split_commas(rest):
-                    terms.append(parse_term(item, decls, loc))
-                continue
-            line = rest  # a single assertion may follow the header inline
+        if p.done():
+            continue
+        if section is None:
+            raise ParseError("unexpected line outside any section", loc)
         if section == "terms":
-            terms.append(parse_term(line, decls, loc))
-        elif section == "assertions":
-            assertions.append(parse_assertion(line, decls, loc))
-        elif section == "goal":
-            if goal is not None:
-                raise ParseError("multiple goals", loc)
-            goal = parse_assertion(line, decls, loc)
+            terms.extend(p.items(p.term))
         else:
-            raise ParseError(f"unexpected line outside any section: {line!r}", loc)
-    if goal is None:
+            (assertions if section == "assertions" else goals).append(
+                normalize(_parse_assertion(p)))
+            if len(goals) > 1:
+                raise ParseError("multiple goals", loc)
+        p.end()
+    if not goals:
         raise ParseError("missing goal: section", where)
-    return Sequent(frozenset(terms), frozenset(assertions), goal, decls)
+    return Sequent(frozenset(terms), frozenset(assertions), goals[0], decls)
 
 
 # ---------------------------------------------------------------------------
 # protocol files
 
 def parse_protocol(text: str, where: str = "protocol"):
-    from .protocol import Action, Protocol, Role
+    from .protocol import Protocol, Role
 
     decls = Declarations(strict=True)
     name: str | None = None
     phases: list[str] = []
-    roles: dict[str, Role] = {}
-
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
-
-    i = 0
-    role_name: str | None = None
-    role_params: tuple[str, ...] = ()
-    role_actions: list[Action] = []
-    cur_phase = 0
-
-    def close_role() -> None:
-        nonlocal role_name, role_actions
-        if role_name is not None:
-            roles[role_name] = Role(role_name, role_params, tuple(role_actions))
-            role_name = None
-            role_actions = []
-
-    while i < len(lines):
-        lineno, line = lines[i]
-        loc = f"{where}:{lineno}"
-        i += 1
-        p = _Cursor(tokenize(line, loc), decls)
-        head = p.peek()
-        if head.val == "protocol":
-            p.next()
-            name = p.expect_ident().val
+    roles: list[tuple[str, tuple[str, ...], list]] = []  # name, params, actions
+    for lineno, line in enumerate(text.splitlines(), 1):
+        p = Cursor(tokenize(line, f"{where}:{lineno}"), decls)
+        head = p.peek().val
+        if p.done():
             continue
-        if head.val == "phases":
+        if head == "protocol":
             p.next()
-            phases.append(p.expect_ident().val)
-            while p.eat(","):
-                phases.append(p.expect_ident().val)
-            continue
-        if head.val in _DECL_HEADS and role_name is None:
+            name = p.ident()
+        elif head == "phases":
             p.next()
-            rest = line.split(None, 1)[1] if len(line.split(None, 1)) > 1 else ""
-            _parse_decl_items(head.val, rest, decls, loc)
-            continue
-        if head.val == "role":
-            close_role()
+            phases.extend(p.items(p.ident))
+        elif head in _DECL_HEADS and not roles:
             p.next()
-            role_name = p.expect_ident().val
-            role_params = ()
-            if p.eat("("):
-                params = [p.expect_ident().val]
-                while p.eat(","):
-                    params.append(p.expect_ident().val)
-                p.expect(")")
-                role_params = tuple(params)
+            p.eat(":")
+            _parse_decl_items(head, p)
+        elif head == "role":
+            p.next()
+            rname = p.ident()
+            params = tuple(p.items(p.ident, ")")) if p.eat("(") else ()
             p.expect(":")
-            cur_phase = 0
-            continue
-        if role_name is None:
-            raise ParseError(f"unexpected line outside a role: {line!r}", loc)
-        action, cur_phase = _parse_action_line(p, decls, phases, cur_phase, loc)
-        role_actions.append(action)
-
-    close_role()
+            roles.append((rname, params, []))
+        elif not roles:
+            raise ParseError("unexpected line outside a role", p.peek().pos)
+        else:
+            actions = roles[-1][2]
+            actions.append(_parse_action(p, phases, actions[-1].phase if actions else 0))
+        p.end()
     if name is None:
         raise ParseError("missing protocol header", where)
-    return Protocol(name, decls, roles, tuple(phases))
+    return Protocol(name, decls, {r: Role(r, ps, tuple(acts)) for r, ps, acts in roles},
+                    tuple(phases))
 
 
 _ACTION_KINDS = ("send", "recv", "confirm", "deny", "insert")
 
 
-def _parse_action_line(p: _Cursor, decls: Declarations, phases: list[str],
-                       cur_phase: int, loc: str):
+def _parse_action(p: Cursor, phases: list[str], phase: int):
+    """One action line of a role; phase is the previous action's."""
     from .protocol import Action
 
-    phase = cur_phase
     if p.eat("@"):
         pname = p.expect_ident()
         if pname.val not in phases:
@@ -626,36 +619,22 @@ def _parse_action_line(p: _Cursor, decls: Declarations, phases: list[str],
     kind = kind_tok.val
     if kind not in _ACTION_KINDS:
         raise ParseError(f"unknown action kind {kind!r}", kind_tok.pos)
-    anonymous = False
     if kind == "send" and p.eat("*"):
-        anonymous = True
-    agent_tok = p.expect_ident()
-    agent: Term = Var("id") if agent_tok.val == "id" else decls.classify(agent_tok.val)
+        kind = "send*"
+    agent = p.ident()
     fresh: tuple[str, ...] = ()
-    if p.at("fresh"):
-        p.next()
+    if p.eat("fresh"):
         p.expect("(")
-        names = [p.expect_ident().val]
-        while p.eat(","):
-            names.append(p.expect_ident().val)
-        p.expect(")")
-        fresh = tuple(names)
+        fresh = tuple(p.items(p.ident, ")"))
+        if kind not in ("send", "send*"):
+            raise ParseError("fresh(...) is only allowed on send actions", kind_tok.pos)
     p.expect(":")
-
-    term = None
+    term = _parse_term(p) if kind in ("send", "send*", "recv") else None
     assertion = None
-    if kind in ("send", "recv"):
-        term = _parse_term(p)
-        if p.eat(","):
-            assertion = normalize(_parse_assertion(p))
-    else:
+    if term is None or p.eat(","):
         assertion = normalize(_parse_assertion(p))
-    if not p.done():
-        raise ParseError(f"trailing input {p.peek().val!r}", p.peek().pos)
-    if fresh and kind != "send":
-        raise ParseError("fresh(...) is only allowed on send actions", loc)
-    return Action(kind if kind != "send" else ("send*" if anonymous else "send"),
-                  agent, fresh, term, assertion, phase), phase
+    return Action(kind, Var("id") if agent == "id" else p.decls.classify(agent),
+                  fresh, term, assertion, phase)
 
 
 def print_action(action, phases: tuple[str, ...] = (), prev_phase: int | None = None) -> str:
@@ -700,27 +679,31 @@ def print_protocol(proto) -> str:
     return "\n".join(out) + "\n"
 
 
+def parse_session(p: Cursor, proto) -> tuple[str, dict[str, Term]]:
+    """One session, `role(name=term, ...)` or `role name=term, ...`: a role
+    of proto and bindings that ground it (`protocol.suitable`)."""
+    from .protocol import suitable
+
+    tok = p.expect_ident()
+    role = proto.roles.get(tok.val)
+    if role is None:
+        raise ParseError(f"unknown role {tok.val!r}", tok.pos)
+    sigma = dict(p.items(p.binding, ")") if p.eat("(") else p.items(p.binding))
+    unknown = sorted(set(sigma) - {"id", *role.params})
+    if unknown:
+        raise ParseError(f"role {role.name} has no parameter {unknown[0]}", tok.pos)
+    if not suitable(sigma, role, proto):
+        raise ParseError(f"session of {role.name} does not ground its role: id needs "
+                         f"a declared agent, every parameter a ground term", tok.pos)
+    return role.name, sigma
+
+
 def parse_sessions(text: str, proto) -> list[tuple[str, dict[str, Term]]]:
     """Parse 'role(id=A, v=v0); role2(id=B)' session lists."""
     out: list[tuple[str, dict[str, Term]]] = []
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        p = _Cursor(tokenize(chunk, "sessions"), proto.decls)
-        rname = p.expect_ident().val
-        if rname not in proto.roles:
-            raise ParseError(f"unknown role {rname!r}", p.peek().pos)
-        bindings: dict[str, Term] = {}
-        if p.eat("("):
-            while not p.at(")"):
-                if bindings:
-                    p.expect(",")
-                var = p.expect_ident().val
-                p.expect("=")
-                bindings[var] = _parse_term(p)
-            p.expect(")")
+        p = Cursor(tokenize(chunk, "sessions"), proto.decls)
         if not p.done():
-            raise ParseError(f"trailing input {p.peek().val!r}", p.peek().pos)
-        out.append((rname, bindings))
+            out.append(parse_session(p, proto))
+            p.end()
     return out

@@ -172,6 +172,29 @@ def test_replay_rejects_a_tampered_trace(tmp_path, capsys):
     assert "never offered" in out or "cannot justify" in out
 
 
+def test_simulate_with_an_unbound_role_parameter_is_a_usage_error(capsys):
+    # voter(v) without v can never run; that is no definite negative
+    rc = main(["simulate", "foo", "--sessions", "voter(id=V0)"])
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    assert captured.err.startswith("parse error: ") and "ground" in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_without_an_id_is_a_usage_error(capsys):
+    rc = main(["simulate", "foo", "--sessions", "voter(v=v0)"])
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    assert captured.err.startswith("parse error: ") and "internal error" not in captured.err
+
+
+def test_derive_key_slot_witness_exits_zero(tmp_path, capsys):
+    path = _write(tmp_path, "slot.seq", "nonces: c, d\nkeys: k\nterms: c, d, k\n"
+                  "goal: ex x: (x = c \\/ x = k) /\\ {d}x = {d}x\n")
+    assert main(["derive", path]) == 0
+    assert capsys.readouterr().out == "derivable\n"
+
+
 def test_anonymity_foo_is_clean(capsys):
     rc = main(["anonymity", "foo", "--seeds", "1", "--tests", "60"])
     out = capsys.readouterr().out

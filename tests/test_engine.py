@@ -437,3 +437,19 @@ def test_safe_subset_of_full_property():
         goal = _rand_flat_assertion(rng, 2)
         if derive_safe(X, phi, goal):
             assert derive(X, phi, goal), (X, phi, goal)
+
+
+def test_witness_candidate_in_a_key_slot_must_be_a_key():
+    # c is offered first as a witness for x, and {d}c is no term; it is
+    # skipped and k, the one candidate that fits the key slot, proves it
+    from protassert import parse_sequent
+    seq = parse_sequent("nonces: c, d\nkeys: k\nterms: c, d, k\n"
+                        "goal: ex x: (x = c \\/ x = k) /\\ {d}x = {d}x\n")
+    v = derive(seq.terms, seq.assertions, seq.goal)
+    assert v.derivable and v.proof.witness == k
+    ok, err = replay_assertion_proof(v.proof, seq.terms, seq.assertions, seq.goal)
+    assert ok, err
+    seq = parse_sequent("nonces: c\nkeys: k\nterms: c\n"
+                        "goal: ex x: x = c /\\ {c}x = {c}x\n")
+    v = derive(seq.terms, seq.assertions, seq.goal)
+    assert not v.derivable and not v.budget_exhausted

@@ -170,6 +170,18 @@ def test_parse_sessions():
     assert ss[1][0] == "counter"
 
 
+def test_a_session_must_ground_its_role():
+    proto = parse_protocol(FOO_SOURCE)
+    for bad, why in [("voter(id=V0)", "ground"),  # v unbound
+                     ("voter(v=v0)", "ground"),  # id unbound
+                     ("voter(id=X, v=v0)", "ground"),  # X is no declared agent
+                     ("voter(id=V0, v=x)", "ground"),  # x is a variable
+                     ("voter(id=V0, v=v0, w=v1)", "no parameter w"),
+                     ("mayor(id=V0)", "unknown role")]:
+        with pytest.raises(ParseError, match=why):
+            parse_sessions(bad, proto)
+
+
 def _rand_term(rng: random.Random, d: Declarations, depth: int):
     pool = [Basic("n", "nonce"), Basic("m", "nonce"), Basic("k", "key"),
             Basic("A", "agent"), Var("x")]
