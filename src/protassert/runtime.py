@@ -591,7 +591,8 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
         raise ParseError(f"trace is not for protocol {proto.name}", tok.pos)
     p.expect("seed")
     p.expect("=")
-    seed = None if p.eat("-") else p.number()
+    negative = p.eat("-")
+    seed = None if negative and p.peek().kind != "int" else p.number() * (-1 if negative else 1)
 
     sessions: list[tuple[str, dict[str, Term]]] = []
     while p.eat("session"):

@@ -33,11 +33,11 @@ Session:    IDENT '(' IDENT '=' t, ... ')'   or   IDENT IDENT '=' t, ...
   lists them separated by ';'.
 Trace, one token stream (read by `runtime.parse_trace`, written by
 `runtime.write_trace`, one record per line):
-    'run' IDENT 'seed' '=' (INT | '-')
+    'run' IDENT 'seed' '=' (['-'] INT | '-')
     ('session' INT session)*
     ('step' INT 'session' INT ['fresh' (IDENT '=' IDENT ':' SORT), ...]
                               ['bind' (IDENT '=' t), ...])*
-  where SORT is nonce or key.  Integers may carry a '-' sign.
+  where SORT is nonce or key, and a seed of '-' is a run without one.
 
 Identifier classification needs declarations: declared names parse to basics
 of the declared sort, anything else to a variable.
@@ -123,7 +123,7 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<int>-?\d+)
+      | (?P<int>\d+)
       | (?P<punct>/\\|\\/|[(){}<>,:=/*@;-])
       | (?P<bad>.)
     """,

@@ -276,16 +276,17 @@ def test_malformed_traces_are_parse_errors():
             parse_trace(text.replace(good, bad), proto)
 
 
-def test_trace_round_trip_without_a_seed():
+def test_trace_round_trip_without_a_seed_or_with_a_negative_one():
     proto = foo()
     setup = default_foo_setup(proto)
-    run = replace(simulate(proto, setup, seed=1)[0], seed=None)
-    text = write_trace(run)
-    assert text.startswith("run foo seed=-\n")
-    again = parse_trace(text, proto, setup)
-    assert again.seed is None
-    assert again.steps == run.steps
-    assert write_trace(again) == text
+    for seed, head in ((None, "seed=-\n"), (-3, "seed=-3\n")):
+        run = replace(simulate(proto, setup, seed=1)[0], seed=seed)
+        text = write_trace(run)
+        assert text.startswith("run foo " + head)
+        again = parse_trace(text, proto, setup)
+        assert again.seed == seed
+        assert again.steps == run.steps
+        assert write_trace(again) == text
 
 
 def test_simulate_warns_when_a_search_hits_the_budget():
