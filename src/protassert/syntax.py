@@ -536,7 +536,7 @@ def parse_sequent(text: str, where: str = "sequent") -> Sequent:
         p = Cursor(tokenize(line, loc), decls)
         head = p.peek().val
         if p.peek(1).val == ":" and (
-                head in _SECTIONS or head in _DECL_HEADS and section is None):
+                head in _SECTIONS or (head in _DECL_HEADS and section is None)):
             p.next()
             p.next()
             if head in _DECL_HEADS:
@@ -572,9 +572,9 @@ def parse_protocol(text: str, where: str = "protocol"):
     roles: list[tuple[str, tuple[str, ...], list]] = []  # name, params, actions
     for lineno, line in enumerate(text.splitlines(), 1):
         p = Cursor(tokenize(line, f"{where}:{lineno}"), decls)
-        head = p.peek().val
         if p.done():
             continue
+        head = p.peek().val
         if head == "protocol":
             p.next()
             name = p.ident()
