@@ -10,6 +10,11 @@ variables are the reserved names %1, %2, ... in preorder, which the parser
 cannot produce and no substituted image mentions, so structural equality
 coincides with alpha-equivalence.
 
+Assertions are hash-consed like terms (`terms.Interned`, one shared weak
+table): equal structures are one object, so `==` and `hash` are identity.
+`assertion_key` and `normalize` are cached on each object, and a normal
+form caches itself as its own normal form.
+
 The one pattern matcher, `match_term`/`match_assertion`, lives here too.  It
 binds a pattern's holes so that the pattern equals a target modulo an
 equality: the runtime binds receive patterns under `SYNTACTIC`, and the
@@ -21,8 +26,10 @@ import itertools
 from dataclasses import dataclass
 
 from .terms import (
+    Interned,
     Term,
     Var,
+    cache,
     children,
     has_bound_name,
     iter_subterms,
@@ -32,53 +39,53 @@ from .terms import (
 )
 
 
-class Assertion:
+class Assertion(metaclass=Interned):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eq(Assertion):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pred(Assertion):
     name: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Assertion):
     left: Assertion
     right: Assertion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Assertion):
     left: Assertion
     right: Assertion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exists(Assertion):
     var: str
     body: Assertion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Says(Assertion):
     agent: Term  # agent name or variable
     body: Assertion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SentT(Assertion):
     agent: Term
     term: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SentA(Assertion):
     agent: Term
     body: Assertion
@@ -215,8 +222,15 @@ def numbered():
 
 
 def normalize(a: Assertion) -> Assertion:
-    """Alpha-normal form: bound variables become %1, %2, ... in preorder."""
-    return rebind(a, {}, numbered())
+    """Alpha-normal form: bound variables become %1, %2, ... in preorder.
+    Cached on a; the normal form is its own normal form, because renaming
+    binders that already read %1, %2, ... in preorder changes nothing."""
+    try:
+        return a._normal
+    except AttributeError:
+        nf = rebind(a, {}, numbered())
+        cache(nf, "_normal", nf)
+        return cache(a, "_normal", nf)
 
 
 def substitute(a: Assertion, sigma: dict[str, Term]) -> Assertion:
@@ -237,8 +251,15 @@ def reveals(a: Assertion) -> frozenset[Term]:
     return frozenset(out)
 
 
-# Inline switch, not parts(): every sort of assertions, on every query, calls it.
 def assertion_key(a: Assertion):
+    """Total ordering key, built from `term_key`.  Cached on a."""
+    try:
+        return a._key
+    except AttributeError:
+        return cache(a, "_key", _assertion_key(a))
+
+
+def _assertion_key(a: Assertion):
     if isinstance(a, Eq):
         return (0, term_key(a.lhs), term_key(a.rhs))
     if isinstance(a, Pred):

@@ -752,20 +752,31 @@ class _BranchProver:
         return results
 
     def _synth_from_pattern(self, pat: Term) -> list[Term]:
-        depth = self.counters.budget.witness_depth
+        """Instances of pat with its bound names filled from the branch's
+        universe.  The lists are cut (candidate_cap, witness_depth, 8 per
+        child, 64 per argument tuple); every cut sets counters.truncated,
+        so a negative answer that rests on it is inconclusive, not a
+        definite no."""
+        budget = self.counters.budget
         univ = [t for t in sorted(self.cc.parent, key=term_key) if not has_bound_name(t)]
+
+        def cut(xs: list, n: int) -> list:
+            if len(xs) > n:
+                self.counters.truncated = True
+            return xs[:n]
 
         def synth(p: Term, d: int) -> list[Term]:
             if not has_bound_name(p):
                 return [p]
             if isinstance(p, Var):
-                return univ[: self.counters.budget.candidate_cap]
+                return cut(univ, budget.candidate_cap)
             if d <= 0:
+                self.counters.truncated = True
                 return []
             outs = [[]]
             for c in children(p):
-                cands = synth(c, d - 1)[:8]
-                outs = [pre + [x] for pre in outs for x in cands][:64]
+                cands = cut(synth(c, d - 1), 8)
+                outs = cut([pre + [x] for pre in outs for x in cands], 64)
             out = []
             for kids in outs:
                 try:
@@ -774,7 +785,7 @@ class _BranchProver:
                     pass
             return out
 
-        return synth(pat, depth)
+        return synth(pat, budget.witness_depth)
 
 
 def _subassertions(a: Assertion):

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assertions import Assertion, free_vars, substitute
+from .assertions import Assertion, assertion_terms, free_vars, substitute
 from .dy import _synth_ok, dy_saturate
 from .syntax import Declarations
 from .terms import (
     AGENT,
     Basic,
+    Enc,
     NONCE,
     Term,
     Var,
     has_bound_name,
     is_ground,
+    is_key_position,
+    iter_subterms,
     subst_term,
     term_vars,
 )
@@ -174,7 +177,10 @@ def action_subst(act: Action, sigma: dict[str, Term]) -> Action:
 
 def suitable(sigma: dict[str, Term], role: Role, proto: Protocol) -> bool:
     """True when sigma grounds the role: defined on id and every parameter,
-    id maps to a declared agent, values are ground and sort-respecting."""
+    id maps to a declared agent, values are ground and sort-respecting.
+    The last means that every action of the role instantiates: a name sigma
+    binds that sits in an encryption's key slot, outside that action's fresh
+    variables (which sigma does not touch), gets key material."""
     needed = set(role.params) | {"id"}
     if not needed <= set(sigma):
         return False
@@ -184,15 +190,16 @@ def suitable(sigma: dict[str, Term], role: Role, proto: Protocol) -> bool:
     for v in needed:
         if not is_ground(sigma[v]):
             return False
-    try:
-        instantiate(role, sigma)
-    except (ValueError, TypeError):
-        return False
-    return True
+    return all(is_key_position(sigma[v]) for act in role.actions
+               for v in _key_slot_vars(act) if v in sigma)
 
 
-def instantiate(role: Role, sigma: dict[str, Term]) -> tuple[Action, ...]:
-    """The role's actions under sigma; each action's fresh variables stay
-    free, whatever sigma says of them."""
-    return tuple(action_subst(a, {k: v for k, v in sigma.items() if k not in a.fresh})
-                 for a in role.actions)
+def _key_slot_vars(act: Action) -> set[str]:
+    """The free variables that occupy an encryption's key slot in act,
+    its fresh variables excepted.  Action assertions are alpha-normal, so a
+    bound name (%n) never names a parameter."""
+    terms = [act.agent] if act.term is None else [act.agent, act.term]
+    if act.assertion is not None:
+        terms += assertion_terms(act.assertion)
+    return {s.key.name for t in terms for s in iter_subterms(t)
+            if isinstance(s, Enc) and isinstance(s.key, Var)} - set(act.fresh)

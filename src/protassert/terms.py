@@ -1,11 +1,19 @@
 """Term algebra: basics, variables, pairs, encryptions, constructor applications.
 
-Terms are immutable; structural equality and hashing come from the dataclasses.
+Terms are immutable and hash-consed (Filliatre & Conchon, *Type-safe modular
+hash-consing*, ML 2006): constructing a term looks its class and fields up in
+one weak table, so while any reference to a structure lives it exists as
+exactly one object.  Equality and hashing are therefore object identity, the
+C-level defaults, and values that depend only on the structure (`term_key`,
+`has_bound_name`) are computed once per object and cached on it.  Assertions
+share the table and the metaclass (`Interned`).
+
 Encryption keys are constrained at construction: a key position holds a basic of
 sort key, a variable, or an application of a key constructor (sk/vk).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -20,11 +28,46 @@ SORTS = (AGENT, NONCE, KEY)
 KEY_CONSTRUCTORS = frozenset({"sk", "vk"})
 
 
-class Term:
+# (class, *fields) -> the one live object with that structure.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class Interned(type):
+    """Metaclass of the hash-consed dataclasses (terms and assertions).
+
+    A call returns the live object with the same class and fields if there
+    is one; otherwise it builds one, which runs `__post_init__` validation
+    before anything enters the table.  The classes are dataclasses with
+    `eq=False`, so `==` and `hash` are identity.  They keep their instance
+    `__dict__`, which supplies the weak reference the table needs and holds
+    the per-object caches; a slotted dataclass would need `weakref_slot`,
+    which is Python 3.11 only."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            # Rare (tests, readable call sites): let the dataclass bind and
+            # check the arguments, then intern by its fields.
+            obj = super().__call__(*args, **kwargs)
+            return _TABLE.setdefault((cls, *(getattr(obj, f) for f in cls.__match_args__)), obj)
+        key = (cls, *args)
+        obj = _TABLE.get(key)
+        if obj is None:
+            obj = _TABLE[key] = super().__call__(*args)
+        return obj
+
+
+def cache(obj, name: str, value):
+    """Store value on obj under name (the dataclasses are frozen) and
+    return it."""
+    object.__setattr__(obj, name, value)
+    return value
+
+
+class Term(metaclass=Interned):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Basic(Term):
     name: str
     sort: str
@@ -34,18 +77,18 @@ class Basic(Term):
             raise ValueError(f"unknown sort {self.sort!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Enc(Term):
     body: Term
     key: Term
@@ -55,7 +98,7 @@ class Enc(Term):
             raise ValueError(f"encryption key must be key material, got {self.key!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App(Term):
     ctor: str
     args: tuple[Term, ...]
@@ -163,8 +206,14 @@ def is_ground(t: Term) -> bool:
 
 
 def has_bound_name(t: Term) -> bool:
-    """Mentions a reserved bound name (%n), so t lives under a quantifier."""
-    return any(isinstance(s, Var) and s.name.startswith("%") for s in iter_subterms(t))
+    """Mentions a reserved bound name (%n), so t lives under a quantifier.
+    Cached on t."""
+    try:
+        return t._bound
+    except AttributeError:
+        if isinstance(t, Var):
+            return cache(t, "_bound", t.name.startswith("%"))
+        return cache(t, "_bound", any(map(has_bound_name, children(t))))
 
 
 def term_depth(t: Term) -> int:
@@ -176,10 +225,16 @@ def term_depth(t: Term) -> int:
 _SORT_RANK = {AGENT: 0, NONCE: 1, KEY: 2}
 
 
-# Inline switch, not children(): every sort of terms, on every query, calls it.
 def term_key(t: Term):
     """Total ordering key: basics by sort then name, then variables, then
-    structure for compound terms."""
+    structure for compound terms.  Cached on t."""
+    try:
+        return t._key
+    except AttributeError:
+        return cache(t, "_key", _term_key(t))
+
+
+def _term_key(t: Term):
     if isinstance(t, Basic):
         return (0, _SORT_RANK[t.sort], t.name)
     if isinstance(t, Var):

@@ -52,7 +52,21 @@ def test_normalize_renames_binders_in_preorder():
 
 def test_normalize_is_idempotent():
     a = Exists("x", Or(Eq(Var("x"), n), Exists("x", Eq(Var("x"), k))))
-    assert normalize(normalize(a)) == normalize(a)
+    assert normalize(normalize(a)) is normalize(a)
+    assert normalize(a) is normalize(Exists("u", Or(Eq(Var("u"), n), Exists("v", Eq(Var("v"), k)))))
+
+
+def test_equal_assertions_are_one_object():
+    a = Says(A, Exists("%1", And(Eq(Var("%1"), n), Pred("p", (Enc(n, k),)))))
+    assert a is Says(agent=A, body=Exists("%1", And(Eq(Var("%1"), n), Pred("p", (Enc(n, k),)))))
+    assert SentT(A, n) is SentT(A, term=n) and SentT(A, n) is not SentT(B, n)
+    for cls in (Eq, Pred, And, Or, Exists, Says, SentT, SentA):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    assert repr(a) == (
+        "Says(agent=Basic(name='A', sort='agent'), body=Exists(var='%1', body=And("
+        "left=Eq(lhs=Var(name='%1'), rhs=Basic(name='n', sort='nonce')), right=Pred("
+        "name='p', args=(Enc(body=Basic(name='n', sort='nonce'), key=Basic(name='k', "
+        "sort='key')),)))))")
 
 
 def test_normalize_leaves_free_vars_alone():

@@ -195,6 +195,21 @@ def test_derive_key_slot_witness_exits_zero(tmp_path, capsys):
     assert capsys.readouterr().out == "derivable\n"
 
 
+def test_derive_cut_synthesis_is_no_definite_negative(tmp_path, capsys):
+    # z is the tenth term of the universe, past the eight candidates pattern
+    # synthesis keeps per child: a search that cut it answers inconclusive
+    # (exit 3), never "not derivable" (exit 1); with fewer nonces it is found
+    nonces = ", ".join([f"a{i}" for i in range(1, 10)] + ["z"])
+    goal = "goal: ex x, y: (x = (y, y) /\\ y = z)\n"
+    path = _write(tmp_path, "cut.seq", f"nonces: {nonces}\nterms: {nonces}\n{goal}")
+    for extra in ([], ["--depth", "4"]):
+        assert main(["derive", path, *extra]) == 3
+        assert capsys.readouterr().out == "inconclusive: search budget exhausted\n"
+    path = _write(tmp_path, "few.seq", f"nonces: a1, z\nterms: a1, z\n{goal}")
+    assert main(["derive", path]) == 0
+    assert capsys.readouterr().out == "derivable\n"
+
+
 def test_anonymity_foo_is_clean(capsys):
     rc = main(["anonymity", "foo", "--seeds", "1", "--tests", "60"])
     out = capsys.readouterr().out

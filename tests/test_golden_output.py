@@ -5,11 +5,15 @@ warnings, and over anonymity reports, recorded at commit 71d5b96, and over
 `derive --proof` output, full and `--safe`, on fixed sequents, recorded at
 commit 77bc8bf.  A change
 that only makes the program faster must leave every one of them as it is.
-CI also runs this file under two hash seeds, since no set iteration order
-may leak into the output.
+CI also runs this file under three hash seeds, since no set iteration order
+may leak into the output.  Terms and assertions are hash-consed, so their
+hashes are object identities and set order also follows allocation: one
+test re-runs a scenario in the same process with the allocator in another
+state.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 
 from protassert.anonymity import check_anonymity, render_report
@@ -23,6 +27,7 @@ from protassert.builtins import (
 )
 from protassert.cli import main
 from protassert.runtime import simulate, write_trace
+from protassert.terms import Basic, Enc, Pair, Var
 
 GOLDEN = {
     "foo2": "7fd2d0d641a7c3fea9f3bc14649f6327604f42e0569bc1b4c89d8dc3c0b63b8e",
@@ -150,3 +155,19 @@ def test_derive_proofs_are_unchanged(tmp_path, capsys):
             h.update(f"{name} {extra} exit {rc}\n".encode())
             h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == GOLDEN["proofs"]
+
+
+def test_output_does_not_depend_on_allocation_order(capsys):
+    def scenario() -> str:
+        assert main(["simulate", "foo", "--seed", "3"]) == 0
+        assert main(["anonymity", "foo", "--seeds", "1"]) == 0
+        return capsys.readouterr().out
+
+    first = scenario()
+    key = Basic("k-unrelated", "key")
+    kept = [Enc(Pair(Var(f"x{i}"), Basic(f"n{i}", "nonce")), key) for i in range(3000)]
+    dropped = [Pair(t, Basic(f"m{i}", "nonce")) for i, t in enumerate(kept)]
+    del dropped
+    gc.collect()
+    assert scenario() == first
+    assert kept

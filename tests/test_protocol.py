@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from protassert import (
     Basic,
+    Pair,
     parse_protocol,
     parse_sessions,
     print_protocol,
+    sk,
     validate_protocol,
 )
 from protassert.builtins import (
@@ -21,7 +25,8 @@ from protassert.builtins import (
     default_foo_setup,
     default_helios_setup,
 )
-from protassert.protocol import suitable
+from protassert.protocol import action_subst, suitable
+from protassert.syntax import ParseError
 
 
 HEADER = """protocol t
@@ -99,6 +104,42 @@ def test_default_setups_fit_their_protocols():
     hp = builtin_helios()
     for rname, sigma in default_helios_setup(hp).sessions:
         assert suitable(sigma, hp.roles[rname], proto=hp)
+
+
+KEY_SLOTS = HEADER + """role r(p, q):
+  send id : ({na}p, q)
+role s(q):
+  send id : na, ok({na}q)
+role u(p):
+  send id fresh(p) : {na}p
+"""
+
+
+def _instantiates(sigma, role) -> bool:
+    """The reference for suitable's last condition: build every action."""
+    try:
+        for act in role.actions:
+            action_subst(act, {k: v for k, v in sigma.items() if k not in act.fresh})
+    except ValueError:
+        return False
+    return True
+
+
+def test_a_key_slot_parameter_needs_key_material():
+    proto = parse_protocol(KEY_SLOTS)
+    for ok in ("r(id=A, p=ka, q=na)", "r(id=A, p=sk(B), q=(na, na))", "s(id=A, q=vk(A))",
+               "u(id=A, p=na)"):  # u's p is fresh where it sits in a key slot
+        assert parse_sessions(ok, proto)
+    for bad in ("r(id=A, p=na, q=na)", "r(id=A, p=(ka, ka), q=na)", "s(id=A, q=na)"):
+        with pytest.raises(ParseError, match="ground"):
+            parse_sessions(bad, proto)
+    na, ka = Basic("na", "nonce"), Basic("ka", "key")
+    values = [na, ka, Basic("A", "agent"), sk(Basic("B", "agent")), Pair(na, ka)]
+    for proto in (proto, builtin_foo(), builtin_helios()):
+        for role in proto.roles.values():
+            for vals in itertools.product(values, repeat=len(role.params)):
+                sigma = {"id": Basic("A", "agent"), **dict(zip(role.params, vals))}
+                assert suitable(sigma, role, proto) == _instantiates(sigma, role), (role.name, sigma)
 
 
 def test_voter_count_is_bounded():

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
 from protassert import App, Basic, Enc, Pair, Var, sk, vk
 from protassert.terms import (
+    _TABLE,
     KEYS,
+    has_bound_name,
     is_ground,
     is_key_position,
     iter_subterms,
@@ -15,6 +18,7 @@ from protassert.terms import (
     subst_term,
     subterms,
     term_depth,
+    term_key,
     term_vars,
 )
 
@@ -136,3 +140,72 @@ def test_swap_homomorphism_property():
         assert swp(Pair(a, b)) == Pair(swp(a), swp(b))
         assert swp(Enc(a, sk(B))) == Enc(swp(a), sk(A))
         assert swp(App("h", (a,))) == App("h", (swp(a),))
+
+
+# -- hash-consing
+
+
+def _entries(name: str) -> list:
+    """Live table entries whose fields mention the basic or variable name."""
+    return [key for key in list(_TABLE.keys())
+            if any(name in repr(field) for field in key[1:])]
+
+
+def test_equal_structures_are_one_object():
+    assert Pair(A, n) is Pair(A, n)
+    assert Pair(left=A, right=n) is Pair(A, n)
+    assert Pair(A, right=n) is Pair(A, n)
+    assert Basic(name="A", sort="agent") is A
+    assert Enc(Pair(A, Var("x")), sk(B)) is Enc(Pair(A, Var("x")), App("sk", (B,)))
+    assert App("h", (Pair(n, k), A)) is App(ctor="h", args=(Pair(n, k), A))
+    assert Basic("A", "nonce") is not A
+
+
+def test_equality_and_hash_are_identity():
+    for cls in (Basic, Var, Pair, Enc, App):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    t = Pair(A, Enc(n, k))
+    assert t == Pair(A, Enc(n, k)) and hash(t) == hash(Pair(A, Enc(n, k)))
+
+
+def test_repr_is_the_dataclass_repr():
+    assert repr(Pair(A, Enc(n, sk(B)))) == (
+        "Pair(left=Basic(name='A', sort='agent'), right=Enc(body=Basic(name='n', "
+        "sort='nonce'), key=App(ctor='sk', args=(Basic(name='B', sort='agent'),))))")
+    assert repr(Var("x")) == "Var(name='x')"
+
+
+def test_invalid_enc_raises_and_is_not_interned():
+    body = Basic("only-in-the-invalid-enc", "nonce")
+    with pytest.raises(ValueError):
+        Enc(body, body)
+    with pytest.raises(ValueError):
+        Enc(body=body, key=Pair(k, k))
+    with pytest.raises(ValueError):
+        Basic("only-in-the-invalid-basic", "colour")
+    # only the valid basic, which body still holds
+    assert [key[0] for key in _entries("only-in-the-invalid")] == [Basic]
+
+
+def test_an_unreferenced_term_leaves_the_table():
+    t = Pair(Var("only-in-the-dropped-term"), Enc(n, k))
+    term_key(t), has_bound_name(t)  # caches on the object keep nothing else alive
+    assert _entries("only-in-the-dropped-term")
+    del t
+    gc.collect()
+    assert _entries("only-in-the-dropped-term") == []
+
+
+def test_cached_values_match_the_structure():
+    t = Pair(Var("%1"), Enc(n, k))
+    assert has_bound_name(t) and has_bound_name(Var("%1"))
+    assert not has_bound_name(Enc(n, k))
+    assert term_key(t) is term_key(Pair(Var("%1"), Enc(n, k)))
+    assert term_key(t) == (2, (1, "%1"), (3, (0, 1, "n"), (0, 2, "k")))
+
+
+def test_sorted_terms_order_is_fixed():
+    ts = [App("h", (A,)), Enc(n, k), Var("y"), Pair(B, n), k, Var("x"), n, B, A,
+          Enc(A, sk(A)), Pair(A, n), App("g", (B, A))]
+    assert sorted_terms(ts) == [A, B, n, k, Var("x"), Var("y"), Pair(A, n), Pair(B, n),
+                                Enc(A, sk(A)), Enc(n, k), App("g", (B, A)), App("h", (A,))]
