@@ -9,6 +9,7 @@ declarations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .assertions import Assertion, assertion_terms, free_vars, substitute
 from .dy import _synth_ok, dy_saturate
@@ -77,6 +78,20 @@ class Role:
     name: str
     params: tuple[str, ...]
     actions: tuple[Action, ...]
+
+    @cached_property
+    def key_slot_vars(self) -> frozenset[str]:
+        """The variables that occupy an encryption's key slot in some action,
+        outside that action's fresh variables.  Action assertions are
+        alpha-normal, so a bound name (%n) here never names a parameter."""
+        out: set[str] = set()
+        for act in self.actions:
+            terms = [act.agent] if act.term is None else [act.agent, act.term]
+            if act.assertion is not None:
+                terms += assertion_terms(act.assertion)
+            out |= {s.key.name for t in terms for s in iter_subterms(t)
+                    if isinstance(s, Enc) and isinstance(s.key, Var)} - set(act.fresh)
+        return frozenset(out)
 
 
 @dataclass
@@ -190,16 +205,4 @@ def suitable(sigma: dict[str, Term], role: Role, proto: Protocol) -> bool:
     for v in needed:
         if not is_ground(sigma[v]):
             return False
-    return all(is_key_position(sigma[v]) for act in role.actions
-               for v in _key_slot_vars(act) if v in sigma)
-
-
-def _key_slot_vars(act: Action) -> set[str]:
-    """The free variables that occupy an encryption's key slot in act,
-    its fresh variables excepted.  Action assertions are alpha-normal, so a
-    bound name (%n) never names a parameter."""
-    terms = [act.agent] if act.term is None else [act.agent, act.term]
-    if act.assertion is not None:
-        terms += assertion_terms(act.assertion)
-    return {s.key.name for t in terms for s in iter_subterms(t)
-            if isinstance(s, Enc) and isinstance(s.key, Var)} - set(act.fresh)
+    return all(is_key_position(sigma[v]) for v in role.key_slot_vars if v in sigma)
