@@ -38,8 +38,8 @@ class Interned(type):
     A call returns the live object with the same class and fields if there
     is one; otherwise it builds one, which runs `__post_init__` validation
     before anything enters the table.  The classes are dataclasses with
-    `eq=False`, so `==` and `hash` are identity.  They keep their instance
-    `__dict__`, which supplies the weak reference the table needs and holds
+    `eq=False`, so `==` and `hash` are identity.  They are not slotted, so
+    each instance has the `__weakref__` the table needs and a `__dict__` for
     the per-object caches; a slotted dataclass would need `weakref_slot`,
     which is Python 3.11 only."""
 
