@@ -12,8 +12,10 @@ coincides with alpha-equivalence.
 
 Assertions are hash-consed like terms (`terms.Interned`, one shared weak
 table): equal structures are one object, so `==` and `hash` are identity.
-`assertion_key` and `normalize` are cached on each object, and a normal
-form caches itself as its own normal form.
+What depends only on the structure is computed once and cached on each
+object: `assertion_key`, `normalize` (a normal form caches itself as its own
+normal form), `assertion_terms`, `assertion_vars`, `free_vars`, and the
+assertions inside it that `subassertions` lists.
 
 The one pattern matcher, `match_term`/`match_assertion`, lives here too.  It
 binds a pattern's holes so that the pattern equals a target modulo an
@@ -141,59 +143,72 @@ def map_terms(a: Assertion, f) -> Assertion:
     raise TypeError(f"not an assertion: {a!r}")
 
 
-def assertion_terms(a: Assertion) -> list[Term]:
-    """All top term positions, in traversal order (agents included)."""
-    out: list[Term] = []
-    _collect_terms(a, out)
-    return out
+def assertion_terms(a: Assertion) -> tuple[Term, ...]:
+    """All top term positions, in traversal order (agents included).
+    Cached on a."""
+    try:
+        return a._terms
+    except AttributeError:
+        return cache(a, "_terms", _assertion_terms(a))
 
 
 # Inline switch, not parts(): runs on every goal and hypothesis registered.
-def _collect_terms(a: Assertion, out: list[Term]) -> None:
+def _assertion_terms(a: Assertion) -> tuple[Term, ...]:
     if isinstance(a, (And, Or)):
-        _collect_terms(a.left, out)
-        _collect_terms(a.right, out)
-    elif isinstance(a, Exists):
-        _collect_terms(a.body, out)
-    elif isinstance(a, (Says, SentA)):
-        out.append(a.agent)
-        _collect_terms(a.body, out)
-    elif isinstance(a, SentT):
-        out += (a.agent, a.term)
-    elif isinstance(a, Eq):
-        out += (a.lhs, a.rhs)
-    elif isinstance(a, Pred):
-        out += a.args
-    else:
-        raise TypeError(f"not an assertion: {a!r}")
+        return assertion_terms(a.left) + assertion_terms(a.right)
+    if isinstance(a, Exists):
+        return assertion_terms(a.body)
+    if isinstance(a, (Says, SentA)):
+        return (a.agent, *assertion_terms(a.body))
+    if isinstance(a, SentT):
+        return (a.agent, a.term)
+    if isinstance(a, Eq):
+        return (a.lhs, a.rhs)
+    if isinstance(a, Pred):
+        return a.args
+    raise TypeError(f"not an assertion: {a!r}")
 
 
 def assertion_vars(a: Assertion) -> frozenset[str]:
-    names: set[str] = set()
-    for t in assertion_terms(a):
-        for s in iter_subterms(t):
-            if isinstance(s, Var):
-                names.add(s.name)
-    return frozenset(names)
+    """The names of every variable in a's terms, bound ones included.
+    Cached on a."""
+    try:
+        return a._vars
+    except AttributeError:
+        return cache(a, "_vars", frozenset(
+            s.name for t in assertion_terms(a) for s in iter_subterms(t)
+            if isinstance(s, Var)))
+
+
+def free_vars(a: Assertion) -> frozenset[str]:
+    """The variables of a that no binder of a captures.  Cached on a."""
+    try:
+        return a._free
+    except AttributeError:
+        return cache(a, "_free", _free_vars(a))
 
 
 # Inline switch, not parts(): runs on every battery test and protocol step.
-def free_vars(a: Assertion, bound: frozenset[str] = frozenset()) -> frozenset[str]:
+def _free_vars(a: Assertion) -> frozenset[str]:
     if isinstance(a, Exists):
-        return free_vars(a.body, bound | {a.var})
-    out: set[str] = set()
+        return free_vars(a.body) - {a.var}
     if isinstance(a, (And, Or)):
-        out |= free_vars(a.left, bound) | free_vars(a.right, bound)
-    elif isinstance(a, (Says, SentA)):
-        if isinstance(a.agent, Var) and a.agent.name not in bound:
-            out.add(a.agent.name)
-        out |= free_vars(a.body, bound)
-    else:
-        for t in assertion_terms(a):
-            for s in iter_subterms(t):
-                if isinstance(s, Var) and s.name not in bound:
-                    out.add(s.name)
-    return frozenset(out)
+        return free_vars(a.left) | free_vars(a.right)
+    if isinstance(a, (Says, SentA)):
+        agent = {a.agent.name} if isinstance(a.agent, Var) else set()
+        return free_vars(a.body) | agent
+    return assertion_vars(a)
+
+
+def subassertions(a: Assertion) -> tuple[Assertion, ...]:
+    """a and every assertion inside it, in preorder.  The ones inside are
+    cached on a; a itself is not, so that the cache is no reference cycle."""
+    try:
+        inner = a._inner
+    except AttributeError:
+        inner = cache(a, "_inner", tuple(s for sub in parts(a)[1]
+                                         for s in subassertions(sub)))
+    return (a, *inner)
 
 
 def is_closed(a: Assertion) -> bool:

@@ -33,6 +33,17 @@ EX_USAGE = 2
 EX_INCONCLUSIVE = 3
 
 
+def _count(text: str) -> int:
+    """An argparse type: a whole number, zero or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def _budget(args) -> SearchBudget:
     return SearchBudget(witness_depth=args.depth, branch_cap=args.branches)
 
@@ -143,7 +154,8 @@ def cmd_anonymity(args) -> int:
     try:
         setup = _setup_for(args, name, proto, anonymity=True)
     except (KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # the message itself: str() of a KeyError is its repr, in quotes
+        print(f"error: {e.args[0]}", file=sys.stderr)
         return EX_USAGE
     verdicts: list[str] = []
     for seed in range(args.seeds):
@@ -182,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--depth", type=int, default=DEFAULT_BUDGET.witness_depth,
+        p.add_argument("--depth", type=_count, default=DEFAULT_BUDGET.witness_depth,
                        help="witness instantiation depth (default %(default)s)")
-        p.add_argument("--branches", type=int, default=DEFAULT_BUDGET.branch_cap,
+        p.add_argument("--branches", type=_count, default=DEFAULT_BUDGET.branch_cap,
                        help="case split limit (default %(default)s)")
 
     p = sub.add_parser("derive", help="decide a sequent from a file")
@@ -217,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol", help="builtin name or protocol file")
     p.add_argument("--seeds", type=int, default=20,
                    help="number of independent runs (default 20)")
-    p.add_argument("--tests", type=int, default=500,
+    p.add_argument("--tests", type=_count, default=500,
                    help="random observer tests per run (default 500)")
-    p.add_argument("--test-depth", type=int, default=3,
+    p.add_argument("--test-depth", type=_count, default=3,
                    help="random test nesting depth (default 3)")
     p.add_argument("--voter-role", help="role that casts the votes")
     p.add_argument("--voters", type=int, default=2,

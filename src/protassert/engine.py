@@ -17,7 +17,9 @@ Search strategy is fixed:
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
      hypotheses and classes (`assertions.match_assertion` with the branch
-     as the equality).  A goal that differs from a hypothesis only by terms
+     as the equality).  Each node indexes its hypotheses by connective, or
+     predicate name and arity, so a goal or pattern meets only its own kind
+     (the top-symbol index of de Moura & Bjorner, CADE 2007).  A goal that differs from a hypothesis only by terms
      equal in the classes is proved by a chain of subst steps, whose
      positions the rewrite matcher finds with the shared shape walk
      (`assertions.parts`, `terms.children`).
@@ -52,6 +54,7 @@ from .assertions import (
     parts,
     rebuilt,
     sorted_assertions,
+    subassertions,
     substitute,
 )
 from .dy import DYContext, TermProof
@@ -353,6 +356,14 @@ def check_bottom(classes: EqClasses) -> tuple[Term, Term] | None:
 # ---------------------------------------------------------------------------
 # hypothesis expansion
 
+def _kind(a: Assertion):
+    """The index key of a node's hypotheses: the connective, or for a
+    predicate its name and arity.  Both matchers (`match_assertions` here,
+    `assertions.match_assertion`) refuse a pair of different kinds before
+    they compare, or register, any term."""
+    return (a.name, len(a.args)) if isinstance(a, Pred) else type(a)
+
+
 class _Node:
     """One node of the case-split tree: the hypotheses reached from its
     parent's choice of disjunct by non-branching expansion (conjunctions
@@ -391,6 +402,9 @@ class _Node:
                 break
         self.hyps = frozenset(hyps)
         self.sorted_hyps = sorted_assertions(self.hyps)  # matching order
+        self.by_kind: dict[object, list[Assertion]] = {}  # sorted_hyps by _kind
+        for h in self.sorted_hyps:
+            self.by_kind.setdefault(_kind(h), []).append(h)
         self.origin = origin
         self.queue = queue  # what the children go on expanding
         self.children: tuple[_Node, _Node] | None = None
@@ -653,7 +667,7 @@ class _BranchProver:
         return None
 
     def _prove_by_matching(self, goal: Assertion) -> ProofNode | None:
-        for hyp in self.node.sorted_hyps:
+        for hyp in self.node.by_kind.get(_kind(goal), ()):
             pairs = self.match_assertions(hyp, goal)
             if pairs is None:
                 continue
@@ -701,7 +715,7 @@ class _BranchProver:
             return len(out) >= cap
 
         anchored = False
-        for sub in _subassertions(body):
+        for sub in subassertions(body):
             if var not in assertion_vars(sub):
                 continue
             anchored = True
@@ -716,7 +730,7 @@ class _BranchProver:
                 emit(t)
             return out
         # pattern-guided synthesis for equation atoms, then universe fallback
-        for sub in _subassertions(body):
+        for sub in subassertions(body):
             if isinstance(sub, Eq) and var in assertion_vars(sub):
                 for pat, other in ((sub.lhs, sub.rhs), (sub.rhs, sub.lhs)):
                     if isinstance(pat, Var) and pat.name == var:
@@ -745,7 +759,7 @@ class _BranchProver:
                     for b in match_term(pat, tgt, holes, {}, self):
                         if var in b:
                             results.append(b[var])
-        for hyp in self.node.sorted_hyps:
+        for hyp in self.node.by_kind.get(_kind(pattern), ()):
             for b in match_assertion(pattern, hyp, holes, {}, self):
                 if var in b:
                     results.append(b[var])
@@ -786,12 +800,6 @@ class _BranchProver:
             return out
 
         return synth(pat, budget.witness_depth)
-
-
-def _subassertions(a: Assertion):
-    yield a
-    for sub in parts(a)[1]:
-        yield from _subassertions(sub)
 
 
 # ---------------------------------------------------------------------------

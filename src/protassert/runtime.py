@@ -24,7 +24,10 @@ never splits and each query starts from a clone of its root closure, so one
 context answers every goal alike.  A full-mode context does not: splits
 made and witnesses numbered by one query carry over to the next and count
 against `branch_cap`, so full-mode answers are kept per goal, each from a
-fresh context, as a single `derive` would give them.
+fresh context, as a single `derive` would give them.  The same table
+memoizes the run's pure per-state work: each role action instantiated under
+a session's bindings, and each match of a receive pattern against a message
+on the network, since every state re-enumerates every session's candidates.
 
 Actions are scheduled lowest-phase-first among enabled candidates, with a
 seeded random choice among ties, so runs are reproducible from their seed.
@@ -89,15 +92,44 @@ class Knowledge:
         return Knowledge(self.terms.union(terms), self.assertions.union(assertions))
 
 
+_UNSEEN = object()
+
+
 class ContextTable:
     """The knowledge contexts of one run, keyed by the exact term and
-    assertion sets they are built over (see the module docstring)."""
+    assertion sets they are built over, and the run's memoized
+    instantiations and receive matches (see the module docstring)."""
 
     def __init__(self) -> None:
         self._dy: dict[frozenset[Term], DYContext] = {}
         self._safe: dict[tuple, DeriveContext] = {}
         self._answers: dict[tuple, Verdict] = {}
         self._inconsistent: dict[tuple, bool] = {}
+        self._instances: dict[tuple, Action] = {}
+        self._received: dict[tuple, tuple[tuple[str, Term], ...] | None] = {}
+
+    def instance(self, action: Action, sigma: dict[str, Term]) -> Action:
+        """`action_subst(action, sigma)`, computed once per distinct pair."""
+        key = (action, frozenset(sigma.items()))
+        inst = self._instances.get(key)
+        if inst is None:
+            inst = self._instances[key] = action_subst(action, sigma)
+        return inst
+
+    def received(self, pat: Action, tr: Traffic) -> tuple[tuple[str, Term], ...] | None:
+        """The binding, as sorted pairs, under which the receive pattern
+        pat matches the message tr, or None when it does not match."""
+        key = (pat, tr.term, tr.assertion)
+        binding = self._received.get(key, _UNSEEN)
+        if binding is _UNSEEN:
+            holes = pat.used_vars()
+            found = match_term(pat.term, tr.term, holes, {}, SYNTACTIC)
+            if found and pat.assertion is not None:
+                found = [] if tr.assertion is None else match_assertion(
+                    pat.assertion, tr.assertion, holes, found[0], SYNTACTIC)
+            binding = self._received[key] = (tuple(sorted(found[0].items()))
+                                             if found else None)
+        return binding
 
     def dy(self, terms: frozenset[Term]) -> DYContext:
         ctx = self._dy.get(terms)
@@ -218,12 +250,12 @@ def initial_state(proto: Protocol, setup: Setup) -> WorldState:
 # ---------------------------------------------------------------------------
 # instantiation helpers
 
-def _instantiate(action: Action, sigma: dict[str, Term],
+def _instantiate(table: ContextTable, action: Action, sigma: dict[str, Term],
                  fresh: tuple[tuple[str, Basic], ...],
                  binds: tuple[tuple[str, Term], ...]) -> Action | None:
     """The action under a session's sigma extended by its fresh values and
     then its bindings, or None when that leaves a variable free."""
-    inst = action_subst(action, {**sigma, **dict(fresh), **dict(binds)})
+    inst = table.instance(action, {**sigma, **dict(fresh), **dict(binds)})
     return inst if inst.is_ground() else None
 
 
@@ -259,16 +291,13 @@ def _traffic_binds(state: WorldState, action: Action,
                    sigma: dict[str, Term]) -> list[tuple[tuple[str, Term], ...]]:
     """Distinct bindings under which a receive pattern matches a message on
     the network, in traffic order."""
-    pat = action_subst(action, sigma)
-    holes = pat.used_vars()
+    table = state.contexts
+    pat = table.instance(action, sigma)
     out: dict[tuple[tuple[str, Term], ...], None] = {}
     for tr in state.traffic:
-        found = match_term(pat.term, tr.term, holes, {}, SYNTACTIC)
-        if found and pat.assertion is not None:
-            found = [] if tr.assertion is None else match_assertion(
-                pat.assertion, tr.assertion, holes, found[0], SYNTACTIC)
-        if found:
-            out[tuple(sorted(found[0].items()))] = None
+        binding = table.received(pat, tr)
+        if binding is not None:
+            out[binding] = None
     return list(out)
 
 
@@ -340,7 +369,7 @@ def candidates_for(state: WorldState, idx: int,
         offers = [(_allocate_fresh(state, idx + 1, action), ())]
     found: list[Step] = []
     for fresh, binds in offers:
-        inst = _instantiate(action, sess.sigma, fresh, binds)
+        inst = _instantiate(state.contexts, action, sess.sigma, fresh, binds)
         if inst is None:
             continue
         step = Step(idx + 1, inst, fresh, binds)
@@ -527,7 +556,7 @@ def validate_run(run: Run, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[bool,
                 problems.append(f"step {n}: fresh value {value.name} is not fresh")
         if set(n0 for n0, _ in step.fresh) != set(action.fresh):
             problems.append(f"step {n}: fresh variables do not match the action")
-        inst = _instantiate(action, sess.sigma, step.fresh, step.binds)
+        inst = _instantiate(state.contexts, action, sess.sigma, step.fresh, step.binds)
         if inst is None:
             problems.append(f"step {n}: action not ground after instantiation")
             break
@@ -606,6 +635,7 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
         raise ParseError("trace sessions do not match the given setup", "trace")
 
     states = [SessionState(r, dict(s)) for r, s in sessions]
+    table = ContextTable()
     steps: list[Step] = []
     while p.eat("step"):
         tok = p.peek()
@@ -622,7 +652,7 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
         role = proto.roles[st.role]
         if st.pc >= len(role.actions):
             raise ParseError(f"session {snum} has no pending action", tok.pos)
-        inst = _instantiate(role.actions[st.pc], st.sigma, fresh, binds)
+        inst = _instantiate(table, role.actions[st.pc], st.sigma, fresh, binds)
         if inst is None:
             raise ParseError(f"step {len(steps) + 1} leaves variables unbound", tok.pos)
         steps.append(Step(snum, inst, fresh, binds))

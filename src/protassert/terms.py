@@ -4,9 +4,10 @@ Terms are immutable and hash-consed (Filliatre & Conchon, *Type-safe modular
 hash-consing*, ML 2006): constructing a term looks its class and fields up in
 one weak table, so while any reference to a structure lives it exists as
 exactly one object.  Equality and hashing are therefore object identity, the
-C-level defaults, and values that depend only on the structure (`term_key`,
-`has_bound_name`) are computed once per object and cached on it.  Assertions
-share the table and the metaclass (`Interned`).
+C-level defaults, and values that depend only on the structure are computed
+once per object and cached on it: for a term, `term_key` and
+`has_bound_name`.  Assertions share the table and the metaclass
+(`Interned`); the `assertions` docstring lists what each assertion caches.
 
 Encryption keys are constrained at construction: a key position holds a basic of
 sort key, a variable, or an application of a key constructor (sk/vk).

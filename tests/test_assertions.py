@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 from protassert import (
     And,
@@ -24,11 +26,13 @@ from protassert.anonymity import _TemplateGen
 from protassert.assertions import (
     SYNTACTIC,
     assertion_terms,
+    assertion_vars,
     map_terms,
     match_assertion,
     match_term,
     reveals,
     sorted_assertions,
+    subassertions,
 )
 from protassert.builtins import builtin_foo, builtin_helios
 from protassert.engine import DeriveContext, _BranchProver, _Counters
@@ -269,3 +273,95 @@ def test_matching_modulo_classes_lands_in_the_target_class():
                     matched += 1
                 syntactic += len(match_term(pat, tgt, HANDLES, {}, SYNTACTIC))
     assert matched > syntactic
+
+
+# ---------------------------------------------------------------------------
+# the cached walkers against plain structural recursion
+
+
+def _ref_terms(a) -> list:
+    if isinstance(a, (And, Or)):
+        return _ref_terms(a.left) + _ref_terms(a.right)
+    if isinstance(a, Exists):
+        return _ref_terms(a.body)
+    if isinstance(a, (Says, SentA)):
+        return [a.agent] + _ref_terms(a.body)
+    if isinstance(a, SentT):
+        return [a.agent, a.term]
+    if isinstance(a, Eq):
+        return [a.lhs, a.rhs]
+    return list(a.args)
+
+
+def _ref_names(terms, bound=frozenset()) -> set:
+    return {s.name for t in terms for s in iter_subterms(t)
+            if isinstance(s, Var) and s.name not in bound}
+
+
+def _ref_free(a, bound=frozenset()) -> set:
+    if isinstance(a, Exists):
+        return _ref_free(a.body, bound | {a.var})
+    if isinstance(a, (And, Or)):
+        return _ref_free(a.left, bound) | _ref_free(a.right, bound)
+    if isinstance(a, (Says, SentA)):
+        return _ref_names([a.agent], bound) | _ref_free(a.body, bound)
+    return _ref_names(_ref_terms(a), bound)
+
+
+def _ref_subs(a) -> list:
+    if isinstance(a, (And, Or)):
+        return [a] + _ref_subs(a.left) + _ref_subs(a.right)
+    if isinstance(a, (Exists, Says, SentA)):
+        return [a] + _ref_subs(a.body)
+    return [a]
+
+
+def _shadowing(rng: random.Random, a):
+    """a under a binder that reuses one of its free names, with that name
+    free outside the binder too."""
+    x = rng.choice(sorted(_ref_free(a)) or ["x"])
+    inner = Exists(x, And(a, Says(Var(x), Eq(Var(x), Var("y")))))
+    pick = rng.randrange(3)
+    if pick == 0:
+        return And(Pred("p", (Var(x),)), inner)
+    if pick == 1:
+        return Or(inner, SentA(Var(x), Exists(x, Eq(Var(x), n))))
+    return Says(Var(x), Exists("y", inner))
+
+
+def _walker_batch() -> list:
+    """1000 assertions: raw foo and helios observer-test templates, each
+    also under shadowing binders."""
+    out = []
+    for i, (gen, _) in enumerate(_generators(71)):
+        rng = random.Random(171 + i)
+        for _ in range(250):
+            a = gen.assertion(3, [])
+            out += [a, _shadowing(rng, a)]
+    return out
+
+
+def _check_walkers(a) -> None:
+    for _ in range(2):  # the first call fills the caches, the second reads them
+        terms = assertion_terms(a)
+        assert type(terms) is tuple and list(terms) == _ref_terms(a), a
+        assert assertion_vars(a) == _ref_names(_ref_terms(a)), a
+        assert free_vars(a) == _ref_free(a), a
+        assert subassertions(a) == tuple(_ref_subs(a)), a
+
+
+def test_cached_walkers_equal_structural_recursion():
+    batch = _walker_batch()
+    assert len(batch) == 1000
+    assert sum(free_vars(a) != assertion_vars(a) for a in batch) > 150
+    for a in batch:
+        _check_walkers(a)
+    # dropped and collected, the shadowing assertions (which nothing else
+    # builds) leave the table with their caches; rebuilt, each walker
+    # computes its answer afresh
+    refs = [weakref.ref(a) for a in batch[1::2]]
+    del batch, a
+    gc.collect()
+    assert all(r() is None for r in refs)
+    for a in _walker_batch():
+        _check_walkers(a)

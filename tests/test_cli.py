@@ -258,6 +258,30 @@ def test_anonymity_without_seeds_is_a_usage_error(capsys):
         assert captured.out == ""
 
 
+def test_anonymity_without_a_scenario_prints_the_plain_message(capsys):
+    rc = main(["anonymity", "helios", "--seeds", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2, captured.out
+    assert captured.err == "error: no anonymity scenario for helios\n"
+    assert captured.out == ""
+
+
+def test_negative_counts_are_usage_errors(capsys):
+    # a negative count must not run a shortened check and report success
+    for argv in (["anonymity", "foo", "--tests", "-5", "--seeds", "1"],
+                 ["anonymity", "foo", "--test-depth", "-1", "--seeds", "1"],
+                 ["simulate", "foo", "--depth", "-1"],
+                 ["simulate", "foo", "--branches", "-1"],
+                 ["derive", "unread.seq", "--depth", "-2"]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2, argv
+        assert "must be at least 0" in captured.err, argv
+        assert captured.out == "", argv
+    assert main(["simulate", "foo", "--depth", "two"]) == 2
+    assert "invalid int value: 'two'" in capsys.readouterr().err
+
+
 def test_examples_listing_and_source(capsys):
     assert main(["examples"]) == 0
     names = capsys.readouterr().out.split()

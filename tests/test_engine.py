@@ -140,6 +140,14 @@ def test_existential_matching_across_binders():
     assert derive((), phi, Exists("q", Exists("r", Eq(Pair(x("q"), x("r")), Pair(n, m)))))
 
 
+def test_existential_agent_matches_hypotheses_of_any_agent():
+    # the hypothesis index keys a says or sent fact by its connective only:
+    # a goal whose agent is the bound variable must meet every agent's facts
+    for fn in (derive, derive_safe):
+        assert fn({A}, {Says(A, Pred("p", (n,)))}, Exists("u", Says(x("u"), Pred("p", (n,)))))
+        assert fn({A}, {SentT(B, n)}, Exists("u", SentT(x("u"), n)))
+
+
 def test_bottom_explodes():
     phi = {Eq(n, m)}  # two distinct atomic values equal: inconsistent
     assert derive((), phi, Pred("anything", (k,)))

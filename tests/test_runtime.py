@@ -308,7 +308,7 @@ def _pending_steps(state, idx):
     else:
         offers = [(_allocate_fresh(state, idx + 1, action), ())]
     for fresh, binds in offers:
-        inst = _instantiate(action, sess.sigma, fresh, binds)
+        inst = _instantiate(state.contexts, action, sess.sigma, fresh, binds)
         if inst is not None:
             yield Step(idx + 1, inst, fresh, binds)
 
