@@ -13,7 +13,9 @@ Search strategy is fixed:
   4. congruence closure per branch over the term universe, seeded by equality
      hypotheses, closed under pair/enc/constructor congruence, pair
      projection, and enc projection guarded by derivability of both inverse
-     keys; every merge is justified by a proof-forest edge;
+     keys; every merge is justified by a proof-forest edge.  A branch builds
+     its closure and hypothesis index when a goal first needs them, which a
+     hypothesis goal never does (theory work on demand, as in DPLL(T));
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
      hypotheses and classes (`assertions.match_assertion` with the branch
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .assertions import (
     And,
@@ -65,6 +68,7 @@ from .terms import (
     Pair,
     Term,
     Var,
+    cache,
     children,
     has_bound_name,
     iter_subterms,
@@ -343,16 +347,6 @@ class EqClasses:
         return sorted({self.find(t) for t in self.parent}, key=term_key)
 
 
-def check_bottom(classes: EqClasses) -> tuple[Term, Term] | None:
-    """Two distinct basics in one class make the branch inconsistent."""
-    for root in classes.roots():
-        basics = [m for m in classes.members[root] if isinstance(m, Basic)]
-        if len(basics) >= 2:
-            b = sorted(basics, key=term_key)
-            return (b[0], b[1])
-    return None
-
-
 # ---------------------------------------------------------------------------
 # hypothesis expansion
 
@@ -364,15 +358,25 @@ def _kind(a: Assertion):
     return (a.name, len(a.args)) if isinstance(a, Pred) else type(a)
 
 
+def _opened(psi: Exists, var: str) -> Assertion:
+    """psi's body over the witness var, memoized on psi per witness name."""
+    by_var = getattr(psi, "_opened", None) or cache(psi, "_opened", {})
+    if var not in by_var:
+        by_var[var] = substitute(psi.body, {psi.var: Var(var)})
+    return by_var[var]
+
+
 class _Node:
     """One node of the case-split tree: the hypotheses reached from its
     parent's choice of disjunct by non-branching expansion (conjunctions
     split, says bodies stripped, existentials opened over witnesses), up to
     the first disjunction, which is left in ``split`` for a later query to
-    split on.  Children are made once, on demand, and kept."""
+    split on.  Children are made once, on demand, and kept.  The hypothesis
+    index, the closure and the bottom test are built on first read."""
 
-    def __init__(self, hyps: set[Assertion], origin: dict[Assertion, tuple],
-                 queue: deque[Assertion], wit_names: dict[Assertion, str], safe: bool):
+    def __init__(self, ctx: "DeriveContext", hyps: set[Assertion],
+                 origin: dict[Assertion, tuple], queue: deque[Assertion],
+                 parent: "_Node | None" = None):
         self.wits: list[tuple[Assertion, Assertion, str]] = []
         self.split: Or | None = None
         while queue:
@@ -388,28 +392,71 @@ class _Node:
                     hyps.add(psi.body)
                     origin[psi.body] = ("strip", psi)
                     queue.append(psi.body)
-            elif isinstance(psi, Exists) and not safe:
+            elif isinstance(psi, Exists) and not ctx.safe:
                 # each existential is opened once per context, on _w1, _w2, ...
-                var = wit_names.setdefault(psi, f"_w{len(wit_names) + 1}")
-                inst = substitute(psi.body, {psi.var: Var(var)})
+                var = ctx.wit_names.setdefault(psi, f"_w{len(ctx.wit_names) + 1}")
+                inst = _opened(psi, var)
                 if inst not in hyps:
                     hyps.add(inst)
                     origin[inst] = ("assume",)
                     queue.append(inst)
                     self.wits.append((psi, inst, var))
-            elif isinstance(psi, Or) and not safe:
+            elif isinstance(psi, Or) and not ctx.safe:
                 self.split = psi
                 break
         self.hyps = frozenset(hyps)
-        self.sorted_hyps = sorted_assertions(self.hyps)  # matching order
-        self.by_kind: dict[object, list[Assertion]] = {}  # sorted_hyps by _kind
-        for h in self.sorted_hyps:
-            self.by_kind.setdefault(_kind(h), []).append(h)
         self.origin = origin
         self.queue = queue  # what the children go on expanding
         self.children: tuple[_Node, _Node] | None = None
-        self.cc: EqClasses | None = None
-        self.bottom: tuple[Term, Term] | None = None
+        self.ctx, self.parent = ctx, parent
+
+    @cached_property
+    def sorted_hyps(self) -> list[Assertion]:  # matching order
+        return sorted_assertions(self.hyps)
+
+    @cached_property
+    def by_kind(self) -> dict[object, list[Assertion]]:  # sorted_hyps by _kind
+        out = {}
+        for h in self.sorted_hyps:
+            out.setdefault(_kind(h), []).append(h)
+        return out
+
+    @cached_property
+    def cc(self) -> EqClasses:
+        """X and the terms of the sorted hypotheses, merged along their
+        equations; a child adds its own hypotheses to a clone of its
+        parent's classes.  A root over merge_cap sets ctx.build_failed."""
+        ctx, parent = self.ctx, self.parent
+        if parent is not None:
+            cc = parent.cc.clone()
+            new = [a for a in self.sorted_hyps if a not in parent.hyps]
+        elif ctx.build_failed:
+            raise BudgetExhausted()
+        else:
+            cc, new = EqClasses(ctx.dyctx, ctx.budget.merge_cap), self.sorted_hyps
+            for t in sorted_terms(ctx.X):
+                cc.add_term(t)
+        try:
+            for a in new:
+                _register_assertion_terms(cc, a)
+            for a in new:
+                if isinstance(a, Eq) and not has_bound_name(a.lhs) and not has_bound_name(a.rhs):
+                    cc.merge(a.lhs, a.rhs, "hyp", (a,))
+        except BudgetExhausted:
+            ctx.build_failed |= parent is None
+            raise
+        return cc
+
+    @cached_property
+    def bottom(self) -> tuple[Term, Term] | None:
+        """Two distinct basics of one class, which make the branch
+        inconsistent; with no equation among the hypotheses there are none."""
+        for root in self.cc.roots() if Eq in self.by_kind else ():
+            basics = [m for m in self.cc.members[root] if isinstance(m, Basic)]
+            if len(basics) >= 2:
+                b = sorted(basics, key=term_key)
+                return (b[0], b[1])
+        return None
 
 
 class _Counters:
@@ -430,31 +477,30 @@ def _register_assertion_terms(cc: EqClasses, a: Assertion) -> None:
             cc.add_term(t)
 
 
-def _build_classes(cc: EqClasses, X, branch: list[Assertion]) -> None:
-    """Add X and the terms of the sorted hypotheses branch to cc, then
-    merge along the equations among them."""
-    for t in sorted_terms(X):
-        cc.add_term(t)
-    for a in branch:
-        _register_assertion_terms(cc, a)
-    for a in branch:
-        if isinstance(a, Eq) and not has_bound_name(a.lhs) and not has_bound_name(a.rhs):
-            cc.merge(a.lhs, a.rhs, "hyp", (a,))
-
-
 # ---------------------------------------------------------------------------
 # the prover proper
 
 class _BranchProver:
-    def __init__(self, ctx: "DeriveContext", node: _Node, cc: EqClasses,
+    def __init__(self, ctx: "DeriveContext", node: _Node, cc: EqClasses | None,
                  counters: _Counters):
+        """With cc None, node.cc is cloned, and the goals registered so far
+        added to the clone, the first time the prover reads self.cc."""
         self.ctx = ctx
         self.node = node
-        self.cc = cc
         self.counters = counters
         self.memo: dict[Assertion, ProofNode | None] = {}
         self._access: dict[Assertion, ProofNode] = {}
-        self.bottom = node.bottom
+        self._unregistered: list[Assertion] | None = [] if cc is None else None
+        if cc is not None:
+            self.cc = cc
+
+    @cached_property
+    def cc(self) -> EqClasses:
+        cc = self.node.cc.clone()
+        for a in self._unregistered:
+            _register_assertion_terms(cc, a)
+        self._unregistered = None
+        return cc
 
     # -- access derivations for hypotheses
 
@@ -464,10 +510,8 @@ class _BranchProver:
         how = self.node.origin[psi]
         if how[0] in ("ax", "assume"):
             node = ProofNode("ax", psi)
-        elif how[0] == "and_e":
-            node = ProofNode("and_e", psi, (self.resolve(how[1]),))
-        else:  # strip
-            node = ProofNode("strip", psi, (self.resolve(how[1]),))
+        else:  # and_e or strip, from how[1]
+            node = ProofNode(how[0], psi, (self.resolve(how[1]),))
         self._access[psi] = node
         return node
 
@@ -621,12 +665,15 @@ class _BranchProver:
     def _prove(self, goal: Assertion) -> ProofNode | None:
         if goal in self.node.hyps:
             return self.resolve(goal)
-        if self.bottom is not None:
-            m, n = self.bottom
+        if self.node.bottom is not None:
+            m, n = self.node.bottom
             prem = self.eq_proof(m, n)
             if prem is not None:
                 return ProofNode("bot", goal, (prem,))
-        _register_assertion_terms(self.cc, goal)
+        if self._unregistered is None:  # the goal's terms join the classes
+            _register_assertion_terms(self.cc, goal)
+        else:
+            self._unregistered.append(goal)
 
         if isinstance(goal, And):
             l = self.prove(goal.left)
@@ -839,7 +886,8 @@ def _replace_at(a, path: tuple, new: Term):
 class DeriveContext:
     """The case-split tree and per-node congruence closure for one (X, Phi)
     context, reusable across many goals.  Building it expands the root
-    only; queries split further where they need to."""
+    only; queries split further where they need to, and a node builds its
+    closure only for a goal that is not one of its hypotheses."""
 
     def __init__(self, X, Phi, budget: SearchBudget = DEFAULT_BUDGET,
                  safe: bool = False, dyctx: DYContext | None = None):
@@ -853,28 +901,10 @@ class DeriveContext:
             raise ValueError("dyctx is not over X")
         self.dyctx = dyctx if dyctx is not None else DYContext(self.X)
         self.wit_names: dict[Assertion, str] = {}
-        self.build_failed = False
-        self.branch_count = 0  # branches of the tree expanded so far
-        try:
-            self.root = self._node(set(self.Phi), {a: ("ax",) for a in self.Phi},
-                                   deque(sorted_assertions(self.Phi)))
-            self.branch_count = 1
-        except BudgetExhausted:
-            self.build_failed = True
-
-    def _node(self, hyps, origin, queue, parent: _Node | None = None) -> _Node:
-        """A node's classes extend its parent's with its own hypotheses."""
-        node = _Node(hyps, origin, queue, self.wit_names, self.safe)
-        if parent is None:
-            cc = EqClasses(self.dyctx, self.budget.merge_cap)
-            _build_classes(cc, self.X, node.sorted_hyps)
-        else:
-            cc = parent.cc.clone()
-            _build_classes(cc, (), [a for a in node.sorted_hyps
-                                    if a not in parent.hyps])
-        node.cc = cc
-        node.bottom = check_bottom(cc)
-        return node
+        self.build_failed = False  # the root's closure went over merge_cap
+        self.root = _Node(self, set(self.Phi), {a: ("ax",) for a in self.Phi},
+                          deque(sorted_assertions(self.Phi)))
+        self.branch_count = 1  # branches of the tree expanded so far
 
     def _children(self, node: _Node) -> tuple[_Node, _Node]:
         """Split node on its disjunction; each split adds one branch."""
@@ -888,21 +918,21 @@ class DeriveContext:
                     hyps.add(side)
                     origin[side] = ("assume",)
                     queue.append(side)
-                kids.append(self._node(hyps, origin, queue, node))
+                kids.append(_Node(self, hyps, origin, queue, node))
             node.children = (kids[0], kids[1])
             node.queue = None
             self.branch_count += 1
         return node.children
 
     def leaves(self) -> list[_Node]:
-        """Every leaf of the fully split tree, left to right.  Raises
-        BudgetExhausted when the build or a split goes over budget."""
-        if self.build_failed:
-            raise BudgetExhausted()
+        """Every leaf of the fully split tree, left to right, with its
+        closure built.  Raises BudgetExhausted when a split or a closure
+        goes over budget."""
         out, stack = [], [self.root]
         while stack:
             node = stack.pop()
             if node.split is None:
+                node.cc  # built here, so that going over budget raises here
                 out.append(node)
             else:
                 stack.extend(reversed(self._children(node)))
@@ -910,8 +940,6 @@ class DeriveContext:
 
     def query(self, goal: Assertion) -> Verdict:
         goal = normalize(goal)
-        if self.build_failed:
-            return Verdict(False, budget_exhausted=True)
         counters = _Counters(self.budget)
         try:
             proof = self._solve(self.root, goal, counters)
@@ -938,9 +966,7 @@ class DeriveContext:
         solve both children.  On None, counters.truncated says whether the
         failing attempt, on a node with no split left, was cut short."""
         counters.truncated = False
-        cc = node.cc.clone()
-        prover = _BranchProver(self, node, cc, counters)
-        _register_assertion_terms(cc, goal)
+        prover = _BranchProver(self, node, None, counters)
         inner = prover.prove(goal)
         if inner is None:
             if node.split is None:

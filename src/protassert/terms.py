@@ -187,17 +187,6 @@ def iter_subterms(t: Term) -> Iterator[Term]:
             yield from iter_subterms(a)
 
 
-def subterms(t: Term) -> frozenset[Term]:
-    return frozenset(iter_subterms(t))
-
-
-def subterms_of(terms) -> frozenset[Term]:
-    out: set[Term] = set()
-    for t in terms:
-        out.update(iter_subterms(t))
-    return frozenset(out)
-
-
 def term_vars(t: Term) -> frozenset[str]:
     return frozenset(s.name for s in iter_subterms(t) if isinstance(s, Var))
 

@@ -29,7 +29,23 @@ from protassert import (
     Var,
     normalize,
 )
-from protassert.terms import subterms_of
+
+
+def subterms_of(terms) -> frozenset[Term]:
+    """Every term occurring in the given terms, themselves included."""
+    out: set[Term] = set()
+    todo = list(terms)
+    while todo:
+        t = todo.pop()
+        if t not in out:
+            out.add(t)
+            if isinstance(t, Pair):
+                todo += [t.left, t.right]
+            elif isinstance(t, Enc):
+                todo += [t.body, t.key]
+            elif isinstance(t, App):
+                todo += list(t.args)
+    return frozenset(out)
 
 
 def inverse_key(k: Term) -> Term:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from protassert import (
     And,
     App,
@@ -23,6 +25,7 @@ from protassert import (
     sk,
     vk,
 )
+from protassert import engine
 from protassert.checker import replay_assertion_proof
 from protassert.engine import BudgetExhausted
 
@@ -276,6 +279,21 @@ def test_exhaustion_never_reported_as_positive():
     assert verdict.derivable or verdict.budget_exhausted
 
 
+def test_closure_over_merge_cap_spares_hypothesis_goals():
+    # the root's closure needs two merges and may make one: a goal that is
+    # a hypothesis still holds, a goal that needs the closure is
+    # inconclusive, and leaves() raises rather than hand out a leaf whose
+    # closure would raise later
+    a, b, c = (Basic(s, "nonce") for s in "abc")
+    ctx = DeriveContext((a, b, c), [Eq(a, b), Eq(b, c)], SearchBudget(merge_cap=1))
+    assert ctx.query(Eq(a, b)).derivable and not ctx.build_failed
+    far = ctx.query(Eq(a, c))
+    assert not far.derivable and far.budget_exhausted and ctx.build_failed
+    with pytest.raises(BudgetExhausted):
+        ctx.leaves()
+    assert ctx.query(Eq(a, b)).derivable
+
+
 def test_context_reuse_matches_one_shot():
     X, phi = leak_context()
     ctx = DeriveContext(X, phi)
@@ -286,6 +304,71 @@ def test_context_reuse_matches_one_shot():
         assert ctx.query(g).derivable == derive(X, phi, g).derivable
     # queries must not contaminate one another
     assert ctx.query(goals[0]).derivable == derive(X, phi, goals[0]).derivable
+
+
+# ---------------------------------------------------------------------------
+# closures on demand
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """Counts of congruence closures built from scratch and cloned."""
+    counts = {"built": 0, "cloned": 0}
+    real_init, real_clone = engine.EqClasses.__init__, engine.EqClasses.clone
+
+    def init(self, *args, **kwargs):
+        counts["built"] += 1
+        real_init(self, *args, **kwargs)
+
+    def clone(self):
+        counts["cloned"] += 1
+        return real_clone(self)
+
+    monkeypatch.setattr(engine.EqClasses, "__init__", init)
+    monkeypatch.setattr(engine.EqClasses, "clone", clone)
+    return counts
+
+
+def test_hypothesis_goals_build_no_closure(closures):
+    p, q = Pred("p", (n,)), Pred("q", (m,))
+    ctx = DeriveContext((n, m), [And(q, Says(A, p))], safe=True)
+    for goal in (p, q, Says(A, p), And(p, q), Or(Pred("r", (n,)), p)):
+        assert ctx.query(goal).derivable
+    with_eq = DeriveContext((n, m), [Eq(n, m), Says(A, Eq(m, v))], safe=True)
+    for goal in (Eq(n, m), Eq(m, v)):
+        assert with_eq.query(goal).derivable
+    assert closures == {"built": 0, "cloned": 0}
+
+
+def test_an_equality_goal_builds_one_root_closure(closures):
+    ctx = DeriveContext((n,), [Eq(n, m), Eq(m, v)], safe=True)
+    assert ctx.query(Eq(n, v)).derivable
+    assert closures == {"built": 1, "cloned": 1}
+    assert ctx.query(Eq(v, n)).derivable and ctx.query(Eq(n, m)).derivable
+    assert closures == {"built": 1, "cloned": 2}
+
+
+@pytest.mark.parametrize("safe", [True, False])
+def test_hypothesis_goal_proof_is_an_access_chain(safe):
+    p = Pred("p", (n,))
+    top = And(Pred("q", (m,)), Says(A, p))
+    proof = DeriveContext((), [top, Eq(n, m)], safe=safe).query(p).proof
+    chain = []
+    while proof is not None:
+        chain.append((proof.rule, proof.concl))
+        proof = proof.premises[0] if proof.premises else None
+    assert chain == [("strip", p), ("and_e", Says(A, p)), ("ax", top)]
+
+
+def test_an_existential_is_opened_once_per_witness_name(monkeypatch):
+    opened = []
+    real = engine.substitute
+    monkeypatch.setattr(engine, "substitute",
+                        lambda a, sigma: opened.append(a) or real(a, sigma))
+    psi = Exists("q", Pred("opened_once", (x("q"), n)))
+    first, second = (DeriveContext((), [psi]).root for _ in range(2))
+    assert first.hyps == second.hyps and len(first.hyps) == 2
+    assert len(opened) == 1
 
 
 # ---------------------------------------------------------------------------
