@@ -38,6 +38,7 @@ from .terms import (
     same_head,
     subst_term,
     term_key,
+    term_vars,
 )
 
 
@@ -300,7 +301,9 @@ def sorted_assertions(assertions) -> list[Assertion]:
 
 # ---------------------------------------------------------------------------
 # matching modulo an equality (E-matching, as in de Moura & Bjorner, CADE
-# 2007).  `eq` offers same(a, b) and members(t), the terms known equal to t.
+# 2007).  `eq` offers same(a, b) and members(t), the terms known equal to t;
+# for a term that mentions a bound name, same is == and members is the term
+# alone.
 
 
 class _Syntactic:
@@ -316,13 +319,22 @@ class _Syntactic:
 
 
 SYNTACTIC = _Syntactic()
+_NO_BINDERS: dict[str, Term] = {}
 
 
-def match_term(pat: Term, tgt: Term, holes, binding: dict[str, Term],
-               eq) -> list[dict[str, Term]]:
+def match_term(pat: Term, tgt: Term, holes, binding: dict[str, Term], eq,
+               env_p: dict[str, Term] = _NO_BINDERS,
+               env_t: dict[str, Term] = _NO_BINDERS) -> list[dict[str, Term]]:
     """Every extension of binding over the variables in holes under which
     pat equals tgt modulo eq.  A hole never takes a term that mentions a
-    bound name."""
+    bound name.  env_p and env_t map the binders in scope on each side to
+    shared tokens (see `match_assertion`): pat and tgt are matched as if
+    each such variable were its token."""
+    if env_p or env_t:
+        renamed_p, renamed_t = _mentions(pat, env_p), _mentions(tgt, env_t)
+        if renamed_p or renamed_t:
+            return _match_tokens(pat, tgt, holes, binding, eq, env_p, env_t,
+                                 renamed_p, renamed_t)
     if isinstance(pat, Var) and pat.name in holes:
         bound = binding.get(pat.name)
         if bound is not None:
@@ -339,25 +351,60 @@ def match_term(pat: Term, tgt: Term, holes, binding: dict[str, Term],
     return out
 
 
-def _match_all(pairs, holes, binding: dict[str, Term], eq) -> list[dict[str, Term]]:
+def _mentions(t: Term, env: dict[str, Term]) -> bool:
+    return bool(env) and not env.keys().isdisjoint(term_vars(t))
+
+
+def _match_tokens(pat: Term, tgt: Term, holes, binding: dict[str, Term], eq,
+                  env_p: dict[str, Term], env_t: dict[str, Term],
+                  renamed_p: bool, renamed_t: bool) -> list[dict[str, Term]]:
+    """match_term where pat or tgt, read through its binders, holds a token
+    (renamed_p, renamed_t).  A token is a bound name: no hole takes a term
+    with one, and eq compares such a term by identity only, so it can equal
+    nothing but the other side read the same way, and its only class member
+    is itself."""
+    if isinstance(pat, Var):  # a token meets only its own token
+        token = env_p.get(pat.name)
+        return [binding] if (token is not None and isinstance(tgt, Var)
+                             and env_t.get(tgt.name) is token) else []
+    if renamed_p and renamed_t and _aligned(pat, tgt, env_p, env_t):
+        return [binding]
+    out: list[dict[str, Term]] = []
+    for m in (tgt,) if renamed_t else eq.members(tgt):
+        if same_head(pat, m):
+            out += _match_all(zip(children(pat), children(m)), holes, binding, eq,
+                              env_p, env_t if renamed_t else _NO_BINDERS)
+    return out
+
+
+def _aligned(p: Term, t: Term, env_p: dict[str, Term], env_t: dict[str, Term]) -> bool:
+    """p and t are one term once each binder in scope is read as its token."""
+    if isinstance(p, Var) or isinstance(t, Var):
+        return (isinstance(p, Var) and isinstance(t, Var)
+                and env_p.get(p.name, p) is env_t.get(t.name, t))
+    if not same_head(p, t):
+        return p is t
+    return all(_aligned(a, b, env_p, env_t) for a, b in zip(children(p), children(t)))
+
+
+def _match_all(pairs, holes, binding: dict[str, Term], eq,
+               env_p: dict[str, Term] = _NO_BINDERS,
+               env_t: dict[str, Term] = _NO_BINDERS) -> list[dict[str, Term]]:
     """match_term over each (pattern, target) pair in turn."""
     found = [binding]
     for pat, tgt in pairs:
-        found = [b for prev in found for b in match_term(pat, tgt, holes, prev, eq)]
+        found = [b for prev in found
+                 for b in match_term(pat, tgt, holes, prev, eq, env_p, env_t)]
     return found
 
 
 def match_assertion(pat: Assertion, tgt: Assertion, holes,
                     binding: dict[str, Term], eq) -> list[dict[str, Term]]:
     """Every extension of binding under which pat equals tgt: terms modulo
-    eq, agents syntactically.  Bound variables on both sides are renamed to
-    shared tokens %b0, %b1, ... by depth, so binder structure must align and
-    never leaks into a binding."""
-    return _match_assertion(pat, tgt, holes, binding, eq, {}, {})
-
-
-def _renamed(t: Term, env: dict[str, Term]) -> Term:
-    return subst_term(t, env) if env else t
+    eq, agents syntactically.  Bound variables on both sides stand for
+    shared tokens %b0, %b1, ... by depth, read through one binder map per
+    side, so binder structure must align and never leaks into a binding."""
+    return _match_assertion(pat, tgt, holes, binding, eq, _NO_BINDERS, _NO_BINDERS)
 
 
 def _match_assertion(pat: Assertion, tgt: Assertion, holes, binding: dict[str, Term],
@@ -374,15 +421,13 @@ def _match_assertion(pat: Assertion, tgt: Assertion, holes, binding: dict[str, T
         return [b for prev in _match_assertion(pat.left, tgt.left, holes, binding, eq, env_p, env_t)
                 for b in _match_assertion(pat.right, tgt.right, holes, prev, eq, env_p, env_t)]
     if isinstance(pat, (Says, SentA, SentT)):
-        found = match_term(_renamed(pat.agent, env_p), _renamed(tgt.agent, env_t),
-                           holes, binding, SYNTACTIC)
+        found = match_term(pat.agent, tgt.agent, holes, binding, SYNTACTIC, env_p, env_t)
         if isinstance(pat, SentT):
-            return [b for prev in found for b in match_term(
-                _renamed(pat.term, env_p), _renamed(tgt.term, env_t), holes, prev, eq)]
+            return [b for prev in found
+                    for b in match_term(pat.term, tgt.term, holes, prev, eq, env_p, env_t)]
         return [b for prev in found
                 for b in _match_assertion(pat.body, tgt.body, holes, prev, eq, env_p, env_t)]
     if isinstance(pat, Pred) and (pat.name != tgt.name or len(pat.args) != len(tgt.args)):
         return []
-    return _match_all(((_renamed(p, env_p), _renamed(t, env_t))
-                       for p, t in zip(assertion_terms(pat), assertion_terms(tgt))),
-                      holes, binding, eq)
+    return _match_all(zip(assertion_terms(pat), assertion_terms(tgt)),
+                      holes, binding, eq, env_p, env_t)

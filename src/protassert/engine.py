@@ -21,10 +21,16 @@ Search strategy is fixed:
      hypotheses and classes (`assertions.match_assertion` with the branch
      as the equality).  Each node indexes its hypotheses by connective, or
      predicate name and arity, so a goal or pattern meets only its own kind
-     (the top-symbol index of de Moura & Bjorner, CADE 2007).  A goal that differs from a hypothesis only by terms
-     equal in the classes is proved by a chain of subst steps, whose
-     positions the rewrite matcher finds with the shared shape walk
-     (`assertions.parts`, `terms.children`).
+     (the top-symbol index of de Moura & Bjorner, CADE 2007).  An equation
+     pattern walks the class of its other side once, not once per member,
+     since the matcher reaches the whole class from any member; and an
+     equation hypothesis inside that class, the classes unchanged since the
+     walk, is skipped, since matching it repeats the walk.  Both leave the
+     candidate lists as they would be without them (`_ematch_sub`).  A goal
+     that differs from a hypothesis only by terms equal in the classes is
+     proved by a chain of subst steps, whose positions the rewrite matcher
+     finds with the shared shape walk (`assertions.parts`,
+     `terms.children`).
 
 A branch holding two distinct basics in one class is inconsistent and proves
 anything.  The safe mode disables steps 1 and 3 (the rules unsound for
@@ -76,6 +82,7 @@ from .terms import (
     same_head,
     sorted_terms,
     term_key,
+    term_vars,
 )
 
 # When set, every positive verdict produced by derive(), derive_safe() or
@@ -153,6 +160,7 @@ class EqClasses:
         self.forest: dict[Term, tuple[Term, _Edge]] = {}
         self.stamp = 0
         self._pending: deque[tuple[Term, Term, str, tuple]] = deque()
+        self._owned: set[Term] = set()  # roots whose members and parents_of no clone shares
 
     # -- basic structure
 
@@ -171,20 +179,31 @@ class EqClasses:
         return self.find(a) == self.find(b)
 
     def clone(self) -> "EqClasses":
+        """A copy that shares each root's members list and parents_of set
+        with this one until either side changes it (`_own`)."""
         c = EqClasses.__new__(EqClasses)
         c.dyctx = self.dyctx
         c.merge_cap = self.merge_cap
         c.parent = dict(self.parent)
-        c.members = {k: list(v) for k, v in self.members.items()}
+        c.members = dict(self.members)
         c.pair = dict(self.pair)
         c.genc = dict(self.genc)
-        c.parents_of = {k: set(v) for k, v in self.parents_of.items()}
+        c.parents_of = dict(self.parents_of)
         c.sig_of = dict(self.sig_of)
         c.sig_table = dict(self.sig_table)
         c.forest = dict(self.forest)
         c.stamp = self.stamp
         c._pending = deque(self._pending)
+        c._owned, self._owned = set(), set()
         return c
+
+    def _own(self, root: Term) -> None:
+        """Copy root's members list and parents_of set before changing them
+        in place, unless they are this instance's own since the last clone."""
+        if root not in self._owned:
+            self.members[root] = list(self.members[root])
+            self.parents_of[root] = set(self.parents_of[root])
+            self._owned.add(root)
 
     # Inline switch, not children(): every add_term and union runs it.
     def _signature(self, t: Term):
@@ -208,8 +227,11 @@ class EqClasses:
         elif isinstance(t, Enc) and self._guarded(t):
             self.genc[t] = t
         self.parents_of[t] = set()
+        self._owned.add(t)
         for c in children(t):
-            self.parents_of[self.find(c)].add(t)
+            root = self.find(c)
+            self._own(root)
+            self.parents_of[root].add(t)
         sig = self._signature(t)
         if sig is not None:
             self.sig_of[t] = sig
@@ -307,6 +329,7 @@ class EqClasses:
         for m in self.members[small]:
             self.parent[m] = big
         self.parent[small] = big
+        self._own(big)
         self.members[big].extend(self.members.pop(small))
 
         touched = self.parents_of.pop(small) | self.parents_of[big]
@@ -469,6 +492,11 @@ class _Counters:
         self.nodes += 1
         if self.nodes > self.budget.node_cap:
             raise BudgetExhausted()
+
+
+def _version(cc: EqClasses) -> tuple[int, int]:
+    """Changes whenever a term joins the classes or two classes merge."""
+    return len(cc.parent), cc.stamp
 
 
 def _register_assertion_terms(cc: EqClasses, a: Assertion) -> None:
@@ -790,27 +818,56 @@ class _BranchProver:
     def _ematch_sub(self, pattern: Assertion, var: str):
         """Bind var by matching a goal subassertion against hypotheses (and,
         for equations, against congruence classes), with the shared matcher
-        of `assertions` working modulo this branch (`same`, `members`)."""
+        of `assertions` working modulo this branch (`same`, `members`).
+
+        An equation side that holds var meets the class of the other side.
+        A bare var binds each member.  A compound side is walked once per
+        class: `match_term` reaches the whole class through `members`
+        from any of its members, so matching each member in turn repeats
+        one walk, unless a walk changed the classes, which is then walked
+        again (at most once per member).  An equation hypothesis with both
+        sides in a class walked this way, the classes unchanged since, is
+        skipped: matching it would repeat the walk, or compare two members
+        of one class, so it binds nothing new.  `_candidates` reads only
+        the distinct bindings in order of first appearance, which neither
+        shortcut changes."""
         holes = {var} | {n for n in assertion_vars(pattern) if n.startswith("%")}
         results: list[Term] = []
+        covered = None  # (root, version) of a class walked to a fixed point
         if isinstance(pattern, Eq):
             for pat, other in ((pattern.lhs, pattern.rhs), (pattern.rhs, pattern.lhs)):
-                pvars = {v.name for v in iter_subterms(pat) if isinstance(v, Var)}
-                if var not in pvars:
+                if var not in term_vars(pat) or has_bound_name(other):
                     continue
-                targets: list[Term] = []
-                if not has_bound_name(other):
-                    self.cc.add_term(other)
-                    targets = self.cc.class_members(other)
-                for tgt in targets:
-                    for b in match_term(pat, tgt, holes, {}, self):
-                        if var in b:
-                            results.append(b[var])
+                cc = self.cc
+                cc.add_term(other)
+                targets = cc.class_members(other)
+                if isinstance(pat, Var):
+                    results += targets
+                    stable = True
+                else:
+                    for _ in targets:
+                        version = _version(cc)
+                        results += [b[var] for b in match_term(pat, other, holes, {}, self)
+                                    if var in b]
+                        stable = _version(cc) == version
+                        if stable:
+                            break
+                if stable and var not in term_vars(other):
+                    covered = (cc.find(other), _version(cc))
         for hyp in self.node.by_kind.get(_kind(pattern), ()):
+            if covered is not None and self._inside(hyp, *covered):
+                continue
             for b in match_assertion(pattern, hyp, holes, {}, self):
                 if var in b:
                     results.append(b[var])
         return results
+
+    def _inside(self, eq: Eq, root: Term, version: tuple[int, int]) -> bool:
+        """Both sides of eq lie in root's class, and the classes are as
+        they were at version."""
+        cc = self.cc
+        return (_version(cc) == version and eq.lhs in cc and eq.rhs in cc
+                and cc.find(eq.lhs) is root and cc.find(eq.rhs) is root)
 
     def _synth_from_pattern(self, pat: Term) -> list[Term]:
         """Instances of pat with its bound names filled from the branch's

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, TypeVar
@@ -120,8 +121,7 @@ class Declarations:
 # tokenizer
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
+    r"""(?P<skip>\s+|\#[^\n]*)
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
       | (?P<int>\d+)
       | (?P<punct>/\\|\\/|[(){}<>,:=/*@;-])
@@ -134,25 +134,30 @@ _TOKEN_RE = re.compile(
 class Tok(NamedTuple):
     kind: str  # ident | int | punct | end
     val: str
-    pos: str
+    off: int  # where the token starts in text
+    text: str
+    where: str
+
+    @property
+    def pos(self) -> str:
+        """where:line:col, counted only when an error reads it."""
+        line_start = self.text.rfind("\n", 0, self.off) + 1
+        line = self.text.count("\n", 0, self.off) + 1
+        return f"{self.where}:{line}:{self.off - line_start + 1}"
+
+
+# tuple.__new__(Tok, fields) skips the Python-level __new__ of a NamedTuple
+_new_tok = tuple.__new__
+_kind = operator.itemgetter(0)
 
 
 def tokenize(text: str, where: str = "input") -> list[Tok]:
-    toks: list[Tok] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            nl = m.group().count("\n")
-            if nl:
-                line += nl
-                line_start = m.start() + m.group().rfind("\n") + 1
-        elif kind != "comment":
-            pos = f"{where}:{line}:{m.start() - line_start + 1}"
-            if kind == "bad":
-                raise ParseError(f"unexpected character {m.group()!r}", pos)
-            toks.append(Tok(kind, m.group(), pos))
-    toks.append(Tok("end", "", f"{where}:{line}:{len(text) - line_start + 1}"))
+    toks = [_new_tok(Tok, (kind, m.group(), m.start(), text, where))
+            for m in _TOKEN_RE.finditer(text) if (kind := m.lastgroup) != "skip"]
+    if "bad" in map(_kind, toks):
+        bad = next(t for t in toks if t.kind == "bad")
+        raise ParseError(f"unexpected character {bad.val!r}", bad.pos)
+    toks.append(_new_tok(Tok, ("end", "", len(text), text, where)))
     return toks
 
 
@@ -163,7 +168,7 @@ def _expected(what: str, t: Tok) -> ParseError:
 class Cursor:
     """A position in a token list, with the pieces every format is made of:
     identifiers, numbers, terms, `name = term` bindings, comma lists and
-    the end of input."""
+    the end of input.  The position never passes the end token."""
 
     def __init__(self, toks: list[Tok], decls: Declarations):
         self.toks = toks
@@ -171,18 +176,22 @@ class Cursor:
         self.decls = decls
         self.depth = 0  # calls of _nested parsers now open
 
-    def peek(self, ahead: int = 0) -> Tok:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+    def peek(self) -> Tok:
+        return self.toks[self.i]
+
+    def second(self) -> Tok:
+        """The token after the next one, or the end token."""
+        return self.toks[min(self.i + 1, len(self.toks) - 1)]
 
     def next(self) -> Tok:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != "end":
             self.i += 1
         return t
 
     def at(self, val: str) -> bool:
-        return self.peek().val == val and self.peek().kind in ("punct", "ident")
+        t = self.toks[self.i]
+        return t.val == val and t.kind in ("punct", "ident")
 
     def eat(self, val: str) -> bool:
         if self.at(val):
@@ -334,7 +343,7 @@ def parse_term(text: str, decls: Declarations | None = None, where: str = "term"
 def _parse_atom_or_paren(p: Cursor) -> Assertion:
     start = p.i
     tok = p.peek()
-    if tok.kind == "ident" and tok.val in p.decls.predicates and p.peek(1).val == "(":
+    if tok.kind == "ident" and tok.val in p.decls.predicates and p.second().val == "(":
         p.next()
         args = _parse_app_args(p)
         _check_applied(p, tok.val, len(args), tok.pos, as_pred=True)
@@ -372,11 +381,11 @@ def _parse_unit(p: Cursor) -> Assertion:
         for n in reversed(names):
             body = Exists(n, body)
         return body
-    if tok.kind == "ident" and p.peek(1).val == "says":
+    if tok.kind == "ident" and p.second().val == "says":
         agent = p.decls.classify(p.next().val)
         p.next()
         return Says(agent, _parse_unit(p))
-    if tok.kind == "ident" and p.peek(1).val == "sent":
+    if tok.kind == "ident" and p.second().val == "sent":
         agent = p.decls.classify(p.next().val)
         p.next()
         if p.eat("<"):
@@ -535,7 +544,7 @@ def parse_sequent(text: str, where: str = "sequent") -> Sequent:
         loc = f"{where}:{lineno}"
         p = Cursor(tokenize(line, loc), decls)
         head = p.peek().val
-        if p.peek(1).val == ":" and (
+        if p.second().val == ":" and (
                 head in _SECTIONS or (head in _DECL_HEADS and section is None)):
             p.next()
             p.next()

@@ -5,8 +5,8 @@ hash-consing*, ML 2006): constructing a term looks its class and fields up in
 one weak table, so while any reference to a structure lives it exists as
 exactly one object.  Equality and hashing are therefore object identity, the
 C-level defaults, and values that depend only on the structure are computed
-once per object and cached on it: for a term, `term_key` and
-`has_bound_name`.  Assertions share the table and the metaclass
+once per object and cached on it: for a term, `term_key`, `has_bound_name`
+and `term_vars`.  Assertions share the table and the metaclass
 (`Interned`); the `assertions` docstring lists what each assertion caches.
 
 Encryption keys are constrained at construction: a key position holds a basic of
@@ -188,7 +188,12 @@ def iter_subterms(t: Term) -> Iterator[Term]:
 
 
 def term_vars(t: Term) -> frozenset[str]:
-    return frozenset(s.name for s in iter_subterms(t) if isinstance(s, Var))
+    """The names of the variables in t.  Cached on t."""
+    try:
+        return t._vars
+    except AttributeError:
+        return cache(t, "_vars", frozenset(s.name for s in iter_subterms(t)
+                                           if isinstance(s, Var)))
 
 
 def is_ground(t: Term) -> bool:

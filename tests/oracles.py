@@ -4,7 +4,8 @@ Everything here is written for clarity over speed and shares no code with
 the package: term closure is a round-based fixpoint over whole sets, the
 composition check walks bottom up over a subterm list, and the assertion
 oracle saturates equalities with plain pairwise passes.  Only small inputs
-go through these.
+go through these.  The one exception is at the end: the engine's former
+witness-candidate generation, kept as it was to pin the current one to it.
 """
 from __future__ import annotations
 
@@ -358,3 +359,134 @@ def atom_terms(a: Assertion) -> list[Term]:
     if isinstance(a, SentA):
         return [a.agent] + atom_terms(a.body)
     return []
+
+
+# ---------------------------------------------------------------------------
+# witness candidates as the engine first generated them
+#
+# Unlike the oracles above, this is the engine's own former code, kept
+# verbatim so that the candidate lists of the current `_BranchProver` can be
+# compared with it call by call: `_ematch_sub` matched a compound equation
+# pattern once per member of the other side's class, re-matched equation
+# hypotheses that the walk had covered, and `match_assertion` renamed every
+# term under a binder with `subst_term`.
+
+from protassert.assertions import (  # noqa: E402
+    SYNTACTIC,
+    _match_all,
+    assertion_terms,
+    assertion_vars,
+    match_term,
+    subassertions,
+)
+from protassert.engine import _kind  # noqa: E402
+from protassert.terms import has_bound_name, iter_subterms, subst_term, term_key  # noqa: E402
+
+
+def match_assertion(pat: Assertion, tgt: Assertion, holes,
+                    binding: dict[str, Term], eq) -> list[dict[str, Term]]:
+    """Every extension of binding under which pat equals tgt: terms modulo
+    eq, agents syntactically.  Bound variables on both sides are renamed to
+    shared tokens %b0, %b1, ... by depth, so binder structure must align and
+    never leaks into a binding."""
+    return _match_assertion(pat, tgt, holes, binding, eq, {}, {})
+
+
+def _renamed(t: Term, env: dict[str, Term]) -> Term:
+    return subst_term(t, env) if env else t
+
+
+def _match_assertion(pat: Assertion, tgt: Assertion, holes, binding: dict[str, Term],
+                     eq, env_p: dict[str, Term], env_t: dict[str, Term]) -> list[dict[str, Term]]:
+    if isinstance(pat, Exists):
+        if not isinstance(tgt, Exists):
+            return []
+        token = Var(f"%b{len(env_p)}")
+        return _match_assertion(pat.body, tgt.body, holes, binding, eq,
+                                {**env_p, pat.var: token}, {**env_t, tgt.var: token})
+    if type(pat) is not type(tgt):
+        return []
+    if isinstance(pat, (And, Or)):
+        return [b for prev in _match_assertion(pat.left, tgt.left, holes, binding, eq, env_p, env_t)
+                for b in _match_assertion(pat.right, tgt.right, holes, prev, eq, env_p, env_t)]
+    if isinstance(pat, (Says, SentA, SentT)):
+        found = match_term(_renamed(pat.agent, env_p), _renamed(tgt.agent, env_t),
+                           holes, binding, SYNTACTIC)
+        if isinstance(pat, SentT):
+            return [b for prev in found for b in match_term(
+                _renamed(pat.term, env_p), _renamed(tgt.term, env_t), holes, prev, eq)]
+        return [b for prev in found
+                for b in _match_assertion(pat.body, tgt.body, holes, prev, eq, env_p, env_t)]
+    if isinstance(pat, Pred) and (pat.name != tgt.name or len(pat.args) != len(tgt.args)):
+        return []
+    return _match_all(((_renamed(p, env_p), _renamed(t, env_t))
+                       for p, t in zip(assertion_terms(pat), assertion_terms(tgt))),
+                      holes, binding, eq)
+
+
+class ReferenceCandidates:
+    """`_BranchProver._candidates` and `_ematch_sub` as they were; patch
+    both onto `_BranchProver` to run the engine on them."""
+
+    def _candidates(self, var: str, body: Assertion) -> list[Term]:
+        cap = self.counters.budget.candidate_cap
+        out: list[Term] = []
+        seen: set[Term] = set()
+
+        def emit(t: Term) -> bool:
+            if t in seen or has_bound_name(t):
+                return False
+            seen.add(t)
+            out.append(t)
+            return len(out) >= cap
+
+        anchored = False
+        for sub in subassertions(body):
+            if var not in assertion_vars(sub):
+                continue
+            anchored = True
+            for binding in self._ematch_sub(sub, var):
+                if emit(binding):
+                    self.counters.truncated = True
+                    return out
+        if not anchored:
+            universe = [t for t in sorted(self.cc.parent, key=term_key)
+                        if not has_bound_name(t)]
+            for t in universe[:1]:
+                emit(t)
+            return out
+        # pattern-guided synthesis for equation atoms, then universe fallback
+        for sub in subassertions(body):
+            if isinstance(sub, Eq) and var in assertion_vars(sub):
+                for pat, other in ((sub.lhs, sub.rhs), (sub.rhs, sub.lhs)):
+                    if isinstance(pat, Var) and pat.name == var:
+                        for cand in self._synth_from_pattern(other):
+                            if emit(cand):
+                                self.counters.truncated = True
+                                return out
+        return out
+
+    def _ematch_sub(self, pattern: Assertion, var: str):
+        """Bind var by matching a goal subassertion against hypotheses (and,
+        for equations, against congruence classes), with the shared matcher
+        of `assertions` working modulo this branch (`same`, `members`)."""
+        holes = {var} | {n for n in assertion_vars(pattern) if n.startswith("%")}
+        results: list[Term] = []
+        if isinstance(pattern, Eq):
+            for pat, other in ((pattern.lhs, pattern.rhs), (pattern.rhs, pattern.lhs)):
+                pvars = {v.name for v in iter_subterms(pat) if isinstance(v, Var)}
+                if var not in pvars:
+                    continue
+                targets: list[Term] = []
+                if not has_bound_name(other):
+                    self.cc.add_term(other)
+                    targets = self.cc.class_members(other)
+                for tgt in targets:
+                    for b in match_term(pat, tgt, holes, {}, self):
+                        if var in b:
+                            results.append(b[var])
+        for hyp in self.node.by_kind.get(_kind(pattern), ()):
+            for b in match_assertion(pattern, hyp, holes, {}, self):
+                if var in b:
+                    results.append(b[var])
+        return results

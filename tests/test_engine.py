@@ -306,6 +306,27 @@ def test_context_reuse_matches_one_shot():
     assert ctx.query(goals[0]).derivable == derive(X, phi, goals[0]).derivable
 
 
+def test_a_clone_and_its_original_change_independently():
+    """A clone shares each class's member list and parent set with its
+    original until one side changes them; either side may change first."""
+    def state(cc):
+        return ({t: sorted(map(repr, cc.members[cc.find(t)])) for t in cc.parent},
+                {t: sorted(map(repr, cc.parents_of[cc.find(t)])) for t in cc.parent})
+
+    for change_original in (True, False):
+        cc = engine.EqClasses(DeriveContext((n, m, k), []).dyctx)
+        for t in (Pair(n, k), Enc(m, k), Pair(m, k)):
+            cc.add_term(t)
+        copy = cc.clone()
+        before = state(cc)
+        changed, kept = (cc, copy) if change_original else (copy, cc)
+        changed.merge(n, m, "hyp")
+        changed.add_term(Pair(Pair(n, k), m))
+        assert changed.same(Pair(n, k), Pair(m, k))
+        assert state(kept) == before
+        assert not kept.same(n, m) and Pair(Pair(n, k), m) not in kept
+
+
 # ---------------------------------------------------------------------------
 # closures on demand
 
