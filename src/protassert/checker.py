@@ -7,6 +7,8 @@ discharged by replaying the embedded term proofs against X.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .assertions import (
     And,
     Assertion,
@@ -31,7 +33,9 @@ from .terms import (
     Pair,
     Term,
     Var,
+    children,
     iter_subterms,
+    same_head,
 )
 
 
@@ -101,7 +105,9 @@ def replay_assertion_proof(root: ProofNode, X, Phi,
     try:
         Xf = frozenset(X)
         ctx = frozenset(normalize(a) for a in Phi)
-        _check(root, ctx, Xf)
+        names = frozenset().union(*map(_all_var_names, ctx), (
+            s.name for t in Xf for s in iter_subterms(t) if isinstance(s, Var)))
+        _check(root, ctx, Xf, names)
         if goal is not None and root.concl != normalize(goal):
             raise CheckError("root conclusion is not the goal")
     except CheckError as e:
@@ -110,7 +116,8 @@ def replay_assertion_proof(root: ProofNode, X, Phi,
     return True, None
 
 
-def _all_var_names(a: Assertion) -> set[str]:
+@lru_cache(maxsize=4096)
+def _all_var_names(a: Assertion) -> frozenset[str]:
     out: set[str] = set()
 
     def terms_of(a: Assertion) -> list[Term]:
@@ -130,7 +137,7 @@ def _all_var_names(a: Assertion) -> set[str]:
         for s in iter_subterms(t):
             if isinstance(s, Var):
                 out.add(s.name)
-    return out
+    return frozenset(out)
 
 
 def _term_proof(node: ProofNode, idx: int, X: frozenset[Term]) -> Term:
@@ -149,20 +156,9 @@ def _rewrites_to(a: Assertion, b: Assertion, t: Term, t2: Term) -> bool:
     moved |= {v.name for v in iter_subterms(t2) if isinstance(v, Var)}
 
     def ok_term(x: Term, y: Term) -> bool:
-        if x == y:
+        if x == y or (x == t and y == t2):
             return True
-        if x == t and y == t2:
-            return True
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Pair):
-            return ok_term(x.left, y.left) and ok_term(x.right, y.right)
-        if isinstance(x, Enc):
-            return ok_term(x.body, y.body) and ok_term(x.key, y.key)
-        if isinstance(x, App):
-            return (x.ctor == y.ctor and len(x.args) == len(y.args)
-                    and all(ok_term(p, q) for p, q in zip(x.args, y.args)))
-        return False
+        return same_head(x, y) and all(map(ok_term, children(x), children(y)))
 
     def ok(x: Assertion, y: Assertion) -> bool:
         if x == y:
@@ -191,7 +187,9 @@ def _rewrites_to(a: Assertion, b: Assertion, t: Term, t2: Term) -> bool:
     return ok(a, b)
 
 
-def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term]) -> None:
+def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term],
+           names: frozenset[str]) -> None:
+    """Check node under the hypotheses ctx; names: the variables of X and ctx."""
     rule, c, prems = node.rule, node.concl, node.premises
 
     if rule == "ax":
@@ -201,39 +199,39 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term]) -> No
 
     if rule == "and_e":
         _expect(len(prems) == 1, "and_e: arity")
-        _check(prems[0], ctx, X)
+        _check(prems[0], ctx, X, names)
         p = prems[0].concl
         _expect(isinstance(p, And) and c in (p.left, p.right), "and_e: shape")
         return
 
     if rule == "strip":
         _expect(len(prems) == 1, "strip: arity")
-        _check(prems[0], ctx, X)
+        _check(prems[0], ctx, X, names)
         p = prems[0].concl
         _expect(isinstance(p, Says) and c == p.body, "strip: shape")
         return
 
     if rule == "and_i":
         _expect(len(prems) == 2 and isinstance(c, And), "and_i: shape")
-        _check(prems[0], ctx, X)
-        _check(prems[1], ctx, X)
+        _check(prems[0], ctx, X, names)
+        _check(prems[1], ctx, X, names)
         _expect(prems[0].concl == c.left and prems[1].concl == c.right,
                 "and_i: components")
         return
 
     if rule == "or_i":
         _expect(len(prems) == 1 and isinstance(c, Or), "or_i: shape")
-        _check(prems[0], ctx, X)
+        _check(prems[0], ctx, X, names)
         _expect(prems[0].concl in (c.left, c.right), "or_i: component")
         return
 
     if rule == "or_e":
         _expect(len(prems) == 3, "or_e: arity")
-        _check(prems[0], ctx, X)
+        _check(prems[0], ctx, X, names)
         d = prems[0].concl
         _expect(isinstance(d, Or), "or_e: premise not a disjunction")
-        _check(prems[1], ctx | {d.left}, X)
-        _check(prems[2], ctx | {d.right}, X)
+        _check(prems[1], ctx | {d.left}, X, names | _all_var_names(d.left))
+        _check(prems[2], ctx | {d.right}, X, names | _all_var_names(d.right))
         _expect(prems[1].concl == c and prems[2].concl == c, "or_e: conclusions")
         return
 
@@ -243,35 +241,28 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term]) -> No
         w = node.witness
         _expect(not any(isinstance(s, Var) and s.name.startswith("%")
                         for s in iter_subterms(w)), "exists_i: open witness")
-        _check(prems[0], ctx, X)
+        _check(prems[0], ctx, X, names)
         _expect(prems[0].concl == substitute(c.body, {c.var: w}),
                 "exists_i: instance mismatch")
         return
 
     if rule == "exists_e":
         _expect(len(prems) == 2 and node.fresh is not None, "exists_e: shape")
-        _check(prems[0], ctx, X)
+        _check(prems[0], ctx, X, names)
         ex = prems[0].concl
         _expect(isinstance(ex, Exists), "exists_e: premise not existential")
         y = node.fresh
-        used: set[str] = set()
-        for t in X:
-            for s in iter_subterms(t):
-                if isinstance(s, Var):
-                    used.add(s.name)
-        for a in ctx:
-            used |= _all_var_names(a)
-        used |= _all_var_names(c)
-        _expect(y not in used, f"exists_e: witness variable {y} not fresh")
+        _expect(y not in names and y not in _all_var_names(c),
+                f"exists_e: witness variable {y} not fresh")
         inst = substitute(ex.body, {ex.var: Var(y)})
-        _check(prems[1], ctx | {inst}, X)
+        _check(prems[1], ctx | {inst}, X, names | _all_var_names(inst))
         _expect(prems[1].concl == c, "exists_e: conclusion mismatch")
         return
 
     if rule == "subst":
         _expect(len(prems) == 2, "subst: arity")
-        _check(prems[0], ctx, X)
-        _check(prems[1], ctx, X)
+        _check(prems[0], ctx, X, names)
+        _check(prems[1], ctx, X, names)
         eq = prems[1].concl
         _expect(isinstance(eq, Eq), "subst: second premise not an equality")
         _expect(_rewrites_to(prems[0].concl, c, eq.lhs, eq.rhs),
@@ -287,15 +278,15 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term]) -> No
 
     if rule == "sym":
         _expect(len(prems) == 1 and isinstance(c, Eq), "sym: shape")
-        _check(prems[0], ctx, X)
+        _check(prems[0], ctx, X, names)
         p = prems[0].concl
         _expect(isinstance(p, Eq) and c == Eq(p.rhs, p.lhs), "sym: flip")
         return
 
     if rule == "trans":
         _expect(len(prems) == 2 and isinstance(c, Eq), "trans: shape")
-        _check(prems[0], ctx, X)
-        _check(prems[1], ctx, X)
+        _check(prems[0], ctx, X, names)
+        _check(prems[1], ctx, X, names)
         p, q = prems[0].concl, prems[1].concl
         _expect(isinstance(p, Eq) and isinstance(q, Eq) and p.rhs == q.lhs
                 and c == Eq(p.lhs, q.rhs), "trans: chain")
@@ -305,8 +296,8 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term]) -> No
         _expect(len(prems) == 2 and isinstance(c, Eq)
                 and isinstance(c.lhs, Pair) and isinstance(c.rhs, Pair),
                 "cong_pair: shape")
-        _check(prems[0], ctx, X)
-        _check(prems[1], ctx, X)
+        _check(prems[0], ctx, X, names)
+        _check(prems[1], ctx, X, names)
         _expect(prems[0].concl == Eq(c.lhs.left, c.rhs.left)
                 and prems[1].concl == Eq(c.lhs.right, c.rhs.right),
                 "cong_pair: components")
@@ -316,8 +307,8 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term]) -> No
         _expect(len(prems) == 2 and isinstance(c, Eq)
                 and isinstance(c.lhs, Enc) and isinstance(c.rhs, Enc),
                 "cong_enc: shape")
-        _check(prems[0], ctx, X)
-        _check(prems[1], ctx, X)
+        _check(prems[0], ctx, X, names)
+        _check(prems[1], ctx, X, names)
         _expect(prems[0].concl == Eq(c.lhs.body, c.rhs.body)
                 and prems[1].concl == Eq(c.lhs.key, c.rhs.key),
                 "cong_enc: components")
@@ -329,14 +320,14 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term]) -> No
                 and len(c.lhs.args) == len(c.rhs.args) == len(prems),
                 "cong_app: shape")
         for i, p in enumerate(prems):
-            _check(p, ctx, X)
+            _check(p, ctx, X, names)
             _expect(p.concl == Eq(c.lhs.args[i], c.rhs.args[i]),
                     "cong_app: components")
         return
 
     if rule == "proj_pair":
         _expect(len(prems) == 1 and isinstance(c, Eq), "proj_pair: shape")
-        _check(prems[0], ctx, X)
+        _check(prems[0], ctx, X, names)
         p = prems[0].concl
         _expect(isinstance(p, Eq) and isinstance(p.lhs, Pair)
                 and isinstance(p.rhs, Pair), "proj_pair: premise shape")
@@ -346,7 +337,7 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term]) -> No
 
     if rule == "proj_enc":
         _expect(len(prems) == 1 and isinstance(c, Eq), "proj_enc: shape")
-        _check(prems[0], ctx, X)
+        _check(prems[0], ctx, X, names)
         p = prems[0].concl
         _expect(isinstance(p, Eq) and isinstance(p.lhs, Enc)
                 and isinstance(p.rhs, Enc), "proj_enc: premise shape")
@@ -360,7 +351,7 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term]) -> No
 
     if rule == "bot":
         _expect(len(prems) == 1, "bot: arity")
-        _check(prems[0], ctx, X)
+        _check(prems[0], ctx, X, names)
         p = prems[0].concl
         _expect(isinstance(p, Eq) and isinstance(p.lhs, Basic)
                 and isinstance(p.rhs, Basic) and p.lhs != p.rhs,
@@ -369,7 +360,7 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term]) -> No
 
     if rule == "says":
         _expect(len(prems) == 1 and isinstance(c, Says), "says: shape")
-        _check(prems[0], ctx, X)
+        _check(prems[0], ctx, X, names)
         _expect(prems[0].concl == c.body, "says: body mismatch")
         k = _term_proof(node, 0, X)
         _expect(k == App("sk", (c.agent,)), "says: signing key not derived")

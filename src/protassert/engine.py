@@ -9,7 +9,9 @@ Search strategy is fixed:
      reachable disjunction.  A query tries the goal on that branch first and
      splits the disjunction only when that fails, then solves both sides
      and joins them by or-elimination (splitting on demand, as in DPLL(T)).
-     A split is made once per context and kept for later queries;
+     A query owns its splits, their count against branch_cap and the
+     witness names below the root, so no query sees another's (per-query
+     scopes over a fixed root, as in incremental SMT solvers);
   4. congruence closure per branch over the term universe, seeded by equality
      hypotheses, closed under pair/enc/constructor congruence, pair
      projection, and enc projection guarded by derivability of both inverse
@@ -86,7 +88,7 @@ from .terms import (
 )
 
 # When set, every positive verdict produced by derive(), derive_safe() or
-# DeriveContext.answer() is replayed through the independent checker before
+# DeriveContext.query() is replayed through the independent checker before
 # being returned.
 REPLAY_CHECK = False
 
@@ -392,14 +394,14 @@ def _opened(psi: Exists, var: str) -> Assertion:
 class _Node:
     """One node of the case-split tree: the hypotheses reached from its
     parent's choice of disjunct by non-branching expansion (conjunctions
-    split, says bodies stripped, existentials opened over witnesses), up to
-    the first disjunction, which is left in ``split`` for a later query to
-    split on.  Children are made once, on demand, and kept.  The hypothesis
-    index, the closure and the bottom test are built on first read."""
+    split, says bodies stripped, existentials opened over witnesses named
+    in ``names``), up to the first disjunction, which is left in ``split``
+    for a query to split on (`_Query.children`).  The hypothesis index, the
+    closure and the bottom test are built on first read."""
 
-    def __init__(self, ctx: "DeriveContext", hyps: set[Assertion],
-                 origin: dict[Assertion, tuple], queue: deque[Assertion],
-                 parent: "_Node | None" = None):
+    def __init__(self, ctx: "DeriveContext", names: dict[Assertion, str],
+                 hyps: set[Assertion], origin: dict[Assertion, tuple],
+                 queue: deque[Assertion], parent: "_Node | None" = None):
         self.wits: list[tuple[Assertion, Assertion, str]] = []
         self.split: Or | None = None
         while queue:
@@ -416,8 +418,8 @@ class _Node:
                     origin[psi.body] = ("strip", psi)
                     queue.append(psi.body)
             elif isinstance(psi, Exists) and not ctx.safe:
-                # each existential is opened once per context, on _w1, _w2, ...
-                var = ctx.wit_names.setdefault(psi, f"_w{len(ctx.wit_names) + 1}")
+                # each existential is opened once per query, on _w1, _w2, ...
+                var = names.setdefault(psi, f"_w{len(names) + 1}")
                 inst = _opened(psi, var)
                 if inst not in hyps:
                     hyps.add(inst)
@@ -430,7 +432,6 @@ class _Node:
         self.hyps = frozenset(hyps)
         self.origin = origin
         self.queue = queue  # what the children go on expanding
-        self.children: tuple[_Node, _Node] | None = None
         self.ctx, self.parent = ctx, parent
 
     @cached_property
@@ -482,9 +483,17 @@ class _Node:
         return None
 
 
-class _Counters:
-    def __init__(self, budget: SearchBudget):
-        self.budget = budget
+class _Query:
+    """What one query decides over a context's shared root: the branches
+    it splits off, counted against branch_cap, the names of the witnesses
+    opened on them, numbered on from the root's, and its goal count and
+    truncation flag.  So a query answers as it would on a fresh context."""
+
+    def __init__(self, ctx: "DeriveContext"):
+        self.ctx = ctx
+        self.budget = ctx.budget
+        self.names = dict(ctx.wit_names)
+        self.branches = 1
         self.nodes = 0
         self.truncated = False
 
@@ -492,6 +501,43 @@ class _Counters:
         self.nodes += 1
         if self.nodes > self.budget.node_cap:
             raise BudgetExhausted()
+
+    def children(self, node: _Node) -> tuple[_Node, _Node]:
+        """Split node on its disjunction; each split adds one branch."""
+        if self.branches >= self.budget.branch_cap:
+            raise BudgetExhausted()
+        self.branches += 1
+        kids = []
+        for side in (node.split.left, node.split.right):
+            hyps, origin, queue = set(node.hyps), dict(node.origin), deque(node.queue)
+            if side not in hyps:
+                hyps.add(side)
+                origin[side] = ("assume",)
+                queue.append(side)
+            kids.append(_Node(self.ctx, self.names, hyps, origin, queue, node))
+        return kids[0], kids[1]
+
+    def solve(self, node: _Node, goal: Assertion) -> ProofNode | None:
+        """Try the goal on node; if that fails, split node's disjunction and
+        solve both children.  On None, self.truncated says whether the
+        failing attempt, on a node with no split left, was cut short."""
+        self.truncated = False
+        prover = _BranchProver(node, self)
+        inner = prover.prove(goal)
+        if inner is None:
+            if node.split is None:
+                return None
+            left, right = self.children(node)
+            lp = self.solve(left, goal)
+            if lp is None:
+                return None
+            rp = self.solve(right, goal)
+            if rp is None:
+                return None
+            inner = ProofNode("or_e", goal, (prover.resolve(node.split), lp, rp))
+        for psi, inst, var in reversed(node.wits):
+            inner = ProofNode("exists_e", goal, (prover.resolve(psi), inner), fresh=var)
+        return inner
 
 
 def _version(cc: EqClasses) -> tuple[int, int]:
@@ -509,21 +555,17 @@ def _register_assertion_terms(cc: EqClasses, a: Assertion) -> None:
 # the prover proper
 
 class _BranchProver:
-    def __init__(self, ctx: "DeriveContext", node: _Node, cc: EqClasses | None,
-                 counters: _Counters):
-        """With cc None, node.cc is cloned, and the goals registered so far
-        added to the clone, the first time the prover reads self.cc."""
-        self.ctx = ctx
+    def __init__(self, node: _Node, query: _Query):
+        self.ctx = query.ctx
         self.node = node
-        self.counters = counters
+        self.query = query
         self.memo: dict[Assertion, ProofNode | None] = {}
         self._access: dict[Assertion, ProofNode] = {}
-        self._unregistered: list[Assertion] | None = [] if cc is None else None
-        if cc is not None:
-            self.cc = cc
+        self._unregistered: list[Assertion] | None = []
 
     @cached_property
     def cc(self) -> EqClasses:
+        """node.cc cloned, with the goals registered so far, on first read."""
         cc = self.node.cc.clone()
         for a in self._unregistered:
             _register_assertion_terms(cc, a)
@@ -684,7 +726,7 @@ class _BranchProver:
     def prove(self, goal: Assertion) -> ProofNode | None:
         if goal in self.memo:
             return self.memo[goal]
-        self.counters.tick()
+        self.query.tick()
         self.memo[goal] = None  # cycles impossible, but keep lookups cheap
         proof = self._prove(goal)
         self.memo[goal] = proof
@@ -778,7 +820,7 @@ class _BranchProver:
     # -- witness candidate generation
 
     def _candidates(self, var: str, body: Assertion) -> list[Term]:
-        cap = self.counters.budget.candidate_cap
+        cap = self.query.budget.candidate_cap
         out: list[Term] = []
         seen: set[Term] = set()
 
@@ -796,7 +838,7 @@ class _BranchProver:
             anchored = True
             for binding in self._ematch_sub(sub, var):
                 if emit(binding):
-                    self.counters.truncated = True
+                    self.query.truncated = True
                     return out
         if not anchored:
             universe = [t for t in sorted(self.cc.parent, key=term_key)
@@ -811,7 +853,7 @@ class _BranchProver:
                     if isinstance(pat, Var) and pat.name == var:
                         for cand in self._synth_from_pattern(other):
                             if emit(cand):
-                                self.counters.truncated = True
+                                self.query.truncated = True
                                 return out
         return out
 
@@ -872,15 +914,15 @@ class _BranchProver:
     def _synth_from_pattern(self, pat: Term) -> list[Term]:
         """Instances of pat with its bound names filled from the branch's
         universe.  The lists are cut (candidate_cap, witness_depth, 8 per
-        child, 64 per argument tuple); every cut sets counters.truncated,
+        child, 64 per argument tuple); every cut sets query.truncated,
         so a negative answer that rests on it is inconclusive, not a
         definite no."""
-        budget = self.counters.budget
+        budget = self.query.budget
         univ = [t for t in sorted(self.cc.parent, key=term_key) if not has_bound_name(t)]
 
         def cut(xs: list, n: int) -> list:
             if len(xs) > n:
-                self.counters.truncated = True
+                self.query.truncated = True
             return xs[:n]
 
         def synth(p: Term, d: int) -> list[Term]:
@@ -889,7 +931,7 @@ class _BranchProver:
             if isinstance(p, Var):
                 return cut(univ, budget.candidate_cap)
             if d <= 0:
-                self.counters.truncated = True
+                self.query.truncated = True
                 return []
             outs = [[]]
             for c in children(p):
@@ -941,10 +983,13 @@ def _replace_at(a, path: tuple, new: Term):
 # context and public entry points
 
 class DeriveContext:
-    """The case-split tree and per-node congruence closure for one (X, Phi)
-    context, reusable across many goals.  Building it expands the root
-    only; queries split further where they need to, and a node builds its
-    closure only for a goal that is not one of its hypotheses."""
+    """What every query over one (X, Phi) computes alike: X's saturation,
+    the root's expansion with its witness names, and the root's closure,
+    built when a goal first needs it.  Each query splits below the root on
+    its own (`_Query`), so a query on a shared context answers as `derive`
+    does on a fresh one, proof included."""
+
+    branch_count = 1  # the root; splits are a query's (perfbench/tracing.py reads it)
 
     def __init__(self, X, Phi, budget: SearchBudget = DEFAULT_BUDGET,
                  safe: bool = False, dyctx: DYContext | None = None):
@@ -959,91 +1004,46 @@ class DeriveContext:
         self.dyctx = dyctx if dyctx is not None else DYContext(self.X)
         self.wit_names: dict[Assertion, str] = {}
         self.build_failed = False  # the root's closure went over merge_cap
-        self.root = _Node(self, set(self.Phi), {a: ("ax",) for a in self.Phi},
-                          deque(sorted_assertions(self.Phi)))
-        self.branch_count = 1  # branches of the tree expanded so far
-
-    def _children(self, node: _Node) -> tuple[_Node, _Node]:
-        """Split node on its disjunction; each split adds one branch."""
-        if node.children is None:
-            if self.branch_count >= self.budget.branch_cap:
-                raise BudgetExhausted()
-            kids = []
-            for side in (node.split.left, node.split.right):
-                hyps, origin, queue = set(node.hyps), dict(node.origin), deque(node.queue)
-                if side not in hyps:
-                    hyps.add(side)
-                    origin[side] = ("assume",)
-                    queue.append(side)
-                kids.append(_Node(self, hyps, origin, queue, node))
-            node.children = (kids[0], kids[1])
-            node.queue = None
-            self.branch_count += 1
-        return node.children
+        self.root = _Node(self, self.wit_names, set(self.Phi),
+                          {a: ("ax",) for a in self.Phi}, deque(sorted_assertions(self.Phi)))
 
     def leaves(self) -> list[_Node]:
         """Every leaf of the fully split tree, left to right, with its
-        closure built.  Raises BudgetExhausted when a split or a closure
-        goes over budget."""
-        out, stack = [], [self.root]
+        closure built, split in a query of its own.  Raises BudgetExhausted
+        when a split or a closure goes over budget."""
+        query, out, stack = _Query(self), [], [self.root]
         while stack:
             node = stack.pop()
             if node.split is None:
                 node.cc  # built here, so that going over budget raises here
                 out.append(node)
             else:
-                stack.extend(reversed(self._children(node)))
+                stack.extend(reversed(query.children(node)))
         return out
 
     def query(self, goal: Assertion) -> Verdict:
+        """The verdict on goal; with REPLAY_CHECK set, a positive one is
+        replayed through the independent checker before it is returned."""
         goal = normalize(goal)
-        counters = _Counters(self.budget)
+        query = _Query(self)
         try:
-            proof = self._solve(self.root, goal, counters)
+            proof = query.solve(self.root, goal)
         except BudgetExhausted:
             return Verdict(False, budget_exhausted=True)
         if proof is None:
-            return Verdict(False, budget_exhausted=counters.truncated)
-        return Verdict(True, proof)
-
-    def answer(self, goal: Assertion) -> Verdict:
-        """query, and with REPLAY_CHECK set replay a positive verdict
-        through the independent checker before returning it."""
-        v = self.query(goal)
-        if REPLAY_CHECK and v.derivable:
+            return Verdict(False, budget_exhausted=query.truncated)
+        if REPLAY_CHECK:
             from .checker import replay_assertion_proof
 
-            ok, err = replay_assertion_proof(v.proof, self.X, self.Phi, normalize(goal))
+            ok, err = replay_assertion_proof(proof, self.X, self.Phi, goal)
             if not ok:
                 raise AssertionError(f"proof replay failed: {err}")
-        return v
-
-    def _solve(self, node: _Node, goal: Assertion, counters: _Counters) -> ProofNode | None:
-        """Try the goal on node; if that fails, split node's disjunction and
-        solve both children.  On None, counters.truncated says whether the
-        failing attempt, on a node with no split left, was cut short."""
-        counters.truncated = False
-        prover = _BranchProver(self, node, None, counters)
-        inner = prover.prove(goal)
-        if inner is None:
-            if node.split is None:
-                return None
-            left, right = self._children(node)
-            lp = self._solve(left, goal, counters)
-            if lp is None:
-                return None
-            rp = self._solve(right, goal, counters)
-            if rp is None:
-                return None
-            inner = ProofNode("or_e", goal, (prover.resolve(node.split), lp, rp))
-        for psi, inst, var in reversed(node.wits):
-            inner = ProofNode("exists_e", goal, (prover.resolve(psi), inner), fresh=var)
-        return inner
+        return Verdict(True, proof)
 
 
 def derive(X, Phi, goal: Assertion, budget: SearchBudget = DEFAULT_BUDGET) -> Verdict:
-    return DeriveContext(X, Phi, budget, safe=False).answer(goal)
+    return DeriveContext(X, Phi, budget, safe=False).query(goal)
 
 
 def derive_safe(X, Phi, goal: Assertion, budget: SearchBudget = DEFAULT_BUDGET) -> Verdict:
-    return DeriveContext(X, Phi, budget, safe=True).answer(goal)
+    return DeriveContext(X, Phi, budget, safe=True).query(goal)

@@ -19,14 +19,12 @@ the agents it changes, and a copied state shares the rest.  The contexts
 that answer `check_step` and the insert check live in one `ContextTable`
 per run, made by `initial_state` and shared by every state copied from it,
 keyed by the exact knowledge sets.  A set is saturated into a `DYContext`
-once, and the derive contexts over it reuse that one.  A safe-mode context
-never splits and each query starts from a clone of its root closure, so one
-context answers every goal alike.  A full-mode context does not: splits
-made and witnesses numbered by one query carry over to the next and count
-against `branch_cap`, so full-mode answers are kept per goal, each from a
-fresh context, as a single `derive` would give them.  The same table
-memoizes the run's pure per-state work: each role action instantiated under
-a session's bindings, and each match of a receive pattern against a message
+once, and one derive context per knowledge set, budget and mode reuses it.
+A query on a context answers as a single `derive` (or `derive_safe`) would,
+since its case splits and witness names are its own, so one context
+answers every goal and the insert check alike.  The same table memoizes
+the run's pure per-state work: each role action instantiated under a
+session's bindings, and each match of a receive pattern against a message
 on the network, since every state re-enumerates every session's candidates.
 
 Actions are scheduled lowest-phase-first among enabled candidates, with a
@@ -102,7 +100,7 @@ class ContextTable:
 
     def __init__(self) -> None:
         self._dy: dict[frozenset[Term], DYContext] = {}
-        self._safe: dict[tuple, DeriveContext] = {}
+        self._contexts: dict[tuple, DeriveContext] = {}
         self._answers: dict[tuple, Verdict] = {}
         self._inconsistent: dict[tuple, bool] = {}
         self._instances: dict[tuple, Action] = {}
@@ -137,20 +135,21 @@ class ContextTable:
             ctx = self._dy[terms] = DYContext(terms)
         return ctx
 
+    def _context(self, terms: frozenset[Term], assertions: frozenset[Assertion],
+                budget: SearchBudget = DEFAULT_BUDGET, safe: bool = False) -> DeriveContext:
+        key = (terms, assertions, budget, safe)
+        if key not in self._contexts:
+            self._contexts[key] = DeriveContext(terms, assertions, budget, safe=safe,
+                                                dyctx=self.dy(terms))
+        return self._contexts[key]
+
     def derive(self, terms: frozenset[Term], assertions: frozenset[Assertion],
                goal: Assertion, budget: SearchBudget, safe: bool = False) -> Verdict:
         """What `derive` (or with safe, `derive_safe`) answers for goal."""
         key = (terms, assertions, goal, budget, safe)
         v = self._answers.get(key)
         if v is None:
-            if safe:
-                ctx = self._safe.get((terms, assertions, budget))
-                if ctx is None:
-                    ctx = self._safe[terms, assertions, budget] = DeriveContext(
-                        terms, assertions, budget, safe=True, dyctx=self.dy(terms))
-            else:
-                ctx = DeriveContext(terms, assertions, budget, dyctx=self.dy(terms))
-            v = self._answers[key] = ctx.answer(goal)
+            v = self._answers[key] = self._context(terms, assertions, budget, safe).query(goal)
         return v
 
     def inconsistent(self, terms: frozenset[Term],
@@ -161,9 +160,8 @@ class ContextTable:
         key = (terms, assertions)
         bad = self._inconsistent.get(key)
         if bad is None:
-            ctx = DeriveContext(terms, assertions, dyctx=self.dy(terms))
             try:
-                bad = any(l.bottom for l in ctx.leaves())
+                bad = any(l.bottom for l in self._context(terms, assertions).leaves())
             except BudgetExhausted:
                 bad = False
             self._inconsistent[key] = bad

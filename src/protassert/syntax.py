@@ -53,7 +53,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .assertions import (
     And,
@@ -140,10 +140,10 @@ class Tok(NamedTuple):
 
     @property
     def pos(self) -> str:
-        """where:line:col, counted only when an error reads it."""
-        line_start = self.text.rfind("\n", 0, self.off) + 1
-        line = self.text.count("\n", 0, self.off) + 1
-        return f"{self.where}:{line}:{self.off - line_start + 1}"
+        """where:line:col, lines broken as str.splitlines breaks them (the
+        line-based formats read them so), counted only when an error reads it."""
+        lines = (self.text[:self.off] + "x").splitlines()
+        return f"{self.where}:{len(lines)}:{len(lines[-1])}"
 
 
 # tuple.__new__(Tok, fields) skips the Python-level __new__ of a NamedTuple
@@ -151,13 +151,16 @@ _new_tok = tuple.__new__
 _kind = operator.itemgetter(0)
 
 
-def tokenize(text: str, where: str = "input") -> list[Tok]:
+def tokenize(text: str, where: str = "input", start: int = 0,
+             end: int | None = None) -> list[Tok]:
+    """The tokens of text[start:end], placed in the whole text."""
+    end = len(text) if end is None else end
     toks = [_new_tok(Tok, (kind, m.group(), m.start(), text, where))
-            for m in _TOKEN_RE.finditer(text) if (kind := m.lastgroup) != "skip"]
+            for m in _TOKEN_RE.finditer(text, start, end) if (kind := m.lastgroup) != "skip"]
     if "bad" in map(_kind, toks):
         bad = next(t for t in toks if t.kind == "bad")
         raise ParseError(f"unexpected character {bad.val!r}", bad.pos)
-    toks.append(_new_tok(Tok, ("end", "", len(text), text, where)))
+    toks.append(_new_tok(Tok, ("end", "", end, text, where)))
     return toks
 
 
@@ -534,15 +537,23 @@ class Sequent:
     decls: Declarations
 
 
+def _line_cursors(text: str, where: str, decls: Declarations) -> Iterator[tuple[int, Cursor]]:
+    """(number, cursor) per line; token positions read where:line:col."""
+    start = 0
+    for lineno, line in enumerate(text.splitlines(True), 1):
+        yield lineno, Cursor(tokenize(text, where, start, start + len(line.splitlines()[0])),
+                             decls)
+        start += len(line)
+
+
 def parse_sequent(text: str, where: str = "sequent") -> Sequent:
     decls = Declarations()
     terms: list[Term] = []
     assertions: list[Assertion] = []
     goals: list[Assertion] = []
     section = None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, p in _line_cursors(text, where, decls):
         loc = f"{where}:{lineno}"
-        p = Cursor(tokenize(line, loc), decls)
         head = p.peek().val
         if p.second().val == ":" and (
                 head in _SECTIONS or (head in _DECL_HEADS and section is None)):
@@ -579,8 +590,7 @@ def parse_protocol(text: str, where: str = "protocol"):
     name: str | None = None
     phases: list[str] = []
     roles: list[tuple[str, tuple[str, ...], list]] = []  # name, params, actions
-    for lineno, line in enumerate(text.splitlines(), 1):
-        p = Cursor(tokenize(line, f"{where}:{lineno}"), decls)
+    for _, p in _line_cursors(text, where, decls):
         if p.done():
             continue
         head = p.peek().val

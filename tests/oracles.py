@@ -429,7 +429,7 @@ class ReferenceCandidates:
     both onto `_BranchProver` to run the engine on them."""
 
     def _candidates(self, var: str, body: Assertion) -> list[Term]:
-        cap = self.counters.budget.candidate_cap
+        cap = self.query.budget.candidate_cap
         out: list[Term] = []
         seen: set[Term] = set()
 
@@ -447,7 +447,7 @@ class ReferenceCandidates:
             anchored = True
             for binding in self._ematch_sub(sub, var):
                 if emit(binding):
-                    self.counters.truncated = True
+                    self.query.truncated = True
                     return out
         if not anchored:
             universe = [t for t in sorted(self.cc.parent, key=term_key)
@@ -462,7 +462,7 @@ class ReferenceCandidates:
                     if isinstance(pat, Var) and pat.name == var:
                         for cand in self._synth_from_pattern(other):
                             if emit(cand):
-                                self.counters.truncated = True
+                                self.query.truncated = True
                                 return out
         return out
 

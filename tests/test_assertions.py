@@ -35,7 +35,7 @@ from protassert.assertions import (
     subassertions,
 )
 from protassert.builtins import builtin_foo, builtin_helios
-from protassert.engine import DeriveContext, _BranchProver, _Counters
+from protassert.engine import DeriveContext, _BranchProver, _Query
 from protassert.syntax import Declarations, parse_assertion, print_assertion
 from protassert.terms import App, iter_subterms, subst_term
 
@@ -254,7 +254,7 @@ def test_every_syntactic_match_instantiates_the_pattern_to_the_target():
 def test_matching_modulo_classes_lands_in_the_target_class():
     a, c = Basic("a", "nonce"), Basic("c", "nonce")
     ctx = DeriveContext((), [Eq(a, Pair(n, k))])
-    prover = _BranchProver(ctx, ctx.root, ctx.root.cc.clone(), _Counters(ctx.budget))
+    prover = _BranchProver(ctx.root, _Query(ctx))
     pat = Pair(Var("_h1"), Var("_h2"))
     assert match_term(pat, a, HANDLES, {}, prover) == [{"_h1": n, "_h2": k}]
     assert match_term(pat, a, HANDLES, {}, SYNTACTIC) == []
@@ -262,7 +262,7 @@ def test_matching_modulo_classes_lands_in_the_target_class():
     for templates, closed in _generators(47):
         hyps = [Eq(a, closed.term(2, [])), Eq(c, closed.term(2, []))]
         ctx = DeriveContext((), hyps)
-        prover = _BranchProver(ctx, ctx.root, ctx.root.cc.clone(), _Counters(ctx.budget))
+        prover = _BranchProver(ctx.root, _Query(ctx))
         targets = sorted({s for t in assertion_terms(And(*hyps)) for s in iter_subterms(t)},
                          key=repr)
         for _ in range(200):

@@ -43,7 +43,7 @@ from protassert.builtins import (
     default_foo_setup,
     default_helios_setup,
 )
-from protassert.engine import _BranchProver, _Counters
+from protassert.engine import _BranchProver, _Query
 from protassert.terms import AGENT, KEY, NONCE, App, Basic, Enc, Pair, Var, term_key
 from test_weakening import LEAK, _cases, _unrelated
 
@@ -251,7 +251,7 @@ def _record(reference: bool) -> list:
     def recording(self, var, body):
         got = impl(self, var, body)
         calls.append(("candidates", repr(body), var, [repr(t) for t in got],
-                      self.counters.truncated))
+                      self.query.truncated))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -336,7 +336,7 @@ def test_binder_maps_match_as_renamed_terms_did():
         want = reference_match_assertion(pat, tgt, holes, {}, SYNTACTIC)
         assert match_assertion(pat, tgt, holes, {}, SYNTACTIC) == want
         matched += bool(want)
-        old, new = (_BranchProver(ctx, ctx.root, ctx.root.cc.clone(), _Counters(ctx.budget))
+        old, new = (_BranchProver(ctx.root, _Query(ctx))
                     for _ in range(2))
         want = reference_match_assertion(pat, tgt, holes, {}, old)
         assert match_assertion(pat, tgt, holes, {}, new) == want

@@ -1,9 +1,7 @@
 """The exact text of each parse error, position included, for malformed
-sequents, protocol lines and traces.
-
-A sequent or protocol line is tokenized on its own under the name
-`file:line`, so its positions read `file:line:1:col`; a trace is one token
-stream, so its positions read `trace:line:col`."""
+sequents, protocol lines and traces.  Every position reads `file:line:col`:
+a sequent or protocol line is tokenized as its span of the whole text, a
+trace as one token stream."""
 from __future__ import annotations
 
 import pytest
@@ -19,28 +17,28 @@ ACTION = "  deny id : ex z: voted(W, z)"
 # (what is wrong, text replaced, its malformed replacement, error text)
 SEQUENT_ERRORS = [
     ("bad character", "goal: n = n", "goal: n = n $",
-     "unexpected character '$' at case.seq:3:1:13"),
+     "unexpected character '$' at case.seq:3:13"),
     ("trailing input", "goal: n = n", "goal: n = n n",
-     "trailing input 'n' at case.seq:3:1:13"),
+     "trailing input 'n' at case.seq:3:13"),
     ("end of input", "goal: n = n", "goal: n =",
-     "expected a term, found 'end of input' at case.seq:3:1:10"),
+     "expected a term, found 'end of input' at case.seq:3:10"),
     ("nesting", "terms: n", "terms: " + "(" * DEEP + "n" + ", n)" * DEEP,
-     "nested more than 100 levels deep at case.seq:2:1:108"),
+     "nested more than 100 levels deep at case.seq:2:108"),
     ("undeclared constant", "goal: n = n", "goal: n = 7",
-     "undeclared constant 7 at case.seq:3:1:11"),
+     "undeclared constant 7 at case.seq:3:11"),
 ]
 
 PROTOCOL_ERRORS = [
     ("bad character", ACTION, ACTION + " $",
-     "unexpected character '$' at case.proto:15:1:31"),
+     "unexpected character '$' at case.proto:15:31"),
     ("trailing input", ACTION, ACTION + " z",
-     "trailing input 'z' at case.proto:15:1:31"),
+     "trailing input 'z' at case.proto:15:31"),
     ("end of input", ACTION, "  deny id : ex z: voted(W,",
-     "expected a term, found 'end of input' at case.proto:15:1:27"),
+     "expected a term, found 'end of input' at case.proto:15:27"),
     ("nesting", ACTION, "  deny id : " + "ex z: " * DEEP + "voted(W, z)",
-     "nested more than 100 levels deep at case.proto:15:1:613"),
+     "nested more than 100 levels deep at case.proto:15:613"),
     ("undeclared constant", ACTION, "  deny id : ex z: voted(W, 7)",
-     "undeclared constant 7 at case.proto:15:1:28"),
+     "undeclared constant 7 at case.proto:15:28"),
 ]
 
 # edits of the foo seed-0 trace, 27 lines long
