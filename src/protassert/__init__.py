@@ -41,11 +41,10 @@ from .builtins import (
     default_helios_setup,
 )
 from .checker import replay_assertion_proof, replay_term_proof
-from .dy import DYContext, TermProof, dy_derive
+from .dy import DYContext, ProofNode, TermProof, dy_derive
 from .engine import (
     DEFAULT_BUDGET,
     DeriveContext,
-    ProofNode,
     SearchBudget,
     Verdict,
     derive,

@@ -14,8 +14,9 @@ Assertions are hash-consed like terms (`terms.Interned`, one shared weak
 table): equal structures are one object, so `==` and `hash` are identity.
 What depends only on the structure is computed once and cached on each
 object: `assertion_key`, `normalize` (a normal form caches itself as its own
-normal form), `assertion_terms`, `assertion_vars`, `free_vars`, and the
-assertions inside it that `subassertions` lists.
+normal form), an existential's body `opened` per witness name,
+`assertion_terms`, `assertion_vars`, `free_vars`, and the assertions inside
+it that `subassertions` lists.
 
 The one pattern matcher, `match_term`/`match_assertion`, lives here too.  It
 binds a pattern's holes so that the pattern equals a target modulo an
@@ -252,6 +253,14 @@ def normalize(a: Assertion) -> Assertion:
 def substitute(a: Assertion, sigma: dict[str, Term]) -> Assertion:
     """Capture-avoiding substitution, with the result in alpha-normal form."""
     return rebind(a, sigma, numbered())
+
+
+def opened(psi: Exists, var: str) -> Assertion:
+    """psi's body over the variable var, memoized on psi per name."""
+    by_var = getattr(psi, "_opened", None) or cache(psi, "_opened", {})
+    if var not in by_var:
+        by_var[var] = substitute(psi.body, {psi.var: Var(var)})
+    return by_var[var]
 
 
 def reveals(a: Assertion) -> frozenset[Term]:

@@ -1,9 +1,36 @@
 """Independent replay of term and assertion proofs.
 
 Walks a proof tree and checks every node against its rule schema, threading
-the hypothesis context through case analyses and witness eliminations.  Shares
-no search state with the engine; side conditions on derivability are
-discharged by replaying the embedded term proofs against X.
+the hypothesis context through case analyses and witness eliminations.  It
+shares no search state with the engine and imports nothing from it: the
+proof formats (`dy.TermProof`, `dy.ProofNode`) and the table of each
+constructor's rule names (`dy.RULES`) live beside the term attacker.  Side
+conditions on derivability are discharged by replaying the embedded term
+proofs against X.
+
+One case per rule family, each over the shared shape walk (`terms.children`
+and `same_head`, `assertions.parts`):
+
+* term proofs: ax (a member of X), var, composition (pair, enc, app: the
+  premises conclude the children of a conclusion built by the constructor
+  the rule names, never a key constructor), split, dec (the second premise
+  is the inverse key);
+* connectives: ax (a hypothesis in scope), and_i, and_e, or_i, strip (a
+  says body), says (the signing key derivable);
+* elimination under an assumption: or_e, whose cases each add a disjunct,
+  and exists_e, which adds the existential opened over its witness name.
+  That name must be fresh (in neither X, a hypothesis in scope nor the
+  conclusion) and must not be a reserved bound name %n, which the opening
+  substitution would capture;
+* exists_i: the witness mentions no reserved bound name and fits every
+  slot of the body it fills;
+* equality: refl (a derivable basic or variable), sym, trans, cong_pair,
+  cong_enc and cong_app (the children equal pairwise), proj_pair and
+  proj_enc (a component equality; proj_enc also needs both inverse keys
+  derived), subst (a rewrite by an equality, capture respected) and bot (a
+  clash of distinct basics).
+
+A malformed proof is refused with a reason, never with an exception.
 """
 from __future__ import annotations
 
@@ -17,13 +44,14 @@ from .assertions import (
     Or,
     Pred,
     Says,
-    SentA,
-    SentT,
+    assertion_vars,
     normalize,
+    opened,
+    parts,
+    subassertions,
     substitute,
 )
-from .dy import TermProof
-from .engine import ProofNode
+from .dy import RULES, ProofNode, TermProof
 from .terms import (
     App,
     Basic,
@@ -34,8 +62,9 @@ from .terms import (
     Term,
     Var,
     children,
-    iter_subterms,
+    has_bound_name,
     same_head,
+    term_vars,
 )
 
 
@@ -44,6 +73,9 @@ class CheckError(Exception):
 
 
 STATS = {"term": 0, "assertion": 0}
+
+_COMPOSITION = frozenset(RULES.values())
+_CONGRUENCE = frozenset("cong_" + r for r in RULES.values())
 
 
 # ---------------------------------------------------------------------------
@@ -61,40 +93,30 @@ def replay_term_proof(p: TermProof, X) -> tuple[bool, str | None]:
 def _check_term(p: TermProof, X: frozenset[Term]) -> None:
     for q in p.premises:
         _check_term(q, X)
-    c = p.concl
-    if p.rule == "ax":
+    rule, c, prems = p.rule, p.concl, p.premises
+    if rule == "ax":
         if c not in X:
             raise CheckError(f"ax: {c!r} not in X")
-    elif p.rule == "var":
-        if not isinstance(c, Var):
-            raise CheckError("var: conclusion not a variable")
-    elif p.rule == "pair":
-        if len(p.premises) != 2 or c != Pair(p.premises[0].concl, p.premises[1].concl):
-            raise CheckError("pair: conclusion shape mismatch")
-    elif p.rule == "enc":
-        if len(p.premises) != 2 or c != Enc(p.premises[0].concl, p.premises[1].concl):
-            raise CheckError("enc: conclusion shape mismatch")
-    elif p.rule == "app":
-        if not isinstance(c, App) or c.ctor in KEY_CONSTRUCTORS:
-            raise CheckError("app: bad constructor")
-        if tuple(q.concl for q in p.premises) != c.args:
-            raise CheckError("app: argument mismatch")
-    elif p.rule == "split":
-        if len(p.premises) != 1 or not isinstance(p.premises[0].concl, Pair):
-            raise CheckError("split: premise not a pair")
-        pr = p.premises[0].concl
-        if c not in (pr.left, pr.right):
-            raise CheckError("split: conclusion not a component")
-    elif p.rule == "dec":
-        if len(p.premises) != 2 or not isinstance(p.premises[0].concl, Enc):
-            raise CheckError("dec: first premise not an encryption")
-        enc = p.premises[0].concl
-        if p.premises[1].concl != KEYS.inverse(enc.key):
-            raise CheckError("dec: second premise is not the inverse key")
-        if c != enc.body:
-            raise CheckError("dec: conclusion not the body")
+    elif rule == "var":
+        _expect(isinstance(c, Var), "var: conclusion not a variable")
+    elif rule in _COMPOSITION:
+        if RULES.get(type(c)) != rule or (isinstance(c, App) and c.ctor in KEY_CONSTRUCTORS):
+            raise CheckError(f"{rule}: bad constructor")
+        if tuple(q.concl for q in prems) != children(c):
+            raise CheckError(f"{rule}: argument mismatch")
+    elif rule == "split":
+        _expect(len(prems) == 1 and isinstance(prems[0].concl, Pair),
+                "split: premise not a pair")
+        _expect(c in children(prems[0].concl), "split: conclusion not a component")
+    elif rule == "dec":
+        _expect(len(prems) == 2 and isinstance(prems[0].concl, Enc),
+                "dec: first premise not an encryption")
+        enc = prems[0].concl
+        _expect(prems[1].concl == KEYS.inverse(enc.key),
+                "dec: second premise is not the inverse key")
+        _expect(c == enc.body, "dec: conclusion not the body")
     else:
-        raise CheckError(f"unknown term rule {p.rule}")
+        raise CheckError(f"unknown term rule {rule}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +127,7 @@ def replay_assertion_proof(root: ProofNode, X, Phi,
     try:
         Xf = frozenset(X)
         ctx = frozenset(normalize(a) for a in Phi)
-        names = frozenset().union(*map(_all_var_names, ctx), (
-            s.name for t in Xf for s in iter_subterms(t) if isinstance(s, Var)))
+        names = frozenset().union(*map(_all_var_names, ctx), *map(term_vars, Xf))
         _check(root, ctx, Xf, names)
         if goal is not None and root.concl != normalize(goal):
             raise CheckError("root conclusion is not the goal")
@@ -118,26 +139,8 @@ def replay_assertion_proof(root: ProofNode, X, Phi,
 
 @lru_cache(maxsize=4096)
 def _all_var_names(a: Assertion) -> frozenset[str]:
-    out: set[str] = set()
-
-    def terms_of(a: Assertion) -> list[Term]:
-        if isinstance(a, (And, Or)):
-            return terms_of(a.left) + terms_of(a.right)
-        if isinstance(a, Exists):
-            return terms_of(a.body) + [Var(a.var)]
-        if isinstance(a, (Says, SentA)):
-            return [a.agent] + terms_of(a.body)
-        if isinstance(a, SentT):
-            return [a.agent, a.term]
-        if isinstance(a, Eq):
-            return [a.lhs, a.rhs]
-        return list(a.args)
-
-    for t in terms_of(a):
-        for s in iter_subterms(t):
-            if isinstance(s, Var):
-                out.add(s.name)
-    return frozenset(out)
+    """The variables in a's terms and the names of its binders."""
+    return assertion_vars(a) | {s.var for s in subassertions(a) if isinstance(s, Exists)}
 
 
 def _term_proof(node: ProofNode, idx: int, X: frozenset[Term]) -> Term:
@@ -152,8 +155,7 @@ def _term_proof(node: ProofNode, idx: int, X: frozenset[Term]) -> Term:
 
 def _rewrites_to(a: Assertion, b: Assertion, t: Term, t2: Term) -> bool:
     """b is a with some occurrences of t replaced by t2 (capture respected)."""
-    moved = {v.name for v in iter_subterms(t) if isinstance(v, Var)}
-    moved |= {v.name for v in iter_subterms(t2) if isinstance(v, Var)}
+    moved = term_vars(t) | term_vars(t2)
 
     def ok_term(x: Term, y: Term) -> bool:
         if x == y or (x == t and y == t2):
@@ -165,24 +167,15 @@ def _rewrites_to(a: Assertion, b: Assertion, t: Term, t2: Term) -> bool:
             return True
         if type(x) is not type(y):
             return False
-        if isinstance(x, (And, Or)):
-            return ok(x.left, y.left) and ok(x.right, y.right)
-        if isinstance(x, Exists):
-            if x.var != y.var:
-                return False
-            if x.var in moved and x.body != y.body:
-                return False
-            return ok(x.body, y.body)
-        if isinstance(x, (Says, SentA)):
-            return ok_term(x.agent, y.agent) and ok(x.body, y.body)
-        if isinstance(x, SentT):
-            return ok_term(x.agent, y.agent) and ok_term(x.term, y.term)
-        if isinstance(x, Eq):
-            return ok_term(x.lhs, y.lhs) and ok_term(x.rhs, y.rhs)
-        if isinstance(x, Pred):
-            return (x.name == y.name and len(x.args) == len(y.args)
-                    and all(ok_term(p, q) for p, q in zip(x.args, y.args)))
-        return False
+        # x != y, so under one binder the bodies differ: no rewrite may
+        # move a variable that the binder would capture
+        if isinstance(x, Exists) and (x.var != y.var or x.var in moved):
+            return False
+        if isinstance(x, Pred) and x.name != y.name:
+            return False
+        (xt, xs), (yt, ys) = parts(x), parts(y)
+        return (len(xt) == len(yt) and all(map(ok_term, xt, yt))
+                and all(map(ok, xs, ys)))
 
     return ok(a, b)
 
@@ -197,176 +190,95 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term],
             raise CheckError(f"ax: hypothesis not in context: {c!r}")
         return
 
-    if rule == "and_e":
-        _expect(len(prems) == 1, "and_e: arity")
-        _check(prems[0], ctx, X, names)
-        p = prems[0].concl
-        _expect(isinstance(p, And) and c in (p.left, p.right), "and_e: shape")
-        return
-
-    if rule == "strip":
-        _expect(len(prems) == 1, "strip: arity")
-        _check(prems[0], ctx, X, names)
-        p = prems[0].concl
-        _expect(isinstance(p, Says) and c == p.body, "strip: shape")
-        return
-
-    if rule == "and_i":
-        _expect(len(prems) == 2 and isinstance(c, And), "and_i: shape")
-        _check(prems[0], ctx, X, names)
-        _check(prems[1], ctx, X, names)
-        _expect(prems[0].concl == c.left and prems[1].concl == c.right,
-                "and_i: components")
-        return
-
-    if rule == "or_i":
-        _expect(len(prems) == 1 and isinstance(c, Or), "or_i: shape")
-        _check(prems[0], ctx, X, names)
-        _expect(prems[0].concl in (c.left, c.right), "or_i: component")
-        return
-
-    if rule == "or_e":
-        _expect(len(prems) == 3, "or_e: arity")
-        _check(prems[0], ctx, X, names)
-        d = prems[0].concl
-        _expect(isinstance(d, Or), "or_e: premise not a disjunction")
-        _check(prems[1], ctx | {d.left}, X, names | _all_var_names(d.left))
-        _check(prems[2], ctx | {d.right}, X, names | _all_var_names(d.right))
-        _expect(prems[1].concl == c and prems[2].concl == c, "or_e: conclusions")
-        return
-
-    if rule == "exists_i":
-        _expect(len(prems) == 1 and isinstance(c, Exists), "exists_i: shape")
-        _expect(node.witness is not None, "exists_i: missing witness")
-        w = node.witness
-        _expect(not any(isinstance(s, Var) and s.name.startswith("%")
-                        for s in iter_subterms(w)), "exists_i: open witness")
-        _check(prems[0], ctx, X, names)
-        _expect(prems[0].concl == substitute(c.body, {c.var: w}),
-                "exists_i: instance mismatch")
-        return
-
-    if rule == "exists_e":
-        _expect(len(prems) == 2 and node.fresh is not None, "exists_e: shape")
-        _check(prems[0], ctx, X, names)
-        ex = prems[0].concl
-        _expect(isinstance(ex, Exists), "exists_e: premise not existential")
-        y = node.fresh
-        _expect(y not in names and y not in _all_var_names(c),
-                f"exists_e: witness variable {y} not fresh")
-        inst = substitute(ex.body, {ex.var: Var(y)})
-        _check(prems[1], ctx | {inst}, X, names | _all_var_names(inst))
-        _expect(prems[1].concl == c, "exists_e: conclusion mismatch")
-        return
-
-    if rule == "subst":
-        _expect(len(prems) == 2, "subst: arity")
-        _check(prems[0], ctx, X, names)
-        _check(prems[1], ctx, X, names)
-        eq = prems[1].concl
-        _expect(isinstance(eq, Eq), "subst: second premise not an equality")
-        _expect(_rewrites_to(prems[0].concl, c, eq.lhs, eq.rhs),
-                "subst: conclusion is not a rewrite of the premise")
-        return
-
     if rule == "refl":
         _expect(isinstance(c, Eq) and c.lhs == c.rhs, "refl: shape")
         _expect(isinstance(c.lhs, (Basic, Var)), "refl: subject not basic")
-        t = _term_proof(node, 0, X)
-        _expect(t == c.lhs, "refl: side condition subject mismatch")
+        _expect(_term_proof(node, 0, X) == c.lhs, "refl: side condition subject mismatch")
         return
 
-    if rule == "sym":
-        _expect(len(prems) == 1 and isinstance(c, Eq), "sym: shape")
+    if rule in ("or_e", "exists_e"):
+        # each later premise proves c under one more hypothesis: a disjunct
+        # of the first premise, or its existential opened over the witness
+        _expect(len(prems) == (3 if rule == "or_e" else 2), f"{rule}: arity")
         _check(prems[0], ctx, X, names)
-        p = prems[0].concl
-        _expect(isinstance(p, Eq) and c == Eq(p.rhs, p.lhs), "sym: flip")
+        d = prems[0].concl
+        if rule == "or_e":
+            _expect(isinstance(d, Or), "or_e: premise not a disjunction")
+            cases = (d.left, d.right)
+        else:
+            y = node.fresh
+            _expect(isinstance(y, str), "exists_e: missing witness name")
+            _expect(isinstance(d, Exists), "exists_e: premise not existential")
+            if y.startswith("%"):
+                raise CheckError(f"exists_e: witness variable {y} is a reserved name")
+            if y in names or y in _all_var_names(c):
+                raise CheckError(f"exists_e: witness variable {y} not fresh")
+            cases = (opened(d, y),)
+        for prem, hyp in zip(prems[1:], cases):
+            _check(prem, ctx | {hyp}, X, names | _all_var_names(hyp))
+            _expect(prem.concl == c, f"{rule}: conclusion mismatch")
         return
 
-    if rule == "trans":
-        _expect(len(prems) == 2 and isinstance(c, Eq), "trans: shape")
-        _check(prems[0], ctx, X, names)
-        _check(prems[1], ctx, X, names)
-        p, q = prems[0].concl, prems[1].concl
-        _expect(isinstance(p, Eq) and isinstance(q, Eq) and p.rhs == q.lhs
-                and c == Eq(p.lhs, q.rhs), "trans: chain")
-        return
+    for p in prems:
+        _check(p, ctx, X, names)
+    ps = tuple(p.concl for p in prems)
+    one = ps[0] if len(ps) == 1 else None
 
-    if rule == "cong_pair":
-        _expect(len(prems) == 2 and isinstance(c, Eq)
-                and isinstance(c.lhs, Pair) and isinstance(c.rhs, Pair),
-                "cong_pair: shape")
-        _check(prems[0], ctx, X, names)
-        _check(prems[1], ctx, X, names)
-        _expect(prems[0].concl == Eq(c.lhs.left, c.rhs.left)
-                and prems[1].concl == Eq(c.lhs.right, c.rhs.right),
-                "cong_pair: components")
-        return
-
-    if rule == "cong_enc":
-        _expect(len(prems) == 2 and isinstance(c, Eq)
-                and isinstance(c.lhs, Enc) and isinstance(c.rhs, Enc),
-                "cong_enc: shape")
-        _check(prems[0], ctx, X, names)
-        _check(prems[1], ctx, X, names)
-        _expect(prems[0].concl == Eq(c.lhs.body, c.rhs.body)
-                and prems[1].concl == Eq(c.lhs.key, c.rhs.key),
-                "cong_enc: components")
-        return
-
-    if rule == "cong_app":
-        _expect(isinstance(c, Eq) and isinstance(c.lhs, App)
-                and isinstance(c.rhs, App) and c.lhs.ctor == c.rhs.ctor
-                and len(c.lhs.args) == len(c.rhs.args) == len(prems),
-                "cong_app: shape")
-        for i, p in enumerate(prems):
-            _check(p, ctx, X, names)
-            _expect(p.concl == Eq(c.lhs.args[i], c.rhs.args[i]),
-                    "cong_app: components")
-        return
-
-    if rule == "proj_pair":
-        _expect(len(prems) == 1 and isinstance(c, Eq), "proj_pair: shape")
-        _check(prems[0], ctx, X, names)
-        p = prems[0].concl
-        _expect(isinstance(p, Eq) and isinstance(p.lhs, Pair)
-                and isinstance(p.rhs, Pair), "proj_pair: premise shape")
-        _expect(c in (Eq(p.lhs.left, p.rhs.left), Eq(p.lhs.right, p.rhs.right)),
-                "proj_pair: not a component equality")
-        return
-
-    if rule == "proj_enc":
-        _expect(len(prems) == 1 and isinstance(c, Eq), "proj_enc: shape")
-        _check(prems[0], ctx, X, names)
-        p = prems[0].concl
-        _expect(isinstance(p, Eq) and isinstance(p.lhs, Enc)
-                and isinstance(p.rhs, Enc), "proj_enc: premise shape")
-        _expect(c in (Eq(p.lhs.body, p.rhs.body), Eq(p.lhs.key, p.rhs.key)),
-                "proj_enc: not a component equality")
-        k1 = _term_proof(node, 0, X)
-        k2 = _term_proof(node, 1, X)
-        _expect(k1 == KEYS.inverse(p.lhs.key) and k2 == KEYS.inverse(p.rhs.key),
-                "proj_enc: inverse keys not derived")
-        return
-
-    if rule == "bot":
-        _expect(len(prems) == 1, "bot: arity")
-        _check(prems[0], ctx, X, names)
-        p = prems[0].concl
-        _expect(isinstance(p, Eq) and isinstance(p.lhs, Basic)
-                and isinstance(p.rhs, Basic) and p.lhs != p.rhs,
+    if rule == "and_e":
+        _expect(isinstance(one, And) and c in (one.left, one.right), "and_e: shape")
+    elif rule == "strip":
+        _expect(isinstance(one, Says) and c == one.body, "strip: shape")
+    elif rule == "and_i":
+        _expect(isinstance(c, And) and ps == (c.left, c.right), "and_i: components")
+    elif rule == "or_i":
+        _expect(isinstance(c, Or) and one in (c.left, c.right), "or_i: component")
+    elif rule == "says":
+        _expect(isinstance(c, Says) and ps == (c.body,), "says: body mismatch")
+        _expect(_term_proof(node, 0, X) == App("sk", (c.agent,)),
+                "says: signing key not derived")
+    elif rule == "exists_i":
+        w = node.witness
+        _expect(one is not None and isinstance(c, Exists) and isinstance(w, Term),
+                "exists_i: shape")
+        _expect(not has_bound_name(w), "exists_i: open witness")
+        try:
+            inst = substitute(c.body, {c.var: w})
+        except ValueError:  # w lands in a key slot but is no key material
+            raise CheckError("exists_i: witness not allowed in a key slot") from None
+        _expect(one == inst, "exists_i: instance mismatch")
+    elif rule == "subst":
+        _expect(len(ps) == 2 and isinstance(ps[1], Eq),
+                "subst: second premise not an equality")
+        _expect(_rewrites_to(ps[0], c, ps[1].lhs, ps[1].rhs),
+                "subst: conclusion is not a rewrite of the premise")
+    elif rule == "sym":
+        _expect(isinstance(c, Eq) and isinstance(one, Eq)
+                and c.lhs == one.rhs and c.rhs == one.lhs, "sym: flip")
+    elif rule == "trans":
+        _expect(len(ps) == 2 and isinstance(c, Eq) and isinstance(ps[0], Eq)
+                and isinstance(ps[1], Eq) and ps[0].rhs == ps[1].lhs
+                and c.lhs == ps[0].lhs and c.rhs == ps[1].rhs, "trans: chain")
+    elif rule in _CONGRUENCE:
+        _expect(isinstance(c, Eq) and same_head(c.lhs, c.rhs)
+                and rule == "cong_" + RULES[type(c.lhs)], f"{rule}: shape")
+        _expect(ps == tuple(map(Eq, children(c.lhs), children(c.rhs))),
+                f"{rule}: components")
+    elif rule in ("proj_pair", "proj_enc"):
+        _expect(isinstance(c, Eq) and isinstance(one, Eq) and same_head(one.lhs, one.rhs)
+                and rule == "proj_" + RULES[type(one.lhs)], f"{rule}: premise shape")
+        _expect(c in tuple(map(Eq, children(one.lhs), children(one.rhs))),
+                f"{rule}: not a component equality")
+        if rule == "proj_enc":
+            k1 = _term_proof(node, 0, X)
+            k2 = _term_proof(node, 1, X)
+            _expect(k1 == KEYS.inverse(one.lhs.key) and k2 == KEYS.inverse(one.rhs.key),
+                    "proj_enc: inverse keys not derived")
+    elif rule == "bot":
+        _expect(isinstance(one, Eq) and isinstance(one.lhs, Basic)
+                and isinstance(one.rhs, Basic) and one.lhs != one.rhs,
                 "bot: premise is not a clash of distinct basics")
-        return
-
-    if rule == "says":
-        _expect(len(prems) == 1 and isinstance(c, Says), "says: shape")
-        _check(prems[0], ctx, X, names)
-        _expect(prems[0].concl == c.body, "says: body mismatch")
-        k = _term_proof(node, 0, X)
-        _expect(k == App("sk", (c.agent,)), "says: signing key not derived")
-        return
-
-    raise CheckError(f"unknown rule {rule}")
+    else:
+        raise CheckError(f"unknown rule {rule}")
 
 
 def _expect(cond: bool, msg: str) -> None:

@@ -14,8 +14,8 @@ import sys
 
 from .anonymity import check_anonymity, render_report
 from .builtins import BUILTINS, SOURCES, builtin_setup
-from .engine import DEFAULT_BUDGET, ProofNode, SearchBudget, derive, derive_safe
-from .dy import TermProof
+from .dy import ProofNode, TermProof
+from .engine import DEFAULT_BUDGET, SearchBudget, derive, derive_safe
 from .protocol import Protocol, validate_protocol
 from .runtime import Setup, parse_trace, simulate, validate_run, write_trace
 from .syntax import (

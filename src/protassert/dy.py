@@ -7,12 +7,15 @@ constructor application).  Variables are axiomatically derivable, matching the
 convention used by the assertion rules for open terms.
 
 Every positive answer carries a proof tree; the independent checker replays
-these against the rule schemas.
+these against the rule schemas.  The proof formats live here: `TermProof`
+for terms and `ProofNode` for assertions, with `RULES`, the one table from
+a constructor to its rule names.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .assertions import Assertion
 from .terms import (
     App,
     Enc,
@@ -26,8 +29,10 @@ from .terms import (
     sorted_terms,
 )
 
-# rules: ax (member), var (variable convention), pair, split, enc, dec, app
-_COMPOSE = {Pair: "pair", Enc: "enc", App: "app"}
+# Term rules: ax (member), var (variable convention), pair, split, enc, dec,
+# app.  A constructor's composition rule is named here; the assertion rules
+# over it are "cong_" and "proj_" plus that name.
+RULES = {Pair: "pair", Enc: "enc", App: "app"}
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,16 @@ class TermProof:
     rule: str
     concl: Term
     premises: tuple["TermProof", ...] = ()
+
+
+@dataclass(frozen=True)
+class ProofNode:
+    rule: str
+    concl: Assertion
+    premises: tuple["ProofNode", ...] = ()
+    term_proofs: tuple[TermProof, ...] = ()
+    witness: Term | None = None  # exists_i
+    fresh: str | None = None  # exists_e
 
 
 @dataclass(frozen=True)
@@ -118,7 +133,7 @@ def _synth_proof(S: frozenset[Term], t: Term, prov: Provenance, memo: dict) -> T
         return _analysis_proof(t, prov, memo)
     if isinstance(t, Var):
         return TermProof("var", t)
-    rule = _COMPOSE.get(type(t))
+    rule = RULES.get(type(t))
     if rule is None or (rule == "app" and t.ctor in KEY_CONSTRUCTORS):
         raise ValueError(f"not derivable: {t!r}")
     return TermProof(rule, t, tuple(_synth_proof(S, c, prov, memo) for c in children(t)))

@@ -62,13 +62,14 @@ from .assertions import (
     match_assertion,
     match_term,
     normalize,
+    opened,
     parts,
     rebuilt,
     sorted_assertions,
     subassertions,
     substitute,
 )
-from .dy import DYContext, TermProof
+from .dy import RULES, DYContext, ProofNode
 from .terms import (
     App,
     Basic,
@@ -76,7 +77,6 @@ from .terms import (
     Pair,
     Term,
     Var,
-    cache,
     children,
     has_bound_name,
     iter_subterms,
@@ -107,19 +107,6 @@ DEFAULT_BUDGET = SearchBudget()
 
 class BudgetExhausted(Exception):
     pass
-
-
-_CONG = {Pair: "cong_pair", Enc: "cong_enc", App: "cong_app"}
-
-
-@dataclass(frozen=True)
-class ProofNode:
-    rule: str
-    concl: Assertion
-    premises: tuple["ProofNode", ...] = ()
-    term_proofs: tuple[TermProof, ...] = ()
-    witness: Term | None = None  # exists_i
-    fresh: str | None = None  # exists_e
 
 
 @dataclass(frozen=True)
@@ -383,14 +370,6 @@ def _kind(a: Assertion):
     return (a.name, len(a.args)) if isinstance(a, Pred) else type(a)
 
 
-def _opened(psi: Exists, var: str) -> Assertion:
-    """psi's body over the witness var, memoized on psi per witness name."""
-    by_var = getattr(psi, "_opened", None) or cache(psi, "_opened", {})
-    if var not in by_var:
-        by_var[var] = substitute(psi.body, {psi.var: Var(var)})
-    return by_var[var]
-
-
 class _Node:
     """One node of the case-split tree: the hypotheses reached from its
     parent's choice of disjunct by non-branching expansion (conjunctions
@@ -420,7 +399,7 @@ class _Node:
             elif isinstance(psi, Exists) and not ctx.safe:
                 # each existential is opened once per query, on _w1, _w2, ...
                 var = names.setdefault(psi, f"_w{len(names) + 1}")
-                inst = _opened(psi, var)
+                inst = opened(psi, var)
                 if inst not in hyps:
                     hyps.add(inst)
                     origin[inst] = ("assume",)
@@ -608,7 +587,7 @@ class _BranchProver:
     def _cong_proof(self, a: Term, b: Term, before: int) -> ProofNode:
         prems = tuple(self.eq_proof(x, y, before) for x, y in zip(children(a), children(b)))
         assert all(p is not None for p in prems)
-        return ProofNode(_CONG[type(a)], Eq(a, b), prems)
+        return ProofNode("cong_" + RULES[type(a)], Eq(a, b), prems)
 
     def refl_proof(self, t: Term, before: int | None = None) -> ProofNode | None:
         """Prove t = t: structurally when every basic leaf is derivable,
@@ -637,7 +616,7 @@ class _BranchProver:
             if p is None:
                 return None
             prems.append(p)
-        return ProofNode(_CONG[type(t)], Eq(t, t), tuple(prems))
+        return ProofNode("cong_" + RULES[type(t)], Eq(t, t), tuple(prems))
 
     def eq_proof(self, s: Term, t: Term, before: int | None = None) -> ProofNode | None:
         if s == t:

@@ -25,7 +25,7 @@ from protassert import (
     sk,
     vk,
 )
-from protassert import engine
+from protassert import assertions, engine
 from protassert.checker import replay_assertion_proof
 from protassert.engine import BudgetExhausted
 
@@ -383,8 +383,8 @@ def test_hypothesis_goal_proof_is_an_access_chain(safe):
 
 def test_an_existential_is_opened_once_per_witness_name(monkeypatch):
     opened = []
-    real = engine.substitute
-    monkeypatch.setattr(engine, "substitute",
+    real = assertions.substitute
+    monkeypatch.setattr(assertions, "substitute",
                         lambda a, sigma: opened.append(a) or real(a, sigma))
     psi = Exists("q", Pred("opened_once", (x("q"), n)))
     first, second = (DeriveContext((), [psi]).root for _ in range(2))

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports from a sibling module is
-used, and every function or method the package defines is referenced.
+used, every function or method the package defines is referenced, and the
+proof checker imports nothing from the engine it checks.
 
 The package re-exports its public names from ``__init__.py``, so that file
 is the one module allowed to import names it does not use itself.
@@ -78,3 +79,31 @@ def test_every_function_and_method_is_referenced():
     package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert _unreferenced_functions(package, [*package.values(), *tests]) == []
+
+
+def _sibling_imports(source: str) -> set[str]:
+    """The sibling modules a module imports from, at any depth of its code."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "protassert":
+                    continue
+                module = module.partition(".")[2]
+            out |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.partition(".")[2] for a in node.names
+                    if a.name.startswith("protassert.")}
+    return out
+
+
+def test_the_scan_finds_every_way_to_import_a_sibling():
+    source = ("from .dy import TermProof\nfrom . import engine\nimport os\n"
+              "def f():\n    import protassert.syntax\n"
+              "    from protassert.terms import Var\n    from protassert import runtime\n")
+    assert _sibling_imports(source) == {"dy", "engine", "syntax", "terms", "runtime"}
+
+
+def test_the_checker_imports_nothing_from_the_engine():
+    assert "engine" not in _sibling_imports((PACKAGE / "checker.py").read_text())
