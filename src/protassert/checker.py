@@ -19,9 +19,9 @@ and `same_head`, `assertions.parts`):
   says body), says (the signing key derivable);
 * elimination under an assumption: or_e, whose cases each add a disjunct,
   and exists_e, which adds the existential opened over its witness name.
-  That name must be fresh (in neither X, a hypothesis in scope nor the
-  conclusion) and must not be a reserved bound name %n, which the opening
-  substitution would capture;
+  That name must be fresh (in neither X, a hypothesis in scope, the
+  existential opened nor the conclusion) and must not be a reserved bound
+  name %n, which the opening substitution would capture;
 * exists_i: the witness mentions no reserved bound name and fits every
   slot of the body it fills;
 * equality: refl (a derivable basic or variable), sym, trans, cong_pair,
@@ -211,7 +211,7 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term],
             _expect(isinstance(d, Exists), "exists_e: premise not existential")
             if y.startswith("%"):
                 raise CheckError(f"exists_e: witness variable {y} is a reserved name")
-            if y in names or y in _all_var_names(c):
+            if y in names or y in _all_var_names(c) or y in _all_var_names(d):
                 raise CheckError(f"exists_e: witness variable {y} not fresh")
             cases = (opened(d, y),)
         for prem, hyp in zip(prems[1:], cases):

@@ -13,10 +13,10 @@ from functools import cached_property
 
 from .assertions import Assertion, assertion_terms, free_vars, substitute
 from .dy import _synth_ok, dy_saturate
-from .syntax import Declarations
 from .terms import (
     AGENT,
     Basic,
+    Declarations,
     Enc,
     NONCE,
     Term,

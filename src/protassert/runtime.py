@@ -241,7 +241,7 @@ def initial_state(proto: Protocol, setup: Setup) -> WorldState:
             for s in iter_subterms(t):
                 if isinstance(s, Basic):
                     state.used_basics.add(s.name)
-    state.used_basics |= proto.decls.basics()
+    state.used_basics |= proto.decls.agents | proto.decls.nonces | proto.decls.keys
     return state
 
 

@@ -11,11 +11,14 @@ and `term_vars`.  Assertions share the table and the metaclass
 
 Encryption keys are constrained at construction: a key position holds a basic of
 sort key, a variable, or an application of a key constructor (sk/vk).
+
+`Declarations` is the signature a sequent, protocol or trace declares: which
+names are basics of which sort, and the arities of its symbols.
 """
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 AGENT = "agent"
@@ -141,6 +144,25 @@ class KeyStructure:
 
 
 KEYS = KeyStructure()
+
+
+@dataclass
+class Declarations:
+    agents: set[str] = field(default_factory=set)
+    nonces: set[str] = field(default_factory=set)
+    keys: set[str] = field(default_factory=set)
+    predicates: dict[str, int] = field(default_factory=dict)
+    constructors: dict[str, int | None] = field(default_factory=dict)  # None: variadic
+    strict: bool = False  # undeclared predicates and constructors are refused
+
+    def classify(self, name: str) -> Term:
+        if name in self.agents:
+            return Basic(name, AGENT)
+        if name in self.nonces:
+            return Basic(name, NONCE)
+        if name in self.keys:
+            return Basic(name, KEY)
+        return Var(name)
 
 
 def children(t: Term) -> tuple[Term, ...]:

@@ -7,6 +7,9 @@
 * A term proof whose composition would build an ill-formed term, and an
   exists_i whose witness would land in a key slot: both are malformed
   proofs, refused as such.
+
+It also refuses an exists_e whose witness name occurs in the existential it
+opens, which the former version accepted.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import oracles
 from protassert import (
     Basic,
     Enc,
+    Eq,
     Exists,
     Pair,
     Pred,
@@ -99,3 +103,18 @@ def test_a_witness_in_a_key_slot_is_refused():
         oracles.replay_assertion_proof(proof, (), phi, goal)
     assert replay_assertion_proof(proof, (), phi, goal) == (
         False, "exists_i: witness not allowed in a key slot")
+
+
+def test_a_witness_name_in_the_opened_existential_is_refused():
+    """Opening ex x: x = (q, q) over q would add q = (q, q): the witness
+    name is not fresh for the existential itself."""
+    q = Var("q")
+    fact = Pred("p", (a,))
+    refl = ProofNode("refl", Eq(q, q), term_proofs=(TermProof("var", q),))
+    pair = ProofNode("cong_pair", Eq(Pair(q, q), Pair(q, q)), (refl, refl))
+    premise = ProofNode("exists_i", normalize(Exists("x", Eq(Var("x"), Pair(q, q)))), (pair,),
+                        witness=Pair(q, q))
+    proof = ProofNode("exists_e", fact, (premise, ax(fact)), fresh="q")
+    assert oracles.replay_assertion_proof(proof, (), {fact}, fact) == (True, None)
+    assert replay_assertion_proof(proof, (), {fact}, fact) == (
+        False, "exists_e: witness variable q not fresh")

@@ -26,6 +26,15 @@ SEQUENT_ERRORS = [
      "nested more than 100 levels deep at case.seq:2:108"),
     ("undeclared constant", "goal: n = n", "goal: n = 7",
      "undeclared constant 7 at case.seq:3:11"),
+    ("reserved binder", "goal: n = n", "goal: ex says: p(n)",
+     "'says' is reserved at case.seq:3:10"),
+    ("reserved says agent", "goal: n = n", "goal: says says p(n)",
+     "'says' is reserved at case.seq:3:7"),
+    ("reserved sent agent", "goal: n = n", "goal: says sent n",
+     "'says' is reserved at case.seq:3:7"),
+    ("bound name in a key", "goal: n = n", "goal: ex y: {n}k(y) = n",
+     "encryption key must be key material, got App(ctor='k', args=(Var(name='y'),)) "
+     "at case.seq:3:13"),
 ]
 
 PROTOCOL_ERRORS = [

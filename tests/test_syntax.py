@@ -11,6 +11,8 @@ from protassert import (
     Exists,
     Pair,
     ParseError,
+    Pred,
+    Says,
     Var,
     normalize,
     parse_assertion,
@@ -22,8 +24,10 @@ from protassert import (
     print_protocol,
     print_term,
 )
-from protassert.builtins import FOO_SOURCE, HELIOS_SOURCE
+from protassert.assertions import numbered, rebind
+from protassert.builtins import FOO_SOURCE, HELIOS_SOURCE, SOURCES
 from protassert.syntax import MAX_NESTING, Declarations
+from test_golden_output import SEQUENTS
 
 
 def decls() -> Declarations:
@@ -82,6 +86,49 @@ def test_assertions_come_back_normalized():
     a = parse_assertion("ex q: q = n", d)
     assert a.var == "%1"
     assert a == parse_assertion("ex w: w = n", d)
+
+
+# binders the parser numbers as it reads them: shadowing, a binder named
+# like a declared constant, bound says and sent agents, sent <...> bodies
+BINDERS = [
+    "ex x, x: p(x)",
+    "ex n: n = n",
+    "ex y: y says p(n)",
+    "ex y: y sent n",
+    "ex y: y sent <ex x: x = y>",
+    "A sent <ex x: p(x) /\\ (ex x: x = n)> \\/ ex x: A says x = m",
+    "ex x: (ex y: x = y) /\\ (ex x, y: {x}y = {n}k)",
+]
+
+
+def test_binders_are_numbered_as_read():
+    d = decls()
+    x1, x2 = Var("%1"), Var("%2")
+    n = Basic("n", "nonce")
+    assert parse_assertion("ex x, x: p(x)", d) == Exists("%1", Exists("%2", Pred("p", (x2,))))
+    assert parse_assertion("ex n: n = n", d) == Exists("%1", Eq(n, n))
+    assert parse_assertion("ex y: y says p(n)", d) == Exists("%1", Says(x1, Pred("p", (n,))))
+
+
+def test_every_parsed_assertion_is_its_own_normal_form():
+    """normalize has nothing left to build: rebuilding the normal form from
+    scratch gives the very object the parser returned."""
+    d = decls()
+    found = [parse_assertion(text, d) for text in BINDERS]
+    role = "\n".join(f"  deny id : {text}" for text in BINDERS)
+    sources = [*SOURCES.values(), "protocol nf\nagents A\nnonces n, m\nkeys k\n"
+               f"predicates p/1\nrole r:\n{role}\n"]
+    for proto in map(parse_protocol, sources):
+        found += [act.assertion for r in proto.roles.values() for act in r.actions
+                  if act.assertion is not None]
+    texts = [*SEQUENTS.values(), "agents: A\nnonces: n, m\nkeys: k\nassertions:\n"
+             + "\n".join(BINDERS) + "\ngoal: ex x: x = n\n"]
+    for seq in map(parse_sequent, texts):
+        found += [*seq.assertions, seq.goal]
+    assert len(found) > 50
+    for a in found:
+        assert normalize(a) is a
+        assert rebind(a, {}, numbered()) is a
 
 
 def test_predicate_arity_checked():
@@ -159,7 +206,7 @@ def test_protocol_reports_location_on_error():
     src = "protocol bad\nagents A\nrole r(v):\n  send id : undeclared_ctor(v)\n"
     with pytest.raises(ParseError) as e:
         parse_protocol(src)
-    assert "line" in str(e.value) or "undeclared" in str(e.value)
+    assert str(e.value) == "undeclared constructor undeclared_ctor at protocol:4:13"
 
 
 def test_parse_sessions():
