@@ -251,8 +251,33 @@ def normalize(a: Assertion) -> Assertion:
 
 
 def substitute(a: Assertion, sigma: dict[str, Term]) -> Assertion:
-    """Capture-avoiding substitution, with the result in alpha-normal form."""
+    """Capture-avoiding substitution, with the result in alpha-normal form.
+
+    When a is its own normal form (as every parsed assertion is) and no
+    image holds a variable, the result is what `rebind` gives, built
+    without it: a's binders already read %1, %2, ... in preorder and no
+    image adds one, so renaming them changes nothing and a binder only
+    hides its own name.  Only the spine above the replaced occurrences is
+    rebuilt, and the result is its own normal form."""
+    if getattr(a, "_normal", None) is a and not any(map(term_vars, sigma.values())):
+        out = _ground(a, sigma)
+        return cache(out, "_normal", out)
     return rebind(a, sigma, numbered())
+
+
+def _ground(a: Assertion, sigma: dict[str, Term]) -> Assertion:
+    """`rebind` of a normal a under variable-free images, renaming nothing."""
+    if free_vars(a).isdisjoint(sigma):
+        return a
+    if isinstance(a, Exists):
+        if a.var in sigma:
+            sigma = {k: v for k, v in sigma.items() if k != a.var}
+        return Exists(a.var, _ground(a.body, sigma))
+    if isinstance(a, (And, Or)):
+        return type(a)(_ground(a.left, sigma), _ground(a.right, sigma))
+    if isinstance(a, (Says, SentA)):
+        return type(a)(subst_term(a.agent, sigma), _ground(a.body, sigma))
+    return map_terms(a, lambda t: t if term_vars(t).isdisjoint(sigma) else subst_term(t, sigma))
 
 
 def opened(psi: Exists, var: str) -> Assertion:

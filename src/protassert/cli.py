@@ -2,10 +2,12 @@
 
 Exit codes: 0 for a positive outcome (derivable, valid, complete,
 indistinguishable), 1 for a definite negative one, 2 for usage or parse
-errors, 3 when the search budget left the question open.  An unexpected
-error (RecursionError and MemoryError included) is reported on one
-`internal error: ...` line, without a traceback, and also exits 3: it
-leaves the question open and is never taken for a definite negative.
+errors, 3 when the search budget left the question open: so does a run
+that `simulate` did not complete after cutting its search, or whose
+`replay` problems all rest on a budget.  An unexpected error
+(RecursionError and MemoryError included) is reported on one `internal
+error: ...` line, without a traceback, and also exits 3: it leaves the
+question open and is never taken for a definite negative.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .builtins import BUILTINS, SOURCES, builtin_setup
 from .dy import ProofNode, TermProof
 from .engine import DEFAULT_BUDGET, SearchBudget, derive, derive_safe
 from .protocol import Protocol, validate_protocol
-from .runtime import Setup, parse_trace, simulate, validate_run, write_trace
+from .runtime import Setup, parse_trace, run_problems, simulate, write_trace
 from .syntax import (
     ParseError,
     parse_protocol,
@@ -124,7 +126,9 @@ def cmd_simulate(args) -> int:
     sys.stdout.write(write_trace(run))
     for w in run.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return EX_OK if run.complete else EX_NEGATIVE
+    if run.complete:
+        return EX_OK
+    return EX_INCONCLUSIVE if run.cut else EX_NEGATIVE
 
 
 def cmd_replay(args) -> int:
@@ -137,13 +141,13 @@ def cmd_replay(args) -> int:
     elif name is not None:
         setup = builtin_setup(name, proto)
     run = parse_trace(text, proto, setup)
-    ok, problems, _ = validate_run(run, _budget(args))
-    for p in problems:
+    problems, _ = run_problems(run, _budget(args))
+    for p, _ in problems:
         print(p)
-    if ok:
+    if not problems:
         print(f"run replays: {len(run.steps)} steps check out")
         return EX_OK
-    return EX_NEGATIVE
+    return EX_INCONCLUSIVE if all(budget for _, budget in problems) else EX_NEGATIVE
 
 
 def cmd_anonymity(args) -> int:

@@ -21,18 +21,20 @@ Search strategy is fixed:
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
      hypotheses and classes (`assertions.match_assertion` with the branch
-     as the equality).  Each node indexes its hypotheses by connective, or
-     predicate name and arity, so a goal or pattern meets only its own kind
-     (the top-symbol index of de Moura & Bjorner, CADE 2007).  An equation
-     pattern walks the class of its other side once, not once per member,
-     since the matcher reaches the whole class from any member; and an
-     equation hypothesis inside that class, the classes unchanged since the
-     walk, is skipped, since matching it repeats the walk.  Both leave the
-     candidate lists as they would be without them (`_ematch_sub`).  A goal
-     that differs from a hypothesis only by terms equal in the classes is
-     proved by a chain of subst steps, whose positions the rewrite matcher
-     finds with the shared shape walk (`assertions.parts`,
-     `terms.children`).
+     as the equality), drawn on demand in a fixed order: matching stops at
+     the first witness whose instance is proved, and a cut of the
+     candidates counts only when the search draws past it.  Each node
+     indexes its hypotheses by connective, or predicate name and arity, so
+     a goal or pattern meets only its own kind (the top-symbol index of de
+     Moura & Bjorner, CADE 2007).  An equation pattern walks the class of
+     its other side once, not once per member, since the matcher reaches
+     the whole class from any member; and an equation hypothesis inside
+     that class, the classes unchanged since the walk, is skipped, since
+     matching it repeats the walk.  Both leave the candidates as they would
+     be without them (`_ematch_sub`).  A goal that differs from a
+     hypothesis only by terms equal in the classes is proved by a chain of
+     subst steps, whose positions the rewrite matcher finds with the shared
+     shape walk (`assertions.parts`, `terms.children`).
 
 A branch holding two distinct basics in one class is inconsistent and proves
 anything.  The safe mode disables steps 1 and 3 (the rules unsound for
@@ -46,6 +48,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .assertions import (
     And,
@@ -798,43 +801,38 @@ class _BranchProver:
 
     # -- witness candidate generation
 
-    def _candidates(self, var: str, body: Assertion) -> list[Term]:
-        cap = self.query.budget.candidate_cap
-        out: list[Term] = []
-        seen: set[Term] = set()
-
-        def emit(t: Term) -> bool:
-            if t in seen or has_bound_name(t):
-                return False
-            seen.add(t)
-            out.append(t)
-            return len(out) >= cap
-
-        anchored = False
-        for sub in subassertions(body):
-            if var not in assertion_vars(sub):
-                continue
-            anchored = True
-            for binding in self._ematch_sub(sub, var):
-                if emit(binding):
-                    self.query.truncated = True
-                    return out
+    def _candidates(self, var: str, body: Assertion) -> Iterator[Term]:
+        """Witnesses for var in body, distinct and free of bound names, drawn
+        on demand: the E-matches of each subassertion holding var, in
+        preorder, then instances of the patterns that equation atoms set var
+        equal to; with no such subassertion, the least term of the universe.
+        Past the candidate_cap-th, query.truncated is set and none follow:
+        a cut counts only when the search draws past it, so a search that
+        proves a witness before any cut is never inconclusive for it."""
+        anchored = [sub for sub in subassertions(body) if var in assertion_vars(sub)]
         if not anchored:
-            universe = [t for t in sorted(self.cc.parent, key=term_key)
-                        if not has_bound_name(t)]
-            for t in universe[:1]:
-                emit(t)
-            return out
-        # pattern-guided synthesis for equation atoms, then universe fallback
-        for sub in subassertions(body):
-            if isinstance(sub, Eq) and var in assertion_vars(sub):
+            universe = (t for t in self.cc.parent if not has_bound_name(t))
+            first = min(universe, key=term_key, default=None)
+            if first is not None:
+                yield first
+            return
+        seen: set[Term] = set()
+        for t in self._drawn(var, anchored):
+            if t not in seen and not has_bound_name(t):
+                seen.add(t)
+                yield t
+                if len(seen) >= self.query.budget.candidate_cap:
+                    self.query.truncated = True
+                    return
+
+    def _drawn(self, var: str, anchored: list[Assertion]) -> Iterator[Term]:
+        for sub in anchored:
+            yield from self._ematch_sub(sub, var)
+        for sub in anchored:
+            if isinstance(sub, Eq):
                 for pat, other in ((sub.lhs, sub.rhs), (sub.rhs, sub.lhs)):
                     if isinstance(pat, Var) and pat.name == var:
-                        for cand in self._synth_from_pattern(other):
-                            if emit(cand):
-                                self.query.truncated = True
-                                return out
-        return out
+                        yield from self._synth_from_pattern(other)
 
     def _ematch_sub(self, pattern: Assertion, var: str):
         """Bind var by matching a goal subassertion against hypotheses (and,

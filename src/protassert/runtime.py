@@ -215,6 +215,7 @@ class Run:
     steps: list[Step]
     complete: bool = True
     warnings: list[str] = field(default_factory=list)
+    cut: bool = False  # the search refused a step under a budget or hit max_states
 
 
 def initial_state(proto: Protocol, setup: Setup) -> WorldState:
@@ -461,14 +462,17 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
     """Search for a run that completes every session, exploring candidate
     choices depth first in a seeded random order.  Branches where a session
     is permanently stuck are cut early.  Returns the first completing run,
-    or the longest partial run found if none completes within max_states."""
+    or the longest partial run found if none completes within max_states;
+    the run is marked cut when the search stopped at max_states or refused
+    a step only because a search budget ran out."""
     rng = random.Random(seed)
     visited = 0
+    cut = False
     best: tuple[list[Step], WorldState] | None = None
     seen: set = set()
 
     def rec(state: WorldState, steps: list[Step]) -> tuple[list[Step], WorldState] | None:
-        nonlocal visited, best
+        nonlocal visited, best, cut
         if _all_done(state):
             return steps, state
         fp = _fingerprint(state)
@@ -477,8 +481,11 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
         seen.add(fp)
         visited += 1
         if visited > max_states:
+            cut = True
             return None
+        warned = len(state.warnings)
         cands, wedged = enabled_actions(state, budget)
+        cut |= len(state.warnings) > warned  # only budget refusals warn here
         if wedged or not cands:
             if best is None or len(steps) > len(best[0]):
                 best = (steps, state)
@@ -524,7 +531,7 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
     steps, state = best
     state.warnings.append("no completing run found")
     return Run(proto, setup, seed, steps, complete=False,
-               warnings=list(state.warnings)), state
+               warnings=list(state.warnings), cut=cut), state
 
 
 # ---------------------------------------------------------------------------
@@ -534,42 +541,50 @@ def validate_run(run: Run, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[bool,
     """Replay a recorded run: each step must be the pending action of its
     session, instantiated with genuinely fresh values, and pass the same
     enabling rule as the scheduler's (`check_step`)."""
+    problems, state = run_problems(run, budget)
+    return (not problems, [p for p, _ in problems], state)
+
+
+def run_problems(run: Run, budget: SearchBudget = DEFAULT_BUDGET
+                 ) -> tuple[list[tuple[str, bool]], WorldState]:
+    """`validate_run`'s problems, each with whether it rests on a search
+    budget alone, and the state the replay reached."""
     state = initial_state(run.proto, run.setup)
-    problems: list[str] = []
+    problems: list[tuple[str, bool]] = []
     for n, step in enumerate(run.steps, 1):
         if not 1 <= step.session <= len(state.sessions):
-            problems.append(f"step {n}: no session {step.session}")
+            problems.append((f"step {n}: no session {step.session}", False))
             break
         sess = state.sessions[step.session - 1]
         role = run.proto.roles[sess.role]
         if sess.pc >= len(role.actions):
-            problems.append(f"step {n}: session {step.session} already finished")
+            problems.append((f"step {n}: session {step.session} already finished", False))
             break
         action = role.actions[sess.pc]
 
         for name, value in step.fresh:
             if name not in action.fresh:
-                problems.append(f"step {n}: unexpected fresh variable {name}")
+                problems.append((f"step {n}: unexpected fresh variable {name}", False))
             if value.name in state.used_basics:
-                problems.append(f"step {n}: fresh value {value.name} is not fresh")
+                problems.append((f"step {n}: fresh value {value.name} is not fresh", False))
         if set(n0 for n0, _ in step.fresh) != set(action.fresh):
-            problems.append(f"step {n}: fresh variables do not match the action")
+            problems.append((f"step {n}: fresh variables do not match the action", False))
         inst = _instantiate(state.contexts, action, sess.sigma, step.fresh, step.binds)
         if inst is None:
-            problems.append(f"step {n}: action not ground after instantiation")
+            problems.append((f"step {n}: action not ground after instantiation", False))
             break
         if inst != step.action:
-            problems.append(f"step {n}: recorded action does not match the role")
+            problems.append((f"step {n}: recorded action does not match the role", False))
             break
         if action.kind == "recv" and not any(
                 tr.term == inst.term
                 and (inst.assertion is None or tr.assertion == inst.assertion)
                 for tr in state.traffic):
-            problems.append(f"step {n}: received message never offered")
-        problems.extend(f"step {n}: {problem}"
-                        for problem, _ in check_step(state, step, budget))
+            problems.append((f"step {n}: received message never offered", False))
+        problems.extend((f"step {n}: {problem}", warning is not None)
+                        for problem, warning in check_step(state, step, budget))
         apply_candidate(state, step)
-    return (not problems, problems, state)
+    return problems, state
 
 
 # ---------------------------------------------------------------------------

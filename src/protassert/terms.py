@@ -32,8 +32,12 @@ SORTS = (AGENT, NONCE, KEY)
 KEY_CONSTRUCTORS = frozenset({"sk", "vk"})
 
 
-# (class, *fields) -> the one live object with that structure.
+# (class, *fields) -> the one live object with that structure.  Lookups read
+# its dict of weak references directly, which skips a Python-level method
+# call; stores go through the table, which removes an entry when its object
+# dies.
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_REFS: dict = _TABLE.data
 
 
 class Interned(type):
@@ -54,8 +58,9 @@ class Interned(type):
             obj = super().__call__(*args, **kwargs)
             return _TABLE.setdefault((cls, *(getattr(obj, f) for f in cls.__match_args__)), obj)
         key = (cls, *args)
-        obj = _TABLE.get(key)
-        if obj is None:
+        ref = _REFS.get(key)
+        obj = None if ref is None else ref()
+        if obj is None:  # never built, or collected
             obj = _TABLE[key] = super().__call__(*args)
         return obj
 

@@ -4,6 +4,8 @@ import gc
 import random
 import weakref
 
+import pytest
+
 from protassert import (
     And,
     Basic,
@@ -22,6 +24,7 @@ from protassert import (
     normalize,
     substitute,
 )
+from protassert import assertions, protocol
 from protassert.anonymity import _TemplateGen
 from protassert.assertions import (
     SYNTACTIC,
@@ -30,12 +33,15 @@ from protassert.assertions import (
     map_terms,
     match_assertion,
     match_term,
+    numbered,
+    rebind,
     reveals,
     sorted_assertions,
     subassertions,
 )
-from protassert.builtins import builtin_foo, builtin_helios
+from protassert.builtins import BUILTINS, builtin_foo, builtin_helios, builtin_setup
 from protassert.engine import DeriveContext, _BranchProver, _Query
+from protassert.runtime import simulate
 from protassert.syntax import Declarations, parse_assertion, print_assertion
 from protassert.terms import App, iter_subterms, subst_term
 
@@ -104,6 +110,83 @@ def test_substitute_does_not_capture_an_image_named_like_a_binder():
 def test_substitute_normalizes():
     a = Exists("quux", Eq(Var("quux"), Var("y")))
     assert substitute(a, {"y": n}).var == "%1"
+
+
+def _action_sigmas(seed: int):
+    """(assertion, sigma) for every action assertion of the builtins: the
+    sigmas that simulating each one passes to substitute (receive patterns
+    under the session's partial bindings among them), then seeded random
+    ground images for a random subset of each assertion's free variables."""
+    rng = random.Random(seed)
+    pool = [A, B, n, k, Pair(n, A), Enc(Pair(A, n), k), App("sk", (A,))]
+    calls = []
+
+    def recording(a, sigma):
+        calls.append((a, dict(sigma)))
+        return substitute(a, sigma)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "substitute", recording)
+        for name, make in BUILTINS.items():
+            proto = make()
+            simulate(proto, builtin_setup(name, proto), seed=seed)
+            for role in proto.roles.values():
+                for act in role.actions:
+                    names = sorted(free_vars(act.assertion)) if act.assertion else ()
+                    for _ in range(8 if names else 0):
+                        some = rng.sample(names, rng.randint(0, len(names)))
+                        calls.append((act.assertion, {v: rng.choice(pool) for v in some}))
+    return calls
+
+
+def test_ground_substitution_of_actions_is_rebind():
+    """A parsed action assertion is its own normal form, so under images
+    without variables substitute rebuilds it without rebind: the result
+    must be rebind's very object, and its own normal form."""
+    pairs = _action_sigmas(5)
+    partial = failed = 0
+    for a, sigma in pairs:
+        assert normalize(a) is a
+        try:
+            want = rebind(a, sigma, numbered())
+        except ValueError:  # a non-key image in an encryption's key slot
+            with pytest.raises(ValueError):
+                substitute(a, sigma)
+            failed += 1
+            continue
+        got = substitute(a, sigma)
+        assert got is want
+        assert normalize(got) is got
+        assert rebind(got, {}, numbered()) is got
+        partial += bool(free_vars(got))
+    assert len(pairs) > 300
+    assert partial > 100 and failed > 0
+
+
+def test_ground_substitution_lets_a_binder_hide_its_name():
+    a = normalize(Exists("x", And(Eq(Var("x"), Var("y")), Pred("p", (Var("x"), Var("y"))))))
+    assert substitute(a, {"%1": n}) is a
+    got = substitute(a, {"%1": n, "y": k})
+    assert got is rebind(a, {"%1": n, "y": k}, numbered())
+    assert got is normalize(Exists("x", And(Eq(Var("x"), k), Pred("p", (Var("x"), k)))))
+
+
+def test_an_image_with_a_variable_takes_the_general_path(monkeypatch):
+    a = normalize(Exists("x", Eq(Var("x"), Pair(Var("y"), Var("z")))))
+    ground = normalize(Exists("x", Eq(Var("x"), Pair(n, Pair(A, B)))))
+    open_ = normalize(Exists("x", Eq(Var("x"), Pair(n, Pair(Var("w"), B)))))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rebind(*args)
+
+    monkeypatch.setattr(assertions, "rebind", counting)
+    assert substitute(a, {"y": n, "z": Pair(A, B)}) is ground
+    assert not calls
+    sigma = {"y": n, "z": Pair(Var("w"), B)}
+    assert substitute(a, sigma) is open_
+    assert calls[0][:2] == (a, sigma)
 
 
 def test_shape_helpers():

@@ -8,6 +8,9 @@ Both shortcuts must leave every candidate list as it was.  A corpus of
 protocol runs, anonymity checks and sequents runs once on the reference and
 once on the engine as it is, and the sequence of (goal, var, candidates,
 truncated) of every `_candidates` call, with every output, must be the same.
+The engine draws its candidates on demand; run so, each call must draw a
+prefix of the reference's list, and every query must get the reference's
+verdict, budget flag and proof.
 
 CI also runs this file under three hash seeds: hash-consed terms hash by
 identity, so set iteration follows allocation.
@@ -19,7 +22,7 @@ import random
 import pytest
 
 from oracles import ReferenceCandidates, match_assertion as reference_match_assertion
-from protassert import DeriveContext, parse_sequent, simulate, write_trace
+from protassert import DeriveContext, SearchBudget, parse_sequent, simulate, write_trace
 from protassert.anonymity import _TemplateGen, check_anonymity, render_report
 from protassert.assertions import (
     SYNTACTIC,
@@ -239,27 +242,63 @@ def _corpus(out: list) -> None:
         for safe in (False, True):
             v = DeriveContext(X, hyps, safe=safe).query(goal)
             out.append(("flat", _verdict(v)))
+    # caps small enough that searches draw past them
+    flat = _Flat(random.Random(603))
+    for cap in (1, 2):
+        budget = SearchBudget(candidate_cap=cap)
+        for text in (LEAK, GROWING_CLASS, WALK_NOT_REPEATED):
+            seq = parse_sequent(text)
+            v = DeriveContext(seq.terms, seq.assertions, budget).query(seq.goal)
+            out.append(("capped", cap, _verdict(v)))
+        for _ in range(30):
+            X, hyps, goal = flat.sequent()
+            v = DeriveContext(X, hyps, budget).query(goal)
+            out.append(("capped flat", cap, _verdict(v)))
 
 
-def _record(reference: bool) -> list:
+def _record(reference: bool, drawn: bool = False) -> list:
     """Every _candidates call of the corpus as (goal body, var, candidates,
     truncated), and the corpus output, in order; terms and assertions by
-    repr, since the two runs build their own objects."""
+    repr, since the two runs build their own objects.  The reference's
+    lists are whole.  The engine's are drained into a list before the
+    search reads them; with drawn, the search draws from the engine's
+    generator itself, a call lists only the candidates it drew, and every
+    query is recorded as (goal, derivable, budget flag, proof)."""
     calls: list = []
     impl = ReferenceCandidates._candidates if reference else CANDIDATES
 
     def recording(self, var, body):
-        got = impl(self, var, body)
+        if drawn and not reference:
+            got: list = []
+            calls.append(("candidates", repr(body), var, got))
+            return _tapped(impl(self, var, body), got)
+        got = list(impl(self, var, body))
         calls.append(("candidates", repr(body), var, [repr(t) for t in got],
                       self.query.truncated))
         return got
+
+    query = DeriveContext.query
+
+    def querying(ctx, goal):
+        v = query(ctx, goal)
+        calls.append(("query", repr(goal), v.derivable, v.budget_exhausted, repr(v.proof)))
+        return v
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_BranchProver, "_candidates", recording)
         if reference:
             mp.setattr(_BranchProver, "_ematch_sub", ReferenceCandidates._ematch_sub)
+        if drawn:
+            mp.setattr(DeriveContext, "query", querying)
         _corpus(calls)
     return calls
+
+
+def _tapped(candidates, got: list):
+    """The candidates, each appended to got by repr as it is drawn."""
+    for t in candidates:
+        got.append(repr(t))
+        yield t
 
 
 def test_candidate_lists_equal_the_reference_call_by_call():
@@ -343,3 +382,22 @@ def test_binder_maps_match_as_renamed_terms_did():
         assert list(new.cc.parent) == list(old.cc.parent)
         assert new.cc.stamp == old.cc.stamp
     assert matched > 200
+
+
+def test_drawn_candidates_are_a_prefix_of_the_reference_and_decide_alike():
+    """Drawing candidates on demand stops at the first witness that works:
+    each call draws a prefix of the reference list, and every query gets
+    the reference's verdict, budget flag and proof."""
+    want = _record(reference=True, drawn=True)
+    got = _record(reference=False, drawn=True)
+    assert len(got) == len(want)
+    shorter = 0
+    for i, (g, w) in enumerate(zip(got, want)):
+        if g[0] == "candidates":
+            assert g[:3] == w[:3], f"entry {i} differs"
+            assert g[3] == w[3][:len(g[3])], f"entry {i}: drawn {g[3]}, listed {w[3]}"
+            shorter += len(g[3]) < len(w[3])
+        else:
+            assert g == w, f"entry {i} differs"
+    assert sum(c[0] == "query" for c in want) > 1000
+    assert shorter > 50

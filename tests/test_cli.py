@@ -172,6 +172,50 @@ def test_replay_rejects_a_tampered_trace(tmp_path, capsys):
     assert "never offered" in out or "cannot justify" in out
 
 
+# The receiver must refuse p(z) from z and p(y) \/ p(z): a definite refusal
+# splits the disjunction, which --branches 1 forbids.
+T2 = """\
+protocol t2
+agents A, B
+nonces z, y
+predicates p/1
+role s:
+  insert id : p(z)
+  send id : z, (p(y) \\/ p(z))
+role r:
+  recv id : z, (p(y) \\/ p(z))
+  deny id : p(z)
+  send id : y
+"""
+T2_SESSIONS = ["--sessions", "s(id=A); r(id=B)"]
+
+
+def test_a_run_stopped_by_a_budget_exits_three(tmp_path, capsys):
+    proto = _write(tmp_path, "t2.proto", T2)
+    assert main(["simulate", proto, *T2_SESSIONS]) == 0
+    trace = _write(tmp_path, "t2.trace", capsys.readouterr().out)
+    assert main(["replay", proto, trace, *T2_SESSIONS]) == 0
+    capsys.readouterr()
+    assert main(["simulate", proto, *T2_SESSIONS, "--branches", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "deny blocked, refusal not definite under the search budget" in err
+    assert "no completing run found" in err
+    assert main(["replay", proto, trace, *T2_SESSIONS, "--branches", "1"]) == 3
+    assert capsys.readouterr().out == "step 4: deny not definite under the budget\n"
+
+
+def test_a_sender_without_its_assertion_still_exits_one(tmp_path, capsys):
+    proto = _write(tmp_path, "t2.proto", T2)
+    assert main(["simulate", proto, *T2_SESSIONS]) == 0
+    trace = _write(tmp_path, "t2.trace", capsys.readouterr().out)
+    mute = _write(tmp_path, "mute.proto", T2.replace("insert id : p(z)", "insert id : z = z"))
+    for budget in ([], ["--branches", "1"]):
+        assert main(["simulate", mute, *T2_SESSIONS, *budget]) == 1
+        assert "no completing run found" in capsys.readouterr().err
+        assert main(["replay", mute, trace, *T2_SESSIONS, *budget]) == 1
+        assert "send assertion not derivable" in capsys.readouterr().out
+
+
 def test_simulate_with_an_unbound_role_parameter_is_a_usage_error(capsys):
     # voter(v) without v can never run; that is no definite negative
     rc = main(["simulate", "foo", "--sessions", "voter(id=V0)"])

@@ -242,8 +242,18 @@ def test_seeded_search_reports_partial_when_capped():
     proto = foo()
     setup = anonymity_foo_setup(proto, 4)
     run, _ = simulate(proto, setup, seed=0, max_states=1)
-    assert not run.complete
+    assert not run.complete and run.cut
     assert any("no completing run" in w for w in run.warnings)
+
+
+def test_a_search_stopped_at_max_states_is_cut():
+    proto = foo()
+    setup = default_foo_setup(proto, 2)
+    run, _ = simulate(proto, setup, seed=0, max_states=20)
+    assert not run.complete and run.cut
+    assert run.warnings == ["no completing run found"]
+    run, _ = simulate(proto, setup, seed=0)
+    assert run.complete and not run.cut
 
 
 def test_trace_parse_rejects_garbage():
@@ -293,7 +303,7 @@ def test_simulate_warns_when_a_search_hits_the_budget():
     proto = foo()
     run, _ = simulate(proto, default_foo_setup(proto), seed=0,
                       budget=SearchBudget(node_cap=1))
-    assert not run.complete
+    assert not run.complete and run.cut
     assert any("search budget" in w for w in run.warnings), run.warnings
 
 

@@ -195,6 +195,27 @@ def test_an_unreferenced_term_leaves_the_table():
     assert _entries("only-in-the-dropped-term") == []
 
 
+@pytest.mark.parametrize("deferred", [False, True])
+def test_a_structure_rebuilt_after_collection_is_one_live_entry(deferred):
+    """Rebuilt after its object died, a structure is interned afresh: one
+    entry, whose reference is the new object.  While the table is being
+    iterated, it defers removing dead entries, so a lookup meets one."""
+    name = f"only-in-the-rebuilt-term-{deferred}"
+    t = Pair(Var(name), Enc(n, k))
+    key = (Pair, Var(name), Enc(n, k))
+    guard = iter(_TABLE.items())
+    if deferred:
+        next(guard)
+    del t
+    gc.collect()
+    assert (key in _TABLE.data) is deferred
+    t = Pair(Var(name), Enc(n, k))
+    guard.close()
+    assert t is Pair(Var(name), Enc(n, k))
+    assert _TABLE.data[key]() is t
+    assert sorted(entry[0].__name__ for entry in _entries(name)) == ["Pair", "Var"]
+
+
 def test_cached_values_match_the_structure():
     t = Pair(Var("%1"), Enc(n, k))
     assert has_bound_name(t) and has_bound_name(Var("%1"))
