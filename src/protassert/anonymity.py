@@ -226,33 +226,30 @@ def check_safety(ctx: DeriveContext, spec: SwapSpec) -> tuple[bool, list[str]]:
     nothing with concrete content may be provably equal to a commitment."""
     reasons: list[str] = []
     try:
-        leaves = ctx.leaves()
-    except BudgetExhausted:
-        return False, ["knowledge closure exceeded the budget"]
-    for leaf in leaves:
-        cc = leaf.cc.clone()
-        for d in spec.commits:
-            cc.add_term(d)
-        if spec.keys is not None:
-            for p in spec.keys:
+        # the commitments join each leaf's classes in place; leaves()
+        # undoes them before the next leaf
+        for _ in ctx.leaves():
+            cc = ctx.cc
+            for d in spec.commits:
+                cc.add_term(d)
+            for p in spec.keys or ():
                 cc.add_term(p)
-        cc.process()
-        for d in spec.commits:
-            for member in cc.class_members(d):
-                if member != d and _leaf_basics(member):
-                    reasons.append(
-                        f"{print_term(member)} is provably equal to the "
-                        f"commitment {print_term(d)}")
-        if spec.keys is not None:
-            for p in spec.keys:
+            for d in spec.commits:
+                for member in cc.class_members(d):
+                    if member != d and _leaf_basics(member):
+                        reasons.append(
+                            f"{print_term(member)} is provably equal to the "
+                            f"commitment {print_term(d)}")
+            for p in spec.keys or ():
                 if len(cc.class_members(p)) > 1:
                     reasons.append(
                         f"commitment key {print_term(p)} is provably equal "
                         f"to something else")
-    if spec.keys is not None:
-        for p in spec.keys:
-            if ctx.dyctx.derivable(p):
-                reasons.append(f"commitment key {print_term(p)} is derivable")
+    except BudgetExhausted:
+        return False, ["knowledge closure exceeded the budget"]
+    for p in spec.keys or ():
+        if ctx.dyctx.derivable(p):
+            reasons.append(f"commitment key {print_term(p)} is derivable")
     return (not reasons, reasons)
 
 

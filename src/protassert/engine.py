@@ -12,12 +12,15 @@ Search strategy is fixed:
      A query owns its splits, their count against branch_cap and the
      witness names below the root, so no query sees another's (per-query
      scopes over a fixed root, as in incremental SMT solvers);
-  4. congruence closure per branch over the term universe, seeded by equality
+  4. congruence closure over the term universe, seeded by equality
      hypotheses, closed under pair/enc/constructor congruence, pair
      projection, and enc projection guarded by derivability of both inverse
-     keys; every merge is justified by a proof-forest edge.  A branch builds
-     its closure and hypothesis index when a goal first needs them, which a
-     hypothesis goal never does (theory work on demand, as in DPLL(T));
+     keys; every merge is justified by a proof-forest edge.  A context has
+     one closure, undone along a trail of its writes: a branch adds its
+     hypotheses at its parent's mark, and a query undoes to the root's when
+     it ends (a backtrackable theory solver, as in DPLL(T)).  A branch adds
+     to it, and builds its hypothesis index, when a goal first needs them,
+     which a hypothesis goal never does (theory work on demand, likewise);
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
      hypotheses and classes (`assertions.match_assertion` with the branch
@@ -125,6 +128,8 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # congruence closure with proof forest
 
+_ABSENT = object()  # the old value of a key a logged write adds
+
 
 @dataclass(frozen=True)
 class _Edge:
@@ -137,7 +142,9 @@ class _Edge:
 
 class EqClasses:
     """Union-find over a term universe with congruence and projection, every
-    union justified by an edge in a proof forest."""
+    union justified by an edge in a proof forest.  Each write to a field is
+    logged on ``trail`` as (dict, key, old value) for `undo`; lists and sets
+    are replaced, never changed in place, so a logged old value stays."""
 
     def __init__(self, dyctx: DYContext, merge_cap: int = 10**6):
         self.dyctx = dyctx
@@ -150,52 +157,48 @@ class EqClasses:
         self.sig_of: dict[Term, tuple] = {}
         self.sig_table: dict[tuple, Term] = {}
         self.forest: dict[Term, tuple[Term, _Edge]] = {}
-        self.stamp = 0
+        self.trail: list[tuple[dict, object, object]] = []
         self._pending: deque[tuple[Term, Term, str, tuple]] = deque()
-        self._owned: set[Term] = set()  # roots whose members and parents_of no clone shares
+
+    # -- the trail
+
+    def _set(self, d: dict, key, value) -> None:
+        self.trail.append((d, key, d.get(key, _ABSENT)))
+        d[key] = value
+
+    def _pop(self, d: dict, key):  # d.pop(key, None), logged; no value is None
+        old = d.pop(key, None)
+        if old is not None:
+            self.trail.append((d, key, old))
+        return old
+
+    def undo(self, mark: int) -> None:
+        """Take back every write past trail length mark, newest first, and
+        drop the unions still pending (a union over merge_cap leaves some)."""
+        trail = self.trail
+        while len(trail) > mark:
+            d, key, old = trail.pop()
+            if old is _ABSENT:
+                del d[key]
+            else:
+                d[key] = old
+        self._pending.clear()
 
     # -- basic structure
+
+    @property
+    def stamp(self) -> int:  # the unions made: each adds a forest edge, rerooting none
+        return len(self.forest)
 
     def __contains__(self, t: Term) -> bool:
         return t in self.parent
 
     def find(self, t: Term) -> Term:
-        r = t
-        while self.parent[r] != r:
-            r = self.parent[r]
-        while self.parent[t] != r:
-            self.parent[t], t = r, self.parent[t]
-        return r
+        # every union relinks each member it moves, so a parent is a root
+        return self.parent[t]
 
     def same(self, a: Term, b: Term) -> bool:
         return self.find(a) == self.find(b)
-
-    def clone(self) -> "EqClasses":
-        """A copy that shares each root's members list and parents_of set
-        with this one until either side changes it (`_own`)."""
-        c = EqClasses.__new__(EqClasses)
-        c.dyctx = self.dyctx
-        c.merge_cap = self.merge_cap
-        c.parent = dict(self.parent)
-        c.members = dict(self.members)
-        c.pair = dict(self.pair)
-        c.genc = dict(self.genc)
-        c.parents_of = dict(self.parents_of)
-        c.sig_of = dict(self.sig_of)
-        c.sig_table = dict(self.sig_table)
-        c.forest = dict(self.forest)
-        c.stamp = self.stamp
-        c._pending = deque(self._pending)
-        c._owned, self._owned = set(), set()
-        return c
-
-    def _own(self, root: Term) -> None:
-        """Copy root's members list and parents_of set before changing them
-        in place, unless they are this instance's own since the last clone."""
-        if root not in self._owned:
-            self.members[root] = list(self.members[root])
-            self.parents_of[root] = set(self.parents_of[root])
-            self._owned.add(root)
 
     # Inline switch, not children(): every add_term and union runs it.
     def _signature(self, t: Term):
@@ -212,24 +215,22 @@ class EqClasses:
             return
         for c in children(t):
             self.add_term(c)
-        self.parent[t] = t
-        self.members[t] = [t]
+        self._set(self.parent, t, t)
+        self._set(self.members, t, [t])
         if isinstance(t, Pair):
-            self.pair[t] = t
+            self._set(self.pair, t, t)
         elif isinstance(t, Enc) and self._guarded(t):
-            self.genc[t] = t
-        self.parents_of[t] = set()
-        self._owned.add(t)
+            self._set(self.genc, t, t)
+        self._set(self.parents_of, t, set())
         for c in children(t):
             root = self.find(c)
-            self._own(root)
-            self.parents_of[root].add(t)
+            self._set(self.parents_of, root, self.parents_of[root] | {t})
         sig = self._signature(t)
         if sig is not None:
-            self.sig_of[t] = sig
+            self._set(self.sig_of, t, sig)
             other = self.sig_table.get(sig)
             if other is None:
-                self.sig_table[sig] = t
+                self._set(self.sig_table, sig, t)
             elif self.find(other) != t and self._cong_mergeable(t, other):
                 self._pending.append((t, other, "cong", ()))
                 self.process()
@@ -247,9 +248,8 @@ class EqClasses:
             path.append((cur, nxt, edge))
             cur = nxt
         for u, v, edge in reversed(path):
-            self.forest[v] = (u, edge)
-        if x in self.forest:
-            del self.forest[x]
+            self._set(self.forest, v, (u, edge))
+        self._pop(self.forest, x)
 
     def explain_path(self, s: Term, t: Term, before: int | None = None):
         """Forest path s..t as a list of (edge, forward) steps."""
@@ -298,10 +298,9 @@ class EqClasses:
             return
         if self.stamp >= self.merge_cap:
             raise BudgetExhausted()
-        self.stamp += 1
-        edge = _Edge(self.stamp, kind, a, b, data)
+        edge = _Edge(self.stamp + 1, kind, a, b, data)
         self._reroot(a)
-        self.forest[a] = (b, edge)
+        self._set(self.forest, a, (b, edge))
 
         if len(self.members[ra]) < len(self.members[rb]):
             small, big = ra, rb
@@ -311,31 +310,29 @@ class EqClasses:
         # one cross projection links everything transitively; the merged
         # class keeps big's representative
         for reps, rule in ((self.pair, "proj_pair"), (self.genc, "proj_enc")):
-            a, b = reps.pop(small, None), reps.get(big)
+            a, b = self._pop(reps, small), reps.get(big)
             if a is not None and b is not None:
                 for i, (x, y) in enumerate(zip(children(a), children(b))):
                     self._pending.append((x, y, rule, (a, b, i)))
             elif a is not None:
-                reps[big] = a
+                self._set(reps, big, a)
 
         for m in self.members[small]:
-            self.parent[m] = big
-        self.parent[small] = big
-        self._own(big)
-        self.members[big].extend(self.members.pop(small))
+            self._set(self.parent, m, big)
+        self._set(self.members, big, self.members[big] + self._pop(self.members, small))
 
-        touched = self.parents_of.pop(small) | self.parents_of[big]
-        self.parents_of[big] = touched
+        touched = self._pop(self.parents_of, small) | self.parents_of[big]
+        self._set(self.parents_of, big, touched)
         for p in sorted(touched, key=term_key):
             old = self.sig_of.get(p)
             if old is not None and self.sig_table.get(old) is p:
-                del self.sig_table[old]
+                self._pop(self.sig_table, old)
         for p in sorted(touched, key=term_key):
             sig = self._signature(p)
-            self.sig_of[p] = sig
+            self._set(self.sig_of, p, sig)
             other = self.sig_table.get(sig)
             if other is None:
-                self.sig_table[sig] = p
+                self._set(self.sig_table, sig, p)
             elif self.find(other) != self.find(p):
                 if self._cong_mergeable(p, other):
                     self._pending.append((p, other, "cong", ()))
@@ -358,9 +355,6 @@ class EqClasses:
     def class_members(self, t: Term) -> list[Term]:
         return sorted(self.members[self.find(t)], key=term_key)
 
-    def roots(self) -> list[Term]:
-        return sorted({self.find(t) for t in self.parent}, key=term_key)
-
 
 # ---------------------------------------------------------------------------
 # hypothesis expansion
@@ -379,7 +373,8 @@ class _Node:
     split, says bodies stripped, existentials opened over witnesses named
     in ``names``), up to the first disjunction, which is left in ``split``
     for a query to split on (`_Query.children`).  The hypothesis index, the
-    closure and the bottom test are built on first read."""
+    node's mark on the context's closure and the bottom test are made on
+    first read."""
 
     def __init__(self, ctx: "DeriveContext", names: dict[Assertion, str],
                  hyps: set[Assertion], origin: dict[Assertion, tuple],
@@ -428,13 +423,17 @@ class _Node:
         return out
 
     @cached_property
-    def cc(self) -> EqClasses:
-        """X and the terms of the sorted hypotheses, merged along their
-        equations; a child adds its own hypotheses to a clone of its
-        parent's classes.  A root over merge_cap sets ctx.build_failed."""
+    def mark(self) -> int:
+        """The trail length at which ctx.cc holds X and the terms of the
+        sorted hypotheses, merged along their equations: the root builds
+        ctx.cc and drops the build's log, a child undoes ctx.cc to its
+        parent's mark and adds its own hypotheses.  Read only while the
+        search is in this node's subtree.  A root over merge_cap sets
+        ctx.build_failed."""
         ctx, parent = self.ctx, self.parent
         if parent is not None:
-            cc = parent.cc.clone()
+            mark, cc = parent.mark, ctx.cc  # the parent's mark builds ctx.cc
+            cc.undo(mark)
             new = [a for a in self.sorted_hyps if a not in parent.hyps]
         elif ctx.build_failed:
             raise BudgetExhausted()
@@ -451,14 +450,23 @@ class _Node:
         except BudgetExhausted:
             ctx.build_failed |= parent is None
             raise
-        return cc
+        if parent is None:
+            cc.trail.clear()
+            ctx.cc = cc
+        return len(cc.trail)
 
     @cached_property
     def bottom(self) -> tuple[Term, Term] | None:
         """Two distinct basics of one class, which make the branch
-        inconsistent; with no equation among the hypotheses there are none."""
-        for root in self.cc.roots() if Eq in self.by_kind else ():
-            basics = [m for m in self.cc.members[root] if isinstance(m, Basic)]
+        inconsistent; with no equation among the hypotheses there are none.
+        First read before the node's prover adds a goal's terms, or in
+        `DeriveContext.leaves`."""
+        if Eq not in self.by_kind:
+            return None
+        self.mark  # builds ctx.cc up to this node
+        members = self.ctx.cc.members  # keyed by the roots
+        for root in sorted(members, key=term_key):
+            basics = [m for m in members[root] if isinstance(m, Basic)]
             if len(basics) >= 2:
                 b = sorted(basics, key=term_key)
                 return (b[0], b[1])
@@ -522,11 +530,6 @@ class _Query:
         return inner
 
 
-def _version(cc: EqClasses) -> tuple[int, int]:
-    """Changes whenever a term joins the classes or two classes merge."""
-    return len(cc.parent), cc.stamp
-
-
 def _register_assertion_terms(cc: EqClasses, a: Assertion) -> None:
     for t in assertion_terms(a):
         if not has_bound_name(t):
@@ -547,8 +550,9 @@ class _BranchProver:
 
     @cached_property
     def cc(self) -> EqClasses:
-        """node.cc cloned, with the goals registered so far, on first read."""
-        cc = self.node.cc.clone()
+        """ctx.cc at the node's mark, with the goals registered so far, on first read."""
+        self.node.mark  # builds ctx.cc up to the node
+        cc = self.ctx.cc
         for a in self._unregistered:
             _register_assertion_terms(cc, a)
         self._unregistered = None
@@ -852,7 +856,7 @@ class _BranchProver:
         shortcut changes."""
         holes = {var} | {n for n in assertion_vars(pattern) if n.startswith("%")}
         results: list[Term] = []
-        covered = None  # (root, version) of a class walked to a fixed point
+        covered = None  # (root, trail length) of a class walked to a fixed point
         if isinstance(pattern, Eq):
             for pat, other in ((pattern.lhs, pattern.rhs), (pattern.rhs, pattern.lhs)):
                 if var not in term_vars(pat) or has_bound_name(other):
@@ -865,14 +869,14 @@ class _BranchProver:
                     stable = True
                 else:
                     for _ in targets:
-                        version = _version(cc)
+                        version = len(cc.trail)
                         results += [b[var] for b in match_term(pat, other, holes, {}, self)
                                     if var in b]
-                        stable = _version(cc) == version
+                        stable = len(cc.trail) == version
                         if stable:
                             break
                 if stable and var not in term_vars(other):
-                    covered = (cc.find(other), _version(cc))
+                    covered = (cc.find(other), len(cc.trail))
         for hyp in self.node.by_kind.get(_kind(pattern), ()):
             if covered is not None and self._inside(hyp, *covered):
                 continue
@@ -881,11 +885,11 @@ class _BranchProver:
                     results.append(b[var])
         return results
 
-    def _inside(self, eq: Eq, root: Term, version: tuple[int, int]) -> bool:
+    def _inside(self, eq: Eq, root: Term, version: int) -> bool:
         """Both sides of eq lie in root's class, and the classes are as
-        they were at version."""
+        they were at trail length version (each write grows the trail)."""
         cc = self.cc
-        return (_version(cc) == version and eq.lhs in cc and eq.rhs in cc
+        return (len(cc.trail) == version and eq.lhs in cc and eq.rhs in cc
                 and cc.find(eq.lhs) is root and cc.find(eq.rhs) is root)
 
     def _synth_from_pattern(self, pat: Term) -> list[Term]:
@@ -961,10 +965,11 @@ def _replace_at(a, path: tuple, new: Term):
 
 class DeriveContext:
     """What every query over one (X, Phi) computes alike: X's saturation,
-    the root's expansion with its witness names, and the root's closure,
-    built when a goal first needs it.  Each query splits below the root on
-    its own (`_Query`), so a query on a shared context answers as `derive`
-    does on a fresh one, proof included."""
+    the root's expansion with its witness names, and the root's closure
+    ``cc``, built when a goal first needs it.  Each query splits below the
+    root on its own (`_Query`), works on ``cc`` in place and undoes it to
+    the root's mark when it ends, however it ends.  So a query on a shared
+    context answers as `derive` does on a fresh one, proof included."""
 
     branch_count = 1  # the root; splits are a query's (perfbench/tracing.py reads it)
 
@@ -981,22 +986,30 @@ class DeriveContext:
         self.dyctx = dyctx if dyctx is not None else DYContext(self.X)
         self.wit_names: dict[Assertion, str] = {}
         self.build_failed = False  # the root's closure went over merge_cap
+        self.cc: EqClasses | None = None  # set by the root's first mark
         self.root = _Node(self, self.wit_names, set(self.Phi),
                           {a: ("ax",) for a in self.Phi}, deque(sorted_assertions(self.Phi)))
 
-    def leaves(self) -> list[_Node]:
-        """Every leaf of the fully split tree, left to right, with its
-        closure built, split in a query of its own.  Raises BudgetExhausted
-        when a split or a closure goes over budget."""
-        query, out, stack = _Query(self), [], [self.root]
-        while stack:
-            node = stack.pop()
-            if node.split is None:
-                node.cc  # built here, so that going over budget raises here
-                out.append(node)
-            else:
-                stack.extend(reversed(query.children(node)))
-        return out
+    def leaves(self) -> Iterator[_Node]:
+        """Every leaf of the fully split tree, left to right, split in a query
+        of its own.  While a leaf is out, self.cc holds its classes, and what
+        the caller adds is undone before the next leaf and when the generator
+        ends or is closed.  Raises BudgetExhausted past a budget."""
+        query, stack = _Query(self), [self.root]
+        try:
+            while stack:
+                node = stack.pop()
+                if node.split is None:
+                    node.mark  # built here, so that going over budget raises here
+                    yield node
+                else:
+                    stack.extend(reversed(query.children(node)))
+        finally:
+            self._rewind()
+
+    def _rewind(self) -> None:  # to the root's mark, 0
+        if self.cc is not None:
+            self.cc.undo(0)
 
     def query(self, goal: Assertion) -> Verdict:
         """The verdict on goal; with REPLAY_CHECK set, a positive one is
@@ -1007,6 +1020,8 @@ class DeriveContext:
             proof = query.solve(self.root, goal)
         except BudgetExhausted:
             return Verdict(False, budget_exhausted=True)
+        finally:
+            self._rewind()
         if proof is None:
             return Verdict(False, budget_exhausted=query.truncated)
         if REPLAY_CHECK:

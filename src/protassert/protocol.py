@@ -72,6 +72,16 @@ class Action:
             out |= free_vars(self.assertion)
         return frozenset(out)
 
+    @cached_property
+    def key_vars(self) -> frozenset[str]:
+        """The variables that occupy an encryption's key slot anywhere in the
+        action.  Assertions are alpha-normal, so a bound one is a %n name."""
+        terms = [self.agent] if self.term is None else [self.agent, self.term]
+        if self.assertion is not None:
+            terms += assertion_terms(self.assertion)
+        return frozenset(s.key.name for t in terms for s in iter_subterms(t)
+                         if isinstance(s, Enc) and isinstance(s.key, Var))
+
 
 @dataclass(frozen=True)
 class Role:
@@ -81,17 +91,8 @@ class Role:
 
     @cached_property
     def key_slot_vars(self) -> frozenset[str]:
-        """The variables that occupy an encryption's key slot in some action,
-        outside that action's fresh variables.  Action assertions are
-        alpha-normal, so a bound name (%n) here never names a parameter."""
-        out: set[str] = set()
-        for act in self.actions:
-            terms = [act.agent] if act.term is None else [act.agent, act.term]
-            if act.assertion is not None:
-                terms += assertion_terms(act.assertion)
-            out |= {s.key.name for t in terms for s in iter_subterms(t)
-                    if isinstance(s, Enc) and isinstance(s.key, Var)} - set(act.fresh)
-        return frozenset(out)
+        """The variables in an encryption's key slot in some action, outside its fresh ones."""
+        return frozenset().union(*(act.key_vars - set(act.fresh) for act in self.actions))
 
 
 @dataclass

@@ -41,7 +41,6 @@ from .assertions import (
     Assertion,
     SentA,
     SentT,
-    assertion_terms,
     match_assertion,
     match_term,
     normalize,
@@ -60,11 +59,9 @@ from .terms import (
     AGENT,
     App,
     Basic,
-    Enc,
     KEY,
     NONCE,
     Term,
-    Var,
     iter_subterms,
 )
 
@@ -156,12 +153,13 @@ class ContextTable:
                      assertions: frozenset[Assertion]) -> bool:
         """Whether some leaf of the fully split theory holds two distinct
         basics in one class, under the default budget; an expansion that
-        goes over it counts as consistent."""
+        goes over it counts as consistent, so every leaf is drawn before
+        any decides."""
         key = (terms, assertions)
         bad = self._inconsistent.get(key)
         if bad is None:
             try:
-                bad = any(l.bottom for l in self._context(terms, assertions).leaves())
+                bad = any([l.bottom for l in self._context(terms, assertions).leaves()])
             except BudgetExhausted:
                 bad = False
             self._inconsistent[key] = bad
@@ -258,20 +256,6 @@ def _instantiate(table: ContextTable, action: Action, sigma: dict[str, Term],
     return inst if inst.is_ground() else None
 
 
-def fresh_sort(action: Action, name: str) -> str:
-    """A fresh value used in key position anywhere in the action is a key."""
-    terms: list[Term] = []
-    if action.term is not None:
-        terms.append(action.term)
-    if action.assertion is not None:
-        terms.extend(assertion_terms(action.assertion))
-    for t in terms:
-        for s in iter_subterms(t):
-            if isinstance(s, Enc) and isinstance(s.key, Var) and s.key.name == name:
-                return KEY
-    return NONCE
-
-
 def _allocate_fresh(state: WorldState, session_index: int,
                     action: Action) -> tuple[tuple[str, Basic], ...]:
     out: list[tuple[str, Basic]] = []
@@ -282,7 +266,8 @@ def _allocate_fresh(state: WorldState, session_index: int,
         while cand in state.used_basics:
             n += 1
             cand = f"{base}_{n}"
-        out.append((name, Basic(cand, fresh_sort(action, name))))
+        # a fresh value used in key position anywhere in the action is a key
+        out.append((name, Basic(cand, KEY if name in action.key_vars else NONCE)))
     return tuple(out)
 
 

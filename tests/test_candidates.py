@@ -368,19 +368,21 @@ def test_binder_maps_match_as_renamed_terms_did():
     v0, v1, v2 = (Basic(n, NONCE) for n in ("v0", "v1", "v2"))
     agent, key, binder = Basic("V0", AGENT), Basic("k", KEY), Var("qv1")
     # v0's class has a member that mentions a variable named as a binder
-    ctx = DeriveContext((v0, key), [Eq(v0, Pair(binder, agent)), Eq(v1, Pair(v2, agent)),
-                                    Eq(v2, Enc(v0, key))])
+    X, Phi = (v0, key), [Eq(v0, Pair(binder, agent)), Eq(v1, Pair(v2, agent)),
+                         Eq(v2, Enc(v0, key))]
+    ctxs = [DeriveContext(X, Phi) for _ in range(2)]  # a closure for each prover
     matched = 0
     for pat, tgt, holes in _probes(71):
         want = reference_match_assertion(pat, tgt, holes, {}, SYNTACTIC)
         assert match_assertion(pat, tgt, holes, {}, SYNTACTIC) == want
         matched += bool(want)
-        old, new = (_BranchProver(ctx.root, _Query(ctx))
-                    for _ in range(2))
+        old, new = (_BranchProver(ctx.root, _Query(ctx)) for ctx in ctxs)
         want = reference_match_assertion(pat, tgt, holes, {}, old)
         assert match_assertion(pat, tgt, holes, {}, new) == want
         assert list(new.cc.parent) == list(old.cc.parent)
         assert new.cc.stamp == old.cc.stamp
+        for ctx in ctxs:  # as a query does when it ends
+            ctx._rewind()
     assert matched > 200
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -25,11 +26,14 @@ from protassert import (
     sk,
     vk,
 )
-from protassert import assertions, engine
+from protassert import anonymity, assertions, engine, parse_sequent, runtime
+from protassert.builtins import anonymity_foo_setup, builtin_foo
 from protassert.checker import replay_assertion_proof
 from protassert.engine import BudgetExhausted
 
 from oracles import AssertionOracle, holds_in_every_case
+from test_golden_output import SEQUENTS
+from test_weakening import LEAK
 
 A = Basic("A", "agent")
 B = Basic("B", "agent")
@@ -71,7 +75,7 @@ def test_witness_close_shares_witnesses_per_assertion():
 
 def test_case_split_multiplies_branches():
     sides = [(Eq(n, n), Eq(m, m)), (Eq(k, k), Eq(k2, k2))]
-    leaves = DeriveContext((), {Or(*s) for s in sides}).leaves()
+    leaves = list(DeriveContext((), {Or(*s) for s in sides}).leaves())
     assert len(leaves) == 4
     picked = {tuple(side for pair in sides for side in pair if side in leaf.hyps)
               for leaf in leaves}
@@ -85,7 +89,7 @@ def test_case_split_raises_past_branch_cap():
                     for i in range(6))
     ctx = DeriveContext((), phi, SearchBudget(branch_cap=8))
     with pytest.raises(BudgetExhausted):
-        ctx.leaves()
+        list(ctx.leaves())
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +294,7 @@ def test_closure_over_merge_cap_spares_hypothesis_goals():
     far = ctx.query(Eq(a, c))
     assert not far.derivable and far.budget_exhausted and ctx.build_failed
     with pytest.raises(BudgetExhausted):
-        ctx.leaves()
+        list(ctx.leaves())
     assert ctx.query(Eq(a, b)).derivable
 
 
@@ -306,47 +310,28 @@ def test_context_reuse_matches_one_shot():
     assert ctx.query(goals[0]).derivable == derive(X, phi, goals[0]).derivable
 
 
-def test_a_clone_and_its_original_change_independently():
-    """A clone shares each class's member list and parent set with its
-    original until one side changes them; either side may change first."""
-    def state(cc):
-        return ({t: sorted(map(repr, cc.members[cc.find(t)])) for t in cc.parent},
-                {t: sorted(map(repr, cc.parents_of[cc.find(t)])) for t in cc.parent})
-
-    for change_original in (True, False):
-        cc = engine.EqClasses(DeriveContext((n, m, k), []).dyctx)
-        for t in (Pair(n, k), Enc(m, k), Pair(m, k)):
-            cc.add_term(t)
-        copy = cc.clone()
-        before = state(cc)
-        changed, kept = (cc, copy) if change_original else (copy, cc)
-        changed.merge(n, m, "hyp")
-        changed.add_term(Pair(Pair(n, k), m))
-        assert changed.same(Pair(n, k), Pair(m, k))
-        assert state(kept) == before
-        assert not kept.same(n, m) and Pair(Pair(n, k), m) not in kept
-
-
 # ---------------------------------------------------------------------------
 # closures on demand
 
 
 @pytest.fixture
 def closures(monkeypatch):
-    """Counts of congruence closures built from scratch and cloned."""
-    counts = {"built": 0, "cloned": 0}
-    real_init, real_clone = engine.EqClasses.__init__, engine.EqClasses.clone
+    """Counts of congruence closures built; every query must leave the
+    root's closure with an empty trail."""
+    counts = {"built": 0}
+    real_init, real_query = engine.EqClasses.__init__, engine.DeriveContext.query
 
     def init(self, *args, **kwargs):
         counts["built"] += 1
         real_init(self, *args, **kwargs)
 
-    def clone(self):
-        counts["cloned"] += 1
-        return real_clone(self)
+    def query(self, goal):
+        verdict = real_query(self, goal)
+        assert self.cc is None or self.cc.trail == []
+        return verdict
 
     monkeypatch.setattr(engine.EqClasses, "__init__", init)
-    monkeypatch.setattr(engine.EqClasses, "clone", clone)
+    monkeypatch.setattr(engine.DeriveContext, "query", query)
     return counts
 
 
@@ -358,15 +343,15 @@ def test_hypothesis_goals_build_no_closure(closures):
     with_eq = DeriveContext((n, m), [Eq(n, m), Says(A, Eq(m, v))], safe=True)
     for goal in (Eq(n, m), Eq(m, v)):
         assert with_eq.query(goal).derivable
-    assert closures == {"built": 0, "cloned": 0}
+    assert closures == {"built": 0}
 
 
 def test_an_equality_goal_builds_one_root_closure(closures):
     ctx = DeriveContext((n,), [Eq(n, m), Eq(m, v)], safe=True)
     assert ctx.query(Eq(n, v)).derivable
-    assert closures == {"built": 1, "cloned": 1}
+    assert closures == {"built": 1}
     assert ctx.query(Eq(v, n)).derivable and ctx.query(Eq(n, m)).derivable
-    assert closures == {"built": 1, "cloned": 2}
+    assert closures == {"built": 1}
 
 
 @pytest.mark.parametrize("safe", [True, False])
@@ -423,7 +408,7 @@ def test_split_context_answers_queries_in_any_order():
         again = {g: ctx.query(g).derivable for g in order}
         assert [first[g] for g in goals] == want
         assert [again[g] for g in goals] == want
-        assert len(ctx.leaves()) == 4
+        assert len(list(ctx.leaves())) == 4
 
 
 def test_truncation_on_a_proved_branch_leaves_a_definite_negative():
@@ -565,3 +550,185 @@ def test_witness_candidate_in_a_key_slot_must_be_a_key():
                         "goal: ex x: x = c /\\ {c}x = {c}x\n")
     v = derive(seq.terms, seq.assertions, seq.goal)
     assert not v.derivable and not v.budget_exhausted
+
+
+# ---------------------------------------------------------------------------
+# the undo trail: a query works on its context's closure in place
+
+
+def _snapshot(cc) -> dict:
+    """Every field of cc, with its lists, sets and deque copied, so that a
+    change made in place shows too."""
+    def copied(v):
+        if isinstance(v, dict):
+            return {key: copied(x) for key, x in v.items()}
+        if isinstance(v, (list, deque)):
+            return list(v)
+        return frozenset(v) if isinstance(v, set) else v
+    return {name: copied(value) for name, value in vars(cc).items()}
+
+
+def _root_state(ctx):
+    """A snapshot of ctx's root closure, built first if it is not yet, or
+    None when building it goes over budget."""
+    try:
+        ctx.root.mark
+    except BudgetExhausted:
+        return None
+    return _snapshot(ctx.cc)
+
+
+@pytest.fixture
+def untouched(monkeypatch):
+    """Every query and every safety check must leave its context's root
+    closure field for field as it found it, whether it answers or raises.
+    Collects the verdicts and safety results seen."""
+    seen = {"verdicts": [], "safety": []}
+    real_query, real_safety = engine.DeriveContext.query, anonymity.check_safety
+
+    def query(self, goal):
+        before = _root_state(self)
+        verdict = real_query(self, goal)
+        assert self.cc is None or self.cc.trail == []
+        assert _root_state(self) == before, goal
+        seen["verdicts"].append(verdict)
+        return verdict
+
+    def check_safety(ctx, spec):
+        before = _root_state(ctx)
+        result = real_safety(ctx, spec)
+        assert _root_state(ctx) == before
+        seen["safety"].append(result)
+        return result
+
+    monkeypatch.setattr(engine.DeriveContext, "query", query)
+    monkeypatch.setattr(anonymity, "check_safety", check_safety)
+    return seen
+
+
+def test_undo_takes_merges_and_new_terms_back():
+    """Undoing to a mark restores every field, and the same merges made
+    again give the same classes as the first time."""
+    cc = engine.EqClasses(DeriveContext((n, m, k), []).dyctx)
+    for t in (Pair(n, k), Enc(m, k), Pair(m, k)):
+        cc.add_term(t)
+    mark, before = len(cc.trail), _snapshot(cc)
+    merged = None
+    for _ in range(2):
+        cc.merge(n, m, "hyp")
+        cc.add_term(Pair(Pair(n, k), m))
+        assert cc.same(Pair(n, k), Pair(m, k))
+        assert merged in (None, _snapshot(cc))
+        merged = _snapshot(cc)
+        cc.undo(mark)
+        assert _snapshot(cc) == before
+        assert not cc.same(n, m) and Pair(Pair(n, k), m) not in cc
+
+
+def test_golden_sequents_leave_the_root_closure_as_they_found_it(untouched):
+    for text in (*SEQUENTS.values(), LEAK):
+        seq = parse_sequent(text)
+        goals = [seq.goal, *sorted(seq.assertions, key=repr)[:2],
+                 Eq(Pair(n, m), Pair(m, n))]
+        for safe in (False, True):
+            ctx = DeriveContext(seq.terms, seq.assertions, safe=safe)
+            for goal in goals + goals:
+                ctx.query(goal)
+    got = {(v.derivable, v.budget_exhausted) for v in untouched["verdicts"]}
+    assert {(True, False), (False, False)} <= got
+
+
+def test_the_anonymity_battery_leaves_each_root_closure_as_it_found_it(untouched):
+    proto = builtin_foo()
+    report = anonymity.check_anonymity(proto, anonymity_foo_setup(proto, 2), seed=0)
+    assert report.tests_total > 100
+    assert {v.derivable for v in untouched["verdicts"]} == {True, False}
+    assert untouched["safety"] == [(True, [])] * 2
+
+
+def test_queries_that_raise_leave_the_root_closure_as_they_found_it(untouched):
+    X, phi = leak_context()
+    goal = Exists("y", Eq(Enc(v, k), Enc(zero, x("y"))))
+    budgets = ([SearchBudget(merge_cap=cap) for cap in range(8)]
+               + [SearchBudget(node_cap=cap) for cap in (1, 2, 4, 8, 16, 32)]
+               + [SearchBudget(branch_cap=cap) for cap in (1, 2)])
+    for budget in budgets:
+        ctx = DeriveContext(X, phi, budget)
+        for g in (goal, goal, Eq(v, zero)):
+            ctx.query(g)
+    # the left case's equation needs four unions, and the cap stops the
+    # fourth with one more still pending
+    a, b, c, d, e, f = (Basic(s, "nonce") for s in "abcdef")
+    split = Or(Eq(Pair(Pair(a, b), c), Pair(Pair(d, e), f)), Pred("q", (n,)))
+    DeriveContext((a, b, c, d, e, f), [split], SearchBudget(merge_cap=3)).query(Pred("p", (n,)))
+    assert untouched["verdicts"][-1].budget_exhausted
+    assert sum(v.budget_exhausted for v in untouched["verdicts"]) > 20
+
+
+def test_leaves_hold_each_leaf_and_give_the_root_back_when_closed():
+    X, phi = leak_context()
+    ctx = DeriveContext(X, phi)
+    before = _root_state(ctx)
+    for stop in (1, 2, None):
+        leaves = ctx.leaves()
+        for i, leaf in enumerate(leaves, 1):
+            assert len(ctx.cc.trail) == leaf.mark > 0
+            ctx.cc.add_term(Pair(zero, Pair(v, one)))  # undone before the next leaf
+            if i == stop:
+                leaves.close()
+        assert _snapshot(ctx.cc) == before
+
+
+def test_check_safety_reports_only_the_budget_when_a_later_leaf_goes_over_it():
+    # every leaf shows the commitment equal to a concrete term, the left
+    # two a commitment key equal to another; under branch_cap 3 the third
+    # split goes over it, after two leaves
+    d, e = Enc(v, k), Enc(zero, k2)
+    phi = [Eq(d, Pair(n, m)), Or(Eq(k2, Enc(n, k)), Pred("q", (n,))),
+           Or(Pred("r", (n,)), Pred("s", (n,)))]
+    spec = anonymity.SwapSpec((1, 2), (A, B), (d, e), (k, k2), (1, 2))
+    commit = "(n, m) is provably equal to the commitment {v}k"
+    key = "commitment key k2 is provably equal to something else"
+    assert anonymity.check_safety(DeriveContext((), phi), spec) == (
+        False, [commit, key, commit, key, commit, commit])
+    tight = DeriveContext((), phi, SearchBudget(branch_cap=3))
+    assert anonymity.check_safety(tight, spec) == (
+        False, ["knowledge closure exceeded the budget"])
+    assert tight.cc.trail == []
+
+
+def test_inconsistency_draws_every_leaf_before_it_decides(monkeypatch):
+    # every leaf holds a = b; under branch_cap 3 the third split goes over
+    # it, after two leaves, and that counts as consistent
+    a, b = Basic("a", "nonce"), Basic("b", "nonce")
+    phi = frozenset([Eq(a, b), Or(Pred("p", (n,)), Pred("q", (n,))),
+                     Or(Pred("r", (n,)), Pred("s", (n,)))])
+    for cap, bad in ((3, False), (4, True)):
+        monkeypatch.setattr(runtime.ContextTable, "_context",
+                            lambda self, t, ph: DeriveContext(t, ph, SearchBudget(branch_cap=cap)))
+        assert runtime.ContextTable().inconsistent(frozenset(), phi) is bad
+
+
+def test_a_node_mark_is_read_only_inside_its_subtree(monkeypatch):
+    """Each read of a node's mark finds the trail it made its classes with,
+    entry for entry, below the mark."""
+    made = {}
+    real = engine._Node.mark.func
+
+    def mark(node):
+        if node not in made:
+            value = real(node)
+            made[node] = (value, node.ctx.cc.trail[:value])
+        value, below = made[node]
+        trail = node.ctx.cc.trail
+        assert len(trail) >= value and all(p is q for p, q in zip(trail, below))
+        return value
+
+    monkeypatch.setattr(engine._Node, "mark", property(mark))
+    for text in (*SEQUENTS.values(), LEAK):
+        seq = parse_sequent(text)
+        ctx = DeriveContext(seq.terms, seq.assertions)
+        for goal in (seq.goal, Eq(Pair(n, m), Pair(m, n)), seq.goal):
+            ctx.query(goal)
+        [leaf.bottom for leaf in ctx.leaves()]
+    assert sum(node.parent is not None for node in made) > 20

@@ -11,7 +11,8 @@ test, and the README leak.  Each context is asked its goals, and two of
 its family's, in safe mode and in full mode, under branch_cap 3, 5 and the
 default where the root has a disjunction to split; twice, with a refuted
 goal first, then the rest in order or shuffled.  Every verdict, proof
-included, must equal the one a fresh context gives.
+included, must equal the one a fresh context gives; so must a query asked
+after `check_safety` has added the commitments to every leaf's classes.
 
 CI also runs this file under three hash seeds."""
 from __future__ import annotations
@@ -22,6 +23,8 @@ from protassert import (
     DEFAULT_BUDGET,
     Basic,
     DeriveContext,
+    Enc,
+    Eq,
     Exists,
     Or,
     Pred,
@@ -30,6 +33,7 @@ from protassert import (
     engine,
     parse_sequent,
 )
+from protassert.anonymity import SwapSpec, check_safety
 from test_candidates import _Flat, _leak_sequent
 from test_weakening import LEAK, _cases, _unrelated
 
@@ -124,3 +128,22 @@ def _exists_e(proof):
         yield proof
     for p in proof.premises:
         yield from _exists_e(p)
+
+
+def test_a_query_after_check_safety_answers_as_a_fresh_context():
+    # check_safety adds the commitments to each leaf's classes; c0 would
+    # then be the least term, the witness of a body that does not use its
+    # variable, and the equation goal would find {n}k2 in the classes
+    n, k, k2 = Basic("n", "nonce"), Basic("k", "key"), Basic("k2", "key")
+    a, b = Basic("A", "agent"), Basic("B", "agent")
+    c0, commit = Basic("c0", "agent"), Enc(n, k2)
+    p, q, r = (Pred(name, (n,)) for name in "pqr")
+    phi = [p, Or(q, r), Eq(n, Enc(n, k))]
+    spec = SwapSpec((1, 2), (a, b), (c0, commit), (k2, k), (1, 2))
+    goals = [Exists("y", p), Or(r, q), Exists("y", Eq(Var("y"), commit)),
+             Exists("y", Eq(n, Enc(Var("y"), k)))]
+    for safe in (True, False):
+        ctx = DeriveContext((n, k), phi, safe=safe)
+        assert check_safety(ctx, spec)[0] is False
+        for g in goals:
+            assert ctx.query(g) == DeriveContext((n, k), phi, safe=safe).query(g), g
