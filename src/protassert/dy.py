@@ -153,6 +153,7 @@ class DYContext:
         self.X = frozenset(X)
         self.saturated, self._prov = dy_saturate(self.X)
         self._memo: dict = {}
+        self.classes = None  # the engine's closure of X's terms (engine._x_classes)
 
     def derivable(self, t: Term) -> bool:
         return _synth_ok(self.saturated, t)

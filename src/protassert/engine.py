@@ -20,7 +20,11 @@ Search strategy is fixed:
      hypotheses at its parent's mark, and a query undoes to the root's when
      it ends (a backtrackable theory solver, as in DPLL(T)).  A branch adds
      to it, and builds its hypothesis index, when a goal first needs them,
-     which a hypothesis goal never does (theory work on demand, likewise);
+     which a hypothesis goal never does (theory work on demand, likewise).
+     A branch with no equation hypothesis has one term per class: it
+     answers equalities by identity and adds to the closure only when a
+     goal reads the term universe.  The root's closure starts from a copy
+     of X's classes, registered once per DYContext, and is built unlogged;
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
      hypotheses and classes (`assertions.match_assertion` with the branch
@@ -149,6 +153,7 @@ class EqClasses:
     def __init__(self, dyctx: DYContext, merge_cap: int = 10**6):
         self.dyctx = dyctx
         self.merge_cap = merge_cap
+        self.logging = True  # whether writes go on the trail; not while a root is built
         self.parent: dict[Term, Term] = {}
         self.members: dict[Term, list[Term]] = {}
         self.pair: dict[Term, Pair] = {}  # a Pair member, for roots with one
@@ -163,12 +168,13 @@ class EqClasses:
     # -- the trail
 
     def _set(self, d: dict, key, value) -> None:
-        self.trail.append((d, key, d.get(key, _ABSENT)))
+        if self.logging:
+            self.trail.append((d, key, d.get(key, _ABSENT)))
         d[key] = value
 
     def _pop(self, d: dict, key):  # d.pop(key, None), logged; no value is None
         old = d.pop(key, None)
-        if old is not None:
+        if old is not None and self.logging:
             self.trail.append((d, key, old))
         return old
 
@@ -183,6 +189,15 @@ class EqClasses:
             else:
                 d[key] = old
         self._pending.clear()
+
+    def copy(self, merge_cap: int) -> EqClasses:
+        """The same classes in dicts of their own, with an empty trail and
+        no logging; made without __init__.  The lists and sets the dicts
+        share are never changed in place, so no write reaches the other."""
+        new = EqClasses.__new__(EqClasses)
+        new.__dict__ = {k: dict(v) if isinstance(v, dict) else v for k, v in vars(self).items()}
+        new.merge_cap, new.logging, new.trail, new._pending = merge_cap, False, [], deque()
+        return new
 
     # -- basic structure
 
@@ -356,6 +371,19 @@ class EqClasses:
         return sorted(self.members[self.find(t)], key=term_key)
 
 
+def _x_classes(dyctx: DYContext) -> EqClasses:
+    """X's terms registered, in sorted order and unlogged, once per
+    DYContext; each root closure over X starts from a copy.  They take no
+    union (a congruence needs two terms with one signature), and a guard
+    reads only dyctx, so every context over X would build the same."""
+    if dyctx.classes is None:
+        cc = dyctx.classes = EqClasses(dyctx)
+        cc.logging = False
+        for t in sorted_terms(dyctx.X):
+            cc.add_term(t)
+    return dyctx.classes
+
+
 # ---------------------------------------------------------------------------
 # hypothesis expansion
 
@@ -426,10 +454,10 @@ class _Node:
     def mark(self) -> int:
         """The trail length at which ctx.cc holds X and the terms of the
         sorted hypotheses, merged along their equations: the root builds
-        ctx.cc and drops the build's log, a child undoes ctx.cc to its
-        parent's mark and adds its own hypotheses.  Read only while the
-        search is in this node's subtree.  A root over merge_cap sets
-        ctx.build_failed."""
+        ctx.cc from a copy of X's classes without logging, so its mark is
+        0; a child undoes ctx.cc to its parent's mark and adds its own
+        hypotheses.  Read only while the search is in this node's subtree.
+        A root over merge_cap sets ctx.build_failed."""
         ctx, parent = self.ctx, self.parent
         if parent is not None:
             mark, cc = parent.mark, ctx.cc  # the parent's mark builds ctx.cc
@@ -438,12 +466,10 @@ class _Node:
         elif ctx.build_failed:
             raise BudgetExhausted()
         else:
-            cc, new = EqClasses(ctx.dyctx, ctx.budget.merge_cap), self.sorted_hyps
-            for t in sorted_terms(ctx.X):
-                cc.add_term(t)
+            cc, new = _x_classes(ctx.dyctx).copy(ctx.budget.merge_cap), self.sorted_hyps
         try:
             for a in new:
-                _register_assertion_terms(cc, a)
+                _add_terms(cc, assertion_terms(a))
             for a in new:
                 if isinstance(a, Eq) and not has_bound_name(a.lhs) and not has_bound_name(a.rhs):
                     cc.merge(a.lhs, a.rhs, "hyp", (a,))
@@ -451,7 +477,7 @@ class _Node:
             ctx.build_failed |= parent is None
             raise
         if parent is None:
-            cc.trail.clear()
+            cc.logging = True
             ctx.cc = cc
         return len(cc.trail)
 
@@ -530,8 +556,8 @@ class _Query:
         return inner
 
 
-def _register_assertion_terms(cc: EqClasses, a: Assertion) -> None:
-    for t in assertion_terms(a):
+def _add_terms(cc: EqClasses, terms) -> None:
+    for t in terms:
         if not has_bound_name(t):
             cc.add_term(t)
 
@@ -546,17 +572,30 @@ class _BranchProver:
         self.query = query
         self.memo: dict[Assertion, ProofNode | None] = {}
         self._access: dict[Assertion, ProofNode] = {}
-        self._unregistered: list[Assertion] | None = []
+        self._unregistered: list[Term] | None = []
+
+    @cached_property
+    def singletons(self) -> bool:
+        """The node has no equation hypothesis, so every class of its
+        closure is one term: equalities are answered by identity, and the
+        closure is built only for a read of the term universe."""
+        return Eq not in self.node.by_kind
 
     @cached_property
     def cc(self) -> EqClasses:
-        """ctx.cc at the node's mark, with the goals registered so far, on first read."""
+        """ctx.cc at the node's mark, with the terms registered so far, on first read."""
         self.node.mark  # builds ctx.cc up to the node
-        cc = self.ctx.cc
-        for a in self._unregistered:
-            _register_assertion_terms(cc, a)
+        _add_terms(self.ctx.cc, self._unregistered)
         self._unregistered = None
-        return cc
+        return self.ctx.cc
+
+    def _register(self, terms: tuple[Term, ...]) -> None:
+        """Add terms free of bound names to the classes, in order, or defer
+        them until the classes are built."""
+        if self._unregistered is None:
+            _add_terms(self.cc, terms)
+        else:
+            self._unregistered += terms
 
     # -- access derivations for hypotheses
 
@@ -602,7 +641,7 @@ class _BranchProver:
         struct = self._refl_structural(t)
         if struct is not None:
             return struct
-        if t in self.cc:
+        if not self.singletons and t in self.cc:
             for other in self.cc.class_members(t):
                 if other != t:
                     fwd = self.eq_proof(t, other, before)
@@ -650,16 +689,15 @@ class _BranchProver:
             return True
         if has_bound_name(a) or has_bound_name(b):
             return False
-        self.cc.add_term(a)
-        self.cc.add_term(b)
-        return self.cc.same(a, b)
+        self._register((a, b))
+        return not self.singletons and self.cc.same(a, b)
 
     def members(self, t: Term) -> list[Term]:
         """The terms of t's class, or t alone when the classes hold no such
         term; with `same`, the equality `match_term` works modulo."""
-        if t in self.cc and not has_bound_name(t):
-            return self.cc.class_members(t)
-        return [t]
+        if self.singletons or has_bound_name(t) or t not in self.cc:
+            return [t]
+        return self.cc.class_members(t)
 
     # No binder set: hypotheses and goals are alpha-normal, so a binder in
     # scope only shows up as a %n name, which `same` refuses to rewrite.
@@ -726,10 +764,7 @@ class _BranchProver:
             prem = self.eq_proof(m, n)
             if prem is not None:
                 return ProofNode("bot", goal, (prem,))
-        if self._unregistered is None:  # the goal's terms join the classes
-            _register_assertion_terms(self.cc, goal)
-        else:
-            self._unregistered.append(goal)
+        self._register(assertion_terms(goal))  # the goal's terms join the classes
 
         if isinstance(goal, And):
             l = self.prove(goal.left)
@@ -783,9 +818,8 @@ class _BranchProver:
         s, t = goal.lhs, goal.rhs
         if has_bound_name(s) or has_bound_name(t):
             return None
-        self.cc.add_term(s)
-        self.cc.add_term(t)
-        if not self.cc.same(s, t):
+        self._register((s, t))
+        if s != t and (self.singletons or not self.cc.same(s, t)):
             return None
         return self.eq_proof(s, t)
 
@@ -861,6 +895,11 @@ class _BranchProver:
             for pat, other in ((pattern.lhs, pattern.rhs), (pattern.rhs, pattern.lhs)):
                 if var not in term_vars(pat) or has_bound_name(other):
                     continue
+                if self.singletons:  # other's class is other; no equation hypothesis to skip
+                    self._register((other,))
+                    results += ([other] if isinstance(pat, Var)
+                                else self._bindings(pat, other, holes, var))
+                    continue
                 cc = self.cc
                 cc.add_term(other)
                 targets = cc.class_members(other)
@@ -870,8 +909,7 @@ class _BranchProver:
                 else:
                     for _ in targets:
                         version = len(cc.trail)
-                        results += [b[var] for b in match_term(pat, other, holes, {}, self)
-                                    if var in b]
+                        results += self._bindings(pat, other, holes, var)
                         stable = len(cc.trail) == version
                         if stable:
                             break
@@ -885,6 +923,9 @@ class _BranchProver:
                     results.append(b[var])
         return results
 
+    def _bindings(self, pat: Term, other: Term, holes: set[str], var: str) -> list[Term]:
+        return [b[var] for b in match_term(pat, other, holes, {}, self) if var in b]
+
     def _inside(self, eq: Eq, root: Term, version: int) -> bool:
         """Both sides of eq lie in root's class, and the classes are as
         they were at trail length version (each write grows the trail)."""
@@ -894,12 +935,12 @@ class _BranchProver:
 
     def _synth_from_pattern(self, pat: Term) -> list[Term]:
         """Instances of pat with its bound names filled from the branch's
-        universe.  The lists are cut (candidate_cap, witness_depth, 8 per
-        child, 64 per argument tuple); every cut sets query.truncated,
-        so a negative answer that rests on it is inconclusive, not a
-        definite no."""
+        universe, sorted when the search first reaches a bound variable.
+        The lists are cut (candidate_cap, witness_depth, 8 per child, 64
+        per argument tuple); every cut sets query.truncated, so a negative
+        answer that rests on it is inconclusive, not a definite no."""
         budget = self.query.budget
-        univ = [t for t in sorted(self.cc.parent, key=term_key) if not has_bound_name(t)]
+        univ = None
 
         def cut(xs: list, n: int) -> list:
             if len(xs) > n:
@@ -910,6 +951,10 @@ class _BranchProver:
             if not has_bound_name(p):
                 return [p]
             if isinstance(p, Var):
+                nonlocal univ
+                if univ is None:
+                    univ = [t for t in sorted(self.cc.parent, key=term_key)
+                            if not has_bound_name(t)]
                 return cut(univ, budget.candidate_cap)
             if d <= 0:
                 self.query.truncated = True

@@ -224,7 +224,7 @@ def term_vars(t: Term) -> frozenset[str]:
 
 
 def is_ground(t: Term) -> bool:
-    return not any(isinstance(s, Var) for s in iter_subterms(t))
+    return not term_vars(t)
 
 
 def has_bound_name(t: Term) -> bool:
