@@ -122,31 +122,24 @@ def derive_swap(run: Run, voter_role: str | None = None,
             f"need at least two {voter_role!r} sessions, "
             f"found {len(voter_sessions)}")
     if swap_sessions is not None:
-        if any(s not in voter_sessions for s in swap_sessions):
+        if len(set(swap_sessions)) != 2 or any(s not in voter_sessions for s in swap_sessions):
             raise ValueError("swap_sessions must name two voter sessions")
         sess_nums = list(swap_sessions)
     else:
         sess_nums = voter_sessions[:2]
 
-    # global step index of each session's n-th action
-    at: dict[tuple[int, int], int] = {}
-    counts: dict[int, int] = {}
-    for n, step in enumerate(run.steps, 1):
-        c = counts.get(step.session, 0)
-        at[(step.session, c)] = n
-        counts[step.session] = c + 1
-
     commits: list[Term] = []
     casts: list[int] = []
     agents: list[Basic] = []
     for s in sess_nums:
-        if (s, commit_idx) not in at or (s, cast_idx) not in at:
+        mine = [n for n, step in enumerate(run.steps, 1) if step.session == s]
+        if len(mine) <= cast_idx:  # the cast comes after the commit
             raise ValueError(f"session {s} did not finish its role")
-        commits.append(run.steps[at[(s, commit_idx)] - 1].action.term)
-        casts.append(at[(s, cast_idx)])
-        ag = run.steps[at[(s, commit_idx)] - 1].action.agent
-        assert isinstance(ag, Basic)
-        agents.append(ag)
+        commit = run.steps[mine[commit_idx] - 1].action
+        assert isinstance(commit.agent, Basic)
+        commits.append(commit.term)
+        casts.append(mine[cast_idx])
+        agents.append(commit.agent)
 
     d, e = commits
     keys: tuple[Term, Term] | None = None
@@ -169,16 +162,14 @@ def build_swapped(run: Run, spec: SwapSpec) -> Run:
     ai, aj = spec.agents
     ki, kj = spec.cast_steps
 
-    sessions = [(r, dict(s)) for r, s in run.setup.sessions]
-    si, sj = sessions[i - 1][1], sessions[j - 1][1]
-    for key in set(si) | set(sj):
-        if key == "id":
-            continue
-        si[key], sj[key] = sj.get(key), si.get(key)
-        if si[key] is None:
-            del si[key]
-        if sj[key] is None:
-            del sj[key]
+    partner = {i: j, j: i}
+    sessions = []
+    for n, (role, sigma) in enumerate(run.setup.sessions, 1):
+        theirs = run.setup.sessions[partner.get(n, n) - 1][1]
+        params = {k: v for k, v in theirs.items() if k != "id"}
+        if "id" in sigma:
+            params["id"] = sigma["id"]
+        sessions.append((role, params))
     setup = Setup(
         sessions=sessions,
         agent_terms={k: set(v) for k, v in run.setup.agent_terms.items()},
@@ -452,13 +443,12 @@ def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
                     tests: int = 500, depth: int = 3,
                     budget: SearchBudget = DEFAULT_BUDGET,
                     voter_role: str | None = None,
-                    swap_sessions: tuple[int, int] | None = None,
-                    max_states: int = 20_000) -> AnonymityReport:
+                    swap_sessions: tuple[int, int] | None = None) -> AnonymityReport:
     """Simulate one run, build its vote-swapped twin, and look for an
-    observer test telling them apart."""
+    observer test telling them apart.  The observer's contexts are the
+    ones each run's `ContextTable` holds over its final knowledge."""
     report = AnonymityReport(proto.name, seed, "failed")
-    run, state_l = simulate(proto, setup, seed=seed, budget=budget,
-                            max_states=max_states)
+    run, state_l = simulate(proto, setup, seed=seed, budget=budget)
     if not run.complete:
         report.notes.append("no completing run found")
         return report
@@ -470,7 +460,6 @@ def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
     swapped = build_swapped(run, spec)
     ok, problems, state_r = validate_run(swapped, budget)
     if not ok:
-        report.verdict = "failed"
         report.notes.append("the vote-swapped run is not a valid run")
         report.notes.extend(problems[:5])
         return report
@@ -484,8 +473,8 @@ def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
         mismatches.append("observer assertion knowledge differs beyond the swap")
     report.notes.extend(mismatches)
 
-    ctx_l = DeriveContext(left.terms, left.assertions, budget)
-    ctx_r = DeriveContext(right.terms, right.assertions, budget)
+    ctx_l = state_l.contexts.context(left.terms, left.assertions, budget)
+    ctx_r = state_r.contexts.context(right.terms, right.assertions, budget)
     safety_l, reasons_l = check_safety(ctx_l, spec)
     safety_r, reasons_r = check_safety(ctx_r, spec)
     report.safety_ok = safety_l and safety_r

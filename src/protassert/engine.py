@@ -21,10 +21,11 @@ Search strategy is fixed:
      it ends (a backtrackable theory solver, as in DPLL(T)).  A branch adds
      to it, and builds its hypothesis index, when a goal first needs them,
      which a hypothesis goal never does (theory work on demand, likewise).
-     A branch with no equation hypothesis has one term per class: it
-     answers equalities by identity and adds to the closure only when a
-     goal reads the term universe.  The root's closure starts from a copy
-     of X's classes, registered once per DYContext, and is built unlogged;
+     A branch with no equation hypothesis has one term per class: its
+     equality (`same`, `members`) answers by identity, and it adds to the
+     closure only when a goal reads the term universe.  The root's closure
+     starts from a copy of X's classes, registered once per DYContext, and
+     is built unlogged;
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
      hypotheses and classes (`assertions.match_assertion` with the branch
@@ -395,6 +396,17 @@ def _kind(a: Assertion):
     return (a.name, len(a.args)) if isinstance(a, Pred) else type(a)
 
 
+def _head(a: Assertion):
+    """What two assertions must share, besides the shape of their parts, to
+    match: their `_kind`, and an existential's binder or the agent of a says
+    or sent fact."""
+    if isinstance(a, Exists):
+        return Exists, a.var
+    if isinstance(a, (Says, SentA, SentT)):
+        return type(a), a.agent
+    return _kind(a)
+
+
 class _Node:
     """One node of the case-split tree: the hypotheses reached from its
     parent's choice of disjunct by non-branching expansion (conjunctions
@@ -577,8 +589,8 @@ class _BranchProver:
     @cached_property
     def singletons(self) -> bool:
         """The node has no equation hypothesis, so every class of its
-        closure is one term: equalities are answered by identity, and the
-        closure is built only for a read of the term universe."""
+        closure is one term: `same` and `members` answer by identity, and
+        the closure is built only for a read of the term universe."""
         return Eq not in self.node.by_kind
 
     @cached_property
@@ -641,14 +653,13 @@ class _BranchProver:
         struct = self._refl_structural(t)
         if struct is not None:
             return struct
-        if not self.singletons and t in self.cc:
-            for other in self.cc.class_members(t):
-                if other != t:
-                    fwd = self.eq_proof(t, other, before)
-                    if fwd is None:
-                        continue
-                    back = ProofNode("sym", Eq(other, t), (fwd,))
-                    return ProofNode("trans", Eq(t, t), (fwd, back))
+        for other in self.members(t):
+            if other != t:
+                fwd = self.eq_proof(t, other, before)
+                if fwd is None:
+                    continue
+                back = ProofNode("sym", Eq(other, t), (fwd,))
+                return ProofNode("trans", Eq(t, t), (fwd, back))
         return None
 
     def _refl_structural(self, t: Term) -> ProofNode | None:
@@ -685,6 +696,7 @@ class _BranchProver:
     # -- matching modulo classes
 
     def same(self, a: Term, b: Term) -> bool:
+        """Whether a and b share a class: with `members`, the branch's one equality."""
         if a == b:
             return True
         if has_bound_name(a) or has_bound_name(b):
@@ -694,7 +706,7 @@ class _BranchProver:
 
     def members(self, t: Term) -> list[Term]:
         """The terms of t's class, or t alone when the classes hold no such
-        term; with `same`, the equality `match_term` works modulo."""
+        term."""
         if self.singletons or has_bound_name(t) or t not in self.cc:
             return [t]
         return self.cc.class_members(t)
@@ -716,7 +728,7 @@ class _BranchProver:
 
     def match_assertions(self, h: Assertion, g: Assertion, path: tuple = ()):
         """Rewrite pairs turning h into g, or None; their heads must agree."""
-        if type(h) is not type(g) or _head(h) != _head(g):
+        if _head(h) != _head(g):
             return None
         (ht, hs), (gt, gs) = parts(h), parts(g)
         return self._zip_rewrites(ht + hs, gt + gs, path, len(ht))
@@ -815,13 +827,7 @@ class _BranchProver:
         return None
 
     def _prove_eq(self, goal: Eq) -> ProofNode | None:
-        s, t = goal.lhs, goal.rhs
-        if has_bound_name(s) or has_bound_name(t):
-            return None
-        self._register((s, t))
-        if s != t and (self.singletons or not self.cc.same(s, t)):
-            return None
-        return self.eq_proof(s, t)
+        return self.eq_proof(goal.lhs, goal.rhs) if self.same(goal.lhs, goal.rhs) else None
 
     def _prove_exists(self, goal: Exists) -> ProofNode | None:
         p = self._prove_by_matching(goal)
@@ -976,18 +982,6 @@ class _BranchProver:
 
 # ---------------------------------------------------------------------------
 # rewrite positions (for substitution chains)
-
-def _head(a: Assertion):
-    """What two assertions of one class must share, besides the shape of
-    their parts, to match: agent, binder, or predicate name and arity."""
-    if isinstance(a, Pred):
-        return a.name, len(a.args)
-    if isinstance(a, Exists):
-        return a.var
-    if isinstance(a, (Says, SentA, SentT)):
-        return a.agent
-    return None
-
 
 def _replace_at(a, path: tuple, new: Term):
     """a with the term at path replaced by new.  A path indexes an

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .assertions import Assertion, assertion_terms, free_vars, substitute
+from .assertions import Assertion, assertion_terms, free_vars, reveals, substitute
 from .dy import _synth_ok, dy_saturate
 from .terms import (
     AGENT,
@@ -152,8 +152,6 @@ def validate_role(role: Role, proto: Protocol) -> list[Diagnostic]:
             payloads.append(act.term)
 
         if act.kind in ("send", "send*") and act.assertion is not None:
-            from .assertions import reveals
-
             seed = set(payloads)
             seed.update(Var(v) for v in grounded)
             seed.update(Basic(n, AGENT) for n in d.agents)
@@ -164,8 +162,6 @@ def validate_role(role: Role, proto: Protocol) -> list[Diagnostic]:
                 if has_bound_name(t):
                     continue
                 if isinstance(t, Var):
-                    continue
-                if isinstance(t, Basic) and t.sort in (AGENT, NONCE) and t.name in (d.agents | d.nonces):
                     continue
                 if not _synth_ok(analyzed, t, vars_axiomatic=False):
                     diags.append(Diagnostic("reveal-violation", role.name, i,

@@ -16,16 +16,17 @@ step.
 
 Knowledge is immutable: applying a step swaps in an extended `Knowledge` for
 the agents it changes, and a copied state shares the rest.  The contexts
-that answer `check_step` and the insert check live in one `ContextTable`
-per run, made by `initial_state` and shared by every state copied from it,
-keyed by the exact knowledge sets.  A set is saturated into a `DYContext`
-once, and one derive context per knowledge set, budget and mode reuses it.
-A query on a context answers as a single `derive` (or `derive_safe`) would,
-since its case splits and witness names are its own, so one context
-answers every goal and the insert check alike.  The same table memoizes
-the run's pure per-state work: each role action instantiated under a
-session's bindings, and each match of a receive pattern against a message
-on the network, since every state re-enumerates every session's candidates.
+that answer `check_step`, the insert check and an anonymity check's
+observer live in one `ContextTable` per run, made by `initial_state` and
+shared by every state copied from it, keyed by the exact knowledge sets.  A
+set is saturated into a `DYContext` once, and one derive context per
+knowledge set, budget and mode reuses it.  A query on a context answers as
+a single `derive` (or `derive_safe`) would, since its case splits and
+witness names are its own, so one context answers every goal and the
+insert check alike.  The same table memoizes the run's pure per-state
+work: each role action instantiated under a session's bindings, and each
+match of a receive pattern against a message on the network, since every
+state re-enumerates every session's candidates.
 
 Actions are scheduled lowest-phase-first among enabled candidates, with a
 seeded random choice among ties, so runs are reproducible from their seed.
@@ -99,7 +100,6 @@ class ContextTable:
         self._dy: dict[frozenset[Term], DYContext] = {}
         self._contexts: dict[tuple, DeriveContext] = {}
         self._answers: dict[tuple, Verdict] = {}
-        self._inconsistent: dict[tuple, bool] = {}
         self._instances: dict[tuple, Action] = {}
         self._received: dict[tuple, tuple[tuple[str, Term], ...] | None] = {}
 
@@ -132,8 +132,9 @@ class ContextTable:
             ctx = self._dy[terms] = DYContext(terms)
         return ctx
 
-    def _context(self, terms: frozenset[Term], assertions: frozenset[Assertion],
+    def context(self, terms: frozenset[Term], assertions: frozenset[Assertion],
                 budget: SearchBudget = DEFAULT_BUDGET, safe: bool = False) -> DeriveContext:
+        """The run's one derive context over these sets, budget and mode."""
         key = (terms, assertions, budget, safe)
         if key not in self._contexts:
             self._contexts[key] = DeriveContext(terms, assertions, budget, safe=safe,
@@ -146,7 +147,7 @@ class ContextTable:
         key = (terms, assertions, goal, budget, safe)
         v = self._answers.get(key)
         if v is None:
-            v = self._answers[key] = self._context(terms, assertions, budget, safe).query(goal)
+            v = self._answers[key] = self.context(terms, assertions, budget, safe).query(goal)
         return v
 
     def inconsistent(self, terms: frozenset[Term],
@@ -155,15 +156,10 @@ class ContextTable:
         basics in one class, under the default budget; an expansion that
         goes over it counts as consistent, so every leaf is drawn before
         any decides."""
-        key = (terms, assertions)
-        bad = self._inconsistent.get(key)
-        if bad is None:
-            try:
-                bad = any([l.bottom for l in self._context(terms, assertions).leaves()])
-            except BudgetExhausted:
-                bad = False
-            self._inconsistent[key] = bad
-        return bad
+        try:
+            return any([l.bottom for l in self.context(terms, assertions).leaves()])
+        except BudgetExhausted:
+            return False
 
 
 @dataclass(frozen=True)
@@ -477,24 +473,23 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
             return None
         # A step without bindings has no choice in it and only ever adds
         # knowledge, so taking it can never make a completable state
-        # uncompletable.  Apply one straight away instead of branching.
+        # uncompletable.  Apply one straight away instead of branching: a
+        # group of one, whose shuffle draws nothing from rng.
         eager = [c for c in cands if not c.binds]
         if eager:
-            cand = min(eager, key=lambda c: c.session)
-            child = _copy_state(state)
-            step = apply_candidate(child, cand)
-            return rec(child, steps + [step])
-        # Branch over the bindings of a single session first (the one with
-        # the fewest options).  Only if all of those fail fall back to the
-        # other sessions' candidates, in case this session's good option has
-        # not been sent yet; the memo keeps the fallback from re-walking
-        # states the first pass already settled.
-        by_sess: dict[int, list[Step]] = {}
-        for c in cands:
-            by_sess.setdefault(c.session, []).append(c)
-        picked = min(by_sess.values(), key=lambda cs: (len(cs), cs[0].session))
-        rest = [c for c in cands if c.session != picked[0].session]
-        for group in (picked, rest):
+            groups = [[min(eager, key=lambda c: c.session)]]
+        else:
+            # Branch over the bindings of a single session first (the one
+            # with the fewest options).  Only if all of those fail fall back
+            # to the other sessions' candidates, in case this session's good
+            # option has not been sent yet; the memo keeps the fallback from
+            # re-walking states the first pass already settled.
+            by_sess: dict[int, list[Step]] = {}
+            for c in cands:
+                by_sess.setdefault(c.session, []).append(c)
+            picked = min(by_sess.values(), key=lambda cs: (len(cs), cs[0].session))
+            groups = [picked, [c for c in cands if c.session != picked[0].session]]
+        for group in groups:
             group.sort(key=lambda c: (c.session, repr(c.binds)))
             rng.shuffle(group)
             for cand in group:

@@ -238,12 +238,6 @@ def has_bound_name(t: Term) -> bool:
         return cache(t, "_bound", any(map(has_bound_name, children(t))))
 
 
-def term_depth(t: Term) -> int:
-    if isinstance(t, (Basic, Var)):
-        return 0
-    return 1 + max(map(term_depth, children(t)), default=0)
-
-
 _SORT_RANK = {AGENT: 0, NONCE: 1, KEY: 2}
 
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
+
+import pytest
 
 from protassert import (
     App,
@@ -31,6 +35,7 @@ from protassert.builtins import (
     builtin_foo,
     builtin_foo_linked,
 )
+from protassert.dy import DYContext
 from protassert.terms import replace_term
 
 d = Basic("dc", "nonce")
@@ -101,6 +106,50 @@ def test_derive_swap_reads_the_run():
         step = run.steps[idx - 1]
         assert step.session == sess
         assert step.action.kind == "send*"
+
+
+def _without_voter_params(run):  # nothing tells foo-linked's voter sessions apart
+    sessions = [(r, {"id": s["id"]}) for r, s in run.setup.sessions]
+    return replace(run, setup=replace(run.setup, sessions=sessions))
+
+
+def _one_voter(run):  # foo at 2 voters: sessions 3 and 4 are the voters
+    return replace(run, setup=replace(run.setup, sessions=run.setup.sessions[:3]))
+
+
+def _cut_before_a_cast(run):
+    return replace(run, steps=run.steps[:min(derive_swap(run).cast_steps) - 1])
+
+
+# (what is wrong, protocol, edit of its seed-0 run, derive_swap's arguments, refusal)
+SWAP_REFUSALS = [
+    ("no voter role", builtin_foo_linked, _without_voter_params, {},
+     "cannot infer the voter role, pass it explicitly"),
+    ("unknown role", builtin_foo, None, {"voter_role": "nobody"},
+     "no role named 'nobody'"),
+    ("one send", builtin_foo, None, {"voter_role": "authority"},
+     "role 'authority' does not commit then cast"),
+    ("one voter session", builtin_foo, _one_voter, {},
+     "need at least two 'voter' sessions, found 1"),
+    ("a counter in the pair", builtin_foo, None, {"swap_sessions": (3, 5)},
+     "swap_sessions must name two voter sessions"),
+    ("one voter twice", builtin_foo_linked, None, {"swap_sessions": (3, 3)},
+     "swap_sessions must name two voter sessions"),
+    ("cut before a cast", builtin_foo, _cut_before_a_cast, {},
+     "session 3 did not finish its role"),
+]
+
+
+@pytest.mark.parametrize("case", SWAP_REFUSALS, ids=[c[0] for c in SWAP_REFUSALS])
+def test_derive_swap_refusals(case):
+    _, make, edit, kwargs, text = case
+    proto = make()
+    run, _ = simulate(proto, anonymity_foo_setup(proto), seed=0)
+    if edit is not None:
+        run = edit(run)
+    with pytest.raises(ValueError) as err:
+        derive_swap(run, **kwargs)
+    assert str(err.value) == text
 
 
 def test_build_swapped_is_a_valid_run():
@@ -183,6 +232,27 @@ def test_linked_variant_is_distinguished():
     assert rep.distinguisher is not None
     assert rep.distinguisher.left != rep.distinguisher.right
     assert "sent" in rep.distinguisher.desc
+
+
+def test_the_observer_is_saturated_once_per_run(monkeypatch):
+    # check_anonymity takes both observer contexts from the run tables,
+    # which already hold each final view saturated: one saturation per
+    # table (the swap maps foo's view onto itself, so both count for it)
+    proto = builtin_foo()
+    setup = anonymity_foo_setup(proto)
+    run, state_l = simulate(proto, setup, seed=0)
+    state_r = validate_run(build_swapped(run, derive_swap(run)))[2]
+    views = [state.knowledge[setup.intruder].terms for state in (state_l, state_r)]
+    made = Counter()
+    init = DYContext.__init__
+
+    def counted(self, X):
+        made[frozenset(X)] += 1
+        init(self, X)
+
+    monkeypatch.setattr(DYContext, "__init__", counted)
+    assert check_anonymity(proto, setup, seed=0, tests=20).verdict == "indistinguishable"
+    assert sum(made[view] for view in set(views)) == 2
 
 
 def test_multi_voter_check_passes():

@@ -735,7 +735,7 @@ def test_inconsistency_draws_every_leaf_before_it_decides(monkeypatch):
     phi = frozenset([Eq(a, b), Or(Pred("p", (n,)), Pred("q", (n,))),
                      Or(Pred("r", (n,)), Pred("s", (n,)))])
     for cap, bad in ((3, False), (4, True)):
-        monkeypatch.setattr(runtime.ContextTable, "_context",
+        monkeypatch.setattr(runtime.ContextTable, "context",
                             lambda self, t, ph: DeriveContext(t, ph, SearchBudget(branch_cap=cap)))
         assert runtime.ContextTable().inconsistent(frozenset(), phi) is bad
 

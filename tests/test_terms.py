@@ -16,7 +16,6 @@ from protassert.terms import (
     replace_term,
     sorted_terms,
     subst_term,
-    term_depth,
     term_key,
     term_vars,
 )
@@ -62,8 +61,6 @@ def test_key_inverses():
 def test_subterms_and_depth():
     t = Pair(Enc(n, k), A)
     assert frozenset(iter_subterms(t)) == frozenset({t, Enc(n, k), n, k, A})
-    assert term_depth(A) == 0
-    assert term_depth(t) == 2
     assert list(iter_subterms(A)) == [A]
 
 
