@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .assertions import (
     And,
@@ -63,6 +64,7 @@ class SwapSpec:
     keys: tuple[Term, Term] | None  # their commitment keys, when visible
     cast_steps: tuple[int, int]  # 1-based global indices of the cast sends
 
+    @cached_property
     def swap_map(self) -> dict[Term, Term]:
         d, e = self.commits
         out = {d: e, e: d}
@@ -74,10 +76,10 @@ class SwapSpec:
 
 
 def swp_term(spec: SwapSpec, t: Term) -> Term:
-    return replace_term(t, spec.swap_map())
+    return replace_term(t, spec.swap_map)
 
 def swp_assertion(spec: SwapSpec, a: Assertion) -> Assertion:
-    m = spec.swap_map()
+    m = spec.swap_map
     return normalize(map_terms(a, lambda t: replace_term(t, m)))
 
 
@@ -279,26 +281,19 @@ def _handle(i: int) -> Var:
 
 def deterministic_tests(n_handles: int, agents: list[Basic],
                         consts: list[Basic],
-                        assertion_slots: list[int]) -> list[tuple[str, Assertion | None, int | None, Basic | None]]:
+                        assertion_slots: list[int]) -> list[Assertion | tuple[int, Basic]]:
     """Templates every battery runs: who-sent facts for every handle, handle
-    equalities, and handle against constant equalities.  Entries are either
-    (desc, template, None, None) or, for sent-assertion probes that need the
-    per-run assertion, (desc, None, traffic index, agent)."""
-    out: list[tuple[str, Assertion | None, int | None, Basic | None]] = []
+    equalities, and handle against constant equalities.  A sent-assertion
+    probe, which needs the per-run assertion, is a (traffic index, agent)
+    pair instead of a template."""
+    out: list[Assertion | tuple[int, Basic]] = []
     for i in range(1, n_handles + 1):
-        for a in agents:
-            t = SentT(a, _handle(i))
-            out.append((print_assertion(t), t, None, None))
+        out.extend(SentT(a, _handle(i)) for a in agents)
     for i in assertion_slots:
-        for a in agents:
-            out.append((f"{a.name} sent the assertion of message {i}", None, i, a))
+        out.extend((i, a) for a in agents)
     for i in range(1, n_handles + 1):
-        for j in range(i + 1, n_handles + 1):
-            t = Eq(_handle(i), _handle(j))
-            out.append((print_assertion(t), t, None, None))
-        for c in consts:
-            t = Eq(_handle(i), c)
-            out.append((print_assertion(t), t, None, None))
+        out.extend(Eq(_handle(i), _handle(j)) for j in range(i + 1, n_handles + 1))
+        out.extend(Eq(_handle(i), c) for c in consts)
     return out
 
 
@@ -380,59 +375,51 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
                 tests: int, depth: int) -> tuple[TestOutcome | None, int, int, int]:
     """Evaluate the shared test battery against both runs.  Returns the
     first distinguishing test (or None), total tests run, how many were
-    deterministic, and how many were inconclusive."""
+    deterministic, and how many were inconclusive.  Each context answers a
+    goal once, and a test is described only when it distinguishes."""
     n = len(left.traffic)
     if len(right.traffic) != n:
         return (TestOutcome("number of network messages", str(n),
                             str(len(right.traffic))), 0, 0, 0)
-    map_l = {f"_h{i}": tr.term for i, tr in enumerate(left.traffic, 1)}
-    map_r = {f"_h{i}": tr.term for i, tr in enumerate(right.traffic, 1)}
+    map_l = {_handle(i).name: tr.term for i, tr in enumerate(left.traffic, 1)}
+    map_r = {_handle(i).name: tr.term for i, tr in enumerate(right.traffic, 1)}
     # building the generator draws nothing from its random stream
     gen = _TemplateGen(random.Random(seed ^ 0x5EED), proto, intruder, n, depth)
     slots = [i for i, tr in enumerate(left.traffic, 1) if tr.assertion is not None]
+    det = deterministic_tests(n, gen.agents, gen.names, slots)
+
+    def stream():
+        """(test, left goal, right goal): the deterministic block, then
+        the seeded random templates that instantiate to closed tests."""
+        for test in det:
+            if isinstance(test, tuple):
+                slot, agent = test
+                yield (test, SentA(agent, left.traffic[slot - 1].assertion),
+                       SentA(agent, right.traffic[slot - 1].assertion))
+            else:
+                yield test, substitute(test, map_l), substitute(test, map_r)
+        made = 0
+        while made < tests:
+            template = gen.next()
+            try:
+                a_l, a_r = substitute(template, map_l), substitute(template, map_r)
+            except ValueError:
+                # a compound message landed in a key slot, not a wellformed test
+                continue
+            if is_closed(a_l):
+                made += 1
+                yield template, a_l, a_r
 
     total = inconclusive = 0
-
-    def judge(desc: str, a_l: Assertion, a_r: Assertion):
-        nonlocal total, inconclusive
+    for test, a_l, a_r in stream():
         total += 1
-        vl = ctx_left.query(a_l)
-        vr = ctx_right.query(a_r)
-        tl, tr = _verdict_tag(vl), _verdict_tag(vr)
+        tl, tr = _verdict_tag(ctx_left.query(a_l)), _verdict_tag(ctx_right.query(a_r))
         if "budget" in (tl, tr):
             inconclusive += 1
-            return None
-        if tl != tr:
-            return TestOutcome(desc, tl, tr)
-        return None
-
-    det = deterministic_tests(n, gen.agents, gen.names, slots)
-    for desc, template, slot, agent in det:
-        if template is not None:
-            bad = judge(desc, substitute(template, map_l), substitute(template, map_r))
-        else:
-            al = left.traffic[slot - 1].assertion
-            ar = right.traffic[slot - 1].assertion
-            assert al is not None and ar is not None and agent is not None
-            bad = judge(desc, SentA(agent, al), SentA(agent, ar))
-        if bad is not None:
-            return bad, total, len(det), inconclusive
-
-    made = 0
-    while made < tests:
-        template = gen.next()
-        try:
-            a_l = substitute(template, map_l)
-            a_r = substitute(template, map_r)
-        except ValueError:
-            # a compound message landed in a key slot, not a wellformed test
-            continue
-        if not is_closed(a_l):
-            continue
-        made += 1
-        bad = judge(print_assertion(template), a_l, a_r)
-        if bad is not None:
-            return bad, total, len(det), inconclusive
+        elif tl != tr:
+            desc = (f"{test[1].name} sent the assertion of message {test[0]}"
+                    if isinstance(test, tuple) else print_assertion(test))
+            return TestOutcome(desc, tl, tr), total, len(det), inconclusive
     return None, total, len(det), inconclusive
 
 

@@ -155,6 +155,9 @@ def cmd_anonymity(args) -> int:
         print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
         return EX_USAGE
     name, proto = _load_protocol(args.protocol)
+    if args.voter_role is not None and args.voter_role not in proto.roles:
+        print(f"error: no role named {args.voter_role!r}", file=sys.stderr)
+        return EX_USAGE
     try:
         setup = _setup_for(args, name, proto, anonymity=True)
     except (KeyError, ValueError) as e:

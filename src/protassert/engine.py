@@ -99,8 +99,8 @@ from .terms import (
 )
 
 # When set, every positive verdict produced by derive(), derive_safe() or
-# DeriveContext.query() is replayed through the independent checker before
-# being returned.
+# DeriveContext.query() is replayed through the independent checker when it
+# is found, before it is returned or kept.
 REPLAY_CHECK = False
 
 
@@ -1008,7 +1008,8 @@ class DeriveContext:
     ``cc``, built when a goal first needs it.  Each query splits below the
     root on its own (`_Query`), works on ``cc`` in place and undoes it to
     the root's mark when it ends, however it ends.  So a query on a shared
-    context answers as `derive` does on a fresh one, proof included."""
+    context answers as `derive` does on a fresh one, proof included, and
+    each distinct goal is searched once: ``verdicts`` keeps every answer."""
 
     branch_count = 1  # the root; splits are a query's (perfbench/tracing.py reads it)
 
@@ -1024,6 +1025,7 @@ class DeriveContext:
             raise ValueError("dyctx is not over X")
         self.dyctx = dyctx if dyctx is not None else DYContext(self.X)
         self.wit_names: dict[Assertion, str] = {}
+        self.verdicts: dict[Assertion, Verdict] = {}  # by normalized goal
         self.build_failed = False  # the root's closure went over merge_cap
         self.cc: EqClasses | None = None  # set by the root's first mark
         self.root = _Node(self, self.wit_names, set(self.Phi),
@@ -1051,9 +1053,13 @@ class DeriveContext:
             self.cc.undo(0)
 
     def query(self, goal: Assertion) -> Verdict:
-        """The verdict on goal; with REPLAY_CHECK set, a positive one is
-        replayed through the independent checker before it is returned."""
+        """The verdict on goal, searched when the goal is first asked."""
         goal = normalize(goal)
+        if goal not in self.verdicts:
+            self.verdicts[goal] = self._search(goal)
+        return self.verdicts[goal]
+
+    def _search(self, goal: Assertion) -> Verdict:
         query = _Query(self)
         try:
             proof = query.solve(self.root, goal)

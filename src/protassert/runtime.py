@@ -22,11 +22,12 @@ shared by every state copied from it, keyed by the exact knowledge sets.  A
 set is saturated into a `DYContext` once, and one derive context per
 knowledge set, budget and mode reuses it.  A query on a context answers as
 a single `derive` (or `derive_safe`) would, since its case splits and
-witness names are its own, so one context answers every goal and the
-insert check alike.  The same table memoizes the run's pure per-state
-work: each role action instantiated under a session's bindings, and each
-match of a receive pattern against a message on the network, since every
-state re-enumerates every session's candidates.
+witness names are its own, so one context answers every goal, each
+distinct goal once, and the insert check alike.  The same table memoizes
+the run's pure per-state work: each role action instantiated under a
+session's bindings, and each match of a receive pattern against a message
+on the network, since every state re-enumerates every session's
+candidates.
 
 Actions are scheduled lowest-phase-first among enabled candidates, with a
 seeded random choice among ties, so runs are reproducible from their seed.
@@ -52,7 +53,6 @@ from .engine import (
     BudgetExhausted,
     DeriveContext,
     SearchBudget,
-    Verdict,
 )
 from .protocol import Action, Protocol, action_subst
 from .syntax import Cursor, ParseError, parse_session, print_term, tokenize
@@ -99,7 +99,6 @@ class ContextTable:
     def __init__(self) -> None:
         self._dy: dict[frozenset[Term], DYContext] = {}
         self._contexts: dict[tuple, DeriveContext] = {}
-        self._answers: dict[tuple, Verdict] = {}
         self._instances: dict[tuple, Action] = {}
         self._received: dict[tuple, tuple[tuple[str, Term], ...] | None] = {}
 
@@ -140,15 +139,6 @@ class ContextTable:
             self._contexts[key] = DeriveContext(terms, assertions, budget, safe=safe,
                                                 dyctx=self.dy(terms))
         return self._contexts[key]
-
-    def derive(self, terms: frozenset[Term], assertions: frozenset[Assertion],
-               goal: Assertion, budget: SearchBudget, safe: bool = False) -> Verdict:
-        """What `derive` (or with safe, `derive_safe`) answers for goal."""
-        key = (terms, assertions, goal, budget, safe)
-        v = self._answers.get(key)
-        if v is None:
-            v = self._answers[key] = self.context(terms, assertions, budget, safe).query(goal)
-        return v
 
     def inconsistent(self, terms: frozenset[Term],
                      assertions: frozenset[Assertion]) -> bool:
@@ -305,7 +295,7 @@ def check_step(state: WorldState, step: Step,
         if not table.dy(intr.terms).derivable(act.term):
             yield "message not derivable on the network", None
         if act.assertion is not None:
-            v = table.derive(intr.terms, intr.assertions, act.assertion, budget, safe=True)
+            v = table.context(intr.terms, intr.assertions, budget, safe=True).query(act.assertion)
             if not v.derivable:
                 yield failed("network cannot justify the assertion", v,
                              "receive check hit the search budget")
@@ -317,12 +307,12 @@ def check_step(state: WorldState, step: Step,
         if not table.dy(base).derivable(act.term):
             yield f"payload not derivable by {agent}", None
         if act.assertion is not None:
-            v = table.derive(base, know.assertions, act.assertion, budget, safe=True)
+            v = table.context(base, know.assertions, budget, safe=True).query(act.assertion)
             if not v.derivable:
                 yield failed("send assertion not derivable", v,
                              "send assertion hit the search budget")
     elif act.kind in ("confirm", "deny"):
-        v = table.derive(know.terms, know.assertions, act.assertion, budget)
+        v = table.context(know.terms, know.assertions, budget).query(act.assertion)
         if act.kind == "confirm":
             if not v.derivable:
                 yield failed("confirm not derivable", v, "confirm hit the search budget")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,8 +25,10 @@ from protassert import (
     validate_run,
     write_trace,
 )
+from protassert import anonymity
 from protassert.anonymity import (
     deterministic_tests,
+    run_battery,
     swp_assertion,
     swp_term,
 )
@@ -36,6 +39,7 @@ from protassert.builtins import (
     builtin_foo_linked,
 )
 from protassert.dy import DYContext
+from protassert.syntax import parse_assertion, print_assertion
 from protassert.terms import replace_term
 
 d = Basic("dc", "nonce")
@@ -161,7 +165,7 @@ def test_build_swapped_is_a_valid_run():
     ok, problems, state_r = validate_run(swapped)
     assert ok, problems
     # the observer's view of the twin is exactly the swapped view
-    m = spec.swap_map()
+    m = spec.swap_map
     kl = state_l.knowledge[setup.intruder]
     kr = state_r.knowledge[setup.intruder]
     assert {replace_term(t, m) for t in kl.terms} == set(kr.terms)
@@ -204,12 +208,37 @@ def test_safety_fails_when_a_commitment_key_leaks():
 
 def test_deterministic_battery_covers_sent_facts():
     tests = deterministic_tests(3, [Basic("Auth", "agent")], [other], [1])
-    descs = [desc for desc, _, _, _ in tests]
-    assert any("sent" in t for t in descs)
-    kinds = {type(a).__name__ for _, a, _, _ in tests if a is not None}
+    templates = [t for t in tests if not isinstance(t, tuple)]
+    assert any("sent" in print_assertion(t) for t in templates)
+    kinds = {type(t).__name__ for t in templates}
     assert "SentT" in kinds and "Eq" in kinds
     # probes for sent assertions carry a traffic index instead of a template
-    assert any(a is None and i == 1 for _, a, i, _ in tests)
+    assert (1, Basic("Auth", "agent")) in tests
+
+
+def test_a_random_distinguisher_is_described_by_its_template(monkeypatch):
+    # no traffic, so the deterministic block is empty; the left view holds
+    # a closed fact the right one lacks, and the seeded random tests find
+    # it.  Only the distinguisher is printed, and its text is the test.
+    proto = builtin_foo()
+    fact = Pred("valid", (Basic("v0", "nonce"),))
+    printed = []
+
+    def counted(a):
+        printed.append(print_assertion(a))
+        return printed[-1]
+
+    monkeypatch.setattr(anonymity, "print_assertion", counted)
+    no_traffic = SimpleNamespace(traffic=[])
+    dist, total, det, inconclusive = run_battery(
+        DeriveContext((), [fact]), DeriveContext((), []), no_traffic, no_traffic,
+        proto, "I", 4, 500, 3)
+    assert (dist, total, det, inconclusive) == (
+        anonymity.TestOutcome("ex x: valid(x)", "yes", "no"), 31, 0, 0)
+    assert printed == [dist.desc]
+    test = parse_assertion(dist.desc, proto.decls)
+    assert DeriveContext((), [fact]).query(test).derivable
+    assert not DeriveContext((), []).query(test).derivable
 
 
 def test_full_check_reports_indistinguishable():

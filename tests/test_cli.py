@@ -284,6 +284,15 @@ def test_anonymity_too_many_voters_is_a_usage_error(capsys):
     assert "internal error" not in err
 
 
+def test_anonymity_unknown_voter_role_is_a_usage_error(capsys):
+    # refused once, before any seed runs, and not as a failed check (exit 3)
+    rc = main(["anonymity", "foo", "--voter-role", "nobody", "--seeds", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2, captured.out
+    assert captured.err == "error: no role named 'nobody'\n"
+    assert captured.out == ""
+
+
 def test_anonymity_zero_voters_is_a_usage_error(capsys):
     rc = main(["anonymity", "foo", "--voters", "0", "--seeds", "1", "--tests", "5"])
     captured = capsys.readouterr()

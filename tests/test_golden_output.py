@@ -1,10 +1,11 @@
 """Byte-identity of what runs print on fixed seeds.
 
 The digests are sha256 over the output of `write_trace` plus the run's
-warnings, and over anonymity reports, recorded at commit 71d5b96, and over
-`derive --proof` output, full and `--safe`, on fixed sequents, recorded at
-commit 77bc8bf.  A change
-that only makes the program faster must leave every one of them as it is.
+warnings, and over anonymity reports, recorded at commit 71d5b96 (the
+foo-linked reports of seeds 0-19 at commit 2e81273), and over `derive
+--proof` output, full and `--safe`, on fixed sequents, recorded at commit
+77bc8bf.  A change that only makes the program faster must leave every one
+of them as it is.
 CI also runs this file under three hash seeds, since no set iteration order
 may leak into the output.  Terms and assertions are hash-consed, so their
 hashes are object identities and set order also follows allocation: one
@@ -34,6 +35,7 @@ GOLDEN = {
     "foo3": "e617f1e6b99028bcf7386e535d48b136a52c85d0cf0a648d71639d4a3a823760",
     "helios": "a47263b7b04d5ef1ce1321ff9789eb02b84d8704391490541a56bbdf109ea72a",
     "foo-linked": "a73a710e61765da53f7894b2fce3cabb415261356b37e84913d8e71569128bb3",
+    "foo-linked-20": "317c020835a7d67174d17e1d89431b828ce2c2dffc6891b88c70d6624e7568ef",
     "proofs": "1457183610052d1ce811150ab32d7edbdd53ae37aa23db36c5a449e31b9a0fdb",
 }
 
@@ -136,13 +138,22 @@ def test_simulated_runs_are_unchanged():
     assert got == {k: GOLDEN[k] for k in got}
 
 
-def test_anonymity_reports_are_unchanged():
-    proto = builtin_foo_linked()
+def _reports_digest(proto, seeds) -> str:
     h = hashlib.sha256()
-    for seed in range(2):
+    for seed in seeds:
         rep = check_anonymity(proto, anonymity_foo_setup(proto, 2), seed=seed)
         h.update((render_report(rep) + "\n").encode())
-    assert h.hexdigest() == GOLDEN["foo-linked"]
+    return h.hexdigest()
+
+
+def test_anonymity_reports_are_unchanged():
+    assert _reports_digest(builtin_foo_linked(), range(2)) == GOLDEN["foo-linked"]
+
+
+def test_distinguishers_are_described_as_before():
+    # each of these reports names the test that told the runs apart, which
+    # the battery prints only once it has found it
+    assert _reports_digest(builtin_foo_linked(), range(20)) == GOLDEN["foo-linked-20"]
 
 
 def test_derive_proofs_are_unchanged(tmp_path, capsys):

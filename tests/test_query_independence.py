@@ -104,6 +104,26 @@ def test_a_shared_context_answers_as_a_fresh_one(monkeypatch):
     assert asked > 1000 and refuted_first > 100 and capped > 20
 
 
+def test_a_context_searches_each_goal_once(monkeypatch):
+    # the battery and the runtime ask some goals of one context again: the
+    # second answer is the first one's, with no second search
+    searches = []
+    real_init = engine._Query.__init__
+
+    def counted(self, ctx):
+        searches.append(ctx)
+        real_init(self, ctx)
+
+    monkeypatch.setattr(engine._Query, "__init__", counted)
+    seq = parse_sequent(LEAK)
+    ctx = DeriveContext(seq.terms, seq.assertions)
+    first = ctx.query(seq.goal)
+    assert first.derivable and len(searches) == 1
+    assert ctx.query(seq.goal) is first and len(searches) == 1
+    assert DeriveContext(seq.terms, seq.assertions).query(seq.goal) == first
+    assert len(searches) == 2
+
+
 def test_witness_names_below_the_root_follow_the_query_alone():
     # the first goal holds on the left case and splits the right one, which
     # opens e2; the second splits the left case, which opens e1 as the
