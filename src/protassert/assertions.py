@@ -5,18 +5,20 @@ Every rebuild that touches binders is one walk, `rebind`, which replaces
 free variables and renames each binder in the same pass: a binder of the
 input cannot capture an image by construction, whatever its name.
 Normalization, substitution and the printer's readable names are `rebind`
-under different renamings.  Stored assertions are alpha-normal: bound
-variables are the reserved names %1, %2, ... in preorder, which the parser
-cannot produce and no substituted image mentions, so structural equality
-coincides with alpha-equivalence.
+under different renamings.  Stored assertions are alpha-normal: a binder at
+nesting depth d is the reserved name %(d+1) (de Bruijn levels), which the
+parser cannot produce and no substituted image mentions.  So a conjunct,
+disjunct or says or sent body is alpha-normal too, and structural equality
+coincides with alpha-equivalence for it as for the whole assertion.
 
 Assertions are hash-consed like terms (`terms.Interned`, one shared weak
 table): equal structures are one object, so `==` and `hash` are identity.
 What depends only on the structure is computed once and cached on each
 object: `assertion_key`, `normalize` (a normal form caches itself as its own
 normal form), an existential's body `opened` per witness name,
-`assertion_terms`, `assertion_vars`, `free_vars`, and the assertions inside
-it that `subassertions` lists.
+`assertion_terms`, `assertion_vars`, `free_vars`, the assertions inside it
+that `subassertions` lists, and its `canonical` form where that renames a
+free bound name.
 
 The one pattern matcher, `match_term`/`match_assertion`, lives here too.  It
 binds a pattern's holes so that the pattern equals a target modulo an
@@ -25,7 +27,6 @@ engine binds witness candidates modulo a branch's congruence classes.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .terms import (
@@ -218,30 +219,30 @@ def is_closed(a: Assertion) -> bool:
 
 
 # Inline switch, not parts()/rebuilt(): every normalize and substitute runs it.
-def rebind(a: Assertion, env: dict[str, Term], rename) -> Assertion:
+def rebind(a: Assertion, env: dict[str, Term], rename, depth: int = 0) -> Assertion:
     """Rebuild a in one pass: each free variable named in env becomes its
-    image, and each binder x becomes rename(x), called in preorder.  Under
-    a binder, its own name hides whatever image env gives that name."""
+    image, and each binder x at nesting depth d (counted from a's top, or
+    from depth) becomes rename(x, d), called in preorder.  Under a binder,
+    its own name hides whatever image env gives that name."""
     if isinstance(a, Exists):
-        fresh = rename(a.var)
-        return Exists(fresh, rebind(a.body, {**env, a.var: Var(fresh)}, rename))
+        fresh = rename(a.var, depth)
+        return Exists(fresh, rebind(a.body, {**env, a.var: Var(fresh)}, rename, depth + 1))
     if isinstance(a, (And, Or)):
-        return type(a)(rebind(a.left, env, rename), rebind(a.right, env, rename))
+        return type(a)(rebind(a.left, env, rename, depth), rebind(a.right, env, rename, depth))
     if isinstance(a, (Says, SentA)):
-        return type(a)(subst_term(a.agent, env), rebind(a.body, env, rename))
+        return type(a)(subst_term(a.agent, env), rebind(a.body, env, rename, depth))
     return map_terms(a, lambda t: subst_term(t, env))
 
 
 def numbered():
-    """A binder renaming that yields the reserved names %1, %2, ... in turn."""
-    count = itertools.count(1)
-    return lambda _old: f"%{next(count)}"
+    """The normal form's binder renaming: at depth d, the reserved name %(d+1)."""
+    return lambda _old, depth: f"%{depth + 1}"
 
 
 def normalize(a: Assertion) -> Assertion:
-    """Alpha-normal form: bound variables become %1, %2, ... in preorder.
+    """Alpha-normal form: each binder becomes %(d+1) at its depth d.
     Cached on a; the normal form is its own normal form, because renaming
-    binders that already read %1, %2, ... in preorder changes nothing."""
+    binders that already read %1, %2, ... by depth changes nothing."""
     try:
         return a._normal
     except AttributeError:
@@ -255,7 +256,7 @@ def substitute(a: Assertion, sigma: dict[str, Term]) -> Assertion:
 
     When a is its own normal form (as every parsed assertion is) and no
     image holds a variable, the result is what `rebind` gives, built
-    without it: a's binders already read %1, %2, ... in preorder and no
+    without it: a's binders already read %1, %2, ... by depth and no
     image adds one, so renaming them changes nothing and a binder only
     hides its own name.  Only the spine above the replaced occurrences is
     rebuilt, and the result is its own normal form."""
@@ -353,22 +354,27 @@ class _Syntactic:
 
 
 SYNTACTIC = _Syntactic()
-_NO_BINDERS: dict[str, Term] = {}
 
 
-def match_term(pat: Term, tgt: Term, holes, binding: dict[str, Term], eq,
-               env_p: dict[str, Term] = _NO_BINDERS,
-               env_t: dict[str, Term] = _NO_BINDERS) -> list[dict[str, Term]]:
+def canonical(a: Assertion) -> tuple[Assertion, dict[str, str]]:
+    """a as the matcher reads it, binders numbered by depth from its top so
+    that aligned binders share a name, and the wildcard %?k that stands for
+    each free bound name %k (a bound name too, but no binder's).  Cached on
+    a only where a has a free bound name; otherwise this is `normalize`."""
+    if hasattr(a, "_canonical"):
+        return a._canonical
+    wild = {n: "%?" + n[1:] for n in free_vars(a) if n.startswith("%")}
+    if not wild:
+        return normalize(a), wild
+    return cache(a, "_canonical", (rebind(a, {n: Var(w) for n, w in wild.items()},
+                                          numbered()), wild))
+
+
+def match_term(pat: Term, tgt: Term, holes, binding: dict[str, Term],
+               eq) -> list[dict[str, Term]]:
     """Every extension of binding over the variables in holes under which
     pat equals tgt modulo eq.  A hole never takes a term that mentions a
-    bound name.  env_p and env_t map the binders in scope on each side to
-    shared tokens (see `match_assertion`): pat and tgt are matched as if
-    each such variable were its token."""
-    if env_p or env_t:
-        renamed_p, renamed_t = _mentions(pat, env_p), _mentions(tgt, env_t)
-        if renamed_p or renamed_t:
-            return _match_tokens(pat, tgt, holes, binding, eq, env_p, env_t,
-                                 renamed_p, renamed_t)
+    bound name, and a bound name that is no hole matches only itself."""
     if isinstance(pat, Var) and pat.name in holes:
         bound = binding.get(pat.name)
         if bound is not None:
@@ -385,83 +391,43 @@ def match_term(pat: Term, tgt: Term, holes, binding: dict[str, Term], eq,
     return out
 
 
-def _mentions(t: Term, env: dict[str, Term]) -> bool:
-    return bool(env) and not env.keys().isdisjoint(term_vars(t))
-
-
-def _match_tokens(pat: Term, tgt: Term, holes, binding: dict[str, Term], eq,
-                  env_p: dict[str, Term], env_t: dict[str, Term],
-                  renamed_p: bool, renamed_t: bool) -> list[dict[str, Term]]:
-    """match_term where pat or tgt, read through its binders, holds a token
-    (renamed_p, renamed_t).  A token is a bound name: no hole takes a term
-    with one, and eq compares such a term by identity only, so it can equal
-    nothing but the other side read the same way, and its only class member
-    is itself."""
-    if isinstance(pat, Var):  # a token meets only its own token
-        token = env_p.get(pat.name)
-        return [binding] if (token is not None and isinstance(tgt, Var)
-                             and env_t.get(tgt.name) is token) else []
-    if renamed_p and renamed_t and _aligned(pat, tgt, env_p, env_t):
-        return [binding]
-    out: list[dict[str, Term]] = []
-    for m in (tgt,) if renamed_t else eq.members(tgt):
-        if same_head(pat, m):
-            out += _match_all(zip(children(pat), children(m)), holes, binding, eq,
-                              env_p, env_t if renamed_t else _NO_BINDERS)
-    return out
-
-
-def _aligned(p: Term, t: Term, env_p: dict[str, Term], env_t: dict[str, Term]) -> bool:
-    """p and t are one term once each binder in scope is read as its token."""
-    if isinstance(p, Var) or isinstance(t, Var):
-        return (isinstance(p, Var) and isinstance(t, Var)
-                and env_p.get(p.name, p) is env_t.get(t.name, t))
-    if not same_head(p, t):
-        return p is t
-    return all(_aligned(a, b, env_p, env_t) for a, b in zip(children(p), children(t)))
-
-
-def _match_all(pairs, holes, binding: dict[str, Term], eq,
-               env_p: dict[str, Term] = _NO_BINDERS,
-               env_t: dict[str, Term] = _NO_BINDERS) -> list[dict[str, Term]]:
+def _match_all(pairs, holes, binding: dict[str, Term], eq) -> list[dict[str, Term]]:
     """match_term over each (pattern, target) pair in turn."""
     found = [binding]
     for pat, tgt in pairs:
-        found = [b for prev in found
-                 for b in match_term(pat, tgt, holes, prev, eq, env_p, env_t)]
+        found = [b for prev in found for b in match_term(pat, tgt, holes, prev, eq)]
     return found
 
 
 def match_assertion(pat: Assertion, tgt: Assertion, holes,
                     binding: dict[str, Term], eq) -> list[dict[str, Term]]:
     """Every extension of binding under which pat equals tgt: terms modulo
-    eq, agents syntactically.  Bound variables on both sides stand for
-    shared tokens %b0, %b1, ... by depth, read through one binder map per
-    side, so binder structure must align and never leaks into a binding."""
-    return _match_assertion(pat, tgt, holes, binding, eq, _NO_BINDERS, _NO_BINDERS)
+    eq, agents syntactically.  Both sides are read in `canonical` form, so
+    binder structure must align and never leaks into a binding; a free
+    bound name of pat is a hole when holes names it."""
+    (p, wild), (t, _) = canonical(pat), canonical(tgt)
+    found = match_canonical(p, t, {wild.get(h, h) for h in holes if h in wild or h[:1] != "%"},
+                            {wild.get(k, k): v for k, v in binding.items()}, eq)
+    back = {w: n for n, w in wild.items()}
+    return [{back.get(k, k): v for k, v in b.items()} for b in found] if wild else found
 
 
-def _match_assertion(pat: Assertion, tgt: Assertion, holes, binding: dict[str, Term],
-                     eq, env_p: dict[str, Term], env_t: dict[str, Term]) -> list[dict[str, Term]]:
-    if isinstance(pat, Exists):
-        if not isinstance(tgt, Exists):
-            return []
-        token = Var(f"%b{len(env_p)}")
-        return _match_assertion(pat.body, tgt.body, holes, binding, eq,
-                                {**env_p, pat.var: token}, {**env_t, tgt.var: token})
+def match_canonical(pat: Assertion, tgt: Assertion, holes, binding: dict[str, Term],
+                    eq) -> list[dict[str, Term]]:
+    """match_assertion of two sides already in `canonical` form, with holes
+    named as in pat's form."""
     if type(pat) is not type(tgt):
         return []
+    if isinstance(pat, Exists):
+        return match_canonical(pat.body, tgt.body, holes, binding, eq)
     if isinstance(pat, (And, Or)):
-        return [b for prev in _match_assertion(pat.left, tgt.left, holes, binding, eq, env_p, env_t)
-                for b in _match_assertion(pat.right, tgt.right, holes, prev, eq, env_p, env_t)]
+        return [b for prev in match_canonical(pat.left, tgt.left, holes, binding, eq)
+                for b in match_canonical(pat.right, tgt.right, holes, prev, eq)]
     if isinstance(pat, (Says, SentA, SentT)):
-        found = match_term(pat.agent, tgt.agent, holes, binding, SYNTACTIC, env_p, env_t)
+        found = match_term(pat.agent, tgt.agent, holes, binding, SYNTACTIC)
         if isinstance(pat, SentT):
-            return [b for prev in found
-                    for b in match_term(pat.term, tgt.term, holes, prev, eq, env_p, env_t)]
-        return [b for prev in found
-                for b in _match_assertion(pat.body, tgt.body, holes, prev, eq, env_p, env_t)]
+            return [b for prev in found for b in match_term(pat.term, tgt.term, holes, prev, eq)]
+        return [b for prev in found for b in match_canonical(pat.body, tgt.body, holes, prev, eq)]
     if isinstance(pat, Pred) and (pat.name != tgt.name or len(pat.args) != len(tgt.args)):
         return []
-    return _match_all(zip(assertion_terms(pat), assertion_terms(tgt)),
-                      holes, binding, eq, env_p, env_t)
+    return _match_all(zip(assertion_terms(pat), assertion_terms(tgt)), holes, binding, eq)

@@ -28,10 +28,11 @@ Search strategy is fixed:
      is built unlogged;
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
-     hypotheses and classes (`assertions.match_assertion` with the branch
-     as the equality), drawn on demand in a fixed order: matching stops at
-     the first witness whose instance is proved, and a cut of the
-     candidates counts only when the search draws past it.  Each node
+     hypotheses and classes (`assertions.match_canonical` on the pattern's
+     `canonical` form, with the branch as the equality), drawn on demand in
+     a fixed order: matching stops at the first witness whose instance is
+     proved, and a cut of the candidates counts only when the search draws
+     past it.  Each node
      indexes its hypotheses by connective, or predicate name and arity, so
      a goal or pattern meets only its own kind (the top-symbol index of de
      Moura & Bjorner, CADE 2007).  An equation pattern walks the class of
@@ -70,7 +71,8 @@ from .assertions import (
     SentT,
     assertion_terms,
     assertion_vars,
-    match_assertion,
+    canonical,
+    match_canonical,
     match_term,
     normalize,
     opened,
@@ -398,10 +400,7 @@ def _kind(a: Assertion):
 
 def _head(a: Assertion):
     """What two assertions must share, besides the shape of their parts, to
-    match: their `_kind`, and an existential's binder or the agent of a says
-    or sent fact."""
-    if isinstance(a, Exists):
-        return Exists, a.var
+    match: their `_kind`, and the agent of a says or sent fact."""
     if isinstance(a, (Says, SentA, SentT)):
         return type(a), a.agent
     return _kind(a)
@@ -893,8 +892,10 @@ class _BranchProver:
         skipped: matching it would repeat the walk, or compare two members
         of one class, so it binds nothing new.  `_candidates` reads only
         the distinct bindings in order of first appearance, which neither
-        shortcut changes."""
-        holes = {var} | {n for n in assertion_vars(pattern) if n.startswith("%")}
+        shortcut changes.  The holes are the free bound names of the
+        pattern's `canonical` form, var among them."""
+        pattern, wild = canonical(pattern)
+        holes, var = set(wild.values()), wild[var]
         results: list[Term] = []
         covered = None  # (root, trail length) of a class walked to a fixed point
         if isinstance(pattern, Eq):
@@ -924,7 +925,7 @@ class _BranchProver:
         for hyp in self.node.by_kind.get(_kind(pattern), ()):
             if covered is not None and self._inside(hyp, *covered):
                 continue
-            for b in match_assertion(pattern, hyp, holes, {}, self):
+            for b in match_canonical(pattern, hyp, holes, {}, self):
                 if var in b:
                     results.append(b[var])
         return results

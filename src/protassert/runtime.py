@@ -142,12 +142,12 @@ class ContextTable:
 
     def inconsistent(self, terms: frozenset[Term],
                      assertions: frozenset[Assertion]) -> bool:
-        """Whether some leaf of the fully split theory holds two distinct
-        basics in one class, under the default budget; an expansion that
-        goes over it counts as consistent, so every leaf is drawn before
-        any decides."""
+        """Whether every leaf of the fully split theory holds two distinct
+        basics in one class, under the default budget: one consistent case
+        keeps the theory consistent.  An expansion that goes over the budget
+        counts as consistent, so every leaf is drawn before any decides."""
         try:
-            return any([l.bottom for l in self.context(terms, assertions).leaves()])
+            return all([l.bottom for l in self.context(terms, assertions).leaves()])
         except BudgetExhausted:
             return False
 
@@ -237,7 +237,8 @@ def _instantiate(table: ContextTable, action: Action, sigma: dict[str, Term],
                  fresh: tuple[tuple[str, Basic], ...],
                  binds: tuple[tuple[str, Term], ...]) -> Action | None:
     """The action under a session's sigma extended by its fresh values and
-    then its bindings, or None when that leaves a variable free."""
+    then its bindings, or None when that leaves a variable free.  A non-key
+    in a key slot, which only a recorded step can ask for, raises ValueError."""
     inst = table.instance(action, {**sigma, **dict(fresh), **dict(binds)})
     return inst if inst.is_ground() else None
 
@@ -461,25 +462,18 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
             if best is None or len(steps) > len(best[0]):
                 best = (steps, state)
             return None
-        # A step without bindings has no choice in it and only ever adds
-        # knowledge, so taking it can never make a completable state
-        # uncompletable.  Apply one straight away instead of branching: a
-        # group of one, whose shuffle draws nothing from rng.
-        eager = [c for c in cands if not c.binds]
-        if eager:
-            groups = [[min(eager, key=lambda c: c.session)]]
-        else:
-            # Branch over the bindings of a single session first (the one
-            # with the fewest options).  Only if all of those fail fall back
-            # to the other sessions' candidates, in case this session's good
-            # option has not been sent yet; the memo keeps the fallback from
-            # re-walking states the first pass already settled.
-            by_sess: dict[int, list[Step]] = {}
-            for c in cands:
-                by_sess.setdefault(c.session, []).append(c)
-            picked = min(by_sess.values(), key=lambda cs: (len(cs), cs[0].session))
-            groups = [picked, [c for c in cands if c.session != picked[0].session]]
-        for group in groups:
+        # Branch first over one session's candidates: a step without
+        # bindings, or else the session with the fewest options.  If all
+        # fail, fall back to the others: a step can wedge a run (a receive
+        # teaches what a pending deny refuses), and a good option may not
+        # have been sent yet.  The memo keeps the fallback from re-walking
+        # states the first pass settled.
+        by_sess: dict[int, list[Step]] = {}
+        for c in cands:
+            by_sess.setdefault(c.session, []).append(c)
+        picked = min(by_sess.values(),
+                     key=lambda cs: (bool(cs[0].binds), len(cs), cs[0].session))
+        for group in (picked, [c for c in cands if c.session != picked[0].session]):
             group.sort(key=lambda c: (c.session, repr(c.binds)))
             rng.shuffle(group)
             for cand in group:
@@ -539,7 +533,11 @@ def run_problems(run: Run, budget: SearchBudget = DEFAULT_BUDGET
                 problems.append((f"step {n}: fresh value {value.name} is not fresh", False))
         if set(n0 for n0, _ in step.fresh) != set(action.fresh):
             problems.append((f"step {n}: fresh variables do not match the action", False))
-        inst = _instantiate(state.contexts, action, sess.sigma, step.fresh, step.binds)
+        try:
+            inst = _instantiate(state.contexts, action, sess.sigma, step.fresh, step.binds)
+        except ValueError as e:
+            problems.append((f"step {n}: {e}", False))
+            break
         if inst is None:
             problems.append((f"step {n}: action not ground after instantiation", False))
             break
@@ -635,7 +633,10 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
         role = proto.roles[st.role]
         if st.pc >= len(role.actions):
             raise ParseError(f"session {snum} has no pending action", tok.pos)
-        inst = _instantiate(table, role.actions[st.pc], st.sigma, fresh, binds)
+        try:
+            inst = _instantiate(table, role.actions[st.pc], st.sigma, fresh, binds)
+        except ValueError as e:
+            raise ParseError(f"step {len(steps) + 1}: {e}", tok.pos) from None
         if inst is None:
             raise ParseError(f"step {len(steps) + 1} leaves variables unbound", tok.pos)
         steps.append(Step(snum, inst, fresh, binds))

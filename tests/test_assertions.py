@@ -299,6 +299,21 @@ def test_syntactic_match_recovers_the_substituted_values():
     assert checked >= 300
 
 
+def test_a_free_bound_name_of_the_pattern_is_a_hole_by_its_own_name():
+    # free %1 beside a binder %2 of its own: the binder lines up with the
+    # target's %1, and the hole comes back under the name it was given
+    pat = Exists("%2", Pred("p", (Var("%1"), Var("%2"))))
+    tgt = normalize(Exists("y", Pred("p", (n, Var("y")))))
+    assert match_assertion(pat, tgt, {"%1"}, {}, SYNTACTIC) == [{"%1": n}]
+    assert match_assertion(pat, tgt, {"%1"}, {"%1": n}, SYNTACTIC) == [{"%1": n}]
+    assert match_assertion(pat, tgt, {"%1"}, {"%1": k}, SYNTACTIC) == []
+    # a hole named like a binder is no hole under it
+    inner = Exists("%1", Pred("p", (Var("%1"), Var("%1"))))
+    assert match_assertion(inner, inner, {"%1"}, {}, SYNTACTIC) == [{}]
+    assert match_assertion(inner, normalize(Exists("y", Pred("p", (Var("y"), n)))),
+                           {"%1"}, {}, SYNTACTIC) == []
+
+
 def _fill(t, rng: random.Random, pool: list):
     """t with each occurrence of a handle replaced by its own draw from pool."""
     if isinstance(t, Var) and t.name in HANDLES:

@@ -216,6 +216,46 @@ def test_a_sender_without_its_assertion_still_exits_one(tmp_path, capsys):
         assert "send assertion not derivable" in capsys.readouterr().out
 
 
+# B's receive teaches B p(z), which B's pending deny refuses: the run
+# completes only if the deny comes before the receive.
+T3 = """\
+protocol t3
+agents A, B
+nonces z
+predicates p/1
+role s:
+  insert id : p(z)
+  send id : z, p(z)
+role r:
+  recv id : z, p(z)
+role d:
+  deny id : p(z)
+"""
+
+
+def test_simulate_completes_whatever_the_session_order(tmp_path, capsys):
+    proto = _write(tmp_path, "t3.proto", T3)
+    for order in ("s(id=A); r(id=B); d(id=B)", "d(id=B); s(id=A); r(id=B)",
+                  "r(id=B); d(id=B); s(id=A)"):
+        for seed in range(6):
+            assert main(["simulate", proto, "--sessions", order, "--seed", str(seed)]) == 0
+            trace = _write(tmp_path, "t3.trace", capsys.readouterr().out)
+            assert main(["replay", proto, trace, "--sessions", order]) == 0
+            capsys.readouterr()
+
+
+def test_replay_of_a_non_key_in_a_key_slot_is_a_parse_error(tmp_path, capsys):
+    assert main(["simulate", "foo", "--seed", "0"]) == 0
+    trace = capsys.readouterr().out
+    assert trace.count("k=k_3:key") == 1
+    path = _write(tmp_path, "nonce.trace", trace.replace("k=k_3:key", "k=k_3:nonce"))
+    assert main(["replay", "foo", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: step 1: encryption key must be key material")
+    assert "internal error" not in captured.err
+
+
 def test_simulate_with_an_unbound_role_parameter_is_a_usage_error(capsys):
     # voter(v) without v can never run; that is no definite negative
     rc = main(["simulate", "foo", "--sessions", "voter(id=V0)"])

@@ -397,6 +397,37 @@ def test_hypothesis_goal_proof_is_an_access_chain(safe):
     assert chain == [("strip", p), ("and_e", Says(A, p)), ("ax", top)]
 
 
+# goals whose conjuncts are hypotheses with sibling binders: each conjunct
+# must be the hypothesis itself, whatever binders precede it
+SIBLING_BINDERS = {
+    "existentials": """\
+predicates: p/1, q/1
+assertions:
+ex x: q(x)
+ex y: p(y)
+goal: (ex x: q(x)) /\\ (ex y: p(y))
+""",
+    "says": """\
+agents: A
+predicates: p/1, q/1
+assertions:
+ex x: q(x)
+A says (ex y: p(y))
+goal: (ex x: q(x)) /\\ (A says (ex y: p(y)))
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIBLING_BINDERS))
+@pytest.mark.parametrize("safe", [True, False])
+def test_a_conjunction_of_hypotheses_with_sibling_binders_is_derivable(name, safe):
+    seq = parse_sequent(SIBLING_BINDERS[name])
+    verdict = (derive_safe if safe else derive)(seq.terms, seq.assertions, seq.goal)
+    assert verdict.derivable
+    assert replay_assertion_proof(verdict.proof, seq.terms, seq.assertions,
+                                  seq.goal) == (True, None)
+
+
 def test_an_existential_is_opened_once_per_witness_name(monkeypatch):
     opened = []
     real = assertions.substitute

@@ -62,6 +62,9 @@ TRACE_ERRORS = [
      "nested more than 100 levels deep at trace:10:133"),
     ("undeclared constant", "env={v0}k_3", "env={7}k_3",
      "undeclared constant 7 at trace:10:34"),
+    ("non-key in a key slot", "k=k_3:key", "k=k_3:nonce",
+     "step 1: encryption key must be key material, got Basic(name='k_3', sort='nonce') "
+     "at trace:8:16"),
 ]
 
 

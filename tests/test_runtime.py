@@ -89,6 +89,20 @@ def test_simulation_completes_and_validates():
     assert ok, problems
 
 
+def test_a_hand_built_non_key_in_a_key_slot_is_a_problem():
+    # the trace reader refuses it (test_error_texts); a run built in code
+    # must be reported, not raise
+    proto = foo()
+    run, _ = simulate(proto, default_foo_setup(proto), seed=0)
+    (name, key), = run.steps[0].fresh
+    assert key.sort == "key"
+    nonce = Step(run.steps[0].session, run.steps[0].action, ((name, Basic(key.name, "nonce")),))
+    ok, problems, _ = validate_run(replace(run, steps=[nonce, *run.steps[1:]], complete=False))
+    assert not ok
+    assert problems == ["step 1: encryption key must be key material, got "
+                        f"Basic(name='{key.name}', sort='nonce')"]
+
+
 def test_simulation_is_deterministic_per_seed():
     proto = foo()
     setup = default_foo_setup(proto)

@@ -37,6 +37,8 @@ role denier:
   deny id : q(n) \\/ p(n)
 role inserter:
   insert id : n = m
+role splitter:
+  insert id : n = m \\/ p(n)
 role checker:
   confirm id : p(n)
   deny id : q(n)
@@ -70,6 +72,8 @@ CASES = [
     ("inserter", "", {Or(p(n), Eq(n, n))}, SearchBudget(),
      [], ["session 1: insert made A's theory inconsistent"]),
     ("checker", "", {p(n)}, SearchBudget(), [], []),
+    # the p(n) case is consistent, so the theory is
+    ("splitter", "", set(), SearchBudget(), [], []),
 ]
 
 

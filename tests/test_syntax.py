@@ -5,14 +5,17 @@ import random
 import pytest
 
 from protassert import (
+    And,
     Basic,
     Enc,
     Eq,
     Exists,
+    Or,
     Pair,
     ParseError,
     Pred,
     Says,
+    SentA,
     Var,
     normalize,
     parse_assertion,
@@ -98,6 +101,7 @@ BINDERS = [
     "ex y: y sent <ex x: x = y>",
     "A sent <ex x: p(x) /\\ (ex x: x = n)> \\/ ex x: A says x = m",
     "ex x: (ex y: x = y) /\\ (ex x, y: {x}y = {n}k)",
+    "(ex x: p(x)) /\\ (ex y: y = n) \\/ A says (ex x, y: p(x) /\\ (ex z: z = y))",
 ]
 
 
@@ -108,11 +112,34 @@ def test_binders_are_numbered_as_read():
     assert parse_assertion("ex x, x: p(x)", d) == Exists("%1", Exists("%2", Pred("p", (x2,))))
     assert parse_assertion("ex n: n = n", d) == Exists("%1", Eq(n, n))
     assert parse_assertion("ex y: y says p(n)", d) == Exists("%1", Says(x1, Pred("p", (n,))))
+    # by depth: sibling binders share a name
+    assert parse_assertion("(ex x: p(x)) /\\ (ex y: p(y))", d) == And(
+        Exists("%1", Pred("p", (x1,))), Exists("%1", Pred("p", (x1,))))
+
+
+def test_sibling_binders_print_with_names_of_their_own():
+    d = decls()
+    d.predicates["q"] = 1
+    for text in ("(ex x: q(x)) /\\ (ex y: p(y))",
+                 "A sent <ex x: p(x) /\\ (ex y: p(y))> \\/ (ex z: A says p(z))"):
+        assert print_assertion(parse_assertion(text, d)) == text
+
+
+def _depth_zero_parts(a):
+    """a, and the parts that a proof takes apart without opening a binder:
+    the sides of a conjunction or disjunction and says or sent bodies."""
+    yield a
+    if isinstance(a, (And, Or)):
+        yield from _depth_zero_parts(a.left)
+        yield from _depth_zero_parts(a.right)
+    elif isinstance(a, (Says, SentA)):
+        yield from _depth_zero_parts(a.body)
 
 
 def test_every_parsed_assertion_is_its_own_normal_form():
     """normalize has nothing left to build: rebuilding the normal form from
-    scratch gives the very object the parser returned."""
+    scratch gives the very object the parser returned, and so for every
+    depth-0 part of it."""
     d = decls()
     found = [parse_assertion(text, d) for text in BINDERS]
     role = "\n".join(f"  deny id : {text}" for text in BINDERS)
@@ -126,7 +153,11 @@ def test_every_parsed_assertion_is_its_own_normal_form():
     for seq in map(parse_sequent, texts):
         found += [*seq.assertions, seq.goal]
     assert len(found) > 50
-    for a in found:
+    parts = [part for a in found for part in _depth_zero_parts(a)]
+    # existentials below a connective, not only whole ones
+    assert sum(isinstance(part, Exists) for part in parts) > 20 + sum(
+        isinstance(a, Exists) for a in found)
+    for a in parts:
         assert normalize(a) is a
         assert rebind(a, {}, numbered()) is a
 
