@@ -15,10 +15,10 @@ Assertions are hash-consed like terms (`terms.Interned`, one shared weak
 table): equal structures are one object, so `==` and `hash` are identity.
 What depends only on the structure is computed once and cached on each
 object: `assertion_key`, `normalize` (a normal form caches itself as its own
-normal form), an existential's body `opened` per witness name,
-`assertion_terms`, `assertion_vars`, `free_vars`, the assertions inside it
-that `subassertions` lists, and its `canonical` form where that renames a
-free bound name.
+normal form), an existential's body `opened` per witness term,
+`assertion_terms`, `assertion_vars` and `free_vars` (each from its parts'
+cached values), the assertions inside it that `subassertions` lists, and its
+`canonical` form where that renames a free bound name.
 
 The one pattern matcher, `match_term`/`match_assertion`, lives here too.  It
 binds a pattern's holes so that the pattern equals a target modulo an
@@ -36,7 +36,6 @@ from .terms import (
     cache,
     children,
     has_bound_name,
-    iter_subterms,
     same_head,
     subst_term,
     term_key,
@@ -174,13 +173,13 @@ def _assertion_terms(a: Assertion) -> tuple[Term, ...]:
 
 def assertion_vars(a: Assertion) -> frozenset[str]:
     """The names of every variable in a's terms, bound ones included.
-    Cached on a."""
+    Cached on a, built from its parts' sets."""
     try:
         return a._vars
     except AttributeError:
-        return cache(a, "_vars", frozenset(
-            s.name for t in assertion_terms(a) for s in iter_subterms(t)
-            if isinstance(s, Var)))
+        terms, subs = parts(a)
+        return cache(a, "_vars", frozenset().union(*map(term_vars, terms),
+                                                   *map(assertion_vars, subs)))
 
 
 def free_vars(a: Assertion) -> frozenset[str]:
@@ -231,6 +230,8 @@ def rebind(a: Assertion, env: dict[str, Term], rename, depth: int = 0) -> Assert
         return type(a)(rebind(a.left, env, rename, depth), rebind(a.right, env, rename, depth))
     if isinstance(a, (Says, SentA)):
         return type(a)(subst_term(a.agent, env), rebind(a.body, env, rename, depth))
+    if assertion_vars(a).isdisjoint(env):  # an Eq, Pred or SentT leaf env leaves as it is
+        return a
     return map_terms(a, lambda t: subst_term(t, env))
 
 
@@ -278,15 +279,16 @@ def _ground(a: Assertion, sigma: dict[str, Term]) -> Assertion:
         return type(a)(_ground(a.left, sigma), _ground(a.right, sigma))
     if isinstance(a, (Says, SentA)):
         return type(a)(subst_term(a.agent, sigma), _ground(a.body, sigma))
-    return map_terms(a, lambda t: t if term_vars(t).isdisjoint(sigma) else subst_term(t, sigma))
+    return map_terms(a, lambda t: subst_term(t, sigma))
 
 
-def opened(psi: Exists, var: str) -> Assertion:
-    """psi's body over the variable var, memoized on psi per name."""
-    by_var = getattr(psi, "_opened", None) or cache(psi, "_opened", {})
-    if var not in by_var:
-        by_var[var] = substitute(psi.body, {psi.var: Var(var)})
-    return by_var[var]
+def opened(psi: Exists, u: Term) -> Assertion:
+    """psi's body with the term u for its variable, memoized on psi per u;
+    a u that raises ValueError (a non-key in a key slot) is not kept."""
+    by_u = getattr(psi, "_opened", None) or cache(psi, "_opened", {})
+    if u not in by_u:
+        by_u[u] = substitute(psi.body, {psi.var: u})
+    return by_u[u]
 
 
 def reveals(a: Assertion) -> frozenset[Term]:

@@ -213,7 +213,7 @@ def _check(node: ProofNode, ctx: frozenset[Assertion], X: frozenset[Term],
                 raise CheckError(f"exists_e: witness variable {y} is a reserved name")
             if y in names or y in _all_var_names(c) or y in _all_var_names(d):
                 raise CheckError(f"exists_e: witness variable {y} not fresh")
-            cases = (opened(d, y),)
+            cases = (opened(d, Var(y)),)
         for prem, hyp in zip(prems[1:], cases):
             _check(prem, ctx | {hyp}, X, names | _all_var_names(hyp))
             _expect(prem.concl == c, f"{rule}: conclusion mismatch")

@@ -147,19 +147,31 @@ def dy_derive(X, t: Term) -> DYVerdict:
 
 
 class DYContext:
-    """Saturates once, answers many queries; proof construction on demand."""
+    """Saturates X on first need, answers many queries; proofs on demand.  A
+    term composed from X's members needs no analysis, and a member's proof
+    is `ax`, as `dy_saturate`, which enters X first and never overwrites an
+    entry, would give.  Once X is saturated, only the saturated set is asked."""
 
     def __init__(self, X):
         self.X = frozenset(X)
-        self.saturated, self._prov = dy_saturate(self.X)
+        self.saturated, self._prov = None, {}  # X's analysis and provenance, once needed
         self._memo: dict = {}
         self.classes = None  # the engine's closure of X's terms (engine._x_classes)
 
+    def _analyzed(self) -> frozenset[Term]:
+        if self.saturated is None:
+            self.saturated, self._prov = dy_saturate(self.X)
+        return self.saturated
+
     def derivable(self, t: Term) -> bool:
-        return _synth_ok(self.saturated, t)
+        if self.saturated is None and _synth_ok(self.X, t):
+            return True
+        return _synth_ok(self._analyzed(), t)
 
     def proof(self, t: Term) -> TermProof:
-        return _synth_proof(self.saturated, t, self._prov, self._memo)
+        if t in self.X:
+            return self._memo.setdefault(t, TermProof("ax", t))
+        return _synth_proof(self._analyzed(), t, self._prov, self._memo)
 
     def inv_derivable(self, key: Term) -> bool:
         if not is_key_position(key):

@@ -47,7 +47,10 @@ Search strategy is fixed:
 
 A branch holding two distinct basics in one class is inconsistent and proves
 anything.  The safe mode disables steps 1 and 3 (the rules unsound for
-composition); introduction rules stay available.
+composition); introduction rules stay available.  A context builds its root
+on its first search.  In safe mode it answers a stated hypothesis by `ax`,
+with no root and no search, as the search would: a safe root opens no
+witness, and hypotheses are tried first.
 
 Positive verdicts carry a full proof tree over the rule schemas; negative
 verdicts say whether a search budget was hit.
@@ -80,7 +83,6 @@ from .assertions import (
     rebuilt,
     sorted_assertions,
     subassertions,
-    substitute,
 )
 from .dy import RULES, DYContext, ProofNode
 from .terms import (
@@ -436,7 +438,7 @@ class _Node:
             elif isinstance(psi, Exists) and not ctx.safe:
                 # each existential is opened once per query, on _w1, _w2, ...
                 var = names.setdefault(psi, f"_w{len(names) + 1}")
-                inst = opened(psi, var)
+                inst = opened(psi, Var(var))
                 if inst not in hyps:
                     hyps.add(inst)
                     origin[inst] = ("assume",)
@@ -519,6 +521,7 @@ class _Query:
     def __init__(self, ctx: "DeriveContext"):
         self.ctx = ctx
         self.budget = ctx.budget
+        ctx.root  # built first: its expansion names the root's witnesses
         self.names = dict(ctx.wit_names)
         self.branches = 1
         self.nodes = 0
@@ -834,7 +837,7 @@ class _BranchProver:
             return p
         for u in self._candidates(goal.var, goal.body):
             try:
-                inst = substitute(goal.body, {goal.var: u})
+                inst = opened(goal, u)
             except ValueError:  # a non-key in an encryption's key slot
                 continue
             p = self.prove(inst)
@@ -1004,11 +1007,12 @@ def _replace_at(a, path: tuple, new: Term):
 # context and public entry points
 
 class DeriveContext:
-    """What every query over one (X, Phi) computes alike: X's saturation,
-    the root's expansion with its witness names, and the root's closure
-    ``cc``, built when a goal first needs it.  Each query splits below the
-    root on its own (`_Query`), works on ``cc`` in place and undoes it to
-    the root's mark when it ends, however it ends.  So a query on a shared
+    """What every query over one (X, Phi) computes alike, each on first
+    need: X's saturation, the root's expansion with its witness names (on
+    the first search; a safe context answers a stated hypothesis without
+    it), and the root's closure ``cc``.  Each query splits below the root
+    on its own (`_Query`), works on ``cc`` in place and undoes it to the
+    root's mark when it ends, however it ends.  So a query on a shared
     context answers as `derive` does on a fresh one, proof included, and
     each distinct goal is searched once: ``verdicts`` keeps every answer."""
 
@@ -1029,8 +1033,11 @@ class DeriveContext:
         self.verdicts: dict[Assertion, Verdict] = {}  # by normalized goal
         self.build_failed = False  # the root's closure went over merge_cap
         self.cc: EqClasses | None = None  # set by the root's first mark
-        self.root = _Node(self, self.wit_names, set(self.Phi),
-                          {a: ("ax",) for a in self.Phi}, deque(sorted_assertions(self.Phi)))
+
+    @cached_property
+    def root(self) -> _Node:
+        return _Node(self, self.wit_names, set(self.Phi),
+                     {a: ("ax",) for a in self.Phi}, deque(sorted_assertions(self.Phi)))
 
     def leaves(self) -> Iterator[_Node]:
         """Every leaf of the fully split tree, left to right, split in a query
@@ -1061,15 +1068,18 @@ class DeriveContext:
         return self.verdicts[goal]
 
     def _search(self, goal: Assertion) -> Verdict:
-        query = _Query(self)
-        try:
-            proof = query.solve(self.root, goal)
-        except BudgetExhausted:
-            return Verdict(False, budget_exhausted=True)
-        finally:
-            self._rewind()
-        if proof is None:
-            return Verdict(False, budget_exhausted=query.truncated)
+        if self.safe and goal in self.Phi and self.budget.node_cap >= 1:
+            proof = ProofNode("ax", goal)  # what a search returns: safe roots open no witness
+        else:
+            query = _Query(self)
+            try:
+                proof = query.solve(self.root, goal)
+            except BudgetExhausted:
+                return Verdict(False, budget_exhausted=True)
+            finally:
+                self._rewind()
+            if proof is None:
+                return Verdict(False, budget_exhausted=query.truncated)
         if REPLAY_CHECK:
             from .checker import replay_assertion_proof
 

@@ -5,9 +5,10 @@ hash-consing*, ML 2006): constructing a term looks its class and fields up in
 one weak table, so while any reference to a structure lives it exists as
 exactly one object.  Equality and hashing are therefore object identity, the
 C-level defaults, and values that depend only on the structure are computed
-once per object and cached on it: for a term, `term_key`, `has_bound_name`
-and `term_vars`.  Assertions share the table and the metaclass
-(`Interned`); the `assertions` docstring lists what each assertion caches.
+once per object and cached on it, each from its children's cached values:
+for a term, `term_key`, `has_bound_name` and `term_vars`.  Assertions share
+the table and the metaclass (`Interned`); the `assertions` docstring lists
+what each assertion caches.
 
 Encryption keys are constrained at construction: a key position holds a basic of
 sort key, a variable, or an application of a key constructor (sk/vk).
@@ -215,12 +216,12 @@ def iter_subterms(t: Term) -> Iterator[Term]:
 
 
 def term_vars(t: Term) -> frozenset[str]:
-    """The names of the variables in t.  Cached on t."""
+    """The names of the variables in t.  Cached on t, built from its children's."""
     try:
         return t._vars
     except AttributeError:
-        return cache(t, "_vars", frozenset(s.name for s in iter_subterms(t)
-                                           if isinstance(s, Var)))
+        return cache(t, "_vars", frozenset((t.name,)) if isinstance(t, Var)
+                     else frozenset().union(*map(term_vars, children(t))))
 
 
 def is_ground(t: Term) -> bool:
@@ -272,6 +273,8 @@ def sorted_terms(terms) -> list[Term]:
 def subst_term(t: Term, sigma: dict[str, Term]) -> Term:
     if isinstance(t, Var):
         return sigma.get(t.name, t)
+    if term_vars(t).isdisjoint(sigma):
+        return t
     if isinstance(t, Pair):
         return Pair(subst_term(t.left, sigma), subst_term(t.right, sigma))
     if isinstance(t, Enc):

@@ -1,7 +1,10 @@
 # The parser as it was before it read assertions straight to alpha-normal
 # form, kept as the specification of the current one: src/protassert/syntax.py
-# at that point, verbatim but for absolute imports.  tests/test_parser_differential.py
-# runs both over the same inputs.  Nothing under perfbench/ imports this module.
+# at that point, verbatim but for absolute imports and without its printer
+# (print_term, print_assertion, print_action, print_protocol and the helpers
+# only they used), which no test called.  tests/test_parser_differential.py
+# runs both parsers over the same inputs.  Nothing under perfbench/ imports
+# this module.
 """Concrete syntax: parsing and printing for terms, assertions, sequent
 files, the protocol description language and session lists, and the cursor
 that the trace reader (`runtime.parse_trace`) shares.
@@ -53,7 +56,6 @@ deep input never reaches Python's recursion limit here or downstream.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import re
 from dataclasses import dataclass, field
@@ -69,9 +71,7 @@ from protassert.assertions import (
     Says,
     SentA,
     SentT,
-    assertion_vars,
     normalize,
-    rebind,
 )
 from protassert.terms import (
     AGENT,
@@ -428,81 +428,6 @@ def parse_assertion(text: str, decls: Declarations | None = None,
 
 
 # ---------------------------------------------------------------------------
-# printing
-
-def print_term(t: Term) -> str:
-    if isinstance(t, (Basic, Var)):
-        return t.name
-    if isinstance(t, Pair):
-        return f"({print_term(t.left)}, {print_term(t.right)})"
-    if isinstance(t, Enc):
-        return "{" + print_term(t.body) + "}" + print_term(t.key)
-    if isinstance(t, App):
-        return f"{t.ctor}(" + ", ".join(print_term(a) for a in t.args) + ")"
-    raise TypeError(f"not a term: {t!r}")
-
-
-_DISPLAY_POOL = ["x", "y", "z", "u", "w", "r", "s", "t", "m", "n"]
-
-
-def _display_names(a: Assertion) -> Assertion:
-    """Rename reserved bound names (%n) to readable identifiers."""
-    taken = assertion_vars(a)
-    pool = (n for n in itertools.chain(_DISPLAY_POOL, (f"x{i}" for i in range(1, 1000)))
-            if n not in taken)
-    shown: dict[str, str] = {}
-
-    def pick(old: str) -> str:
-        if old.startswith("%") and old not in shown:
-            shown[old] = next(pool)
-        return shown.get(old, old)
-
-    return rebind(a, {}, pick)
-
-
-_LVL_OR, _LVL_AND, _LVL_UNIT = 0, 1, 2
-
-
-def _print_assertion(a: Assertion, level: int) -> str:
-    if isinstance(a, Or):
-        s = f"{_print_assertion(a.left, _LVL_AND)} \\/ {_print_assertion(a.right, _LVL_UNIT if isinstance(a.right, Or) else _LVL_AND)}"
-        # right operand printed one level up when it is itself an Or, to keep
-        # reparse grouping identical (the grammar is left-associative)
-        return f"({s})" if level > _LVL_OR else s
-    if isinstance(a, And):
-        right_lvl = _LVL_UNIT if isinstance(a.right, And) else _LVL_AND
-        s = f"{_print_assertion(a.left, _LVL_AND)} /\\ {_print_assertion(a.right, right_lvl)}"
-        return f"({s})" if level > _LVL_AND else s
-    if isinstance(a, Exists):
-        names = [a.var]
-        body = a.body
-        while isinstance(body, Exists):
-            names.append(body.var)
-            body = body.body
-        s = f"ex {', '.join(names)}: {_print_assertion(body, _LVL_OR)}"
-        return f"({s})" if level > _LVL_OR else s
-    if isinstance(a, Says):
-        body = _print_assertion(a.body, _LVL_UNIT)
-        return f"{print_term(a.agent)} says {body}"
-    if isinstance(a, SentT):
-        return f"{print_term(a.agent)} sent {print_term(a.term)}"
-    if isinstance(a, SentA):
-        return f"{print_term(a.agent)} sent <{_print_assertion(a.body, _LVL_OR)}>"
-    if isinstance(a, Eq):
-        return f"{print_term(a.lhs)} = {print_term(a.rhs)}"
-    if isinstance(a, Pred):
-        return f"{a.name}(" + ", ".join(print_term(t) for t in a.args) + ")"
-    raise TypeError(f"not an assertion: {a!r}")
-
-
-def print_assertion(a: Assertion) -> str:
-    shown = _display_names(a)
-    out = _print_assertion(shown, _LVL_OR)
-    # an Or/Exists/And at the very top is fine unparenthesized; units too
-    return out
-
-
-# ---------------------------------------------------------------------------
 # declaration lines and sequent files
 
 _DECL_HEADS = ("agents", "nonces", "keys", "predicates", "constructors")
@@ -658,48 +583,6 @@ def _parse_action(p: Cursor, phases: list[str], phase: int):
         assertion = normalize(_parse_assertion(p))
     return Action(kind, Var("id") if agent == "id" else p.decls.classify(agent),
                   fresh, term, assertion, phase)
-
-
-def print_action(action, phases: tuple[str, ...] = (), prev_phase: int | None = None) -> str:
-    parts = []
-    if phases and prev_phase is not None and action.phase != prev_phase:
-        parts.append(f"@{phases[action.phase]}")
-    kind = action.kind
-    parts.append(kind)
-    parts.append(print_term(action.agent))
-    if action.fresh:
-        parts.append("fresh(" + ", ".join(action.fresh) + ")")
-    payload = []
-    if action.term is not None:
-        payload.append(print_term(action.term))
-    if action.assertion is not None:
-        payload.append(print_assertion(action.assertion))
-    return " ".join(parts) + " : " + ", ".join(payload)
-
-
-def print_protocol(proto) -> str:
-    d = proto.decls
-    out = [f"protocol {proto.name}"]
-    if proto.phases:
-        out.append("phases " + ", ".join(proto.phases))
-    for head in ("agents", "nonces", "keys"):
-        vals = sorted(getattr(d, head))
-        if vals:
-            out.append(f"{head} " + ", ".join(vals))
-    if d.predicates:
-        out.append("predicates " + ", ".join(f"{k}/{v}" for k, v in sorted(d.predicates.items())))
-    if d.constructors:
-        out.append("constructors " + ", ".join(
-            f"{k}/{'*' if v is None else v}" for k, v in sorted(d.constructors.items())))
-    for rname in sorted(proto.roles):
-        role = proto.roles[rname]
-        params = f"({', '.join(role.params)})" if role.params else ""
-        out.append(f"role {rname}{params}:")
-        prev = 0
-        for a in role.actions:
-            out.append("  " + print_action(a, proto.phases, prev))
-            prev = a.phase
-    return "\n".join(out) + "\n"
 
 
 def parse_session(p: Cursor, proto) -> tuple[str, dict[str, Term]]:

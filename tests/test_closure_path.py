@@ -85,7 +85,7 @@ def _equation_free(rng: random.Random, count: int):
         terms = sorted({s for h in hyps for t in assertion_terms(h)
                         for s in iter_subterms(t)},
                        key=term_key)
-        pinned = And(Eq(Var("x"), rng.choice(terms)), opened(goal, "x"))
+        pinned = And(Eq(Var("x"), rng.choice(terms)), opened(goal, Var("x")))
         yield X, hyps, goal
         yield X, hyps, normalize(Exists("x", pinned))
         yield X, hyps, normalize(Exists("z", goal))

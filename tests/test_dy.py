@@ -5,6 +5,7 @@ import random
 from protassert import App, Basic, DYContext, Enc, Pair, Var, dy_derive, sk, vk
 from protassert.dy import _synth_ok, dy_saturate
 from protassert.checker import replay_term_proof
+from protassert.terms import KEYS, is_key_position, iter_subterms, sorted_terms
 
 from oracles import oracle_dy, random_instance
 
@@ -118,3 +119,46 @@ def test_derivable_from_is_composition_only():
     S = frozenset({Pair(n, m)})
     assert _synth_ok(S, Pair(n, m))
     assert not _synth_ok(S, n)
+
+
+def _questions(rng, X, q):
+    """(question, term) pairs about X: the drawn target, members of X,
+    their subterms and the inverses of the key material among them."""
+    subs = sorted_terms({s for t in X for s in iter_subterms(t)})
+    terms = [q, *rng.sample(sorted_terms(X), min(2, len(X))), *rng.sample(subs, min(3, len(subs)))]
+    terms += [KEYS.inverse(t) for t in subs if is_key_position(t)][:2]
+    return [(ask, t) for t in terms for ask in ("derivable", "inv_derivable", "proof")]
+
+
+def _answer(ctx_or_none, X, ask, t):
+    """The answer of a context, or of dy_derive when ctx_or_none is None;
+    a proof question is asked of derivable terms only."""
+    if ctx_or_none is not None:
+        if ask == "proof":
+            return ctx_or_none.proof(t) if ctx_or_none.derivable(t) else None
+        return getattr(ctx_or_none, ask)(t)
+    if ask == "inv_derivable":
+        return is_key_position(t) and dy_derive(X, KEYS.inverse(t)).derivable
+    v = dy_derive(X, t)
+    return v.proof if ask == "proof" else v.derivable
+
+
+def test_a_context_saturating_on_demand_answers_as_an_eager_one():
+    # X is analyzed only when composition from X cannot answer, and a member
+    # of X is proved without analysis; each answer, proofs compared with ==,
+    # must be dy_derive's whichever question comes first
+    rng = random.Random(20261019)
+    lazy_answers = asked = 0
+    for _ in range(300):
+        X, q = random_instance(rng)
+        questions = _questions(rng, X, q)
+        want = {qu: _answer(None, X, *qu) for qu in questions}
+        for first in ("derivable", "inv_derivable", "proof"):
+            order = rng.sample(questions, len(questions))
+            order.sort(key=lambda qu: qu[0] != first)  # one of this kind first
+            ctx = DYContext(X)
+            for qu in order:
+                assert _answer(ctx, X, *qu) == want[qu], (X, qu, order.index(qu))
+                lazy_answers += ctx.saturated is None
+                asked += 1
+    assert asked > 10000 and lazy_answers > 1000
