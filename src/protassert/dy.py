@@ -157,6 +157,7 @@ class DYContext:
         self.saturated, self._prov = None, {}  # X's analysis and provenance, once needed
         self._memo: dict = {}
         self.classes = None  # the engine's closure of X's terms (engine._x_classes)
+        self.seed: DYContext | None = None  # a subset's; _x_classes starts from its classes
 
     def _analyzed(self) -> frozenset[Term]:
         if self.saturated is None:

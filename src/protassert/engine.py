@@ -23,9 +23,11 @@ Search strategy is fixed:
      which a hypothesis goal never does (theory work on demand, likewise).
      A branch with no equation hypothesis has one term per class: its
      equality (`same`, `members`) answers by identity, and it adds to the
-     closure only when a goal reads the term universe.  The root's closure
-     starts from a copy of X's classes, registered once per DYContext, and
-     is built unlogged;
+     closure only when a goal reads the term universe; until then it skips
+     the rewrite matcher, which can match only the goal itself.  The root's
+     closure starts from a copy of X's classes, registered once per
+     DYContext (from a copy of the run's public terms' classes when a run
+     seeds them), and is built unlogged;
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
      hypotheses and classes (`assertions.match_canonical` on the pattern's
@@ -116,6 +118,14 @@ class SearchBudget:
     node_cap: int = 200_000
     candidate_cap: int = 128
 
+    def __hash__(self) -> int:  # the dataclass hash, computed once: context keys hash budgets
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.witness_depth, self.branch_cap, self.merge_cap, self.node_cap,
+                     self.candidate_cap))
+
 
 DEFAULT_BUDGET = SearchBudget()
 
@@ -195,7 +205,7 @@ class EqClasses:
                 d[key] = old
         self._pending.clear()
 
-    def copy(self, merge_cap: int) -> EqClasses:
+    def copy(self, merge_cap: int = 10**6) -> EqClasses:
         """The same classes in dicts of their own, with an empty trail and
         no logging; made without __init__.  The lists and sets the dicts
         share are never changed in place, so no write reaches the other."""
@@ -380,13 +390,25 @@ def _x_classes(dyctx: DYContext) -> EqClasses:
     """X's terms registered, in sorted order and unlogged, once per
     DYContext; each root closure over X starts from a copy.  They take no
     union (a congruence needs two terms with one signature), and a guard
-    reads only dyctx, so every context over X would build the same."""
+    reads only dyctx, so every context over X would build the same.  With
+    dyctx.seed, a DYContext over a subset of X that holds no encryption,
+    they start from a copy of its classes and add the rest of X: the seed's
+    terms have no guard, so they read no context."""
     if dyctx.classes is None:
-        cc = dyctx.classes = EqClasses(dyctx)
-        cc.logging = False
-        for t in sorted_terms(dyctx.X):
+        seed = dyctx.seed
+        cc = EqClasses(dyctx) if seed is None else _x_classes(seed).copy()
+        cc.dyctx, cc.logging = dyctx, False
+        for t in sorted_terms(dyctx.X if seed is None else dyctx.X - seed.X):
             cc.add_term(t)
+        dyctx.classes = cc
     return dyctx.classes
+
+
+def inert(dyctx: DYContext, a: Assertion) -> bool:
+    """Whether hypothesis a, a fact over terms X's classes hold, splits
+    nothing and brings no witness, equation or term to any leaf."""
+    return isinstance(a, (Pred, SentT)) and all(map(_x_classes(dyctx).__contains__,
+                                                    assertion_terms(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +526,7 @@ class _Node:
             return None
         self.mark  # builds ctx.cc up to this node
         members = self.ctx.cc.members  # keyed by the roots
-        for root in sorted(members, key=term_key):
+        for root in sorted((r for r, ms in members.items() if len(ms) > 1), key=term_key):
             basics = [m for m in members[root] if isinstance(m, Basic)]
             if len(basics) >= 2:
                 b = sorted(basics, key=term_key)
@@ -587,6 +609,7 @@ class _BranchProver:
         self.memo: dict[Assertion, ProofNode | None] = {}
         self._access: dict[Assertion, ProofNode] = {}
         self._unregistered: list[Term] | None = []
+        self._unmatched: list[Assertion] = []  # goals whose matching waits for the classes
 
     @cached_property
     def singletons(self) -> bool:
@@ -599,6 +622,9 @@ class _BranchProver:
     def cc(self) -> EqClasses:
         """ctx.cc at the node's mark, with the terms registered so far, on first read."""
         self.node.mark  # builds ctx.cc up to the node
+        for goal in self._unmatched:  # the terms the skipped matchings compare
+            for hyp in self.node.by_kind.get(_kind(goal), ()):
+                self.match_assertions(hyp, goal)
         _add_terms(self.ctx.cc, self._unregistered)
         self._unregistered = None
         return self.ctx.cc
@@ -819,6 +845,9 @@ class _BranchProver:
         return None
 
     def _prove_by_matching(self, goal: Assertion) -> ProofNode | None:
+        if self.singletons and self._unregistered is not None:  # only goal would match
+            self._unmatched.append(goal)
+            return None
         for hyp in self.node.by_kind.get(_kind(goal), ()):
             pairs = self.match_assertions(hyp, goal)
             if pairs is None:

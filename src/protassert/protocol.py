@@ -8,6 +8,7 @@ declarations.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +52,27 @@ class Action:
             raise ValueError(f"{self.kind} action carries exactly an assertion")
         if self.fresh and self.kind not in ("send", "send*"):
             raise ValueError("only sends declare fresh variables")
+
+    def __hash__(self) -> int:  # the dataclass hash, computed once: memo keys hash actions
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.agent, self.fresh, self.term, self.assertion, self.phase))
+
+    def instance(self, sigma: dict[str, Term]) -> "Action":
+        """`action_subst(self, sigma)`, one object per image of the action's
+        variables, held weakly as terms are: unused, its entry goes."""
+        names, live = self._instances
+        key = tuple(map(sigma.get, names))
+        inst = live.get(key)
+        if inst is None:
+            inst = live[key] = action_subst(self, sigma)
+        return inst
+
+    @cached_property
+    def _instances(self) -> tuple[tuple[str, ...], weakref.WeakValueDictionary]:
+        return tuple(sorted(self.used_vars())), weakref.WeakValueDictionary()
 
     def is_ground(self) -> bool:
         """No free variable anywhere (assertion-bound variables are fine)."""

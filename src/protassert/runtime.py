@@ -23,11 +23,13 @@ set is saturated into a `DYContext` once, and one derive context per
 knowledge set, budget and mode reuses it.  A query on a context answers as
 a single `derive` (or `derive_safe`) would, since its case splits and
 witness names are its own, so one context answers every goal, each
-distinct goal once, and the insert check alike.  The same table memoizes
-the run's pure per-state work: each role action instantiated under a
-session's bindings, and each match of a receive pattern against a message
-on the network, since every state re-enumerates every session's
-candidates.
+distinct goal once; an insert of facts over the agent's terms is checked
+on the context before it, often built by the deny before it.  The table
+builds the classes of the run's public terms once, for every term set's
+classes to start from, and keeps the run's action instances alive: a role
+action memoizes them weakly, so a replay of the run reuses them.  A state
+carries its receive patterns' bindings to its copies, which match only the
+messages sent since.
 
 Actions are scheduled lowest-phase-first among enabled candidates, with a
 seeded random choice among ties, so runs are reproducible from their seed.
@@ -53,8 +55,9 @@ from .engine import (
     BudgetExhausted,
     DeriveContext,
     SearchBudget,
+    inert,
 )
-from .protocol import Action, Protocol, action_subst
+from .protocol import Action, Protocol
 from .syntax import Cursor, ParseError, parse_session, print_term, tokenize
 from .terms import (
     AGENT,
@@ -88,47 +91,22 @@ class Knowledge:
         return Knowledge(self.terms.union(terms), self.assertions.union(assertions))
 
 
-_UNSEEN = object()
-
-
 class ContextTable:
     """The knowledge contexts of one run, keyed by the exact term and
-    assertion sets they are built over, and the run's memoized
-    instantiations and receive matches (see the module docstring)."""
+    assertion sets (see the module docstring); public has no encryption."""
 
-    def __init__(self) -> None:
+    def __init__(self, public: frozenset[Term] = frozenset()) -> None:
         self._dy: dict[frozenset[Term], DYContext] = {}
         self._contexts: dict[tuple, DeriveContext] = {}
-        self._instances: dict[tuple, Action] = {}
-        self._received: dict[tuple, tuple[tuple[str, Term], ...] | None] = {}
-
-    def instance(self, action: Action, sigma: dict[str, Term]) -> Action:
-        """`action_subst(action, sigma)`, computed once per distinct pair."""
-        key = (action, frozenset(sigma.items()))
-        inst = self._instances.get(key)
-        if inst is None:
-            inst = self._instances[key] = action_subst(action, sigma)
-        return inst
-
-    def received(self, pat: Action, tr: Traffic) -> tuple[tuple[str, Term], ...] | None:
-        """The binding, as sorted pairs, under which the receive pattern
-        pat matches the message tr, or None when it does not match."""
-        key = (pat, tr.term, tr.assertion)
-        binding = self._received.get(key, _UNSEEN)
-        if binding is _UNSEEN:
-            holes = pat.used_vars()
-            found = match_term(pat.term, tr.term, holes, {}, SYNTACTIC)
-            if found and pat.assertion is not None:
-                found = [] if tr.assertion is None else match_assertion(
-                    pat.assertion, tr.assertion, holes, found[0], SYNTACTIC)
-            binding = self._received[key] = (tuple(sorted(found[0].items()))
-                                             if found else None)
-        return binding
+        self._public = DYContext(public)
+        self.held: set[Action] = set()  # the run's action instances, memoized weakly
 
     def dy(self, terms: frozenset[Term]) -> DYContext:
         ctx = self._dy.get(terms)
         if ctx is None:
             ctx = self._dy[terms] = DYContext(terms)
+            if self._public.X <= terms:
+                ctx.seed = self._public  # its classes start from the public terms'
         return ctx
 
     def context(self, terms: frozenset[Term], assertions: frozenset[Assertion],
@@ -140,12 +118,15 @@ class ContextTable:
                                                 dyctx=self.dy(terms))
         return self._contexts[key]
 
-    def inconsistent(self, terms: frozenset[Term],
-                     assertions: frozenset[Assertion]) -> bool:
+    def inconsistent(self, terms: frozenset[Term], assertions: frozenset[Assertion],
+                     before: frozenset[Assertion] | None = None) -> bool:
         """Whether every leaf of the fully split theory holds two distinct
         basics in one class, under the default budget: one consistent case
         keeps the theory consistent.  An expansion that goes over the budget
-        counts as consistent, so every leaf is drawn before any decides."""
+        counts as consistent, so every leaf is drawn before any decides.
+        When what an insert added to before is inert, before's context answers."""
+        if before is not None and all(inert(self.dy(terms), a) for a in assertions - before):
+            assertions = before
         try:
             return all([l.bottom for l in self.context(terms, assertions).leaves()])
         except BudgetExhausted:
@@ -176,6 +157,7 @@ class WorldState:
     warnings: list[str] = field(default_factory=list)
     used_basics: set[str] = field(default_factory=set)
     contexts: ContextTable = field(default_factory=ContextTable)
+    matches: dict[Action, tuple[int, dict]] = field(default_factory=dict)  # see _traffic_binds
 
     def agent_of(self, s: SessionState) -> str:
         ag = s.sigma["id"]
@@ -220,12 +202,9 @@ def initial_state(proto: Protocol, setup: Setup) -> WorldState:
     knowledge[setup.intruder] = knowledge[setup.intruder].extend(
         setup.intruder_terms, {normalize(a) for a in setup.intruder_assertions})
     sessions = [SessionState(role, dict(sigma)) for role, sigma in setup.sessions]
-    state = WorldState(proto, setup, knowledge, sessions)
-    for k in knowledge.values():
-        for t in k.terms:
-            for s in iter_subterms(t):
-                if isinstance(s, Basic):
-                    state.used_basics.add(s.name)
+    state = WorldState(proto, setup, knowledge, sessions, contexts=ContextTable(frozenset(public)))
+    state.used_basics |= {s.name for t in frozenset().union(*(k.terms for k in knowledge.values()))
+                          for s in iter_subterms(t) if isinstance(s, Basic)}
     state.used_basics |= proto.decls.agents | proto.decls.nonces | proto.decls.keys
     return state
 
@@ -239,7 +218,8 @@ def _instantiate(table: ContextTable, action: Action, sigma: dict[str, Term],
     """The action under a session's sigma extended by its fresh values and
     then its bindings, or None when that leaves a variable free.  A non-key
     in a key slot, which only a recorded step can ask for, raises ValueError."""
-    inst = table.instance(action, {**sigma, **dict(fresh), **dict(binds)})
+    inst = action.instance({**sigma, **dict(fresh), **dict(binds)})
+    table.held.add(inst)
     return inst if inst.is_ground() else None
 
 
@@ -260,16 +240,23 @@ def _allocate_fresh(state: WorldState, session_index: int,
 
 def _traffic_binds(state: WorldState, action: Action,
                    sigma: dict[str, Term]) -> list[tuple[tuple[str, Term], ...]]:
-    """Distinct bindings under which a receive pattern matches a message on
-    the network, in traffic order."""
-    table = state.contexts
-    pat = table.instance(action, sigma)
-    out: dict[tuple[tuple[str, Term], ...], None] = {}
-    for tr in state.traffic:
-        binding = table.received(pat, tr)
-        if binding is not None:
-            out[binding] = None
-    return list(out)
+    """Distinct bindings, as sorted pairs, under which a receive pattern
+    matches a message on the network, in traffic order.  Traffic only grows,
+    so the state keeps them with the number of messages matched, and
+    matches only the rest."""
+    pat = action.instance(sigma)
+    seen, found = state.matches.get(pat, (0, {}))
+    if seen < len(state.traffic):
+        found, holes = dict(found), pat.used_vars()  # found may be a parent state's too
+        for tr in state.traffic[seen:]:
+            got = match_term(pat.term, tr.term, holes, {}, SYNTACTIC)
+            if got and pat.assertion is not None:
+                got = [] if tr.assertion is None else match_assertion(
+                    pat.assertion, tr.assertion, holes, got[0], SYNTACTIC)
+            if got:
+                found[tuple(sorted(got[0].items()))] = None
+    state.matches[pat] = (len(state.traffic), found)  # and keeps pat alive
+    return list(found)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +383,9 @@ def apply_candidate(state: WorldState, step: Step) -> Step:
         _learn(state, agent, (act.term,), said)
         sess.sigma.update(dict(step.binds))
     elif act.kind == "insert":
+        before = state.knowledge[agent].assertions
         know = _learn(state, agent, (), said)
-        if state.contexts.inconsistent(know.terms, know.assertions):
+        if state.contexts.inconsistent(know.terms, know.assertions, before):
             state.warnings.append(
                 f"session {step.session}: insert made {agent}'s theory inconsistent")
     # confirm and deny leave knowledge unchanged
@@ -410,7 +398,7 @@ def _copy_state(s: WorldState) -> WorldState:
         s.proto, s.setup,
         dict(s.knowledge),
         [SessionState(x.role, dict(x.sigma), x.pc) for x in s.sessions],
-        list(s.traffic), list(s.warnings), set(s.used_basics), s.contexts)
+        list(s.traffic), list(s.warnings), set(s.used_basics), s.contexts, dict(s.matches))
 
 
 def _all_done(state: WorldState) -> bool:
