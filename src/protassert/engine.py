@@ -34,15 +34,22 @@ Search strategy is fixed:
      `canonical` form, with the branch as the equality), drawn on demand in
      a fixed order: matching stops at the first witness whose instance is
      proved, and a cut of the candidates counts only when the search draws
-     past it.  Each node
+     past it.  In a branch without equations, where matching is syntactic,
+     an instance opened in a block of existentials reads its candidates off
+     the bindings the block's first existential found, filtered by the
+     witnesses opened, and its skipped matchings wait for the classes, as
+     a skipped goal's do (`_BranchProver._reread`; one pass over a
+     multi-variable pattern, as de Moura & Bjorner match).  Each node
      indexes its hypotheses by connective, or predicate name and arity, so
      a goal or pattern meets only its own kind (the top-symbol index of de
      Moura & Bjorner, CADE 2007).  An equation pattern walks the class of
      its other side once, not once per member, since the matcher reaches
      the whole class from any member; and an equation hypothesis inside
      that class, the classes unchanged since the walk, is skipped, since
-     matching it repeats the walk.  Both leave the candidates as they would
-     be without them (`_ematch_sub`).  A goal that differs from a
+     matching it repeats the walk; so is a hypothesis whose match would
+     fail on a connective before comparing a term.  All three leave the
+     candidates, and the terms registered, as they would be without them
+     (`_ematch_sub`).  A goal that differs from a
      hypothesis only by terms equal in the classes is proved by a chain of
      subst steps, whose positions the rewrite matcher finds with the shared
      shape walk (`assertions.parts`, `terms.children`).
@@ -61,7 +68,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .assertions import (
@@ -94,6 +100,7 @@ from .terms import (
     Pair,
     Term,
     Var,
+    cached,
     children,
     has_bound_name,
     iter_subterms,
@@ -121,7 +128,7 @@ class SearchBudget:
     def __hash__(self) -> int:  # the dataclass hash, computed once: context keys hash budgets
         return self._hash
 
-    @cached_property
+    @cached
     def _hash(self) -> int:
         return hash((self.witness_depth, self.branch_cap, self.merge_cap, self.node_cap,
                      self.candidate_cap))
@@ -134,7 +141,7 @@ class BudgetExhausted(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Verdict:
     derivable: bool
     proof: ProofNode | None = None
@@ -150,7 +157,7 @@ class Verdict:
 _ABSENT = object()  # the old value of a key a logged write adds
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class _Edge:
     stamp: int
     kind: str  # hyp | cong | proj_pair | proj_enc
@@ -422,6 +429,21 @@ def _kind(a: Assertion):
     return (a.name, len(a.args)) if isinstance(a, Pred) else type(a)
 
 
+def _clash(pat: Assertion, hyp: Assertion) -> bool:
+    """Whether matching pat against hyp fails on a connective, or on a
+    predicate's name or arity, before it compares any term: along the
+    matcher's walk, through binders and into left conjuncts and disjuncts.
+    Such a match binds and registers nothing."""
+    while type(pat) is type(hyp):
+        if isinstance(pat, Exists):
+            pat, hyp = pat.body, hyp.body
+        elif isinstance(pat, (And, Or)):
+            pat, hyp = pat.left, hyp.left
+        else:
+            return isinstance(pat, Pred) and (pat.name, len(pat.args)) != (hyp.name, len(hyp.args))
+    return True
+
+
 def _head(a: Assertion):
     """What two assertions must share, besides the shape of their parts, to
     match: their `_kind`, and the agent of a says or sent fact."""
@@ -474,18 +496,18 @@ class _Node:
         self.queue = queue  # what the children go on expanding
         self.ctx, self.parent = ctx, parent
 
-    @cached_property
+    @cached
     def sorted_hyps(self) -> list[Assertion]:  # matching order
         return sorted_assertions(self.hyps)
 
-    @cached_property
+    @cached
     def by_kind(self) -> dict[object, list[Assertion]]:  # sorted_hyps by _kind
         out = {}
         for h in self.sorted_hyps:
             out.setdefault(_kind(h), []).append(h)
         return out
 
-    @cached_property
+    @cached
     def mark(self) -> int:
         """The trail length at which ctx.cc holds X and the terms of the
         sorted hypotheses, merged along their equations: the root builds
@@ -516,7 +538,7 @@ class _Node:
             ctx.cc = cc
         return len(cc.trail)
 
-    @cached_property
+    @cached
     def bottom(self) -> tuple[Term, Term] | None:
         """Two distinct basics of one class, which make the branch
         inconsistent; with no equation among the hypotheses there are none.
@@ -601,6 +623,10 @@ def _add_terms(cc: EqClasses, terms) -> None:
 # ---------------------------------------------------------------------------
 # the prover proper
 
+# An existential of a block at an opened instance's depth, and each binder
+# above it with the witness opened for it (`_BranchProver._level`).
+_Level = tuple[Exists, list[tuple[str, Term]]]
+
 class _BranchProver:
     def __init__(self, node: _Node, query: _Query):
         self.ctx = query.ctx
@@ -609,22 +635,29 @@ class _BranchProver:
         self.memo: dict[Assertion, ProofNode | None] = {}
         self._access: dict[Assertion, ProofNode] = {}
         self._unregistered: list[Term] | None = []
-        self._unmatched: list[Assertion] = []  # goals whose matching waits for the classes
+        # matchings skipped in an equation-free branch, each made when the
+        # classes are built, for the terms it registers: (matcher, goal or pattern)
+        self._unmatched: list[tuple] = []
+        # the body of an instance opened in an existential block -> the
+        # block's first existential and the witnesses opened since
+        self._blocks: dict[Assertion, tuple[Exists, tuple[Term, ...]]] = {}
+        # in an equation-free branch, a subassertion matched against the
+        # hypotheses -> its canonical wildcards and every binding found
+        self._found: dict[Assertion, tuple[dict[str, str], list[dict[str, Term]]]] = {}
 
-    @cached_property
+    @cached
     def singletons(self) -> bool:
         """The node has no equation hypothesis, so every class of its
         closure is one term: `same` and `members` answer by identity, and
         the closure is built only for a read of the term universe."""
         return Eq not in self.node.by_kind
 
-    @cached_property
+    @cached
     def cc(self) -> EqClasses:
         """ctx.cc at the node's mark, with the terms registered so far, on first read."""
         self.node.mark  # builds ctx.cc up to the node
-        for goal in self._unmatched:  # the terms the skipped matchings compare
-            for hyp in self.node.by_kind.get(_kind(goal), ()):
-                self.match_assertions(hyp, goal)
+        for match, a in self._unmatched:  # the terms the skipped matchings compare
+            match(a)
         _add_terms(self.ctx.cc, self._unregistered)
         self._unregistered = None
         return self.ctx.cc
@@ -846,7 +879,7 @@ class _BranchProver:
 
     def _prove_by_matching(self, goal: Assertion) -> ProofNode | None:
         if self.singletons and self._unregistered is not None:  # only goal would match
-            self._unmatched.append(goal)
+            self._unmatched.append((self._match_goal, goal))
             return None
         for hyp in self.node.by_kind.get(_kind(goal), ()):
             pairs = self.match_assertions(hyp, goal)
@@ -857,6 +890,11 @@ class _BranchProver:
                 return p
         return None
 
+    def _match_goal(self, goal: Assertion) -> None:
+        """`_prove_by_matching`'s matching, made for the terms it registers."""
+        for hyp in self.node.by_kind.get(_kind(goal), ()):
+            self.match_assertions(hyp, goal)
+
     def _prove_eq(self, goal: Eq) -> ProofNode | None:
         return self.eq_proof(goal.lhs, goal.rhs) if self.same(goal.lhs, goal.rhs) else None
 
@@ -864,11 +902,14 @@ class _BranchProver:
         p = self._prove_by_matching(goal)
         if p is not None:
             return p
+        first, witnesses = self._blocks.get(goal.body, (goal, ()))
         for u in self._candidates(goal.var, goal.body):
             try:
                 inst = opened(goal, u)
             except ValueError:  # a non-key in an encryption's key slot
                 continue
+            if isinstance(inst, Exists) and self.singletons:
+                self._blocks.setdefault(inst.body, (first, witnesses + (u,)))
             p = self.prove(inst)
             if p is not None:
                 return ProofNode("exists_i", goal, (p,), witness=u)
@@ -883,8 +924,15 @@ class _BranchProver:
         equal to; with no such subassertion, the least term of the universe.
         Past the candidate_cap-th, query.truncated is set and none follow:
         a cut counts only when the search draws past it, so a search that
-        proves a witness before any cut is never inconclusive for it."""
-        anchored = [sub for sub in subassertions(body) if var in assertion_vars(sub)]
+        proves a witness before any cut is never inconclusive for it.  For
+        an instance opened in an existential block, which subassertions
+        hold var is read off the block's existential at its depth, whose
+        body's subassertions line up with body's (`_level`); body's own are
+        listed only when a candidate needs one."""
+        level = self._level(body)
+        shape, held = (body, var) if level is None else (level[0].body, level[0].var)
+        shapes = subassertions(shape)
+        anchored = [i for i, sub in enumerate(shapes) if held in assertion_vars(sub)]
         if not anchored:
             universe = (t for t in self.cc.parent if not has_bound_name(t))
             first = min(universe, key=term_key, default=None)
@@ -892,7 +940,7 @@ class _BranchProver:
                 yield first
             return
         seen: set[Term] = set()
-        for t in self._drawn(var, anchored):
+        for t in self._drawn(var, body, shapes, anchored, level):
             if t not in seen and not has_bound_name(t):
                 seen.add(t)
                 yield t
@@ -900,16 +948,40 @@ class _BranchProver:
                     self.query.truncated = True
                     return
 
-    def _drawn(self, var: str, anchored: list[Assertion]) -> Iterator[Term]:
-        for sub in anchored:
-            yield from self._ematch_sub(sub, var)
-        for sub in anchored:
-            if isinstance(sub, Eq):
+    def _drawn(self, var: str, body: Assertion, shapes: tuple[Assertion, ...],
+               anchored: list[int], level: _Level | None) -> Iterator[Term]:
+        subs = shapes if level is None else None  # body's own, listed on first need
+        for i in anchored:
+            known = None if level is None else self._reread(level, shapes[i], body, i)
+            if known is None:
+                if subs is None:
+                    subs = subassertions(body)
+                known = self._ematch_sub(subs[i], var)
+            yield from known
+        for i in anchored:
+            if isinstance(shapes[i], Eq):
+                if subs is None:
+                    subs = subassertions(body)
+                sub = subs[i]
                 for pat, other in ((sub.lhs, sub.rhs), (sub.rhs, sub.lhs)):
                     if isinstance(pat, Var) and pat.name == var:
                         yield from self._synth_from_pattern(other)
 
-    def _ematch_sub(self, pattern: Assertion, var: str):
+    def _level(self, body: Assertion) -> _Level | None:
+        """For the body of an instance opened in an existential block: the
+        block's existential at the instance's depth, and each binder above
+        it with the witness opened for it; otherwise None."""
+        block = self._blocks.get(body)
+        if block is None:
+            return None
+        e, witnesses = block
+        opened = []
+        for u in witnesses:
+            opened.append((e.var, u))
+            e = e.body
+        return e, opened
+
+    def _ematch_sub(self, sub: Assertion, var: str) -> list[Term]:
         """Bind var by matching a goal subassertion against hypotheses (and,
         for equations, against congruence classes), with the shared matcher
         of `assertions` working modulo this branch (`same`, `members`).
@@ -925,8 +997,17 @@ class _BranchProver:
         of one class, so it binds nothing new.  `_candidates` reads only
         the distinct bindings in order of first appearance, which neither
         shortcut changes.  The holes are the free bound names of the
-        pattern's `canonical` form, var among them."""
-        pattern, wild = canonical(pattern)
+        pattern's `canonical` form, var among them.  A hypothesis whose
+        match would fail before it compares a term is skipped (`_clash`),
+        and with none left, a pattern that is no equation is not put in
+        canonical form.  In an equation-free branch every binding found is
+        kept, for `_reread`."""
+        hyps = [h for h in self.node.by_kind.get(_kind(sub), ()) if not _clash(sub, h)]
+        if not hyps and not isinstance(sub, Eq):  # no hypothesis to match, nor a class to walk
+            if self.singletons:
+                self._found[sub] = {}, []
+            return []
+        pattern, wild = canonical(sub)
         holes, var = set(wild.values()), wild[var]
         results: list[Term] = []
         covered = None  # (root, trail length) of a class walked to a fixed point
@@ -954,13 +1035,52 @@ class _BranchProver:
                             break
                 if stable and var not in term_vars(other):
                     covered = (cc.find(other), len(cc.trail))
+        found = [b for hyp in hyps if covered is None or not self._inside(hyp, *covered)
+                 for b in match_canonical(pattern, hyp, holes, {}, self)]
+        if self.singletons and not isinstance(pattern, Eq):
+            self._found[sub] = wild, found
+        return results + [b[var] for b in found if var in b]
+
+    def _reread(self, level: _Level, shape: Assertion, body: Assertion,
+                i: int) -> list[Term] | None:
+        """The bindings of var that `_ematch_sub` finds for the i-th
+        subassertion of body, read off an earlier matching of shape, the
+        i-th subassertion of the level's existential's body, or None.
+
+        In an existential block ``ex x1, ..., xk: B``, the instance opened
+        on witnesses u1..uj has the body B with each xi replaced by ui, and
+        its subassertions line up with B's.  In an equation-free branch the
+        matcher is syntactic, so a pattern with ui where B's has the hole
+        of xi matches a hypothesis exactly when B's pattern does, binding
+        that hole to ui, and the other holes alike.  So when a matching of
+        the same subassertion of B is known (`_found`), its bindings that
+        agree with the witnesses give the list that matching would, in
+        order.  An equation has no hypothesis of its kind there, and its
+        other side's bindings are not kept (None).  The skipped matching's
+        registrations wait for the classes (`cc`), as a skipped goal's do;
+        once they are built, it is made (None)."""
+        if self._unregistered is None:
+            return None
+        e, opened = level
+        known = self._found.get(shape)
+        if known is None:
+            return None
+        self._unmatched.append((self._hyp_matches, (body, i)))
+        wild, found = known
+        if not found:
+            return []
+        fixed = [(wild[n], u) for n, u in opened if n in wild]
+        hole = wild[e.var]
+        return [b[hole] for b in found
+                if hole in b and all(b.get(w) is u for w, u in fixed)]
+
+    def _hyp_matches(self, at: tuple[Assertion, int]) -> None:
+        """`_ematch_sub`'s matching of the at[1]-th subassertion of at[0]
+        against the hypotheses, made for the terms it registers."""
+        pattern, wild = canonical(subassertions(at[0])[at[1]])
+        holes = set(wild.values())
         for hyp in self.node.by_kind.get(_kind(pattern), ()):
-            if covered is not None and self._inside(hyp, *covered):
-                continue
-            for b in match_canonical(pattern, hyp, holes, {}, self):
-                if var in b:
-                    results.append(b[var])
-        return results
+            match_canonical(pattern, hyp, holes, {}, self)
 
     def _bindings(self, pat: Term, other: Term, holes: set[str], var: str) -> list[Term]:
         return [b[var] for b in match_term(pat, other, holes, {}, self) if var in b]
@@ -1048,11 +1168,14 @@ class DeriveContext:
     branch_count = 1  # the root; splits are a query's (perfbench/tracing.py reads it)
 
     def __init__(self, X, Phi, budget: SearchBudget = DEFAULT_BUDGET,
-                 safe: bool = False, dyctx: DYContext | None = None):
+                 safe: bool = False, dyctx: DYContext | None = None,
+                 normal: bool = False):
         """dyctx, when given, must be a DYContext over exactly X; it is
-        used instead of saturating X again."""
+        used instead of saturating X again.  With normal, Phi must be a
+        frozenset of normal forms, as a run's knowledge sets are, and is
+        kept as it is."""
         self.X = frozenset(X)
-        self.Phi = frozenset(normalize(a) for a in Phi)
+        self.Phi = Phi if normal else frozenset(normalize(a) for a in Phi)
         self.budget = budget
         self.safe = safe
         if dyctx is not None and dyctx.X != self.X:
@@ -1063,7 +1186,7 @@ class DeriveContext:
         self.build_failed = False  # the root's closure went over merge_cap
         self.cc: EqClasses | None = None  # set by the root's first mark
 
-    @cached_property
+    @cached
     def root(self) -> _Node:
         return _Node(self, self.wit_names, set(self.Phi),
                      {a: ("ax",) for a in self.Phi}, deque(sorted_assertions(self.Phi)))

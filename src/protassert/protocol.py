@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 from .assertions import Assertion, assertion_terms, free_vars, reveals, substitute
 from .dy import _synth_ok, dy_saturate
@@ -22,6 +21,7 @@ from .terms import (
     NONCE,
     Term,
     Var,
+    cached,
     has_bound_name,
     is_ground,
     is_key_position,
@@ -56,7 +56,7 @@ class Action:
     def __hash__(self) -> int:  # the dataclass hash, computed once: memo keys hash actions
         return self._hash
 
-    @cached_property
+    @cached
     def _hash(self) -> int:
         return hash((self.kind, self.agent, self.fresh, self.term, self.assertion, self.phase))
 
@@ -70,7 +70,7 @@ class Action:
             inst = live[key] = action_subst(self, sigma)
         return inst
 
-    @cached_property
+    @cached
     def _instances(self) -> tuple[tuple[str, ...], weakref.WeakValueDictionary]:
         return tuple(sorted(self.used_vars())), weakref.WeakValueDictionary()
 
@@ -94,7 +94,7 @@ class Action:
             out |= free_vars(self.assertion)
         return frozenset(out)
 
-    @cached_property
+    @cached
     def key_vars(self) -> frozenset[str]:
         """The variables that occupy an encryption's key slot anywhere in the
         action.  Assertions are alpha-normal, so a bound one is a %n name."""
@@ -111,7 +111,7 @@ class Role:
     params: tuple[str, ...]
     actions: tuple[Action, ...]
 
-    @cached_property
+    @cached
     def key_slot_vars(self) -> frozenset[str]:
         """The variables in an encryption's key slot in some action, outside its fresh ones."""
         return frozenset().union(*(act.key_vars - set(act.fresh) for act in self.actions))

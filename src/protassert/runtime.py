@@ -82,8 +82,11 @@ class Setup:
     intruder: str = "I"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Knowledge:
+    """What an agent holds; its assertions are normal forms, as `initial_state`
+    and every action instance (`assertions.substitute`) give them."""
+
     terms: frozenset[Term] = frozenset()
     assertions: frozenset[Assertion] = frozenset()
 
@@ -115,7 +118,7 @@ class ContextTable:
         key = (terms, assertions, budget, safe)
         if key not in self._contexts:
             self._contexts[key] = DeriveContext(terms, assertions, budget, safe=safe,
-                                                dyctx=self.dy(terms))
+                                                dyctx=self.dy(terms), normal=True)
         return self._contexts[key]
 
     def inconsistent(self, terms: frozenset[Term], assertions: frozenset[Assertion],
@@ -133,7 +136,7 @@ class ContextTable:
             return False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Traffic:
     term: Term
     assertion: Assertion | None
@@ -165,7 +168,7 @@ class WorldState:
         return ag.name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Step:
     session: int  # 1-based
     action: Action  # fully instantiated
@@ -474,6 +477,7 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
 
     state0 = initial_state(proto, setup)
     hit = rec(state0, [])
+    del rec  # its closure holds it: a cycle that would keep best and seen for the collector
     if hit is not None:
         steps, state = hit
         return Run(proto, setup, seed, steps, complete=True,

@@ -33,12 +33,18 @@ SORTS = (AGENT, NONCE, KEY)
 KEY_CONSTRUCTORS = frozenset({"sk", "vk"})
 
 
-# (class, *fields) -> the one live object with that structure.  Lookups read
-# its dict of weak references directly, which skips a Python-level method
-# call; stores go through the table, which removes an entry when its object
-# dies.
+# (class, *fields) -> the one live object with that structure.  Lookups and
+# stores use its dict of weak references directly, skipping the table's
+# Python-level methods: a store puts in a `KeyedRef` with the table's own
+# callback, as the table's __setitem__ does, so an entry goes when its
+# object dies (while the table is iterated, when the iteration ends, and
+# only if the entry's reference is still dead).
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _REFS: dict = _TABLE.data
+_REMOVE = _TABLE._remove
+# KeyedRef.__new__ makes the whole reference; its __init__ only checks the
+# arguments again, so a store calls __new__ alone.
+_KEYED_REF = weakref.KeyedRef.__new__
 
 
 class Interned(type):
@@ -62,7 +68,8 @@ class Interned(type):
         ref = _REFS.get(key)
         obj = None if ref is None else ref()
         if obj is None:  # never built, or collected
-            obj = _TABLE[key] = super().__call__(*args)
+            obj = super().__call__(*args)
+            _REFS[key] = _KEYED_REF(weakref.KeyedRef, obj, _REMOVE, key)
         return obj
 
 
@@ -71,6 +78,21 @@ def cache(obj, name: str, value):
     return it."""
     object.__setattr__(obj, name, value)
     return value
+
+
+class cached:
+    """`functools.cached_property` without its lock, which Python 3.11 takes
+    on every first read: the first read stores the value in the instance
+    dict, which shadows this non-data descriptor from then on."""
+
+    def __init__(self, func) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class Term(metaclass=Interned):

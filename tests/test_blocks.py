@@ -1,0 +1,284 @@
+"""Existential blocks: an instance's candidates read off its block's first
+matching.
+
+In a branch without equation hypotheses the matcher is syntactic, so
+`_BranchProver._reread` takes the candidates of an instance opened in a
+block ``ex x1, ..., xk: B`` from the bindings that matching B's
+subassertions found for the block's first existential, filtered by the
+witnesses opened since, instead of matching the instance again.  The
+matchings it skips are made when the branch's classes are built, for the
+terms they register.  Each test runs the engine twice, once as it is and
+once with `_reread` answering None, so that every subassertion is matched,
+and every candidate list, truncation flag, verdict and proof must be the
+same.  The last test checks `engine._clash`, by which `_ematch_sub` skips a
+hypothesis whose match would fail before comparing any term.
+
+CI also runs this file under three hash seeds.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from protassert import DeriveContext, SearchBudget, parse_sequent, simulate
+from protassert.assertions import (
+    And,
+    Eq,
+    Exists,
+    Pred,
+    Says,
+    SentT,
+    canonical,
+    map_terms,
+    match_canonical,
+    normalize,
+    subassertions,
+)
+from protassert.builtins import builtin_foo, default_foo_setup
+from protassert.engine import _BranchProver, _clash, _Query
+from protassert.terms import AGENT, KEY, NONCE, App, Basic, Enc, Pair, Var, term_key
+
+from test_candidates import _plain_subterms, _replace
+
+# Matching the level-2 instance's subassertion ex w: r((w, A), y) against
+# the second hypothesis compares A with a: that registers A, which no
+# hypothesis registers (it sits under a binder) and the first matching,
+# with a hole in A's place, does not compare.  The vacuous binder of the
+# goal's right half then takes the least term of the universe: A, an
+# agent, only if the skipped matching was made.
+SKIPPED_MATCH_REGISTERS = """\
+agents: A
+nonces: a, c, d
+predicates: r/2, q/1
+assertions:
+ex z: r((z, A), c)
+ex z: r((z, a), d)
+q(c)
+q(d)
+goal: (ex x, y: ((ex w: r((w, x), y)) /\\ q(y))) /\\ (ex v: q(d))
+"""
+
+
+def _recorded(job, reread: bool, monkeypatch, drawn: bool = False) -> tuple[list, int]:
+    """Every `_candidates` call of job as (body, var, candidates,
+    truncated) by repr, and job's own output, in order; and how many
+    candidate lists `_reread` gave.  A call's list is whole, drained before
+    the search reads it; with drawn, the search draws from the generator
+    itself, which stops at the first witness that works, and the call lists
+    the candidates it drew."""
+    calls: list = []
+    hits = [0]
+    candidates, real = _BranchProver._candidates, _BranchProver._reread
+
+    def recording(self, var, body):
+        if drawn:
+            got: list = []
+            calls.append((repr(body), var, got))
+            return _tapped(candidates(self, var, body), got)
+        got = list(candidates(self, var, body))
+        calls.append((repr(body), var, [repr(t) for t in got], self.query.truncated))
+        return got
+
+    def counting(self, *args):
+        known = real(self, *args) if reread else None
+        hits[0] += known is not None
+        return known
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_BranchProver, "_candidates", recording)
+        mp.setattr(_BranchProver, "_reread", counting)
+        job(calls)
+    return calls, hits[0]
+
+
+def _tapped(candidates, got: list):
+    for t in candidates:
+        got.append(repr(t))
+        yield t
+
+
+def _same_with_and_without(job, monkeypatch) -> int:
+    """The candidate lists `_reread` gives in job, drained and drawn."""
+    total = 0
+    for drawn in (False, True):
+        got, hits = _recorded(job, True, monkeypatch, drawn)
+        want, none = _recorded(job, False, monkeypatch, drawn)
+        assert none == 0 and len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"entry {i} differs ({'drawn' if drawn else 'drained'})"
+        total += hits
+    return total
+
+
+def test_a_skipped_matching_still_registers_its_terms(monkeypatch):
+    seq = parse_sequent(SKIPPED_MATCH_REGISTERS)
+
+    def job(out):
+        v = DeriveContext(seq.terms, seq.assertions, safe=True).query(seq.goal)
+        out.append(repr(v))
+        vacuous = v.proof.premises[1]
+        out.append(vacuous.witness)
+
+    got, hits = _recorded(job, True, monkeypatch, drawn=True)
+    assert hits >= 1
+    assert got[-1] == Basic("A", AGENT)
+    assert _same_with_and_without(job, monkeypatch) >= hits
+
+
+def test_foo_blocks_are_matched_once(monkeypatch):
+    foo = builtin_foo()
+
+    def job(out):
+        for voters in (2, 3):
+            for seed in range(3):
+                run, state = simulate(foo, default_foo_setup(foo, voters), seed=seed)
+                out.append((run.complete, tuple(run.steps), tuple(state.warnings)))
+
+    assert _same_with_and_without(job, monkeypatch) > 50
+
+
+class _Blocks:
+    """Random hypotheses, some under a binder of their own, and goals with two or three binders over a hypothesis or a fresh
+    assertion, some with a vacuous binder beside them."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.agents = [Basic(f"A{i}", AGENT) for i in range(2)]
+        self.basics = self.agents + [Basic(f"n{i}", NONCE) for i in range(4)]
+        self.keys = [Basic(f"k{i}", KEY) for i in range(2)] + [App("sk", (self.agents[0],))]
+
+    def term(self, depth: int):
+        r = self.rng
+        if depth <= 0 or r.random() < 0.4:
+            return r.choice(self.basics + self.keys[:2])
+        roll = r.random()
+        if roll < 0.5:
+            return Pair(self.term(depth - 1), self.term(depth - 1))
+        if roll < 0.85:
+            return Enc(self.term(depth - 1), r.choice(self.keys))
+        return App("g", (self.term(depth - 1),))
+
+    def atom(self):
+        r = self.rng
+        roll = r.random()
+        if roll < 0.45:
+            return Pred("p", (self.term(2), self.term(1)))
+        if roll < 0.75:
+            return Pred("q", (self.term(2),))
+        return SentT(r.choice(self.agents), self.term(2))
+
+    def assertion(self, depth: int):
+        r = self.rng
+        if depth <= 0 or r.random() < 0.4:
+            return self.atom()
+        roll = r.random()
+        if roll < 0.45:
+            return And(self.assertion(depth - 1), self.assertion(depth - 1))
+        if roll < 0.75:
+            return Says(r.choice(self.agents), self.assertion(depth - 1))
+        return self.abstract(self.assertion(depth - 1), ["z"])
+
+    def abstract(self, a, names):
+        """ex names: a, each name standing for one subterm of a."""
+        subs = sorted({s for t in _terms(a) for s in _plain_subterms(t)}, key=term_key)
+        picked = self.rng.sample(subs, min(len(names), len(subs)))
+        for name, target in zip(names, picked):
+            a = map_terms(a, lambda t, old=target, new=Var(name): _replace(t, old, new))
+        for name in reversed(names):
+            a = Exists(name, a)
+        return normalize(a)
+
+    def context(self):
+        """X and the hypotheses; one context in four has an equation,
+        where nothing is read off a block."""
+        hyps = [self.assertion(2) for _ in range(self.rng.randint(2, 6))]
+        if self.rng.random() < 0.25:
+            hyps.append(Eq(self.term(1), self.term(2)))
+        X = frozenset(self.term(2) for _ in range(self.rng.randint(0, 3)))
+        return X, hyps
+
+    def goal(self, hyps):
+        r = self.rng
+        a = r.choice(hyps) if r.random() < 0.7 else self.assertion(2)
+        if r.random() < 0.3:
+            a = And(a, r.choice(hyps))
+        goal = self.abstract(a, ["x", "y", "z"][:r.randint(2, 3)])
+        if r.random() < 0.25:
+            goal = And(goal, Exists("v", r.choice(hyps)))
+        return normalize(goal)
+
+
+def _terms(a):
+    if isinstance(a, And):
+        return _terms(a.left) + _terms(a.right)
+    if isinstance(a, (Says, Exists)):
+        return _terms(a.body)
+    if isinstance(a, SentT):
+        return [a.term]
+    return [a.lhs, a.rhs] if isinstance(a, Eq) else list(a.args)
+
+
+@pytest.mark.parametrize("safe", [True, False])
+def test_random_blocks_draw_as_matching_every_instance(safe, monkeypatch):
+    gen = _Blocks(random.Random(2007 + safe))
+    cases = []
+    for _ in range(120):
+        X, hyps = gen.context()
+        cases.append((X, hyps, [gen.goal(hyps) for _ in range(3)]))
+    capped = SearchBudget(candidate_cap=2)
+
+    def job(out):
+        for X, hyps, goals in cases:
+            for budget in (SearchBudget(), capped):
+                ctx = DeriveContext(X, hyps, budget, safe=safe)
+                for goal in goals:
+                    v = ctx.query(goal)
+                    out.append(("query", repr(goal), repr(v)))
+
+    assert _same_with_and_without(job, monkeypatch) > 100
+
+
+def test_an_equation_part_binds_on_every_instance(monkeypatch):
+    # an equation has no hypothesis of its kind in such a branch: its other
+    # side binds on every instance, after what is read off the block
+    n0, n1 = Basic("n0", NONCE), Basic("n1", NONCE)
+    hyps = [Pred("p", (Pair(n0, n1),)), Pred("p", (Pair(n1, n1),))]
+    goal = normalize(Exists("x", Exists("y", And(Pred("p", (Pair(Var("x"), Var("y")),)),
+                                                 Eq(Var("y"), n0)))))
+
+    def job(out):
+        out.append(repr(DeriveContext({n0, n1}, hyps, safe=True).query(goal)))
+
+    got, hits = _recorded(job, True, monkeypatch)
+    assert hits == 4  # the conjunction and p((x, y)), on x = n0 and on x = n1
+    assert [c[2] for c in got[1:3]] == [[repr(n1), repr(n0)]] * 2
+    assert got[-1] == repr(DeriveContext({n0, n1}, hyps, safe=True).query(goal))
+    assert "derivable=False" in got[-1]
+    assert _same_with_and_without(job, monkeypatch) == 2 * hits
+
+
+def test_a_clash_binds_and_registers_nothing():
+    # `_ematch_sub` skips a hypothesis that clashes with the pattern before
+    # any term is compared, and skips the canonical form when all do
+    gen = _Blocks(random.Random(11))
+    clashes = 0
+    for _ in range(150):
+        X, hyps = gen.context()
+        for safe in (True, False):
+            ctx = DeriveContext(X, hyps, safe=safe)
+            prover = _BranchProver(ctx.root, _Query(ctx))
+            for goal in (gen.goal(hyps), gen.goal(hyps)):
+                for sub in subassertions(goal):
+                    pattern, wild = canonical(sub)
+                    for hyp in ctx.root.sorted_hyps:
+                        before = (list(prover._unregistered or ()),
+                                  None if ctx.cc is None else list(ctx.cc.parent))
+                        got = match_canonical(pattern, hyp, set(wild.values()), {}, prover)
+                        after = (list(prover._unregistered or ()),
+                                 None if ctx.cc is None else list(ctx.cc.parent))
+                        if _clash(sub, hyp):
+                            clashes += 1
+                            assert got == [] and after == before, (sub, hyp)
+            ctx._rewind()
+    assert clashes > 1000

@@ -5,9 +5,9 @@ import random
 from protassert import App, Basic, DYContext, Enc, Pair, Var, dy_derive, sk, vk
 from protassert.dy import _synth_ok, dy_saturate
 from protassert.checker import replay_term_proof
-from protassert.terms import KEYS, is_key_position, iter_subterms, sorted_terms
+from protassert.terms import KEYS, is_key_position, iter_subterms, sorted_terms, term_key
 
-from oracles import oracle_dy, random_instance
+from oracles import analyze, composable, inverse_key, oracle_dy, random_instance, term_pool
 
 A = Basic("A", "agent")
 B = Basic("B", "agent")
@@ -162,3 +162,26 @@ def test_a_context_saturating_on_demand_answers_as_an_eager_one():
                 lazy_answers += ctx.saturated is None
                 asked += 1
     assert asked > 10000 and lazy_answers > 1000
+
+
+def test_inverse_keys_answer_as_the_analysis_oracle():
+    # an inverse key that analysis cannot reach in X is refused without
+    # saturating; every answer, whichever comes first, is the oracle's
+    rng = random.Random(20261020)
+    pool = term_pool(rng) + [Var("x")]
+    refused_lazily = saturated = 0
+    for _ in range(400):
+        X, q = random_instance(rng)
+        keys = sorted({s for t in X | {q} for s in iter_subterms(t) if is_key_position(s)}
+                      | {t for t in pool if is_key_position(t)}, key=term_key)
+        S = analyze(X)
+        for key in keys:
+            ctx = DYContext(X)
+            want = composable(S, inverse_key(key))
+            assert ctx.inv_derivable(key) == want, (X, key)
+            refused_lazily += ctx.saturated is None and not want
+            saturated += ctx.saturated is not None
+        shared = DYContext(X)
+        for key in rng.sample(keys, len(keys)):
+            assert shared.inv_derivable(key) == composable(S, inverse_key(key)), (X, key)
+    assert refused_lazily > 1000 and saturated > 200

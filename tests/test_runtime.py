@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from protassert.builtins import (
 )
 from protassert.runtime import (
     Step,
+    WorldState,
     _allocate_fresh,
     _copy_state,
     _instantiate,
@@ -430,3 +432,24 @@ def test_each_context_is_built_once_per_call(monkeypatch):
     ok, problems, _ = validate_run(run)
     assert ok, problems
     built_once("validate_run")
+
+
+def test_a_simulate_leaves_no_state_to_the_collector():
+    # with the collector off, every state a simulate made goes with the
+    # caller's references to its run and final state
+    proto = foo()
+
+    def alive() -> int:
+        return sum(isinstance(o, WorldState) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        for seed in range(3):
+            run, state = simulate(proto, default_foo_setup(proto, 2), seed=seed)
+            assert run.complete and alive() > before
+            del run, state
+            assert alive() == before
+    finally:
+        gc.enable()

@@ -111,8 +111,8 @@ def test_full_mode_contexts_are_built_once_per_knowledge(monkeypatch):
     built: list = []
     real = engine.DeriveContext.__init__
 
-    def init(self, X, Phi, budget=engine.DEFAULT_BUDGET, safe=False, dyctx=None):
-        real(self, X, Phi, budget, safe, dyctx)
+    def init(self, X, Phi, budget=engine.DEFAULT_BUDGET, safe=False, dyctx=None, **kwargs):
+        real(self, X, Phi, budget, safe, dyctx, **kwargs)
         if not safe:
             built.append((self.X, self.Phi, budget))
 
