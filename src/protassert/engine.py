@@ -22,34 +22,38 @@ Search strategy is fixed:
      to it, and builds its hypothesis index, when a goal first needs them,
      which a hypothesis goal never does (theory work on demand, likewise).
      A branch with no equation hypothesis has one term per class: its
-     equality (`same`, `members`) answers by identity, and it adds to the
-     closure only when a goal reads the term universe; until then it skips
-     the rewrite matcher, which can match only the goal itself.  The root's
-     closure starts from a copy of X's classes, registered once per
-     DYContext (from a copy of the run's public terms' classes when a run
-     seeds them), and is built unlogged;
+     equality (`same`, `members`) answers by identity, it never builds the
+     closure, and it skips the rewrite matcher, which can match only the
+     goal itself.  The root's closure starts from a copy of X's classes,
+     registered once per DYContext (from a copy of the run's public terms'
+     classes when a run seeds them), and is built unlogged;
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
      hypotheses and classes (`assertions.match_canonical` on the pattern's
      `canonical` form, with the branch as the equality), drawn on demand in
      a fixed order: matching stops at the first witness whose instance is
      proved, and a cut of the candidates counts only when the search draws
-     past it.  In a branch without equations, where matching is syntactic,
-     an instance opened in a block of existentials reads its candidates off
-     the bindings the block's first existential found, filtered by the
-     witnesses opened, and its skipped matchings wait for the classes, as
-     a skipped goal's do (`_BranchProver._reread`; one pass over a
-     multi-variable pattern, as de Moura & Bjorner match).  Each node
-     indexes its hypotheses by connective, or predicate name and arity, so
-     a goal or pattern meets only its own kind (the top-symbol index of de
-     Moura & Bjorner, CADE 2007).  An equation pattern walks the class of
-     its other side once, not once per member, since the matcher reaches
-     the whole class from any member; and an equation hypothesis inside
-     that class, the classes unchanged since the walk, is skipped, since
-     matching it repeats the walk; so is a hypothesis whose match would
-     fail on a connective before comparing a term.  All three leave the
-     candidates, and the terms registered, as they would be without them
-     (`_ematch_sub`).  A goal that differs from a
+     past it.  A vacuous binder, and a bound hole of an equation pattern,
+     draw on the branch's witness universe, fixed before the search: the
+     subterms free of bound names of X, of the node's hypotheses (binder
+     bodies included) and of the query's goal (the gamma-rule over the
+     branch's Herbrand universe, Fitting 1996).  With it empty, a vacuous
+     binder takes the variable _w0: exists_i asks no freshness, and
+     exists_e names start at _w1.  In a branch without equations, where
+     matching is syntactic, an instance opened in a block of existentials
+     reads its candidates off the bindings the block's first existential
+     found, filtered by the witnesses opened (`_BranchProver._reread`; one
+     pass over a multi-variable pattern, as de Moura & Bjorner match).
+     Each node indexes its hypotheses by connective, or predicate name and
+     arity, so a goal or pattern meets only its own kind (the top-symbol
+     index of de Moura & Bjorner, CADE 2007).  An equation pattern walks
+     the class of its other side once, not once per member, since the
+     matcher reaches the whole class from any member; and an equation
+     hypothesis inside that class, the classes unchanged since the walk,
+     is skipped, since matching it repeats the walk; so is a hypothesis
+     whose match would fail on a connective before comparing a term.  All
+     three leave the candidates, and the terms registered, as they would
+     be without them (`_ematch_sub`).  A goal that differs from a
      hypothesis only by terms equal in the classes is proved by a chain of
      subst steps, whose positions the rewrite matcher finds with the shared
      shape walk (`assertions.parts`, `terms.children`).
@@ -539,12 +543,19 @@ class _Node:
         return len(cc.trail)
 
     @cached
+    def singletons(self) -> bool:
+        """The node has no equation hypothesis, so every class of its
+        closure is one term: `bottom` is None, and the prover's `same` and
+        `members` answer by identity and never build the closure."""
+        return Eq not in self.by_kind
+
+    @cached
     def bottom(self) -> tuple[Term, Term] | None:
         """Two distinct basics of one class, which make the branch
         inconsistent; with no equation among the hypotheses there are none.
         First read before the node's prover adds a goal's terms, or in
         `DeriveContext.leaves`."""
-        if Eq not in self.by_kind:
+        if self.singletons:
             return None
         self.mark  # builds ctx.cc up to this node
         members = self.ctx.cc.members  # keyed by the roots
@@ -566,6 +577,7 @@ class _Query:
         self.ctx = ctx
         self.budget = ctx.budget
         ctx.root  # built first: its expansion names the root's witnesses
+        self.goal: Assertion | None = None  # set by solve
         self.names = dict(ctx.wit_names)
         self.branches = 1
         self.nodes = 0
@@ -595,7 +607,7 @@ class _Query:
         """Try the goal on node; if that fails, split node's disjunction and
         solve both children.  On None, self.truncated says whether the
         failing attempt, on a node with no split left, was cut short."""
-        self.truncated = False
+        self.goal, self.truncated = goal, False
         prover = _BranchProver(node, self)
         inner = prover.prove(goal)
         if inner is None:
@@ -634,10 +646,6 @@ class _BranchProver:
         self.query = query
         self.memo: dict[Assertion, ProofNode | None] = {}
         self._access: dict[Assertion, ProofNode] = {}
-        self._unregistered: list[Term] | None = []
-        # matchings skipped in an equation-free branch, each made when the
-        # classes are built, for the terms it registers: (matcher, goal or pattern)
-        self._unmatched: list[tuple] = []
         # the body of an instance opened in an existential block -> the
         # block's first existential and the witnesses opened since
         self._blocks: dict[Assertion, tuple[Exists, tuple[Term, ...]]] = {}
@@ -646,29 +654,20 @@ class _BranchProver:
         self._found: dict[Assertion, tuple[dict[str, str], list[dict[str, Term]]]] = {}
 
     @cached
-    def singletons(self) -> bool:
-        """The node has no equation hypothesis, so every class of its
-        closure is one term: `same` and `members` answer by identity, and
-        the closure is built only for a read of the term universe."""
-        return Eq not in self.node.by_kind
-
-    @cached
     def cc(self) -> EqClasses:
-        """ctx.cc at the node's mark, with the terms registered so far, on first read."""
+        """ctx.cc at the node's mark, built on first read."""
         self.node.mark  # builds ctx.cc up to the node
-        for match, a in self._unmatched:  # the terms the skipped matchings compare
-            match(a)
-        _add_terms(self.ctx.cc, self._unregistered)
-        self._unregistered = None
         return self.ctx.cc
 
-    def _register(self, terms: tuple[Term, ...]) -> None:
-        """Add terms free of bound names to the classes, in order, or defer
-        them until the classes are built."""
-        if self._unregistered is None:
-            _add_terms(self.cc, terms)
-        else:
-            self._unregistered += terms
+    @cached
+    def universe(self) -> list[Term]:
+        """The branch's witness universe, fixed before the search: the
+        subterms free of bound names of X, of the node's hypotheses (binder
+        bodies included) and of the query's goal, sorted by term_key."""
+        terms = {s for a in (self.query.goal, *self.node.hyps)
+                 for t in assertion_terms(a) for s in iter_subterms(t)}
+        terms.update(s for t in self.ctx.X for s in iter_subterms(t))
+        return sorted((t for t in terms if not has_bound_name(t)), key=term_key)
 
     # -- access derivations for hypotheses
 
@@ -760,15 +759,15 @@ class _BranchProver:
         """Whether a and b share a class: with `members`, the branch's one equality."""
         if a == b:
             return True
-        if has_bound_name(a) or has_bound_name(b):
+        if self.node.singletons or has_bound_name(a) or has_bound_name(b):
             return False
-        self._register((a, b))
-        return not self.singletons and self.cc.same(a, b)
+        _add_terms(self.cc, (a, b))
+        return self.cc.same(a, b)
 
     def members(self, t: Term) -> list[Term]:
         """The terms of t's class, or t alone when the classes hold no such
         term."""
-        if self.singletons or has_bound_name(t) or t not in self.cc:
+        if self.node.singletons or has_bound_name(t) or t not in self.cc:
             return [t]
         return self.cc.class_members(t)
 
@@ -837,7 +836,8 @@ class _BranchProver:
             prem = self.eq_proof(m, n)
             if prem is not None:
                 return ProofNode("bot", goal, (prem,))
-        self._register(assertion_terms(goal))  # the goal's terms join the classes
+        if not self.node.singletons:  # the goal's terms join the classes
+            _add_terms(self.cc, assertion_terms(goal))
 
         if isinstance(goal, And):
             l = self.prove(goal.left)
@@ -878,8 +878,7 @@ class _BranchProver:
         return None
 
     def _prove_by_matching(self, goal: Assertion) -> ProofNode | None:
-        if self.singletons and self._unregistered is not None:  # only goal would match
-            self._unmatched.append((self._match_goal, goal))
+        if self.node.singletons:  # only the goal would match, and it is no hypothesis
             return None
         for hyp in self.node.by_kind.get(_kind(goal), ()):
             pairs = self.match_assertions(hyp, goal)
@@ -889,11 +888,6 @@ class _BranchProver:
             if p is not None:
                 return p
         return None
-
-    def _match_goal(self, goal: Assertion) -> None:
-        """`_prove_by_matching`'s matching, made for the terms it registers."""
-        for hyp in self.node.by_kind.get(_kind(goal), ()):
-            self.match_assertions(hyp, goal)
 
     def _prove_eq(self, goal: Eq) -> ProofNode | None:
         return self.eq_proof(goal.lhs, goal.rhs) if self.same(goal.lhs, goal.rhs) else None
@@ -908,7 +902,7 @@ class _BranchProver:
                 inst = opened(goal, u)
             except ValueError:  # a non-key in an encryption's key slot
                 continue
-            if isinstance(inst, Exists) and self.singletons:
+            if isinstance(inst, Exists) and self.node.singletons:
                 self._blocks.setdefault(inst.body, (first, witnesses + (u,)))
             p = self.prove(inst)
             if p is not None:
@@ -921,10 +915,11 @@ class _BranchProver:
         """Witnesses for var in body, distinct and free of bound names, drawn
         on demand: the E-matches of each subassertion holding var, in
         preorder, then instances of the patterns that equation atoms set var
-        equal to; with no such subassertion, the least term of the universe.
-        Past the candidate_cap-th, query.truncated is set and none follow:
-        a cut counts only when the search draws past it, so a search that
-        proves a witness before any cut is never inconclusive for it.  For
+        equal to; with no such subassertion, the least term of the branch's
+        `universe`, or the variable _w0 when it is empty.  Past the
+        candidate_cap-th, query.truncated is set and none follow: a cut
+        counts only when the search draws past it, so a search that proves
+        a witness before any cut is never inconclusive for it.  For
         an instance opened in an existential block, which subassertions
         hold var is read off the block's existential at its depth, whose
         body's subassertions line up with body's (`_level`); body's own are
@@ -934,10 +929,7 @@ class _BranchProver:
         shapes = subassertions(shape)
         anchored = [i for i, sub in enumerate(shapes) if held in assertion_vars(sub)]
         if not anchored:
-            universe = (t for t in self.cc.parent if not has_bound_name(t))
-            first = min(universe, key=term_key, default=None)
-            if first is not None:
-                yield first
+            yield self.universe[0] if self.universe else Var("_w0")
             return
         seen: set[Term] = set()
         for t in self._drawn(var, body, shapes, anchored, level):
@@ -952,7 +944,7 @@ class _BranchProver:
                anchored: list[int], level: _Level | None) -> Iterator[Term]:
         subs = shapes if level is None else None  # body's own, listed on first need
         for i in anchored:
-            known = None if level is None else self._reread(level, shapes[i], body, i)
+            known = None if level is None else self._reread(level, shapes[i])
             if known is None:
                 if subs is None:
                     subs = subassertions(body)
@@ -1004,7 +996,7 @@ class _BranchProver:
         kept, for `_reread`."""
         hyps = [h for h in self.node.by_kind.get(_kind(sub), ()) if not _clash(sub, h)]
         if not hyps and not isinstance(sub, Eq):  # no hypothesis to match, nor a class to walk
-            if self.singletons:
+            if self.node.singletons:
                 self._found[sub] = {}, []
             return []
         pattern, wild = canonical(sub)
@@ -1015,8 +1007,7 @@ class _BranchProver:
             for pat, other in ((pattern.lhs, pattern.rhs), (pattern.rhs, pattern.lhs)):
                 if var not in term_vars(pat) or has_bound_name(other):
                     continue
-                if self.singletons:  # other's class is other; no equation hypothesis to skip
-                    self._register((other,))
+                if self.node.singletons:  # other's class is other; no equation hypothesis to skip
                     results += ([other] if isinstance(pat, Var)
                                 else self._bindings(pat, other, holes, var))
                     continue
@@ -1037,15 +1028,15 @@ class _BranchProver:
                     covered = (cc.find(other), len(cc.trail))
         found = [b for hyp in hyps if covered is None or not self._inside(hyp, *covered)
                  for b in match_canonical(pattern, hyp, holes, {}, self)]
-        if self.singletons and not isinstance(pattern, Eq):
+        if self.node.singletons and not isinstance(pattern, Eq):
             self._found[sub] = wild, found
         return results + [b[var] for b in found if var in b]
 
-    def _reread(self, level: _Level, shape: Assertion, body: Assertion,
-                i: int) -> list[Term] | None:
-        """The bindings of var that `_ematch_sub` finds for the i-th
-        subassertion of body, read off an earlier matching of shape, the
-        i-th subassertion of the level's existential's body, or None.
+    def _reread(self, level: _Level, shape: Assertion) -> list[Term] | None:
+        """The bindings of var that `_ematch_sub` finds for a subassertion
+        of an opened instance's body, read off an earlier matching of shape,
+        the subassertion of the level's existential's body in its place, or
+        None.
 
         In an existential block ``ex x1, ..., xk: B``, the instance opened
         on witnesses u1..uj has the body B with each xi replaced by ui, and
@@ -1056,16 +1047,13 @@ class _BranchProver:
         the same subassertion of B is known (`_found`), its bindings that
         agree with the witnesses give the list that matching would, in
         order.  An equation has no hypothesis of its kind there, and its
-        other side's bindings are not kept (None).  The skipped matching's
-        registrations wait for the classes (`cc`), as a skipped goal's do;
-        once they are built, it is made (None)."""
-        if self._unregistered is None:
-            return None
+        other side's bindings are not kept (None).  The matching skipped
+        would register nothing: such a branch builds no closure, and the
+        witness universe is fixed before the search."""
         e, opened = level
         known = self._found.get(shape)
         if known is None:
             return None
-        self._unmatched.append((self._hyp_matches, (body, i)))
         wild, found = known
         if not found:
             return []
@@ -1073,14 +1061,6 @@ class _BranchProver:
         hole = wild[e.var]
         return [b[hole] for b in found
                 if hole in b and all(b.get(w) is u for w, u in fixed)]
-
-    def _hyp_matches(self, at: tuple[Assertion, int]) -> None:
-        """`_ematch_sub`'s matching of the at[1]-th subassertion of at[0]
-        against the hypotheses, made for the terms it registers."""
-        pattern, wild = canonical(subassertions(at[0])[at[1]])
-        holes = set(wild.values())
-        for hyp in self.node.by_kind.get(_kind(pattern), ()):
-            match_canonical(pattern, hyp, holes, {}, self)
 
     def _bindings(self, pat: Term, other: Term, holes: set[str], var: str) -> list[Term]:
         return [b[var] for b in match_term(pat, other, holes, {}, self) if var in b]
@@ -1094,12 +1074,10 @@ class _BranchProver:
 
     def _synth_from_pattern(self, pat: Term) -> list[Term]:
         """Instances of pat with its bound names filled from the branch's
-        universe, sorted when the search first reaches a bound variable.
-        The lists are cut (candidate_cap, witness_depth, 8 per child, 64
+        `universe`.  The lists are cut (candidate_cap, witness_depth, 8 per child, 64
         per argument tuple); every cut sets query.truncated, so a negative
         answer that rests on it is inconclusive, not a definite no."""
         budget = self.query.budget
-        univ = None
 
         def cut(xs: list, n: int) -> list:
             if len(xs) > n:
@@ -1110,11 +1088,7 @@ class _BranchProver:
             if not has_bound_name(p):
                 return [p]
             if isinstance(p, Var):
-                nonlocal univ
-                if univ is None:
-                    univ = [t for t in sorted(self.cc.parent, key=term_key)
-                            if not has_bound_name(t)]
-                return cut(univ, budget.candidate_cap)
+                return cut(self.universe, budget.candidate_cap)
             if d <= 0:
                 self.query.truncated = True
                 return []

@@ -5,13 +5,16 @@ In a branch without equation hypotheses the matcher is syntactic, so
 `_BranchProver._reread` takes the candidates of an instance opened in a
 block ``ex x1, ..., xk: B`` from the bindings that matching B's
 subassertions found for the block's first existential, filtered by the
-witnesses opened since, instead of matching the instance again.  The
-matchings it skips are made when the branch's classes are built, for the
-terms they register.  Each test runs the engine twice, once as it is and
-once with `_reread` answering None, so that every subassertion is matched,
-and every candidate list, truncation flag, verdict and proof must be the
-same.  The last test checks `engine._clash`, by which `_ematch_sub` skips a
-hypothesis whose match would fail before comparing any term.
+witnesses opened since, instead of matching the instance again.  A
+matching it skips would register nothing: such a branch builds no closure,
+and its witness universe is fixed before the search.  Each test runs the
+engine twice, once as it is and once with `_reread` answering None, so
+that every subassertion is matched, and every candidate list, truncation
+flag, verdict and proof must be the same.  The universe tests check that a
+vacuous binder's witness is the least term of X, the hypotheses and the
+goal, whatever ran before.  The last test checks `engine._clash`, by which
+`_ematch_sub` skips a hypothesis whose match would fail before comparing
+any term.
 
 CI also runs this file under three hash seeds.
 """
@@ -26,6 +29,7 @@ from protassert.assertions import (
     And,
     Eq,
     Exists,
+    Or,
     Pred,
     Says,
     SentT,
@@ -41,13 +45,12 @@ from protassert.terms import AGENT, KEY, NONCE, App, Basic, Enc, Pair, Var, term
 
 from test_candidates import _plain_subterms, _replace
 
-# Matching the level-2 instance's subassertion ex w: r((w, A), y) against
-# the second hypothesis compares A with a: that registers A, which no
-# hypothesis registers (it sits under a binder) and the first matching,
-# with a hole in A's place, does not compare.  The vacuous binder of the
-# goal's right half then takes the least term of the universe: A, an
-# agent, only if the skipped matching was made.
-SKIPPED_MATCH_REGISTERS = """\
+# A occurs only under a hypothesis's binder.  The vacuous binder of the
+# goal's right half takes the least term of the branch's universe, A, an
+# agent, whether the level-2 instance's subassertion ex w: r((w, A), y),
+# whose matching against the second hypothesis would compare A with a, is
+# matched or read off its block.
+VACUOUS_BESIDE_A_BLOCK = """\
 agents: A
 nonces: a, c, d
 predicates: r/2, q/1
@@ -111,19 +114,22 @@ def _same_with_and_without(job, monkeypatch) -> int:
     return total
 
 
-def test_a_skipped_matching_still_registers_its_terms(monkeypatch):
-    seq = parse_sequent(SKIPPED_MATCH_REGISTERS)
+def test_a_vacuous_binder_takes_a_binder_body_term_whatever_matchings_ran(monkeypatch):
+    seq = parse_sequent(VACUOUS_BESIDE_A_BLOCK)
 
     def job(out):
-        v = DeriveContext(seq.terms, seq.assertions, safe=True).query(seq.goal)
+        ctx = DeriveContext(seq.terms, seq.assertions, safe=True)
+        v = ctx.query(seq.goal)
         out.append(repr(v))
         vacuous = v.proof.premises[1]
         out.append(vacuous.witness)
+        out.append(ctx.cc)
 
-    got, hits = _recorded(job, True, monkeypatch, drawn=True)
-    assert hits >= 1
-    assert got[-1] == Basic("A", AGENT)
-    assert _same_with_and_without(job, monkeypatch) >= hits
+    for reread in (True, False):
+        got, hits = _recorded(job, reread, monkeypatch, drawn=True)
+        assert (hits >= 1) is reread
+        assert got[-2:] == [Basic("A", AGENT), None]
+    assert _same_with_and_without(job, monkeypatch) >= 1
 
 
 def test_foo_blocks_are_matched_once(monkeypatch):
@@ -258,11 +264,90 @@ def test_an_equation_part_binds_on_every_instance(monkeypatch):
     assert _same_with_and_without(job, monkeypatch) == 2 * hits
 
 
+def _closed_subterms(terms) -> set:
+    """Every subterm of terms that mentions no variable, walked here rather
+    than by the package's walkers."""
+    out = set()
+
+    def walk(t) -> bool:
+        kids = ((t.left, t.right) if isinstance(t, Pair) else (t.body, t.key)
+                if isinstance(t, Enc) else t.args if isinstance(t, App) else ())
+        closed = all([walk(k) for k in kids]) and not isinstance(t, Var)
+        if closed:
+            out.add(t)
+        return closed
+
+    for t in terms:
+        walk(t)
+    return out
+
+
+def _all_terms(a, binders: bool = True) -> list:
+    """Every term position of a, agents included, and with binders those
+    under a binder too."""
+    if isinstance(a, (And, Or)):
+        return _all_terms(a.left, binders) + _all_terms(a.right, binders)
+    if isinstance(a, Exists):
+        return _all_terms(a.body, binders) if binders else []
+    if isinstance(a, Says):
+        return [a.agent] + _all_terms(a.body, binders)
+    if isinstance(a, SentT):
+        return [a.agent, a.term]
+    return [a.lhs, a.rhs] if isinstance(a, Eq) else list(a.args)
+
+
+def _exists_i_witness(proof, goal):
+    """The witness of the exists_i step that proves goal in proof, or None."""
+    if proof.rule == "exists_i" and proof.concl == goal:
+        return proof.witness
+    return next((w for p in proof.premises
+                 if (w := _exists_i_witness(p, goal)) is not None), None)
+
+
+@pytest.mark.parametrize("safe", [True, False])
+def test_a_vacuous_binder_reads_a_universe_fixed_before_the_search(safe):
+    # the goal (ex v: h) \/ a, h a hypothesis: v takes the least term of X,
+    # the hypotheses (binder bodies included) and the goal, on a fresh
+    # context and on one that answered other goals first; with none, the
+    # variable _w0 in safe mode.  An equation-free safe context builds no
+    # closure.
+    gen = _Blocks(random.Random(2701 + safe))
+    checked = in_goal = in_body = 0  # cases where want is in the goal, or a binder body, alone
+    for _ in range(150):
+        X, hyps = gen.context()
+        atom, least = gen.atom(), Basic("A", AGENT)  # least: below every basic of gen
+        where = gen.rng.choice(["goal", "body", None])
+        if where == "body":
+            hyps.append(normalize(Exists("z", Pred("p", (Var("z"), least)))))
+        goal = normalize(Or(Exists("v", gen.rng.choice(hyps)), Pred("q", (least,))
+                            if where == "goal" else atom))
+        universe = _closed_subterms([*X, *(t for a in (*hyps, goal) for t in _all_terms(a))])
+        if not universe and not safe:
+            continue
+        want = min(universe, key=term_key) if universe else Var("_w0")
+        shared = DeriveContext(X, hyps, safe=safe)
+        for other in (gen.goal(hyps), gen.goal(hyps)):
+            shared.query(other)
+        for ctx in (DeriveContext(X, hyps, safe=safe), shared):
+            v = ctx.query(goal)
+            got = _exists_i_witness(v.proof, goal.left) if v.derivable else None
+            if got is not None:  # else a clash of basics proves the goal
+                assert got == want, (X, hyps, goal)
+                checked += 1
+            if safe and not any(isinstance(a, Eq) for a in hyps):
+                assert ctx.cc is None
+        in_hyps = _closed_subterms([*X, *(t for a in hyps for t in _all_terms(a))])
+        in_goal += want not in in_hyps
+        in_body += want not in _closed_subterms([*X, *(t for a in (*hyps, goal)
+                                                          for t in _all_terms(a, False))])
+    assert checked > 200 and in_goal > 20 and in_body > 20
+
+
 def test_a_clash_binds_and_registers_nothing():
     # `_ematch_sub` skips a hypothesis that clashes with the pattern before
     # any term is compared, and skips the canonical form when all do
     gen = _Blocks(random.Random(11))
-    clashes = 0
+    clashes = closed = 0  # closed: with the classes built, where a write would show
     for _ in range(150):
         X, hyps = gen.context()
         for safe in (True, False):
@@ -272,13 +357,12 @@ def test_a_clash_binds_and_registers_nothing():
                 for sub in subassertions(goal):
                     pattern, wild = canonical(sub)
                     for hyp in ctx.root.sorted_hyps:
-                        before = (list(prover._unregistered or ()),
-                                  None if ctx.cc is None else list(ctx.cc.parent))
+                        before = None if ctx.cc is None else list(ctx.cc.parent)
                         got = match_canonical(pattern, hyp, set(wild.values()), {}, prover)
-                        after = (list(prover._unregistered or ()),
-                                 None if ctx.cc is None else list(ctx.cc.parent))
+                        after = None if ctx.cc is None else list(ctx.cc.parent)
                         if _clash(sub, hyp):
                             clashes += 1
+                            closed += before is not None
                             assert got == [] and after == before, (sub, hyp)
             ctx._rewind()
-    assert clashes > 1000
+    assert clashes > 1000 and closed > 1000

@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import protassert
+from protassert.checker import replay_assertion_proof
 from protassert.cli import main
-from protassert.syntax import parse_protocol
+from protassert.engine import derive, derive_safe
+from protassert.syntax import parse_protocol, parse_sequent
 
 LEAK = """\
 # an agent holding only the ciphertext learns the plaintext from two
@@ -277,6 +279,36 @@ def test_derive_key_slot_witness_exits_zero(tmp_path, capsys):
                   "goal: ex x: (x = c \\/ x = k) /\\ {d}x = {d}x\n")
     assert main(["derive", path]) == 0
     assert capsys.readouterr().out == "derivable\n"
+
+
+VACUOUS = """\
+nonces: n
+predicates: p/1
+terms:{terms}
+assertions:
+ex y: p(y)
+goal: ex x: ex y: p(y)
+"""
+
+
+def test_derive_vacuous_binder_is_derivable_in_both_modes(tmp_path, capsys):
+    # x takes the least term of the branch's universe: n when X holds it;
+    # else in full mode the witness _w1 that exists_e opened for the
+    # hypothesis, and in safe mode, where the universe is empty, _w0
+    for terms, witnesses in (("", ("_w1", "_w0")), (" n", ("n", "n"))):
+        text = VACUOUS.format(terms=terms)
+        path = _write(tmp_path, "vacuous.seq", text)
+        seq = parse_sequent(text)
+        for mode, fn, witness in zip(([], ["--safe"]), (derive, derive_safe), witnesses):
+            assert main(["derive", path, *mode]) == 0
+            assert capsys.readouterr().out == "derivable\n"
+            assert main(["derive", path, "--proof", *mode]) == 0
+            out = capsys.readouterr().out
+            assert f"[exists_i] ex x, y: p(y) witness {witness}\n" in out
+            proof = fn(seq.terms, seq.assertions, seq.goal).proof  # the tree printed
+            intro = proof if proof.rule == "exists_i" else proof.premises[1]
+            assert intro.witness.name == witness
+            assert replay_assertion_proof(proof, seq.terms, seq.assertions, seq.goal) == (True, None)
 
 
 def test_derive_cut_synthesis_is_no_definite_negative(tmp_path, capsys):

@@ -61,8 +61,8 @@ def _corpus(out: list) -> None:
         for safe in (False, True):
             DeriveContext(seq.terms, seq.assertions, safe=safe).query(seq.goal)
     n, m = Basic("n", NONCE), Basic("m", NONCE)
-    # matching ex y: p(m) compares m with n before the binder, which occurs
-    # nowhere, takes the least term of the universe as its witness
+    # the binder x, which occurs nowhere, takes the least term of the
+    # branch's universe as its witness
     vacuous = ((n, m), [Pred("p", (n,)), Exists("y", Pred("p", (m,)))],
                Exists("x", Pred("p", (n,))))
     for X, hyps, goal in (vacuous, *_equation_free(random.Random(18), 60)):
@@ -126,7 +126,7 @@ def _record(forced: bool) -> tuple[list, int]:
         mp.setattr(engine._BranchProver, "_candidates", drawing)
         mp.setattr(engine.EqClasses, "__init__", counted)
         if forced:
-            mp.setattr(engine._BranchProver, "singletons", False)
+            mp.setattr(engine._Node, "singletons", False)
             mp.setattr(engine, "_x_classes", afresh)
         _corpus(calls)
     return calls, built[0]

@@ -366,10 +366,10 @@ def test_an_equation_free_matcher_proves_only_a_hypothesis():
             ctx = DeriveContext(X, phi, safe=safe)
             node = ctx.root
             for forced in (False, True):
-                prover = _BranchProver(node, _Query(ctx))
                 if forced:
-                    prover.singletons = False
-                assert prover.singletons is not forced
+                    node.singletons = False
+                assert node.singletons is not forced
+                prover = _BranchProver(node, _Query(ctx))
                 for goal in goals:
                     for hyp in node.by_kind.get(_kind(goal), ()):
                         pairs = prover.match_assertions(hyp, goal)
@@ -379,10 +379,11 @@ def test_an_equation_free_matcher_proves_only_a_hypothesis():
     assert tried > 1000
 
 
-def test_a_skipped_match_still_registers_its_terms_for_the_universe():
-    """Matching ex x, y: p(<y, n>) against the goal ex x, y: p(<y, m>)
-    fails, but compares n with m, which puts m in the universe the vacuous
-    binder x draws its witness from: the safe verdict rests on that."""
+def test_a_vacuous_binder_takes_the_least_term_of_the_goal_and_hypotheses():
+    """The vacuous binder x of the goal ex x, y: p(<y, m>) takes the least
+    term of the branch's universe, m, which the goal and the second
+    hypothesis hold; that matching the goal against ex x, y: p(<y, n>)
+    fails is no part of it."""
     n, m = Basic("n", NONCE), Basic("m", NONCE)
     h1 = Exists("x", Exists("y", Pred("p", (Pair(Var("y"), n),))))
     h2 = Exists("y", Pred("p", (Pair(Var("y"), m),)))
