@@ -35,15 +35,18 @@ Search strategy is fixed:
      proved, and a cut of the candidates counts only when the search draws
      past it.  A vacuous binder, and a bound hole of an equation pattern,
      draw on the branch's witness universe, fixed before the search: the
-     subterms free of bound names of X, of the node's hypotheses (binder
-     bodies included) and of the query's goal (the gamma-rule over the
-     branch's Herbrand universe, Fitting 1996).  With it empty, a vacuous
-     binder takes the variable _w0: exists_i asks no freshness, and
-     exists_e names start at _w1.  In a branch without equations, where
-     matching is syntactic, an instance opened in a block of existentials
-     reads its candidates off the bindings the block's first existential
-     found, filtered by the witnesses opened (`_BranchProver._reread`; one
-     pass over a multi-variable pattern, as de Moura & Bjorner match).
+     subterms free of bound names of X and of the node's hypotheses
+     (binder bodies included), walked once per node (`_Node.terms`), and
+     of the query's goal (the gamma-rule over the branch's Herbrand
+     universe, Fitting 1996).  With it empty, either takes the variable
+     _w0: exists_i asks no freshness, and exists_e names start at _w1.  In
+     a branch without equations, where matching is syntactic, an instance
+     opened in a block of existentials reads its candidates off the
+     bindings the block's first existential found, filtered by the
+     witnesses opened (`_BranchProver._reread`; one pass over a
+     multi-variable pattern, as de Moura & Bjorner match): its level, the
+     block's existential at its depth and the binders opened above it, is
+     kept in `_blocks` when it is opened.
      Each node indexes its hypotheses by connective, or predicate name and
      arity, so a goal or pattern meets only its own kind (the top-symbol
      index of de Moura & Bjorner, CADE 2007).  An equation pattern walks
@@ -55,8 +58,9 @@ Search strategy is fixed:
      three leave the candidates, and the terms registered, as they would
      be without them (`_ematch_sub`).  A goal that differs from a
      hypothesis only by terms equal in the classes is proved by a chain of
-     subst steps, whose positions the rewrite matcher finds with the shared
-     shape walk (`assertions.parts`, `terms.children`).
+     subst steps, whose positions the rewrite matcher (`rewrites`, one
+     walk over terms and assertions) finds with the shared shape walk
+     (`assertions.parts`, `terms.children`).
 
 A branch holding two distinct basics in one class is inconsistent and proves
 anything.  The safe mode disables steps 1 and 3 (the rules unsound for
@@ -427,7 +431,7 @@ def inert(dyctx: DYContext, a: Assertion) -> bool:
 
 def _kind(a: Assertion):
     """The index key of a node's hypotheses: the connective, or for a
-    predicate its name and arity.  Both matchers (`match_assertions` here,
+    predicate its name and arity.  Both matchers (`rewrites` here,
     `assertions.match_assertion`) refuse a pair of different kinds before
     they compare, or register, any term."""
     return (a.name, len(a.args)) if isinstance(a, Pred) else type(a)
@@ -510,6 +514,15 @@ class _Node:
         for h in self.sorted_hyps:
             out.setdefault(_kind(h), []).append(h)
         return out
+
+    @cached
+    def terms(self) -> set[Term]:
+        """The subterms free of bound names of X and of the hypotheses
+        (binder bodies included), walked once per node: the branch's
+        witness universe but for the goal's (`_BranchProver.universe`)."""
+        terms = {s for t in self.ctx.X for s in iter_subterms(t)}
+        terms.update(s for a in self.hyps for t in assertion_terms(a) for s in iter_subterms(t))
+        return {t for t in terms if not has_bound_name(t)}
 
     @cached
     def mark(self) -> int:
@@ -635,9 +648,9 @@ def _add_terms(cc: EqClasses, terms) -> None:
 # ---------------------------------------------------------------------------
 # the prover proper
 
-# An existential of a block at an opened instance's depth, and each binder
-# above it with the witness opened for it (`_BranchProver._level`).
-_Level = tuple[Exists, list[tuple[str, Term]]]
+# The existential of a block at an opened instance's depth, and each binder
+# above it with the witness opened for it (`_BranchProver._blocks`).
+_Level = tuple[Exists, tuple[tuple[str, Term], ...]]
 
 class _BranchProver:
     def __init__(self, node: _Node, query: _Query):
@@ -646,9 +659,8 @@ class _BranchProver:
         self.query = query
         self.memo: dict[Assertion, ProofNode | None] = {}
         self._access: dict[Assertion, ProofNode] = {}
-        # the body of an instance opened in an existential block -> the
-        # block's first existential and the witnesses opened since
-        self._blocks: dict[Assertion, tuple[Exists, tuple[Term, ...]]] = {}
+        # the body of an instance opened in an existential block -> its level
+        self._blocks: dict[Assertion, _Level] = {}
         # in an equation-free branch, a subassertion matched against the
         # hypotheses -> its canonical wildcards and every binding found
         self._found: dict[Assertion, tuple[dict[str, str], list[dict[str, Term]]]] = {}
@@ -662,12 +674,11 @@ class _BranchProver:
     @cached
     def universe(self) -> list[Term]:
         """The branch's witness universe, fixed before the search: the
-        subterms free of bound names of X, of the node's hypotheses (binder
-        bodies included) and of the query's goal, sorted by term_key."""
-        terms = {s for a in (self.query.goal, *self.node.hyps)
-                 for t in assertion_terms(a) for s in iter_subterms(t)}
-        terms.update(s for t in self.ctx.X for s in iter_subterms(t))
-        return sorted((t for t in terms if not has_bound_name(t)), key=term_key)
+        node's `terms` and the subterms free of bound names of the query's
+        goal, sorted by term_key."""
+        goal = (s for t in assertion_terms(self.query.goal) for s in iter_subterms(t))
+        return sorted(self.node.terms.union(t for t in goal if not has_bound_name(t)),
+                      key=term_key)
 
     # -- access derivations for hypotheses
 
@@ -774,36 +785,31 @@ class _BranchProver:
     # No binder set: hypotheses and goals are alpha-normal, so a binder in
     # scope only shows up as a %n name, which `same` refuses to rewrite.
 
-    def match_terms(self, h: Term, g: Term, path: tuple):
-        """Rewrite pairs turning h into g, or None.  Prefers descending into
-        equal constructors so rewrite premises stay small and provable."""
+    def rewrites(self, h, g, path: tuple = ()):
+        """Rewrite pairs (path, old, new) turning h into g, two terms or two
+        assertions, or None.  It descends into equal constructors, and into
+        assertions with one `_head`, before it rewrites a whole term, so
+        rewrite premises stay small and provable."""
         if h == g:
             return []
-        if same_head(h, g):
-            kids = children(h)
-            out = self._zip_rewrites(kids, children(g), path, len(kids))
-            if out is not None:
+        term = isinstance(h, Term)
+        if term and same_head(h, g):
+            hs, gs = children(h), children(g)
+        elif not term and _head(h) == _head(g):
+            (ht, hs), (gt, gs) = parts(h), parts(g)
+            hs, gs = ht + hs, gt + gs
+        else:
+            hs = gs = None
+        if hs is not None:
+            out = []
+            for i, (a, b) in enumerate(zip(hs, gs)):
+                m = self.rewrites(a, b, path + (i,))
+                if m is None:
+                    break
+                out += m
+            else:
                 return out
-        return [(path, h, g)] if self.same(h, g) else None
-
-    def match_assertions(self, h: Assertion, g: Assertion, path: tuple = ()):
-        """Rewrite pairs turning h into g, or None; their heads must agree."""
-        if _head(h) != _head(g):
-            return None
-        (ht, hs), (gt, gs) = parts(h), parts(g)
-        return self._zip_rewrites(ht + hs, gt + gs, path, len(ht))
-
-    def _zip_rewrites(self, hs, gs, path: tuple, n_terms: int):
-        """Rewrite pairs for every aligned (h, g), the first n_terms of them
-        terms and the rest assertions, or None when one has none."""
-        out = []
-        for i, (h, g) in enumerate(zip(hs, gs)):
-            match = self.match_terms if i < n_terms else self.match_assertions
-            m = match(h, g, path + (i,))
-            if m is None:
-                return None
-            out += m
-        return out
+        return [(path, h, g)] if term and self.same(h, g) else None
 
     def _subst_chain(self, hyp: Assertion, pairs, goal: Assertion) -> ProofNode | None:
         proof = self.resolve(hyp)
@@ -881,7 +887,7 @@ class _BranchProver:
         if self.node.singletons:  # only the goal would match, and it is no hypothesis
             return None
         for hyp in self.node.by_kind.get(_kind(goal), ()):
-            pairs = self.match_assertions(hyp, goal)
+            pairs = self.rewrites(hyp, goal)
             if pairs is None:
                 continue
             p = self._subst_chain(hyp, pairs, goal)
@@ -896,14 +902,14 @@ class _BranchProver:
         p = self._prove_by_matching(goal)
         if p is not None:
             return p
-        first, witnesses = self._blocks.get(goal.body, (goal, ()))
+        e, above = self._blocks.get(goal.body, (goal, ()))
         for u in self._candidates(goal.var, goal.body):
             try:
                 inst = opened(goal, u)
             except ValueError:  # a non-key in an encryption's key slot
                 continue
             if isinstance(inst, Exists) and self.node.singletons:
-                self._blocks.setdefault(inst.body, (first, witnesses + (u,)))
+                self._blocks.setdefault(inst.body, (e.body, above + ((e.var, u),)))
             p = self.prove(inst)
             if p is not None:
                 return ProofNode("exists_i", goal, (p,), witness=u)
@@ -922,9 +928,9 @@ class _BranchProver:
         a witness before any cut is never inconclusive for it.  For
         an instance opened in an existential block, which subassertions
         hold var is read off the block's existential at its depth, whose
-        body's subassertions line up with body's (`_level`); body's own are
+        body's subassertions line up with body's (`_blocks`); body's own are
         listed only when a candidate needs one."""
-        level = self._level(body)
+        level = self._blocks.get(body)
         shape, held = (body, var) if level is None else (level[0].body, level[0].var)
         shapes = subassertions(shape)
         anchored = [i for i, sub in enumerate(shapes) if held in assertion_vars(sub)]
@@ -958,20 +964,6 @@ class _BranchProver:
                 for pat, other in ((sub.lhs, sub.rhs), (sub.rhs, sub.lhs)):
                     if isinstance(pat, Var) and pat.name == var:
                         yield from self._synth_from_pattern(other)
-
-    def _level(self, body: Assertion) -> _Level | None:
-        """For the body of an instance opened in an existential block: the
-        block's existential at the instance's depth, and each binder above
-        it with the witness opened for it; otherwise None."""
-        block = self._blocks.get(body)
-        if block is None:
-            return None
-        e, witnesses = block
-        opened = []
-        for u in witnesses:
-            opened.append((e.var, u))
-            e = e.body
-        return e, opened
 
     def _ematch_sub(self, sub: Assertion, var: str) -> list[Term]:
         """Bind var by matching a goal subassertion against hypotheses (and,
@@ -1074,9 +1066,10 @@ class _BranchProver:
 
     def _synth_from_pattern(self, pat: Term) -> list[Term]:
         """Instances of pat with its bound names filled from the branch's
-        `universe`.  The lists are cut (candidate_cap, witness_depth, 8 per child, 64
-        per argument tuple); every cut sets query.truncated, so a negative
-        answer that rests on it is inconclusive, not a definite no."""
+        `universe`, or with _w0 when it is empty.  The lists are cut
+        (candidate_cap, witness_depth, 8 per child, 64 per argument tuple);
+        every cut sets query.truncated, so a negative answer that rests on
+        it is inconclusive, not a definite no."""
         budget = self.query.budget
 
         def cut(xs: list, n: int) -> list:
@@ -1088,7 +1081,7 @@ class _BranchProver:
             if not has_bound_name(p):
                 return [p]
             if isinstance(p, Var):
-                return cut(self.universe, budget.candidate_cap)
+                return cut(self.universe, budget.candidate_cap) if self.universe else [Var("_w0")]
             if d <= 0:
                 self.query.truncated = True
                 return []
@@ -1142,14 +1135,11 @@ class DeriveContext:
     branch_count = 1  # the root; splits are a query's (perfbench/tracing.py reads it)
 
     def __init__(self, X, Phi, budget: SearchBudget = DEFAULT_BUDGET,
-                 safe: bool = False, dyctx: DYContext | None = None,
-                 normal: bool = False):
+                 safe: bool = False, dyctx: DYContext | None = None):
         """dyctx, when given, must be a DYContext over exactly X; it is
-        used instead of saturating X again.  With normal, Phi must be a
-        frozenset of normal forms, as a run's knowledge sets are, and is
-        kept as it is."""
+        used instead of saturating X again."""
         self.X = frozenset(X)
-        self.Phi = Phi if normal else frozenset(normalize(a) for a in Phi)
+        self.Phi = frozenset(map(normalize, Phi))  # a normal form is its own, cached
         self.budget = budget
         self.safe = safe
         if dyctx is not None and dyctx.X != self.X:

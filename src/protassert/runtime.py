@@ -33,6 +33,10 @@ messages sent since.
 
 Actions are scheduled lowest-phase-first among enabled candidates, with a
 seeded random choice among ties, so runs are reproducible from their seed.
+`simulate` searches depth first in a loop over a stack that holds, for
+each open state, a generator of its children, which shuffles each group of
+candidates when the search reaches it: no recursion, so a run's length is
+not bounded by Python's recursion limit.
 """
 from __future__ import annotations
 
@@ -118,7 +122,7 @@ class ContextTable:
         key = (terms, assertions, budget, safe)
         if key not in self._contexts:
             self._contexts[key] = DeriveContext(terms, assertions, budget, safe=safe,
-                                                dyctx=self.dy(terms), normal=True)
+                                                dyctx=self.dy(terms))
         return self._contexts[key]
 
     def inconsistent(self, terms: frozenset[Term], assertions: frozenset[Assertion],
@@ -215,14 +219,13 @@ def initial_state(proto: Protocol, setup: Setup) -> WorldState:
 # ---------------------------------------------------------------------------
 # instantiation helpers
 
-def _instantiate(table: ContextTable, action: Action, sigma: dict[str, Term],
+def _instantiate(action: Action, sigma: dict[str, Term],
                  fresh: tuple[tuple[str, Basic], ...],
                  binds: tuple[tuple[str, Term], ...]) -> Action | None:
     """The action under a session's sigma extended by its fresh values and
     then its bindings, or None when that leaves a variable free.  A non-key
     in a key slot, which only a recorded step can ask for, raises ValueError."""
     inst = action.instance({**sigma, **dict(fresh), **dict(binds)})
-    table.held.add(inst)
     return inst if inst.is_ground() else None
 
 
@@ -330,9 +333,10 @@ def candidates_for(state: WorldState, idx: int,
         offers = [(_allocate_fresh(state, idx + 1, action), ())]
     found: list[Step] = []
     for fresh, binds in offers:
-        inst = _instantiate(state.contexts, action, sess.sigma, fresh, binds)
+        inst = _instantiate(action, sess.sigma, fresh, binds)
         if inst is None:
             continue
+        state.contexts.held.add(inst)
         step = Step(idx + 1, inst, fresh, binds)
         problem, warning = next(check_step(state, step, budget), (None, None))
         if problem is None:
@@ -419,72 +423,73 @@ def _fingerprint(state: WorldState):
     )
 
 
+def _children(state: WorldState, steps: list[Step], cands: list[Step],
+              rng: random.Random) -> Iterator[tuple[WorldState, list[Step]]]:
+    """The states one candidate step past state, each with its steps, made
+    as the search reaches them.  Branch first over one session's
+    candidates: a step without bindings, or else the session with the
+    fewest options.  If all fail, fall back to the others: a step can wedge
+    a run (a receive teaches what a pending deny refuses), and a good option
+    may not have been sent yet.  Each group is shuffled when the search
+    reaches it, so the draws follow the search's order."""
+    by_sess: dict[int, list[Step]] = {}
+    for c in cands:
+        by_sess.setdefault(c.session, []).append(c)
+    picked = min(by_sess.values(),
+                 key=lambda cs: (bool(cs[0].binds), len(cs), cs[0].session))
+    for group in (picked, [c for c in cands if c.session != picked[0].session]):
+        group.sort(key=lambda c: (c.session, repr(c.binds)))
+        rng.shuffle(group)
+        for cand in group:
+            child = _copy_state(state)
+            yield child, steps + [apply_candidate(child, cand)]
+
+
 def simulate(proto: Protocol, setup: Setup, seed: int = 0,
              budget: SearchBudget = DEFAULT_BUDGET,
              max_states: int = 20_000) -> tuple[Run, WorldState]:
     """Search for a run that completes every session, exploring candidate
-    choices depth first in a seeded random order.  Branches where a session
-    is permanently stuck are cut early.  Returns the first completing run,
-    or the longest partial run found if none completes within max_states;
-    the run is marked cut when the search stopped at max_states or refused
-    a step only because a search budget ran out."""
+    choices depth first in a seeded random order, over a stack of each
+    open state's `_children`.  Branches where a session is permanently
+    stuck are cut early, and a state reached before is not explored again,
+    so the fallback does not re-walk states the first pass settled.
+    Returns the first completing run, or the longest partial run found if
+    none completes within max_states; the run is marked cut when the
+    search stopped at max_states or refused a step only because a search
+    budget ran out."""
     rng = random.Random(seed)
     visited = 0
     cut = False
     best: tuple[list[Step], WorldState] | None = None
     seen: set = set()
-
-    def rec(state: WorldState, steps: list[Step]) -> tuple[list[Step], WorldState] | None:
-        nonlocal visited, best, cut
+    state0 = initial_state(proto, setup)
+    stack = [iter([(state0, [])])]
+    while stack:
+        reached = next(stack[-1], None)
+        if reached is None:
+            stack.pop()
+            continue
+        state, steps = reached
         if _all_done(state):
-            return steps, state
+            return Run(proto, setup, seed, steps, complete=True,
+                       warnings=list(state.warnings)), state
         fp = _fingerprint(state)
         if fp in seen:
-            return None
+            continue
         seen.add(fp)
         visited += 1
         if visited > max_states:
             cut = True
-            return None
+            continue
         warned = len(state.warnings)
         cands, wedged = enabled_actions(state, budget)
         cut |= len(state.warnings) > warned  # only budget refusals warn here
         if wedged or not cands:
             if best is None or len(steps) > len(best[0]):
                 best = (steps, state)
-            return None
-        # Branch first over one session's candidates: a step without
-        # bindings, or else the session with the fewest options.  If all
-        # fail, fall back to the others: a step can wedge a run (a receive
-        # teaches what a pending deny refuses), and a good option may not
-        # have been sent yet.  The memo keeps the fallback from re-walking
-        # states the first pass settled.
-        by_sess: dict[int, list[Step]] = {}
-        for c in cands:
-            by_sess.setdefault(c.session, []).append(c)
-        picked = min(by_sess.values(),
-                     key=lambda cs: (bool(cs[0].binds), len(cs), cs[0].session))
-        for group in (picked, [c for c in cands if c.session != picked[0].session]):
-            group.sort(key=lambda c: (c.session, repr(c.binds)))
-            rng.shuffle(group)
-            for cand in group:
-                child = _copy_state(state)
-                step = apply_candidate(child, cand)
-                hit = rec(child, steps + [step])
-                if hit is not None:
-                    return hit
-        return None
-
-    state0 = initial_state(proto, setup)
-    hit = rec(state0, [])
-    del rec  # its closure holds it: a cycle that would keep best and seen for the collector
-    if hit is not None:
-        steps, state = hit
-        return Run(proto, setup, seed, steps, complete=True,
-                   warnings=list(state.warnings)), state
-    if best is None:
-        best = ([], state0)
-    steps, state = best
+            continue
+        stack.append(_children(state, steps, cands, rng))
+    steps, state = best or ([], state0)
     state.warnings.append("no completing run found")
     return Run(proto, setup, seed, steps, complete=False,
                warnings=list(state.warnings), cut=cut), state
@@ -526,7 +531,7 @@ def run_problems(run: Run, budget: SearchBudget = DEFAULT_BUDGET
         if set(n0 for n0, _ in step.fresh) != set(action.fresh):
             problems.append((f"step {n}: fresh variables do not match the action", False))
         try:
-            inst = _instantiate(state.contexts, action, sess.sigma, step.fresh, step.binds)
+            inst = _instantiate(action, sess.sigma, step.fresh, step.binds)
         except ValueError as e:
             problems.append((f"step {n}: {e}", False))
             break
@@ -608,7 +613,6 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
         raise ParseError("trace sessions do not match the given setup", "trace")
 
     states = [SessionState(r, dict(s)) for r, s in sessions]
-    table = ContextTable()
     steps: list[Step] = []
     while p.eat("step"):
         tok = p.peek()
@@ -626,7 +630,7 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
         if st.pc >= len(role.actions):
             raise ParseError(f"session {snum} has no pending action", tok.pos)
         try:
-            inst = _instantiate(table, role.actions[st.pc], st.sigma, fresh, binds)
+            inst = _instantiate(role.actions[st.pc], st.sigma, fresh, binds)
         except ValueError as e:
             raise ParseError(f"step {len(steps) + 1}: {e}", tok.pos) from None
         if inst is None:

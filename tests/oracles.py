@@ -378,6 +378,7 @@ from protassert.assertions import (  # noqa: E402
     assertion_terms,
     assertion_vars,
     match_term,
+    parts,
     subassertions,
 )
 from protassert.engine import _kind  # noqa: E402
@@ -427,7 +428,9 @@ def _match_assertion(pat: Assertion, tgt: Assertion, holes, binding: dict[str, T
 
 class ReferenceCandidates:
     """`_BranchProver._candidates` and `_ematch_sub` as they were; patch
-    both onto `_BranchProver` to run the engine on them."""
+    both onto `_BranchProver` to run the engine on them.  Only a vacuous
+    binder's witness is today's: the least term of the branch's fixed
+    universe, found by a walk of its own."""
 
     def _candidates(self, var: str, body: Assertion) -> list[Term]:
         cap = self.query.budget.candidate_cap
@@ -450,11 +453,11 @@ class ReferenceCandidates:
                 if emit(binding):
                     self.query.truncated = True
                     return out
-        if not anchored:
-            universe = [t for t in sorted(self.cc.parent, key=term_key)
-                        if not has_bound_name(t)]
-            for t in universe[:1]:
-                emit(t)
+        if not anchored:  # the least term of X, the hypotheses and the goal, binder bodies included
+            terms = [t for a in (self.query.goal, *self.node.hyps)
+                     for sub in subassertions(a) for t in parts(sub)[0]]
+            universe = [t for t in subterms_of([*self.ctx.X, *terms]) if not has_bound_name(t)]
+            emit(min(universe, key=term_key) if universe else Var("_w0"))
             return out
         # pattern-guided synthesis for equation atoms, then universe fallback
         for sub in subassertions(body):

@@ -12,19 +12,21 @@ engine twice, once as it is and once with `_reread` answering None, so
 that every subassertion is matched, and every candidate list, truncation
 flag, verdict and proof must be the same.  The universe tests check that a
 vacuous binder's witness is the least term of X, the hypotheses and the
-goal, whatever ran before.  The last test checks `engine._clash`, by which
-`_ematch_sub` skips a hypothesis whose match would fail before comparing
-any term.
+goal, whatever ran before, and that a shared context walks its root's
+hypotheses for it once, whatever the number of queries.  The last test
+checks `engine._clash`, by which `_ematch_sub` skips a hypothesis whose
+match would fail before comparing any term.
 
 CI also runs this file under three hash seeds.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from protassert import DeriveContext, SearchBudget, parse_sequent, simulate
+from protassert import DeriveContext, SearchBudget, engine, parse_sequent, simulate
 from protassert.assertions import (
     And,
     Eq,
@@ -33,6 +35,7 @@ from protassert.assertions import (
     Pred,
     Says,
     SentT,
+    assertion_terms,
     canonical,
     map_terms,
     match_canonical,
@@ -341,6 +344,28 @@ def test_a_vacuous_binder_reads_a_universe_fixed_before_the_search(safe):
         in_body += want not in _closed_subterms([*X, *(t for a in (*hyps, goal)
                                                           for t in _all_terms(a, False))])
     assert checked > 200 and in_goal > 20 and in_body > 20
+
+
+@pytest.mark.parametrize("safe", [True, False])
+def test_a_shared_context_walks_its_hypotheses_once(safe, monkeypatch):
+    # every query reads the universe for its vacuous binder, but only the
+    # first walks the root's hypotheses; each walks its own goal's terms
+    hyps = [Pred("p", (Pair(Basic(f"a{i}", NONCE), Basic(f"k{i}", NONCE)),)) for i in range(6)]
+    anchors = [Basic(f"b{j}", NONCE) for j in range(20)]
+    walked: Counter = Counter()
+    real = engine.iter_subterms
+
+    def counting(t):
+        walked[t] += 1
+        return real(t)
+
+    monkeypatch.setattr(engine, "iter_subterms", counting)
+    ctx = DeriveContext((), hyps, safe=safe)
+    for b in anchors:
+        assert not ctx.query(Exists("v", Pred("q", (b,)))).derivable
+    assert all(walked[b] == 1 for b in anchors)
+    want = Counter(t for h in hyps for t in assertion_terms(h))
+    assert {t: walked[t] for t in want} == want
 
 
 def test_a_clash_binds_and_registers_nothing():

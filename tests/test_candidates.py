@@ -8,9 +8,10 @@ Both shortcuts must leave every candidate list as it was.  A corpus of
 protocol runs, anonymity checks and sequents runs once on the reference and
 once on the engine as it is, and the sequence of (goal, var, candidates,
 truncated) of every `_candidates` call, with every output, must be the same.
-The engine draws its candidates on demand; run so, each call must draw a
-prefix of the reference's list, and every query must get the reference's
-verdict, budget flag and proof.
+The reference takes a vacuous binder's witness from the branch's fixed
+universe by a walk of its own.  The engine draws its candidates on demand;
+run so, each call must draw a prefix of the reference's list, and every
+query must get the reference's verdict, budget flag and proof.
 
 CI also runs this file under three hash seeds: hash-consed terms hash by
 identity, so set iteration follows allocation.
@@ -97,6 +98,19 @@ e = (f(n3), h(s))
 d = f(n3)
 s = f(n2)
 goal: ex x: (x, h(f(n2))) = (d, h(s))
+"""
+
+# x does not occur in q(n), so it takes the least term of the branch's
+# universe: in safe mode A, which only a pair under the hypothesis's binder
+# holds, and so no closure would register.
+VACUOUS_BESIDE_A_BINDER = """\
+agents: A
+nonces: n
+predicates: p/1, q/1
+assertions:
+ex z: p((z, A))
+q(n)
+goal: ex x: q(n)
 """
 
 NINE_NONCES = """\
@@ -220,7 +234,7 @@ def _corpus(out: list) -> None:
         rep = check_anonymity(proto, anonymity_foo_setup(proto, 2), seed=0, tests=150)
         out.append(("anonymity", render_report(rep)))
     for text in (LEAK, NINE_NONCES, GROWING_CLASS, CLASS_GROWS_AFTER_WALK,
-                 WALK_NOT_REPEATED):
+                 WALK_NOT_REPEATED, VACUOUS_BESIDE_A_BINDER):
         seq = parse_sequent(text)
         for safe in (False, True):
             v = DeriveContext(seq.terms, seq.assertions, safe=safe).query(seq.goal)

@@ -311,6 +311,23 @@ def test_derive_vacuous_binder_is_derivable_in_both_modes(tmp_path, capsys):
             assert replay_assertion_proof(proof, seq.terms, seq.assertions, seq.goal) == (True, None)
 
 
+def test_derive_an_equation_hole_over_nothing_declared_takes_w0(tmp_path, capsys):
+    # x's only anchor is the equation x = x, whose bound hole draws on the
+    # empty universe: it takes the variable _w0, as a vacuous binder does
+    text = "goal: ex x: x = x\n"
+    path = _write(tmp_path, "refl.seq", text)
+    seq = parse_sequent(text)
+    for mode, fn in (([], derive), (["--safe"], derive_safe)):
+        assert main(["derive", path, *mode]) == 0
+        assert capsys.readouterr().out == "derivable\n"
+        assert main(["derive", path, "--proof", *mode]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("derivable\n[exists_i] ex x: x = x witness _w0\n  [refl] _w0 = _w0\n")
+        proof = fn(seq.terms, seq.assertions, seq.goal).proof  # the tree printed
+        assert proof.rule == "exists_i" and proof.witness.name == "_w0"
+        assert replay_assertion_proof(proof, seq.terms, seq.assertions, seq.goal) == (True, None)
+
+
 def test_derive_cut_synthesis_is_no_definite_negative(tmp_path, capsys):
     # z is the tenth term of the universe, past the eight candidates pattern
     # synthesis keeps per child: a search that cut it answers inconclusive

@@ -6,9 +6,9 @@ traffic are slotted dataclasses that are not frozen: they keep value
 equality, a value hash and `dataclasses.replace`, and carry no instance
 dict.  Terms and assertions stay frozen and interned.  The engine's cached
 properties are `terms.cached`, which stores on first read as
-`functools.cached_property` does, without its lock.  A run's contexts keep
-the knowledge set's assertions as they are, which must then be normal
-forms.
+`functools.cached_property` does, without its lock.  A run's knowledge
+sets hold normal forms, each its own cached `normalize`, so a context over
+one keeps them as they are.
 
 CI also runs this file under three hash seeds.
 """
@@ -20,7 +20,7 @@ from dataclasses import replace
 import pytest
 
 from protassert import engine
-from protassert.assertions import Eq, Exists, Pred, normalize
+from protassert.assertions import Eq, Exists, Pred, normalize, rebind
 from protassert.builtins import (
     anonymity_foo_setup,
     builtin_foo,
@@ -143,11 +143,15 @@ def test_a_context_over_normal_forms_answers_as_one_that_normalizes():
     foo = builtin_foo_linked()
     run, state = simulate(foo, anonymity_foo_setup(foo, 2), seed=1)
     know = state.knowledge["I"]
+    assert all(normalize(a) is a for a in know.assertions)
+    # the same assertions with binders named as a reader would name them
+    renamed = [rebind(a, {}, lambda _old, depth: f"x{depth}") for a in know.assertions]
+    assert any(a not in know.assertions for a in renamed)
     goals = sorted(know.assertions, key=repr)[:12]
     for safe in (False, True):
-        kept = DeriveContext(know.terms, know.assertions, safe=safe, normal=True)
-        fresh = DeriveContext(know.terms, list(know.assertions), safe=safe)
-        assert kept.Phi is know.assertions and fresh.Phi == kept.Phi
+        kept = DeriveContext(know.terms, know.assertions, safe=safe)
+        fresh = DeriveContext(know.terms, renamed, safe=safe)
+        assert kept.Phi == know.assertions and fresh.Phi == kept.Phi
         for goal in goals:
             assert kept.query(goal) == fresh.query(goal)
 

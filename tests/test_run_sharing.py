@@ -372,7 +372,7 @@ def test_an_equation_free_matcher_proves_only_a_hypothesis():
                 prover = _BranchProver(node, _Query(ctx))
                 for goal in goals:
                     for hyp in node.by_kind.get(_kind(goal), ()):
-                        pairs = prover.match_assertions(hyp, goal)
+                        pairs = prover.rewrites(hyp, goal)
                         assert (pairs is not None) == (hyp is goal), (hyp, goal)
                         tried += 1
                 ctx._rewind()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 from dataclasses import replace
 
 from protassert import (
@@ -334,7 +335,7 @@ def _pending_steps(state, idx):
     else:
         offers = [(_allocate_fresh(state, idx + 1, action), ())]
     for fresh, binds in offers:
-        inst = _instantiate(state.contexts, action, sess.sigma, fresh, binds)
+        inst = _instantiate(action, sess.sigma, fresh, binds)
         if inst is not None:
             yield Step(idx + 1, inst, fresh, binds)
 
@@ -453,3 +454,26 @@ def test_a_simulate_leaves_no_state_to_the_collector():
             assert alive() == before
     finally:
         gc.enable()
+
+
+def _depth() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def test_simulate_needs_no_frame_per_step():
+    # the 40 steps of foo at 4 voters, searched within 40 frames of the
+    # caller: the search keeps its states on a stack of its own, so only
+    # the checks of one step recurse
+    proto = foo()
+    want, _ = simulate(proto, default_foo_setup(proto, 4), seed=0)
+    assert want.complete and len(want.steps) == 40
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 40)
+    try:
+        run, _ = simulate(proto, default_foo_setup(proto, 4), seed=0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert write_trace(run) == write_trace(want)
