@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 from .assertions import (
     And,
@@ -287,27 +286,15 @@ def deterministic_tests(n_handles: int, agents: list[Basic],
     equalities, and handle against constant equalities.  A sent-assertion
     probe, which needs the per-run assertion, is a (traffic index, agent)
     pair instead of a template."""
-    return list(_deterministic(n_handles, agents, consts, assertion_slots))
-
-
-def _deterministic(n_handles: int, agents: list[Basic], consts: list[Basic],
-                   assertion_slots: list[int]) -> Iterator[Assertion | tuple[int, Basic]]:
-    """`deterministic_tests`, each built when it is drawn."""
+    out: list[Assertion | tuple[int, Basic]] = []
     for i in range(1, n_handles + 1):
-        yield from (SentT(a, _handle(i)) for a in agents)
+        out.extend(SentT(a, _handle(i)) for a in agents)
     for i in assertion_slots:
-        yield from ((i, a) for a in agents)
+        out.extend((i, a) for a in agents)
     for i in range(1, n_handles + 1):
-        yield from (Eq(_handle(i), _handle(j)) for j in range(i + 1, n_handles + 1))
-        yield from (Eq(_handle(i), c) for c in consts)
-
-
-def deterministic_count(n_handles: int, agents: int, consts: int, assertion_slots: int) -> int:
-    """How many tests `deterministic_tests` lists, from the sizes of its
-    arguments: n·A sent facts, s·A sent-assertion probes, n(n−1)/2 handle
-    equalities and n·C handle-constant equalities."""
-    n = n_handles
-    return n * agents + assertion_slots * agents + n * (n - 1) // 2 + n * consts
+        out.extend(Eq(_handle(i), _handle(j)) for j in range(i + 1, n_handles + 1))
+        out.extend(Eq(_handle(i), c) for c in consts)
+    return out
 
 
 class _TemplateGen:
@@ -399,12 +386,12 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
     # building the generator draws nothing from its random stream
     gen = _TemplateGen(random.Random(seed ^ 0x5EED), proto, intruder, n, depth)
     slots = [i for i, tr in enumerate(left.traffic, 1) if tr.assertion is not None]
-    det = deterministic_count(n, len(gen.agents), len(gen.names), len(slots))
+    det = deterministic_tests(n, gen.agents, gen.names, slots)
 
     def stream():
         """(test, left goal, right goal): the deterministic block, then
         the seeded random templates that instantiate to closed tests."""
-        for test in _deterministic(n, gen.agents, gen.names, slots):
+        for test in det:
             if isinstance(test, tuple):
                 slot, agent = test
                 yield (test, SentA(agent, left.traffic[slot - 1].assertion),
@@ -432,8 +419,8 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
         elif tl != tr:
             desc = (f"{test[1].name} sent the assertion of message {test[0]}"
                     if isinstance(test, tuple) else print_assertion(test))
-            return TestOutcome(desc, tl, tr), total, det, inconclusive
-    return None, total, det, inconclusive
+            return TestOutcome(desc, tl, tr), total, len(det), inconclusive
+    return None, total, len(det), inconclusive
 
 
 # ---------------------------------------------------------------------------

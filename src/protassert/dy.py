@@ -24,7 +24,6 @@ from .terms import (
     Pair,
     Term,
     Var,
-    cached,
     children,
     is_key_position,
     sorted_terms,
@@ -153,11 +152,7 @@ class DYContext:
     """Saturates X on first need, answers many queries; proofs on demand.  A
     term composed from X's members needs no analysis, and a member's proof
     is `ax`, as `dy_saturate`, which enters X first and never overwrites an
-    entry, would give.  Once X is saturated, only the saturated set is asked.
-    An inverse key that is atomic and lies nowhere analysis can reach in X
-    (a pair's side, an encryption's body) is not derivable, with no analysis:
-    analysis never takes a key out of a key slot, or an argument out of a
-    constructor."""
+    entry, would give.  Once X is saturated, only the saturated set is asked."""
 
     def __init__(self, X):
         self.X = frozenset(X)
@@ -184,27 +179,7 @@ class DYContext:
     def inv_derivable(self, key: Term) -> bool:
         if not is_key_position(key):
             return False
-        ik = KEYS.inverse(key)
-        if self.saturated is None and not isinstance(ik, Var) and ik not in self._reachable:
-            return False
-        return self.derivable(ik)
-
-    @cached
-    def _reachable(self) -> frozenset[Term]:
-        """X's terms and, through each pair's sides and encryption's body,
-        whatever analysis could take out of them, whichever keys it holds:
-        the saturated set and more."""
-        out: set[Term] = set()
-        todo = list(self.X)
-        while todo:
-            t = todo.pop()
-            if t not in out:
-                out.add(t)
-                if isinstance(t, Pair):
-                    todo += (t.left, t.right)
-                elif isinstance(t, Enc):
-                    todo.append(t.body)
-        return frozenset(out)
+        return self.derivable(KEYS.inverse(key))
 
     def inv_proof(self, key: Term) -> TermProof:
         return self.proof(KEYS.inverse(key))

@@ -33,34 +33,34 @@ Search strategy is fixed:
      `canonical` form, with the branch as the equality), drawn on demand in
      a fixed order: matching stops at the first witness whose instance is
      proved, and a cut of the candidates counts only when the search draws
-     past it.  A vacuous binder, and a bound hole of an equation pattern,
-     draw on the branch's witness universe, fixed before the search: the
-     subterms free of bound names of X and of the node's hypotheses
-     (binder bodies included), walked once per node (`_Node.terms`), and
-     of the query's goal (the gamma-rule over the branch's Herbrand
-     universe, Fitting 1996).  With it empty, either takes the variable
-     _w0: exists_i asks no freshness, and exists_e names start at _w1.  In
-     a branch without equations, where matching is syntactic, an instance
-     opened in a block of existentials reads its candidates off the
-     bindings the block's first existential found, filtered by the
-     witnesses opened (`_BranchProver._reread`; one pass over a
-     multi-variable pattern, as de Moura & Bjorner match): its level, the
-     block's existential at its depth and the binders opened above it, is
-     kept in `_blocks` when it is opened.
+     past it.  A vacuous binder, a bound hole that is a side of an equation
+     pattern, and the only hole of two compound sides draw on the branch's
+     witness universe, fixed before the search: the subterms free of bound
+     names of X and of the node's hypotheses (binder bodies included),
+     walked once per node (`_Node.terms`), and of the query's goal (the
+     gamma-rule over the branch's Herbrand universe, Fitting 1996).  With
+     it empty, each takes the variable _w0: exists_i asks no freshness,
+     and exists_e names start at _w1.  In a branch without equations,
+     where matching is syntactic, an instance opened in a block of
+     existentials reads its candidates off the bindings the block's first
+     existential found, filtered by the witnesses opened
+     (`_BranchProver._reread`; one pass over a multi-variable pattern, as
+     de Moura & Bjorner match): its level, the block's existential at its
+     depth and the binders opened above it, is kept in `_blocks` when it
+     is opened.
      Each node indexes its hypotheses by connective, or predicate name and
      arity, so a goal or pattern meets only its own kind (the top-symbol
      index of de Moura & Bjorner, CADE 2007).  An equation pattern walks
      the class of its other side once, not once per member, since the
      matcher reaches the whole class from any member; and an equation
      hypothesis inside that class, the classes unchanged since the walk,
-     is skipped, since matching it repeats the walk; so is a hypothesis
-     whose match would fail on a connective before comparing a term.  All
-     three leave the candidates, and the terms registered, as they would
-     be without them (`_ematch_sub`).  A goal that differs from a
-     hypothesis only by terms equal in the classes is proved by a chain of
-     subst steps, whose positions the rewrite matcher (`rewrites`, one
-     walk over terms and assertions) finds with the shared shape walk
-     (`assertions.parts`, `terms.children`).
+     is skipped, since matching it repeats the walk.  Both leave the
+     candidates, and the terms registered, as they would be without them
+     (`_ematch_sub`).  A goal that differs from a hypothesis only by terms
+     equal in the classes is proved by a chain of subst steps, whose
+     positions the rewrite matcher (`rewrites`, one walk over terms and
+     assertions) finds with the shared shape walk (`assertions.parts`,
+     `terms.children`).
 
 A branch holding two distinct basics in one class is inconsistent and proves
 anything.  The safe mode disables steps 1 and 3 (the rules unsound for
@@ -132,14 +132,6 @@ class SearchBudget:
     merge_cap: int = 100_000
     node_cap: int = 200_000
     candidate_cap: int = 128
-
-    def __hash__(self) -> int:  # the dataclass hash, computed once: context keys hash budgets
-        return self._hash
-
-    @cached
-    def _hash(self) -> int:
-        return hash((self.witness_depth, self.branch_cap, self.merge_cap, self.node_cap,
-                     self.candidate_cap))
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -368,11 +360,12 @@ class EqClasses:
 
         touched = self._pop(self.parents_of, small) | self.parents_of[big]
         self._set(self.parents_of, big, touched)
-        for p in sorted(touched, key=term_key):
+        touched = sorted(touched, key=term_key)
+        for p in touched:
             old = self.sig_of.get(p)
             if old is not None and self.sig_table.get(old) is p:
                 self._pop(self.sig_table, old)
-        for p in sorted(touched, key=term_key):
+        for p in touched:
             sig = self._signature(p)
             self._set(self.sig_of, p, sig)
             other = self.sig_table.get(sig)
@@ -437,21 +430,6 @@ def _kind(a: Assertion):
     return (a.name, len(a.args)) if isinstance(a, Pred) else type(a)
 
 
-def _clash(pat: Assertion, hyp: Assertion) -> bool:
-    """Whether matching pat against hyp fails on a connective, or on a
-    predicate's name or arity, before it compares any term: along the
-    matcher's walk, through binders and into left conjuncts and disjuncts.
-    Such a match binds and registers nothing."""
-    while type(pat) is type(hyp):
-        if isinstance(pat, Exists):
-            pat, hyp = pat.body, hyp.body
-        elif isinstance(pat, (And, Or)):
-            pat, hyp = pat.left, hyp.left
-        else:
-            return isinstance(pat, Pred) and (pat.name, len(pat.args)) != (hyp.name, len(hyp.args))
-    return True
-
-
 def _head(a: Assertion):
     """What two assertions must share, besides the shape of their parts, to
     match: their `_kind`, and the agent of a says or sent fact."""
@@ -465,42 +443,39 @@ class _Node:
     parent's choice of disjunct by non-branching expansion (conjunctions
     split, says bodies stripped, existentials opened over witnesses named
     in ``names``), up to the first disjunction, which is left in ``split``
-    for a query to split on (`_Query.children`).  The hypothesis index, the
-    node's mark on the context's closure and the bottom test are made on
-    first read."""
+    for a query to split on (`_Query.children`).  ``hyps`` maps each
+    hypothesis to how it was reached, which `_BranchProver.resolve` reads.
+    The hypothesis index, the node's mark on the context's closure and the
+    bottom test are made on first read."""
 
     def __init__(self, ctx: "DeriveContext", names: dict[Assertion, str],
-                 hyps: set[Assertion], origin: dict[Assertion, tuple],
-                 queue: deque[Assertion], parent: "_Node | None" = None):
+                 hyps: dict[Assertion, tuple], queue: deque[Assertion],
+                 parent: "_Node | None" = None):
         self.wits: list[tuple[Assertion, Assertion, str]] = []
         self.split: Or | None = None
         while queue:
             psi = queue.popleft()
             if isinstance(psi, And):
-                for idx, child in ((0, psi.left), (1, psi.right)):
+                for child in (psi.left, psi.right):
                     if child not in hyps:
-                        hyps.add(child)
-                        origin[child] = ("and_e", psi, idx)
+                        hyps[child] = ("and_e", psi)
                         queue.append(child)
             elif isinstance(psi, Says):
                 if psi.body not in hyps:
-                    hyps.add(psi.body)
-                    origin[psi.body] = ("strip", psi)
+                    hyps[psi.body] = ("strip", psi)
                     queue.append(psi.body)
             elif isinstance(psi, Exists) and not ctx.safe:
                 # each existential is opened once per query, on _w1, _w2, ...
                 var = names.setdefault(psi, f"_w{len(names) + 1}")
                 inst = opened(psi, Var(var))
                 if inst not in hyps:
-                    hyps.add(inst)
-                    origin[inst] = ("assume",)
+                    hyps[inst] = ("assume",)
                     queue.append(inst)
                     self.wits.append((psi, inst, var))
             elif isinstance(psi, Or) and not ctx.safe:
                 self.split = psi
                 break
-        self.hyps = frozenset(hyps)
-        self.origin = origin
+        self.hyps = hyps
         self.queue = queue  # what the children go on expanding
         self.ctx, self.parent = ctx, parent
 
@@ -608,12 +583,11 @@ class _Query:
         self.branches += 1
         kids = []
         for side in (node.split.left, node.split.right):
-            hyps, origin, queue = set(node.hyps), dict(node.origin), deque(node.queue)
+            hyps, queue = dict(node.hyps), deque(node.queue)
             if side not in hyps:
-                hyps.add(side)
-                origin[side] = ("assume",)
+                hyps[side] = ("assume",)
                 queue.append(side)
-            kids.append(_Node(self.ctx, self.names, hyps, origin, queue, node))
+            kids.append(_Node(self.ctx, self.names, hyps, queue, node))
         return kids[0], kids[1]
 
     def solve(self, node: _Node, goal: Assertion) -> ProofNode | None:
@@ -685,7 +659,7 @@ class _BranchProver:
     def resolve(self, psi: Assertion) -> ProofNode:
         if psi in self._access:
             return self._access[psi]
-        how = self.node.origin[psi]
+        how = self.node.hyps[psi]
         if how[0] in ("ax", "assume"):
             node = ProofNode("ax", psi)
         else:  # and_e or strip, from how[1]
@@ -921,15 +895,16 @@ class _BranchProver:
         """Witnesses for var in body, distinct and free of bound names, drawn
         on demand: the E-matches of each subassertion holding var, in
         preorder, then instances of the patterns that equation atoms set var
-        equal to; with no such subassertion, the least term of the branch's
-        `universe`, or the variable _w0 when it is empty.  Past the
-        candidate_cap-th, query.truncated is set and none follow: a cut
-        counts only when the search draws past it, so a search that proves
-        a witness before any cut is never inconclusive for it.  For
-        an instance opened in an existential block, which subassertions
-        hold var is read off the block's existential at its depth, whose
-        body's subassertions line up with body's (`_blocks`); body's own are
-        listed only when a candidate needs one."""
+        equal to, and the branch's `universe` (or _w0) where var is the only
+        hole of an equation's two compound sides; with no such subassertion,
+        the least term of the `universe`, or the variable _w0 when it is
+        empty.  Past the candidate_cap-th, query.truncated is set and none
+        follow: a cut counts only when the search draws past it, so a
+        search that proves a witness before any cut is never inconclusive
+        for it.  For an instance opened in an existential block, which
+        subassertions hold var is read off the block's existential at its
+        depth, whose body's subassertions line up with body's (`_blocks`);
+        body's own are listed only when a candidate needs one."""
         level = self._blocks.get(body)
         shape, held = (body, var) if level is None else (level[0].body, level[0].var)
         shapes = subassertions(shape)
@@ -961,9 +936,15 @@ class _BranchProver:
                 if subs is None:
                     subs = subassertions(body)
                 sub = subs[i]
-                for pat, other in ((sub.lhs, sub.rhs), (sub.rhs, sub.lhs)):
+                sides = (sub.lhs, sub.rhs)
+                for pat, other in (sides, sides[::-1]):
                     if isinstance(pat, Var) and pat.name == var:
                         yield from self._synth_from_pattern(other)
+                if Var(var) not in sides and all(map(has_bound_name, sides)) and all(
+                        n == var or not n.startswith("%") for n in assertion_vars(sub)):
+                    # var the only hole of two compound sides, with no closed
+                    # side to match: it draws as a bare hole does
+                    yield from self._synth_from_pattern(Var(var))
 
     def _ematch_sub(self, sub: Assertion, var: str) -> list[Term]:
         """Bind var by matching a goal subassertion against hypotheses (and,
@@ -981,12 +962,11 @@ class _BranchProver:
         of one class, so it binds nothing new.  `_candidates` reads only
         the distinct bindings in order of first appearance, which neither
         shortcut changes.  The holes are the free bound names of the
-        pattern's `canonical` form, var among them.  A hypothesis whose
-        match would fail before it compares a term is skipped (`_clash`),
-        and with none left, a pattern that is no equation is not put in
-        canonical form.  In an equation-free branch every binding found is
-        kept, for `_reread`."""
-        hyps = [h for h in self.node.by_kind.get(_kind(sub), ()) if not _clash(sub, h)]
+        pattern's `canonical` form, var among them.  With no hypothesis of
+        its kind, a pattern that is no equation is not put in canonical
+        form.  In an equation-free branch every binding found is kept, for
+        `_reread`."""
+        hyps = self.node.by_kind.get(_kind(sub), ())
         if not hyps and not isinstance(sub, Eq):  # no hypothesis to match, nor a class to walk
             if self.node.singletons:
                 self._found[sub] = {}, []
@@ -1152,8 +1132,8 @@ class DeriveContext:
 
     @cached
     def root(self) -> _Node:
-        return _Node(self, self.wit_names, set(self.Phi),
-                     {a: ("ax",) for a in self.Phi}, deque(sorted_assertions(self.Phi)))
+        return _Node(self, self.wit_names, dict.fromkeys(self.Phi, ("ax",)),
+                     deque(sorted_assertions(self.Phi)))
 
     def leaves(self) -> Iterator[_Node]:
         """Every leaf of the fully split tree, left to right, split in a query

@@ -53,13 +53,6 @@ class Action:
         if self.fresh and self.kind not in ("send", "send*"):
             raise ValueError("only sends declare fresh variables")
 
-    def __hash__(self) -> int:  # the dataclass hash, computed once: memo keys hash actions
-        return self._hash
-
-    @cached
-    def _hash(self) -> int:
-        return hash((self.kind, self.agent, self.fresh, self.term, self.assertion, self.phase))
-
     def instance(self, sigma: dict[str, Term]) -> "Action":
         """`action_subst(self, sigma)`, one object per image of the action's
         variables, held weakly as terms are: unused, its entry goes."""

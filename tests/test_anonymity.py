@@ -27,7 +27,6 @@ from protassert import (
 )
 from protassert import anonymity
 from protassert.anonymity import (
-    deterministic_count,
     deterministic_tests,
     run_battery,
     swp_assertion,
@@ -313,30 +312,3 @@ def test_report_rendering_mentions_everything():
     assert "foo" in text and "seed=1" in text
     assert "safety" in text
 
-
-def test_the_deterministic_count_is_the_blocks_length():
-    agents = [Basic(f"A{i}", "agent") for i in range(4)]
-    consts = [Basic(f"c{i}", "nonce") for i in range(4)]
-    for n in range(7):
-        for a in range(4):
-            for c in range(4):
-                for slots in ([], [1], [2, 3], list(range(1, n + 1))):
-                    tests = deterministic_tests(n, agents[:a], consts[:c], slots)
-                    assert deterministic_count(n, a, c, len(slots)) == len(tests)
-
-
-def test_the_battery_builds_only_the_templates_it_draws(monkeypatch):
-    drawn, calls = [], []
-    real = anonymity._deterministic
-
-    def counting(*args):
-        calls.append(args)
-        for test in real(*args):
-            drawn.append(test)
-            yield test
-
-    monkeypatch.setattr(anonymity, "_deterministic", counting)
-    proto = builtin_foo_linked()
-    rep = check_anonymity(proto, anonymity_foo_setup(proto, 2), seed=0, tests=50)
-    assert rep.verdict == "distinguished" and len(calls) == 1
-    assert len(drawn) == rep.tests_total < rep.deterministic == len(list(real(*calls[0])))

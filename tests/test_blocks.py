@@ -13,9 +13,7 @@ that every subassertion is matched, and every candidate list, truncation
 flag, verdict and proof must be the same.  The universe tests check that a
 vacuous binder's witness is the least term of X, the hypotheses and the
 goal, whatever ran before, and that a shared context walks its root's
-hypotheses for it once, whatever the number of queries.  The last test
-checks `engine._clash`, by which `_ematch_sub` skips a hypothesis whose
-match would fail before comparing any term.
+hypotheses for it once, whatever the number of queries.
 
 CI also runs this file under three hash seeds.
 """
@@ -36,14 +34,12 @@ from protassert.assertions import (
     Says,
     SentT,
     assertion_terms,
-    canonical,
     map_terms,
-    match_canonical,
     normalize,
     subassertions,
 )
 from protassert.builtins import builtin_foo, default_foo_setup
-from protassert.engine import _BranchProver, _clash, _Query
+from protassert.engine import _BranchProver
 from protassert.terms import AGENT, KEY, NONCE, App, Basic, Enc, Pair, Var, term_key
 
 from test_candidates import _plain_subterms, _replace
@@ -367,27 +363,3 @@ def test_a_shared_context_walks_its_hypotheses_once(safe, monkeypatch):
     want = Counter(t for h in hyps for t in assertion_terms(h))
     assert {t: walked[t] for t in want} == want
 
-
-def test_a_clash_binds_and_registers_nothing():
-    # `_ematch_sub` skips a hypothesis that clashes with the pattern before
-    # any term is compared, and skips the canonical form when all do
-    gen = _Blocks(random.Random(11))
-    clashes = closed = 0  # closed: with the classes built, where a write would show
-    for _ in range(150):
-        X, hyps = gen.context()
-        for safe in (True, False):
-            ctx = DeriveContext(X, hyps, safe=safe)
-            prover = _BranchProver(ctx.root, _Query(ctx))
-            for goal in (gen.goal(hyps), gen.goal(hyps)):
-                for sub in subassertions(goal):
-                    pattern, wild = canonical(sub)
-                    for hyp in ctx.root.sorted_hyps:
-                        before = None if ctx.cc is None else list(ctx.cc.parent)
-                        got = match_canonical(pattern, hyp, set(wild.values()), {}, prover)
-                        after = None if ctx.cc is None else list(ctx.cc.parent)
-                        if _clash(sub, hyp):
-                            clashes += 1
-                            closed += before is not None
-                            assert got == [] and after == before, (sub, hyp)
-            ctx._rewind()
-    assert clashes > 1000 and closed > 1000

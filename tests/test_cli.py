@@ -328,6 +328,28 @@ def test_derive_an_equation_hole_over_nothing_declared_takes_w0(tmp_path, capsys
         assert replay_assertion_proof(proof, seq.terms, seq.assertions, seq.goal) == (True, None)
 
 
+def test_derive_a_hole_between_compound_sides_draws_as_a_bare_hole(tmp_path, capsys):
+    # x is the only hole of (x, x) = (x, x) and neither side is x or closed,
+    # so nothing is matched: x draws on the universe as a bare hole does,
+    # _w0 over nothing declared and n over terms: n
+    goal = "ex x: (x, x) = (x, x)"
+    for decls, w in (("", "_w0"), ("nonces: n\nterms: n\n", "n")):
+        text = f"{decls}goal: {goal}\n"
+        path = _write(tmp_path, "pairs.seq", text)
+        seq = parse_sequent(text)
+        for mode, fn in (([], derive), (["--safe"], derive_safe)):
+            assert main(["derive", path, *mode]) == 0
+            assert capsys.readouterr().out == "derivable\n"
+            assert main(["derive", path, "--proof", *mode]) == 0
+            assert capsys.readouterr().out.startswith(
+                f"derivable\n[exists_i] {goal} witness {w}\n"
+                f"  [cong_pair] ({w}, {w}) = ({w}, {w})\n    [refl] {w} = {w}\n")
+            proof = fn(seq.terms, seq.assertions, seq.goal).proof  # the tree printed
+            assert proof.rule == "exists_i" and proof.witness.name == w
+            assert [p.rule for p in proof.premises[0].premises] == ["refl", "refl"]
+            assert replay_assertion_proof(proof, seq.terms, seq.assertions, seq.goal) == (True, None)
+
+
 def test_derive_cut_synthesis_is_no_definite_negative(tmp_path, capsys):
     # z is the tenth term of the universe, past the eight candidates pattern
     # synthesis keeps per child: a search that cut it answers inconclusive

@@ -157,9 +157,7 @@ def test_a_simulate_saturates_and_expands_on_first_need(monkeypatch):
     # the counts before analysis and roots were made on demand: 12
     # saturations (one per knowledge set) and 21 root expansions (one per
     # context) in this run; 12 root expansions before an insert of an inert
-    # fact was checked on the context the deny before it built; 2
-    # saturations before an inverse key that analysis cannot reach in X was
-    # answered without one
+    # fact was checked on the context the deny before it built
     count = {"saturate": 0, "roots": 0}
     real_saturate, real_node = dy.dy_saturate, engine._Node.__init__
 
@@ -167,13 +165,13 @@ def test_a_simulate_saturates_and_expands_on_first_need(monkeypatch):
         count["saturate"] += 1
         return real_saturate(X)
 
-    def node(self, ctx, names, hyps, origin, queue, parent=None):
+    def node(self, ctx, names, hyps, queue, parent=None):
         count["roots"] += parent is None
-        real_node(self, ctx, names, hyps, origin, queue, parent)
+        real_node(self, ctx, names, hyps, queue, parent)
 
     monkeypatch.setattr(dy, "dy_saturate", saturate)
     monkeypatch.setattr(engine._Node, "__init__", node)
     foo = builtin_foo()
     run, _ = simulate(foo, default_foo_setup(foo, 2), seed=0)
     assert run.complete and len(run.steps) == 20
-    assert count == {"saturate": 0, "roots": 11}
+    assert count == {"saturate": 2, "roots": 11}

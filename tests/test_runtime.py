@@ -5,6 +5,8 @@ import random
 import sys
 from dataclasses import replace
 
+import pytest
+
 from protassert import (
     Basic,
     Enc,
@@ -221,6 +223,32 @@ def test_validate_rejects_foreign_step():
     broken = replace(run, steps=[bad] + run.steps[1:])
     ok, problems, _ = validate_run(broken)
     assert not ok
+
+
+def test_validate_rejects_a_step_of_a_finished_session():
+    proto = foo()
+    run, _ = simulate(proto, default_foo_setup(proto), seed=0)
+    assert run.complete and len(run.steps) == 20 and run.steps[-1].session == 6
+    broken = replace(run, steps=[*run.steps, run.steps[-1]])
+    assert validate_run(broken)[:2] == (False, ["step 21: session 6 already finished"])
+
+
+@pytest.mark.parametrize("edit, problems", [
+    (lambda fresh: (*fresh, ("r", Basic("r1", "nonce"))),
+     ["step 1: unexpected fresh variable r",
+      "step 1: fresh variables do not match the action"]),
+    (lambda fresh: (),
+     ["step 1: fresh variables do not match the action",
+      "step 1: action not ground after instantiation"]),
+], ids=["one more", "none"])
+def test_validate_rejects_fresh_variables_unlike_the_action(edit, problems):
+    # the first step of the run is a send fresh(k)
+    proto = foo()
+    run, _ = simulate(proto, default_foo_setup(proto), seed=0)
+    send = run.steps[0]
+    assert send.action.kind == "send" and [name for name, _ in send.fresh] == ["k"]
+    broken = replace(run, steps=[replace(send, fresh=edit(send.fresh)), *run.steps[1:]])
+    assert validate_run(broken)[:2] == (False, problems)
 
 
 def test_double_processing_wedges_the_authority():
