@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .assertions import (
     And,
@@ -47,6 +46,7 @@ from .terms import (
     Pair,
     Term,
     Var,
+    cached,
     iter_subterms,
     replace_term,
     sk,
@@ -64,7 +64,7 @@ class SwapSpec:
     keys: tuple[Term, Term] | None  # their commitment keys, when visible
     cast_steps: tuple[int, int]  # 1-based global indices of the cast sends
 
-    @cached_property
+    @cached
     def swap_map(self) -> dict[Term, Term]:
         d, e = self.commits
         out = {d: e, e: d}

@@ -14,11 +14,12 @@ coincides with alpha-equivalence for it as for the whole assertion.
 Assertions are hash-consed like terms (`terms.Interned`, one shared weak
 table): equal structures are one object, so `==` and `hash` are identity.
 What depends only on the structure is computed once and cached on each
-object: `assertion_key`, `normalize` (a normal form caches itself as its own
-normal form), an existential's body `opened` per witness term,
-`assertion_terms`, `assertion_vars` and `free_vars` (each from its parts'
-cached values), the assertions inside it that `subassertions` lists, and its
-`canonical` form where that renames a free bound name.
+object, as a term's is (`terms.cached` attributes of `Assertion`, read by
+their public names): `assertion_key`, `normalize`, `assertion_terms`,
+`assertion_vars` and `free_vars` (each from its parts' cached values), the
+assertions inside it that `subassertions` lists, and its `canonical` form;
+an existential keeps its body `opened` per witness term.  `normalize`,
+`substitute` and the parser mark a normal form as its own (`terms.cache`).
 
 The one pattern matcher, `match_term`/`match_assertion`, lives here too.  It
 binds a pattern's holes so that the pattern equals a target modulo an
@@ -28,23 +29,105 @@ engine binds witness candidates modulo a branch's congruence classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .terms import (
     Interned,
     Term,
     Var,
     cache,
+    cached,
     children,
     has_bound_name,
     same_head,
     subst_term,
-    term_key,
     term_vars,
 )
 
 
 class Assertion(metaclass=Interned):
     __slots__ = ()
+
+    # Inline switch, not parts(): runs on every goal and hypothesis registered.
+    @cached
+    def _terms(self) -> tuple[Term, ...]:
+        """All top term positions, in traversal order (agents included)."""
+        if isinstance(self, (And, Or)):
+            return self.left._terms + self.right._terms
+        if isinstance(self, Exists):
+            return self.body._terms
+        if isinstance(self, (Says, SentA)):
+            return (self.agent, *self.body._terms)
+        if isinstance(self, SentT):
+            return (self.agent, self.term)
+        if isinstance(self, Eq):
+            return (self.lhs, self.rhs)
+        return self.args
+
+    @cached
+    def _vars(self) -> frozenset[str]:
+        """The names of every variable in the terms, bound ones included."""
+        terms, subs = parts(self)
+        return frozenset().union(*map(term_vars, terms), *map(assertion_vars, subs))
+
+    # Inline switch, not parts(): runs on every battery test and protocol step.
+    @cached
+    def _free(self) -> frozenset[str]:
+        """The variables that no binder of the assertion captures."""
+        if isinstance(self, Exists):
+            return self.body._free - {self.var}
+        if isinstance(self, (And, Or)):
+            return self.left._free | self.right._free
+        if isinstance(self, (Says, SentA)):
+            agent = {self.agent.name} if isinstance(self.agent, Var) else set()
+            return self.body._free | agent
+        return self._vars
+
+    @cached
+    def _inner(self) -> tuple[Assertion, ...]:
+        """Every assertion inside this one, in preorder."""
+        out: tuple[Assertion, ...] = ()
+        for sub in parts(self)[1]:  # a loop: a generator's frame per level halves the depth reached
+            out += (sub, *sub._inner)
+        return out
+
+    @cached
+    def _normal(self) -> Assertion:
+        """Alpha-normal form: each binder becomes %(d+1) at its depth d.  It
+        is its own normal form: renaming binders that already read %1, %2,
+        ... by depth changes nothing."""
+        nf = rebind(self, {}, numbered())
+        return cache(nf, "_normal", nf)
+
+    @cached
+    def _key(self):
+        """Total ordering key, built from `term_key`."""
+        if isinstance(self, Eq):
+            return (0, self.lhs._key, self.rhs._key)
+        if isinstance(self, Pred):
+            return (1, self.name, tuple(t._key for t in self.args))
+        if isinstance(self, SentT):
+            return (2, self.agent._key, self.term._key)
+        if isinstance(self, SentA):
+            return (3, self.agent._key, self.body._key)
+        if isinstance(self, Says):
+            return (4, self.agent._key, self.body._key)
+        if isinstance(self, And):
+            return (5, self.left._key, self.right._key)
+        if isinstance(self, Or):
+            return (6, self.left._key, self.right._key)
+        return (7, self.var, self.body._key)
+
+    @cached
+    def _canonical(self) -> tuple[Assertion, dict[str, str]]:
+        """The assertion as the matcher reads it, binders numbered by depth
+        from its top so that aligned binders share a name, and the wildcard
+        %?k that stands for each free bound name %k (a bound name too, but
+        no binder's); with none, its normal form."""
+        wild = {n: "%?" + n[1:] for n in self._free if n.startswith("%")}
+        if not wild:
+            return self._normal, wild
+        return rebind(self, {n: Var(w) for n, w in wild.items()}, numbered()), wild
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +159,10 @@ class Exists(Assertion):
     var: str
     body: Assertion
 
+    @cached
+    def _opened(self) -> dict[Term, Assertion]:  # filled by `opened`
+        return {}
+
 
 @dataclass(frozen=True, eq=False)
 class Says(Assertion):
@@ -93,6 +180,15 @@ class SentT(Assertion):
 class SentA(Assertion):
     agent: Term
     body: Assertion
+
+
+# Each reads a value cached on the assertion (see `Assertion`).
+assertion_terms = attrgetter("_terms")
+assertion_vars = attrgetter("_vars")
+free_vars = attrgetter("_free")
+normalize = attrgetter("_normal")
+assertion_key = attrgetter("_key")
+canonical = attrgetter("_canonical")
 
 
 def parts(a: Assertion) -> tuple[tuple[Term, ...], tuple[Assertion, ...]]:
@@ -145,72 +241,10 @@ def map_terms(a: Assertion, f) -> Assertion:
     raise TypeError(f"not an assertion: {a!r}")
 
 
-def assertion_terms(a: Assertion) -> tuple[Term, ...]:
-    """All top term positions, in traversal order (agents included).
-    Cached on a."""
-    try:
-        return a._terms
-    except AttributeError:
-        return cache(a, "_terms", _assertion_terms(a))
-
-
-# Inline switch, not parts(): runs on every goal and hypothesis registered.
-def _assertion_terms(a: Assertion) -> tuple[Term, ...]:
-    if isinstance(a, (And, Or)):
-        return assertion_terms(a.left) + assertion_terms(a.right)
-    if isinstance(a, Exists):
-        return assertion_terms(a.body)
-    if isinstance(a, (Says, SentA)):
-        return (a.agent, *assertion_terms(a.body))
-    if isinstance(a, SentT):
-        return (a.agent, a.term)
-    if isinstance(a, Eq):
-        return (a.lhs, a.rhs)
-    if isinstance(a, Pred):
-        return a.args
-    raise TypeError(f"not an assertion: {a!r}")
-
-
-def assertion_vars(a: Assertion) -> frozenset[str]:
-    """The names of every variable in a's terms, bound ones included.
-    Cached on a, built from its parts' sets."""
-    try:
-        return a._vars
-    except AttributeError:
-        terms, subs = parts(a)
-        return cache(a, "_vars", frozenset().union(*map(term_vars, terms),
-                                                   *map(assertion_vars, subs)))
-
-
-def free_vars(a: Assertion) -> frozenset[str]:
-    """The variables of a that no binder of a captures.  Cached on a."""
-    try:
-        return a._free
-    except AttributeError:
-        return cache(a, "_free", _free_vars(a))
-
-
-# Inline switch, not parts(): runs on every battery test and protocol step.
-def _free_vars(a: Assertion) -> frozenset[str]:
-    if isinstance(a, Exists):
-        return free_vars(a.body) - {a.var}
-    if isinstance(a, (And, Or)):
-        return free_vars(a.left) | free_vars(a.right)
-    if isinstance(a, (Says, SentA)):
-        agent = {a.agent.name} if isinstance(a.agent, Var) else set()
-        return free_vars(a.body) | agent
-    return assertion_vars(a)
-
-
 def subassertions(a: Assertion) -> tuple[Assertion, ...]:
     """a and every assertion inside it, in preorder.  The ones inside are
     cached on a; a itself is not, so that the cache is no reference cycle."""
-    try:
-        inner = a._inner
-    except AttributeError:
-        inner = cache(a, "_inner", tuple(s for sub in parts(a)[1]
-                                         for s in subassertions(sub)))
-    return (a, *inner)
+    return (a, *a._inner)
 
 
 def is_closed(a: Assertion) -> bool:
@@ -240,18 +274,6 @@ def numbered():
     return lambda _old, depth: f"%{depth + 1}"
 
 
-def normalize(a: Assertion) -> Assertion:
-    """Alpha-normal form: each binder becomes %(d+1) at its depth d.
-    Cached on a; the normal form is its own normal form, because renaming
-    binders that already read %1, %2, ... by depth changes nothing."""
-    try:
-        return a._normal
-    except AttributeError:
-        nf = rebind(a, {}, numbered())
-        cache(nf, "_normal", nf)
-        return cache(a, "_normal", nf)
-
-
 def substitute(a: Assertion, sigma: dict[str, Term]) -> Assertion:
     """Capture-avoiding substitution, with the result in alpha-normal form.
 
@@ -260,8 +282,9 @@ def substitute(a: Assertion, sigma: dict[str, Term]) -> Assertion:
     without it: a's binders already read %1, %2, ... by depth and no
     image adds one, so renaming them changes nothing and a binder only
     hides its own name.  Only the spine above the replaced occurrences is
-    rebuilt, and the result is its own normal form."""
-    if getattr(a, "_normal", None) is a and not any(map(term_vars, sigma.values())):
+    rebuilt, and the result is its own normal form.  The instance dict
+    holds the mark: reading `_normal` would compute a's normal form."""
+    if a.__dict__.get("_normal") is a and not any(map(term_vars, sigma.values())):
         out = _ground(a, sigma)
         return cache(out, "_normal", out)
     return rebind(a, sigma, numbered())
@@ -285,7 +308,7 @@ def _ground(a: Assertion, sigma: dict[str, Term]) -> Assertion:
 def opened(psi: Exists, u: Term) -> Assertion:
     """psi's body with the term u for its variable, memoized on psi per u;
     a u that raises ValueError (a non-key in a key slot) is not kept."""
-    by_u = getattr(psi, "_opened", None) or cache(psi, "_opened", {})
+    by_u = psi._opened
     if u not in by_u:
         by_u[u] = substitute(psi.body, {psi.var: u})
     return by_u[u]
@@ -302,34 +325,6 @@ def reveals(a: Assertion) -> frozenset[Term]:
     for sub in subs:
         out |= reveals(sub)
     return frozenset(out)
-
-
-def assertion_key(a: Assertion):
-    """Total ordering key, built from `term_key`.  Cached on a."""
-    try:
-        return a._key
-    except AttributeError:
-        return cache(a, "_key", _assertion_key(a))
-
-
-def _assertion_key(a: Assertion):
-    if isinstance(a, Eq):
-        return (0, term_key(a.lhs), term_key(a.rhs))
-    if isinstance(a, Pred):
-        return (1, a.name, tuple(term_key(t) for t in a.args))
-    if isinstance(a, SentT):
-        return (2, term_key(a.agent), term_key(a.term))
-    if isinstance(a, SentA):
-        return (3, term_key(a.agent), assertion_key(a.body))
-    if isinstance(a, Says):
-        return (4, term_key(a.agent), assertion_key(a.body))
-    if isinstance(a, And):
-        return (5, assertion_key(a.left), assertion_key(a.right))
-    if isinstance(a, Or):
-        return (6, assertion_key(a.left), assertion_key(a.right))
-    if isinstance(a, Exists):
-        return (7, a.var, assertion_key(a.body))
-    raise TypeError(f"not an assertion: {a!r}")
 
 
 def sorted_assertions(assertions) -> list[Assertion]:
@@ -356,20 +351,6 @@ class _Syntactic:
 
 
 SYNTACTIC = _Syntactic()
-
-
-def canonical(a: Assertion) -> tuple[Assertion, dict[str, str]]:
-    """a as the matcher reads it, binders numbered by depth from its top so
-    that aligned binders share a name, and the wildcard %?k that stands for
-    each free bound name %k (a bound name too, but no binder's).  Cached on
-    a only where a has a free bound name; otherwise this is `normalize`."""
-    if hasattr(a, "_canonical"):
-        return a._canonical
-    wild = {n: "%?" + n[1:] for n in free_vars(a) if n.startswith("%")}
-    if not wild:
-        return normalize(a), wild
-    return cache(a, "_canonical", (rebind(a, {n: Var(w) for n, w in wild.items()},
-                                          numbered()), wild))
 
 
 def match_term(pat: Term, tgt: Term, holes, binding: dict[str, Term],
@@ -407,7 +388,7 @@ def match_assertion(pat: Assertion, tgt: Assertion, holes,
     eq, agents syntactically.  Both sides are read in `canonical` form, so
     binder structure must align and never leaks into a binding; a free
     bound name of pat is a hole when holes names it."""
-    (p, wild), (t, _) = canonical(pat), canonical(tgt)
+    (p, wild), (t, _) = pat._canonical, tgt._canonical
     found = match_canonical(p, t, {wild.get(h, h) for h in holes if h in wild or h[:1] != "%"},
                             {wild.get(k, k): v for k, v in binding.items()}, eq)
     back = {w: n for n, w in wild.items()}

@@ -34,7 +34,7 @@ Search strategy is fixed:
      a fixed order: matching stops at the first witness whose instance is
      proved, and a cut of the candidates counts only when the search draws
      past it.  A vacuous binder, a bound hole that is a side of an equation
-     pattern, and the only hole of two compound sides draw on the branch's
+     pattern, and a hole between two sides with holes draw on the branch's
      witness universe, fixed before the search: the subterms free of bound
      names of X and of the node's hypotheses (binder bodies included),
      walked once per node (`_Node.terms`), and of the query's goal (the
@@ -181,7 +181,6 @@ class EqClasses:
         self.pair: dict[Term, Pair] = {}  # a Pair member, for roots with one
         self.genc: dict[Term, Enc] = {}  # a guarded Enc member, for roots with one
         self.parents_of: dict[Term, set[Term]] = {}  # composites with a child in root
-        self.sig_of: dict[Term, tuple] = {}
         self.sig_table: dict[tuple, Term] = {}
         self.forest: dict[Term, tuple[Term, _Edge]] = {}
         self.trail: list[tuple[dict, object, object]] = []
@@ -264,7 +263,6 @@ class EqClasses:
             self._set(self.parents_of, root, self.parents_of[root] | {t})
         sig = self._signature(t)
         if sig is not None:
-            self._set(self.sig_of, t, sig)
             other = self.sig_table.get(sig)
             if other is None:
                 self._set(self.sig_table, sig, t)
@@ -354,20 +352,20 @@ class EqClasses:
             elif a is not None:
                 self._set(reps, big, a)
 
-        for m in self.members[small]:
-            self._set(self.parent, m, big)
-        self._set(self.members, big, self.members[big] + self._pop(self.members, small))
-
         touched = self._pop(self.parents_of, small) | self.parents_of[big]
         self._set(self.parents_of, big, touched)
         touched = sorted(touched, key=term_key)
+        # Before the relinking, each parent's signature is the one it was
+        # stored under, since every union recomputes its parents' signatures.
         for p in touched:
-            old = self.sig_of.get(p)
-            if old is not None and self.sig_table.get(old) is p:
+            old = self._signature(p)
+            if self.sig_table.get(old) is p:
                 self._pop(self.sig_table, old)
+        for m in self.members[small]:
+            self._set(self.parent, m, big)
+        self._set(self.members, big, self.members[big] + self._pop(self.members, small))
         for p in touched:
             sig = self._signature(p)
-            self._set(self.sig_of, p, sig)
             other = self.sig_table.get(sig)
             if other is None:
                 self._set(self.sig_table, sig, p)
@@ -895,8 +893,8 @@ class _BranchProver:
         """Witnesses for var in body, distinct and free of bound names, drawn
         on demand: the E-matches of each subassertion holding var, in
         preorder, then instances of the patterns that equation atoms set var
-        equal to, and the branch's `universe` (or _w0) where var is the only
-        hole of an equation's two compound sides; with no such subassertion,
+        equal to, and the branch's `universe` (or _w0) where var is a hole
+        of an equation whose two sides hold holes; with no such subassertion,
         the least term of the `universe`, or the variable _w0 when it is
         empty.  Past the candidate_cap-th, query.truncated is set and none
         follow: a cut counts only when the search draws past it, so a
@@ -940,10 +938,9 @@ class _BranchProver:
                 for pat, other in (sides, sides[::-1]):
                     if isinstance(pat, Var) and pat.name == var:
                         yield from self._synth_from_pattern(other)
-                if Var(var) not in sides and all(map(has_bound_name, sides)) and all(
-                        n == var or not n.startswith("%") for n in assertion_vars(sub)):
-                    # var the only hole of two compound sides, with no closed
-                    # side to match: it draws as a bare hole does
+                if Var(var) not in sides and all(map(has_bound_name, sides)):
+                    # var a hole between two sides with holes, no closed side
+                    # to match: it draws as a bare hole does
                     yield from self._synth_from_pattern(Var(var))
 
     def _ematch_sub(self, sub: Assertion, var: str) -> list[Term]:

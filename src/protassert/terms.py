@@ -6,9 +6,10 @@ one weak table, so while any reference to a structure lives it exists as
 exactly one object.  Equality and hashing are therefore object identity, the
 C-level defaults, and values that depend only on the structure are computed
 once per object and cached on it, each from its children's cached values:
-for a term, `term_key`, `has_bound_name` and `term_vars`.  Assertions share
-the table and the metaclass (`Interned`); the `assertions` docstring lists
-what each assertion caches.
+`cached` attributes of the base class, which their public names read (for a
+term, `term_key`, `has_bound_name` and `term_vars`).  Assertions share the
+table, the metaclass (`Interned`) and this one idiom; the `assertions`
+docstring lists what each caches.  `cache` only marks a normal form as its own.
 
 Encryption keys are constrained at construction: a key position holds a basic of
 sort key, a variable, or an application of a key constructor (sk/vk).
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator
 
 AGENT = "agent"
@@ -75,15 +77,15 @@ class Interned(type):
 
 def cache(obj, name: str, value):
     """Store value on obj under name (the dataclasses are frozen) and
-    return it."""
+    return it: how a normal form is marked as its own."""
     object.__setattr__(obj, name, value)
     return value
 
 
 class cached:
     """`functools.cached_property` without its lock, which Python 3.11 takes
-    on every first read: the first read stores the value in the instance
-    dict, which shadows this non-data descriptor from then on."""
+    on every first read: the first read stores the value (unless it raises)
+    in the instance dict, which shadows this non-data descriptor from then on."""
 
     def __init__(self, func) -> None:
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -95,8 +97,38 @@ class cached:
         return value
 
 
+_SORT_RANK = {AGENT: 0, NONCE: 1, KEY: 2}
+
+
 class Term(metaclass=Interned):
     __slots__ = ()
+
+    @cached
+    def _vars(self) -> frozenset[str]:
+        """The names of the variables in the term."""
+        return (frozenset((self.name,)) if isinstance(self, Var)
+                else frozenset().union(*map(term_vars, children(self))))
+
+    @cached
+    def _bound(self) -> bool:
+        """Mentions a reserved bound name (%n), so it lives under a quantifier."""
+        if isinstance(self, Var):
+            return self.name.startswith("%")
+        return any(c._bound for c in children(self))
+
+    @cached
+    def _key(self):
+        """Total ordering key: basics by sort then name, then variables, then
+        structure for compound terms."""
+        if isinstance(self, Basic):
+            return (0, _SORT_RANK[self.sort], self.name)
+        if isinstance(self, Var):
+            return (1, self.name)
+        if isinstance(self, Pair):
+            return (2, self.left._key, self.right._key)
+        if isinstance(self, Enc):
+            return (3, self.body._key, self.key._key)
+        return (4, self.ctor, tuple(a._key for a in self.args))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,54 +269,14 @@ def iter_subterms(t: Term) -> Iterator[Term]:
             yield from iter_subterms(a)
 
 
-def term_vars(t: Term) -> frozenset[str]:
-    """The names of the variables in t.  Cached on t, built from its children's."""
-    try:
-        return t._vars
-    except AttributeError:
-        return cache(t, "_vars", frozenset((t.name,)) if isinstance(t, Var)
-                     else frozenset().union(*map(term_vars, children(t))))
+# Each reads a value cached on the term (see `Term`).
+term_vars = attrgetter("_vars")
+has_bound_name = attrgetter("_bound")
+term_key = attrgetter("_key")
 
 
 def is_ground(t: Term) -> bool:
     return not term_vars(t)
-
-
-def has_bound_name(t: Term) -> bool:
-    """Mentions a reserved bound name (%n), so t lives under a quantifier.
-    Cached on t."""
-    try:
-        return t._bound
-    except AttributeError:
-        if isinstance(t, Var):
-            return cache(t, "_bound", t.name.startswith("%"))
-        return cache(t, "_bound", any(map(has_bound_name, children(t))))
-
-
-_SORT_RANK = {AGENT: 0, NONCE: 1, KEY: 2}
-
-
-def term_key(t: Term):
-    """Total ordering key: basics by sort then name, then variables, then
-    structure for compound terms.  Cached on t."""
-    try:
-        return t._key
-    except AttributeError:
-        return cache(t, "_key", _term_key(t))
-
-
-def _term_key(t: Term):
-    if isinstance(t, Basic):
-        return (0, _SORT_RANK[t.sort], t.name)
-    if isinstance(t, Var):
-        return (1, t.name)
-    if isinstance(t, Pair):
-        return (2, term_key(t.left), term_key(t.right))
-    if isinstance(t, Enc):
-        return (3, term_key(t.body), term_key(t.key))
-    if isinstance(t, App):
-        return (4, t.ctor, tuple(term_key(a) for a in t.args))
-    raise TypeError(f"not a term: {t!r}")
 
 
 def sorted_terms(terms) -> list[Term]:

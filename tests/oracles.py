@@ -430,7 +430,8 @@ class ReferenceCandidates:
     """`_BranchProver._candidates` and `_ematch_sub` as they were; patch
     both onto `_BranchProver` to run the engine on them.  Only a vacuous
     binder's witness is today's: the least term of the branch's fixed
-    universe, found by a walk of its own."""
+    universe, found by a walk of its own; and so is what a hole between two
+    equation sides with holes draws, as a bare hole does."""
 
     def _candidates(self, var: str, body: Assertion) -> list[Term]:
         cap = self.query.budget.candidate_cap
@@ -468,6 +469,12 @@ class ReferenceCandidates:
                             if emit(cand):
                                 self.query.truncated = True
                                 return out
+                sides = (sub.lhs, sub.rhs)
+                if Var(var) not in sides and all(map(has_bound_name, sides)):
+                    for cand in self._synth_from_pattern(Var(var)):
+                        if emit(cand):
+                            self.query.truncated = True
+                            return out
         return out
 
     def _ematch_sub(self, pattern: Assertion, var: str):

@@ -112,6 +112,17 @@ def test_substitute_normalizes():
     assert substitute(a, {"y": n}).var == "%1"
 
 
+def test_substitute_does_not_normalize_its_input_to_pick_its_path():
+    # substitute takes its fast path when a is marked as its own normal form,
+    # and reads that mark off the instance dict: reading the cached attribute
+    # would compute, and keep, the normal form of an input that has none yet
+    a = Exists("fresh_probe", And(Pred("p", (Var("fresh_probe"), Var("y"))), Eq(Var("y"), k)))
+    assert "_normal" not in vars(a)
+    out = substitute(a, {"y": n})
+    assert "_normal" not in vars(a)
+    assert out == Exists("%1", And(Pred("p", (Var("%1"), n)), Eq(n, k)))
+
+
 def _action_sigmas(seed: int):
     """(assertion, sigma) for every action assertion of the builtins: the
     sigmas that simulating each one passes to substitute (receive patterns

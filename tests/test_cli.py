@@ -350,6 +350,28 @@ def test_derive_a_hole_between_compound_sides_draws_as_a_bare_hole(tmp_path, cap
             assert replay_assertion_proof(proof, seq.terms, seq.assertions, seq.goal) == (True, None)
 
 
+def test_derive_a_hole_beside_another_hole_draws_as_a_bare_hole(tmp_path, capsys):
+    # x is a hole of y = (x, n) and of (x, y) = (y, x), whose sides both hold
+    # a hole and neither is x: nothing is matched, and x draws on the
+    # universe as a bare hole does, n over terms: n and _w0 over nothing
+    # declared; y then takes its own witness
+    cases = (("nonces: n\nterms: n\n", "ex x, y: y = (x, n)", "n"),
+             ("nonces: n\nterms: n\n", "ex x, y: (x, y) = (y, x)", "n"),
+             ("", "ex x, y: (x, y) = (y, x)", "_w0"))
+    for decls, goal, w in cases:
+        text = f"{decls}goal: {goal}\n"
+        path = _write(tmp_path, "holes.seq", text)
+        seq = parse_sequent(text)
+        for mode, fn in (([], derive), (["--safe"], derive_safe)):
+            assert main(["derive", path, *mode]) == 0
+            assert capsys.readouterr().out == "derivable\n"
+            assert main(["derive", path, "--proof", *mode]) == 0
+            assert capsys.readouterr().out.startswith(f"derivable\n[exists_i] {goal} witness {w}\n")
+            proof = fn(seq.terms, seq.assertions, seq.goal).proof  # the tree printed
+            assert proof.rule == "exists_i" and proof.witness.name == w
+            assert replay_assertion_proof(proof, seq.terms, seq.assertions, seq.goal) == (True, None)
+
+
 def test_derive_cut_synthesis_is_no_definite_negative(tmp_path, capsys):
     # z is the tenth term of the universe, past the eight candidates pattern
     # synthesis keeps per child: a search that cut it answers inconclusive
