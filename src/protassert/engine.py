@@ -41,13 +41,12 @@ Search strategy is fixed:
      gamma-rule over the branch's Herbrand universe, Fitting 1996).  With
      it empty, each takes the variable _w0: exists_i asks no freshness,
      and exists_e names start at _w1.  In a branch without equations,
-     where matching is syntactic, an instance opened in a block of
-     existentials reads its candidates off the bindings the block's first
-     existential found, filtered by the witnesses opened
-     (`_BranchProver._reread`; one pass over a multi-variable pattern, as
-     de Moura & Bjorner match): its level, the block's existential at its
-     depth and the binders opened above it, is kept in `_blocks` when it
-     is opened.
+     where matching is syntactic, a subassertion is matched once, and an
+     instance opened in a block of existentials matches the block's own
+     subassertion with the witnesses opened bound (`_ematch_sub`; one pass
+     over a multi-variable pattern, as de Moura & Bjorner match): its
+     level, the block's existential at its depth and the binders opened
+     above it, is kept in `_blocks` when it is opened.
      Each node indexes its hypotheses by connective, or predicate name and
      arity, so a goal or pattern meets only its own kind (the top-symbol
      index of de Moura & Bjorner, CADE 2007).  An equation pattern walks
@@ -633,9 +632,8 @@ class _BranchProver:
         self._access: dict[Assertion, ProofNode] = {}
         # the body of an instance opened in an existential block -> its level
         self._blocks: dict[Assertion, _Level] = {}
-        # in an equation-free branch, a subassertion matched against the
-        # hypotheses -> its canonical wildcards and every binding found
-        self._found: dict[Assertion, tuple[dict[str, str], list[dict[str, Term]]]] = {}
+        # in an equation-free branch, a subassertion -> every binding it matched
+        self._found: dict[Assertion, list[dict[str, Term]]] = {}
 
     @cached
     def cc(self) -> EqClasses:
@@ -899,10 +897,11 @@ class _BranchProver:
         empty.  Past the candidate_cap-th, query.truncated is set and none
         follow: a cut counts only when the search draws past it, so a
         search that proves a witness before any cut is never inconclusive
-        for it.  For an instance opened in an existential block, which
-        subassertions hold var is read off the block's existential at its
-        depth, whose body's subassertions line up with body's (`_blocks`);
-        body's own are listed only when a candidate needs one."""
+        for it.  For an instance opened in an existential block, the
+        block's existential at its depth (`_blocks`), whose body's
+        subassertions line up with body's, says which hold var and lends
+        each but an equation to match in its place; body's own are listed
+        only when an equation needs one."""
         level = self._blocks.get(body)
         shape, held = (body, var) if level is None else (level[0].body, level[0].var)
         shapes = subassertions(shape)
@@ -923,16 +922,14 @@ class _BranchProver:
                anchored: list[int], level: _Level | None) -> Iterator[Term]:
         subs = shapes if level is None else None  # body's own, listed on first need
         for i in anchored:
-            known = None if level is None else self._reread(level, shapes[i])
-            if known is None:
-                if subs is None:
-                    subs = subassertions(body)
-                known = self._ematch_sub(subs[i], var)
-            yield from known
+            if level is None or isinstance(shapes[i], Eq):
+                subs = subs or subassertions(body)
+                yield from self._ematch_sub(subs[i], var)
+            else:  # the block's part, with the witnesses opened above bound
+                yield from self._ematch_sub(shapes[i], level[0].var, level[1])
         for i in anchored:
             if isinstance(shapes[i], Eq):
-                if subs is None:
-                    subs = subassertions(body)
+                subs = subs or subassertions(body)
                 sub = subs[i]
                 sides = (sub.lhs, sub.rhs)
                 for pat, other in (sides, sides[::-1]):
@@ -943,10 +940,12 @@ class _BranchProver:
                     # to match: it draws as a bare hole does
                     yield from self._synth_from_pattern(Var(var))
 
-    def _ematch_sub(self, sub: Assertion, var: str) -> list[Term]:
+    def _ematch_sub(self, sub: Assertion, var: str,
+                    opened: tuple[tuple[str, Term], ...] = ()) -> list[Term]:
         """Bind var by matching a goal subassertion against hypotheses (and,
         for equations, against congruence classes), with the shared matcher
-        of `assertions` working modulo this branch (`same`, `members`).
+        of `assertions` working modulo this branch (`same`, `members`); only
+        the bindings that give each bound name of opened its witness count.
 
         An equation side that holds var meets the class of the other side.
         A bare var binds each member.  A compound side is walked once per
@@ -961,15 +960,23 @@ class _BranchProver:
         shortcut changes.  The holes are the free bound names of the
         pattern's `canonical` form, var among them.  With no hypothesis of
         its kind, a pattern that is no equation is not put in canonical
-        form.  In an equation-free branch every binding found is kept, for
-        `_reread`."""
+        form.  In an equation-free branch the matcher is syntactic and
+        registers nothing, so the bindings of a pattern with hypotheses of
+        its kind are kept per subassertion (`_found`).  A block ``ex x1,
+        ..., xk: B`` is thus matched once: its instance on witnesses u1..uj
+        binds as B's subassertions do with each xi bound to ui (opened)."""
         hyps = self.node.by_kind.get(_kind(sub), ())
         if not hyps and not isinstance(sub, Eq):  # no hypothesis to match, nor a class to walk
-            if self.node.singletons:
-                self._found[sub] = {}, []
             return []
         pattern, wild = canonical(sub)
         holes, var = set(wild.values()), wild[var]
+        if self.node.singletons and hyps:
+            found = self._found.get(sub)
+            if found is None:
+                found = self._found[sub] = [b for hyp in hyps for b in
+                                            match_canonical(pattern, hyp, holes, {}, self)]
+            fixed = [(wild[n], u) for n, u in opened if n in wild]
+            return [b[var] for b in found if var in b and all(b.get(w) is u for w, u in fixed)]
         results: list[Term] = []
         covered = None  # (root, trail length) of a class walked to a fixed point
         if isinstance(pattern, Eq):
@@ -997,39 +1004,7 @@ class _BranchProver:
                     covered = (cc.find(other), len(cc.trail))
         found = [b for hyp in hyps if covered is None or not self._inside(hyp, *covered)
                  for b in match_canonical(pattern, hyp, holes, {}, self)]
-        if self.node.singletons and not isinstance(pattern, Eq):
-            self._found[sub] = wild, found
         return results + [b[var] for b in found if var in b]
-
-    def _reread(self, level: _Level, shape: Assertion) -> list[Term] | None:
-        """The bindings of var that `_ematch_sub` finds for a subassertion
-        of an opened instance's body, read off an earlier matching of shape,
-        the subassertion of the level's existential's body in its place, or
-        None.
-
-        In an existential block ``ex x1, ..., xk: B``, the instance opened
-        on witnesses u1..uj has the body B with each xi replaced by ui, and
-        its subassertions line up with B's.  In an equation-free branch the
-        matcher is syntactic, so a pattern with ui where B's has the hole
-        of xi matches a hypothesis exactly when B's pattern does, binding
-        that hole to ui, and the other holes alike.  So when a matching of
-        the same subassertion of B is known (`_found`), its bindings that
-        agree with the witnesses give the list that matching would, in
-        order.  An equation has no hypothesis of its kind there, and its
-        other side's bindings are not kept (None).  The matching skipped
-        would register nothing: such a branch builds no closure, and the
-        witness universe is fixed before the search."""
-        e, opened = level
-        known = self._found.get(shape)
-        if known is None:
-            return None
-        wild, found = known
-        if not found:
-            return []
-        fixed = [(wild[n], u) for n, u in opened if n in wild]
-        hole = wild[e.var]
-        return [b[hole] for b in found
-                if hole in b and all(b.get(w) is u for w, u in fixed)]
 
     def _bindings(self, pat: Term, other: Term, holes: set[str], var: str) -> list[Term]:
         return [b[var] for b in match_term(pat, other, holes, {}, self) if var in b]

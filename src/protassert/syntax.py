@@ -47,8 +47,10 @@ variable, and anything else to a free variable.
 
 Input nested more than MAX_NESTING levels deep (brackets, prefixes such as
 'says' and 'ex', parenthesized assertions; each parser takes the levels open
-around it as `depth`) is refused with a ParseError, so deep input never
-reaches Python's recursion limit here or downstream.
+around it as `depth`) is refused with a ParseError, and so is an assertion
+with more than MAX_CHAIN binary connectives ('/\\' and '\\/', each a level
+of its tree however the chains are bracketed), so deep input never reaches
+Python's recursion limit here or downstream.
 """
 from __future__ import annotations
 
@@ -96,6 +98,7 @@ class ParseError(Exception):
 T = TypeVar("T")
 RESERVED = {"ex", "says", "sent"}
 MAX_NESTING = 100
+MAX_CHAIN = 200  # with operands nested MAX_NESTING deep, well inside the recursion limit
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +171,9 @@ class Cursor:
     the end of input.  The position never passes the end token.
 
     While an assertion is read, `bound` counts the binders around the
-    cursor and `scope` maps each undeclared name bound where the cursor
-    stands to the variable %n of its innermost binder."""
+    cursor, `scope` maps each undeclared name bound where the cursor
+    stands to the variable %n of its innermost binder, and `chain` counts
+    the binary connectives read so far."""
 
     def __init__(self, toks: Tokens, decls: Declarations):
         self.toks = toks
@@ -178,6 +182,7 @@ class Cursor:
         self.decls = decls
         self.scope: dict[str, Var] = {}
         self.bound = 0
+        self.chain = 0
 
     def peek(self) -> Tok:
         val = self.vals[self.i]  # its first character tells the kind
@@ -395,21 +400,32 @@ def _parse_unit(p: Cursor, depth: int) -> Assertion:
     return SentT(agent, _parse_term(p, depth))
 
 
+def _connective(p: Cursor) -> None:
+    """Read a '/\\' or '\\/', one more of the assertion's MAX_CHAIN."""
+    p.chain += 1
+    if p.chain > MAX_CHAIN:
+        raise ParseError(f"more than {MAX_CHAIN} '/\\' and '\\/' in one assertion",
+                         p.toks.pos(p.i))
+    p.i += 1
+
+
 def _parse_and(p: Cursor, depth: int) -> Assertion:
     a = _parse_unit(p, depth)
     while p.vals[p.i] == "/\\":
-        p.i += 1
+        _connective(p)
         a = And(a, _parse_unit(p, depth))
     return a
 
 
 def _parse_assertion(p: Cursor, depth: int) -> Assertion:
     """At depth 0 a whole assertion, read with no binder around it (each
-    binder gives `bound` back when its body ends): it is cached as its own
-    normal form (`assertions.normalize`)."""
+    binder gives `bound` back when its body ends) and no connective counted
+    yet: it is cached as its own normal form (`assertions.normalize`)."""
+    if not depth:
+        p.chain = 0
     a = _parse_and(p, depth)
     while p.vals[p.i] == "\\/":
-        p.i += 1
+        _connective(p)
         a = Or(a, _parse_and(p, depth))
     return a if depth else cache(a, "_normal", a)
 

@@ -1,19 +1,20 @@
-"""Existential blocks: an instance's candidates read off its block's first
-matching.
+"""Existential blocks: each subassertion matched once per branch.
 
 In a branch without equation hypotheses the matcher is syntactic, so
-`_BranchProver._reread` takes the candidates of an instance opened in a
-block ``ex x1, ..., xk: B`` from the bindings that matching B's
-subassertions found for the block's first existential, filtered by the
-witnesses opened since, instead of matching the instance again.  A
-matching it skips would register nothing: such a branch builds no closure,
-and its witness universe is fixed before the search.  Each test runs the
-engine twice, once as it is and once with `_reread` answering None, so
-that every subassertion is matched, and every candidate list, truncation
-flag, verdict and proof must be the same.  The universe tests check that a
-vacuous binder's witness is the least term of X, the hypotheses and the
-goal, whatever ran before, and that a shared context walks its root's
-hypotheses for it once, whatever the number of queries.
+`_BranchProver._ematch_sub` keeps every binding it finds for a
+subassertion and reads them again when the subassertion comes back.  An
+instance opened in a block ``ex x1, ..., xk: B`` matches the subassertion
+of B in its place (`_blocks`), with the witnesses opened since bound
+(`opened`), instead of its own.  A matching it skips would register
+nothing: such a branch builds no closure, and its witness universe is
+fixed before the search.  Each test runs the engine twice, once as it is
+and once with `_blocks` registering nothing, so that every instance matches
+its own subassertions, and every candidate list, truncation flag, verdict
+and proof must be the same.  A hit is an `_ematch_sub` call with witnesses
+opened.  The universe tests check that a vacuous binder's witness is the
+least term of X, the hypotheses and the goal, whatever ran before, and that
+a shared context walks its root's hypotheses for it once, whatever the
+number of queries.
 
 CI also runs this file under three hash seeds.
 """
@@ -48,7 +49,7 @@ from test_candidates import _plain_subterms, _replace
 # goal's right half takes the least term of the branch's universe, A, an
 # agent, whether the level-2 instance's subassertion ex w: r((w, A), y),
 # whose matching against the second hypothesis would compare A with a, is
-# matched or read off its block.
+# matched on its own or as its block's part.
 VACUOUS_BESIDE_A_BLOCK = """\
 agents: A
 nonces: a, c, d
@@ -62,16 +63,25 @@ goal: (ex x, y: ((ex w: r((w, x), y)) /\\ q(y))) /\\ (ex v: q(d))
 """
 
 
-def _recorded(job, reread: bool, monkeypatch, drawn: bool = False) -> tuple[list, int]:
+class _Unregistered(dict):
+    """A `_blocks` that keeps no level, so that every instance matches its
+    own subassertions."""
+
+    def setdefault(self, key, default=None):
+        return default
+
+
+def _recorded(job, blocks: bool, monkeypatch, drawn: bool = False) -> tuple[list, int]:
     """Every `_candidates` call of job as (body, var, candidates,
     truncated) by repr, and job's own output, in order; and how many
-    candidate lists `_reread` gave.  A call's list is whole, drained before
-    the search reads it; with drawn, the search draws from the generator
-    itself, which stops at the first witness that works, and the call lists
-    the candidates it drew."""
+    `_ematch_sub` calls had witnesses opened.  A call's list is whole,
+    drained before the search reads it; with drawn, the search draws from
+    the generator itself, which stops at the first witness that works, and
+    the call lists the candidates it drew."""
     calls: list = []
     hits = [0]
-    candidates, real = _BranchProver._candidates, _BranchProver._reread
+    candidates, ematch, init = (_BranchProver._candidates, _BranchProver._ematch_sub,
+                                _BranchProver.__init__)
 
     def recording(self, var, body):
         if drawn:
@@ -82,14 +92,19 @@ def _recorded(job, reread: bool, monkeypatch, drawn: bool = False) -> tuple[list
         calls.append((repr(body), var, [repr(t) for t in got], self.query.truncated))
         return got
 
-    def counting(self, *args):
-        known = real(self, *args) if reread else None
-        hits[0] += known is not None
-        return known
+    def counting(self, sub, var, opened=()):
+        hits[0] += bool(opened)
+        return ematch(self, sub, var, opened)
+
+    def starting(self, *args):
+        init(self, *args)
+        if not blocks:
+            self._blocks = _Unregistered()
 
     with monkeypatch.context() as mp:
         mp.setattr(_BranchProver, "_candidates", recording)
-        mp.setattr(_BranchProver, "_reread", counting)
+        mp.setattr(_BranchProver, "_ematch_sub", counting)
+        mp.setattr(_BranchProver, "__init__", starting)
         job(calls)
     return calls, hits[0]
 
@@ -101,7 +116,8 @@ def _tapped(candidates, got: list):
 
 
 def _same_with_and_without(job, monkeypatch) -> int:
-    """The candidate lists `_reread` gives in job, drained and drawn."""
+    """The `_ematch_sub` calls with witnesses opened in job, drained and
+    drawn, each run's lists the same as without them."""
     total = 0
     for drawn in (False, True):
         got, hits = _recorded(job, True, monkeypatch, drawn)
@@ -124,9 +140,9 @@ def test_a_vacuous_binder_takes_a_binder_body_term_whatever_matchings_ran(monkey
         out.append(vacuous.witness)
         out.append(ctx.cc)
 
-    for reread in (True, False):
-        got, hits = _recorded(job, reread, monkeypatch, drawn=True)
-        assert (hits >= 1) is reread
+    for blocks in (True, False):
+        got, hits = _recorded(job, blocks, monkeypatch, drawn=True)
+        assert (hits >= 1) is blocks
         assert got[-2:] == [Basic("A", AGENT), None]
     assert _same_with_and_without(job, monkeypatch) >= 1
 
@@ -196,7 +212,7 @@ class _Blocks:
 
     def context(self):
         """X and the hypotheses; one context in four has an equation,
-        where nothing is read off a block."""
+        where every instance matches its own subassertions."""
         hyps = [self.assertion(2) for _ in range(self.rng.randint(2, 6))]
         if self.rng.random() < 0.25:
             hyps.append(Eq(self.term(1), self.term(2)))
@@ -246,7 +262,7 @@ def test_random_blocks_draw_as_matching_every_instance(safe, monkeypatch):
 
 def test_an_equation_part_binds_on_every_instance(monkeypatch):
     # an equation has no hypothesis of its kind in such a branch: its other
-    # side binds on every instance, after what is read off the block
+    # side binds on every instance, after the block's parts are matched
     n0, n1 = Basic("n0", NONCE), Basic("n1", NONCE)
     hyps = [Pred("p", (Pair(n0, n1),)), Pred("p", (Pair(n1, n1),))]
     goal = normalize(Exists("x", Exists("y", And(Pred("p", (Pair(Var("x"), Var("y")),)),
@@ -261,6 +277,36 @@ def test_an_equation_part_binds_on_every_instance(monkeypatch):
     assert got[-1] == repr(DeriveContext({n0, n1}, hyps, safe=True).query(goal))
     assert "derivable=False" in got[-1]
     assert _same_with_and_without(job, monkeypatch) == 2 * hits
+
+
+def test_a_subassertion_two_goals_share_is_matched_once(monkeypatch):
+    # p(x, b) is a part of both halves' bodies: in one equation-free branch
+    # it is matched against the hypotheses once, and read again by the second
+    a, b = Basic("a", NONCE), Basic("b", NONCE)
+    hyps = [Pred("p", (a, b)), Pred("q", (a,)), Pred("r", (a,))]
+    shared = Pred("p", (Var("x"), b))
+    goal = normalize(And(Exists("x", And(shared, Pred("q", (Var("x"),)))),
+                         Exists("x", And(shared, Pred("r", (Var("x"),))))))
+    pattern = engine.canonical(normalize(Exists("x", shared)).body)[0]
+    asked, matched = Counter(), Counter()
+    ematch, match = _BranchProver._ematch_sub, engine.match_canonical
+
+    def counting(self, sub, var, opened=()):
+        asked[engine.canonical(sub)[0]] += 1
+        return ematch(self, sub, var, opened)
+
+    def matching(pat, tgt, *args):
+        matched[pat] += 1
+        return match(pat, tgt, *args)
+
+    monkeypatch.setattr(_BranchProver, "_ematch_sub", counting)
+    monkeypatch.setattr(engine, "match_canonical", matching)
+    for safe in (True, False):
+        asked.clear(), matched.clear()
+        ctx = DeriveContext({a, b}, hyps, safe=safe)
+        v = ctx.query(goal)
+        assert v.derivable and ctx.cc is None
+        assert asked[pattern] == 2 and matched[pattern] == 1
 
 
 def _closed_subterms(terms) -> set:

@@ -9,7 +9,7 @@ import protassert
 from protassert.checker import replay_assertion_proof
 from protassert.cli import main
 from protassert.engine import derive, derive_safe
-from protassert.syntax import parse_protocol, parse_sequent
+from protassert.syntax import MAX_CHAIN, parse_protocol, parse_sequent
 
 LEAK = """\
 # an agent holding only the ciphertext learns the plaintext from two
@@ -100,6 +100,26 @@ def test_deeply_nested_sequent_exits_two_without_a_traceback(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "parse error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_chain_twice_the_limit_exits_two_without_an_internal_error(tmp_path, capsys):
+    # a long enough chain of /\ or \/ used to crash downstream in a
+    # RecursionError (exit 3): the parser refuses it, in a sequent's
+    # hypothesis or goal and in a protocol
+    ops = [f"p(c{i})" for i in range(2 * MAX_CHAIN + 1)]
+    names = ", ".join(f"c{i}" for i in range(len(ops)))
+    chain, either = " /\\ ".join(ops), " \\/ ".join(ops)
+    proto = (f"protocol chain\nagents A\nnonces {names}\npredicates p/1\nrole r:\n"
+             f"  send id : c0, id says ({chain})\n")
+    runs = [["derive", _write(tmp_path, "hyp.seq", f"nonces: {names}\nassertions: {chain}\n"
+                                                   f"goal: p(c0)\n")],
+            ["derive", _write(tmp_path, "goal.seq", f"nonces: {names}\ngoal: ex x: ({either})\n"),
+             "--proof"],
+            ["simulate", _write(tmp_path, "chain.proto", proto), "--sessions", "r(id=A)"]]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"more than {MAX_CHAIN} " in err and "internal error" not in err
 
 
 def test_unexpected_error_is_an_internal_error_on_exit_three(tmp_path, capsys,

@@ -29,7 +29,7 @@ from protassert import (
 )
 from protassert.assertions import numbered, rebind
 from protassert.builtins import FOO_SOURCE, HELIOS_SOURCE, SOURCES
-from protassert.syntax import MAX_NESTING, Declarations
+from protassert.syntax import MAX_CHAIN, MAX_NESTING, Declarations
 from test_golden_output import SEQUENTS
 
 
@@ -221,6 +221,22 @@ def test_nesting_past_the_limit_is_a_parse_error():
     src = FOO_SOURCE.replace("send id : ", "send id : " + "h(" * n, 1)
     with pytest.raises(ParseError, match="nested more than"):
         parse_protocol(src)
+    # so is a chain of more than MAX_CHAIN connectives in one assertion,
+    # however it is bracketed; each assertion counts its own
+    chain = " /\\ ".join(["n = n"] * (MAX_CHAIN + 1))
+    half = " /\\ ".join(["n = n"] * (MAX_CHAIN // 2 + 1))
+    assert parse_sequent(f"nonces: n\nassertions: {chain}\n{chain}\ngoal: {chain}\n")
+    long = [chain + " /\\ n = n", chain.replace("/\\", "\\/") + " \\/ n = n",
+            f"({half}) /\\ {half}", f"A says ({half}) \\/ ex x: (x = n /\\ {half})"]
+    for text in long:
+        with pytest.raises(ParseError, match=f"more than {MAX_CHAIN} "):
+            parse_assertion(text, d)
+        with pytest.raises(ParseError, match=f"more than {MAX_CHAIN} "):
+            parse_sequent(f"nonces: n\nagents: A\nassertions: n = n\n{text}\ngoal: n = n\n")
+    src = FOO_SOURCE.replace("valid(x)))", "valid(x)" + " /\\ valid(x)" * MAX_CHAIN + "))", 1)
+    with pytest.raises(ParseError, match=f"more than {MAX_CHAIN} "):
+        parse_protocol(src)
+    assert parse_protocol(src.replace(" /\\ valid(x)", "", 1))
 
 
 def test_protocol_round_trip_builtins():
