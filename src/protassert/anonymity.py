@@ -17,7 +17,7 @@ check inconclusive rather than a pass.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .assertions import (
     And,
@@ -172,14 +172,7 @@ def build_swapped(run: Run, spec: SwapSpec) -> Run:
         if "id" in sigma:
             params["id"] = sigma["id"]
         sessions.append((role, params))
-    setup = Setup(
-        sessions=sessions,
-        agent_terms={k: set(v) for k, v in run.setup.agent_terms.items()},
-        agent_assertions={k: set(v) for k, v in run.setup.agent_assertions.items()},
-        intruder_terms=set(run.setup.intruder_terms),
-        intruder_assertions=set(run.setup.intruder_assertions),
-        intruder=run.setup.intruder,
-    )
+    setup = replace(run.setup, sessions=sessions)
 
     steps: list[Step] = []
     for n, step in enumerate(run.steps, 1):
@@ -209,10 +202,6 @@ def build_swapped(run: Run, spec: SwapSpec) -> Run:
 # ---------------------------------------------------------------------------
 # safety of the commitments
 
-def _leaf_basics(t: Term) -> set[Basic]:
-    return {s for s in iter_subterms(t) if isinstance(s, Basic)}
-
-
 def check_safety(ctx: DeriveContext, spec: SwapSpec) -> tuple[bool, list[str]]:
     """The swap only hides the votes if the commitments are opaque: their
     keys must sit in singleton equality classes and be non-derivable, and
@@ -229,7 +218,7 @@ def check_safety(ctx: DeriveContext, spec: SwapSpec) -> tuple[bool, list[str]]:
                 cc.add_term(p)
             for d in spec.commits:
                 for member in cc.class_members(d):
-                    if member != d and _leaf_basics(member):
+                    if member != d and any(isinstance(s, Basic) for s in iter_subterms(member)):
                         reasons.append(
                             f"{print_term(member)} is provably equal to the "
                             f"commitment {print_term(d)}")

@@ -13,7 +13,7 @@ from typing import Callable
 
 from .assertions import Pred
 from .protocol import Protocol
-from .runtime import Setup
+from .runtime import Setup, parties
 from .syntax import parse_protocol, parse_sessions
 from .terms import AGENT, Basic, NONCE, Term, sk
 
@@ -102,24 +102,13 @@ def _vote_values(proto: Protocol) -> list[Basic]:
     return [Basic(n, NONCE) for n in sorted(proto.decls.nonces)]
 
 
-def _everyone(proto: Protocol, setup: Setup) -> set[str]:
-    out = set(proto.decls.agents) | {setup.intruder}
-    for _, sigma in setup.sessions:
-        ag = sigma.get("id")
-        if isinstance(ag, Basic):
-            out.add(ag.name)
-    return out
-
-
 def _with_common_databases(proto: Protocol, setup: Setup,
                            registrar: str | None) -> Setup:
     votes = _vote_values(proto)
-    for name in _everyone(proto, setup):
+    for name in parties(proto, setup):
         db = setup.agent_assertions.setdefault(name, set())
         for v in votes:
             db.add(Pred("valid", (v,)))
-    for v in votes:
-        setup.intruder_assertions.add(Pred("valid", (v,)))
     if registrar is not None:
         roll = setup.agent_assertions.setdefault(registrar, set())
         for _, sigma in setup.sessions:
@@ -145,15 +134,14 @@ def anonymity_foo_setup(proto: Protocol | None = None, voters: int = 2) -> Setup
     """The casting-channel observer also controls registrar and counter."""
     proto = proto or builtin_foo()
     setup = default_foo_setup(proto, voters)
-    setup.intruder_terms |= {_sk_of("Auth"), _sk_of("Cnt")}
+    setup.agent_terms.setdefault(setup.intruder, set()).update((_sk_of("Auth"), _sk_of("Cnt")))
     return setup
 
 
-def default_helios_setup(proto: Protocol | None = None,
-                         votes: tuple[str, str] = ("v0", "v1")) -> Setup:
+def default_helios_setup(proto: Protocol | None = None) -> Setup:
     proto = proto or builtin_helios()
-    text = (f"voter(id=V0, v={votes[0]}); voter(id=V1, v={votes[1]}); "
-            f"script(id=Scr); script(id=Scr); admin(id=Adm)")
+    text = ("voter(id=V0, v=v0); voter(id=V1, v=v1); "
+            "script(id=Scr); script(id=Scr); admin(id=Adm)")
     setup = Setup(sessions=parse_sessions(text, proto))
     return _with_common_databases(proto, setup, registrar=None)
 

@@ -100,8 +100,7 @@ def cmd_validate(args) -> int:
     _, proto = _load_protocol(args.protocol)
     diags = validate_protocol(proto)
     for d in diags:
-        where = f"{d.role}[{d.index + 1}]" if d.role is not None else proto.name
-        print(f"{d.code} at {where}: {d.detail}")
+        print(f"{d.code} at {d.role}[{d.index + 1}]: {d.detail}")
     if diags:
         return EX_NEGATIVE
     print(f"protocol {proto.name} validates: "
@@ -135,11 +134,8 @@ def cmd_replay(args) -> int:
     name, proto = _load_protocol(args.protocol)
     with open(args.trace, encoding="utf-8") as fh:
         text = fh.read()
-    setup = None
-    if getattr(args, "sessions", None):
-        setup = Setup(sessions=parse_sessions(args.sessions, proto))
-    elif name is not None:
-        setup = builtin_setup(name, proto)
+    # a protocol file without --sessions replays the trace's bare sessions
+    setup = None if name is None and not args.sessions else _setup_for(args, name, proto)
     run = parse_trace(text, proto, setup)
     problems, _ = run_problems(run, _budget(args))
     for p, _ in problems:

@@ -26,7 +26,7 @@ Search strategy is fixed:
      closure, and it skips the rewrite matcher, which can match only the
      goal itself.  The root's closure starts from a copy of X's classes,
      registered once per DYContext (from a copy of the run's public terms'
-     classes when a run seeds them), and is built unlogged;
+     classes when a run seeds them), and its trail starts empty;
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
      hypotheses and classes (`assertions.match_canonical` on the pattern's
@@ -174,7 +174,6 @@ class EqClasses:
     def __init__(self, dyctx: DYContext, merge_cap: int = 10**6):
         self.dyctx = dyctx
         self.merge_cap = merge_cap
-        self.logging = True  # whether writes go on the trail; not while a root is built
         self.parent: dict[Term, Term] = {}
         self.members: dict[Term, list[Term]] = {}
         self.pair: dict[Term, Pair] = {}  # a Pair member, for roots with one
@@ -188,13 +187,12 @@ class EqClasses:
     # -- the trail
 
     def _set(self, d: dict, key, value) -> None:
-        if self.logging:
-            self.trail.append((d, key, d.get(key, _ABSENT)))
+        self.trail.append((d, key, d.get(key, _ABSENT)))
         d[key] = value
 
     def _pop(self, d: dict, key):  # d.pop(key, None), logged; no value is None
         old = d.pop(key, None)
-        if old is not None and self.logging:
+        if old is not None:
             self.trail.append((d, key, old))
         return old
 
@@ -211,12 +209,12 @@ class EqClasses:
         self._pending.clear()
 
     def copy(self, merge_cap: int = 10**6) -> EqClasses:
-        """The same classes in dicts of their own, with an empty trail and
-        no logging; made without __init__.  The lists and sets the dicts
-        share are never changed in place, so no write reaches the other."""
+        """The same classes in dicts of their own, with an empty trail; made
+        without __init__.  The lists and sets the dicts share are never
+        changed in place, so no write reaches the other."""
         new = EqClasses.__new__(EqClasses)
         new.__dict__ = {k: dict(v) if isinstance(v, dict) else v for k, v in vars(self).items()}
-        new.merge_cap, new.logging, new.trail, new._pending = merge_cap, False, [], deque()
+        new.merge_cap, new.trail, new._pending = merge_cap, [], deque()
         return new
 
     # -- basic structure
@@ -254,7 +252,7 @@ class EqClasses:
         self._set(self.members, t, [t])
         if isinstance(t, Pair):
             self._set(self.pair, t, t)
-        elif isinstance(t, Enc) and self._guarded(t):
+        elif isinstance(t, Enc) and self.dyctx.inv_derivable(t.key):
             self._set(self.genc, t, t)
         self._set(self.parents_of, t, set())
         for c in children(t):
@@ -268,9 +266,6 @@ class EqClasses:
             elif self.find(other) != t and self._cong_mergeable(t, other):
                 self._pending.append((t, other, "cong", ()))
                 self.process()
-
-    def _guarded(self, e: Enc) -> bool:
-        return self.dyctx.inv_derivable(e.key)
 
     # -- proof forest
 
@@ -286,9 +281,7 @@ class EqClasses:
         self._pop(self.forest, x)
 
     def explain_path(self, s: Term, t: Term, before: int | None = None):
-        """Forest path s..t as a list of (edge, forward) steps."""
-        if s == t:
-            return []
+        """Forest path s..t, two distinct terms, as a list of (edge, forward) steps."""
         up_s: list[tuple[Term, Term, _Edge]] = []
         seen = {s: 0}
         cur = s
@@ -392,7 +385,7 @@ class EqClasses:
 
 
 def _x_classes(dyctx: DYContext) -> EqClasses:
-    """X's terms registered, in sorted order and unlogged, once per
+    """X's terms registered, in sorted order and with an empty trail, once per
     DYContext; each root closure over X starts from a copy.  They take no
     union (a congruence needs two terms with one signature), and a guard
     reads only dyctx, so every context over X would build the same.  With
@@ -402,9 +395,10 @@ def _x_classes(dyctx: DYContext) -> EqClasses:
     if dyctx.classes is None:
         seed = dyctx.seed
         cc = EqClasses(dyctx) if seed is None else _x_classes(seed).copy()
-        cc.dyctx, cc.logging = dyctx, False
+        cc.dyctx = dyctx
         for t in sorted_terms(dyctx.X if seed is None else dyctx.X - seed.X):
             cc.add_term(t)
+        cc.trail.clear()
         dyctx.classes = cc
     return dyctx.classes
 
@@ -500,7 +494,7 @@ class _Node:
     def mark(self) -> int:
         """The trail length at which ctx.cc holds X and the terms of the
         sorted hypotheses, merged along their equations: the root builds
-        ctx.cc from a copy of X's classes without logging, so its mark is
+        ctx.cc from a copy of X's classes and clears the trail, so its mark is
         0; a child undoes ctx.cc to its parent's mark and adds its own
         hypotheses.  Read only while the search is in this node's subtree.
         A root over merge_cap sets ctx.build_failed."""
@@ -523,7 +517,7 @@ class _Node:
             ctx.build_failed |= parent is None
             raise
         if parent is None:
-            cc.logging = True
+            cc.trail.clear()
             ctx.cc = cc
         return len(cc.trail)
 
@@ -851,7 +845,6 @@ class _BranchProver:
                     return ProofNode("says", goal, (body,),
                                      term_proofs=(self.ctx.dyctx.proof(skey),))
             return None
-        return None
 
     def _prove_by_matching(self, goal: Assertion) -> ProofNode | None:
         if self.node.singletons:  # only the goal would match, and it is no hypothesis

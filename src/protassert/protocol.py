@@ -67,16 +67,6 @@ class Action:
     def _instances(self) -> tuple[tuple[str, ...], weakref.WeakValueDictionary]:
         return tuple(sorted(self.used_vars())), weakref.WeakValueDictionary()
 
-    def is_ground(self) -> bool:
-        """No free variable anywhere (assertion-bound variables are fine)."""
-        if isinstance(self.agent, Var):
-            return False
-        if self.term is not None and not is_ground(self.term):
-            return False
-        if self.assertion is not None and free_vars(self.assertion):
-            return False
-        return True
-
     def used_vars(self) -> frozenset[str]:
         out: set[str] = set()
         if isinstance(self.agent, Var):

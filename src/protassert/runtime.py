@@ -81,9 +81,7 @@ class Setup:
     sessions: list[tuple[str, dict[str, Term]]]
     agent_terms: dict[str, set[Term]] = field(default_factory=dict)
     agent_assertions: dict[str, set[Assertion]] = field(default_factory=dict)
-    intruder_terms: set[Term] = field(default_factory=set)
-    intruder_assertions: set[Assertion] = field(default_factory=set)
-    intruder: str = "I"
+    intruder: str = "I"  # the network observer; the maps hold its knowledge as any agent's
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -191,13 +189,20 @@ class Run:
     cut: bool = False  # the search refused a step under a budget or hit max_states
 
 
-def initial_state(proto: Protocol, setup: Setup) -> WorldState:
+def parties(proto: Protocol, setup: Setup) -> set[str]:
+    """The run's agent names: the declared ones, the observer and every
+    session's id."""
     names = set(proto.decls.agents) | {setup.intruder}
     for _, sigma in setup.sessions:
         ag = sigma.get("id")
         if not isinstance(ag, Basic) or ag.sort != AGENT:
             raise ValueError("every session needs a declared agent for id")
         names.add(ag.name)
+    return names
+
+
+def initial_state(proto: Protocol, setup: Setup) -> WorldState:
+    names = parties(proto, setup)
     public: set[Term] = {Basic(n, AGENT) for n in names}
     public |= {App("vk", (Basic(n, AGENT),)) for n in names}
     public |= {Basic(n, NONCE) for n in proto.decls.nonces}
@@ -206,8 +211,6 @@ def initial_state(proto: Protocol, setup: Setup) -> WorldState:
         knowledge[n] = Knowledge(frozenset(public)).extend(
             {App("sk", (Basic(n, AGENT),))} | setup.agent_terms.get(n, set()),
             {normalize(a) for a in setup.agent_assertions.get(n, set())})
-    knowledge[setup.intruder] = knowledge[setup.intruder].extend(
-        setup.intruder_terms, {normalize(a) for a in setup.intruder_assertions})
     sessions = [SessionState(role, dict(sigma)) for role, sigma in setup.sessions]
     state = WorldState(proto, setup, knowledge, sessions, contexts=ContextTable(frozenset(public)))
     state.used_basics |= {s.name for t in frozenset().union(*(k.terms for k in knowledge.values()))
@@ -226,7 +229,7 @@ def _instantiate(action: Action, sigma: dict[str, Term],
     then its bindings, or None when that leaves a variable free.  A non-key
     in a key slot, which only a recorded step can ask for, raises ValueError."""
     inst = action.instance({**sigma, **dict(fresh), **dict(binds)})
-    return inst if inst.is_ground() else None
+    return None if inst.used_vars() else inst
 
 
 def _allocate_fresh(state: WorldState, session_index: int,

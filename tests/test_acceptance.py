@@ -362,8 +362,6 @@ def test_criterion_6_replay_and_double_vote_prevention():
     hs2 = Setup(sessions=[*hs.sessions, ("admin", {"id": Basic("Adm", "agent")})],
                 agent_terms=hs.agent_terms,
                 agent_assertions=hs.agent_assertions,
-                intruder_terms=hs.intruder_terms,
-                intruder_assertions=hs.intruder_assertions,
                 intruder=hs.intruder)
     hsteps = list(hrun.steps) + [
         Step(len(hs2.sessions), forced,
@@ -409,8 +407,6 @@ def test_criterion_6_replay_and_double_vote_prevention():
     fs2 = Setup(sessions=[*fs.sessions, ("authority", {"id": Auth})],
                 agent_terms=fs.agent_terms,
                 agent_assertions=fs.agent_assertions,
-                intruder_terms=fs.intruder_terms,
-                intruder_assertions=fs.intruder_assertions,
                 intruder=fs.intruder)
     extra = len(fs2.sessions)
     fsteps = list(frun.steps) + [

@@ -14,12 +14,16 @@ from protassert import (
     Enc,
     Eq,
     Pair,
+    SearchBudget,
+    Setup,
     SwapSpec,
     build_swapped,
     check_anonymity,
     check_safety,
     derive_swap,
     normalize,
+    parse_protocol,
+    parse_sessions,
     render_report,
     simulate,
     validate_run,
@@ -37,6 +41,8 @@ from protassert.builtins import (
     anonymity_foo_setup,
     builtin_foo,
     builtin_foo_linked,
+    builtin_helios,
+    default_helios_setup,
 )
 from protassert.dy import DYContext
 from protassert.syntax import parse_assertion, print_assertion
@@ -312,3 +318,56 @@ def test_report_rendering_mentions_everything():
     assert "foo" in text and "seed=1" in text
     assert "safety" in text
 
+
+def _failed(proto, why: list[str]) -> str:
+    return "\n".join([f"anonymity {proto.name} seed=0 verdict=failed tests=0 inconclusive=0",
+                      "  safety: not established", *(f"  note: {w}" for w in why)])
+
+
+def test_a_run_that_does_not_complete_fails_the_check():
+    proto = builtin_foo()
+    rep = check_anonymity(proto, anonymity_foo_setup(proto), budget=SearchBudget(node_cap=1))
+    assert render_report(rep) == _failed(proto, ["no completing run found"])
+
+
+def test_a_run_without_a_swap_fails_the_check():
+    proto = builtin_foo()
+    rep = check_anonymity(proto, anonymity_foo_setup(proto), voter_role="counter")
+    assert render_report(rep) == _failed(proto, ["role 'counter' does not commit then cast"])
+
+
+def test_a_swapped_run_that_is_not_valid_fails_the_check():
+    # helios casts (id, ballot(v)): moved to the other voter, the cast names
+    # its first sender, which that voter's role does not send
+    proto = builtin_helios()
+    rep = check_anonymity(proto, default_helios_setup(proto))
+    assert render_report(rep) == _failed(proto, [
+        "the vote-swapped run is not a valid run",
+        "step 6: recorded action does not match the role"])
+
+
+def test_an_observer_view_that_differs_beyond_the_swap_is_inconclusive():
+    # the observer starts out holding the first voter's commitment key, which
+    # the swap maps to the second's, so the twin's view is no image of its own
+    proto = parse_protocol("""\
+protocol keyed
+phases commit, cast
+agents V0, V1
+nonces v0, v1
+keys k0, k1
+
+role voter(v, k):
+  send id : {v}k
+  @cast send* id : v
+""", "keyed")
+    k0, k1 = Basic("k0", "key"), Basic("k1", "key")
+    sessions = parse_sessions("voter(id=V0, v=v0, k=k0); voter(id=V1, v=v1, k=k1)", proto)
+    both = {"V0": {k0, k1}, "V1": {k0, k1}}
+    rep = check_anonymity(proto, Setup(sessions, both), tests=20)
+    assert rep.verdict == "indistinguishable"
+    rep = check_anonymity(proto, Setup(sessions, {**both, "I": {k0}}), tests=20)
+    assert render_report(rep) == "\n".join([
+        "anonymity keyed seed=0 verdict=inconclusive tests=58 inconclusive=0",
+        "  safety: not established",
+        "  note: observer term knowledge differs beyond the swap",
+        "  note: commitment key k0 is derivable"])

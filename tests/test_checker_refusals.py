@@ -9,7 +9,8 @@
   proofs, refused as such.
 
 It also refuses an exists_e whose witness name occurs in the existential it
-opens, which the former version accepted.
+opens, which the former version accepted, and a subst that is no rewrite:
+one whose image a binder captures, and one that renames a predicate.
 """
 from __future__ import annotations
 
@@ -118,3 +119,21 @@ def test_a_witness_name_in_the_opened_existential_is_refused():
     assert oracles.replay_assertion_proof(proof, (), {fact}, fact) == (True, None)
     assert replay_assertion_proof(proof, (), {fact}, fact) == (
         False, "exists_e: witness variable q not fresh")
+
+
+def test_a_subst_whose_image_a_binder_captures_is_refused():
+    """By x = %1, ex %1: q(%1, x) rewrites to ex %2: q(%2, %1); written
+    over the binder %1, the image is captured and the conclusion says more."""
+    x, v = Var("x"), Var("%1")
+    before = Exists("%1", Pred("q", (v, x)))
+    after = Exists("%1", Pred("q", (v, v)))
+    proof = ProofNode("subst", after, (ax(before), ax(Eq(x, v))))
+    assert replay_assertion_proof(proof, (), {before, Eq(x, v)}, after) == (
+        False, "subst: conclusion is not a rewrite of the premise")
+
+
+def test_a_subst_that_renames_the_predicate_is_refused():
+    refl = ProofNode("refl", Eq(n, n), term_proofs=(TermProof("ax", n),))
+    proof = ProofNode("subst", Pred("r", (n,)), (ax(Pred("p", (n,))), refl))
+    assert replay_assertion_proof(proof, {n}, {Pred("p", (n,))}, Pred("r", (n,))) == (
+        False, "subst: conclusion is not a rewrite of the premise")

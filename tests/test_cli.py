@@ -407,6 +407,42 @@ def test_derive_cut_synthesis_is_no_definite_negative(tmp_path, capsys):
     assert capsys.readouterr().out == "derivable\n"
 
 
+def test_derive_a_witness_past_the_depth_is_no_definite_negative(tmp_path, capsys):
+    # x = (y, n) needs a pair synthesized for x: at depth 0 the synthesis is
+    # cut, which leaves the question open (exit 3); one level finds it
+    path = _write(tmp_path, "deep.seq", "nonces: n\nterms: n\ngoal: ex x, y: x = (y, n)\n")
+    assert main(["derive", path, "--depth", "0"]) == 3
+    assert capsys.readouterr().out == "inconclusive: search budget exhausted\n"
+    assert main(["derive", path, "--depth", "1"]) == 0
+    assert capsys.readouterr().out == "derivable\n"
+
+
+# each voter commits under a fresh key and attaches a disjunction, which a
+# test the observer cannot answer at the root must split
+SPLIT = """\
+protocol split
+phases commit, cast
+agents V0, V1
+nonces v0, v1
+
+role voter(v):
+  send id fresh(k) : {v}k, ({v}k = {v}k \\/ {v}k = {v}k)
+  @cast send* id : v
+"""
+
+
+def test_anonymity_with_tests_past_the_branch_cap_exits_three(tmp_path, capsys):
+    argv = ["anonymity", _write(tmp_path, "split.proto", SPLIT), "--seeds", "1",
+            "--tests", "20", "--sessions", "voter(id=V0, v=v0); voter(id=V1, v=v1)"]
+    assert main(argv) == 0
+    assert "verdict=indistinguishable tests=64 inconclusive=0" in capsys.readouterr().out
+    assert main(argv + ["--branches", "0"]) == 3
+    assert capsys.readouterr().out == (
+        "anonymity split seed=0 verdict=inconclusive tests=64 inconclusive=58\n"
+        "  safety: not established\n"
+        "  note: knowledge closure exceeded the budget\n")
+
+
 def test_anonymity_foo_is_clean(capsys):
     rc = main(["anonymity", "foo", "--seeds", "1", "--tests", "60"])
     out = capsys.readouterr().out

@@ -157,8 +157,7 @@ def test_anonymity_setup_arms_the_observer():
     proto = builtin_foo()
     setup = anonymity_foo_setup(proto)
     plain = default_foo_setup(proto)
-    assert set(setup.intruder_terms) > set(plain.intruder_terms) or \
-        setup.intruder_terms != plain.intruder_terms
+    assert setup.agent_terms[setup.intruder] > plain.agent_terms.get(plain.intruder, set())
 
 
 def test_session_list_parsing_matches_builtin():

@@ -86,7 +86,7 @@ def test_seeded_classes_equal_a_fresh_build():
         assert (dyctx.seed is not None) == (public <= X)
         seeded += dyctx.seed is not None and bool(X - public)
         got, want = engine._x_classes(dyctx), engine._x_classes(DYContext(X))
-        assert got.dyctx is dyctx and not got.logging and got.trail == []
+        assert got.dyctx is dyctx and got.trail == []
         assert _fields(got) == _fields(want), (sorted(public, key=repr), sorted(X, key=repr))
         # a second set over the same seed copies it again, and the seed stays as built
         assert _fields(engine._x_classes(table.dy(X | public | {Basic("z", NONCE)}))) == \

@@ -16,6 +16,7 @@ from protassert import (
     Setup,
     Var,
     initial_state,
+    parse_protocol,
     parse_sessions,
     parse_trace,
     simulate,
@@ -43,7 +44,7 @@ from protassert.runtime import (
     enabled_actions,
 )
 from protassert.assertions import SYNTACTIC, Eq, Exists, Pred, match_assertion, match_term
-from protassert import dy, engine
+from protassert import dy, engine, runtime
 
 
 def foo():
@@ -299,6 +300,60 @@ def test_a_search_stopped_at_max_states_is_cut():
     assert run.warnings == ["no completing run found"]
     run, _ = simulate(proto, setup, seed=0)
     assert run.complete and not run.cut
+
+
+def _three_agents(source: str):
+    proto = parse_protocol(source, "t")
+    return proto, Setup(sessions=parse_sessions("a(id=A); b(id=B); c(id=C)", proto))
+
+
+def test_simulate_explores_a_state_reached_twice_once(monkeypatch):
+    # nothing sends m, so no run completes; b's send first, then a's,
+    # reaches the state a's then b's settled (the traffic is a set): the
+    # fallback pass finds it seen and stops there
+    proto, setup = _three_agents("""\
+protocol memo
+agents A, B, C
+nonces n, k, m
+role a:
+  send id : n
+role b:
+  send id : k
+role c:
+  recv id : m
+""")
+    calls, prints = [], []
+    enabled, fingerprint = runtime.enabled_actions, runtime._fingerprint
+    monkeypatch.setattr(runtime, "enabled_actions",
+                        lambda *args: calls.append(args) or enabled(*args))
+    monkeypatch.setattr(runtime, "_fingerprint",
+                        lambda state: prints.append(fingerprint(state)) or prints[-1])
+    run, _ = simulate(proto, setup, seed=0)
+    assert (run.complete, run.cut) == (False, False)
+    assert (len(calls), len(prints), len(set(prints))) == (4, 5, 4)
+
+
+def test_a_later_phase_fires_while_an_earlier_one_waits():
+    # the lowest phase among the enabled steps fires: c's phase-two send
+    # goes while b's phase-one receive, which nothing enables, is pending
+    proto, setup = _three_agents("""\
+protocol phased
+phases one, two
+agents A, B, C
+nonces n, m, k
+role a:
+  send id : n
+role b:
+  recv id : m
+role c:
+  @two send id : k
+""")
+    run, _ = simulate(proto, setup, seed=0)
+    assert not run.complete
+    assert write_trace(run) == (
+        "run phased seed=0\n"
+        "session 1 a id=A\nsession 2 b id=B\nsession 3 c id=C\n"
+        "step 1 session 1\nstep 2 session 3\n")
 
 
 def test_trace_parse_rejects_garbage():
