@@ -21,10 +21,12 @@ assertions inside it that `subassertions` lists, and its `canonical` form;
 an existential keeps its body `opened` per witness term.  `normalize`,
 `substitute` and the parser mark a normal form as its own (`terms.cache`).
 
-The one pattern matcher, `match_term`/`match_assertion`, lives here too.  It
-binds a pattern's holes so that the pattern equals a target modulo an
-equality: the runtime binds receive patterns under `SYNTACTIC`, and the
-engine binds witness candidates modulo a branch's congruence classes.
+The one pattern matcher, `match_term`/`match_canonical`, lives here too.
+It binds a pattern's holes so that the pattern equals a target modulo an
+equality, both sides read in `canonical` form: the runtime binds receive
+patterns, closed normal forms and so their own canonical form, under
+`SYNTACTIC`, and the engine binds witness candidates modulo a branch's
+congruence classes, a pattern's free bound names standing as its holes.
 """
 from __future__ import annotations
 
@@ -382,23 +384,11 @@ def _match_all(pairs, holes, binding: dict[str, Term], eq) -> list[dict[str, Ter
     return found
 
 
-def match_assertion(pat: Assertion, tgt: Assertion, holes,
-                    binding: dict[str, Term], eq) -> list[dict[str, Term]]:
-    """Every extension of binding under which pat equals tgt: terms modulo
-    eq, agents syntactically.  Both sides are read in `canonical` form, so
-    binder structure must align and never leaks into a binding; a free
-    bound name of pat is a hole when holes names it."""
-    (p, wild), (t, _) = pat._canonical, tgt._canonical
-    found = match_canonical(p, t, {wild.get(h, h) for h in holes if h in wild or h[:1] != "%"},
-                            {wild.get(k, k): v for k, v in binding.items()}, eq)
-    back = {w: n for n, w in wild.items()}
-    return [{back.get(k, k): v for k, v in b.items()} for b in found] if wild else found
-
-
 def match_canonical(pat: Assertion, tgt: Assertion, holes, binding: dict[str, Term],
                     eq) -> list[dict[str, Term]]:
-    """match_assertion of two sides already in `canonical` form, with holes
-    named as in pat's form."""
+    """Every extension of binding under which pat equals tgt, two sides in
+    `canonical` form: terms modulo eq, agents syntactically, binders
+    aligned and never in a binding; holes are named as in pat's form."""
     if type(pat) is not type(tgt):
         return []
     if isinstance(pat, Exists):

@@ -98,63 +98,58 @@ builtin_foo_linked = BUILTINS["foo-linked"]
 builtin_helios = BUILTINS["helios"]
 
 
-def _vote_values(proto: Protocol) -> list[Basic]:
-    return [Basic(n, NONCE) for n in sorted(proto.decls.nonces)]
-
-
-def _with_common_databases(proto: Protocol, setup: Setup,
-                           registrar: str | None) -> Setup:
-    votes = _vote_values(proto)
-    for name in parties(proto, setup):
-        db = setup.agent_assertions.setdefault(name, set())
+def setup_over(name: str, proto: Protocol, sessions: list[tuple[str, dict[str, Term]]],
+               anonymity: bool = False) -> Setup:
+    """The builtin `name`'s set-up over a session list: every party holds
+    the public vote values as valid; for foo and foo-linked the registrar
+    holds the eligibility roll of the V<i> sessions, and an anonymity
+    observer also controls registrar and counter (holds their signing keys)."""
+    setup = Setup(sessions=sessions)
+    votes = [Basic(n, NONCE) for n in sorted(proto.decls.nonces)]
+    for party in parties(proto, setup):
+        db = setup.agent_assertions.setdefault(party, set())
         for v in votes:
             db.add(Pred("valid", (v,)))
-    if registrar is not None:
-        roll = setup.agent_assertions.setdefault(registrar, set())
-        for _, sigma in setup.sessions:
+    if name.startswith("foo"):
+        roll = setup.agent_assertions.setdefault("Auth", set())
+        for _, sigma in sessions:
             ag = sigma.get("id")
             if isinstance(ag, Basic) and ag.name.startswith("V"):
                 roll.add(Pred("elg", (ag,)))
+        if anonymity:
+            setup.agent_terms.setdefault(setup.intruder, set()).update(
+                (_sk_of("Auth"), _sk_of("Cnt")))
     return setup
-
-
-def default_foo_setup(proto: Protocol | None = None, voters: int = 2) -> Setup:
-    """One authority and one counter session per voter; voter i votes v<i>."""
-    proto = proto or builtin_foo()
-    if not 2 <= voters <= 4:
-        raise ValueError("between 2 and 4 voters are declared")
-    parts = ["authority(id=Auth)"] * voters
-    parts += [f"voter(id=V{i}, v=v{i})" for i in range(voters)]
-    parts += ["counter(id=Cnt)"] * voters
-    setup = Setup(sessions=parse_sessions("; ".join(parts), proto))
-    return _with_common_databases(proto, setup, registrar="Auth")
-
-
-def anonymity_foo_setup(proto: Protocol | None = None, voters: int = 2) -> Setup:
-    """The casting-channel observer also controls registrar and counter."""
-    proto = proto or builtin_foo()
-    setup = default_foo_setup(proto, voters)
-    setup.agent_terms.setdefault(setup.intruder, set()).update((_sk_of("Auth"), _sk_of("Cnt")))
-    return setup
-
-
-def default_helios_setup(proto: Protocol | None = None) -> Setup:
-    proto = proto or builtin_helios()
-    text = ("voter(id=V0, v=v0); voter(id=V1, v=v1); "
-            "script(id=Scr); script(id=Scr); admin(id=Adm)")
-    setup = Setup(sessions=parse_sessions(text, proto))
-    return _with_common_databases(proto, setup, registrar=None)
 
 
 def builtin_setup(name: str, proto: Protocol | None = None,
                   anonymity: bool = False, voters: int = 2) -> Setup:
-    """Default scenario for a builtin protocol by registry name."""
+    """Default scenario for a builtin protocol by registry name: for foo and
+    foo-linked one authority and one counter session per voter, voter i
+    voting v<i>; for helios two voters, two script sessions and an admin."""
     if name not in BUILTINS:
         raise KeyError(name)
     proto = proto or BUILTINS[name]()
     if name.startswith("foo"):
-        return (anonymity_foo_setup(proto, voters) if anonymity
-                else default_foo_setup(proto, voters))
-    if anonymity:
+        if not 2 <= voters <= 4:
+            raise ValueError("between 2 and 4 voters are declared")
+        layout = ["authority(id=Auth)"] * voters + [
+            f"voter(id=V{i}, v=v{i})" for i in range(voters)] + ["counter(id=Cnt)"] * voters
+    elif anonymity:
         raise KeyError(f"no anonymity scenario for {name}")
-    return default_helios_setup(proto)
+    else:
+        layout = ["voter(id=V0, v=v0)", "voter(id=V1, v=v1)", "script(id=Scr)", "script(id=Scr)",
+                  "admin(id=Adm)"]
+    return setup_over(name, proto, parse_sessions("; ".join(layout), proto), anonymity)
+
+
+def default_foo_setup(proto: Protocol | None = None, voters: int = 2) -> Setup:
+    return builtin_setup("foo", proto, voters=voters)
+
+
+def anonymity_foo_setup(proto: Protocol | None = None, voters: int = 2) -> Setup:
+    return builtin_setup("foo", proto, anonymity=True, voters=voters)
+
+
+def default_helios_setup(proto: Protocol | None = None) -> Setup:
+    return builtin_setup("helios", proto)

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .anonymity import check_anonymity, render_report
-from .builtins import BUILTINS, SOURCES, builtin_setup
+from .builtins import BUILTINS, SOURCES, builtin_setup, setup_over
 from .dy import ProofNode, TermProof
 from .engine import DEFAULT_BUDGET, SearchBudget, derive, derive_safe
 from .protocol import Protocol, validate_protocol
@@ -110,12 +110,14 @@ def cmd_validate(args) -> int:
 
 def _setup_for(args, name: str | None, proto: Protocol,
                anonymity: bool = False) -> Setup:
-    if getattr(args, "sessions", None):
-        return Setup(sessions=parse_sessions(args.sessions, proto))
+    """A protocol file's bare --sessions, or a builtin's scenario, whose
+    session layout --sessions replaces when given."""
+    if args.sessions:
+        sessions = parse_sessions(args.sessions, proto)
+        return Setup(sessions) if name is None else setup_over(name, proto, sessions, anonymity)
     if name is None:
         raise ParseError("a protocol file needs --sessions", "cli")
-    return builtin_setup(name, proto, anonymity=anonymity,
-                         voters=getattr(args, "voters", 2))
+    return builtin_setup(name, proto, anonymity=anonymity, voters=getattr(args, "voters", 2))
 
 
 def cmd_simulate(args) -> int:
@@ -134,9 +136,11 @@ def cmd_replay(args) -> int:
     name, proto = _load_protocol(args.protocol)
     with open(args.trace, encoding="utf-8") as fh:
         text = fh.read()
-    # a protocol file without --sessions replays the trace's bare sessions
-    setup = None if name is None and not args.sessions else _setup_for(args, name, proto)
-    run = parse_trace(text, proto, setup)
+    # the trace's sessions, which --sessions must match, with a builtin's databases
+    run = parse_trace(text, proto, Setup(parse_sessions(args.sessions, proto))
+                      if args.sessions else None)
+    if name is not None:
+        run.setup = setup_over(name, proto, run.setup.sessions)
     problems, _ = run_problems(run, _budget(args))
     for p, _ in problems:
         print(p)
@@ -224,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-check every step of a recorded run")
     p.add_argument("protocol", help="builtin name or protocol file")
     p.add_argument("trace", help="trace file produced by simulate")
-    p.add_argument("--sessions", help="override the initial knowledge scenario")
+    p.add_argument("--sessions", help="session list the trace must match")
     common(p)
     p.set_defaults(fn=cmd_replay)
 
@@ -239,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--voter-role", help="role that casts the votes")
     p.add_argument("--voters", type=int, default=2,
                    help="voter sessions in the builtin scenarios (2 to 4)")
-    p.add_argument("--sessions", help="override the scenario")
+    p.add_argument("--sessions", help="replace the scenario's session layout")
     common(p)
     p.set_defaults(fn=cmd_anonymity)
 

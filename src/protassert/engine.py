@@ -416,7 +416,7 @@ def inert(dyctx: DYContext, a: Assertion) -> bool:
 def _kind(a: Assertion):
     """The index key of a node's hypotheses: the connective, or for a
     predicate its name and arity.  Both matchers (`rewrites` here,
-    `assertions.match_assertion`) refuse a pair of different kinds before
+    `assertions.match_canonical`) refuse a pair of different kinds before
     they compare, or register, any term."""
     return (a.name, len(a.args)) if isinstance(a, Pred) else type(a)
 

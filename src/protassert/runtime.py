@@ -49,7 +49,7 @@ from .assertions import (
     Assertion,
     SentA,
     SentT,
-    match_assertion,
+    match_canonical,
     match_term,
     normalize,
 )
@@ -62,7 +62,7 @@ from .engine import (
     inert,
 )
 from .protocol import Action, Protocol
-from .syntax import Cursor, ParseError, parse_session, print_term, tokenize
+from .syntax import Cursor, ParseError, parse_session, print_term
 from .terms import (
     AGENT,
     App,
@@ -260,7 +260,7 @@ def _traffic_binds(state: WorldState, action: Action,
         for tr in state.traffic[seen:]:
             got = match_term(pat.term, tr.term, holes, {}, SYNTACTIC)
             if got and pat.assertion is not None:
-                got = [] if tr.assertion is None else match_assertion(
+                got = [] if tr.assertion is None else match_canonical(
                     pat.assertion, tr.assertion, holes, got[0], SYNTACTIC)
             if got:
                 found[tuple(sorted(got[0].items()))] = None
@@ -581,11 +581,12 @@ def _fresh_value(p: Cursor) -> tuple[str, Basic]:
     p.expect("=")
     value = p.ident()
     p.expect(":")
-    sort = p.expect_ident()
-    if sort.val not in (NONCE, KEY):
-        raise ParseError(f"bad fresh sort {sort.val!r}", sort.pos)
-    (p.decls.keys if sort.val == KEY else p.decls.nonces).add(value)
-    return name, Basic(value, sort.val)
+    at = p.i
+    sort = p.ident()
+    if sort not in (NONCE, KEY):
+        raise ParseError(f"bad fresh sort {sort!r}", p.pos(at))
+    (p.decls.keys if sort == KEY else p.decls.nonces).add(value)
+    return name, Basic(value, sort)
 
 
 def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
@@ -593,22 +594,21 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
     The protocol must be the one the trace was produced from; the setup
     (initial knowledge) defaults to bare sessions as listed in the trace."""
     d = proto.decls
-    p = Cursor(tokenize(text, "trace"),
-               replace(d, nonces=set(d.nonces), keys=set(d.keys), strict=False))
+    p = Cursor(text, replace(d, nonces=set(d.nonces), keys=set(d.keys), strict=False), "trace")
     p.expect("run")
-    tok = p.expect_ident()
-    if tok.val != proto.name:
-        raise ParseError(f"trace is not for protocol {proto.name}", tok.pos)
+    at = p.i
+    if p.ident() != proto.name:
+        raise ParseError(f"trace is not for protocol {proto.name}", p.pos(at))
     p.expect("seed")
     p.expect("=")
-    negative = p.eat("-")
-    seed = None if negative and p.peek().kind != "int" else p.number() * (-1 if negative else 1)
+    sign = -1 if p.eat("-") else 1
+    seed = None if sign < 0 and not p.vals[p.i][:1].isdigit() else sign * p.number()
 
     sessions: list[tuple[str, dict[str, Term]]] = []
     while p.eat("session"):
-        tok = p.peek()
+        at = p.i
         if p.number() != len(sessions) + 1:
-            raise ParseError("sessions out of order", tok.pos)
+            raise ParseError("sessions out of order", p.pos(at))
         sessions.append(parse_session(p, proto))
     if setup is None:
         setup = Setup(sessions=sessions)
@@ -618,26 +618,26 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
     states = [SessionState(r, dict(s)) for r, s in sessions]
     steps: list[Step] = []
     while p.eat("step"):
-        tok = p.peek()
+        at = p.i
         if p.number() != len(steps) + 1:
-            raise ParseError("steps out of order", tok.pos)
+            raise ParseError("steps out of order", p.pos(at))
         p.expect("session")
-        tok = p.peek()
+        at = p.i
         snum = p.number()
         if not 1 <= snum <= len(states):
-            raise ParseError(f"no session {snum}", tok.pos)
+            raise ParseError(f"no session {snum}", p.pos(at))
         fresh = tuple(p.items(lambda: _fresh_value(p))) if p.eat("fresh") else ()
         binds = tuple(p.items(p.binding)) if p.eat("bind") else ()
         st = states[snum - 1]
         role = proto.roles[st.role]
         if st.pc >= len(role.actions):
-            raise ParseError(f"session {snum} has no pending action", tok.pos)
+            raise ParseError(f"session {snum} has no pending action", p.pos(at))
         try:
             inst = _instantiate(role.actions[st.pc], st.sigma, fresh, binds)
         except ValueError as e:
-            raise ParseError(f"step {len(steps) + 1}: {e}", tok.pos) from None
+            raise ParseError(f"step {len(steps) + 1}: {e}", p.pos(at)) from None
         if inst is None:
-            raise ParseError(f"step {len(steps) + 1} leaves variables unbound", tok.pos)
+            raise ParseError(f"step {len(steps) + 1} leaves variables unbound", p.pos(at))
         steps.append(Step(snum, inst, fresh, binds))
         st.sigma.update(fresh)
         st.sigma.update(binds)

@@ -11,11 +11,13 @@ takes the tightest following unit.  Identifiers are [A-Za-z][A-Za-z0-9_]*;
 'ex', 'says' and 'sent' are reserved, and refused as the name of a term, a
 binder or an agent.  Whitespace is insignificant; '#' starts a comment.
 
-A text is tokenized once, and a token's position is worked out only when an
-error reports it.  Assertions come out alpha-normal (`assertions.normalize`):
-each binder is numbered %1, %2, ... by its nesting depth, so sibling binders
-share a name.  Every `x, ...` list is read by one helper, `Cursor.items`:
-item (',' item)*, then the closing bracket if there is one.
+Every format is read through one `Cursor`, which tokenizes its text once
+into a tuple of token strings; a token is its index there, and its
+where:line:col position is worked out only when an error reports it.
+Assertions come out alpha-normal (`assertions.normalize`): each binder is
+numbered %1, %2, ... by its nesting depth, so sibling binders share a name.
+Every `x, ...` list is read by one helper, `Cursor.items`: item (',' item)*,
+then the closing bracket if there is one.
 
 Sequent file, one line per item:
     ('agents' | 'nonces' | 'keys') ':' NAME, ...
@@ -58,7 +60,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .assertions import (
     And,
@@ -102,7 +104,7 @@ MAX_CHAIN = 200  # with operands nested MAX_NESTING deep, well inside the recurs
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# the cursor
 
 # One match per token, with the whitespace and comments before it: group 1
 # is the token, empty at the end of input, and group 2 a character that
@@ -111,96 +113,40 @@ _TOKEN_RE = re.compile(r"(?:\s+|#[^\n]*)*(?:([A-Za-z][A-Za-z0-9_]*|\d+|/\\|\\/"
                        r"|[(){}<>,:=/*@;-]|$)|(\S))")
 
 
-class Tokens(NamedTuple):
-    """The tokens of text[start:end], the empty end token last."""
-    vals: tuple[str, ...]
-    text: str
-    where: str
-    start: int
-    end: int
-
-    def pos(self, i: int) -> str:
-        """where:line:col of token i, lines broken as str.splitlines breaks them."""
-        m = next(itertools.islice(_TOKEN_RE.finditer(self.text, self.start, self.end), i, None))
-        lines = (self.text[:m.start(m.lastindex)] + "x").splitlines()
-        return f"{self.where}:{len(lines)}:{len(lines[-1])}"
-
-
-class Tok(NamedTuple):  # one token, as the cursor hands it out
-    kind: str
-    val: str
-    at: int  # its index in toks
-    toks: Tokens
-
-    @property
-    def pos(self) -> str:
-        return self.toks.pos(self.at)
-
-
-def tokenize(text: str, where: str = "input", start: int = 0,
-             end: int | None = None) -> Tokens:
-    """The tokens of text[start:end], placed in the whole text."""
-    end = len(text) if end is None else end
-    vals, bad = zip(*_TOKEN_RE.findall(text, start, end))
-    toks = tuple.__new__(Tokens, (vals, text, where, start, end))  # skips Python __new__
-    if any(bad):
-        c = next(filter(None, bad))
-        raise ParseError(f"unexpected character {c!r}", toks.pos(bad.index(c)))
-    return toks
-
-
-def _expected(what: str, p: Cursor, i: int) -> ParseError:
-    return ParseError(f"expected {what}, found {p.vals[i] or 'end of input'!r}", p.toks.pos(i))
-
-
-def _name(p: Cursor) -> str:
-    """An identifier other than a reserved word."""
-    i = p.i
-    val = p.vals[i]
-    if not val[:1].isalpha():
-        raise _expected("identifier", p, i)
-    if val in RESERVED:
-        raise ParseError(f"{val!r} is reserved", p.toks.pos(i))
-    p.i = i + 1
-    return val
-
-
 class Cursor:
-    """A position in a token list, with the pieces every format is made of:
-    identifiers, numbers, terms, `name = term` bindings, comma lists and
-    the end of input.  The position never passes the end token.
+    """A position in the tokens of text[start:stop], a token being its index
+    in `vals` (the empty end token last), with the pieces every format is
+    made of: identifiers, numbers, terms, `name = term` bindings, comma
+    lists and the end of input.  The position never passes the end token.
 
     While an assertion is read, `bound` counts the binders around the
     cursor, `scope` maps each undeclared name bound where the cursor
     stands to the variable %n of its innermost binder, and `chain` counts
     the binary connectives read so far."""
 
-    def __init__(self, toks: Tokens, decls: Declarations):
-        self.toks = toks
-        self.vals = toks.vals
+    def __init__(self, text: str, decls: Declarations, where: str = "input",
+                 start: int = 0, stop: int | None = None):
+        self.text, self.where, self.start = text, where, start
+        self.stop = len(text) if stop is None else stop
+        self.vals, bad = zip(*_TOKEN_RE.findall(text, start, self.stop))
         self.i = 0
         self.decls = decls
         self.scope: dict[str, Var] = {}
         self.bound = 0
         self.chain = 0
+        if any(bad):
+            c = next(filter(None, bad))
+            raise ParseError(f"unexpected character {c!r}", self.pos(bad.index(c)))
 
-    def peek(self) -> Tok:
-        val = self.vals[self.i]  # its first character tells the kind
-        kind = "ident" if val[:1].isalpha() else "int" if val[:1].isdigit() else \
-            "punct" if val else "end"
-        return tuple.__new__(Tok, (kind, val, self.i, self.toks))  # skips Python __new__
+    def pos(self, i: int) -> str:
+        """where:line:col of token i, lines broken as str.splitlines breaks them."""
+        m = next(itertools.islice(_TOKEN_RE.finditer(self.text, self.start, self.stop), i, None))
+        lines = (self.text[:m.start(m.lastindex)] + "x").splitlines()
+        return f"{self.where}:{len(lines)}:{len(lines[-1])}"
 
-    def next(self) -> Tok:
-        t = self.peek()
-        if t.val:
-            self.i += 1
-        return t
-
-    def take(self, kind: str, what: str) -> Tok:
-        t = self.next()
-        if t.kind != kind:
-            raise _expected(what, self, t.at)
-        return t
+    def expected(self, what: str, i: int) -> ParseError:
+        return ParseError(f"expected {what}, found {self.vals[i] or 'end of input'!r}",
+                          self.pos(i))
 
     def eat(self, val: str) -> bool:
         """Read val, a punctuation mark or a name, if it comes next."""
@@ -211,18 +157,15 @@ class Cursor:
 
     def expect(self, val: str) -> None:
         if self.vals[self.i] != val:
-            raise _expected(repr(val), self, self.i)
+            raise self.expected(repr(val), self.i)
         self.i += 1
-
-    def expect_ident(self) -> Tok:
-        return self.take("ident", "identifier")
 
     def done(self) -> bool:
         return not self.vals[self.i]
 
     def end(self) -> None:
         if not self.done():
-            raise ParseError(f"trailing input {self.vals[self.i]!r}", self.toks.pos(self.i))
+            raise ParseError(f"trailing input {self.vals[self.i]!r}", self.pos(self.i))
 
     def items(self, item: Callable[[], T], close: str | None = None) -> list[T]:
         """item (',' item)*, then the closing bracket when one is given."""
@@ -235,10 +178,29 @@ class Cursor:
         return out
 
     def ident(self) -> str:
-        return self.expect_ident().val
+        val = self.vals[self.i]
+        if not val[:1].isalpha():
+            raise self.expected("identifier", self.i)
+        self.i += 1
+        return val
+
+    def name(self) -> str:
+        """An identifier other than a reserved word."""
+        i = self.i
+        val = self.vals[i]
+        if not val[:1].isalpha():
+            raise self.expected("identifier", i)
+        if val in RESERVED:
+            raise ParseError(f"{val!r} is reserved", self.pos(i))
+        self.i = i + 1
+        return val
 
     def number(self) -> int:
-        return int(self.take("int", "a number").val)
+        val = self.vals[self.i]
+        if not val[:1].isdigit():
+            raise self.expected("a number", self.i)
+        self.i += 1
+        return int(val)
 
     def term(self) -> Term:
         return _parse_term(self, 0)
@@ -271,12 +233,12 @@ def _check_applied(p: Cursor, name: str, arity: int, at: int, as_pred: bool) -> 
     elif d.strict:
         error = f"undeclared {what} {name}"
     if error:
-        raise ParseError(error, p.toks.pos(at))
+        raise ParseError(error, p.pos(at))
 
 
 def _parse_term(p: Cursor, depth: int) -> Term:
     if depth >= MAX_NESTING:
-        raise ParseError(f"nested more than {MAX_NESTING} levels deep", p.toks.pos(p.i))
+        raise ParseError(f"nested more than {MAX_NESTING} levels deep", p.pos(p.i))
     i = p.i
     val = p.vals[i]
     if val == "(":
@@ -291,23 +253,23 @@ def _parse_term(p: Cursor, depth: int) -> Term:
         body = _parse_term(p, depth + 1)
         p.expect("}")
         if not p.vals[p.i][:1].isalnum():  # a key is a name or an application
-            raise _expected("identifier", p, p.i)
+            raise p.expected("identifier", p.i)
         key = _parse_term(p, depth)
         try:
             return Enc(body, key)
         except ValueError:  # name the key as written, not with its binders' %n
             key = subst_term(key, {v.name: Var(x) for x, v in p.scope.items()})
             raise ParseError(f"encryption key must be key material, got {key!r}",
-                             p.toks.pos(i)) from None
+                             p.pos(i)) from None
     if val[:1].isdigit():
         p.i += 1
         basic = p.decls.classify(val)
         if isinstance(basic, Var):
-            raise ParseError(f"undeclared constant {val}", p.toks.pos(i))
+            raise ParseError(f"undeclared constant {val}", p.pos(i))
         return basic
     if not val[:1].isalpha():
-        raise _expected("a term", p, i)
-    name = _name(p)
+        raise p.expected("a term", i)
+    name = p.name()
     if p.eat("("):
         args = tuple(p.items(functools.partial(_parse_term, p, depth + 1), ")"))
         _check_applied(p, name, len(args), i, as_pred=False)
@@ -316,7 +278,7 @@ def _parse_term(p: Cursor, depth: int) -> Term:
 
 
 def parse_term(text: str, decls: Declarations | None = None, where: str = "term") -> Term:
-    p = Cursor(tokenize(text, where), decls or Declarations())
+    p = Cursor(text, decls or Declarations(), where)
     t = _parse_term(p, 0)
     p.end()
     return t
@@ -358,7 +320,7 @@ def _parse_atom_or_paren(p: Cursor, depth: int) -> Assertion:
                     t.ctor in p.decls.predicates or t.ctor not in p.decls.constructors):
                 _check_applied(p, t.ctor, len(t.args), i, as_pred=True)
                 return Pred(t.ctor, t.args)
-            raise ParseError("expected '=' after term", p.toks.pos(p.i))
+            raise ParseError("expected '=' after term", p.pos(p.i))
         except ParseError:
             if val != "(":
                 raise
@@ -370,12 +332,12 @@ def _parse_atom_or_paren(p: Cursor, depth: int) -> Assertion:
 
 def _parse_unit(p: Cursor, depth: int) -> Assertion:
     if depth >= MAX_NESTING:
-        raise ParseError(f"nested more than {MAX_NESTING} levels deep", p.toks.pos(p.i))
+        raise ParseError(f"nested more than {MAX_NESTING} levels deep", p.pos(p.i))
     depth += 1
     val = p.vals[p.i]
     if val == "ex":
         p.i += 1
-        names = p.items(functools.partial(_name, p))
+        names = p.items(p.name)
         p.expect(":")
         first, p.bound = p.bound + 1, p.bound + len(names)
         outer, p.scope = p.scope, {**p.scope, **{  # a declared basic is never bound
@@ -389,7 +351,7 @@ def _parse_unit(p: Cursor, depth: int) -> Assertion:
     op = p.vals[p.i + 1] if val[:1].isalpha() else ""
     if op not in ("says", "sent"):
         return _parse_atom_or_paren(p, depth)
-    agent = p.resolve(_name(p))
+    agent = p.resolve(p.name())
     p.i += 1
     if op == "says":
         return Says(agent, _parse_unit(p, depth))
@@ -405,7 +367,7 @@ def _connective(p: Cursor) -> None:
     p.chain += 1
     if p.chain > MAX_CHAIN:
         raise ParseError(f"more than {MAX_CHAIN} '/\\' and '\\/' in one assertion",
-                         p.toks.pos(p.i))
+                         p.pos(p.i))
     p.i += 1
 
 
@@ -432,7 +394,7 @@ def _parse_assertion(p: Cursor, depth: int) -> Assertion:
 
 def parse_assertion(text: str, decls: Declarations | None = None,
                     where: str = "assertion") -> Assertion:
-    p = Cursor(tokenize(text, where), decls or Declarations())
+    p = Cursor(text, decls or Declarations(), where)
     a = _parse_assertion(p, 0)
     p.end()
     return a
@@ -519,19 +481,21 @@ def _parse_decl_items(head: str, p: Cursor) -> None:
     d = p.decls
 
     def item() -> None:
-        t = p.next()
-        if t.kind not in ("ident", "int"):
-            raise _expected("a name", p, t.at)
+        at = p.i
+        val = p.vals[at]
+        if not val[:1].isalnum():
+            raise p.expected("a name", at)
+        p.i += 1
         if head in ("agents", "nonces", "keys"):
-            getattr(d, head).add(t.val)
+            getattr(d, head).add(val)
             return
-        if t.kind == "int":
-            raise ParseError(f"{head} need named symbols", t.pos)
+        if not val[:1].isalpha():
+            raise ParseError(f"{head} need named symbols", p.pos(at))
         p.expect("/")
         if head == "constructors" and p.eat("*"):
-            d.constructors[t.val] = None
+            d.constructors[val] = None
         else:
-            getattr(d, head)[t.val] = p.number()
+            getattr(d, head)[val] = p.number()
 
     if not p.done():
         p.items(item)
@@ -550,7 +514,7 @@ def _line_cursors(text: str, where: str, decls: Declarations) -> Iterator[tuple[
     """(number, cursor) per line; token positions read where:line:col."""
     start = 0
     for lineno, line in enumerate(text.splitlines(True), 1):
-        yield lineno, Cursor(tokenize(text, where, start, start + len(line.splitlines()[0])), decls)
+        yield lineno, Cursor(text, decls, where, start, start + len(line.splitlines()[0]))
         start += len(line)
 
 
@@ -607,7 +571,7 @@ def parse_protocol(text: str, where: str = "protocol"):
             p.expect(":")
             roles.append((rname, params, []))
         elif not roles:
-            raise ParseError("unexpected line outside a role", p.toks.pos(0))
+            raise ParseError("unexpected line outside a role", p.pos(0))
         else:
             actions = roles[-1][2]
             actions.append(_parse_action(p, phases, actions[-1].phase if actions else 0))
@@ -624,14 +588,15 @@ _ACTION_KINDS = ("send", "recv", "confirm", "deny", "insert")
 def _parse_action(p: Cursor, phases: list[str], phase: int):
     """One action line of a role; phase is the previous action's."""
     if p.eat("@"):
-        pname = p.expect_ident()
-        if pname.val not in phases:
-            raise ParseError(f"unknown phase {pname.val!r}", pname.pos)
-        phase = phases.index(pname.val)
-    kind_tok = p.expect_ident()
-    kind = kind_tok.val
+        at = p.i
+        pname = p.ident()
+        if pname not in phases:
+            raise ParseError(f"unknown phase {pname!r}", p.pos(at))
+        phase = phases.index(pname)
+    at = p.i
+    kind = p.ident()
     if kind not in _ACTION_KINDS:
-        raise ParseError(f"unknown action kind {kind!r}", kind_tok.pos)
+        raise ParseError(f"unknown action kind {kind!r}", p.pos(at))
     if kind == "send" and p.eat("*"):
         kind = "send*"
     agent = p.ident()
@@ -640,7 +605,7 @@ def _parse_action(p: Cursor, phases: list[str], phase: int):
         p.expect("(")
         fresh = tuple(p.items(p.ident, ")"))
         if kind not in ("send", "send*"):
-            raise ParseError("fresh(...) is only allowed on send actions", kind_tok.pos)
+            raise ParseError("fresh(...) is only allowed on send actions", p.pos(at))
     p.expect(":")
     term = _parse_term(p, 0) if kind in ("send", "send*", "recv") else None
     assertion = None
@@ -693,17 +658,18 @@ def print_protocol(proto) -> str:
 def parse_session(p: Cursor, proto) -> tuple[str, dict[str, Term]]:
     """One session, `role(name=term, ...)` or `role name=term, ...`: a role
     of proto and bindings that ground it (`protocol.suitable`)."""
-    tok = p.expect_ident()
-    role = proto.roles.get(tok.val)
+    at = p.i
+    name = p.ident()
+    role = proto.roles.get(name)
     if role is None:
-        raise ParseError(f"unknown role {tok.val!r}", tok.pos)
+        raise ParseError(f"unknown role {name!r}", p.pos(at))
     sigma = dict(p.items(p.binding, ")") if p.eat("(") else p.items(p.binding))
     unknown = sorted(set(sigma) - {"id", *role.params})
     if unknown:
-        raise ParseError(f"role {role.name} has no parameter {unknown[0]}", tok.pos)
+        raise ParseError(f"role {role.name} has no parameter {unknown[0]}", p.pos(at))
     if not suitable(sigma, role, proto):
         raise ParseError(f"session of {role.name} does not ground its role: id needs "
-                         f"a declared agent, every parameter a ground term", tok.pos)
+                         f"a declared agent, every parameter a ground term", p.pos(at))
     return role.name, sigma
 
 
@@ -711,7 +677,7 @@ def parse_sessions(text: str, proto) -> list[tuple[str, dict[str, Term]]]:
     """Parse 'role(id=A, v=v0); role2(id=B)' session lists."""
     out: list[tuple[str, dict[str, Term]]] = []
     for chunk in text.split(";"):
-        p = Cursor(tokenize(chunk, "sessions"), proto.decls)
+        p = Cursor(chunk, proto.decls, "sessions")
         if not p.done():
             out.append(parse_session(p, proto))
             p.end()

@@ -31,7 +31,7 @@ from protassert.assertions import (
     assertion_terms,
     assertion_vars,
     map_terms,
-    match_assertion,
+    match_canonical,
     match_term,
     numbered,
     rebind,
@@ -294,6 +294,17 @@ def _generators(seed: int):
                _TemplateGen(random.Random(seed + 100 + i), proto, "I", 0, 2))
 
 
+def match_read_canonical(pat, tgt, holes, binding, eq) -> list:
+    """`match_canonical` of the `canonical` forms of pat and tgt, holes and
+    binding named as in pat: a free bound name of pat is a hole when holes
+    names it, and comes back under that name."""
+    (p, wild), (t, _) = pat._canonical, tgt._canonical
+    found = match_canonical(p, t, {wild.get(h, h) for h in holes if h in wild or h[:1] != "%"},
+                            {wild.get(k, k): v for k, v in binding.items()}, eq)
+    back = {w: n for n, w in wild.items()}
+    return [{back.get(k, k): v for k, v in b.items()} for b in found]
+
+
 def test_syntactic_match_recovers_the_substituted_values():
     checked = 0
     for templates, closed in _generators(41):
@@ -304,7 +315,7 @@ def test_syntactic_match_recovers_the_substituted_values():
                 tgt = substitute(pat, values)
             except ValueError:  # a value that is no key landed in key position
                 continue
-            found = match_assertion(pat, tgt, HANDLES, {}, SYNTACTIC)
+            found = match_read_canonical(pat, tgt, HANDLES, {}, SYNTACTIC)
             assert found == [{h: values[h] for h in HANDLES if h in free_vars(pat)}]
             checked += 1
     assert checked >= 300
@@ -315,14 +326,14 @@ def test_a_free_bound_name_of_the_pattern_is_a_hole_by_its_own_name():
     # target's %1, and the hole comes back under the name it was given
     pat = Exists("%2", Pred("p", (Var("%1"), Var("%2"))))
     tgt = normalize(Exists("y", Pred("p", (n, Var("y")))))
-    assert match_assertion(pat, tgt, {"%1"}, {}, SYNTACTIC) == [{"%1": n}]
-    assert match_assertion(pat, tgt, {"%1"}, {"%1": n}, SYNTACTIC) == [{"%1": n}]
-    assert match_assertion(pat, tgt, {"%1"}, {"%1": k}, SYNTACTIC) == []
+    assert match_read_canonical(pat, tgt, {"%1"}, {}, SYNTACTIC) == [{"%1": n}]
+    assert match_read_canonical(pat, tgt, {"%1"}, {"%1": n}, SYNTACTIC) == [{"%1": n}]
+    assert match_read_canonical(pat, tgt, {"%1"}, {"%1": k}, SYNTACTIC) == []
     # a hole named like a binder is no hole under it
     inner = Exists("%1", Pred("p", (Var("%1"), Var("%1"))))
-    assert match_assertion(inner, inner, {"%1"}, {}, SYNTACTIC) == [{}]
-    assert match_assertion(inner, normalize(Exists("y", Pred("p", (Var("y"), n)))),
-                           {"%1"}, {}, SYNTACTIC) == []
+    assert match_read_canonical(inner, inner, {"%1"}, {}, SYNTACTIC) == [{}]
+    assert match_read_canonical(inner, normalize(Exists("y", Pred("p", (Var("y"), n)))),
+                                {"%1"}, {}, SYNTACTIC) == []
 
 
 def _fill(t, rng: random.Random, pool: list):
@@ -352,7 +363,7 @@ def test_every_syntactic_match_instantiates_the_pattern_to_the_target():
             except ValueError:  # a value that is no key landed in key position
                 filled = closed.next()
             for tgt in (closed.next(), filled):
-                found = match_assertion(pat, tgt, HANDLES, {}, SYNTACTIC)
+                found = match_read_canonical(pat, tgt, HANDLES, {}, SYNTACTIC)
                 for b in found:
                     assert substitute(pat, b) == tgt
                 matched += len(found)

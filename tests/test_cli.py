@@ -541,3 +541,50 @@ def test_examples_unknown_name(capsys):
 
 def test_usage_error_exits_two(capsys):
     assert main(["frobnicate"]) == 2
+
+
+FOO3 = "; ".join(["authority(id=Auth)"] * 3 + [f"voter(id=V{i}, v=v{i})" for i in range(3)]
+                 + ["counter(id=Cnt)"] * 3)
+
+
+def test_simulate_and_replay_run_three_voter_foo(tmp_path, capsys):
+    # --sessions replaces only the layout: the builtin's valid and elg
+    # databases come along, and a replay reads the trace's own sessions
+    proto = protassert.builtin_foo()
+    want = protassert.write_trace(
+        protassert.simulate(proto, protassert.default_foo_setup(proto, 3), seed=0)[0])
+    assert main(["simulate", "foo", "--sessions", FOO3]) == 0
+    assert capsys.readouterr().out == want
+    trace = _write(tmp_path, "foo3.trace", want)
+    for extra in ([], ["--sessions", FOO3]):
+        assert main(["replay", "foo", trace, *extra]) == 0
+        assert capsys.readouterr().out == "run replays: 30 steps check out\n"
+
+
+def test_anonymity_sessions_keep_the_observer_keys(capsys):
+    layout = "; ".join(["authority(id=Auth)"] * 2 + [f"voter(id=V{i}, v=v{i})" for i in range(2)]
+                       + ["counter(id=Cnt)"] * 2)
+    argv = ["anonymity", "foo", "--seeds", "1", "--tests", "20"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    assert main(argv + ["--sessions", layout]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_simulate_of_a_protocol_file_needs_sessions(tmp_path, capsys):
+    path = _write(tmp_path, "one.proto", "protocol one\nagents A\nrole r:\n  send id : A\n")
+    assert main(["simulate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: a protocol file needs --sessions at cli\n"
+
+
+def test_derive_proof_decrypts_under_a_variable_key(tmp_path, capsys):
+    path = _write(tmp_path, "dec.seq", "nonces: n\nterms: {n}x\ngoal: n = n\n")
+    assert main(["derive", path, "--proof"]) == 0
+    assert capsys.readouterr().out == (
+        "derivable\n"
+        "[refl] n = n\n"
+        "  | [dec] n\n"
+        "  |   [ax] {n}x\n"
+        "  |   [var] x\n")

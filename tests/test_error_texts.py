@@ -48,6 +48,8 @@ PROTOCOL_ERRORS = [
      "nested more than 100 levels deep at case.proto:15:613"),
     ("undeclared constant", ACTION, "  deny id : ex z: voted(W, 7)",
      "undeclared constant 7 at case.proto:15:28"),
+    ("fresh on a receive", "  recv id : env,", "  recv id fresh(k) : env,",
+     "fresh(...) is only allowed on send actions at case.proto:14:3"),
 ]
 
 # edits of the foo seed-0 trace, 27 lines long
@@ -65,6 +67,18 @@ TRACE_ERRORS = [
     ("non-key in a key slot", "k=k_3:key", "k=k_3:nonce",
      "step 1: encryption key must be key material, got Basic(name='k_3', sort='nonce') "
      "at trace:8:16"),
+    ("finished session", "step 20 session 6\n", "step 20 session 6\nstep 21 session 6\n",
+     "session 6 has no pending action at trace:28:17"),
+]
+
+# (what is wrong, parser, whole text, error text): texts named s.seq or case.proto
+TEXT_ERRORS = [
+    ("key constructor arity", parse_sequent, "terms: sk(a, b)\ngoal: a = a\n",
+     "sk expects 1 argument, got 2 at s.seq:1:8"),
+    ("two goals", parse_sequent, "nonces: n\ngoal: n = n\ngoal: n = n\n",
+     "multiple goals at s.seq:3"),
+    ("no protocol header", parse_protocol, FOO_SOURCE.replace("protocol foo\n", ""),
+     "missing protocol header at case.proto"),
 ]
 
 
@@ -98,3 +112,10 @@ def test_trace_error_text(what, good, bad, expected):
     assert trace.count(good) == 1
     text = trace.replace(good, bad)
     assert _error_text(lambda s: parse_trace(s, proto), text) == expected
+
+
+@pytest.mark.parametrize("what,parse,text,expected", TEXT_ERRORS,
+                         ids=[c[0] for c in TEXT_ERRORS])
+def test_whole_text_error_text(what, parse, text, expected):
+    where = "s.seq" if parse is parse_sequent else "case.proto"
+    assert _error_text(lambda s: parse(s, where), text) == expected

@@ -20,8 +20,8 @@ import pytest
 from protassert import ParseError, parse_protocol, parse_sequent, parse_sessions, runtime
 from protassert.assertions import Assertion
 from protassert.builtins import SOURCES, builtin_foo
-from protassert.syntax import RESERVED, print_assertion, print_term, tokenize
-from protassert.terms import Term, term_key
+from protassert.syntax import RESERVED, Cursor, print_assertion, print_term
+from protassert.terms import Declarations, Term, term_key
 from test_candidates import _Flat, _leak_sequent
 from test_fuzz import _mutate, _traces
 from test_golden_output import SEQUENTS
@@ -53,10 +53,24 @@ def _former(proto):
     return former_syntax.parse_protocol(SOURCES[proto.name], proto.name)
 
 
+class _FormerCursor(former_syntax.Cursor):
+    """The former cursor over the former tokenizer, built and read as the
+    current `Cursor` is: from the text, with token values and positions by
+    index."""
+
+    def __init__(self, text: str, decls, where: str = "input"):
+        super().__init__(former_syntax.tokenize(text, where), decls)
+        self.vals = [t.val for t in self.toks]
+
+    def pos(self, i: int) -> str:
+        return self.toks[i].pos
+
+
 def _former_trace(text: str, proto):
     """runtime.parse_trace over the former tokenizer, cursor and sessions."""
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("Cursor", "ParseError", "parse_session", "tokenize"):
+        mp.setattr(runtime, "Cursor", _FormerCursor)
+        for name in ("ParseError", "parse_session"):
             mp.setattr(runtime, name, getattr(former_syntax, name))
         return runtime.parse_trace(text, proto)
 
@@ -95,10 +109,10 @@ def _reserved_refusal(text: str, error: str) -> bool:
     where, line = pos.rsplit(":", 2)[:2]  # an assertion is read from one line
     lines = text.splitlines(True)[:int(line)]
     start = sum(map(len, lines[:-1]))
-    toks = tokenize(text, where, start, start + len(lines[-1].splitlines()[0]))
-    return any(val == word and toks.pos(i) == pos and (
-        toks.vals[i - 1] in ("ex", ",") or toks.vals[i + 1] in ("says", "sent"))
-        for i, val in enumerate(toks.vals))
+    p = Cursor(text, Declarations(), where, start, start + len(lines[-1].splitlines()[0]))
+    return any(val == word and p.pos(i) == pos and (
+        p.vals[i - 1] in ("ex", ",") or p.vals[i + 1] in ("says", "sent"))
+        for i, val in enumerate(p.vals))
 
 
 def _cases():

@@ -31,7 +31,7 @@ from protassert.assertions import (
     SentT,
     assertion_terms,
     map_terms,
-    match_assertion,
+    match_canonical,
     match_term,
     normalize,
     subassertions,
@@ -230,7 +230,7 @@ def _rematch(pat, traffic) -> list:
     for tr in traffic:
         found = match_term(pat.term, tr.term, holes, {}, SYNTACTIC)
         if found and pat.assertion is not None:
-            found = [] if tr.assertion is None else match_assertion(
+            found = [] if tr.assertion is None else match_canonical(
                 pat.assertion, tr.assertion, holes, found[0], SYNTACTIC)
         if found:
             out[tuple(sorted(found[0].items()))] = None

@@ -43,7 +43,15 @@ from protassert.runtime import (
     check_step,
     enabled_actions,
 )
-from protassert.assertions import SYNTACTIC, Eq, Exists, Pred, match_assertion, match_term
+from protassert.assertions import (
+    SYNTACTIC,
+    Eq,
+    Exists,
+    Pred,
+    canonical,
+    match_canonical,
+    match_term,
+)
 from protassert import dy, engine, runtime
 
 
@@ -64,13 +72,31 @@ def test_match_term_binds_free_variables():
 def test_match_assertion_requires_same_shape():
     n = Basic("n", "nonce")
     m = Basic("m", "nonce")
-    got = match_assertion(Pred("p", (Var("x"),)), Pred("p", (n,)), {"x"}, {}, SYNTACTIC)
+    got = match_canonical(Pred("p", (Var("x"),)), Pred("p", (n,)), {"x"}, {}, SYNTACTIC)
     assert got == [{"x": n}]
-    assert match_assertion(Pred("p", (Var("x"),)), Pred("q", (n,)), {"x"}, {},
+    assert match_canonical(Pred("p", (Var("x"),)), Pred("q", (n,)), {"x"}, {},
                            SYNTACTIC) == []
     pat = Exists("%1", Eq(Var("%1"), Var("w")))
     tgt = Exists("%1", Eq(Var("%1"), m))
-    assert match_assertion(pat, tgt, {"w"}, {}, SYNTACTIC) == [{"w": m}]
+    assert match_canonical(pat, tgt, {"w"}, {}, SYNTACTIC) == [{"w": m}]
+
+
+def test_receive_patterns_and_messages_are_their_own_canonical_form():
+    # so _traffic_binds matches them with match_canonical as they stand
+    for proto, setup in ((foo(), default_foo_setup()), (builtin_helios(), default_helios_setup())):
+        _, state = simulate(proto, setup, seed=0)
+        pats = [pat.assertion for pat in state.matches if pat.assertion is not None]
+        msgs = [tr.assertion for tr in state.traffic if tr.assertion is not None]
+        assert pats and msgs
+        for a in pats + msgs:
+            assert canonical(a) == (a, {})
+
+
+def test_a_fresh_name_steps_past_a_declared_basic():
+    proto = parse_protocol("protocol p\nagents A\nnonces k_1\nrole r:\n"
+                           "  send id fresh(k) : {k_1}k\n")
+    run, _ = simulate(proto, Setup(parse_sessions("r(id=A)", proto)), seed=0)
+    assert [step.fresh for step in run.steps] == [(("k", Basic("k_1_2", "key")),)]
 
 
 def test_initial_knowledge_is_public_plus_own_secrets():

@@ -6,6 +6,7 @@ import pytest
 
 from protassert import (
     And,
+    App,
     Basic,
     Enc,
     Eq,
@@ -166,6 +167,14 @@ def test_predicate_arity_checked():
     d = decls()
     with pytest.raises(ParseError):
         parse_assertion("p(n, m)", d)
+
+
+def test_a_variadic_constructor_takes_any_arity():
+    seq = parse_sequent("constructors: f/*\nterms: f(a), f(a, b)\ngoal: f(a) = f(a, b)\n")
+    a, b = Var("a"), Var("b")
+    assert seq.terms == {App("f", (a,)), App("f", (a, b))}
+    assert seq.goal == Eq(App("f", (a,)), App("f", (a, b)))
+    assert seq.decls.constructors == {"f": None}
 
 
 def test_operator_structure():

@@ -15,7 +15,8 @@ Modes: ``protocols`` and ``sequents`` take the items of
 ``anon`` runs ``check_anonymity`` on foo with 4 voters, seeds 0-2.  Each
 run prints the child's total time over the parent's (below 1 is faster)
 and whether the outputs of the two sides (verdict lines, traces, reports)
-have one sha256.  Standard library only.
+have one sha256; the exit status is 1 if any run finds them different.
+Standard library only.
 """
 from __future__ import annotations
 
@@ -97,12 +98,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     passes = args.passes or PASSES[args.mode]
     sides = [load(root.resolve(), args.mode, args.seed) for root in (args.parent, args.child)]
+    differ = False
     for r in range(args.runs):
         ratio, same = one_run(sides, passes)
+        differ |= not same
         print(f"{args.mode} run {r + 1}/{args.runs}: {passes} passes, "
               f"change/parent time {ratio:.3f}, digests {'equal' if same else 'DIFFER'}",
               flush=True)
-    return 0
+    return int(differ)
 
 
 if __name__ == "__main__":
