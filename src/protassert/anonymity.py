@@ -421,8 +421,9 @@ def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
                     voter_role: str | None = None,
                     swap_sessions: tuple[int, int] | None = None) -> AnonymityReport:
     """Simulate one run, build its vote-swapped twin, and look for an
-    observer test telling them apart.  The observer's contexts are the
-    ones each run's `ContextTable` holds over its final knowledge."""
+    observer test telling them apart.  The swapped run is replayed while
+    the original lives, so both share its `ContextTable`, and the
+    observer's contexts are the ones it holds over each final knowledge."""
     report = AnonymityReport(proto.name, seed, "failed")
     run, state_l = simulate(proto, setup, seed=seed, budget=budget)
     if not run.complete:

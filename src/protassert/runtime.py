@@ -17,18 +17,22 @@ step.
 Knowledge is immutable: applying a step swaps in an extended `Knowledge` for
 the agents it changes, and a copied state shares the rest.  The contexts
 that answer `check_step`, the insert check and an anonymity check's
-observer live in one `ContextTable` per run, made by `initial_state` and
-shared by every state copied from it, keyed by the exact knowledge sets.  A
-set is saturated into a `DYContext` once, and one derive context per
-knowledge set, budget and mode reuses it.  A query on a context answers as
-a single `derive` (or `derive_safe`) would, since its case splits and
-witness names are its own, so one context answers every goal, each
-distinct goal once; an insert of facts over the agent's terms is checked
+observer live in one `ContextTable` per public term set, keyed by the
+exact knowledge sets.  `initial_state` takes the set's table from a weak
+registry, so the table lives while a run or state holds it: every state
+copied from the first shares it, the `Run` that `simulate` returns holds
+it, and a replay of that run or its vote-swapped twin, made while it
+lives, finds every context the search built.  A set is saturated into a
+`DYContext` once, and one derive context per knowledge set, budget and
+mode reuses it.  A query on a context answers as a single `derive` (or
+`derive_safe`) would, since its case splits and witness names are its
+own, so one context answers every goal, each distinct goal once, for
+whichever run asks; an insert of facts over the agent's terms is checked
 on the context before it, often built by the deny before it.  The table
-builds the classes of the run's public terms once, for every term set's
-classes to start from, and keeps the run's action instances alive: a role
-action memoizes them weakly, so a replay of the run reuses them.  A state
-carries its receive patterns' bindings to its copies, which match only the
+builds the classes of the public terms once, for every term set's classes
+to start from, and keeps its runs' action instances alive: a role action
+memoizes them weakly, so a replay of a run reuses them.  A state carries
+its receive patterns' bindings to its copies, which match only the
 messages sent since.
 
 Actions are scheduled lowest-phase-first among enabled candidates, with a
@@ -41,6 +45,7 @@ not bounded by Python's recursion limit.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -97,8 +102,9 @@ class Knowledge:
 
 
 class ContextTable:
-    """The knowledge contexts of one run, keyed by the exact term and
-    assertion sets (see the module docstring); public has no encryption."""
+    """The knowledge contexts of the live runs over one public term set,
+    keyed by the exact term and assertion sets (see the module docstring);
+    public has no encryption."""
 
     def __init__(self, public: frozenset[Term] = frozenset()) -> None:
         self._dy: dict[frozenset[Term], DYContext] = {}
@@ -187,6 +193,7 @@ class Run:
     complete: bool = True
     warnings: list[str] = field(default_factory=list)
     cut: bool = False  # the search refused a step under a budget or hit max_states
+    contexts: ContextTable | None = field(default=None, compare=False, repr=False)
 
 
 def parties(proto: Protocol, setup: Setup) -> set[str]:
@@ -201,18 +208,25 @@ def parties(proto: Protocol, setup: Setup) -> set[str]:
     return names
 
 
+# each public term set's table, while some run or state holds it
+_TABLES: weakref.WeakValueDictionary[frozenset[Term], ContextTable] = weakref.WeakValueDictionary()
+
+
 def initial_state(proto: Protocol, setup: Setup) -> WorldState:
     names = parties(proto, setup)
     public: set[Term] = {Basic(n, AGENT) for n in names}
     public |= {App("vk", (Basic(n, AGENT),)) for n in names}
     public |= {Basic(n, NONCE) for n in proto.decls.nonces}
+    table = _TABLES.get(pub := frozenset(public))
+    if table is None:
+        table = _TABLES[pub] = ContextTable(pub)
     knowledge: dict[str, Knowledge] = {}
     for n in sorted(names):
-        knowledge[n] = Knowledge(frozenset(public)).extend(
+        knowledge[n] = Knowledge(pub).extend(
             {App("sk", (Basic(n, AGENT),))} | setup.agent_terms.get(n, set()),
             {normalize(a) for a in setup.agent_assertions.get(n, set())})
     sessions = [SessionState(role, dict(sigma)) for role, sigma in setup.sessions]
-    state = WorldState(proto, setup, knowledge, sessions, contexts=ContextTable(frozenset(public)))
+    state = WorldState(proto, setup, knowledge, sessions, contexts=table)
     state.used_basics |= {s.name for t in frozenset().union(*(k.terms for k in knowledge.values()))
                           for s in iter_subterms(t) if isinstance(s, Basic)}
     state.used_basics |= proto.decls.agents | proto.decls.nonces | proto.decls.keys
@@ -459,7 +473,8 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
     Returns the first completing run, or the longest partial run found if
     none completes within max_states; the run is marked cut when the
     search stopped at max_states or refused a step only because a search
-    budget ran out."""
+    budget ran out.  The run holds its table of contexts, and each distinct
+    warning once, in the order first given."""
     rng = random.Random(seed)
     visited = 0
     cut = False
@@ -475,7 +490,8 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
         state, steps = reached
         if _all_done(state):
             return Run(proto, setup, seed, steps, complete=True,
-                       warnings=list(state.warnings)), state
+                       warnings=list(dict.fromkeys(state.warnings)),
+                       contexts=state.contexts), state
         fp = _fingerprint(state)
         if fp in seen:
             continue
@@ -495,7 +511,8 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
     steps, state = best or ([], state0)
     state.warnings.append("no completing run found")
     return Run(proto, setup, seed, steps, complete=False,
-               warnings=list(state.warnings), cut=cut), state
+               warnings=list(dict.fromkeys(state.warnings)), cut=cut,
+               contexts=state.contexts), state
 
 
 # ---------------------------------------------------------------------------

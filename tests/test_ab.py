@@ -1,5 +1,6 @@
 """The exit status of `tools/ab.py`: 0 when the two sides print the same
-lines in every run, 1 when any run finds them different."""
+lines in every run, 1 when any run finds them different; and its one line
+per item after each run's total."""
 from __future__ import annotations
 
 import importlib.util
@@ -15,12 +16,12 @@ def _ab():
     return module
 
 
-def _exit_status(monkeypatch, capsys, outputs: dict) -> tuple[int, str]:
-    """ab's exit status with fake sides, named parent and child, whose one
-    item prints outputs[side]."""
+def _exit_status(monkeypatch, capsys, outputs: dict, items: int = 1) -> tuple[int, str]:
+    """ab's exit status with fake sides, named parent and child, whose
+    items each print outputs[side]."""
     ab = _ab()
     monkeypatch.setattr(ab, "load", lambda root, mode, seed: (
-        {}, [lambda: list(outputs[root.name])]))
+        {}, [(f"item{i}", lambda: list(outputs[root.name])) for i in range(items)]))
     status = ab.main(["parent", "child", "--passes", "2", "--runs", "2"])
     return status, capsys.readouterr().out
 
@@ -35,3 +36,13 @@ def test_differing_outputs_exit_one(monkeypatch, capsys):
     status, out = _exit_status(monkeypatch, capsys, {"parent": ["a"], "child": ["b"]})
     assert status == 1
     assert out.count("digests DIFFER") == 2
+
+
+def test_each_run_prints_one_line_per_item(monkeypatch, capsys):
+    status, out = _exit_status(monkeypatch, capsys, {"parent": ["a"], "child": ["a"]}, 3)
+    lines = out.splitlines()
+    assert status == 0 and len(lines) == 2 * 4
+    for run in (lines[:4], lines[4:]):
+        assert "digests equal" in run[0]
+        assert [line.split(":")[0] for line in run[1:]] == ["  item0", "  item1", "  item2"]
+        assert all("parent " in line and "change " in line for line in run[1:])

@@ -270,14 +270,18 @@ def test_linked_variant_is_distinguished():
 
 
 def test_the_observer_is_saturated_once_per_run(monkeypatch):
-    # check_anonymity takes both observer contexts from the run tables,
-    # which already hold each final view saturated: one saturation per
-    # table (the swap maps foo's view onto itself, so both count for it)
+    # check_anonymity takes both observer contexts from the one table the
+    # run and its swapped twin share, which already holds each final view
+    # saturated: one saturation per check (the swap maps foo's view onto
+    # itself).  This test's own run and states go first, or their table
+    # would answer for the check's
     proto = builtin_foo()
     setup = anonymity_foo_setup(proto)
     run, state_l = simulate(proto, setup, seed=0)
     state_r = validate_run(build_swapped(run, derive_swap(run)))[2]
-    views = [state.knowledge[setup.intruder].terms for state in (state_l, state_r)]
+    assert state_r.contexts is state_l.contexts is run.contexts
+    views = {state.knowledge[setup.intruder].terms for state in (state_l, state_r)}
+    del run, state_l, state_r
     made = Counter()
     init = DYContext.__init__
 
@@ -287,7 +291,7 @@ def test_the_observer_is_saturated_once_per_run(monkeypatch):
 
     monkeypatch.setattr(DYContext, "__init__", counted)
     assert check_anonymity(proto, setup, seed=0, tests=20).verdict == "indistinguishable"
-    assert sum(made[view] for view in set(views)) == 2
+    assert sum(made[view] for view in views) == 1
 
 
 def test_multi_voter_check_passes():

@@ -4,9 +4,11 @@ A run's steps share four things: the classes of the run's public terms,
 which every term set's classes start from; the context an insert of inert
 facts is checked on, which is the one before the insert; each receive
 pattern's bindings, which a state hands to its copies; and each action
-instance, memoized on its role action.  Each test here compares one of them
-with what a fresh build gives.  The last ones pin the rewrite matcher, which
-an equation-free branch skips until its classes are built.
+instance, memoized on its role action.  The live runs over one public term
+set share a fifth, their table of contexts, which a replay and a swapped
+run answer from.  Each test here compares one of them with what a fresh
+build gives.  The last ones pin the rewrite matcher, which an equation-free
+branch skips until its classes are built.
 
 CI also runs this file under three hash seeds: hash-consed terms hash by
 identity, so set iteration follows allocation.
@@ -19,7 +21,7 @@ from dataclasses import replace
 
 from oracles import random_term, subterms_of, term_pool
 
-from protassert import engine, protocol, runtime
+from protassert import anonymity, engine, protocol, runtime
 from protassert.assertions import (
     SYNTACTIC,
     And,
@@ -37,7 +39,9 @@ from protassert.assertions import (
     subassertions,
 )
 from protassert.builtins import (
+    anonymity_foo_setup,
     builtin_foo,
+    builtin_foo_linked,
     builtin_helios,
     default_foo_setup,
     default_helios_setup,
@@ -331,6 +335,69 @@ def test_an_instance_entry_goes_with_the_run():
     assert one_run() > start
     gc.collect()
     assert entries() == start
+
+
+# ---------------------------------------------------------------------------
+# the table of the live runs over one public term set
+
+def _replay(text: str, proto, setup) -> tuple:
+    ok, problems, state = validate_run(parse_trace(text, proto, setup))
+    return ok, problems, state.warnings, state.knowledge
+
+
+def test_a_replay_of_a_live_run_builds_no_context(monkeypatch):
+    built = []
+    real_dy, real_derive = DYContext.__init__, DeriveContext.__init__
+
+    def dy_init(self, X):
+        built.append(self)
+        real_dy(self, X)
+
+    def derive_init(self, X, Phi, *args, **kwargs):
+        built.append(self)
+        real_derive(self, X, Phi, *args, **kwargs)
+
+    monkeypatch.setattr(DYContext, "__init__", dy_init)
+    monkeypatch.setattr(DeriveContext, "__init__", derive_init)
+    foo = builtin_foo()
+    setup = default_foo_setup(foo, 3)
+    run, state = simulate(foo, setup, seed=0)
+    assert run.complete and built
+    text = write_trace(run)
+    built.clear()
+    shared = _replay(text, foo, setup)
+    assert shared[0] and built == []
+    del run, state
+    fresh = _replay(text, foo, setup)
+    assert built and fresh == shared
+
+
+def test_a_dropped_run_leaves_no_table_to_the_collector():
+    foo = builtin_foo()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(runtime._TABLES)
+        for seed in range(3):
+            run, state = simulate(foo, default_foo_setup(foo, 2), seed=seed)
+            assert run.complete and len(runtime._TABLES) == before + 1
+            del run, state
+            assert len(runtime._TABLES) == before
+    finally:
+        gc.enable()
+
+
+def test_a_live_run_leaves_the_anonymity_reports_as_they_are():
+    for proto, seeds in ((builtin_foo(), range(3)), (builtin_foo_linked(), range(5))):
+        setup = anonymity_foo_setup(proto, 2)
+
+        def reports() -> list:
+            return [anonymity.check_anonymity(proto, setup, seed=s) for s in seeds]
+
+        alone = reports()
+        live = [simulate(proto, setup, seed=s) for s in seeds]
+        assert all(run.contexts is live[0][0].contexts for run, _ in live)
+        assert reports() == alone
 
 
 def test_the_cached_hashes_are_the_dataclass_hashes():

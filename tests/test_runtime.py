@@ -16,6 +16,7 @@ from protassert import (
     Setup,
     Var,
     initial_state,
+    parse_assertion,
     parse_protocol,
     parse_sessions,
     parse_trace,
@@ -509,9 +510,10 @@ def test_scheduler_and_replay_agree_on_every_prefix():
 
 
 def test_each_context_is_built_once_per_call(monkeypatch):
-    # simulate and validate_run each keep one table of contexts: a term set
-    # is saturated once, and a safe-mode context is built once per knowledge
-    # pair and then answers every goal asked of that pair
+    # simulate and validate_run of its run share one table of contexts:
+    # a term set is saturated once, and a safe-mode context is built once
+    # per knowledge pair and then answers every goal asked of that pair;
+    # once the run is gone, a replay builds each afresh, and each once
     saturated: list = []
     safe: list = []
     real_dy, real_derive = dy.DYContext.__init__, engine.DeriveContext.__init__
@@ -528,20 +530,64 @@ def test_each_context_is_built_once_per_call(monkeypatch):
     monkeypatch.setattr(dy.DYContext, "__init__", dy_init)
     monkeypatch.setattr(engine.DeriveContext, "__init__", derive_init)
 
-    def built_once(call: str) -> None:
+    def built_once(call: str) -> tuple[int, int]:
         assert saturated and safe, call
         assert len(saturated) == len(set(saturated)), (call, len(saturated))
         assert len(safe) == len(set(safe)), (call, len(safe))
-        saturated.clear()
-        safe.clear()
+        return len(saturated), len(safe)
 
     proto = foo()
-    run, _ = simulate(proto, default_foo_setup(proto, 3), seed=0)
+    setup = default_foo_setup(proto, 3)
+    run, state = simulate(proto, setup, seed=0)
     assert run.complete
-    built_once("simulate")
-    ok, problems, _ = validate_run(run)
+    made = built_once("simulate")
+    ok, problems = validate_run(run)[:2]
     assert ok, problems
-    built_once("validate_run")
+    # across both calls no set is built twice, and the replay builds none
+    assert built_once("simulate and validate_run") == made
+    copy = parse_trace(write_trace(run), proto, setup)
+    public = run.contexts._public.X
+    del run, state
+    assert public not in runtime._TABLES
+    saturated.clear()
+    safe.clear()
+    ok, problems = validate_run(copy)[:2]
+    assert ok, problems
+    built_once("validate_run of the parsed copy")
+
+
+def test_a_budget_warning_is_given_once_per_run(monkeypatch):
+    # branch_cap=1 cuts the deny's refusal at each of the four states the
+    # search visits, and each cut marks the run cut; the run says it once
+    proto = parse_protocol("""\
+protocol dup
+agents A, B
+nonces n, m
+predicates p/1, q/1
+role denier:
+  deny id : q(n) \\/ p(n)
+role sender:
+  send id : n
+  send id : m
+  send id : n
+""")
+    setup = Setup(parse_sessions("denier(id=A); sender(id=B)", proto),
+                  agent_assertions={"A": {parse_assertion("p(n) \\/ q(n)", proto.decls)}})
+    warned = []
+    real = runtime.candidates_for
+
+    def counted(state, idx, budget=runtime.DEFAULT_BUDGET):
+        n = len(state.warnings)
+        out = real(state, idx, budget)
+        warned.extend(state.warnings[n:])
+        return out
+
+    monkeypatch.setattr(runtime, "candidates_for", counted)
+    run, _ = simulate(proto, setup, seed=0, budget=SearchBudget(branch_cap=1))
+    refusal = "session 1: deny blocked, refusal not definite under the search budget"
+    assert warned == [refusal] * 4
+    assert run.cut and not run.complete
+    assert run.warnings == [refusal, "no completing run found"]
 
 
 def test_a_simulate_leaves_no_state_to_the_collector():

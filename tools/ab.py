@@ -15,7 +15,8 @@ Modes: ``protocols`` and ``sequents`` take the items of
 ``anon`` runs ``check_anonymity`` on foo with 4 voters, seeds 0-2.  Each
 run prints the child's total time over the parent's (below 1 is faster)
 and whether the outputs of the two sides (verdict lines, traces, reports)
-have one sha256; the exit status is 1 if any run finds them different.
+have one sha256, then one line per item with both sides' fastest times and
+their ratio; the exit status is 1 if any run finds the outputs different.
 Standard library only.
 """
 from __future__ import annotations
@@ -37,8 +38,8 @@ def _own(name: str) -> bool:
 
 
 def load(root: Path, mode: str, seed: int) -> tuple[dict, list]:
-    """The checkout's modules, imported afresh, and its items: callables
-    that return the lines of their output."""
+    """The checkout's modules, imported afresh, and its items: (label,
+    callable) pairs, the callable returning the lines of its output."""
     for name in [n for n in sys.modules if _own(n)]:
         del sys.modules[name]
     path = sys.path[:]
@@ -49,12 +50,12 @@ def load(root: Path, mode: str, seed: int) -> tuple[dict, list]:
 
             foo = builtins.builtin_foo()
             setup = builtins.builtin_setup("foo", foo, anonymity=True, voters=4)
-            items = [lambda s=s: [anonymity.render_report(
-                anonymity.check_anonymity(foo, setup, seed=s))] for s in range(3)]
+            items = [(f"foo4.seed{s}", lambda s=s: [anonymity.render_report(
+                anonymity.check_anonymity(foo, setup, seed=s))]) for s in range(3)]
         else:
             import workloads
 
-            items = [lambda i=item: i.run().lines
+            items = [(item.label, lambda i=item: i.run().lines)
                      for item in workloads.WORKLOADS[mode](seed).items()]
     finally:
         sys.path[:] = path
@@ -69,9 +70,9 @@ def timed(modules: dict, item) -> tuple[float, list[str]]:
     return time.perf_counter() - t0, lines
 
 
-def one_run(sides: list, passes: int) -> tuple[float, bool]:
-    """The child's total of fastest item times over the parent's, and
-    whether the two sides' outputs have one digest."""
+def one_run(sides: list, passes: int) -> tuple[list[list[float]], bool]:
+    """Each side's fastest time of each item, and whether the two sides'
+    outputs have one digest."""
     n = len(sides[0][1])
     best = [[float("inf")] * n for _ in sides]
     digests = [hashlib.sha256() for _ in sides]
@@ -79,12 +80,12 @@ def one_run(sides: list, passes: int) -> tuple[float, bool]:
         for i in range(n):
             for s in ((0, 1) if (p + i) % 2 == 0 else (1, 0)):
                 modules, items = sides[s]
-                t, lines = timed(modules, items[i])
+                t, lines = timed(modules, items[i][1])
                 best[s][i] = min(best[s][i], t)
                 if p == 0:
                     for line in lines:
                         digests[s].update(line.encode() + b"\n")
-    return sum(best[1]) / sum(best[0]), digests[0].digest() == digests[1].digest()
+    return best, digests[0].digest() == digests[1].digest()
 
 
 def main(argv=None) -> int:
@@ -100,11 +101,15 @@ def main(argv=None) -> int:
     sides = [load(root.resolve(), args.mode, args.seed) for root in (args.parent, args.child)]
     differ = False
     for r in range(args.runs):
-        ratio, same = one_run(sides, passes)
+        best, same = one_run(sides, passes)
         differ |= not same
         print(f"{args.mode} run {r + 1}/{args.runs}: {passes} passes, "
-              f"change/parent time {ratio:.3f}, digests {'equal' if same else 'DIFFER'}",
-              flush=True)
+              f"change/parent time {sum(best[1]) / sum(best[0]):.3f}, "
+              f"digests {'equal' if same else 'DIFFER'}")
+        for (label, _), old, new in zip(sides[0][1], *best):
+            print(f"  {label}: parent {old * 1e3:.2f} ms, change {new * 1e3:.2f} ms, "
+                  f"{new / old:.3f}")
+        sys.stdout.flush()
     return int(differ)
 
 
