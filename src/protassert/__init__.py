@@ -14,6 +14,7 @@ from .anonymity import (
     check_safety,
     derive_swap,
     render_report,
+    swap_of,
 )
 from .assertions import (
     And,
@@ -79,7 +80,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnonymityReport", "SwapSpec", "build_swapped", "check_anonymity",
-    "check_safety", "derive_swap", "render_report",
+    "check_safety", "derive_swap", "render_report", "swap_of",
     "And", "Assertion", "Eq", "Exists", "Or", "Pred", "Says", "SentA",
     "SentT", "free_vars", "is_closed", "normalize", "substitute",
     "BUILTINS", "Setup", "anonymity_foo_setup", "builtin_foo",

@@ -1,11 +1,12 @@
 """Vote-privacy checking by run swapping.
 
 Given a completed run with two voter sessions, the swap exchanges the two
-votes: the swapped run has every occurrence of the first commitment (and its
-key) replaced by the second and vice versa, and the two anonymous cast steps
-exchanged between the voter sessions.  If the swapped run is a valid run and
-the observer's final knowledge in the two runs supports exactly the same
-tests, the observer cannot tell who cast which vote.
+votes: the twin run is instantiated from the roles, with the two voter
+sessions' parameters and fresh values exchanged and the two cast steps
+exchanged whole, and σ, the map from each message to the one the twin sends
+in its place, is read off the two runs' traffic.  If the twin is a valid run
+and the observer's final knowledge in the two runs supports exactly the
+same tests, the observer cannot tell who cast which vote.
 
 Tests are assertions over message handles (placeholders standing for the
 n-th message on the network, resolved per run) plus the protocol's declared
@@ -35,8 +36,18 @@ from .assertions import (
     substitute,
 )
 from .engine import DEFAULT_BUDGET, BudgetExhausted, DeriveContext, SearchBudget
-from .protocol import Action, Protocol
-from .runtime import Run, Setup, Step, WorldState, simulate, validate_run
+from .protocol import Protocol
+from .runtime import (
+    Run,
+    SessionState,
+    Setup,
+    Step,
+    WorldState,
+    _instantiate,
+    match_message,
+    simulate,
+    validate_run,
+)
 from .syntax import print_assertion, print_term
 from .terms import (
     AGENT,
@@ -46,7 +57,6 @@ from .terms import (
     Pair,
     Term,
     Var,
-    cached,
     iter_subterms,
     replace_term,
     sk,
@@ -56,40 +66,23 @@ from .terms import (
 
 @dataclass(frozen=True)
 class SwapSpec:
-    """What to exchange between the two runs."""
+    """Which two voter sessions exchange their votes, and where they cast."""
 
     sessions: tuple[int, int]  # 1-based voter session indices
-    agents: tuple[Basic, Basic]
-    commits: tuple[Term, Term]  # the two vote commitments d, e
-    keys: tuple[Term, Term] | None  # their commitment keys, when visible
     cast_steps: tuple[int, int]  # 1-based global indices of the cast sends
 
-    @cached
-    def swap_map(self) -> dict[Term, Term]:
-        d, e = self.commits
-        out = {d: e, e: d}
-        if self.keys is not None:
-            p, q = self.keys
-            out[p] = q
-            out[q] = p
-        return out
 
-
-def swp_term(spec: SwapSpec, t: Term) -> Term:
-    return replace_term(t, spec.swap_map)
-
-def swp_assertion(spec: SwapSpec, a: Assertion) -> Assertion:
-    m = spec.swap_map
-    return normalize(map_terms(a, lambda t: replace_term(t, m)))
+def swp_assertion(swap: dict[Term, Term], a: Assertion) -> Assertion:
+    return normalize(map_terms(a, lambda t: replace_term(t, swap)))
 
 
 def derive_swap(run: Run, voter_role: str | None = None,
                 swap_sessions: tuple[int, int] | None = None) -> SwapSpec:
     """Read the swap off a completed run: the voter role is the one with an
-    anonymous send (or the named one), two of its sessions provide the
-    commitments (their first send) and the casts (their last send).  With
-    more than two voter sessions the first two are swapped unless a pair is
-    given; the others are left exactly as they played."""
+    anonymous send (or the named one), and two of its sessions swap their
+    votes; each casts with its last send.  With more than two voter
+    sessions the first two are swapped unless a pair is given; the others
+    are left exactly as they played."""
     proto = run.proto
     if voter_role is None:
         starred = [name for name, role in proto.roles.items()
@@ -105,131 +98,115 @@ def derive_swap(run: Run, voter_role: str | None = None,
                     varying.append(name)
             starred = varying
         if len(starred) != 1:
-            raise ValueError(
-                "cannot infer the voter role, pass it explicitly")
+            raise ValueError("cannot infer the voter role, pass it explicitly")
         voter_role = starred[0]
     if voter_role not in proto.roles:
         raise ValueError(f"no role named {voter_role!r}")
     role = proto.roles[voter_role]
-    send_idx = [i for i, a in enumerate(role.actions)
-                if a.kind in ("send", "send*")]
+    send_idx = [i for i, a in enumerate(role.actions) if a.kind in ("send", "send*")]
     if len(send_idx) < 2:
         raise ValueError(f"role {voter_role!r} does not commit then cast")
-    commit_idx, cast_idx = send_idx[0], send_idx[-1]
+    cast_idx = send_idx[-1]
 
-    voter_sessions = [i for i, (r, _) in enumerate(run.setup.sessions, 1)
-                      if r == voter_role]
+    voter_sessions = [i for i, (r, _) in enumerate(run.setup.sessions, 1) if r == voter_role]
     if len(voter_sessions) < 2:
-        raise ValueError(
-            f"need at least two {voter_role!r} sessions, "
-            f"found {len(voter_sessions)}")
-    if swap_sessions is not None:
-        if len(set(swap_sessions)) != 2 or any(s not in voter_sessions for s in swap_sessions):
-            raise ValueError("swap_sessions must name two voter sessions")
-        sess_nums = list(swap_sessions)
-    else:
-        sess_nums = voter_sessions[:2]
+        raise ValueError(f"need at least two {voter_role!r} sessions, "
+                         f"found {len(voter_sessions)}")
+    pair = tuple(voter_sessions[:2] if swap_sessions is None else swap_sessions)
+    if len(set(pair)) != 2 or any(s not in voter_sessions for s in pair):
+        raise ValueError("swap_sessions must name two voter sessions")
 
-    commits: list[Term] = []
     casts: list[int] = []
-    agents: list[Basic] = []
-    for s in sess_nums:
+    for s in pair:
         mine = [n for n, step in enumerate(run.steps, 1) if step.session == s]
-        if len(mine) <= cast_idx:  # the cast comes after the commit
+        if len(mine) <= cast_idx:
             raise ValueError(f"session {s} did not finish its role")
-        commit = run.steps[mine[commit_idx] - 1].action
-        assert isinstance(commit.agent, Basic)
-        commits.append(commit.term)
         casts.append(mine[cast_idx])
-        agents.append(commit.agent)
-
-    d, e = commits
-    keys: tuple[Term, Term] | None = None
-    if isinstance(d, Enc) and isinstance(e, Enc) and d.key != e.key:
-        keys = (d.key, e.key)
-    return SwapSpec(
-        sessions=(sess_nums[0], sess_nums[1]),
-        agents=(agents[0], agents[1]),
-        commits=(d, e),
-        keys=keys,
-        cast_steps=(casts[0], casts[1]),
-    )
+    return SwapSpec(pair, (casts[0], casts[1]))
 
 
 def build_swapped(run: Run, spec: SwapSpec) -> Run:
-    """The image of the run under the swap: terms and assertions rewritten
-    everywhere, the two cast steps exchanged between the voter sessions,
-    and the voter sessions' parameters exchanged in the setup."""
-    i, j = spec.sessions
-    ai, aj = spec.agents
-    ki, kj = spec.cast_steps
-
-    partner = {i: j, j: i}
-    sessions = []
-    for n, (role, sigma) in enumerate(run.setup.sessions, 1):
-        theirs = run.setup.sessions[partner.get(n, n) - 1][1]
-        params = {k: v for k, v in theirs.items() if k != "id"}
-        if "id" in sigma:
-            params["id"] = sigma["id"]
-        sessions.append((role, params))
-    setup = replace(run.setup, sessions=sessions)
-
+    """The vote-swapped twin, instantiated from the roles: the two voter
+    sessions exchange their non-id parameters and the fresh values of their
+    steps other than the casts, and the two cast steps are exchanged whole.
+    Each session keeps its schedule, and each receive matches again the
+    message of the step it read; a step the exchange breaks raises
+    ValueError naming it."""
+    partner = dict(zip(spec.sessions, reversed(spec.sessions)))
+    sessions = [(role, {**run.setup.sessions[partner.get(n, n) - 1][1], "id": sigma["id"]})
+                for n, (role, sigma) in enumerate(run.setup.sessions, 1)]
+    states = [SessionState(role, dict(sigma)) for role, sigma in sessions]
+    theirs = {s: iter([t.fresh for n, t in enumerate(run.steps, 1)  # the partner's, casts aside
+                       if t.session == partner[s] and n not in spec.cast_steps]) for s in partner}
+    done = [0] * len(sessions)
     steps: list[Step] = []
     for n, step in enumerate(run.steps, 1):
-        act = step.action
-        term = swp_term(spec, act.term) if act.term is not None else None
-        assertion = swp_assertion(spec, act.assertion) if act.assertion is not None else None
-        agent = act.agent
-        session = step.session
-        if n in (ki, kj):
-            if session == i:
-                session, agent = j, aj
-            elif session == j:
-                session, agent = i, ai
-        fresh = tuple((nm, swp_term(spec, b)) for nm, b in step.fresh)
-        for _, b in fresh:
-            assert isinstance(b, Basic)
-        binds = tuple((k, swp_term(spec, v)) for k, v in step.binds)
-        steps.append(Step(
-            session,
-            Action(act.kind, agent, act.fresh, term, assertion, act.phase),
-            fresh,
-            binds,
-        ))
-    return Run(run.proto, setup, run.seed, steps, complete=run.complete)
+        pc = done[step.session - 1]  # the step's index in its session's role
+        done[step.session - 1] += 1
+        cast = n in spec.cast_steps
+        s = partner[step.session] if cast else step.session
+        st = states[s - 1]
+        if st.pc != pc:
+            raise ValueError(f"step {n}: session {s} has {'no' if cast else 'its'} cast pending")
+        action = run.proto.roles[st.role].actions[pc]
+        fresh = next(theirs[s], ()) if s in theirs and not cast else step.fresh
+        binds: tuple[tuple[str, Term], ...] = ()
+        if action.kind == "recv":
+            m = next(m for m, t in enumerate(run.steps) if t.action.kind in ("send", "send*")
+                     and match_message(step.action, t.action) is not None)
+            got = match_message(action.instance(st.sigma), steps[m].action)
+            if got is None:
+                raise ValueError(f"step {n}: the receive no longer matches step {m + 1}'s message")
+            binds = tuple(sorted(got.items()))
+        inst = _instantiate(action, st.sigma, fresh, binds)
+        if inst is None:
+            raise ValueError(f"step {n}: action not ground after instantiation")
+        steps.append(Step(s, inst, fresh, binds))
+        st.sigma.update(fresh + binds)
+        st.pc += 1
+    return Run(run.proto, replace(run.setup, sessions=sessions), run.seed, steps,
+               complete=run.complete)
+
+
+def swap_of(left: WorldState, right: WorldState) -> dict[Term, Term]:
+    """σ read off two runs' traffic: each message of the original run that
+    the twin replaces, mapped to the one the twin sends in its place."""
+    return {a.term: b.term for a, b in zip(left.traffic, right.traffic) if a.term != b.term}
 
 
 # ---------------------------------------------------------------------------
 # safety of the commitments
 
-def check_safety(ctx: DeriveContext, spec: SwapSpec) -> tuple[bool, list[str]]:
-    """The swap only hides the votes if the commitments are opaque: their
-    keys must sit in singleton equality classes and be non-derivable, and
-    nothing with concrete content may be provably equal to a commitment."""
+def check_safety(ctx: DeriveContext, swap: dict[Term, Term]) -> tuple[bool, list[str]]:
+    """The swap only hides the votes if the messages it swaps are opaque
+    commitments: the keys of the encrypted ones must sit in singleton
+    equality classes and be non-derivable, and nothing with concrete
+    content may be provably equal to a swapped message."""
+    keys = list(dict.fromkeys(d.key for d in swap if isinstance(d, Enc)))
     reasons: list[str] = []
     try:
         # the commitments join each leaf's classes in place; leaves()
         # undoes them before the next leaf
         for _ in ctx.leaves():
             cc = ctx.cc
-            for d in spec.commits:
+            for d in swap:
                 cc.add_term(d)
-            for p in spec.keys or ():
+            for p in keys:
                 cc.add_term(p)
-            for d in spec.commits:
+            for d in swap:
                 for member in cc.class_members(d):
                     if member != d and any(isinstance(s, Basic) for s in iter_subterms(member)):
                         reasons.append(
                             f"{print_term(member)} is provably equal to the "
                             f"commitment {print_term(d)}")
-            for p in spec.keys or ():
+            for p in keys:
                 if len(cc.class_members(p)) > 1:
                     reasons.append(
                         f"commitment key {print_term(p)} is provably equal "
                         f"to something else")
     except BudgetExhausted:
         return False, ["knowledge closure exceeded the budget"]
-    for p in spec.keys or ():
+    for p in keys:
         if ctx.dyctx.derivable(p):
             reasons.append(f"commitment key {print_term(p)} is derivable")
     return (not reasons, reasons)
@@ -434,26 +411,29 @@ def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
     except ValueError as e:
         report.notes.append(str(e))
         return report
-    swapped = build_swapped(run, spec)
-    ok, problems, state_r = validate_run(swapped, budget)
+    try:
+        ok, problems, state_r = validate_run(build_swapped(run, spec), budget)
+    except ValueError as e:
+        ok, problems = False, [str(e)]
     if not ok:
         report.notes.append("the vote-swapped run is not a valid run")
         report.notes.extend(problems[:5])
         return report
 
+    swap = swap_of(state_l, state_r)
     left = state_l.knowledge[setup.intruder]
     right = state_r.knowledge[setup.intruder]
     mismatches: list[str] = []
-    if {swp_term(spec, t) for t in left.terms} != right.terms:
+    if {replace_term(t, swap) for t in left.terms} != right.terms:
         mismatches.append("observer term knowledge differs beyond the swap")
-    if {swp_assertion(spec, a) for a in left.assertions} != right.assertions:
+    if {swp_assertion(swap, a) for a in left.assertions} != right.assertions:
         mismatches.append("observer assertion knowledge differs beyond the swap")
     report.notes.extend(mismatches)
 
     ctx_l = state_l.contexts.context(left.terms, left.assertions, budget)
     ctx_r = state_r.contexts.context(right.terms, right.assertions, budget)
-    safety_l, reasons_l = check_safety(ctx_l, spec)
-    safety_r, reasons_r = check_safety(ctx_r, spec)
+    safety_l, reasons_l = check_safety(ctx_l, swap)
+    safety_r, reasons_r = check_safety(ctx_r, swap)
     report.safety_ok = safety_l and safety_r
     report.notes.extend(sorted(set(reasons_l + reasons_r)))
 

@@ -6,13 +6,13 @@ plus a distinguished network observer who sees every message.  One rule,
 `check_step`, decides whether an instantiated action may fire: send actions
 require the payload to be derivable and the attached assertion to be
 derivable without the composition-unsound rules; receives bind variables by
-matching patterns against prior traffic (the shared matcher of `assertions`,
-under `SYNTACTIC`) and are enabled only if the observer could produce the
-message; confirm needs a full derivation, deny a definite refusal (a
-budget-capped refusal blocks and is reported); insert always fires but
-warns when it makes the agent's own theory inconsistent.  The scheduler asks
-it which steps are enabled, and `validate_run` asks it of every recorded
-step.
+matching patterns against prior traffic (`match_message`, the shared matcher
+of `assertions` under `SYNTACTIC`) and are enabled only if the observer
+could produce the message; confirm needs a full derivation, deny a definite
+refusal (a budget-capped refusal blocks and is reported); insert always
+fires but warns when it makes the agent's own theory inconsistent.  The
+scheduler asks it which steps are enabled, and `validate_run` asks it of
+every recorded step.
 
 Knowledge is immutable: applying a step swaps in an extended `Knowledge` for
 the agents it changes, and a copied state shares the rest.  The contexts
@@ -270,16 +270,24 @@ def _traffic_binds(state: WorldState, action: Action,
     pat = action.instance(sigma)
     seen, found = state.matches.get(pat, (0, {}))
     if seen < len(state.traffic):
-        found, holes = dict(found), pat.used_vars()  # found may be a parent state's too
+        found = dict(found)  # it may be a parent state's too
         for tr in state.traffic[seen:]:
-            got = match_term(pat.term, tr.term, holes, {}, SYNTACTIC)
-            if got and pat.assertion is not None:
-                got = [] if tr.assertion is None else match_canonical(
-                    pat.assertion, tr.assertion, holes, got[0], SYNTACTIC)
-            if got:
-                found[tuple(sorted(got[0].items()))] = None
+            got = match_message(pat, tr)
+            if got is not None:
+                found[tuple(sorted(got.items()))] = None
     state.matches[pat] = (len(state.traffic), found)  # and keeps pat alive
     return list(found)
+
+
+def match_message(pattern: Action, message: Traffic | Action) -> dict[str, Term] | None:
+    """The first binding of a receive pattern's variables that makes it the
+    message (a send or its traffic), with the assertion if the pattern has one."""
+    holes = pattern.used_vars()
+    got = match_term(pattern.term, message.term, holes, {}, SYNTACTIC)
+    if got and pattern.assertion is not None:
+        got = [] if message.assertion is None else match_canonical(
+            pattern.assertion, message.assertion, holes, got[0], SYNTACTIC)
+    return got[0] if got else None
 
 
 # ---------------------------------------------------------------------------

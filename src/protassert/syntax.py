@@ -48,11 +48,11 @@ Declared names parse to basics of their sort, bound names to their binder's
 variable, and anything else to a free variable.
 
 Input nested more than MAX_NESTING levels deep (brackets, prefixes such as
-'says' and 'ex', parenthesized assertions; each parser takes the levels open
-around it as `depth`) is refused with a ParseError, and so is an assertion
-with more than MAX_CHAIN binary connectives ('/\\' and '\\/', each a level
-of its tree however the chains are bracketed), so deep input never reaches
-Python's recursion limit here or downstream.
+'says', each name an 'ex' binds, parenthesized assertions; each parser
+takes the levels open around it as `depth`) is refused with a ParseError,
+and so is an assertion with more than MAX_CHAIN binary connectives ('/\\'
+and '\\/', each a level of its tree however the chains are bracketed), so
+deep input never reaches Python's recursion limit here or downstream.
 """
 from __future__ import annotations
 
@@ -338,6 +338,7 @@ def _parse_unit(p: Cursor, depth: int) -> Assertion:
     if val == "ex":
         p.i += 1
         names = p.items(p.name)
+        depth += len(names) - 1  # one level per binder, as in nested 'ex' prefixes
         p.expect(":")
         first, p.bound = p.bound + 1, p.bound + len(names)
         outer, p.scope = p.scope, {**p.scope, **{  # a declared basic is never bound

@@ -31,7 +31,7 @@ from protassert import (
     validate_run,
     write_trace,
 )
-from protassert.anonymity import SwapSpec, swp_assertion, swp_term
+from protassert.anonymity import swp_assertion
 from protassert.assertions import And, Eq, Exists, Or, Pred, Says, SentT
 from protassert.builtins import (
     Setup,
@@ -54,7 +54,7 @@ from protassert.runtime import (
     initial_state,
 )
 from protassert.syntax import parse_sequent, print_term
-from protassert.terms import Var, sk
+from protassert.terms import Var, replace_term, sk
 
 from oracles import oracle_dy, random_instance
 
@@ -466,9 +466,7 @@ def test_criterion_7_property_batteries():
     # swap involution and homomorphism
     dd, ee = Basic("dc", "nonce"), Basic("ec", "nonce")
     pp, qq = Basic("pk", "key"), Basic("qk", "key")
-    spec = SwapSpec(sessions=(1, 2),
-                    agents=(Basic("V0", "agent"), Basic("V1", "agent")),
-                    commits=(dd, ee), keys=(pp, qq), cast_steps=(1, 2))
+    swap = {dd: ee, ee: dd, pp: qq, qq: pp}
     rng = random.Random(71)
 
     def sterm(depth):
@@ -485,13 +483,13 @@ def test_criterion_7_property_batteries():
     bad = 0
     for _ in range(220):
         t, u = sterm(3), sterm(2)
-        if swp_term(spec, swp_term(spec, t)) != t:
+        if replace_term(replace_term(t, swap), swap) != t:
             bad += 1
-        if swp_term(spec, Pair(t, u)) != Pair(swp_term(spec, t),
-                                              swp_term(spec, u)):
+        if replace_term(Pair(t, u), swap) != Pair(replace_term(t, swap),
+                                                  replace_term(u, swap)):
             bad += 1
         a = Eq(t, u)
-        if swp_assertion(spec, swp_assertion(spec, a)) != normalize(a):
+        if swp_assertion(swap, swp_assertion(swap, a)) != normalize(a):
             bad += 1
     counts["swap"] = 220
     if bad:

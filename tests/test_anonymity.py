@@ -16,7 +16,6 @@ from protassert import (
     Pair,
     SearchBudget,
     Setup,
-    SwapSpec,
     build_swapped,
     check_anonymity,
     check_safety,
@@ -33,15 +32,17 @@ from protassert import anonymity
 from protassert.anonymity import (
     deterministic_tests,
     run_battery,
+    swap_of,
     swp_assertion,
-    swp_term,
 )
 from protassert.assertions import Pred, SentT, map_terms
 from protassert.builtins import (
+    FOO_SOURCE,
     anonymity_foo_setup,
     builtin_foo,
     builtin_foo_linked,
     builtin_helios,
+    builtin_setup,
     default_helios_setup,
 )
 from protassert.dy import DYContext
@@ -54,9 +55,7 @@ p = Basic("pk", "key")
 q = Basic("qk", "key")
 other = Basic("other", "nonce")
 
-SPEC = SwapSpec(sessions=(1, 2),
-                agents=(Basic("V0", "agent"), Basic("V1", "agent")),
-                commits=(d, e), keys=(p, q), cast_steps=(1, 2))
+SWAP = {d: e, e: d, p: q, q: p}
 
 
 def _rand_term(rng: random.Random, depth: int):
@@ -75,32 +74,32 @@ def test_swap_is_an_involution():
     rng = random.Random(101)
     for _ in range(250):
         t = _rand_term(rng, 3)
-        assert swp_term(SPEC, swp_term(SPEC, t)) == t
+        assert replace_term(replace_term(t, SWAP), SWAP) == t
 
 
 def test_swap_is_a_homomorphism():
     rng = random.Random(102)
     for _ in range(250):
         a, b = _rand_term(rng, 2), _rand_term(rng, 2)
-        assert swp_term(SPEC, Pair(a, b)) == Pair(swp_term(SPEC, a),
-                                                  swp_term(SPEC, b))
-        assert swp_term(SPEC, Enc(a, p)) == Enc(swp_term(SPEC, a), q)
-        assert swp_term(SPEC, App("h", (a,))) == App("h", (swp_term(SPEC, a),))
+        assert replace_term(Pair(a, b), SWAP) == Pair(replace_term(a, SWAP),
+                                                      replace_term(b, SWAP))
+        assert replace_term(Enc(a, p), SWAP) == Enc(replace_term(a, SWAP), q)
+        assert replace_term(App("h", (a,)), SWAP) == App("h", (replace_term(a, SWAP),))
 
 
 def test_swap_fixes_everything_else():
-    assert swp_term(SPEC, other) == other
-    assert swp_term(SPEC, d) == e and swp_term(SPEC, e) == d
-    assert swp_term(SPEC, p) == q and swp_term(SPEC, q) == p
+    assert replace_term(other, SWAP) == other
+    assert replace_term(d, SWAP) == e and replace_term(e, SWAP) == d
+    assert replace_term(p, SWAP) == q and replace_term(q, SWAP) == p
 
 
 def test_swap_on_assertions_renormalizes():
     rng = random.Random(103)
     for _ in range(200):
         a = Eq(_rand_term(rng, 2), _rand_term(rng, 2))
-        sw = swp_assertion(SPEC, a)
+        sw = swp_assertion(SWAP, a)
         assert sw == normalize(sw)
-        assert swp_assertion(SPEC, sw) == normalize(a)
+        assert swp_assertion(SWAP, sw) == normalize(a)
 
 
 def test_derive_swap_reads_the_run():
@@ -108,9 +107,6 @@ def test_derive_swap_reads_the_run():
     setup = anonymity_foo_setup(proto)
     run, _ = simulate(proto, setup, seed=0)
     spec = derive_swap(run)
-    assert spec.agents[0] != spec.agents[1]
-    assert spec.commits[0] != spec.commits[1]
-    assert spec.keys is not None
     # the cast steps really are the anonymous sends of the two voters
     for idx, sess in zip(spec.cast_steps, spec.sessions):
         step = run.steps[idx - 1]
@@ -166,12 +162,11 @@ def test_build_swapped_is_a_valid_run():
     proto = builtin_foo()
     setup = anonymity_foo_setup(proto)
     run, state_l = simulate(proto, setup, seed=2)
-    spec = derive_swap(run)
-    swapped = build_swapped(run, spec)
+    swapped = build_swapped(run, derive_swap(run))
     ok, problems, state_r = validate_run(swapped)
     assert ok, problems
     # the observer's view of the twin is exactly the swapped view
-    m = spec.swap_map
+    m = swap_of(state_l, state_r)
     kl = state_l.knowledge[setup.intruder]
     kr = state_r.knowledge[setup.intruder]
     assert {replace_term(t, m) for t in kl.terms} == set(kr.terms)
@@ -188,26 +183,28 @@ def test_build_swapped_is_involutive_on_traffic():
     assert write_trace(twice) == write_trace(run)
 
 
-def test_safety_holds_for_the_voting_scenario():
+def _swap_and_view(seed: int = 0):
+    """σ of foo's seed's run and its twin, and the original observer view."""
     proto = builtin_foo()
     setup = anonymity_foo_setup(proto)
-    run, state = simulate(proto, setup, seed=0)
-    spec = derive_swap(run)
-    k = state.knowledge[setup.intruder]
+    run, state = simulate(proto, setup, seed=seed)
+    twin = validate_run(build_swapped(run, derive_swap(run)))[2]
+    return swap_of(state, twin), state.knowledge[setup.intruder]
+
+
+def test_safety_holds_for_the_voting_scenario():
+    swap, k = _swap_and_view()
     ctx = DeriveContext(frozenset(k.terms), frozenset(k.assertions))
-    ok, reasons = check_safety(ctx, spec)
+    ok, reasons = check_safety(ctx, swap)
     assert ok, reasons
 
 
 def test_safety_fails_when_a_commitment_key_leaks():
-    proto = builtin_foo()
-    setup = anonymity_foo_setup(proto)
-    run, state = simulate(proto, setup, seed=0)
-    spec = derive_swap(run)
-    k = state.knowledge[setup.intruder]
-    leaked = frozenset(k.terms) | {spec.keys[0]}
+    swap, k = _swap_and_view()
+    key = next(t.key for t in swap if isinstance(t, Enc))
+    leaked = frozenset(k.terms) | {key}
     ctx = DeriveContext(leaked, frozenset(k.assertions))
-    ok, reasons = check_safety(ctx, spec)
+    ok, reasons = check_safety(ctx, swap)
     assert not ok
     assert reasons
 
@@ -341,18 +338,19 @@ def test_a_run_without_a_swap_fails_the_check():
 
 
 def test_a_swapped_run_that_is_not_valid_fails_the_check():
-    # helios casts (id, ballot(v)): moved to the other voter, the cast names
-    # its first sender, which that voter's role does not send
+    # no phase separates helios's casts: when the first voter casts at step
+    # 6, the other has not reached its cast, so the twin cannot cast there
     proto = builtin_helios()
     rep = check_anonymity(proto, default_helios_setup(proto))
     assert render_report(rep) == _failed(proto, [
         "the vote-swapped run is not a valid run",
-        "step 6: recorded action does not match the role"])
+        "step 6: session 2 has no cast pending"])
 
 
-def test_an_observer_view_that_differs_beyond_the_swap_is_inconclusive():
-    # the observer starts out holding the first voter's commitment key, which
-    # the swap maps to the second's, so the twin's view is no image of its own
+def test_an_observer_holding_a_commitment_key_is_inconclusive():
+    # the observer starts out holding the first voter's commitment key; the
+    # swap read off the traffic exchanges the two commitments only, so both
+    # views agree beyond it, and safety finds the key derivable
     proto = parse_protocol("""\
 protocol keyed
 phases commit, cast
@@ -373,5 +371,81 @@ role voter(v, k):
     assert render_report(rep) == "\n".join([
         "anonymity keyed seed=0 verdict=inconclusive tests=58 inconclusive=0",
         "  safety: not established",
-        "  note: observer term knowledge differs beyond the swap",
         "  note: commitment key k0 is derivable"])
+
+
+def test_the_swap_read_off_the_traffic_exchanges_the_first_sends():
+    # on foo the twin differs from its original only in the two swapped
+    # voters' first sends, their commitments
+    proto = builtin_foo()
+    for voters in (2, 3, 4):
+        setup = anonymity_foo_setup(proto, voters)
+        for seed in range(5):
+            run, state_l = simulate(proto, setup, seed=seed)
+            spec = derive_swap(run)
+            state_r = validate_run(build_swapped(run, spec))[2]
+            d, e = (next(s.action.term for s in run.steps if s.session == i)
+                    for i in spec.sessions)
+            assert swap_of(state_l, state_r) == {d: e, e: d}, (voters, seed)
+
+
+def _foo_mutant(old: str, new: str):
+    """foo with one line edited, and its two-voter anonymity set-up."""
+    assert FOO_SOURCE.count(old) == 1
+    proto = parse_protocol(FOO_SOURCE.replace(old, new), "foo")
+    return proto, builtin_setup("foo", proto, anonymity=True)
+
+
+def test_a_vote_sent_in_clear_is_distinguished():
+    # the twin sends the other vote in that message, which a deterministic
+    # test compares with v0
+    proto, setup = _foo_mutant("  @vote send* id fresh(kc)",
+                               "  send id : v\n  @vote send* id fresh(kc)")
+    for seed in range(5):
+        rep = check_anonymity(proto, setup, seed=seed)
+        assert rep.verdict == "distinguished", (seed, rep.notes)
+        assert "  distinguishing test: _h4 = v0" in render_report(rep).splitlines()
+
+
+def test_a_cast_that_carries_the_commitment_key_is_checked():
+    # the twin casts the same message: the key travels with the cast, and
+    # safety finds it derivable
+    proto, setup = _foo_mutant("send* id fresh(kc) : ({v}kc, kc),",
+                               "send* id fresh(kc) : (({v}kc, kc), k),")
+    for seed in range(3):
+        rep = check_anonymity(proto, setup, seed=seed)
+        assert rep.verdict != "failed", (seed, rep.notes)
+        assert "commitment key k_3 is derivable" in rep.notes
+
+
+VOTER = """\
+phases commit, cast
+agents V0, V1, C
+nonces v0, v1
+predicates p/1
+
+role voter(v):
+  send id : (id, v)
+  @cast send* id : v
+"""
+
+# (what breaks, the protocol's other lines, its sessions beside the voters, note)
+BROKEN_TWINS = [
+    ("a receive left unmatched", "\nrole collector:\n  recv id : (W, v0)\n",
+     "; collector(id=C)", "step 3: the receive no longer matches step 1's message"),
+    ("a step after the cast", "  insert id : p(v)\n", "",
+     "step 4: session 1 has its cast pending"),
+]
+
+
+@pytest.mark.parametrize("case", BROKEN_TWINS, ids=[c[0] for c in BROKEN_TWINS])
+def test_a_twin_the_exchange_breaks_is_refused_at_its_step(case):
+    # the collector reads V0's first send as (W, v0), which the twin sends
+    # as (V0, v1); V0's insert follows its cast, which the twin moves after
+    # V1's cast, two steps on
+    _, lines, others, note = case
+    proto = parse_protocol("protocol broken\n" + VOTER + lines, "broken")
+    sessions = parse_sessions("voter(id=V0, v=v0); voter(id=V1, v=v1)" + others, proto)
+    rep = check_anonymity(proto, Setup(sessions), tests=20)
+    assert render_report(rep) == _failed(proto, [
+        "the vote-swapped run is not a valid run", note])

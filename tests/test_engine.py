@@ -656,9 +656,9 @@ def untouched(monkeypatch):
         seen["verdicts"].append(verdict)
         return verdict
 
-    def check_safety(ctx, spec):
+    def check_safety(ctx, swap):
         before = _root_state(ctx)
-        result = real_safety(ctx, spec)
+        result = real_safety(ctx, swap)
         assert _root_state(ctx) == before
         seen["safety"].append(result)
         return result
@@ -748,13 +748,13 @@ def test_check_safety_reports_only_the_budget_when_a_later_leaf_goes_over_it():
     d, e = Enc(v, k), Enc(zero, k2)
     phi = [Eq(d, Pair(n, m)), Or(Eq(k2, Enc(n, k)), Pred("q", (n,))),
            Or(Pred("r", (n,)), Pred("s", (n,)))]
-    spec = anonymity.SwapSpec((1, 2), (A, B), (d, e), (k, k2), (1, 2))
+    swap = {d: e, e: d}
     commit = "(n, m) is provably equal to the commitment {v}k"
     key = "commitment key k2 is provably equal to something else"
-    assert anonymity.check_safety(DeriveContext((), phi), spec) == (
+    assert anonymity.check_safety(DeriveContext((), phi), swap) == (
         False, [commit, key, commit, key, commit, commit])
     tight = DeriveContext((), phi, SearchBudget(branch_cap=3))
-    assert anonymity.check_safety(tight, spec) == (
+    assert anonymity.check_safety(tight, swap) == (
         False, ["knowledge closure exceeded the budget"])
     assert tight.cc.trail == []
 

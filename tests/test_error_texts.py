@@ -13,6 +13,8 @@ from protassert.syntax import MAX_NESTING
 DEEP = MAX_NESTING + 1
 SEQUENT = "nonces: n\nterms: n\ngoal: n = n\n"
 ACTION = "  deny id : ex z: voted(W, z)"
+# one binder list of 600 names: each is a level, as in nested 'ex' prefixes
+BINDERS = "ex " + ", ".join(f"x{i}" for i in range(600)) + ": "
 
 # (what is wrong, text replaced, its malformed replacement, error text)
 SEQUENT_ERRORS = [
@@ -24,6 +26,10 @@ SEQUENT_ERRORS = [
      "expected a term, found 'end of input' at case.seq:3:10"),
     ("nesting", "terms: n", "terms: " + "(" * DEEP + "n" + ", n)" * DEEP,
      "nested more than 100 levels deep at case.seq:2:108"),
+    ("long binder list in a hypothesis", "terms: n", "terms: n\nassertions: " + BINDERS + "n = n",
+     "nested more than 100 levels deep at case.seq:3:3506"),
+    ("long binder list in the goal", "goal: n = n", "goal: " + BINDERS + "n = n",
+     "nested more than 100 levels deep at case.seq:3:3500"),
     ("undeclared constant", "goal: n = n", "goal: n = 7",
      "undeclared constant 7 at case.seq:3:11"),
     ("reserved binder", "goal: n = n", "goal: ex says: p(n)",
@@ -46,6 +52,8 @@ PROTOCOL_ERRORS = [
      "expected a term, found 'end of input' at case.proto:15:27"),
     ("nesting", ACTION, "  deny id : " + "ex z: " * DEEP + "voted(W, z)",
      "nested more than 100 levels deep at case.proto:15:613"),
+    ("long binder list", ACTION, "  deny id : " + BINDERS + "voted(W, x0)",
+     "nested more than 100 levels deep at case.proto:15:3506"),
     ("undeclared constant", ACTION, "  deny id : ex z: voted(W, 7)",
      "undeclared constant 7 at case.proto:15:28"),
     ("fresh on a receive", "  recv id : env,", "  recv id fresh(k) : env,",

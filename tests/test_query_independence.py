@@ -33,7 +33,7 @@ from protassert import (
     engine,
     parse_sequent,
 )
-from protassert.anonymity import SwapSpec, check_safety
+from protassert.anonymity import check_safety
 from test_candidates import _Flat, _leak_sequent
 from test_weakening import LEAK, _cases, _unrelated
 
@@ -153,17 +153,18 @@ def _exists_e(proof):
 def test_a_query_after_check_safety_answers_as_a_fresh_context():
     # check_safety adds the commitments to each leaf's classes; c0 would
     # then be the least term, the witness of a body that does not use its
-    # variable, and the equation goal would find {n}k2 in the classes
+    # variable, and the equation goal would find {n}k2 in the classes.  The
+    # second pair of swapped messages brings the commitment key k, derivable
     n, k, k2 = Basic("n", "nonce"), Basic("k", "key"), Basic("k2", "key")
     a, b = Basic("A", "agent"), Basic("B", "agent")
     c0, commit = Basic("c0", "agent"), Enc(n, k2)
     p, q, r = (Pred(name, (n,)) for name in "pqr")
     phi = [p, Or(q, r), Eq(n, Enc(n, k))]
-    spec = SwapSpec((1, 2), (a, b), (c0, commit), (k2, k), (1, 2))
+    swap = {c0: commit, commit: c0, Enc(n, k): Enc(c0, k), Enc(c0, k): Enc(n, k)}
     goals = [Exists("y", p), Or(r, q), Exists("y", Eq(Var("y"), commit)),
              Exists("y", Eq(n, Enc(Var("y"), k)))]
     for safe in (True, False):
         ctx = DeriveContext((n, k), phi, safe=safe)
-        assert check_safety(ctx, spec)[0] is False
+        assert check_safety(ctx, swap)[0] is False
         for g in goals:
             assert ctx.query(g) == DeriveContext((n, k), phi, safe=safe).query(g), g
