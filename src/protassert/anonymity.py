@@ -79,10 +79,10 @@ def swp_assertion(swap: dict[Term, Term], a: Assertion) -> Assertion:
 def derive_swap(run: Run, voter_role: str | None = None,
                 swap_sessions: tuple[int, int] | None = None) -> SwapSpec:
     """Read the swap off a completed run: the voter role is the one with an
-    anonymous send (or the named one), and two of its sessions swap their
-    votes; each casts with its last send.  With more than two voter
-    sessions the first two are swapped unless a pair is given; the others
-    are left exactly as they played."""
+    anonymous send (or the named one), and two of its sessions, each done
+    with its role, swap their votes; each casts with its last send.  With
+    more than two voter sessions the first two are swapped unless a pair
+    is given; the others are left exactly as they played."""
     proto = run.proto
     if voter_role is None:
         starred = [name for name, role in proto.roles.items()
@@ -98,20 +98,24 @@ def derive_swap(run: Run, voter_role: str | None = None,
                     varying.append(name)
             starred = varying
         if len(starred) != 1:
-            raise ValueError("cannot infer the voter role, pass it explicitly")
+            raise ValueError(
+                "cannot infer the voter role, pass it explicitly")
         voter_role = starred[0]
     if voter_role not in proto.roles:
         raise ValueError(f"no role named {voter_role!r}")
     role = proto.roles[voter_role]
-    send_idx = [i for i, a in enumerate(role.actions) if a.kind in ("send", "send*")]
+    send_idx = [i for i, a in enumerate(role.actions)
+                if a.kind in ("send", "send*")]
     if len(send_idx) < 2:
         raise ValueError(f"role {voter_role!r} does not commit then cast")
     cast_idx = send_idx[-1]
 
-    voter_sessions = [i for i, (r, _) in enumerate(run.setup.sessions, 1) if r == voter_role]
+    voter_sessions = [i for i, (r, _) in enumerate(run.setup.sessions, 1)
+                      if r == voter_role]
     if len(voter_sessions) < 2:
-        raise ValueError(f"need at least two {voter_role!r} sessions, "
-                         f"found {len(voter_sessions)}")
+        raise ValueError(
+            f"need at least two {voter_role!r} sessions, "
+            f"found {len(voter_sessions)}")
     pair = tuple(voter_sessions[:2] if swap_sessions is None else swap_sessions)
     if len(set(pair)) != 2 or any(s not in voter_sessions for s in pair):
         raise ValueError("swap_sessions must name two voter sessions")
@@ -119,7 +123,7 @@ def derive_swap(run: Run, voter_role: str | None = None,
     casts: list[int] = []
     for s in pair:
         mine = [n for n, step in enumerate(run.steps, 1) if step.session == s]
-        if len(mine) <= cast_idx:
+        if len(mine) < len(role.actions):
             raise ValueError(f"session {s} did not finish its role")
         casts.append(mine[cast_idx])
     return SwapSpec(pair, (casts[0], casts[1]))
@@ -136,28 +140,30 @@ def build_swapped(run: Run, spec: SwapSpec) -> Run:
     sessions = [(role, {**run.setup.sessions[partner.get(n, n) - 1][1], "id": sigma["id"]})
                 for n, (role, sigma) in enumerate(run.setup.sessions, 1)]
     states = [SessionState(role, dict(sigma)) for role, sigma in sessions]
-    theirs = {s: iter([t.fresh for n, t in enumerate(run.steps, 1)  # the partner's, casts aside
-                       if t.session == partner[s] and n not in spec.cast_steps]) for s in partner}
-    done = [0] * len(sessions)
+    played = {s: [t.fresh for t in run.steps if t.session == s] for s in partner}  # by pc
+    cast_pc = [t.session for t in run.steps[:spec.cast_steps[0] - 1]].count(spec.sessions[0])
+    sent: dict[tuple[Term, Assertion | None], int] = {}  # each message's first send
     steps: list[Step] = []
     for n, step in enumerate(run.steps, 1):
-        pc = done[step.session - 1]  # the step's index in its session's role
-        done[step.session - 1] += 1
         cast = n in spec.cast_steps
         s = partner[step.session] if cast else step.session
         st = states[s - 1]
-        if st.pc != pc:
+        if s in partner and (st.pc == cast_pc) != cast:
             raise ValueError(f"step {n}: session {s} has {'no' if cast else 'its'} cast pending")
-        action = run.proto.roles[st.role].actions[pc]
-        fresh = next(theirs[s], ()) if s in theirs and not cast else step.fresh
+        action = run.proto.roles[st.role].actions[st.pc]
+        fresh = played[partner[s]][st.pc] if s in partner else step.fresh
         binds: tuple[tuple[str, Term], ...] = ()
         if action.kind == "recv":
-            m = next(m for m, t in enumerate(run.steps) if t.action.kind in ("send", "send*")
-                     and match_message(step.action, t.action) is not None)
+            m = sent.get((step.action.term, step.action.assertion))
+            if m is None:
+                raise ValueError(f"step {n}: no earlier step sends the message it receives")
             got = match_message(action.instance(st.sigma), steps[m].action)
             if got is None:
                 raise ValueError(f"step {n}: the receive no longer matches step {m + 1}'s message")
             binds = tuple(sorted(got.items()))
+        elif action.kind in ("send", "send*"):  # a receive without an assertion reads either
+            for key in ((step.action.term, step.action.assertion), (step.action.term, None)):
+                sent.setdefault(key, n - 1)
         inst = _instantiate(action, st.sigma, fresh, binds)
         if inst is None:
             raise ValueError(f"step {n}: action not ground after instantiation")
@@ -178,21 +184,21 @@ def swap_of(left: WorldState, right: WorldState) -> dict[Term, Term]:
 # safety of the commitments
 
 def check_safety(ctx: DeriveContext, swap: dict[Term, Term]) -> tuple[bool, list[str]]:
-    """The swap only hides the votes if the messages it swaps are opaque
-    commitments: the keys of the encrypted ones must sit in singleton
-    equality classes and be non-derivable, and nothing with concrete
-    content may be provably equal to a swapped message."""
-    keys = list(dict.fromkeys(d.key for d in swap if isinstance(d, Enc)))
+    """The swap only hides the votes if the messages it swaps (`swap`'s
+    domain, one run's side of σ) are opaque commitments: the key of every
+    encryption in them must sit in a singleton equality class and be
+    non-derivable, and nothing with concrete content may be provably equal
+    to a swapped message."""
+    keys = list(dict.fromkeys(s.key for d in swap for s in iter_subterms(d)
+                              if isinstance(s, Enc)))
     reasons: list[str] = []
     try:
         # the commitments join each leaf's classes in place; leaves()
         # undoes them before the next leaf
         for _ in ctx.leaves():
             cc = ctx.cc
-            for d in swap:
-                cc.add_term(d)
-            for p in keys:
-                cc.add_term(p)
+            for t in (*swap, *keys):
+                cc.add_term(t)
             for d in swap:
                 for member in cc.class_members(d):
                     if member != d and any(isinstance(s, Basic) for s in iter_subterms(member)):
@@ -433,7 +439,7 @@ def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
     ctx_l = state_l.contexts.context(left.terms, left.assertions, budget)
     ctx_r = state_r.contexts.context(right.terms, right.assertions, budget)
     safety_l, reasons_l = check_safety(ctx_l, swap)
-    safety_r, reasons_r = check_safety(ctx_r, swap)
+    safety_r, reasons_r = check_safety(ctx_r, {b: a for a, b in swap.items()})
     report.safety_ok = safety_l and safety_r
     report.notes.extend(sorted(set(reasons_l + reasons_r)))
 

@@ -23,6 +23,7 @@ from protassert import (
     normalize,
     parse_protocol,
     parse_sessions,
+    parse_trace,
     render_report,
     simulate,
     validate_run,
@@ -347,11 +348,13 @@ def test_a_swapped_run_that_is_not_valid_fails_the_check():
         "step 6: session 2 has no cast pending"])
 
 
-def test_an_observer_holding_a_commitment_key_is_inconclusive():
+@pytest.mark.parametrize("commit", ["{v}k", "(id, {v}k)"], ids=["sent alone", "sent in a pair"])
+def test_an_observer_holding_a_commitment_key_is_inconclusive(commit):
     # the observer starts out holding the first voter's commitment key; the
     # swap read off the traffic exchanges the two commitments only, so both
-    # views agree beyond it, and safety finds the key derivable
-    proto = parse_protocol("""\
+    # views agree beyond it, and safety finds the key derivable, also when
+    # the swapped messages carry the commitments inside a pair
+    proto = parse_protocol(f"""\
 protocol keyed
 phases commit, cast
 agents V0, V1
@@ -359,7 +362,7 @@ nonces v0, v1
 keys k0, k1
 
 role voter(v, k):
-  send id : {v}k
+  send id : {commit}
   @cast send* id : v
 """, "keyed")
     k0, k1 = Basic("k0", "key"), Basic("k1", "key")
@@ -418,6 +421,20 @@ def test_a_cast_that_carries_the_commitment_key_is_checked():
         assert "commitment key k_3 is derivable" in rep.notes
 
 
+def test_a_receive_of_a_message_no_step_sent_is_refused():
+    # a parsed trace is not validated: here the authority receives a
+    # commitment that V0 never sent
+    proto = builtin_foo()
+    setup = anonymity_foo_setup(proto)
+    run, _ = simulate(proto, setup, seed=0)
+    text = write_trace(run)
+    assert text.count("env={v0}k_3") == 1
+    forged = parse_trace(text.replace("env={v0}k_3", "env={v1}k_3"), proto, setup)
+    with pytest.raises(ValueError) as err:
+        build_swapped(forged, derive_swap(forged))
+    assert str(err.value) == "step 3: no earlier step sends the message it receives"
+
+
 VOTER = """\
 phases commit, cast
 agents V0, V1, C
@@ -449,3 +466,33 @@ def test_a_twin_the_exchange_breaks_is_refused_at_its_step(case):
     rep = check_anonymity(proto, Setup(sessions), tests=20)
     assert render_report(rep) == _failed(proto, [
         "the vote-swapped run is not a valid run", note])
+
+
+def test_a_voter_that_did_not_finish_its_role_is_refused():
+    # both voters have cast, and the second has its insert to go
+    proto = parse_protocol("protocol unfinished\n" + VOTER + "  insert id : p(v)\n", "unfinished")
+    sessions = parse_sessions("voter(id=V0, v=v0); voter(id=V1, v=v1)", proto)
+    run, _ = simulate(proto, Setup(sessions))
+    assert [s.session for s in run.steps] == [1, 2, 1, 1, 2, 2]
+    with pytest.raises(ValueError) as err:
+        derive_swap(replace(run, steps=run.steps[:5]))
+    assert str(err.value) == "session 2 did not finish its role"
+
+
+def test_each_run_checks_the_safety_of_the_messages_it_sends(monkeypatch):
+    # σ maps (V0, v0) to (V0, v1) and (V1, v1) to (V1, v0), which is no
+    # involution: the twin's check takes the twin's own messages
+    checked = []
+
+    def recording(ctx, swap):
+        checked.append(set(swap))
+        return real(ctx, swap)
+
+    real = anonymity.check_safety
+    monkeypatch.setattr(anonymity, "check_safety", recording)
+    proto = parse_protocol("protocol paired\n" + VOTER, "paired")
+    sessions = parse_sessions("voter(id=V0, v=v0); voter(id=V1, v=v1)", proto)
+    check_anonymity(proto, Setup(sessions), tests=20)
+    V0, V1 = Basic("V0", "agent"), Basic("V1", "agent")
+    v0, v1 = Basic("v0", "nonce"), Basic("v1", "nonce")
+    assert checked == [{Pair(V0, v0), Pair(V1, v1)}, {Pair(V0, v1), Pair(V1, v0)}]
