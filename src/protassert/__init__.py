@@ -60,6 +60,7 @@ from .runtime import (
     initial_state,
     parse_trace,
     simulate,
+    stated_setup,
     validate_run,
     write_trace,
 )
@@ -92,7 +93,7 @@ __all__ = [
     "Verdict", "derive", "derive_safe",
     "Action", "Protocol", "Role", "validate_protocol",
     "Run", "Step", "WorldState", "initial_state", "parse_trace",
-    "simulate", "validate_run", "write_trace",
+    "simulate", "stated_setup", "validate_run", "write_trace",
     "ParseError", "parse_assertion", "parse_protocol", "parse_sequent",
     "parse_sessions", "parse_term", "print_assertion", "print_protocol",
     "print_term",

@@ -2,11 +2,11 @@
 
 Given a completed run with two voter sessions, the swap exchanges the two
 votes: the twin run is instantiated from the roles, with the two voter
-sessions' parameters and fresh values exchanged and the two cast steps
-exchanged whole, and σ, the map from each message to the one the twin sends
-in its place, is read off the two runs' traffic.  If the twin is a valid run
-and the observer's final knowledge in the two runs supports exactly the
-same tests, the observer cannot tell who cast which vote.
+sessions' parameters and fresh values exchanged and their steps from the
+casts on exchanged whole, and σ, the map from each message to the one the
+twin sends in its place, is read off the two runs' traffic.  If the twin
+is a valid run and the observer's final knowledge in the two runs supports
+exactly the same tests, the observer cannot tell who cast which vote.
 
 Tests are assertions over message handles (placeholders standing for the
 n-th message on the network, resolved per run) plus the protocol's declared
@@ -132,24 +132,29 @@ def derive_swap(run: Run, voter_role: str | None = None,
 def build_swapped(run: Run, spec: SwapSpec) -> Run:
     """The vote-swapped twin, instantiated from the roles: the two voter
     sessions exchange their non-id parameters and the fresh values of their
-    steps other than the casts, and the two cast steps are exchanged whole.
-    Each session keeps its schedule, and each receive matches again the
-    message of the step it read; a step the exchange breaks raises
-    ValueError naming it."""
+    steps before the casts, and from the casts on their steps are exchanged
+    whole, each voter's k-th step from its cast taking the place of its
+    partner's.  Each session keeps its schedule, and each receive matches
+    again the message of the step it read; a step the exchange breaks
+    raises ValueError naming it."""
     partner = dict(zip(spec.sessions, reversed(spec.sessions)))
     sessions = [(role, {**run.setup.sessions[partner.get(n, n) - 1][1], "id": sigma["id"]})
                 for n, (role, sigma) in enumerate(run.setup.sessions, 1)]
     states = [SessionState(role, dict(sigma)) for role, sigma in sessions]
     played = {s: [t.fresh for t in run.steps if t.session == s] for s in partner}  # by pc
     cast_pc = [t.session for t in run.steps[:spec.cast_steps[0] - 1]].count(spec.sessions[0])
+    done = dict.fromkeys(partner, 0)  # each voter's steps so far in the original run
     sent: dict[tuple[Term, Assertion | None], int] = {}  # each message's first send
     steps: list[Step] = []
     for n, step in enumerate(run.steps, 1):
-        cast = n in spec.cast_steps
-        s = partner[step.session] if cast else step.session
+        s = step.session
+        if s in partner:
+            done[s] += 1
+            if done[s] > cast_pc:
+                s = partner[s]
+                if states[s - 1].pc < cast_pc:
+                    raise ValueError(f"step {n}: session {s} has no cast pending")
         st = states[s - 1]
-        if s in partner and (st.pc == cast_pc) != cast:
-            raise ValueError(f"step {n}: session {s} has {'no' if cast else 'its'} cast pending")
         action = run.proto.roles[st.role].actions[st.pc]
         fresh = played[partner[s]][st.pc] if s in partner else step.fresh
         binds: tuple[tuple[str, Term], ...] = ()

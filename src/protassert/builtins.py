@@ -3,23 +3,19 @@ anonymous casting channel, a two-voter homomorphic-tally election, and a
 deliberately weakened variant of the first that casts over an identified
 channel.
 
-Each builtin ships with a default session layout and the initial assertion
-databases its runs need: every agent recognizes the public vote values as
-valid, and the registrar holds the eligibility roll.
+Each builtin is only its text, which states its scenario in `setup` lines
+(grammar in the `syntax` docstring): its default session layout, the vote
+values every party holds as valid, foo's eligibility roll at the registrar
+and the keys foo's observer holds in a privacy check.  The set-up functions
+here are `runtime.stated_setup` on a builtin.
 """
 from __future__ import annotations
 
 from typing import Callable
 
-from .assertions import Pred
 from .protocol import Protocol
-from .runtime import Setup, parties
-from .syntax import parse_protocol, parse_sessions
-from .terms import AGENT, Basic, NONCE, Term, sk
-
-
-def _sk_of(agent: str) -> Term:
-    return sk(Basic(agent, AGENT))
+from .runtime import Setup, stated_setup
+from .syntax import parse_protocol
 
 FOO_SOURCE = """\
 protocol foo
@@ -44,6 +40,11 @@ role counter:
   @vote recv id : (env2, kk), ex X, y, s: (Auth says (elg(X) /\\ voted(X, {y}s) /\\ X says (ex x, r: ({x}r = {y}s /\\ valid(x)))) /\\ y = w)
   confirm id : ex X, y, s: (Auth says (elg(X) /\\ voted(X, {y}s) /\\ X says (ex x, r: ({x}r = {y}s /\\ valid(x)))) /\\ y = w)
   send id : (env2, kk), ex X, y, s: (Auth says (elg(X) /\\ voted(X, {y}s) /\\ X says (ex x, r: ({x}r = {y}s /\\ valid(x)))) /\\ y = w)
+
+setup sessions: authority(id=Auth) per voter; voter(id=V, v=v) per voter; counter(id=Cnt) per voter
+setup all: valid(v0), valid(v1), valid(v2), valid(v3)
+setup Auth per voter: elg(id)
+setup observer: sk(Auth), sk(Cnt)
 """
 
 # identical to foo except the ballot is cast over an identified channel,
@@ -81,6 +82,9 @@ role admin:
   insert id : voted(W2, ballot(w2))
   send id : ballot(w2), id says (Scr says (ex u: (ballot(w2) = ballot(u) /\\ W2 says valid(u))))
   @tally send id : ballot(sum(w1, w2)), id says (ex u1, u2: (ballot(sum(w1, w2)) = ballot(sum(u1, u2)) /\\ (valid(u1) /\\ valid(u2))))
+
+setup sessions: voter(id=V0, v=v0); voter(id=V1, v=v1); script(id=Scr); script(id=Scr); admin(id=Adm)
+setup all: valid(v0), valid(v1)
 """
 
 
@@ -98,49 +102,11 @@ builtin_foo_linked = BUILTINS["foo-linked"]
 builtin_helios = BUILTINS["helios"]
 
 
-def setup_over(name: str, proto: Protocol, sessions: list[tuple[str, dict[str, Term]]],
-               anonymity: bool = False) -> Setup:
-    """The builtin `name`'s set-up over a session list: every party holds
-    the public vote values as valid; for foo and foo-linked the registrar
-    holds the eligibility roll of the V<i> sessions, and an anonymity
-    observer also controls registrar and counter (holds their signing keys)."""
-    setup = Setup(sessions=sessions)
-    votes = [Basic(n, NONCE) for n in sorted(proto.decls.nonces)]
-    for party in parties(proto, setup):
-        db = setup.agent_assertions.setdefault(party, set())
-        for v in votes:
-            db.add(Pred("valid", (v,)))
-    if name.startswith("foo"):
-        roll = setup.agent_assertions.setdefault("Auth", set())
-        for _, sigma in sessions:
-            ag = sigma.get("id")
-            if isinstance(ag, Basic) and ag.name.startswith("V"):
-                roll.add(Pred("elg", (ag,)))
-        if anonymity:
-            setup.agent_terms.setdefault(setup.intruder, set()).update(
-                (_sk_of("Auth"), _sk_of("Cnt")))
-    return setup
-
-
 def builtin_setup(name: str, proto: Protocol | None = None,
                   anonymity: bool = False, voters: int = 2) -> Setup:
-    """Default scenario for a builtin protocol by registry name: for foo and
-    foo-linked one authority and one counter session per voter, voter i
-    voting v<i>; for helios two voters, two script sessions and an admin."""
-    if name not in BUILTINS:
-        raise KeyError(name)
-    proto = proto or BUILTINS[name]()
-    if name.startswith("foo"):
-        if not 2 <= voters <= 4:
-            raise ValueError("between 2 and 4 voters are declared")
-        layout = ["authority(id=Auth)"] * voters + [
-            f"voter(id=V{i}, v=v{i})" for i in range(voters)] + ["counter(id=Cnt)"] * voters
-    elif anonymity:
-        raise KeyError(f"no anonymity scenario for {name}")
-    else:
-        layout = ["voter(id=V0, v=v0)", "voter(id=V1, v=v1)", "script(id=Scr)", "script(id=Scr)",
-                  "admin(id=Adm)"]
-    return setup_over(name, proto, parse_sessions("; ".join(layout), proto), anonymity)
+    """The scenario the builtin `name` states, at a voter count, for a
+    privacy check or not."""
+    return stated_setup(proto or BUILTINS[name](), voters, anonymity)
 
 
 def default_foo_setup(proto: Protocol | None = None, voters: int = 2) -> Setup:

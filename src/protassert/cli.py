@@ -15,11 +15,11 @@ import argparse
 import sys
 
 from .anonymity import check_anonymity, render_report
-from .builtins import BUILTINS, SOURCES, builtin_setup, setup_over
+from .builtins import BUILTINS, SOURCES
 from .dy import ProofNode, TermProof
 from .engine import DEFAULT_BUDGET, SearchBudget, derive, derive_safe
 from .protocol import Protocol, validate_protocol
-from .runtime import Setup, parse_trace, run_problems, simulate, write_trace
+from .runtime import Setup, parse_trace, run_problems, simulate, stated_setup, write_trace
 from .syntax import (
     ParseError,
     parse_protocol,
@@ -50,12 +50,11 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(witness_depth=args.depth, branch_cap=args.branches)
 
 
-def _load_protocol(name_or_path: str):
+def _load_protocol(name_or_path: str) -> Protocol:
     if name_or_path in BUILTINS:
-        return name_or_path, BUILTINS[name_or_path]()
+        return BUILTINS[name_or_path]()
     with open(name_or_path, encoding="utf-8") as fh:
-        text = fh.read()
-    return None, parse_protocol(text, name_or_path)
+        return parse_protocol(fh.read(), name_or_path)
 
 
 def _render_term_proof(p: TermProof, indent: str, out: list[str]) -> None:
@@ -97,7 +96,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _, proto = _load_protocol(args.protocol)
+    proto = _load_protocol(args.protocol)
     diags = validate_protocol(proto)
     for d in diags:
         print(f"{d.code} at {d.role}[{d.index + 1}]: {d.detail}")
@@ -108,21 +107,20 @@ def cmd_validate(args) -> int:
     return EX_OK
 
 
-def _setup_for(args, name: str | None, proto: Protocol,
-               anonymity: bool = False) -> Setup:
-    """A protocol file's bare --sessions, or a builtin's scenario, whose
-    session layout --sessions replaces when given."""
-    if args.sessions:
-        sessions = parse_sessions(args.sessions, proto)
-        return Setup(sessions) if name is None else setup_over(name, proto, sessions, anonymity)
-    if name is None:
-        raise ParseError("a protocol file needs --sessions", "cli")
-    return builtin_setup(name, proto, anonymity=anonymity, voters=getattr(args, "voters", 2))
+def _setup(proto: Protocol, sessions: str | None, voters: int = 2,
+           privacy: bool = False) -> Setup:
+    """The scenario the text states, over --sessions when given, else over
+    its layout at the voter count."""
+    if sessions:
+        return stated_setup(proto, parse_sessions(sessions, proto), privacy)
+    if not proto.scenario.layout:
+        raise ParseError(f"{proto.name} states no sessions, so it needs --sessions", "cli")
+    return stated_setup(proto, voters, privacy)
 
 
 def cmd_simulate(args) -> int:
-    name, proto = _load_protocol(args.protocol)
-    setup = _setup_for(args, name, proto)
+    proto = _load_protocol(args.protocol)
+    setup = _setup(proto, args.sessions)
     run, state = simulate(proto, setup, seed=args.seed, budget=_budget(args))
     sys.stdout.write(write_trace(run))
     for w in run.warnings:
@@ -133,14 +131,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    name, proto = _load_protocol(args.protocol)
+    proto = _load_protocol(args.protocol)
     with open(args.trace, encoding="utf-8") as fh:
         text = fh.read()
-    # the trace's sessions, which --sessions must match, with a builtin's databases
-    run = parse_trace(text, proto, Setup(parse_sessions(args.sessions, proto))
-                      if args.sessions else None)
-    if name is not None:
-        run.setup = setup_over(name, proto, run.setup.sessions)
+    # the trace's sessions, which --sessions must match
+    run = parse_trace(text, proto, _setup(proto, args.sessions) if args.sessions else None)
     problems, _ = run_problems(run, _budget(args))
     for p, _ in problems:
         print(p)
@@ -154,15 +149,14 @@ def cmd_anonymity(args) -> int:
     if args.seeds < 1:
         print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
         return EX_USAGE
-    name, proto = _load_protocol(args.protocol)
+    proto = _load_protocol(args.protocol)
     if args.voter_role is not None and args.voter_role not in proto.roles:
         print(f"error: no role named {args.voter_role!r}", file=sys.stderr)
         return EX_USAGE
     try:
-        setup = _setup_for(args, name, proto, anonymity=True)
-    except (KeyError, ValueError) as e:
-        # the message itself: str() of a KeyError is its repr, in quotes
-        print(f"error: {e.args[0]}", file=sys.stderr)
+        setup = _setup(proto, args.sessions, args.voters, privacy=True)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EX_USAGE
     verdicts: list[str] = []
     for seed in range(args.seeds):
@@ -242,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random test nesting depth (default 3)")
     p.add_argument("--voter-role", help="role that casts the votes")
     p.add_argument("--voters", type=int, default=2,
-                   help="voter sessions in the builtin scenarios (2 to 4)")
-    p.add_argument("--sessions", help="replace the scenario's session layout")
+                   help="voter count of the stated layout (default 2)")
+    p.add_argument("--sessions", help="replace the stated session layout")
     common(p)
     p.set_defaults(fn=cmd_anonymity)
 

@@ -1,15 +1,15 @@
-"""Protocol model: actions, roles, validation, and instantiation.
+"""Protocol model: actions, roles, scenarios, validation, and instantiation.
 
 An action is one of send, send* (anonymous send), recv, confirm, deny,
 insert.  Sends may declare fresh variables; send and recv carry a term and
 optionally an assertion; the local actions carry an assertion only.  A role
 is one principal's finite action sequence; a protocol is a set of roles plus
-declarations.
+declarations, and the scenario its text states.
 """
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .assertions import Assertion, assertion_terms, free_vars, reveals, substitute
 from .dy import _synth_ok, dy_saturate
@@ -101,11 +101,42 @@ class Role:
 
 
 @dataclass
+class Scenario:
+    """What a text's `setup` lines state (grammar in the `syntax` docstring):
+    a layout of (role, bindings, once per voter) entries, the facts every
+    party holds, the (agent, role, fact) facts an agent holds per session of
+    a role over its bindings, and the observer's terms in a privacy check."""
+
+    layout: list[tuple[str, dict[str, Term], bool]] = field(default_factory=list)
+    facts: list[Assertion] = field(default_factory=list)
+    held: list[tuple[str, str, Assertion]] = field(default_factory=list)
+    observer: list[Term] = field(default_factory=list)
+
+    def sessions(self, decls: Declarations, voters: int) -> list[tuple[str, dict[str, Term]]]:
+        """The layout at a voter count: a per-voter entry once per voter i,
+        each undeclared name N in its bindings read as the declared N<i>."""
+        if voters < 2:
+            raise ValueError(f"a layout needs at least 2 voters, got {voters}")
+        out = []
+        for role, sigma, each in self.layout:
+            for i in range(voters if each else 1):
+                index = {x: decls.classify(f"{x}{i}") for t in sigma.values()
+                         for x in term_vars(t)} if each else {}
+                for x, t in index.items():
+                    if isinstance(t, Var):
+                        raise ValueError(f"{x}{i} is not declared: names for at most {i} "
+                                         f"voter{'s' * (i != 1)}")
+                out.append((role, {k: subst_term(t, index) for k, t in sigma.items()}))
+        return out
+
+
+@dataclass
 class Protocol:
     name: str
     decls: Declarations
     roles: dict[str, Role]
     phases: tuple[str, ...] = ()
+    scenario: Scenario = field(default_factory=Scenario)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ from .assertions import (
     match_canonical,
     match_term,
     normalize,
+    substitute,
 )
 from .dy import DYContext
 from .engine import (
@@ -206,6 +207,23 @@ def parties(proto: Protocol, setup: Setup) -> set[str]:
             raise ValueError("every session needs a declared agent for id")
         names.add(ag.name)
     return names
+
+
+def stated_setup(proto: Protocol, layout: list[tuple[str, dict[str, Term]]] | int = 2,
+                 privacy: bool = False) -> Setup:
+    """The set-up proto's text states (its scenario) over a session list, or
+    over its layout at a voter count; the observer's terms are held in a
+    privacy check only."""
+    sc = proto.scenario
+    setup = Setup(layout if isinstance(layout, list) else sc.sessions(proto.decls, layout))
+    for party in parties(proto, setup):
+        setup.agent_assertions[party] = set(sc.facts)
+    for agent, role, fact in sc.held:
+        setup.agent_assertions[agent].update(
+            substitute(fact, sigma) for r, sigma in setup.sessions if r == role)
+    if privacy:
+        setup.agent_terms[setup.intruder] = set(sc.observer)
+    return setup
 
 
 # each public term set's table, while some run or state holds it
@@ -617,7 +635,8 @@ def _fresh_value(p: Cursor) -> tuple[str, Basic]:
 def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
     """Rebuild a run from its trace (grammar in the `syntax` docstring).
     The protocol must be the one the trace was produced from; the setup
-    (initial knowledge) defaults to bare sessions as listed in the trace."""
+    (initial knowledge) defaults to the one its text states over the
+    trace's sessions (`stated_setup`)."""
     d = proto.decls
     p = Cursor(text, replace(d, nonces=set(d.nonces), keys=set(d.keys), strict=False), "trace")
     p.expect("run")
@@ -636,7 +655,7 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
             raise ParseError("sessions out of order", p.pos(at))
         sessions.append(parse_session(p, proto))
     if setup is None:
-        setup = Setup(sessions=sessions)
+        setup = stated_setup(proto, sessions)
     elif [(r, dict(s)) for r, s in setup.sessions] != sessions:
         raise ParseError("trace sessions do not match the given setup", "trace")
 

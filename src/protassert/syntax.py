@@ -32,7 +32,16 @@ Protocol file, one line per item:
     'role' IDENT ['(' IDENT, ... ')'] ':'
     ['@' PHASE] KIND ['*'] IDENT ['fresh' '(' IDENT, ... ')'] ':' [t ','] a
   where KIND is send, recv, confirm, deny or insert; send and recv carry a
-  term and an optional assertion, the others an assertion.
+  term and an optional assertion, the others an assertion.  Setup lines
+  end the text and state its scenario (`runtime.stated_setup`):
+    'setup' 'sessions' ':' session ['per' 'voter'], ... separated by ';'
+    'setup' 'all' ':' a, ...                facts every party holds
+    'setup' AGENT 'per' ROLE ':' a, ...     facts AGENT holds per ROLE session
+    'setup' 'observer' ':' t, ...           the observer's terms in a privacy check
+  The sessions are the layout; a per-voter entry repeats once per voter i
+  (2 voters by default), an undeclared name N in it reading as the declared
+  N<i>.  A per-session fact is instantiated by that session's bindings,
+  the only variables a fact may hold.
 Session:    IDENT '(' IDENT '=' t, ... ')'   or   IDENT IDENT '=' t, ...
   a role and the bindings that ground it (`parse_session`); `--sessions`
   lists them separated by ';'.
@@ -73,9 +82,10 @@ from .assertions import (
     SentA,
     SentT,
     assertion_vars,
+    free_vars,
     rebind,
 )
-from .protocol import Action, Protocol, Role, suitable
+from .protocol import Action, Protocol, Role, Scenario, suitable
 from .terms import (
     App,
     Basic,
@@ -87,6 +97,7 @@ from .terms import (
     Var,
     cache,
     subst_term,
+    term_vars,
 )
 
 
@@ -167,10 +178,10 @@ class Cursor:
         if not self.done():
             raise ParseError(f"trailing input {self.vals[self.i]!r}", self.pos(self.i))
 
-    def items(self, item: Callable[[], T], close: str | None = None) -> list[T]:
-        """item (',' item)*, then the closing bracket when one is given."""
+    def items(self, item: Callable[[], T], close: str | None = None, sep: str = ",") -> list[T]:
+        """item (sep item)*, then the closing bracket when one is given."""
         out = [item()]
-        while self.vals[self.i] == ",":
+        while self.vals[self.i] == sep:
             self.i += 1
             out.append(item())
         if close is not None:
@@ -553,12 +564,18 @@ def parse_protocol(text: str, where: str = "protocol"):
     name: str | None = None
     phases: list[str] = []
     roles: list[tuple[str, tuple[str, ...], list]] = []  # name, params, actions
+    setup: list[Cursor] = []  # read once every role is
     for _, p in _line_cursors(text, where, decls):
         head = p.vals[0]
         if not head:
             continue
-        if head in ("protocol", "phases", "role") or (head in _DECL_HEADS and not roles):
+        if head in ("protocol", "phases", "role", "setup") or (head in _DECL_HEADS and not roles):
             p.i = 1
+        if (head == "setup" and not roles) or (setup and head != "setup"):
+            raise ParseError("setup lines end a protocol text, after its roles", p.pos(0))
+        if head == "setup":
+            setup.append(p)
+            continue
         if head == "protocol":
             name = p.ident()
         elif head == "phases":
@@ -579,8 +596,44 @@ def parse_protocol(text: str, where: str = "protocol"):
         p.end()
     if name is None:
         raise ParseError("missing protocol header", where)
-    return Protocol(name, decls, {r: Role(r, ps, tuple(acts)) for r, ps, acts in roles},
-                    tuple(phases))
+    proto = Protocol(name, decls, {r: Role(r, ps, tuple(acts)) for r, ps, acts in roles},
+                     tuple(phases))
+    for p in setup:
+        _parse_setup(p, proto)
+    return proto
+
+
+def _parse_setup(p: Cursor, proto) -> None:
+    """The rest of a setup line, into proto's scenario.  A fact's variables
+    are bindings of its session, and the observer's terms have none."""
+    sc = proto.scenario
+    at = p.i
+    head = p.ident()
+    role = None
+    if head in proto.decls.agents:
+        p.expect("per")
+        at = p.i
+        if (role := p.ident()) not in proto.roles:
+            raise ParseError(f"unknown role {role!r}", p.pos(at))
+    elif head not in ("sessions", "all", "observer"):
+        raise ParseError(f"{head!r} is no setup word and no declared agent", p.pos(at))
+    p.expect(":")
+    if head == "sessions":
+        p.items(lambda: parse_session(p, proto, sc.layout), sep=";")
+    else:
+        at = p.i
+        items = p.items(p.term if head == "observer" else lambda: _parse_assertion(p, 0))
+        bound = {"id", *proto.roles[role].params} if role else set()
+        loose = set().union(*map(term_vars if head == "observer" else free_vars, items)) - bound
+        if loose:
+            raise ParseError(f"{min(loose)} is not declared and no session binds it", p.pos(at))
+        if head == "observer":
+            sc.observer += items
+        elif head == "all":
+            sc.facts += items
+        else:
+            sc.held += [(head, role, fact) for fact in items]
+    p.end()
 
 
 _ACTION_KINDS = ("send", "recv", "confirm", "deny", "insert")
@@ -653,12 +706,25 @@ def print_protocol(proto) -> str:
         for a in role.actions:
             out.append("  " + print_action(a, proto.phases, prev))
             prev = a.phase
+    sc = proto.scenario
+    if sc.layout:
+        out.append("setup sessions: " + "; ".join(
+            f"{role}({', '.join(f'{k}={print_term(v)}' for k, v in sigma.items())})"
+            + " per voter" * each for role, sigma, each in sc.layout))
+    if sc.facts:
+        out.append("setup all: " + ", ".join(map(print_assertion, sc.facts)))
+    for agent, role, fact in sc.held:
+        out.append(f"setup {agent} per {role}: {print_assertion(fact)}")
+    if sc.observer:
+        out.append("setup observer: " + ", ".join(map(print_term, sc.observer)))
     return "\n".join(out) + "\n"
 
 
-def parse_session(p: Cursor, proto) -> tuple[str, dict[str, Term]]:
+def parse_session(p: Cursor, proto, layout: list | None = None) -> tuple[str, dict[str, Term]]:
     """One session, `role(name=term, ...)` or `role name=term, ...`: a role
-    of proto and bindings that ground it (`protocol.suitable`)."""
+    of proto and bindings that ground it (`protocol.suitable`).  An entry of
+    a setup layout, appended to it, may end in 'per voter': it must then
+    ground its role for voters 0 and 1 (`protocol.Scenario.sessions`)."""
     at = p.i
     name = p.ident()
     role = proto.roles.get(name)
@@ -668,9 +734,19 @@ def parse_session(p: Cursor, proto) -> tuple[str, dict[str, Term]]:
     unknown = sorted(set(sigma) - {"id", *role.params})
     if unknown:
         raise ParseError(f"role {role.name} has no parameter {unknown[0]}", p.pos(at))
-    if not suitable(sigma, role, proto):
+    each = layout is not None and p.eat("per")
+    if each:
+        p.expect("voter")
+    try:
+        grounds = (Scenario([(name, sigma, True)]).sessions(proto.decls, 2) if each
+                   else [(name, sigma)])
+    except ValueError as e:
+        raise ParseError(e.args[0], p.pos(at)) from None
+    if not all(suitable(s, role, proto) for _, s in grounds):
         raise ParseError(f"session of {role.name} does not ground its role: id needs "
                          f"a declared agent, every parameter a ground term", p.pos(at))
+    if layout is not None:
+        layout.append((role.name, sigma, each))
     return role.name, sigma
 
 

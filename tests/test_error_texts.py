@@ -58,6 +58,23 @@ PROTOCOL_ERRORS = [
      "undeclared constant 7 at case.proto:15:28"),
     ("fresh on a receive", "  recv id : env,", "  recv id fresh(k) : env,",
      "fresh(...) is only allowed on send actions at case.proto:14:3"),
+    ("per-voter index past the declared names", "agents Auth, Cnt, V0, V1, V2, V3",
+     "agents Auth, Cnt, V0", "V1 is not declared: names for at most 1 voter at case.proto:24:47"),
+    ("per-voter entry that grounds no role", "voter(id=V, v=v) per voter", "voter(id=V, v=v)",
+     "session of voter does not ground its role: id needs a declared agent, every parameter "
+     "a ground term at case.proto:24:47"),
+    ("unknown role of a per-session fact", "setup Auth per voter:", "setup Auth per ballot:",
+     "unknown role 'ballot' at case.proto:26:16"),
+    ("undeclared agent of a per-session fact", "setup Auth per voter:", "setup Reg per voter:",
+     "'Reg' is no setup word and no declared agent at case.proto:26:7"),
+    ("name a per-session fact does not bind", "setup Auth per voter: elg(id)",
+     "setup Auth per voter: elg(x)", "x is not declared and no session binds it at case.proto:26:23"),
+    ("setup line before the roles", "\nrole voter(v):",
+     "\nsetup observer: sk(Auth)\nrole voter(v):",
+     "setup lines end a protocol text, after its roles at case.proto:8:1"),
+    ("role after the setup lines", "setup observer: sk(Auth), sk(Cnt)\n",
+     "setup observer: sk(Auth), sk(Cnt)\nrole extra:\n",
+     "setup lines end a protocol text, after its roles at case.proto:28:1"),
 ]
 
 # edits of the foo seed-0 trace, 27 lines long

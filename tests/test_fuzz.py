@@ -4,7 +4,8 @@ The builtin protocol sources, sequents and traces are mutated (characters
 deleted, inserted, duplicated or swapped, lines cut short) and read back.
 A parser may accept a mutant or refuse it with a ParseError, nothing else;
 through the CLI every mutant must end with an exit code of the contract
-(0, 1, 2 or 3) and without a traceback on stderr.
+(0, 1, 2 or 3) and without a traceback on stderr, also when `simulate`
+runs the scenario a mutated protocol source states.
 """
 from __future__ import annotations
 
@@ -93,6 +94,9 @@ def test_mutated_files_keep_the_exit_code_contract(tmp_path, capsys, seed):
         codes.add(rc)
         path.write_text(_mutate(rng.choice(sorted(SOURCES.values())), rng), encoding="utf-8")
         rc, err = _run(["validate", str(path)], capsys)
+        assert rc in (0, 1, 2, 3) and "Traceback" not in err, path.read_text()
+        codes.add(rc)
+        rc, err = _run(["simulate", str(path), *budget], capsys)  # the scenario the text states
         assert rc in (0, 1, 2, 3) and "Traceback" not in err, path.read_text()
         codes.add(rc)
         proto, trace = traces[i % 2]

@@ -2,7 +2,8 @@
 
 `former_syntax` is the parser as it was before it read assertions straight
 to alpha-normal form.  Seeded mutants (the mutator of `test_fuzz`) of the
-builtin protocol sources, the golden sequents, seeded leak and flat
+builtin protocol sources (without the setup lines that end them, which
+the former parser did not read), the golden sequents, seeded leak and flat
 sequents, a foo and a helios trace and a session list go through both, as
 do the unmutated texts.  Each input must give the identical objects, or a
 ParseError with the identical text.  The one exception is a reserved word
@@ -48,9 +49,16 @@ def _sequents() -> list[str]:
     return [*SEQUENTS.values(), *leaks, *(_flat_text(rng) for _ in range(4))]
 
 
+def _roles(text: str) -> str:
+    """A builtin source without its setup lines."""
+    return text[:text.index("\nsetup ") + 1]
+
+
 def _former(proto):
-    """proto as the former parser reads its builtin source."""
-    return former_syntax.parse_protocol(SOURCES[proto.name], proto.name)
+    """proto as the former parser reads its builtin source, with the
+    scenario that the source's setup lines state."""
+    former = former_syntax.parse_protocol(_roles(SOURCES[proto.name]), proto.name)
+    return dataclasses.replace(former, scenario=proto.scenario)
 
 
 class _FormerCursor(former_syntax.Cursor):
@@ -118,7 +126,7 @@ def _reserved_refusal(text: str, error: str) -> bool:
 def _cases():
     """(format, text, current parser, former parser)."""
     foo = builtin_foo()
-    formats = [("protocol", s, parse_protocol, former_syntax.parse_protocol)
+    formats = [("protocol", _roles(s), parse_protocol, former_syntax.parse_protocol)
                for s in SOURCES.values()]
     formats += [("sequent", s, parse_sequent, former_syntax.parse_sequent) for s in _sequents()]
     formats += [("trace", trace, lambda t, p=proto: runtime.parse_trace(t, p),

@@ -258,6 +258,15 @@ def test_protocol_round_trip_builtins():
             assert again.roles[rname].actions == proto.roles[rname].actions
 
 
+def test_printing_keeps_the_scenario_of_every_builtin():
+    for name, src in SOURCES.items():
+        proto = parse_protocol(src, name)
+        assert proto.scenario.layout and proto.scenario.facts, name
+        printed = print_protocol(proto)
+        assert parse_protocol(printed).scenario == proto.scenario, name
+        assert print_protocol(parse_protocol(printed)) == printed, name
+
+
 def test_protocol_reports_location_on_error():
     src = "protocol bad\nagents A\nrole r(v):\n  send id : undeclared_ctor(v)\n"
     with pytest.raises(ParseError) as e:
