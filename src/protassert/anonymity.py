@@ -1,11 +1,12 @@
 """Vote-privacy checking by run swapping.
 
-Given a completed run with two voter sessions, the swap exchanges the two
-votes: the twin run is instantiated from the roles, with the two voter
-sessions' parameters and fresh values exchanged and their steps from the
-casts on exchanged whole, and σ, the map from each message to the one the
-twin sends in its place, is read off the two runs' traffic.  If the twin
-is a valid run and the observer's final knowledge in the two runs supports
+Given a completed run with two sessions of the voter role (the role named
+`voter`, or the one the caller names: it is never guessed), the swap
+exchanges their votes: the twin run is instantiated from the roles, with
+the two voters' parameters and fresh values exchanged and their steps from
+the casts on exchanged whole, and σ, the map from each message to the one
+the twin sends in its place, is read off the two runs' traffic.  If the
+twin is valid and the observer's final knowledge in the two runs supports
 exactly the same tests, the observer cannot tell who cast which vote.
 
 Tests are assertions over message handles (placeholders standing for the
@@ -38,6 +39,7 @@ from .assertions import (
 from .engine import DEFAULT_BUDGET, BudgetExhausted, DeriveContext, SearchBudget
 from .protocol import Protocol
 from .runtime import (
+    OBSERVER,
     Run,
     SessionState,
     Setup,
@@ -69,46 +71,26 @@ class SwapSpec:
     """Which two voter sessions exchange their votes, and where they cast."""
 
     sessions: tuple[int, int]  # 1-based voter session indices
-    cast_steps: tuple[int, int]  # 1-based global indices of the cast sends
+    cast: int  # the cast's 0-based index in the voter role, its last send
 
 
 def swp_assertion(swap: dict[Term, Term], a: Assertion) -> Assertion:
     return normalize(map_terms(a, lambda t: replace_term(t, swap)))
 
 
-def derive_swap(run: Run, voter_role: str | None = None,
+def derive_swap(run: Run, voter_role: str = "voter",
                 swap_sessions: tuple[int, int] | None = None) -> SwapSpec:
-    """Read the swap off a completed run: the voter role is the one with an
-    anonymous send (or the named one), and two of its sessions, each done
-    with its role, swap their votes; each casts with its last send.  With
-    more than two voter sessions the first two are swapped unless a pair
-    is given; the others are left exactly as they played."""
-    proto = run.proto
-    if voter_role is None:
-        starred = [name for name, role in proto.roles.items()
-                   if any(a.kind == "send*" for a in role.actions)]
-        if not starred:
-            # No anonymous send anywhere: fall back to the one role whose
-            # sessions are told apart by a non-id parameter.
-            varying: list[str] = []
-            for name in proto.roles:
-                params = [{k: v for k, v in sig.items() if k != "id"}
-                          for rname, sig in run.setup.sessions if rname == name]
-                if len(params) >= 2 and any(p != params[0] for p in params[1:]):
-                    varying.append(name)
-            starred = varying
-        if len(starred) != 1:
-            raise ValueError(
-                "cannot infer the voter role, pass it explicitly")
-        voter_role = starred[0]
-    if voter_role not in proto.roles:
+    """Read the swap off a completed run: two sessions of the voter role
+    (`voter` unless another is named), each done with its role, swap their
+    votes; each casts with its last send.  With more than two voter
+    sessions the first two are swapped unless a pair is given; the others
+    are left exactly as they played."""
+    role = run.proto.roles.get(voter_role)
+    if role is None:
         raise ValueError(f"no role named {voter_role!r}")
-    role = proto.roles[voter_role]
-    send_idx = [i for i, a in enumerate(role.actions)
-                if a.kind in ("send", "send*")]
-    if len(send_idx) < 2:
+    sends = [i for i, a in enumerate(role.actions) if a.kind in ("send", "send*")]
+    if len(sends) < 2:
         raise ValueError(f"role {voter_role!r} does not commit then cast")
-    cast_idx = send_idx[-1]
 
     voter_sessions = [i for i, (r, _) in enumerate(run.setup.sessions, 1)
                       if r == voter_role]
@@ -120,13 +102,10 @@ def derive_swap(run: Run, voter_role: str | None = None,
     if len(set(pair)) != 2 or any(s not in voter_sessions for s in pair):
         raise ValueError("swap_sessions must name two voter sessions")
 
-    casts: list[int] = []
     for s in pair:
-        mine = [n for n, step in enumerate(run.steps, 1) if step.session == s]
-        if len(mine) < len(role.actions):
+        if sum(step.session == s for step in run.steps) < len(role.actions):
             raise ValueError(f"session {s} did not finish its role")
-        casts.append(mine[cast_idx])
-    return SwapSpec(pair, (casts[0], casts[1]))
+    return SwapSpec(pair, sends[-1])
 
 
 def build_swapped(run: Run, spec: SwapSpec) -> Run:
@@ -142,7 +121,6 @@ def build_swapped(run: Run, spec: SwapSpec) -> Run:
                 for n, (role, sigma) in enumerate(run.setup.sessions, 1)]
     states = [SessionState(role, dict(sigma)) for role, sigma in sessions]
     played = {s: [t.fresh for t in run.steps if t.session == s] for s in partner}  # by pc
-    cast_pc = [t.session for t in run.steps[:spec.cast_steps[0] - 1]].count(spec.sessions[0])
     done = dict.fromkeys(partner, 0)  # each voter's steps so far in the original run
     sent: dict[tuple[Term, Assertion | None], int] = {}  # each message's first send
     steps: list[Step] = []
@@ -150,12 +128,12 @@ def build_swapped(run: Run, spec: SwapSpec) -> Run:
         s = step.session
         if s in partner:
             done[s] += 1
-            if done[s] > cast_pc:
+            if done[s] > spec.cast:
                 s = partner[s]
-                if states[s - 1].pc < cast_pc:
+                if states[s - 1].pc < spec.cast:
                     raise ValueError(f"step {n}: session {s} has no cast pending")
         st = states[s - 1]
-        action = run.proto.roles[st.role].actions[st.pc]
+        action = st.pending(run.proto)
         fresh = played[partner[s]][st.pc] if s in partner else step.fresh
         binds: tuple[tuple[str, Term], ...] = ()
         if action.kind == "recv":
@@ -169,12 +147,12 @@ def build_swapped(run: Run, spec: SwapSpec) -> Run:
         elif action.kind in ("send", "send*"):  # a receive without an assertion reads either
             for key in ((step.action.term, step.action.assertion), (step.action.term, None)):
                 sent.setdefault(key, n - 1)
-        inst = _instantiate(action, st.sigma, fresh, binds)
-        if inst is None:
-            raise ValueError(f"step {n}: action not ground after instantiation")
+        try:
+            inst = _instantiate(action, st.sigma, fresh, binds)
+        except ValueError as e:
+            raise ValueError(f"step {n}: {e}") from None
         steps.append(Step(s, inst, fresh, binds))
-        st.sigma.update(fresh + binds)
-        st.pc += 1
+        st.advance(fresh, binds)
     return Run(run.proto, replace(run.setup, sessions=sessions), run.seed, steps,
                complete=run.complete)
 
@@ -277,14 +255,13 @@ def deterministic_tests(n_handles: int, agents: list[Basic],
 class _TemplateGen:
     """Seeded random observer tests over handles and declared constants."""
 
-    def __init__(self, rng: random.Random, proto: Protocol, intruder: str,
-                 n_handles: int, depth: int):
+    def __init__(self, rng: random.Random, proto: Protocol, n_handles: int, depth: int):
         self.rng = rng
         self.depth = depth
         self.handles = [_handle(i) for i in range(1, n_handles + 1)]
         self.agents = [Basic(a, AGENT) for a in sorted(proto.decls.agents)]
-        if intruder not in proto.decls.agents:
-            self.agents.append(Basic(intruder, AGENT))
+        if OBSERVER not in proto.decls.agents:
+            self.agents.append(Basic(OBSERVER, AGENT))
         # agents and nonces: the constants of the deterministic block too
         self.names: list[Basic] = self.agents + [
             Basic(n, "nonce") for n in sorted(proto.decls.nonces)]
@@ -348,7 +325,7 @@ class _TemplateGen:
 
 def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
                 left: WorldState, right: WorldState,
-                proto: Protocol, intruder: str, seed: int,
+                proto: Protocol, seed: int,
                 tests: int, depth: int) -> tuple[TestOutcome | None, int, int, int]:
     """Evaluate the shared test battery against both runs.  Returns the
     first distinguishing test (or None), total tests run, how many were
@@ -361,7 +338,7 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
     map_l = {_handle(i).name: tr.term for i, tr in enumerate(left.traffic, 1)}
     map_r = {_handle(i).name: tr.term for i, tr in enumerate(right.traffic, 1)}
     # building the generator draws nothing from its random stream
-    gen = _TemplateGen(random.Random(seed ^ 0x5EED), proto, intruder, n, depth)
+    gen = _TemplateGen(random.Random(seed ^ 0x5EED), proto, n, depth)
     slots = [i for i, tr in enumerate(left.traffic, 1) if tr.assertion is not None]
     det = deterministic_tests(n, gen.agents, gen.names, slots)
 
@@ -406,7 +383,7 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
 def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
                     tests: int = 500, depth: int = 3,
                     budget: SearchBudget = DEFAULT_BUDGET,
-                    voter_role: str | None = None,
+                    voter_role: str = "voter",
                     swap_sessions: tuple[int, int] | None = None) -> AnonymityReport:
     """Simulate one run, build its vote-swapped twin, and look for an
     observer test telling them apart.  The swapped run is replayed while
@@ -432,8 +409,8 @@ def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
         return report
 
     swap = swap_of(state_l, state_r)
-    left = state_l.knowledge[setup.intruder]
-    right = state_r.knowledge[setup.intruder]
+    left = state_l.knowledge[OBSERVER]
+    right = state_r.knowledge[OBSERVER]
     mismatches: list[str] = []
     if {replace_term(t, swap) for t in left.terms} != right.terms:
         mismatches.append("observer term knowledge differs beyond the swap")
@@ -449,7 +426,7 @@ def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
     report.notes.extend(sorted(set(reasons_l + reasons_r)))
 
     dist, total, det, inconclusive = run_battery(
-        ctx_l, ctx_r, state_l, state_r, proto, setup.intruder, seed, tests, depth)
+        ctx_l, ctx_r, state_l, state_r, proto, seed, tests, depth)
     report.tests_total = total
     report.deterministic = det
     report.inconclusive = inconclusive

@@ -150,13 +150,13 @@ def cmd_anonymity(args) -> int:
         print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
         return EX_USAGE
     proto = _load_protocol(args.protocol)
-    if args.voter_role is not None and args.voter_role not in proto.roles:
-        print(f"error: no role named {args.voter_role!r}", file=sys.stderr)
-        return EX_USAGE
     try:
         setup = _setup(proto, args.sessions, args.voters, privacy=True)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EX_USAGE
+    if args.voter_role not in proto.roles:
+        print(f"error: no role named {args.voter_role!r}", file=sys.stderr)
         return EX_USAGE
     verdicts: list[str] = []
     for seed in range(args.seeds):
@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random observer tests per run (default 500)")
     p.add_argument("--test-depth", type=_count, default=3,
                    help="random test nesting depth (default 3)")
-    p.add_argument("--voter-role", help="role that casts the votes")
+    p.add_argument("--voter-role", default="voter",
+                   help="role that casts the votes (default: %(default)s)")
     p.add_argument("--voters", type=int, default=2,
                    help="voter count of the stated layout (default 2)")
     p.add_argument("--sessions", help="replace the stated session layout")

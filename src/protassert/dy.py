@@ -142,10 +142,8 @@ def _synth_proof(S: frozenset[Term], t: Term, prov: Provenance, memo: dict) -> T
 
 
 def dy_derive(X, t: Term) -> DYVerdict:
-    S, prov = dy_saturate(X)
-    if not _synth_ok(S, t):
-        return DYVerdict(False)
-    return DYVerdict(True, _synth_proof(S, t, prov, {}))
+    ctx = DYContext(X)
+    return DYVerdict(True, ctx.proof(t)) if ctx.derivable(t) else DYVerdict(False)
 
 
 class DYContext:

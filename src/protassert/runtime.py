@@ -87,7 +87,9 @@ class Setup:
     sessions: list[tuple[str, dict[str, Term]]]
     agent_terms: dict[str, set[Term]] = field(default_factory=dict)
     agent_assertions: dict[str, set[Assertion]] = field(default_factory=dict)
-    intruder: str = "I"  # the network observer; the maps hold its knowledge as any agent's
+
+
+OBSERVER = "I"  # the network observer; a set-up's maps hold its knowledge as any agent's
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -158,6 +160,17 @@ class SessionState:
     sigma: dict[str, Term]
     pc: int = 0
 
+    def pending(self, proto: Protocol) -> Action | None:
+        """The role action the session takes next, None once it is done."""
+        actions = proto.roles[self.role].actions
+        return actions[self.pc] if self.pc < len(actions) else None
+
+    def advance(self, fresh: tuple[tuple[str, Basic], ...],
+                binds: tuple[tuple[str, Term], ...]) -> None:
+        """Move past the pending action, fired with these fresh values and bindings."""
+        self.sigma.update(fresh + binds)
+        self.pc += 1
+
 
 @dataclass
 class WorldState:
@@ -200,7 +213,7 @@ class Run:
 def parties(proto: Protocol, setup: Setup) -> set[str]:
     """The run's agent names: the declared ones, the observer and every
     session's id."""
-    names = set(proto.decls.agents) | {setup.intruder}
+    names = set(proto.decls.agents) | {OBSERVER}
     for _, sigma in setup.sessions:
         ag = sigma.get("id")
         if not isinstance(ag, Basic) or ag.sort != AGENT:
@@ -222,7 +235,7 @@ def stated_setup(proto: Protocol, layout: list[tuple[str, dict[str, Term]]] | in
         setup.agent_assertions[agent].update(
             substitute(fact, sigma) for r, sigma in setup.sessions if r == role)
     if privacy:
-        setup.agent_terms[setup.intruder] = set(sc.observer)
+        setup.agent_terms[OBSERVER] = set(sc.observer)
     return setup
 
 
@@ -256,12 +269,14 @@ def initial_state(proto: Protocol, setup: Setup) -> WorldState:
 
 def _instantiate(action: Action, sigma: dict[str, Term],
                  fresh: tuple[tuple[str, Basic], ...],
-                 binds: tuple[tuple[str, Term], ...]) -> Action | None:
+                 binds: tuple[tuple[str, Term], ...]) -> Action:
     """The action under a session's sigma extended by its fresh values and
-    then its bindings, or None when that leaves a variable free.  A non-key
-    in a key slot, which only a recorded step can ask for, raises ValueError."""
+    then its bindings.  Raises ValueError when that leaves a variable free,
+    or puts a non-key in a key slot, which only a recorded step can ask for."""
     inst = action.instance({**sigma, **dict(fresh), **dict(binds)})
-    return None if inst.used_vars() else inst
+    if inst.used_vars():
+        raise ValueError("action not ground after instantiation")
+    return inst
 
 
 def _allocate_fresh(state: WorldState, session_index: int,
@@ -328,7 +343,7 @@ def check_step(state: WorldState, step: Step,
                          if v.budget_exhausted else None)
 
     if act.kind == "recv":
-        intr = state.knowledge[state.setup.intruder]
+        intr = state.knowledge[OBSERVER]
         if not table.dy(intr.terms).derivable(act.term):
             yield "message not derivable on the network", None
         if act.assertion is not None:
@@ -366,18 +381,18 @@ def candidates_for(state: WorldState, idx: int,
     when the session is permanently stuck.  Knowledge only ever grows, so a
     deny whose assertion is already derivable can never fire later."""
     sess = state.sessions[idx]
-    role = state.proto.roles[sess.role]
-    if sess.pc >= len(role.actions):
+    action = sess.pending(state.proto)
+    if action is None:
         return [], False
-    action = role.actions[sess.pc]
     if action.kind == "recv":
         offers = [((), b) for b in _traffic_binds(state, action, sess.sigma)]
     else:
         offers = [(_allocate_fresh(state, idx + 1, action), ())]
     found: list[Step] = []
     for fresh, binds in offers:
-        inst = _instantiate(action, sess.sigma, fresh, binds)
-        if inst is None:
+        try:
+            inst = _instantiate(action, sess.sigma, fresh, binds)
+        except ValueError:  # a variable no session binds
             continue
         state.contexts.held.add(inst)
         step = Step(idx + 1, inst, fresh, binds)
@@ -420,18 +435,15 @@ def apply_candidate(state: WorldState, step: Step) -> Step:
 
     if act.kind in ("send", "send*"):
         _learn(state, agent, [value for _, value in step.fresh])
-        for name, value in step.fresh:
-            state.used_basics.add(value.name)
-            sess.sigma[name] = value
+        state.used_basics.update(value.name for _, value in step.fresh)
         heard = said
         if act.kind == "send":
             heard += (SentT(act.agent, act.term), *(SentA(act.agent, a) for a in said))
-        _learn(state, state.setup.intruder, (act.term,), heard)
+        _learn(state, OBSERVER, (act.term,), heard)
         state.traffic.append(Traffic(act.term, act.assertion,
                                      agent if act.kind == "send" else None))
     elif act.kind == "recv":
         _learn(state, agent, (act.term,), said)
-        sess.sigma.update(dict(step.binds))
     elif act.kind == "insert":
         before = state.knowledge[agent].assertions
         know = _learn(state, agent, (), said)
@@ -439,7 +451,7 @@ def apply_candidate(state: WorldState, step: Step) -> Step:
             state.warnings.append(
                 f"session {step.session}: insert made {agent}'s theory inconsistent")
     # confirm and deny leave knowledge unchanged
-    sess.pc += 1
+    sess.advance(step.fresh, step.binds)
     return step
 
 
@@ -452,8 +464,7 @@ def _copy_state(s: WorldState) -> WorldState:
 
 
 def _all_done(state: WorldState) -> bool:
-    return all(s.pc >= len(state.proto.roles[s.role].actions)
-               for s in state.sessions)
+    return all(s.pending(state.proto) is None for s in state.sessions)
 
 
 def _fingerprint(state: WorldState):
@@ -563,11 +574,10 @@ def run_problems(run: Run, budget: SearchBudget = DEFAULT_BUDGET
             problems.append((f"step {n}: no session {step.session}", False))
             break
         sess = state.sessions[step.session - 1]
-        role = run.proto.roles[sess.role]
-        if sess.pc >= len(role.actions):
+        action = sess.pending(run.proto)
+        if action is None:
             problems.append((f"step {n}: session {step.session} already finished", False))
             break
-        action = role.actions[sess.pc]
 
         for name, value in step.fresh:
             if name not in action.fresh:
@@ -580,9 +590,6 @@ def run_problems(run: Run, budget: SearchBudget = DEFAULT_BUDGET
             inst = _instantiate(action, sess.sigma, step.fresh, step.binds)
         except ValueError as e:
             problems.append((f"step {n}: {e}", False))
-            break
-        if inst is None:
-            problems.append((f"step {n}: action not ground after instantiation", False))
             break
         if inst != step.action:
             problems.append((f"step {n}: recorded action does not match the role", False))
@@ -673,18 +680,14 @@ def parse_trace(text: str, proto: Protocol, setup: Setup | None = None) -> Run:
         fresh = tuple(p.items(lambda: _fresh_value(p))) if p.eat("fresh") else ()
         binds = tuple(p.items(p.binding)) if p.eat("bind") else ()
         st = states[snum - 1]
-        role = proto.roles[st.role]
-        if st.pc >= len(role.actions):
-            raise ParseError(f"session {snum} has no pending action", p.pos(at))
+        action = st.pending(proto)
+        if action is None:
+            raise ParseError(f"step {len(steps) + 1}: session {snum} already finished", p.pos(at))
         try:
-            inst = _instantiate(role.actions[st.pc], st.sigma, fresh, binds)
+            inst = _instantiate(action, st.sigma, fresh, binds)
         except ValueError as e:
             raise ParseError(f"step {len(steps) + 1}: {e}", p.pos(at)) from None
-        if inst is None:
-            raise ParseError(f"step {len(steps) + 1} leaves variables unbound", p.pos(at))
         steps.append(Step(snum, inst, fresh, binds))
-        st.sigma.update(fresh)
-        st.sigma.update(binds)
-        st.pc += 1
+        st.advance(fresh, binds)
     p.end()
     return Run(proto, setup, seed, steps)

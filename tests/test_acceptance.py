@@ -45,6 +45,7 @@ from protassert.builtins import (
 from protassert.checker import replay_assertion_proof, replay_term_proof
 from protassert.protocol import action_subst
 from protassert.runtime import (
+    OBSERVER,
     Run,
     SessionState,
     Step,
@@ -223,7 +224,7 @@ def test_criterion_4_vote_privacy_battery():
         voters = 2 + (seed % 3)
         setup = anonymity_foo_setup(proto, voters)
         st = initial_state(proto, setup)
-        k_obs = st.knowledge[setup.intruder].terms
+        k_obs = st.knowledge[OBSERVER].terms
         for insider in ("Auth", "Cnt"):
             if not st.knowledge[insider].terms <= k_obs:
                 problems.append(f"seed {seed}: observer lacks {insider}'s keys")
@@ -254,8 +255,8 @@ def _observer_contexts(proto, setup, seed):
     swapped = build_swapped(run, spec)
     ok, _, state_r = validate_run(swapped)
     assert ok
-    kl = state_l.knowledge[setup.intruder]
-    kr = state_r.knowledge[setup.intruder]
+    kl = state_l.knowledge[OBSERVER]
+    kr = state_r.knowledge[OBSERVER]
     ctx_l = DeriveContext(frozenset(kl.terms), frozenset(kl.assertions))
     ctx_r = DeriveContext(frozenset(kr.terms), frozenset(kr.assertions))
     return run, state_l, state_r, ctx_l, ctx_r
@@ -326,7 +327,7 @@ def test_criterion_6_replay_and_double_vote_prevention():
     hrun, hstate = simulate(hp, hs, seed=0)
     if not hrun.complete:
         problems.append("helios run did not complete")
-    hkI = hstate.knowledge[hs.intruder]
+    hkI = hstate.knowledge[OBSERVER]
     v0 = Basic("v0", "nonce")
     forged = normalize(Says(Basic("Scr", "agent"), Exists("u",
         And(Eq(App("ballot", (v0,)), App("ballot", (Var("u"),))),
@@ -361,8 +362,7 @@ def test_criterion_6_replay_and_double_vote_prevention():
     forced = action_subst(admin.actions[0], sigma)
     hs2 = Setup(sessions=[*hs.sessions, ("admin", {"id": Basic("Adm", "agent")})],
                 agent_terms=hs.agent_terms,
-                agent_assertions=hs.agent_assertions,
-                intruder=hs.intruder)
+                agent_assertions=hs.agent_assertions)
     hsteps = list(hrun.steps) + [
         Step(len(hs2.sessions), forced,
              binds=(("W1", I), ("w1", v0)))]
@@ -406,8 +406,7 @@ def test_criterion_6_replay_and_double_vote_prevention():
     sigma = {"id": Auth, "W": Basic("V0", "agent"), "env": d}
     fs2 = Setup(sessions=[*fs.sessions, ("authority", {"id": Auth})],
                 agent_terms=fs.agent_terms,
-                agent_assertions=fs.agent_assertions,
-                intruder=fs.intruder)
+                agent_assertions=fs.agent_assertions)
     extra = len(fs2.sessions)
     fsteps = list(frun.steps) + [
         Step(extra, action_subst(auth.actions[0], sigma),
@@ -422,7 +421,7 @@ def test_criterion_6_replay_and_double_vote_prevention():
 
     # an envelope stolen and re-signed by the observer gets past the door
     # but the authority can never certify an ineligible name
-    fkI = fstate.knowledge[fs.intruder]
+    fkI = fstate.knowledge[OBSERVER]
     cert = next(a for a in fkI.assertions
                 if isinstance(a, Says) and a.agent == Basic("V0", "agent")
                 and isinstance(a.body, Exists))

@@ -47,6 +47,7 @@ from protassert.builtins import (
     default_helios_setup,
 )
 from protassert.dy import DYContext
+from protassert.runtime import OBSERVER
 from protassert.syntax import parse_assertion, print_assertion
 from protassert.terms import replace_term
 
@@ -108,16 +109,15 @@ def test_derive_swap_reads_the_run():
     setup = anonymity_foo_setup(proto)
     run, _ = simulate(proto, setup, seed=0)
     spec = derive_swap(run)
-    # the cast steps really are the anonymous sends of the two voters
-    for idx, sess in zip(spec.cast_steps, spec.sessions):
-        step = run.steps[idx - 1]
-        assert step.session == sess
-        assert step.action.kind == "send*"
+    # each voter's cast, its spec.cast-th own step, really is its anonymous send
+    for sess in spec.sessions:
+        assert [s for s in run.steps if s.session == sess][spec.cast].action.kind == "send*"
 
 
-def _without_voter_params(run):  # nothing tells foo-linked's voter sessions apart
-    sessions = [(r, {"id": s["id"]}) for r, s in run.setup.sessions]
-    return replace(run, setup=replace(run.setup, sessions=sessions))
+def _elector_foo():  # foo with its voter role named elector
+    return parse_protocol(FOO_SOURCE.replace("role voter(", "role elector(")
+                          .replace("; voter(id=V", "; elector(id=V")
+                          .replace("setup Auth per voter:", "setup Auth per elector:"), "foo")
 
 
 def _one_voter(run):  # foo at 2 voters: sessions 3 and 4 are the voters
@@ -125,13 +125,15 @@ def _one_voter(run):  # foo at 2 voters: sessions 3 and 4 are the voters
 
 
 def _cut_before_a_cast(run):
-    return replace(run, steps=run.steps[:min(derive_swap(run).cast_steps) - 1])
+    spec = derive_swap(run)
+    casts = [[n for n, s in enumerate(run.steps) if s.session == v][spec.cast]
+             for v in spec.sessions]
+    return replace(run, steps=run.steps[:min(casts)])
 
 
 # (what is wrong, protocol, edit of its seed-0 run, derive_swap's arguments, refusal)
 SWAP_REFUSALS = [
-    ("no voter role", builtin_foo_linked, _without_voter_params, {},
-     "cannot infer the voter role, pass it explicitly"),
+    ("no voter role", _elector_foo, None, {}, "no role named 'voter'"),
     ("unknown role", builtin_foo, None, {"voter_role": "nobody"},
      "no role named 'nobody'"),
     ("one send", builtin_foo, None, {"voter_role": "authority"},
@@ -168,8 +170,8 @@ def test_build_swapped_is_a_valid_run():
     assert ok, problems
     # the observer's view of the twin is exactly the swapped view
     m = swap_of(state_l, state_r)
-    kl = state_l.knowledge[setup.intruder]
-    kr = state_r.knowledge[setup.intruder]
+    kl = state_l.knowledge[OBSERVER]
+    kr = state_r.knowledge[OBSERVER]
     assert {replace_term(t, m) for t in kl.terms} == set(kr.terms)
     assert {normalize(map_terms(a, lambda t: replace_term(t, m)))
             for a in kl.assertions} == set(kr.assertions)
@@ -190,7 +192,7 @@ def _swap_and_view(seed: int = 0):
     setup = anonymity_foo_setup(proto)
     run, state = simulate(proto, setup, seed=seed)
     twin = validate_run(build_swapped(run, derive_swap(run)))[2]
-    return swap_of(state, twin), state.knowledge[setup.intruder]
+    return swap_of(state, twin), state.knowledge[OBSERVER]
 
 
 def test_safety_holds_for_the_voting_scenario():
@@ -236,7 +238,7 @@ def test_a_random_distinguisher_is_described_by_its_template(monkeypatch):
     no_traffic = SimpleNamespace(traffic=[])
     dist, total, det, inconclusive = run_battery(
         DeriveContext((), [fact]), DeriveContext((), []), no_traffic, no_traffic,
-        proto, "I", 4, 500, 3)
+        proto, 4, 500, 3)
     assert (dist, total, det, inconclusive) == (
         anonymity.TestOutcome("ex x: valid(x)", "yes", "no"), 31, 0, 0)
     assert printed == [dist.desc]
@@ -278,7 +280,7 @@ def test_the_observer_is_saturated_once_per_run(monkeypatch):
     run, state_l = simulate(proto, setup, seed=0)
     state_r = validate_run(build_swapped(run, derive_swap(run)))[2]
     assert state_r.contexts is state_l.contexts is run.contexts
-    views = {state.knowledge[setup.intruder].terms for state in (state_l, state_r)}
+    views = {state.knowledge[OBSERVER].terms for state in (state_l, state_r)}
     del run, state_l, state_r
     made = Counter()
     init = DYContext.__init__
@@ -408,6 +410,20 @@ def test_a_vote_sent_in_clear_is_distinguished():
         rep = check_anonymity(proto, setup, seed=seed)
         assert rep.verdict == "distinguished", (seed, rep.notes)
         assert "  distinguishing test: _h4 = v0" in render_report(rep).splitlines()
+
+
+def test_a_vote_named_in_an_assertion_differs_beyond_the_swap():
+    # before its cast each voter says its commitment hides v: the twin's
+    # assertion names the other vote, which σ does not map, and no test of
+    # the battery tells the two views apart
+    proto, setup = _foo_mutant(
+        "  @vote send* id fresh(kc)",
+        "  send id : id, id says (ex x, r: ({x}r = {v}k /\\ x = v))\n  @vote send* id fresh(kc)")
+    for seed in range(3):
+        assert render_report(check_anonymity(proto, setup, seed=seed)) == "\n".join([
+            f"anonymity foo seed={seed} verdict=inconclusive tests=795 inconclusive=0",
+            "  safety: ok",
+            "  note: observer assertion knowledge differs beyond the swap"])
 
 
 def test_a_cast_that_carries_the_commitment_key_is_checked():

@@ -270,8 +270,8 @@ def test_substitute_normalize_and_printing_agree_on_raw_templates():
         decls = Declarations(agents=d.agents | {"I"}, nonces=set(d.nonces),
                              keys=set(d.keys), predicates=dict(d.predicates),
                              constructors=dict(d.constructors))
-        templates = _TemplateGen(random.Random(61 + i), proto, "I", len(HANDLES), 3)
-        closed = _TemplateGen(random.Random(161 + i), proto, "I", 0, 2)
+        templates = _TemplateGen(random.Random(61 + i), proto, len(HANDLES), 3)
+        closed = _TemplateGen(random.Random(161 + i), proto, 0, 2)
         for _ in range(500):
             a = templates.assertion(3, [])
             raw += normalize(a) != a
@@ -290,8 +290,8 @@ def _generators(seed: int):
     """Per builtin protocol, an observer test generator over the handles
     and one that draws closed terms and assertions."""
     for i, proto in enumerate((builtin_foo(), builtin_helios())):
-        yield (_TemplateGen(random.Random(seed + i), proto, "I", len(HANDLES), 3),
-               _TemplateGen(random.Random(seed + 100 + i), proto, "I", 0, 2))
+        yield (_TemplateGen(random.Random(seed + i), proto, len(HANDLES), 3),
+               _TemplateGen(random.Random(seed + 100 + i), proto, 0, 2))
 
 
 def match_read_canonical(pat, tgt, holes, binding, eq) -> list:

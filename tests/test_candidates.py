@@ -341,8 +341,8 @@ def _probes(seed: int):
            Exists("qv1", Pred("p", (Basic("v0", NONCE),))), {"_h1"})
     rng = random.Random(seed)
     for i, proto in enumerate((builtin_foo(), builtin_helios())):
-        templates = _TemplateGen(random.Random(seed + i), proto, "I", 3, 3)
-        closed = _TemplateGen(random.Random(seed + 100 + i), proto, "I", 0, 2)
+        templates = _TemplateGen(random.Random(seed + i), proto, 3, 3)
+        closed = _TemplateGen(random.Random(seed + 100 + i), proto, 0, 2)
         for _ in range(300):
             raw = templates.assertion(3, [])
             for pat in (raw, normalize(raw)):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import protassert
+from protassert.builtins import FOO_SOURCE
 from protassert.checker import replay_assertion_proof
 from protassert.cli import main
 from protassert.engine import derive, derive_safe
@@ -482,6 +483,24 @@ def test_anonymity_unknown_voter_role_is_a_usage_error(capsys):
     assert rc == 2, captured.out
     assert captured.err == "error: no role named 'nobody'\n"
     assert captured.out == ""
+
+
+# foo with its voter role named elector: the role line, its layout entry
+# and the registrar's per-session roll
+ELECTOR = (FOO_SOURCE.replace("role voter(", "role elector(")
+           .replace("; voter(id=V", "; elector(id=V")
+           .replace("setup Auth per voter:", "setup Auth per elector:"))
+
+
+def test_anonymity_without_a_voter_role_is_a_usage_error(tmp_path, capsys):
+    # the voter role is the one named voter, unless --voter-role names it
+    path = _write(tmp_path, "elector.proto", ELECTOR)
+    assert main(["anonymity", path, "--seeds", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no role named 'voter'\n")
+    want = main(["anonymity", "foo", "--seeds", "2"]), capsys.readouterr().out
+    assert (main(["anonymity", path, "--seeds", "2", "--voter-role", "elector"]),
+            capsys.readouterr().out) == want
 
 
 def test_anonymity_zero_voters_is_a_usage_error(capsys):

@@ -93,7 +93,7 @@ TRACE_ERRORS = [
      "step 1: encryption key must be key material, got Basic(name='k_3', sort='nonce') "
      "at trace:8:16"),
     ("finished session", "step 20 session 6\n", "step 20 session 6\nstep 21 session 6\n",
-     "session 6 has no pending action at trace:28:17"),
+     "step 21: session 6 already finished at trace:28:17"),
 ]
 
 # (what is wrong, parser, whole text, error text): texts named s.seq or case.proto

@@ -26,6 +26,7 @@ from protassert.builtins import (
     default_helios_setup,
 )
 from protassert.protocol import action_subst, suitable
+from protassert.runtime import OBSERVER
 from protassert.syntax import ParseError
 
 
@@ -157,7 +158,7 @@ def test_anonymity_setup_arms_the_observer():
     proto = builtin_foo()
     setup = anonymity_foo_setup(proto)
     plain = default_foo_setup(proto)
-    assert setup.agent_terms[setup.intruder] > plain.agent_terms.get(plain.intruder, set())
+    assert setup.agent_terms[OBSERVER] > plain.agent_terms.get(OBSERVER, set())
 
 
 def test_session_list_parsing_matches_builtin():

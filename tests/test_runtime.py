@@ -33,6 +33,7 @@ from protassert.builtins import (
     default_helios_setup,
 )
 from protassert.runtime import (
+    OBSERVER,
     Step,
     WorldState,
     _allocate_fresh,
@@ -110,7 +111,7 @@ def test_initial_knowledge_is_public_plus_own_secrets():
     assert sk(auth) in state.knowledge["Auth"].terms
     assert sk(auth) not in state.knowledge["V0"].terms
     assert vk(auth) in state.knowledge["V0"].terms
-    assert vk(v0) in state.knowledge[setup.intruder].terms
+    assert vk(v0) in state.knowledge[OBSERVER].terms
 
 
 def test_simulation_completes_and_validates():
@@ -424,6 +425,14 @@ def test_trace_round_trip_without_a_seed_or_with_a_negative_one():
         assert again.seed == seed
         assert again.steps == run.steps
         assert write_trace(again) == text
+
+
+def test_a_role_variable_nothing_binds_leaves_its_session_stuck():
+    # the text parses, and its one action never instantiates to a ground
+    # step: the scheduler offers nothing, and the run does not complete
+    proto = parse_protocol("protocol u\nagents A\nrole r:\n  send id : w\n", "u")
+    run, _ = simulate(proto, Setup(parse_sessions("r(id=A)", proto)))
+    assert (run.complete, run.steps, run.warnings) == (False, [], ["no completing run found"])
 
 
 def test_simulate_warns_when_a_search_hits_the_budget():

@@ -49,7 +49,7 @@ from protassert.builtins import (
     default_helios_setup,
 )
 from protassert.checker import replay_assertion_proof
-from protassert.runtime import simulate
+from protassert.runtime import OBSERVER, simulate
 
 LEAK = """\
 nonces: v, 0, 1, 2
@@ -73,7 +73,7 @@ def _run_goals(proto, setup, seed: int):
     had to derive, over the knowledge at the end of the run."""
     run, state = simulate(proto, setup, seed=seed)
     assert run.complete
-    intr = state.knowledge[setup.intruder]
+    intr = state.knowledge[OBSERVER]
     out = []
     for step in run.steps:
         act = step.action
