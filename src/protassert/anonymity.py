@@ -134,6 +134,8 @@ def build_swapped(run: Run, spec: SwapSpec) -> Run:
                     raise ValueError(f"step {n}: session {s} has no cast pending")
         st = states[s - 1]
         action = st.pending(run.proto)
+        if action is None:
+            raise ValueError(f"step {n}: session {s} already finished")
         fresh = played[partner[s]][st.pc] if s in partner else step.fresh
         binds: tuple[tuple[str, Term], ...] = ()
         if action.kind == "recv":
@@ -331,15 +333,15 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
     first distinguishing test (or None), total tests run, how many were
     deterministic, and how many were inconclusive.  Each context answers a
     goal once, and a test is described only when it distinguishes."""
-    n = len(left.traffic)
-    if len(right.traffic) != n:
-        return (TestOutcome("number of network messages", str(n),
-                            str(len(right.traffic))), 0, 0, 0)
-    map_l = {_handle(i).name: tr.term for i, tr in enumerate(left.traffic, 1)}
-    map_r = {_handle(i).name: tr.term for i, tr in enumerate(right.traffic, 1)}
+    sent_l, sent_r = left.traffic, right.traffic
+    n = len(sent_l)
+    if len(sent_r) != n:
+        return (TestOutcome("number of network messages", str(n), str(len(sent_r))), 0, 0, 0)
+    map_l = {_handle(i).name: tr.term for i, tr in enumerate(sent_l, 1)}
+    map_r = {_handle(i).name: tr.term for i, tr in enumerate(sent_r, 1)}
     # building the generator draws nothing from its random stream
     gen = _TemplateGen(random.Random(seed ^ 0x5EED), proto, n, depth)
-    slots = [i for i, tr in enumerate(left.traffic, 1) if tr.assertion is not None]
+    slots = [i for i, tr in enumerate(sent_l, 1) if tr.assertion is not None]
     det = deterministic_tests(n, gen.agents, gen.names, slots)
 
     def stream():
@@ -348,8 +350,8 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
         for test in det:
             if isinstance(test, tuple):
                 slot, agent = test
-                yield (test, SentA(agent, left.traffic[slot - 1].assertion),
-                       SentA(agent, right.traffic[slot - 1].assertion))
+                yield (test, SentA(agent, sent_l[slot - 1].assertion),
+                       SentA(agent, sent_r[slot - 1].assertion))
             else:
                 yield test, substitute(test, map_l), substitute(test, map_r)
         made = 0

@@ -339,8 +339,8 @@ class EqClasses:
         for reps, rule in ((self.pair, "proj_pair"), (self.genc, "proj_enc")):
             a, b = self._pop(reps, small), reps.get(big)
             if a is not None and b is not None:
-                for i, (x, y) in enumerate(zip(children(a), children(b))):
-                    self._pending.append((x, y, rule, (a, b, i)))
+                for x, y in zip(children(a), children(b)):
+                    self._pending.append((x, y, rule, (a, b)))
             elif a is not None:
                 self._set(reps, big, a)
 
@@ -665,12 +665,11 @@ class _BranchProver:
         if edge.kind == "cong":
             return self._cong_proof(edge.a, edge.b, edge.stamp)
         if edge.kind == "proj_pair":
-            pa, pb, idx = edge.data
-            prem = self.eq_proof(pa, pb, edge.stamp)
+            prem = self.eq_proof(*edge.data, edge.stamp)
             assert prem is not None
             return ProofNode("proj_pair", Eq(edge.a, edge.b), (prem,))
         if edge.kind == "proj_enc":
-            ea, eb, idx = edge.data
+            ea, eb = edge.data
             prem = self.eq_proof(ea, eb, edge.stamp)
             assert prem is not None
             tp = (self.ctx.dyctx.inv_proof(ea.key), self.ctx.dyctx.inv_proof(eb.key))

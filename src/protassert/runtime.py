@@ -1,12 +1,14 @@
 """Run semantics: session setups, per-agent knowledge states, action
 enabling, a seeded scheduler, trace serialization, and run validation.
+A state keeps the steps that reached it, the one record of its run, and
+the network (`WorldState.traffic`) is read off its send steps.
 
 Knowledge is tracked per agent name (all sessions of one agent share state),
 plus a distinguished network observer who sees every message.  One rule,
 `check_step`, decides whether an instantiated action may fire: send actions
 require the payload to be derivable and the attached assertion to be
 derivable without the composition-unsound rules; receives bind variables by
-matching patterns against prior traffic (`match_message`, the shared matcher
+matching patterns against sent messages (`match_message`, the shared matcher
 of `assertions` under `SYNTACTIC`) and are enabled only if the observer
 could produce the message; confirm needs a full derivation, deny a definite
 refusal (a budget-capped refusal blocks and is reported); insert always
@@ -33,13 +35,13 @@ builds the classes of the public terms once, for every term set's classes
 to start from, and keeps its runs' action instances alive: a role action
 memoizes them weakly, so a replay of a run reuses them.  A state carries
 its receive patterns' bindings to its copies, which match only the
-messages sent since.
+steps taken since.
 
 Actions are scheduled lowest-phase-first among enabled candidates, with a
 seeded random choice among ties, so runs are reproducible from their seed.
 `simulate` searches depth first in a loop over a stack that holds, for
-each open state, a generator of its children, which shuffles each group of
-candidates when the search reaches it: no recursion, so a run's length is
+each open state, a generator of its child states, which shuffles each group
+of candidates when the search reaches it: no recursion, so a run's length is
 not bounded by Python's recursion limit.
 """
 from __future__ import annotations
@@ -147,13 +149,6 @@ class ContextTable:
             return False
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Traffic:
-    term: Term
-    assertion: Assertion | None
-    sender: str | None  # None: anonymous channel
-
-
 @dataclass
 class SessionState:
     role: str
@@ -174,15 +169,22 @@ class SessionState:
 
 @dataclass
 class WorldState:
+    """A point of a run: each agent's knowledge, each session's progress,
+    and the steps that reached it, in order, which `apply_candidate` appends."""
+
     proto: Protocol
-    setup: Setup
     knowledge: dict[str, Knowledge]
     sessions: list[SessionState]
-    traffic: list[Traffic] = field(default_factory=list)
+    steps: list[Step] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     used_basics: set[str] = field(default_factory=set)
     contexts: ContextTable = field(default_factory=ContextTable)
     matches: dict[Action, tuple[int, dict]] = field(default_factory=dict)  # see _traffic_binds
+
+    @property
+    def traffic(self) -> list[Action]:
+        """The messages on the network, in order: the send steps' actions."""
+        return [s.action for s in self.steps if s.action.kind in ("send", "send*")]
 
     def agent_of(self, s: SessionState) -> str:
         ag = s.sigma["id"]
@@ -257,7 +259,7 @@ def initial_state(proto: Protocol, setup: Setup) -> WorldState:
             {App("sk", (Basic(n, AGENT),))} | setup.agent_terms.get(n, set()),
             {normalize(a) for a in setup.agent_assertions.get(n, set())})
     sessions = [SessionState(role, dict(sigma)) for role, sigma in setup.sessions]
-    state = WorldState(proto, setup, knowledge, sessions, contexts=table)
+    state = WorldState(proto, knowledge, sessions, contexts=table)
     state.used_basics |= {s.name for t in frozenset().union(*(k.terms for k in knowledge.values()))
                           for s in iter_subterms(t) if isinstance(s, Basic)}
     state.used_basics |= proto.decls.agents | proto.decls.nonces | proto.decls.keys
@@ -297,24 +299,25 @@ def _allocate_fresh(state: WorldState, session_index: int,
 def _traffic_binds(state: WorldState, action: Action,
                    sigma: dict[str, Term]) -> list[tuple[tuple[str, Term], ...]]:
     """Distinct bindings, as sorted pairs, under which a receive pattern
-    matches a message on the network, in traffic order.  Traffic only grows,
-    so the state keeps them with the number of messages matched, and
-    matches only the rest."""
+    matches a message on the network, in send order.  A state's steps only
+    grow, so it keeps them with the number of steps seen, and matches only
+    the sends among the rest."""
     pat = action.instance(sigma)
     seen, found = state.matches.get(pat, (0, {}))
-    if seen < len(state.traffic):
+    if seen < len(state.steps):
         found = dict(found)  # it may be a parent state's too
-        for tr in state.traffic[seen:]:
-            got = match_message(pat, tr)
-            if got is not None:
-                found[tuple(sorted(got.items()))] = None
-    state.matches[pat] = (len(state.traffic), found)  # and keeps pat alive
+        for step in state.steps[seen:]:
+            if step.action.kind in ("send", "send*"):
+                got = match_message(pat, step.action)
+                if got is not None:
+                    found[tuple(sorted(got.items()))] = None
+    state.matches[pat] = (len(state.steps), found)  # and keeps pat alive
     return list(found)
 
 
-def match_message(pattern: Action, message: Traffic | Action) -> dict[str, Term] | None:
+def match_message(pattern: Action, message: Action) -> dict[str, Term] | None:
     """The first binding of a receive pattern's variables that makes it the
-    message (a send or its traffic), with the assertion if the pattern has one."""
+    message, a send action, with the assertion if the pattern has one."""
     holes = pattern.used_vars()
     got = match_term(pattern.term, message.term, holes, {}, SYNTACTIC)
     if got and pattern.assertion is not None:
@@ -427,7 +430,7 @@ def _learn(state: WorldState, agent: str, terms=(), assertions=()) -> Knowledge:
     return know
 
 
-def apply_candidate(state: WorldState, step: Step) -> Step:
+def apply_candidate(state: WorldState, step: Step) -> WorldState:
     sess = state.sessions[step.session - 1]
     agent = state.agent_of(sess)
     act = step.action
@@ -440,8 +443,6 @@ def apply_candidate(state: WorldState, step: Step) -> Step:
         if act.kind == "send":
             heard += (SentT(act.agent, act.term), *(SentA(act.agent, a) for a in said))
         _learn(state, OBSERVER, (act.term,), heard)
-        state.traffic.append(Traffic(act.term, act.assertion,
-                                     agent if act.kind == "send" else None))
     elif act.kind == "recv":
         _learn(state, agent, (act.term,), said)
     elif act.kind == "insert":
@@ -452,35 +453,29 @@ def apply_candidate(state: WorldState, step: Step) -> Step:
                 f"session {step.session}: insert made {agent}'s theory inconsistent")
     # confirm and deny leave knowledge unchanged
     sess.advance(step.fresh, step.binds)
-    return step
+    state.steps.append(step)
+    return state
 
 
 def _copy_state(s: WorldState) -> WorldState:
     return WorldState(
-        s.proto, s.setup,
-        dict(s.knowledge),
+        s.proto, dict(s.knowledge),
         [SessionState(x.role, dict(x.sigma), x.pc) for x in s.sessions],
-        list(s.traffic), list(s.warnings), set(s.used_basics), s.contexts, dict(s.matches))
-
-
-def _all_done(state: WorldState) -> bool:
-    return all(s.pending(state.proto) is None for s in state.sessions)
+        list(s.steps), list(s.warnings), set(s.used_basics), s.contexts, dict(s.matches))
 
 
 def _fingerprint(state: WorldState):
-    """Two interleavings with the same counters, bindings and traffic give
-    the same knowledge everywhere, so this identifies the state."""
-    return (
-        tuple(s.pc for s in state.sessions),
-        tuple(tuple(sorted(s.sigma.items())) for s in state.sessions),
-        frozenset((tr.term, tr.assertion, tr.sender) for tr in state.traffic),
-    )
+    """The sessions' counters and bindings identify the state: a session's
+    actions are its role's first pc actions under its bindings, so two
+    interleavings that agree here took the same steps, in some order."""
+    return (tuple(s.pc for s in state.sessions),
+            tuple(tuple(sorted(s.sigma.items())) for s in state.sessions))
 
 
-def _children(state: WorldState, steps: list[Step], cands: list[Step],
-              rng: random.Random) -> Iterator[tuple[WorldState, list[Step]]]:
-    """The states one candidate step past state, each with its steps, made
-    as the search reaches them.  Branch first over one session's
+def _children(state: WorldState, cands: list[Step],
+              rng: random.Random) -> Iterator[WorldState]:
+    """The states one candidate step past state, made as the search
+    reaches them.  Branch first over one session's
     candidates: a step without bindings, or else the session with the
     fewest options.  If all fail, fall back to the others: a step can wedge
     a run (a receive teaches what a pending deny refuses), and a good option
@@ -495,8 +490,7 @@ def _children(state: WorldState, steps: list[Step], cands: list[Step],
         group.sort(key=lambda c: (c.session, repr(c.binds)))
         rng.shuffle(group)
         for cand in group:
-            child = _copy_state(state)
-            yield child, steps + [apply_candidate(child, cand)]
+            yield apply_candidate(_copy_state(state), cand)
 
 
 def simulate(proto: Protocol, setup: Setup, seed: int = 0,
@@ -506,49 +500,47 @@ def simulate(proto: Protocol, setup: Setup, seed: int = 0,
     choices depth first in a seeded random order, over a stack of each
     open state's `_children`.  Branches where a session is permanently
     stuck are cut early, and a state reached before is not explored again,
-    so the fallback does not re-walk states the first pass settled.
-    Returns the first completing run, or the longest partial run found if
-    none completes within max_states; the run is marked cut when the
-    search stopped at max_states or refused a step only because a search
-    budget ran out.  The run holds its table of contexts, and each distinct
-    warning once, in the order first given."""
+    so the fallback does not re-walk states the first pass settled.  The
+    stack holds states, each with its own steps, and the one `Run` is read
+    off the state the search ends at: the first completing one, or, if
+    none completes within max_states, the one with the longest partial
+    run.  The run is marked cut when the search stopped at max_states or
+    refused a step only because a search budget ran out; it holds its
+    table of contexts, and each distinct warning once, in the order first
+    given."""
     rng = random.Random(seed)
-    visited = 0
     cut = False
-    best: tuple[list[Step], WorldState] | None = None
     seen: set = set()
-    state0 = initial_state(proto, setup)
-    stack = [iter([(state0, [])])]
+    best = initial_state(proto, setup)
+    stack = [iter([best])]
     while stack:
-        reached = next(stack[-1], None)
-        if reached is None:
+        state = next(stack[-1], None)
+        if state is None:
             stack.pop()
             continue
-        state, steps = reached
-        if _all_done(state):
-            return Run(proto, setup, seed, steps, complete=True,
-                       warnings=list(dict.fromkeys(state.warnings)),
-                       contexts=state.contexts), state
+        if all(s.pending(proto) is None for s in state.sessions):
+            break
         fp = _fingerprint(state)
         if fp in seen:
             continue
         seen.add(fp)
-        visited += 1
-        if visited > max_states:
+        if len(seen) > max_states:
             cut = True
             continue
         warned = len(state.warnings)
         cands, wedged = enabled_actions(state, budget)
         cut |= len(state.warnings) > warned  # only budget refusals warn here
         if wedged or not cands:
-            if best is None or len(steps) > len(best[0]):
-                best = (steps, state)
+            if len(state.steps) > len(best.steps):
+                best = state
             continue
-        stack.append(_children(state, steps, cands, rng))
-    steps, state = best or ([], state0)
-    state.warnings.append("no completing run found")
-    return Run(proto, setup, seed, steps, complete=False,
-               warnings=list(dict.fromkeys(state.warnings)), cut=cut,
+        stack.append(_children(state, cands, rng))
+    else:
+        state = best
+        state.warnings.append("no completing run found")
+    complete = bool(stack)  # the search stopped at a completing state
+    return Run(proto, setup, seed, list(state.steps), complete=complete,
+               warnings=list(dict.fromkeys(state.warnings)), cut=cut and not complete,
                contexts=state.contexts), state
 
 
@@ -594,10 +586,8 @@ def run_problems(run: Run, budget: SearchBudget = DEFAULT_BUDGET
         if inst != step.action:
             problems.append((f"step {n}: recorded action does not match the role", False))
             break
-        if action.kind == "recv" and not any(
-                tr.term == inst.term
-                and (inst.assertion is None or tr.assertion == inst.assertion)
-                for tr in state.traffic):
+        if action.kind == "recv" and (inst.term, inst.assertion) not in {
+                (tr.term, a) for tr in state.traffic for a in (tr.assertion, None)}:
             problems.append((f"step {n}: received message never offered", False))
         problems.extend((f"step {n}: {problem}", warning is not None)
                         for problem, warning in check_step(state, step, budget))

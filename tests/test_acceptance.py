@@ -386,7 +386,8 @@ def test_criterion_6_replay_and_double_vote_prevention():
     if not frun.complete:
         problems.append("foo run did not complete")
     d = next(tr.term for tr in fstate.traffic
-             if tr.sender == "V0" and isinstance(tr.term, Enc))
+             if tr.kind == "send" and tr.agent == Basic("V0", "agent")
+             and isinstance(tr.term, Enc))
     ft = _copy_state(fstate)
     Auth = Basic("Auth", "agent")
     ft.sessions.append(SessionState("authority", {"id": Auth}))

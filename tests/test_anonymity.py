@@ -451,6 +451,20 @@ def test_a_receive_of_a_message_no_step_sent_is_refused():
     assert str(err.value) == "step 3: no earlier step sends the message it receives"
 
 
+def test_a_step_of_a_finished_session_is_refused():
+    # a hand-built run may record a step for a session already done with
+    # its role; the twin refuses it in the words of the replay
+    proto = builtin_foo()
+    run, _ = simulate(proto, anonymity_foo_setup(proto), seed=0)
+    spec = derive_swap(run)
+    assert len(run.steps) == 20 and run.steps[-1].session == 6
+    extra = replace(run, steps=run.steps + run.steps[-1:])
+    with pytest.raises(ValueError) as err:
+        build_swapped(extra, spec)
+    assert str(err.value) == "step 21: session 6 already finished"
+    assert validate_run(extra)[1][-1] == "step 21: session 6 already finished"
+
+
 VOTER = """\
 phases commit, cast
 agents V0, V1, C

@@ -1,8 +1,8 @@
 """The records a query or a run builds by the thousand, and the per-object
 caches around them.
 
-Proof nodes, term proofs, verdicts, forest edges, steps, knowledge and
-traffic are slotted dataclasses that are not frozen: they keep value
+Proof nodes, term proofs, verdicts, forest edges, steps and knowledge
+are slotted dataclasses that are not frozen: they keep value
 equality, a value hash and `dataclasses.replace`, and carry no instance
 dict.  Terms and assertions stay frozen and interned.  The engine's cached
 properties are `terms.cached`, which stores on first read as
@@ -32,7 +32,7 @@ from protassert.builtins import (
 from protassert.dy import ProofNode, TermProof
 from protassert.engine import DeriveContext, Verdict, _Edge
 from protassert.protocol import Action
-from protassert.runtime import Knowledge, Step, Traffic, simulate, validate_run
+from protassert.runtime import Knowledge, Step, simulate, validate_run
 from protassert.terms import Basic, Pair, Var, cached
 
 A = Basic("A", "agent")
@@ -53,7 +53,6 @@ def _samples():
     yield (Step(1, send, (("x", n),)), Step(1, send, (("x", n),)), Step(2, send, (("x", n),)))
     yield (Knowledge(frozenset({n}), frozenset({Pred("p", (n,))})),
            Knowledge(frozenset({n}), frozenset({Pred("p", (n,))})), Knowledge())
-    yield Traffic(n, None, "A"), Traffic(n, None, "A"), Traffic(n, None, None)
 
 
 @pytest.mark.parametrize("a, b, other", list(_samples()),

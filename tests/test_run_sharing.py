@@ -250,13 +250,14 @@ def test_carried_bindings_equal_a_full_rematch_at_every_state(monkeypatch):
         out = real(state, budget)
         states[0] += 1
         for pat, (seen, found) in state.matches.items():
-            assert seen <= len(state.traffic)
-            assert list(found) == _rematch(pat, state.traffic[:seen])
+            assert seen <= len(state.steps)
+            sent = [s.action for s in state.steps[:seen] if s.action.kind in ("send", "send*")]
+            assert list(found) == _rematch(pat, sent)
         for sess in state.sessions:
             actions = state.proto.roles[sess.role].actions
             if sess.pc < len(actions) and actions[sess.pc].kind == "recv":
                 pat = actions[sess.pc].instance(sess.sigma)
-                assert state.matches[pat][0] == len(state.traffic)
+                assert state.matches[pat][0] == len(state.steps)
                 carried[0] += 0 < len(state.traffic)
         return out
 

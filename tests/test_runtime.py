@@ -361,6 +361,53 @@ role c:
     assert (len(calls), len(prints), len(set(prints))) == (4, 5, 4)
 
 
+def _reusing_protocol(rng: random.Random) -> str:
+    """Three roles of 1-3 sends or receives whose fresh names k, k_1 and x
+    recur (k_1 is also a declared nonce, and a session's k is allocated as
+    k_1 or k_1_2), and a role w whose receive nothing ever offers."""
+    lines = ["protocol reuse", "agents A, B, C", "nonces n, m, k_1"]
+    for role in "abc":
+        lines.append(f"role {role}:")
+        got: list[str] = []
+        for i in range(rng.randint(1, 3)):
+            if rng.random() < 0.4:
+                got.append(f"y{i}")
+                lines.append(f"  recv id : {rng.choice([f'y{i}', f'(y{i}, n)'])}")
+            else:
+                f = rng.choice(["k", "k_1", "x"])
+                pay = rng.choice([f, f"({f}, n)", f"({f}, m)", *got])
+                lines.append(f"  send id fresh({f}) : {pay}")
+    lines += ["role w:", "  recv id : (n, m)"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_revisited_fingerprint_has_the_sends_of_its_first_state(monkeypatch):
+    # the fingerprint is the counters and bindings only: every state the
+    # search reaches again must have put the same sends on the network,
+    # even where allocation skips a taken name (two a sessions draw k_1_2
+    # as a's second k or as the second session's k_1); w's receive wedges
+    # every run, so each search backtracks through all it can reach
+    real = runtime._fingerprint
+    first: dict = {}
+    repeats = []
+
+    def checked(state):
+        fp = real(state)
+        sends = frozenset(state.traffic)
+        if first.setdefault(fp, sends) is not sends:
+            repeats.append(first[fp] == sends)
+        return fp
+
+    monkeypatch.setattr(runtime, "_fingerprint", checked)
+    for seed in range(30):
+        proto = parse_protocol(_reusing_protocol(random.Random(seed)), "t")
+        setup = Setup(parse_sessions("a(id=A); a(id=B); b(id=B); c(id=C); w(id=C)", proto))
+        first.clear()
+        run, _ = simulate(proto, setup, seed=seed)
+        assert not run.complete
+    assert len(repeats) >= 1000 and all(repeats), (len(repeats), repeats.count(False))
+
+
 def test_a_later_phase_fires_while_an_earlier_one_waits():
     # the lowest phase among the enabled steps fires: c's phase-two send
     # goes while b's phase-one receive, which nothing enables, is pending
