@@ -72,7 +72,6 @@ from .syntax import (
     parse_sessions,
     parse_term,
     print_assertion,
-    print_protocol,
     print_term,
 )
 from .terms import App, Basic, Enc, Pair, Term, Var, sk, vk
@@ -95,8 +94,7 @@ __all__ = [
     "Run", "Step", "WorldState", "initial_state", "parse_trace",
     "simulate", "stated_setup", "validate_run", "write_trace",
     "ParseError", "parse_assertion", "parse_protocol", "parse_sequent",
-    "parse_sessions", "parse_term", "print_assertion", "print_protocol",
-    "print_term",
+    "parse_sessions", "parse_term", "print_assertion", "print_term",
     "App", "Basic", "Enc", "Pair", "Term", "Var", "sk", "vk",
     "__version__",
 ]

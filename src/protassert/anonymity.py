@@ -78,13 +78,12 @@ def swp_assertion(swap: dict[Term, Term], a: Assertion) -> Assertion:
     return normalize(map_terms(a, lambda t: replace_term(t, swap)))
 
 
-def derive_swap(run: Run, voter_role: str = "voter",
-                swap_sessions: tuple[int, int] | None = None) -> SwapSpec:
-    """Read the swap off a completed run: two sessions of the voter role
-    (`voter` unless another is named), each done with its role, swap their
-    votes; each casts with its last send.  With more than two voter
-    sessions the first two are swapped unless a pair is given; the others
-    are left exactly as they played."""
+def derive_swap(run: Run, voter_role: str = "voter") -> SwapSpec:
+    """Read the swap off a completed run: the first two sessions of the
+    voter role (`voter` unless another is named) in the run's layout, each
+    done with its role, swap their votes; each casts with its last send.
+    Another pair is swapped by listing it first in the layout; the other
+    voters are left exactly as they played."""
     role = run.proto.roles.get(voter_role)
     if role is None:
         raise ValueError(f"no role named {voter_role!r}")
@@ -98,10 +97,7 @@ def derive_swap(run: Run, voter_role: str = "voter",
         raise ValueError(
             f"need at least two {voter_role!r} sessions, "
             f"found {len(voter_sessions)}")
-    pair = tuple(voter_sessions[:2] if swap_sessions is None else swap_sessions)
-    if len(set(pair)) != 2 or any(s not in voter_sessions for s in pair):
-        raise ValueError("swap_sessions must name two voter sessions")
-
+    pair = (voter_sessions[0], voter_sessions[1])
     for s in pair:
         if sum(step.session == s for step in run.steps) < len(role.actions):
             raise ValueError(f"session {s} did not finish its role")
@@ -385,10 +381,11 @@ def run_battery(ctx_left: DeriveContext, ctx_right: DeriveContext,
 def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
                     tests: int = 500, depth: int = 3,
                     budget: SearchBudget = DEFAULT_BUDGET,
-                    voter_role: str = "voter",
-                    swap_sessions: tuple[int, int] | None = None) -> AnonymityReport:
+                    voter_role: str = "voter") -> AnonymityReport:
     """Simulate one run, build its vote-swapped twin, and look for an
-    observer test telling them apart.  The swapped run is replayed while
+    observer test telling them apart.  The voters swapped are the first
+    two sessions of `voter_role` in `setup`'s layout, so another pair is
+    checked by listing it first.  The swapped run is replayed while
     the original lives, so both share its `ContextTable`, and the
     observer's contexts are the ones it holds over each final knowledge."""
     report = AnonymityReport(proto.name, seed, "failed")
@@ -397,7 +394,7 @@ def check_anonymity(proto: Protocol, setup: Setup, seed: int = 0,
         report.notes.append("no completing run found")
         return report
     try:
-        spec = derive_swap(run, voter_role, swap_sessions)
+        spec = derive_swap(run, voter_role)
     except ValueError as e:
         report.notes.append(str(e))
         return report

@@ -111,8 +111,11 @@ def _setup(proto: Protocol, sessions: str | None, voters: int = 2,
            privacy: bool = False) -> Setup:
     """The scenario the text states, over --sessions when given, else over
     its layout at the voter count."""
-    if sessions:
-        return stated_setup(proto, parse_sessions(sessions, proto), privacy)
+    if sessions is not None:
+        listed = parse_sessions(sessions, proto)
+        if not listed:
+            raise ParseError("--sessions lists no session")
+        return stated_setup(proto, listed, privacy)
     if not proto.scenario.layout:
         raise ParseError(f"{proto.name} states no sessions, so it needs --sessions", "cli")
     return stated_setup(proto, voters, privacy)
@@ -135,7 +138,8 @@ def cmd_replay(args) -> int:
     with open(args.trace, encoding="utf-8") as fh:
         text = fh.read()
     # the trace's sessions, which --sessions must match
-    run = parse_trace(text, proto, _setup(proto, args.sessions) if args.sessions else None)
+    setup = None if args.sessions is None else _setup(proto, args.sessions)
+    run = parse_trace(text, proto, setup)
     problems, _ = run_problems(run, _budget(args))
     for p, _ in problems:
         print(p)

@@ -9,7 +9,8 @@ convention used by the assertion rules for open terms.
 Every positive answer carries a proof tree; the independent checker replays
 these against the rule schemas.  The proof formats live here: `TermProof`
 for terms and `ProofNode` for assertions, with `RULES`, the one table from
-a constructor to its rule names.
+a constructor to its rule names, and `Verdict`, the answer that carries
+either.
 """
 from __future__ import annotations
 
@@ -54,10 +55,14 @@ class ProofNode:
     fresh: str | None = None  # exists_e
 
 
-@dataclass(frozen=True)
-class DYVerdict:
+@dataclass(slots=True, unsafe_hash=True)
+class Verdict:
     derivable: bool
-    proof: TermProof | None = None
+    proof: TermProof | ProofNode | None = None
+    budget_exhausted: bool = False
+
+    def __bool__(self) -> bool:
+        return self.derivable
 
 
 Provenance = dict  # Term -> ("ax",) | ("split", parent) | ("dec", parent)
@@ -141,9 +146,9 @@ def _synth_proof(S: frozenset[Term], t: Term, prov: Provenance, memo: dict) -> T
     return TermProof(rule, t, tuple(_synth_proof(S, c, prov, memo) for c in children(t)))
 
 
-def dy_derive(X, t: Term) -> DYVerdict:
+def dy_derive(X, t: Term) -> Verdict:
     ctx = DYContext(X)
-    return DYVerdict(True, ctx.proof(t)) if ctx.derivable(t) else DYVerdict(False)
+    return Verdict(True, ctx.proof(t)) if ctx.derivable(t) else Verdict(False)
 
 
 class DYContext:

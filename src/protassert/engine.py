@@ -99,7 +99,7 @@ from .assertions import (
     sorted_assertions,
     subassertions,
 )
-from .dy import RULES, DYContext, ProofNode
+from .dy import RULES, DYContext, ProofNode, Verdict
 from .terms import (
     App,
     Basic,
@@ -138,16 +138,6 @@ DEFAULT_BUDGET = SearchBudget()
 
 class BudgetExhausted(Exception):
     pass
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Verdict:
-    derivable: bool
-    proof: ProofNode | None = None
-    budget_exhausted: bool = False
-
-    def __bool__(self) -> bool:
-        return self.derivable
 
 
 # ---------------------------------------------------------------------------

@@ -578,6 +578,9 @@ def run_problems(run: Run, budget: SearchBudget = DEFAULT_BUDGET
                 problems.append((f"step {n}: fresh value {value.name} is not fresh", False))
         if set(n0 for n0, _ in step.fresh) != set(action.fresh):
             problems.append((f"step {n}: fresh variables do not match the action", False))
+        unbound = action.instance(sess.sigma).used_vars() if action.kind == "recv" else ()
+        if sorted(k for k, _ in step.binds) != sorted(unbound):
+            problems.append((f"step {n}: bindings do not match the action", False))
         try:
             inst = _instantiate(action, sess.sigma, step.fresh, step.binds)
         except ValueError as e:

@@ -1,6 +1,7 @@
-"""Concrete syntax: parsing and printing for terms, assertions, sequent
-files, the protocol description language and session lists, and the cursor
-that the trace reader (`runtime.parse_trace`) shares.
+"""Concrete syntax: parsing for terms, assertions, sequent files, the
+protocol description language and session lists, printing for terms and
+assertions only (protocol and sequent files are written by hand), and the
+cursor that the trace reader (`runtime.parse_trace`) shares.
 
 Term grammar:      t ::= IDENT | '(' t ',' t ')' | '{' t '}' k | IDENT '(' t, ... ')'
 Assertion grammar: a ::= t '=' t | IDENT '(' t, ... ')' | a '/\\' a | a '\\/' a
@@ -667,57 +668,6 @@ def _parse_action(p: Cursor, phases: list[str], phase: int):
         assertion = _parse_assertion(p, 0)
     return Action(kind, Var("id") if agent == "id" else p.decls.classify(agent),
                   fresh, term, assertion, phase)
-
-
-def print_action(action, phases: tuple[str, ...] = (), prev_phase: int | None = None) -> str:
-    parts = []
-    if phases and prev_phase is not None and action.phase != prev_phase:
-        parts.append(f"@{phases[action.phase]}")
-    parts += [action.kind, print_term(action.agent)]
-    if action.fresh:
-        parts.append("fresh(" + ", ".join(action.fresh) + ")")
-    payload = []
-    if action.term is not None:
-        payload.append(print_term(action.term))
-    if action.assertion is not None:
-        payload.append(print_assertion(action.assertion))
-    return " ".join(parts) + " : " + ", ".join(payload)
-
-
-def print_protocol(proto) -> str:
-    d = proto.decls
-    out = [f"protocol {proto.name}"]
-    if proto.phases:
-        out.append("phases " + ", ".join(proto.phases))
-    for head in ("agents", "nonces", "keys"):
-        vals = sorted(getattr(d, head))
-        if vals:
-            out.append(f"{head} " + ", ".join(vals))
-    if d.predicates:
-        out.append("predicates " + ", ".join(f"{k}/{v}" for k, v in sorted(d.predicates.items())))
-    if d.constructors:
-        out.append("constructors " + ", ".join(
-            f"{k}/{'*' if v is None else v}" for k, v in sorted(d.constructors.items())))
-    for rname in sorted(proto.roles):
-        role = proto.roles[rname]
-        params = f"({', '.join(role.params)})" if role.params else ""
-        out.append(f"role {rname}{params}:")
-        prev = 0
-        for a in role.actions:
-            out.append("  " + print_action(a, proto.phases, prev))
-            prev = a.phase
-    sc = proto.scenario
-    if sc.layout:
-        out.append("setup sessions: " + "; ".join(
-            f"{role}({', '.join(f'{k}={print_term(v)}' for k, v in sigma.items())})"
-            + " per voter" * each for role, sigma, each in sc.layout))
-    if sc.facts:
-        out.append("setup all: " + ", ".join(map(print_assertion, sc.facts)))
-    for agent, role, fact in sc.held:
-        out.append(f"setup {agent} per {role}: {print_assertion(fact)}")
-    if sc.observer:
-        out.append("setup observer: " + ", ".join(map(print_term, sc.observer)))
-    return "\n".join(out) + "\n"
 
 
 def parse_session(p: Cursor, proto, layout: list | None = None) -> tuple[str, dict[str, Term]]:

@@ -197,6 +197,27 @@ def test_replay_rejects_a_tampered_trace(tmp_path, capsys):
     assert "never offered" in out or "cannot justify" in out
 
 
+def test_replay_rejects_a_binding_no_receive_makes(tmp_path, capsys):
+    assert main(["simulate", "foo", "--seed", "0"]) == 0
+    trace = capsys.readouterr().out
+    forged = trace.replace("bind W=V1, env={v1}k_4", "bind W=V1, env={v1}k_4, junk=v3", 1)
+    assert forged != trace
+    assert main(["replay", "foo", _write(tmp_path, "forged.trace", forged)]) == 1
+    assert capsys.readouterr().out == "step 8: bindings do not match the action\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "replay", "anonymity"])
+def test_a_sessions_list_of_no_session_is_a_usage_error(tmp_path, capsys, command):
+    assert main(["simulate", "foo"]) == 0
+    trace = _write(tmp_path, "run.trace", capsys.readouterr().out)
+    argv = {"simulate": ["simulate", "foo"], "replay": ["replay", "foo", trace],
+            "anonymity": ["anonymity", "foo", "--seeds", "1"]}[command]
+    for listed in ("", " ", ";"):
+        assert main([*argv, "--sessions", listed]) == 2, listed
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "parse error: --sessions lists no session\n")
+
+
 # The receiver must refuse p(z) from z and p(y) \/ p(z): a definite refusal
 # splits the disjunction, which --branches 1 forbids.
 T2 = """\

@@ -9,14 +9,12 @@ from protassert import (
     Pair,
     parse_protocol,
     parse_sessions,
-    print_protocol,
     sk,
     validate_protocol,
 )
 from protassert.builtins import (
     BUILTINS,
     FOO_SOURCE,
-    HELIOS_SOURCE,
     anonymity_foo_setup,
     builtin_foo,
     builtin_foo_linked,
@@ -42,13 +40,6 @@ constructors c/1, sk/1, vk/1
 def test_builtin_protocols_are_clean():
     for proto in (builtin_foo(), builtin_foo_linked(), builtin_helios()):
         assert validate_protocol(proto) == []
-
-
-def test_builtin_sources_round_trip():
-    for src in (FOO_SOURCE, HELIOS_SOURCE):
-        proto = parse_protocol(src)
-        assert print_protocol(parse_protocol(print_protocol(proto))) == \
-            print_protocol(proto)
 
 
 def test_builtin_registry():

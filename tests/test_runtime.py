@@ -280,6 +280,22 @@ def test_validate_rejects_fresh_variables_unlike_the_action(edit, problems):
     assert validate_run(broken)[:2] == (False, problems)
 
 
+@pytest.mark.parametrize("at, edit", [
+    (3, lambda binds: (*binds, ("junk", Basic("v3", "nonce")))),
+    (4, lambda binds: (("W", Basic("V0", "agent")),)),
+    (3, lambda binds: (*binds, ("id", Basic("Auth", "agent")))),
+], ids=["a name the receive lacks", "a bind on a deny", "the bound id"])
+def test_validate_rejects_bindings_unlike_the_action(at, edit):
+    # step 3 of the run is a receive binding W and env, step 4 a deny
+    proto = foo()
+    run, _ = simulate(proto, default_foo_setup(proto), seed=0)
+    assert [s.action.kind for s in run.steps[2:4]] == ["recv", "deny"]
+    steps = list(run.steps)
+    steps[at - 1] = replace(steps[at - 1], binds=edit(steps[at - 1].binds))
+    assert validate_run(replace(run, steps=steps))[:2] == (
+        False, [f"step {at}: bindings do not match the action"])
+
+
 def test_double_processing_wedges_the_authority():
     # once one registrar session records a credential, a second session fed
     # the same credential is stuck at its duplicate check forever

@@ -25,11 +25,10 @@ from protassert import (
     parse_sessions,
     parse_term,
     print_assertion,
-    print_protocol,
     print_term,
 )
 from protassert.assertions import numbered, rebind
-from protassert.builtins import FOO_SOURCE, HELIOS_SOURCE, SOURCES
+from protassert.builtins import FOO_SOURCE, SOURCES
 from protassert.syntax import MAX_CHAIN, MAX_NESTING, Declarations
 from test_golden_output import SEQUENTS
 
@@ -248,23 +247,10 @@ def test_nesting_past_the_limit_is_a_parse_error():
     assert parse_protocol(src.replace(" /\\ valid(x)", "", 1))
 
 
-def test_protocol_round_trip_builtins():
-    for src in (FOO_SOURCE, HELIOS_SOURCE):
-        proto = parse_protocol(src)
-        again = parse_protocol(print_protocol(proto))
-        assert again.name == proto.name
-        assert set(again.roles) == set(proto.roles)
-        for rname in proto.roles:
-            assert again.roles[rname].actions == proto.roles[rname].actions
-
-
-def test_printing_keeps_the_scenario_of_every_builtin():
+def test_every_builtin_states_its_scenario():
     for name, src in SOURCES.items():
         proto = parse_protocol(src, name)
         assert proto.scenario.layout and proto.scenario.facts, name
-        printed = print_protocol(proto)
-        assert parse_protocol(printed).scenario == proto.scenario, name
-        assert print_protocol(parse_protocol(printed)) == printed, name
 
 
 def test_protocol_reports_location_on_error():
