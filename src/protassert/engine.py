@@ -24,9 +24,8 @@ Search strategy is fixed:
      A branch with no equation hypothesis has one term per class: its
      equality (`same`, `members`) answers by identity, it never builds the
      closure, and it skips the rewrite matcher, which can match only the
-     goal itself.  The root's closure starts from a copy of X's classes,
-     registered once per DYContext (from a copy of the run's public terms'
-     classes when a run seeds them), and its trail starts empty;
+     goal itself.  The root's closure registers X's terms, in sorted order,
+     before its hypotheses, and its trail starts empty;
   5. goal decomposition modulo the classes; an existential goal takes its
      witness candidates from E-matching its subassertions against the
      hypotheses and classes (`assertions.match_canonical` on the pattern's
@@ -198,15 +197,6 @@ class EqClasses:
                 d[key] = old
         self._pending.clear()
 
-    def copy(self, merge_cap: int = 10**6) -> EqClasses:
-        """The same classes in dicts of their own, with an empty trail; made
-        without __init__.  The lists and sets the dicts share are never
-        changed in place, so no write reaches the other."""
-        new = EqClasses.__new__(EqClasses)
-        new.__dict__ = {k: dict(v) if isinstance(v, dict) else v for k, v in vars(self).items()}
-        new.merge_cap, new.trail, new._pending = merge_cap, [], deque()
-        return new
-
     # -- basic structure
 
     @property
@@ -374,30 +364,11 @@ class EqClasses:
         return sorted(self.members[self.find(t)], key=term_key)
 
 
-def _x_classes(dyctx: DYContext) -> EqClasses:
-    """X's terms registered, in sorted order and with an empty trail, once per
-    DYContext; each root closure over X starts from a copy.  They take no
-    union (a congruence needs two terms with one signature), and a guard
-    reads only dyctx, so every context over X would build the same.  With
-    dyctx.seed, a DYContext over a subset of X that holds no encryption,
-    they start from a copy of its classes and add the rest of X: the seed's
-    terms have no guard, so they read no context."""
-    if dyctx.classes is None:
-        seed = dyctx.seed
-        cc = EqClasses(dyctx) if seed is None else _x_classes(seed).copy()
-        cc.dyctx = dyctx
-        for t in sorted_terms(dyctx.X if seed is None else dyctx.X - seed.X):
-            cc.add_term(t)
-        cc.trail.clear()
-        dyctx.classes = cc
-    return dyctx.classes
-
-
 def inert(dyctx: DYContext, a: Assertion) -> bool:
-    """Whether hypothesis a, a fact over terms X's classes hold, splits
-    nothing and brings no witness, equation or term to any leaf."""
-    return isinstance(a, (Pred, SentT)) and all(map(_x_classes(dyctx).__contains__,
-                                                    assertion_terms(a)))
+    """Whether hypothesis a, a fact over subterms of X, splits nothing and
+    brings no witness, equation or term to any leaf."""
+    subterms = {s for t in dyctx.X for s in iter_subterms(t)}
+    return isinstance(a, (Pred, SentT)) and all(map(subterms.__contains__, assertion_terms(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +455,8 @@ class _Node:
     def mark(self) -> int:
         """The trail length at which ctx.cc holds X and the terms of the
         sorted hypotheses, merged along their equations: the root builds
-        ctx.cc from a copy of X's classes and clears the trail, so its mark is
-        0; a child undoes ctx.cc to its parent's mark and adds its own
+        ctx.cc from X's terms and its hypotheses and clears the trail, so its
+        mark is 0; a child undoes ctx.cc to its parent's mark and adds its own
         hypotheses.  Read only while the search is in this node's subtree.
         A root over merge_cap sets ctx.build_failed."""
         ctx, parent = self.ctx, self.parent
@@ -496,7 +467,9 @@ class _Node:
         elif ctx.build_failed:
             raise BudgetExhausted()
         else:
-            cc, new = _x_classes(ctx.dyctx).copy(ctx.budget.merge_cap), self.sorted_hyps
+            cc, new = EqClasses(ctx.dyctx, ctx.budget.merge_cap), self.sorted_hyps
+            for t in sorted_terms(ctx.X):  # no two have one signature: no union
+                cc.add_term(t)
         try:
             for a in new:
                 _add_terms(cc, assertion_terms(a))

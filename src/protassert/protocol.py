@@ -8,7 +8,6 @@ declarations, and the scenario its text states.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 from .assertions import Assertion, assertion_terms, free_vars, reveals, substitute
@@ -55,7 +54,7 @@ class Action:
 
     def instance(self, sigma: dict[str, Term]) -> "Action":
         """`action_subst(self, sigma)`, one object per image of the action's
-        variables, held weakly as terms are: unused, its entry goes."""
+        variables, kept as long as the action."""
         names, live = self._instances
         key = tuple(map(sigma.get, names))
         inst = live.get(key)
@@ -64,8 +63,8 @@ class Action:
         return inst
 
     @cached
-    def _instances(self) -> tuple[tuple[str, ...], weakref.WeakValueDictionary]:
-        return tuple(sorted(self.used_vars())), weakref.WeakValueDictionary()
+    def _instances(self) -> tuple[tuple[str, ...], dict[tuple, "Action"]]:
+        return tuple(sorted(self.used_vars())), {}
 
     def used_vars(self) -> frozenset[str]:
         out: set[str] = set()

@@ -30,10 +30,9 @@ mode reuses it.  A query on a context answers as a single `derive` (or
 `derive_safe`) would, since its case splits and witness names are its
 own, so one context answers every goal, each distinct goal once, for
 whichever run asks; an insert of facts over the agent's terms is checked
-on the context before it, often built by the deny before it.  The table
-builds the classes of the public terms once, for every term set's classes
-to start from, and keeps its runs' action instances alive: a role action
-memoizes them weakly, so a replay of a run reuses them.  A state carries
+on the context before it, often built by the deny before it.  A role
+action memoizes its instances for as long as its protocol lives, so every
+run and replay over one parsed protocol reuses them.  A state carries
 its receive patterns' bindings to its copies, which match only the
 steps taken since.
 
@@ -108,21 +107,16 @@ class Knowledge:
 
 class ContextTable:
     """The knowledge contexts of the live runs over one public term set,
-    keyed by the exact term and assertion sets (see the module docstring);
-    public has no encryption."""
+    keyed by the exact term and assertion sets (see the module docstring)."""
 
-    def __init__(self, public: frozenset[Term] = frozenset()) -> None:
+    def __init__(self) -> None:
         self._dy: dict[frozenset[Term], DYContext] = {}
         self._contexts: dict[tuple, DeriveContext] = {}
-        self._public = DYContext(public)
-        self.held: set[Action] = set()  # the run's action instances, memoized weakly
 
     def dy(self, terms: frozenset[Term]) -> DYContext:
         ctx = self._dy.get(terms)
         if ctx is None:
             ctx = self._dy[terms] = DYContext(terms)
-            if self._public.X <= terms:
-                ctx.seed = self._public  # its classes start from the public terms'
         return ctx
 
     def context(self, terms: frozenset[Term], assertions: frozenset[Assertion],
@@ -252,7 +246,7 @@ def initial_state(proto: Protocol, setup: Setup) -> WorldState:
     public |= {Basic(n, NONCE) for n in proto.decls.nonces}
     table = _TABLES.get(pub := frozenset(public))
     if table is None:
-        table = _TABLES[pub] = ContextTable(pub)
+        table = _TABLES[pub] = ContextTable()
     knowledge: dict[str, Knowledge] = {}
     for n in sorted(names):
         knowledge[n] = Knowledge(pub).extend(
@@ -397,7 +391,6 @@ def candidates_for(state: WorldState, idx: int,
             inst = _instantiate(action, sess.sigma, fresh, binds)
         except ValueError:  # a variable no session binds
             continue
-        state.contexts.held.add(inst)
         step = Step(idx + 1, inst, fresh, binds)
         problem, warning = next(check_step(state, step, budget), (None, None))
         if problem is None:
@@ -576,7 +569,7 @@ def run_problems(run: Run, budget: SearchBudget = DEFAULT_BUDGET
                 problems.append((f"step {n}: unexpected fresh variable {name}", False))
             if value.name in state.used_basics:
                 problems.append((f"step {n}: fresh value {value.name} is not fresh", False))
-        if set(n0 for n0, _ in step.fresh) != set(action.fresh):
+        if sorted(n0 for n0, _ in step.fresh) != sorted(action.fresh):
             problems.append((f"step {n}: fresh variables do not match the action", False))
         unbound = action.instance(sess.sigma).used_vars() if action.kind == "recv" else ()
         if sorted(k for k, _ in step.binds) != sorted(unbound):

@@ -661,6 +661,9 @@ def _parse_action(p: Cursor, phases: list[str], phase: int):
         fresh = tuple(p.items(p.ident, ")"))
         if kind not in ("send", "send*"):
             raise ParseError("fresh(...) is only allowed on send actions", p.pos(at))
+        twice = sorted({v for v in fresh if fresh.count(v) > 1})
+        if twice:
+            raise ParseError(f"fresh(...) lists {twice[0]} twice", p.pos(at))
     p.expect(":")
     term = _parse_term(p, 0) if kind in ("send", "send*", "recv") else None
     assertion = None
@@ -680,7 +683,12 @@ def parse_session(p: Cursor, proto, layout: list | None = None) -> tuple[str, di
     role = proto.roles.get(name)
     if role is None:
         raise ParseError(f"unknown role {name!r}", p.pos(at))
-    sigma = dict(p.items(p.binding, ")") if p.eat("(") else p.items(p.binding))
+    binds = p.items(p.binding, ")") if p.eat("(") else p.items(p.binding)
+    sigma = dict(binds)
+    names = [k for k, _ in binds]
+    twice = sorted({k for k in names if names.count(k) > 1})
+    if twice:
+        raise ParseError(f"session binds {twice[0]} twice", p.pos(at))
     unknown = sorted(set(sigma) - {"id", *role.params})
     if unknown:
         raise ParseError(f"role {role.name} has no parameter {unknown[0]}", p.pos(at))

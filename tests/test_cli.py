@@ -206,6 +206,25 @@ def test_replay_rejects_a_binding_no_receive_makes(tmp_path, capsys):
     assert capsys.readouterr().out == "step 8: bindings do not match the action\n"
 
 
+def test_replay_rejects_a_fresh_variable_listed_twice(tmp_path, capsys):
+    assert main(["simulate", "foo", "--seed", "0"]) == 0
+    trace = capsys.readouterr().out
+    forged = trace.replace("step 1 session 3 fresh k=k_3:key\n",
+                           "step 1 session 3 fresh k=k_99:key, k=k_3:key\n", 1)
+    assert forged != trace
+    assert main(["replay", "foo", _write(tmp_path, "forged.trace", forged)]) == 1
+    assert capsys.readouterr().out == "step 1: fresh variables do not match the action\n"
+
+
+def test_a_session_that_binds_a_name_twice_is_a_usage_error(capsys):
+    sessions = ("authority(id=Auth); authority(id=Auth); voter(id=V0, v=v0, v=v1); "
+                "voter(id=V1, v=v1); counter(id=Cnt); counter(id=Cnt)")
+    assert main(["simulate", "foo", "--sessions", sessions]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "parse error: session binds v twice "
+                                                "at sessions:1:2\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "replay", "anonymity"])
 def test_a_sessions_list_of_no_session_is_a_usage_error(tmp_path, capsys, command):
     assert main(["simulate", "foo"]) == 0

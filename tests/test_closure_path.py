@@ -1,12 +1,11 @@
 """Equation-free branches against the closure path.
 
 A branch with no equation hypothesis has one term per class, so the engine
-answers its equalities by identity and builds no closure for it; and each
-root closure starts from a copy of X's classes, built once per DYContext.
-Here every query of a corpus is made twice: as the engine makes it, and
-with every branch forced onto the closure path and X's classes built
-afresh for every root.  Verdict, budget flag, proof and every witness
-candidate drawn must be the same, as must everything the corpus prints.
+answers its equalities by identity and builds no closure for it.  Here
+every query of a corpus is made twice: as the engine makes it, and with
+every branch forced onto the closure path.  Verdict, budget flag, proof and
+every witness candidate drawn must be the same, as must everything the
+corpus prints.
 
 CI also runs this file under three hash seeds: hash-consed terms hash by
 identity, so set iteration follows allocation.
@@ -97,8 +96,7 @@ def _record(forced: bool) -> tuple[list, int]:
     corpus output, in order and by repr; and the number of closures built."""
     calls: list = []
     built = [0]
-    query, candidates, x_classes = (engine.DeriveContext.query,
-                                    engine._BranchProver._candidates, engine._x_classes)
+    query, candidates = engine.DeriveContext.query, engine._BranchProver._candidates
     init = engine.EqClasses.__init__
 
     def querying(ctx, goal):
@@ -117,17 +115,12 @@ def _record(forced: bool) -> tuple[list, int]:
         built[0] += 1
         init(self, *args, **kwargs)
 
-    def afresh(dyctx):
-        dyctx.classes = None
-        return x_classes(dyctx)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine.DeriveContext, "query", querying)
         mp.setattr(engine._BranchProver, "_candidates", drawing)
         mp.setattr(engine.EqClasses, "__init__", counted)
         if forced:
             mp.setattr(engine._Node, "singletons", False)
-            mp.setattr(engine, "_x_classes", afresh)
         _corpus(calls)
     return calls, built[0]
 

@@ -370,21 +370,6 @@ def test_an_equation_free_context_builds_no_closure(closures):
     assert closures == {"built": 0}
 
 
-def test_contexts_over_one_term_set_register_its_classes_once(closures):
-    """Each root closure over X starts from a copy of X's classes, which
-    are built once per DYContext."""
-    X = (n, m, Pair(n, k), Enc(m, k), k)
-    first = DeriveContext(X, [Eq(v, Enc(m, k)), Pred("p", (v,))])
-    second = DeriveContext(X, [Eq(v, Pair(n, k)), Pred("q", (v,))], dyctx=first.dyctx)
-    assert first.query(Pred("p", (Enc(m, k),))).derivable
-    assert second.query(Pred("q", (Pair(n, k),))).derivable
-    assert not second.query(Eq(v, Enc(m, k))).derivable
-    assert closures == {"built": 1}
-    shared = first.dyctx.classes
-    assert shared not in (first.cc, second.cc) and first.cc is not second.cc
-    assert all(len(ms) == 1 for ms in shared.members.values()) and v not in shared
-
-
 @pytest.mark.parametrize("safe", [True, False])
 def test_hypothesis_goal_proof_is_an_access_chain(safe):
     p = Pred("p", (n,))

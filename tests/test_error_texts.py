@@ -58,6 +58,10 @@ PROTOCOL_ERRORS = [
      "undeclared constant 7 at case.proto:15:28"),
     ("fresh on a receive", "  recv id : env,", "  recv id fresh(k) : env,",
      "fresh(...) is only allowed on send actions at case.proto:14:3"),
+    ("fresh name listed twice", "send id fresh(k) :", "send id fresh(k, k) :",
+     "fresh(...) lists k twice at case.proto:9:3"),
+    ("setup session that binds a name twice", "voter(id=V, v=v) per voter",
+     "voter(id=V, v=v, v=v) per voter", "session binds v twice at case.proto:24:47"),
     ("per-voter index past the declared names", "agents Auth, Cnt, V0, V1, V2, V3",
      "agents Auth, Cnt, V0", "V1 is not declared: names for at most 1 voter at case.proto:24:47"),
     ("per-voter entry that grounds no role", "voter(id=V, v=v) per voter", "voter(id=V, v=v)",
@@ -92,6 +96,8 @@ TRACE_ERRORS = [
     ("non-key in a key slot", "k=k_3:key", "k=k_3:nonce",
      "step 1: encryption key must be key material, got Basic(name='k_3', sort='nonce') "
      "at trace:8:16"),
+    ("session that binds a name twice", "session 3 voter id=V0, v=v0\n",
+     "session 3 voter id=V0, v=v0, v=v1\n", "session binds v twice at trace:4:11"),
     ("finished session", "step 20 session 6\n", "step 20 session 6\nstep 21 session 6\n",
      "step 21: session 6 already finished at trace:28:17"),
 ]

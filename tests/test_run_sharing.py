@@ -1,12 +1,11 @@
 """What a run builds once for all its steps, against building it afresh.
 
-A run's steps share four things: the classes of the run's public terms,
-which every term set's classes start from; the context an insert of inert
-facts is checked on, which is the one before the insert; each receive
-pattern's bindings, which a state hands to its copies; and each action
-instance, memoized on its role action.  The live runs over one public term
-set share a fifth, their table of contexts, which a replay and a swapped
-run answer from.  Each test here compares one of them with what a fresh
+A run's steps share three things: the context an insert of inert facts
+is checked on, which is the one before the insert; each receive pattern's
+bindings, which a state hands to its copies; and each action instance,
+memoized on its role action for as long as the protocol lives.  The live
+runs over one public term set share a fourth, their table of contexts,
+which a replay and a swapped run answer from.  Each test here compares one of them with what a fresh
 build gives.  The last ones pin the rewrite matcher, which an equation-free
 branch skips until its classes are built.
 
@@ -16,10 +15,11 @@ identity, so set iteration follows allocation.
 from __future__ import annotations
 
 import gc
+import operator
 import random
 from dataclasses import replace
 
-from oracles import random_term, subterms_of, term_pool
+from oracles import subterms_of
 
 from protassert import anonymity, engine, protocol, runtime
 from protassert.assertions import (
@@ -61,43 +61,6 @@ from protassert.terms import (
     iter_subterms,
     replace_term,
 )
-
-
-def _no_enc(t) -> bool:
-    return not any(isinstance(s, Enc) for s in iter_subterms(t))
-
-
-def _fields(cc: engine.EqClasses) -> dict:
-    return {k: v for k, v in vars(cc).items() if k not in ("dyctx", "_pending")}
-
-
-def test_seeded_classes_equal_a_fresh_build():
-    """X's classes started from the public terms' equal X's classes built
-    from nothing, dict by dict, and only a set holding every public term
-    starts from them."""
-    rng = random.Random(2501)
-    seeded = 0
-    for _ in range(400):
-        pool = term_pool(rng)
-        plain = [t for t in (random_term(rng, pool, 2) for _ in range(6)) if _no_enc(t)]
-        public = frozenset(rng.sample(pool + plain, rng.randint(0, 6)) if rng.random() < 0.9
-                           else ()) - {t for t in pool if not _no_enc(t)}
-        X = frozenset(random_term(rng, pool, rng.randint(0, 3)) for _ in range(rng.randint(0, 6)))
-        if rng.random() < 0.75:
-            X |= public
-        table = ContextTable(public)
-        dyctx = table.dy(X)
-        assert (dyctx.seed is not None) == (public <= X)
-        seeded += dyctx.seed is not None and bool(X - public)
-        got, want = engine._x_classes(dyctx), engine._x_classes(DYContext(X))
-        assert got.dyctx is dyctx and got.trail == []
-        assert _fields(got) == _fields(want), (sorted(public, key=repr), sorted(X, key=repr))
-        # a second set over the same seed copies it again, and the seed stays as built
-        assert _fields(engine._x_classes(table.dy(X | public | {Basic("z", NONCE)}))) == \
-            _fields(engine._x_classes(DYContext(X | public | {Basic("z", NONCE)})))
-        assert _fields(engine._x_classes(table._public)) == _fields(
-            engine._x_classes(DYContext(public)))
-    assert seeded > 150
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +282,27 @@ def test_one_instance_per_role_action_and_images(monkeypatch):
         runtime.apply_candidate(state, step)
 
 
-def test_an_instance_entry_goes_with_the_run():
+def test_an_instance_outlives_its_run():
+    """Over one parsed protocol, a second run at the same seed, made after
+    the first run's table is gone, adds no entry and takes the first run's
+    objects."""
     foo = builtin_foo()
     roles = list(foo.roles.values())
 
     def entries() -> int:
         return sum(len(act._instances[1]) for role in roles for act in role.actions)
 
-    def one_run() -> int:
-        run, state = simulate(foo, default_foo_setup(foo, 2), seed=3)
+    def one_run() -> tuple[list, int]:
+        run, _ = simulate(foo, default_foo_setup(foo, 2), seed=3)
         assert run.complete
-        return entries()
+        return [step.action for step in run.steps], entries()
 
+    first, made = one_run()
     gc.collect()
-    start = entries()
-    assert one_run() > start
-    gc.collect()
-    assert entries() == start
+    assert entries() == made
+    second, again = one_run()
+    assert again == made
+    assert len(second) == len(first) and all(map(operator.is_, second, first))
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,9 @@ def test_validate_rejects_a_step_of_a_finished_session():
     (lambda fresh: (),
      ["step 1: fresh variables do not match the action",
       "step 1: action not ground after instantiation"]),
-], ids=["one more", "none"])
+    (lambda fresh: (("k", Basic("k_99", "key")), *fresh),
+     ["step 1: fresh variables do not match the action"]),
+], ids=["one more", "none", "one twice"])
 def test_validate_rejects_fresh_variables_unlike_the_action(edit, problems):
     # the first step of the run is a send fresh(k)
     proto = foo()
@@ -618,7 +620,7 @@ def test_each_context_is_built_once_per_call(monkeypatch):
     # across both calls no set is built twice, and the replay builds none
     assert built_once("simulate and validate_run") == made
     copy = parse_trace(write_trace(run), proto, setup)
-    public = run.contexts._public.X
+    public = next(key for key, table in runtime._TABLES.items() if table is run.contexts)
     del run, state
     assert public not in runtime._TABLES
     saturated.clear()

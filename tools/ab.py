@@ -16,7 +16,9 @@ Modes: ``protocols`` and ``sequents`` take the items of
 run prints the child's total time over the parent's (below 1 is faster)
 and whether the outputs of the two sides (verdict lines, traces, reports)
 have one sha256, then one line per item with both sides' fastest times and
-their ratio; the exit status is 1 if any run finds the outputs different.
+their ratio.  After the last run, one line gives the minimum, median and
+maximum of the runs' change/parent times and whether every run found the
+outputs equal; the exit status is 1 if any run finds them different.
 Standard library only.
 """
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -99,17 +102,22 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     passes = args.passes or PASSES[args.mode]
     sides = [load(root.resolve(), args.mode, args.seed) for root in (args.parent, args.child)]
-    differ = False
+    differ, ratios = False, []
     for r in range(args.runs):
         best, same = one_run(sides, passes)
         differ |= not same
+        ratios.append(sum(best[1]) / sum(best[0]))
         print(f"{args.mode} run {r + 1}/{args.runs}: {passes} passes, "
-              f"change/parent time {sum(best[1]) / sum(best[0]):.3f}, "
+              f"change/parent time {ratios[-1]:.3f}, "
               f"digests {'equal' if same else 'DIFFER'}")
         for (label, _), old, new in zip(sides[0][1], *best):
             print(f"  {label}: parent {old * 1e3:.2f} ms, change {new * 1e3:.2f} ms, "
                   f"{new / old:.3f}")
         sys.stdout.flush()
+    print(f"{args.mode} over {args.runs} run{'s' * (args.runs != 1)}: "
+          f"change/parent time min {min(ratios):.3f}, "
+          f"median {statistics.median(ratios):.3f}, max {max(ratios):.3f}, "
+          f"digests {'DIFFER in some run' if differ else 'equal in every run'}")
     return int(differ)
 
 
